@@ -19,6 +19,14 @@
 //! legacy monthly simulation is exactly the `Monthly` + `Oracle`
 //! configuration (the default), which reproduces its results bit for bit.
 //!
+//! One loop runs every [`ServingMode`]: per epoch it decides over the
+//! remaining window, serves until the next trigger, accounts the served
+//! segment, and repeats until the epoch ends.  The epoch end is the trigger
+//! that always fires; [`ServingMode::OnlineReplace`] adds a demand-drift
+//! trigger that cuts the epoch into several segments.  Every input comes
+//! from one [`ScenarioPrep`]: the epoch-invariant deployment, its pair
+//! latencies and the per-epoch intensity means.
+//!
 //! # Stateful re-placement
 //!
 //! The committed assignment is threaded from each epoch into the next as a
@@ -39,7 +47,9 @@ use carbonedge_core::{
 };
 use carbonedge_datasets::zones::ZoneArea;
 use carbonedge_datasets::{EdgeSiteCatalog, ZoneCatalog};
-use carbonedge_grid::{CarbonIntensityService, CarbonTrace, EpochSchedule, ForecasterKind};
+use carbonedge_grid::{
+    CarbonIntensityService, CarbonTrace, EpochSchedule, ForecasterKind, HourOfYear, ZoneId,
+};
 use carbonedge_net::LatencyModel;
 use carbonedge_workload::{
     AppId, Application, ArrivalProcess, DeviceKind, ModelKind, RequestStream, WorkloadProfile,
@@ -317,6 +327,8 @@ type SharedTraces = Arc<Vec<CarbonTrace>>;
 type TraceSlot = Arc<OnceLock<SharedTraces>>;
 /// A lazily initialized per-scenario prep slot.
 type PrepSlot = Arc<OnceLock<Arc<ScenarioPrep>>>;
+/// One simulated edge site: name, location, zone and metro population.
+type Site = (String, carbonedge_geo::Coordinates, ZoneId, f64);
 
 /// The configuration fields a [`ScenarioPrep`] depends on: everything that
 /// shapes the deployment, the traces, the epoch schedule, or the forecast —
@@ -360,24 +372,181 @@ impl PrepKey {
 }
 
 /// Scenario-level preparation computed once per `PrepKey` and consumed by
-/// every policy/migration/serving variant of the scenario: the per-epoch
-/// per-site decision (forecast) and accounting (actual) mean intensities,
-/// the mean metro population the demand/capacity scenarios normalize by,
-/// and the site-to-site round-trip latency matrix over the epoch-invariant
-/// deployment shape.
+/// every policy/migration/serving variant of the scenario.  It owns the
+/// epoch-invariant deployment — server snapshots and applications (whose
+/// `origin_site` is their site index) sized by the demand/capacity
+/// scenario, the server→site map, the per-site server counts — the
+/// site-to-site round-trip latency matrix over it, and the per-epoch
+/// per-site decision (forecast) and accounting (actual) mean intensities.
 ///
-/// Every cached value is produced by exactly the statement sequence the
-/// cold path executes (epochs in schedule order, sites in catalog order,
-/// one intensity scan per distinct zone per window), so a prepped run is
-/// bit-identical to a cold run — the invariant pinned by the sim crate's
-/// shared-vs-standalone test and the sweep crate's `sweep_delta`
-/// differential.
+/// It is the only producer of a run's inputs: every simulator runs on one,
+/// taken from the per-`PrepKey` cache by [`CdnShared::simulator`] or built
+/// fresh and private by [`CdnShared::cold_simulator`].  The fresh-vs-cached
+/// differential (the sim crate's shared-vs-standalone tests and the sweep
+/// crate's `sweep_delta`) therefore pins the cache key: a consumer axis that
+/// leaked into the prep would make the two runs diverge.
 pub struct ScenarioPrep {
-    mean_population: f64,
+    /// Server snapshots in site order; each run re-prices its own copy per
+    /// decision window.
+    servers: Vec<ServerSnapshot>,
+    /// Arriving applications in site order.
+    apps: Vec<Application>,
+    /// Site index of every server.
+    server_site: Vec<usize>,
+    /// Servers per site, sized by the capacity scenario.
+    servers_per_site: Vec<usize>,
     /// `[epoch.index][site]` → (decision mean, actual mean) intensity.
     epoch_site_means: Vec<Vec<(f64, f64)>>,
     /// Pair round-trip latencies with app/server classes = site indices.
     latency: Arc<PairLatencyCache>,
+}
+
+impl ScenarioPrep {
+    /// Builds the preparation of `config` over its site list.
+    fn build(
+        config: &CdnConfig,
+        sites: &[Site],
+        traces: &Arc<Vec<CarbonTrace>>,
+        latency_model: &LatencyModel,
+    ) -> Self {
+        // The mean metro population normalizes the population-proportional
+        // demand/capacity scenarios.
+        let mean_population =
+            sites.iter().map(|(_, _, _, p)| *p).sum::<f64>() / sites.len().max(1) as f64;
+        let mut servers = Vec::new();
+        let mut servers_per_site = Vec::new();
+        let mut apps = Vec::new();
+        for (site, (_, loc, zone, pop)) in sites.iter().enumerate() {
+            let count = config.servers_at(*pop, mean_population);
+            for _ in 0..count {
+                servers.push(ServerSnapshot::new(
+                    servers.len(),
+                    site,
+                    *zone,
+                    config.device,
+                    *loc,
+                ));
+            }
+            servers_per_site.push(count);
+            for _ in 0..config.apps_at(*pop, mean_population) {
+                apps.push(Application::new(
+                    AppId(apps.len()),
+                    config.model,
+                    config.request_rate_rps,
+                    config.latency_limit_ms,
+                    *loc,
+                    site,
+                ));
+            }
+        }
+        let server_site: Vec<usize> = servers.iter().map(|s| s.site).collect();
+
+        // The same pure call `PlacementProblem::latency_ms` would make:
+        // identical coordinates, identical bits.
+        let mut rtt_ms = Vec::with_capacity(sites.len() * sites.len());
+        for (_, a, _, _) in sites {
+            for (_, b, _, _) in sites {
+                rtt_ms.push(latency_model.round_trip_ms(*a, *b));
+            }
+        }
+        let latency = Arc::new(PairLatencyCache::new(
+            apps.iter().map(|a| a.origin_site as u32).collect(),
+            server_site.iter().map(|&s| s as u32).collect(),
+            rtt_ms,
+            sites.len(),
+        ));
+
+        let service = config.intensity_service(traces);
+        let epoch_site_means = config
+            .epoch
+            .epochs()
+            .into_iter()
+            .map(|epoch| site_means_for_window(sites, &service, epoch.start, epoch.hours))
+            .collect();
+        Self {
+            servers,
+            apps,
+            server_site,
+            servers_per_site,
+            epoch_site_means,
+            latency,
+        }
+    }
+}
+
+impl CdnConfig {
+    /// Servers at a site of metro `population` (Figure 14's capacity skew).
+    fn servers_at(&self, population: f64, mean_population: f64) -> usize {
+        match self.scenario {
+            CdnScenario::PopulationCapacity => ((population / mean_population)
+                * self.servers_per_site as f64)
+                .round()
+                // lint:allow(lossy-cast): rounded and clamped to >= 1.0 above, so the cast is exact
+                .max(1.0) as usize,
+            _ => self.servers_per_site,
+        }
+    }
+
+    /// Applications arriving at a site of metro `population` (Figure 14's
+    /// demand skew).
+    fn apps_at(&self, population: f64, mean_population: f64) -> usize {
+        match self.scenario {
+            CdnScenario::PopulationDemand => ((population / mean_population)
+                * self.apps_per_site as f64)
+                .round()
+                // lint:allow(lossy-cast): rounded and clamped to >= 0.0 above, so the cast is exact
+                .max(0.0) as usize,
+            _ => self.apps_per_site,
+        }
+    }
+
+    /// The intensity service answering this configuration's decision
+    /// forecasts.
+    fn intensity_service(&self, traces: &Arc<Vec<CarbonTrace>>) -> CarbonIntensityService {
+        CarbonIntensityService::shared(Arc::clone(traces))
+            .with_forecaster(self.forecaster.build(), 1)
+    }
+}
+
+/// The per-site (decision, actual) mean intensities for one window:
+/// decision = the *forecast* mean for the site's zone over the window (the
+/// decision intensity Ī of Section 4.2), actual = the trace's true window
+/// mean, kept aside for accounting.  Both depend only on (zone, window);
+/// sites sharing a zone reuse them instead of re-scanning the trace window
+/// per site.  The prep stores these vectors per epoch and a run computes
+/// the windows the drift trigger cuts short, both through this routine.
+fn site_means_for_window(
+    sites: &[Site],
+    service: &CarbonIntensityService,
+    window_start: HourOfYear,
+    window_hours: usize,
+) -> Vec<(f64, f64)> {
+    let mut zone_means: HashMap<ZoneId, (f64, f64)> = HashMap::new();
+    sites
+        .iter()
+        .map(|(_, _, zone, _)| {
+            *zone_means.entry(*zone).or_insert_with(|| {
+                (
+                    service.forecast_mean_over(*zone, window_start, window_hours),
+                    service
+                        .trace(*zone)
+                        .window_mean(window_start, window_hours)
+                        .max(0.0),
+                )
+            })
+        })
+        .collect()
+}
+
+/// Prices every server at its site's decision mean, through the
+/// [`ServerSnapshot::with_carbon_intensity`] clamp, over `hours`.
+fn price_decided(problem: &mut PlacementProblem, site_means: &[(f64, f64)], hours: usize) {
+    for server in &mut problem.servers {
+        *server = server
+            .clone()
+            .with_carbon_intensity(site_means[server.site].0);
+    }
+    problem.epoch_hours = hours as f64;
 }
 
 impl CdnShared {
@@ -436,27 +605,33 @@ impl CdnShared {
     }
 
     /// Builds a simulator for a configuration on the shared catalogs, with
-    /// the scenario preparation attached: epoch intensity means, demand
-    /// aggregates and the pair-latency matrix are computed once per
-    /// `PrepKey` and reused by every policy/migration/serving variant.
+    /// the scenario preparation taken from the per-`PrepKey` cache: the
+    /// deployment, the pair-latency matrix and the epoch intensity means are
+    /// built once per scenario and reused by every
+    /// policy/migration/serving variant.
     pub fn simulator(&self, config: CdnConfig) -> CdnSimulator {
-        let mut sim = self.cold_simulator(config);
         let slot = {
             let mut cache = self.preps.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(cache.entry(PrepKey::of(&sim.config)).or_default())
+            Arc::clone(cache.entry(PrepKey::of(&config)).or_default())
         };
-        sim.prep = Some(Arc::clone(slot.get_or_init(|| Arc::new(sim.build_prep()))));
-        sim
+        self.simulator_on(config, &slot)
     }
 
-    /// Builds a simulator **without** the scenario preparation: every run
-    /// re-derives its epoch inputs from scratch.  This is the differential
-    /// oracle the prepped path is tested against (`tests/sweep_delta.rs`
-    /// and the shared-vs-standalone sim test); it is also what
-    /// [`CdnSimulator::new`] returns.
+    /// Builds a simulator on a fresh, private scenario preparation that
+    /// neither consumes nor populates the cache.  This is the differential
+    /// oracle the cached path is tested against (`tests/sweep_delta.rs` and
+    /// the shared-vs-standalone sim tests): a prep-key bug makes a cached
+    /// prep differ from a fresh one.  It is also what [`CdnSimulator::new`]
+    /// returns.
     pub fn cold_simulator(&self, config: CdnConfig) -> CdnSimulator {
+        self.simulator_on(config, &OnceLock::new())
+    }
+
+    /// Builds a simulator on the prep held by `slot`, building it there
+    /// first if the slot is empty.
+    fn simulator_on(&self, config: CdnConfig, slot: &OnceLock<Arc<ScenarioPrep>>) -> CdnSimulator {
         let traces = self.traces(config.seed);
-        let mut sites: Vec<_> = self
+        let mut sites: Vec<Site> = self
             .site_catalog
             .in_area(config.area)
             .iter()
@@ -465,13 +640,16 @@ impl CdnShared {
         if let Some(limit) = config.site_limit {
             sites.truncate(limit);
         }
+        let latency_model = LatencyModel::deterministic();
+        let build = || ScenarioPrep::build(&config, &sites, &traces, &latency_model);
+        let prep = Arc::clone(slot.get_or_init(|| Arc::new(build())));
         CdnSimulator {
             config,
             catalog: Arc::clone(&self.catalog),
             traces,
             sites,
-            latency_model: LatencyModel::deterministic(),
-            prep: None,
+            latency_model,
+            prep,
         }
     }
 }
@@ -482,30 +660,26 @@ impl Default for CdnShared {
     }
 }
 
-/// The CDN simulator: the catalog, traces and site list for one area.
+/// The CDN simulator: the catalog, traces, site list and scenario
+/// preparation for one area.
 pub struct CdnSimulator {
     config: CdnConfig,
     catalog: Arc<ZoneCatalog>,
     traces: Arc<Vec<CarbonTrace>>,
-    /// (site name, location, zone, population) restricted to the area.
-    sites: Vec<(
-        String,
-        carbonedge_geo::Coordinates,
-        carbonedge_grid::ZoneId,
-        f64,
-    )>,
+    /// The sites restricted to the area.
+    sites: Vec<Site>,
     latency_model: LatencyModel,
-    /// Scenario preparation attached by [`CdnShared::simulator`]; `None`
-    /// for standalone/cold simulators, which re-derive every epoch's
-    /// inputs from scratch.
-    prep: Option<Arc<ScenarioPrep>>,
+    /// The deployment and epoch inputs every run consumes: shared through
+    /// the [`CdnShared`] cache, or private to a cold simulator.
+    prep: Arc<ScenarioPrep>,
 }
 
 impl CdnSimulator {
-    /// Builds a standalone simulator for a configuration, running on the
-    /// cold (from-scratch) path.  Sweeps running many configurations should
-    /// build one [`CdnShared`] and call [`CdnShared::simulator`] instead,
-    /// which reuses catalogs, traces and the scenario preparation.
+    /// Builds a standalone simulator for a configuration on a fresh, private
+    /// scenario preparation (see [`CdnShared::cold_simulator`]).  Sweeps
+    /// running many configurations should build one [`CdnShared`] and call
+    /// [`CdnShared::simulator`] instead, which reuses catalogs, traces and
+    /// the scenario preparation.
     pub fn new(config: CdnConfig) -> Self {
         CdnShared::new().cold_simulator(config)
     }
@@ -530,28 +704,6 @@ impl CdnSimulator {
         )
     }
 
-    fn capacity_multiplier(&self, population: f64, mean_population: f64) -> usize {
-        match self.config.scenario {
-            CdnScenario::PopulationCapacity => ((population / mean_population)
-                * self.config.servers_per_site as f64)
-                .round()
-                // lint:allow(lossy-cast): rounded and clamped to >= 1.0 above, so the cast is exact
-                .max(1.0) as usize,
-            _ => self.config.servers_per_site,
-        }
-    }
-
-    fn demand_for_site(&self, population: f64, mean_population: f64) -> usize {
-        match self.config.scenario {
-            CdnScenario::PopulationDemand => ((population / mean_population)
-                * self.config.apps_per_site as f64)
-                .round()
-                // lint:allow(lossy-cast): rounded and clamped to >= 0.0 above, so the cast is exact
-                .max(0.0) as usize,
-            _ => self.config.apps_per_site,
-        }
-    }
-
     /// Runs the year-long simulation for one policy with the default
     /// heuristic placer.
     pub fn run(&self, policy: PlacementPolicy) -> CdnResult {
@@ -562,414 +714,56 @@ impl CdnSimulator {
     /// sweeps share one solver configuration across cells (see
     /// [`IncrementalPlacer::with_policy`]).
     ///
-    /// At each epoch boundary of the configured [`EpochSchedule`] the
-    /// placement is re-solved against the **forecast** mean intensity over
-    /// the epoch ([`CarbonIntensityService::forecast_mean_over`] with the
-    /// configured [`ForecasterKind`]); realized carbon is then accounted by
-    /// re-pricing the committed assignment at the epoch's **actual** mean
-    /// intensity from the hourly trace, plus the migration carbon of any
-    /// moves off the previous epoch's committed assignment (which is
-    /// threaded into each re-solve as a
-    /// [`PlacementState`]).  Successive
-    /// epochs build structurally identical placement problems — migration
-    /// terms are folded into the costs, never into the constraint matrix —
-    /// so a placer on the exact path warm-restarts each re-solve from the
-    /// previous optimal basis (cost-only changes restart primal phase-2);
-    /// the per-run pivot count is surfaced as [`CdnResult::solver_pivots`].
+    /// One loop serves every [`ServingMode`].  Per epoch of the configured
+    /// [`EpochSchedule`] it decides over the remaining window against the
+    /// **forecast** mean intensity ([`CarbonIntensityService::forecast_mean_over`]
+    /// with the configured [`ForecasterKind`]), serves until the next
+    /// trigger, accounts the served segment at its **actual** mean intensity
+    /// plus the migration carbon of any moves, and repeats until the epoch
+    /// ends.  The trigger is the epoch end, or a demand drift past
+    /// [`CdnConfig::drift_threshold`] under [`ServingMode::OnlineReplace`];
+    /// `Aggregate` has no serving engine and `EventLevel` passes an infinite
+    /// threshold, so both decide once per epoch.  Each decision re-prices one
+    /// problem over the epoch-invariant deployment, with the previous
+    /// assignment as its [`PlacementState`].  Migration terms are folded into
+    /// the costs, never into the constraint matrix, so an exact-path placer
+    /// warm-restarts every re-solve from the previous optimal basis
+    /// (cost-only changes restart primal phase-2; see
+    /// [`CdnResult::solver_pivots`]).
     pub fn run_with(&self, placer: &IncrementalPlacer) -> CdnResult {
-        match self.config.serving {
-            ServingMode::OnlineReplace => self.run_online(placer),
-            _ => self.run_epochal(placer),
-        }
-    }
-
-    /// Builds the placement inputs for one decision window: server
-    /// snapshots priced at the forecast mean intensity over the window, the
-    /// server→site map, the per-server *actual* window-mean intensity kept
-    /// aside for accounting, and the applications demanding placement.
-    /// Shared by the epoch-boundary path and the online re-placement path;
-    /// the statement sequence is identical to the legacy inline loop, so
-    /// the aggregate path stays bit-exact.
-    #[allow(clippy::type_complexity)]
-    fn build_epoch_inputs(
-        &self,
-        window_start: carbonedge_grid::HourOfYear,
-        window_hours: usize,
-        service: &CarbonIntensityService,
-        mean_population: f64,
-    ) -> (Vec<ServerSnapshot>, Vec<usize>, Vec<f64>, Vec<Application>) {
-        let site_means = self.site_means_for_window(window_start, window_hours, service);
-        self.assemble_epoch_inputs(mean_population, &site_means)
-    }
-
-    /// The per-site (decision, actual) mean intensities for one window:
-    /// decision = the *forecast* mean for the site's zone over the window
-    /// (the decision intensity Ī of Section 4.2), actual = the trace's true
-    /// window mean, kept aside for accounting.  Both depend only on
-    /// (zone, window); sites sharing a zone reuse them instead of
-    /// re-scanning the trace window per site.  The prep cache stores these
-    /// vectors per epoch, produced by this exact routine, so prepped and
-    /// cold runs see identical bits.
-    fn site_means_for_window(
-        &self,
-        window_start: carbonedge_grid::HourOfYear,
-        window_hours: usize,
-        service: &CarbonIntensityService,
-    ) -> Vec<(f64, f64)> {
-        let mut zone_means: HashMap<carbonedge_grid::ZoneId, (f64, f64)> = HashMap::new();
-        self.sites
-            .iter()
-            .map(|(_, _, zone, _)| {
-                *zone_means.entry(*zone).or_insert_with(|| {
-                    (
-                        service.forecast_mean_over(*zone, window_start, window_hours),
-                        self.traces[zone.index()]
-                            .window_mean(window_start, window_hours)
-                            .max(0.0),
-                    )
-                })
-            })
-            .collect()
-    }
-
-    /// Materializes the placement inputs from per-site window means:
-    /// server snapshots (capacity per site according to the scenario,
-    /// priced at the decision mean), the server→site map, the per-server
-    /// actual mean for accounting, and the arriving applications (demand
-    /// per site according to the scenario).
-    #[allow(clippy::type_complexity)]
-    fn assemble_epoch_inputs(
-        &self,
-        mean_population: f64,
-        site_means: &[(f64, f64)],
-    ) -> (Vec<ServerSnapshot>, Vec<usize>, Vec<f64>, Vec<Application>) {
-        let mut servers = Vec::new();
-        let mut server_site = Vec::new();
-        let mut actual_by_server = Vec::new();
-        for (site_idx, (_, loc, zone, pop)) in self.sites.iter().enumerate() {
-            let count = self.capacity_multiplier(*pop, mean_population);
-            let (decided, actual) = site_means[site_idx];
-            for _ in 0..count {
-                servers.push(
-                    ServerSnapshot::new(servers.len(), site_idx, *zone, self.config.device, *loc)
-                        .with_carbon_intensity(decided),
-                );
-                server_site.push(site_idx);
-                actual_by_server.push(actual);
-            }
-        }
-        let mut apps = Vec::new();
-        for (_, loc, _, pop) in &self.sites {
-            let count = self.demand_for_site(*pop, mean_population);
-            for _ in 0..count {
-                apps.push(Application::new(
-                    AppId(apps.len()),
-                    self.config.model,
-                    self.config.request_rate_rps,
-                    self.config.latency_limit_ms,
-                    *loc,
-                    0,
-                ));
-            }
-        }
-        (servers, server_site, actual_by_server, apps)
-    }
-
-    /// Mean metro population across the simulated sites — the normalizer of
-    /// the population-proportional demand/capacity scenarios.
-    fn mean_population(&self) -> f64 {
-        self.sites.iter().map(|(_, _, _, p)| *p).sum::<f64>() / self.sites.len().max(1) as f64
-    }
-
-    /// Builds the scenario preparation for this simulator's configuration:
-    /// replays the cold path's exact intensity-scan sequence over every
-    /// epoch of the schedule, and precomputes the site-to-site round-trip
-    /// latency matrix over the epoch-invariant deployment shape (app and
-    /// server location classes are site indices).
-    fn build_prep(&self) -> ScenarioPrep {
-        let mean_population = self.mean_population();
-        let service = CarbonIntensityService::shared(Arc::clone(&self.traces))
-            .with_forecaster(self.config.forecaster.build(), 1);
-        let epoch_site_means = self
-            .config
-            .epoch
-            .epochs()
-            .into_iter()
-            .map(|epoch| self.site_means_for_window(epoch.start, epoch.hours, &service))
-            .collect();
-
-        let sites = self.sites.len();
-        let mut rtt_ms = vec![0.0f64; sites * sites];
-        for (i, (_, a, _, _)) in self.sites.iter().enumerate() {
-            for (j, (_, b, _, _)) in self.sites.iter().enumerate() {
-                // The same pure call `PlacementProblem::latency_ms` would
-                // make: identical coordinates, identical bits.
-                rtt_ms[i * sites + j] = self.latency_model.round_trip_ms(*a, *b);
-            }
-        }
-        let mut server_class = Vec::new();
-        let mut app_class = Vec::new();
-        for (site_idx, (_, _, _, pop)) in self.sites.iter().enumerate() {
-            for _ in 0..self.capacity_multiplier(*pop, mean_population) {
-                server_class.push(site_idx as u32);
-            }
-        }
-        for (site_idx, (_, _, _, pop)) in self.sites.iter().enumerate() {
-            for _ in 0..self.demand_for_site(*pop, mean_population) {
-                app_class.push(site_idx as u32);
-            }
-        }
-        ScenarioPrep {
-            mean_population,
-            epoch_site_means,
-            latency: Arc::new(PairLatencyCache::new(
-                app_class,
-                server_class,
-                rtt_ms,
-                sites,
-            )),
-        }
-    }
-
-    /// Builds the event-level serving engine for this deployment: one
-    /// request stream per application (seeded from its (app, origin-site)
-    /// pair and the trace seed), per-site capacities matching the scenario's
-    /// server counts, and the profiled service time of the configured
-    /// (model, device) pair.
-    fn build_serving_engine(&self) -> ServingEngine {
-        let mean_population =
-            self.sites.iter().map(|(_, _, _, p)| *p).sum::<f64>() / self.sites.len().max(1) as f64;
-        let mut streams = Vec::new();
-        for (site_idx, (_, _, _, pop)) in self.sites.iter().enumerate() {
-            let count = self.demand_for_site(*pop, mean_population);
-            for _ in 0..count {
-                streams.push(RequestStream::new(
-                    streams.len(),
-                    site_idx,
-                    self.config.request_rate_rps,
-                    self.config.arrivals,
-                    self.config.seed,
-                ));
-            }
-        }
-        let locations: Vec<_> = self.sites.iter().map(|(_, loc, _, _)| *loc).collect();
-        let servers_per_site: Vec<usize> = self
-            .sites
-            .iter()
-            .map(|(_, _, _, pop)| self.capacity_multiplier(*pop, mean_population))
-            .collect();
-        let profile = WorkloadProfile::lookup(self.config.model, self.config.device)
-            .expect("CDN simulations use profiled (model, device) pairs");
-        ServingEngine::new(
-            streams,
-            &locations,
-            &servers_per_site,
-            profile.max_throughput_rps(),
-            profile.processing_time_ms,
-            &self.latency_model,
-        )
-    }
-
-    /// The epoch-boundary engine: one placement decision per epoch of the
-    /// configured schedule.  [`ServingMode::Aggregate`] runs exactly the
-    /// legacy loop; [`ServingMode::EventLevel`] additionally streams every
-    /// epoch through the batched serving loop (the placement and carbon
-    /// numbers are identical — serving metrics ride on top).
-    fn run_epochal(&self, placer: &IncrementalPlacer) -> CdnResult {
-        let mean_population = match &self.prep {
-            Some(prep) => prep.mean_population,
-            None => self.mean_population(),
+        let config = &self.config;
+        let prep = &*self.prep;
+        let service = config.intensity_service(&self.traces);
+        let cost = config.migration.cost_for(config.model, config.device);
+        let migration = vec![cost; prep.apps.len()];
+        let drift_threshold = match config.serving {
+            ServingMode::OnlineReplace => config.drift_threshold,
+            _ => f64::INFINITY,
         };
-        let service = CarbonIntensityService::shared(Arc::clone(&self.traces))
-            .with_forecaster(self.config.forecaster.build(), 1);
-        let per_app_migration = self
-            .config
-            .migration
-            .cost_for(self.config.model, self.config.device);
-        let mut serving_engine = self
+        let mut engine = self
             .config
             .serving
             .is_event_level()
             .then(|| self.build_serving_engine());
+        let mut problem = PlacementProblem::new(prep.servers.clone(), prep.apps.clone(), 1.0)
+            .with_latency_model(self.latency_model.clone())
+            .with_latency_cache(Arc::clone(&prep.latency));
+        let deployed = !prep.apps.is_empty() && !prep.servers.is_empty();
 
         let mut outcome = PolicyOutcome::default();
         let mut decision_carbon_total = 0.0f64;
         let mut placements_per_site = vec![vec![0usize; self.sites.len()]; 12];
         let mut assigned_intensity = Vec::new();
-        let mut epochs = Vec::with_capacity(self.config.epoch.epoch_count());
+        let mut epochs = Vec::with_capacity(config.epoch.epoch_count());
         let pivots_before = placer.milp_solver.accumulated_pivots();
         let mut exact_decisions = 0usize;
         let mut moves_total = 0usize;
         let mut migration_total = 0.0f64;
-        // The committed assignment of the previous epoch — the incumbent the
-        // next delta re-solve is charged against.
-        let mut committed: Option<Vec<Option<usize>>> = None;
 
-        for epoch in self.config.epoch.epochs() {
-            let month = epoch.start.month();
-            // A prepped simulator reads the epoch's per-site means straight
-            // from the scenario cache; the cold path re-derives them from
-            // the forecaster and trace (the differential oracle).
-            let (servers, server_site, actual_by_server, apps) = match self
-                .prep
-                .as_ref()
-                .and_then(|p| p.epoch_site_means.get(epoch.index))
-            {
-                Some(site_means) => self.assemble_epoch_inputs(mean_population, site_means),
-                None => {
-                    self.build_epoch_inputs(epoch.start, epoch.hours, &service, mean_population)
-                }
-            };
-            if apps.is_empty() || servers.is_empty() {
-                epochs.push(EpochOutcome {
-                    index: epoch.index,
-                    start: epoch.start,
-                    hours: epoch.hours,
-                    carbon_g: 0.0,
-                    decision_carbon_g: 0.0,
-                    energy_j: 0.0,
-                    mean_latency_ms: 0.0,
-                    placed_apps: 0,
-                    moves: 0,
-                    migration_carbon_g: 0.0,
-                });
-                continue;
-            }
-            let app_count = apps.len();
-            let mut problem = PlacementProblem::new(servers, apps, epoch.hours as f64)
-                .with_latency_model(self.latency_model.clone());
-            if let Some(prep) = &self.prep {
-                problem = problem.with_latency_cache(Arc::clone(&prep.latency));
-            }
-            // Delta re-placement: every epoch after the first is solved
-            // against the previous epoch's committed assignment, so the
-            // placer weighs each move's forecast savings against its
-            // migration cost (the deployment shape is epoch-invariant, so
-            // incumbent server indices stay valid).
-            if let Some(previous) = committed.take() {
-                problem = problem.with_state(PlacementState::new(
-                    previous,
-                    vec![per_app_migration; app_count],
-                ));
-            }
-            let decision = placer
-                .place(&problem)
-                .expect("CDN placement has feasible options");
-            if decision.exact {
-                exact_decisions += 1;
-            }
-
-            // Accounting: re-price the identical problem at the realized
-            // epoch-mean intensities — the only field that differs from the
-            // decision problem, so a zero-error forecast reproduces the
-            // decision carbon bit for bit.  Migration carbon is a fixed
-            // per-move charge, identical under decision and realized
-            // pricing.
-            for (server, actual) in problem.servers.iter_mut().zip(&actual_by_server) {
-                server.carbon_intensity = *actual;
-            }
-            let realized_carbon_g = problem
-                .total_carbon_g(&decision.assignment)
-                .expect("committed assignment stays feasible")
-                + decision.migration_carbon_g;
-
-            let placed = decision.assignment.iter().flatten().count();
-            outcome.accumulate(&PolicyOutcome {
-                carbon_g: realized_carbon_g,
-                energy_j: decision.total_energy_j,
-                mean_latency_ms: decision.mean_latency_ms,
-                placed_apps: placed,
-            });
-            decision_carbon_total += decision.total_carbon_g + decision.migration_carbon_g;
-            moves_total += decision.moves;
-            migration_total += decision.migration_carbon_g;
-            epochs.push(EpochOutcome {
-                index: epoch.index,
-                start: epoch.start,
-                hours: epoch.hours,
-                carbon_g: realized_carbon_g,
-                decision_carbon_g: decision.total_carbon_g + decision.migration_carbon_g,
-                energy_j: decision.total_energy_j,
-                mean_latency_ms: decision.mean_latency_ms,
-                placed_apps: placed,
-                moves: decision.moves,
-                migration_carbon_g: decision.migration_carbon_g,
-            });
-
-            for assignment in decision.assignment.iter().flatten() {
-                let site = server_site[*assignment];
-                placements_per_site[month][site] += 1;
-                assigned_intensity.push(problem.servers[*assignment].carbon_intensity);
-            }
-            // Event-level serving rides on top of the identical placement:
-            // stream the epoch's request batches through the site queues.
-            if let Some(engine) = serving_engine.as_mut() {
+        for epoch in config.epoch.epochs() {
+            if let Some(engine) = engine.as_mut() {
                 engine.load_epoch(epoch.start.index(), epoch.hours);
-                engine.set_assignment(&decision.assignment, &server_site, |app, server| {
-                    problem.latency_ms(app, server)
-                });
-                engine.serve_hours(0, epoch.hours, f64::INFINITY, 0);
             }
-            committed = Some(decision.assignment);
-        }
-
-        CdnResult {
-            policy: placer.policy.name(),
-            outcome,
-            decision_carbon_g: decision_carbon_total,
-            monthly: Self::monthly_from_epochs(&epochs),
-            epochs,
-            placements_per_site,
-            assigned_intensity,
-            site_names: self.sites.iter().map(|(n, _, _, _)| n.clone()).collect(),
-            solver_pivots: placer.milp_solver.accumulated_pivots() - pivots_before,
-            exact_decisions,
-            moves: moves_total,
-            migration_carbon_g: migration_total,
-            serving: serving_engine.map(ServingEngine::finish),
-        }
-    }
-
-    /// The online re-placement engine ([`ServingMode::OnlineReplace`]): the
-    /// epoch schedule still paces the *baseline* decisions, but within an
-    /// epoch the event-level loop watches observed per-site demand against
-    /// the decision's assumption and re-solves the remaining window as soon
-    /// as the relative drift exceeds [`CdnConfig::drift_threshold`] (after a
-    /// [`CdnConfig::drift_cooldown_hours`] grace period).  Each re-solve is
-    /// a delta placement against the committed incumbent with the
-    /// configured migration costs, exactly like an epoch boundary; carbon
-    /// is decided and accounted per *segment* (the hours a decision
-    /// actually served), so an oracle forecast still realizes exactly what
-    /// it promised.
-    fn run_online(&self, placer: &IncrementalPlacer) -> CdnResult {
-        // Online windows are cut by the drift trigger, so their intensity
-        // means cannot be precomputed — only the epoch-invariant parts of
-        // the prep (mean population, the pair-latency matrix) apply here.
-        let mean_population = match &self.prep {
-            Some(prep) => prep.mean_population,
-            None => self.mean_population(),
-        };
-        let service = CarbonIntensityService::shared(Arc::clone(&self.traces))
-            .with_forecaster(self.config.forecaster.build(), 1);
-        let per_app_migration = self
-            .config
-            .migration
-            .cost_for(self.config.model, self.config.device);
-        let mut engine = self.build_serving_engine();
-
-        let mut outcome = PolicyOutcome::default();
-        let mut decision_carbon_total = 0.0f64;
-        let mut placements_per_site = vec![vec![0usize; self.sites.len()]; 12];
-        let mut assigned_intensity = Vec::new();
-        let mut epochs = Vec::with_capacity(self.config.epoch.epoch_count());
-        let pivots_before = placer.milp_solver.accumulated_pivots();
-        let mut exact_decisions = 0usize;
-        let mut moves_total = 0usize;
-        let mut migration_total = 0.0f64;
-        let mut committed: Option<Vec<Option<usize>>> = None;
-
-        for epoch in self.config.epoch.epochs() {
-            engine.load_epoch(epoch.start.index(), epoch.hours);
             let mut ep = EpochOutcome {
                 index: epoch.index,
                 start: epoch.start,
@@ -982,106 +776,105 @@ impl CdnSimulator {
                 moves: 0,
                 migration_carbon_g: 0.0,
             };
+            let mut decisions = 0usize;
             let mut latency_weighted = 0.0f64;
             let mut latency_weight = 0usize;
             let mut offset = 0usize;
-            let mut first_segment = true;
-            while offset < epoch.hours {
+            while deployed && offset < epoch.hours {
                 let window_start = epoch.start.plus(offset);
                 let window_hours = epoch.hours - offset;
                 // Decide against the forecast over the *remaining* window —
-                // the freshest view the placer can have mid-epoch.
-                let (servers, server_site, _, apps) =
-                    self.build_epoch_inputs(window_start, window_hours, &service, mean_population);
-                if apps.is_empty() || servers.is_empty() {
-                    break;
-                }
-                let app_count = apps.len();
-                let problem = {
-                    let mut p = PlacementProblem::new(servers, apps, window_hours as f64)
-                        .with_latency_model(self.latency_model.clone());
-                    if let Some(prep) = &self.prep {
-                        p = p.with_latency_cache(Arc::clone(&prep.latency));
-                    }
-                    match committed.take() {
-                        Some(previous) => p.with_state(PlacementState::new(
-                            previous,
-                            vec![per_app_migration; app_count],
-                        )),
-                        None => p,
-                    }
+                // the freshest view the placer can have.  A whole epoch is
+                // read from the prep; a window cut short by drift is
+                // computed on demand.
+                let cut_window;
+                let window_means: &[(f64, f64)] = if offset == 0 {
+                    &prep.epoch_site_means[epoch.index]
+                } else {
+                    cut_window =
+                        site_means_for_window(&self.sites, &service, window_start, window_hours);
+                    &cut_window
                 };
+                price_decided(&mut problem, window_means, window_hours);
                 let decision = placer
                     .place(&problem)
                     .expect("CDN placement has feasible options");
-                if decision.exact {
-                    exact_decisions += 1;
-                }
+                exact_decisions += usize::from(decision.exact);
 
-                // Serve under this decision until the drift trigger fires
-                // or the epoch ends.
-                engine.set_assignment(&decision.assignment, &server_site, |app, server| {
-                    problem.latency_ms(app, server)
-                });
-                let (segment_hours, _fired) = engine.serve_hours(
-                    offset,
-                    epoch.hours,
-                    self.config.drift_threshold,
-                    self.config.drift_cooldown_hours,
-                );
+                // Serve under this decision until the next trigger.
+                let segment_hours = match engine.as_mut() {
+                    Some(engine) => {
+                        engine.set_assignment(&decision.assignment, &prep.server_site, |app, s| {
+                            problem.latency_ms(app, s)
+                        });
+                        let cooldown = config.drift_cooldown_hours;
+                        engine
+                            .serve_hours(offset, epoch.hours, drift_threshold, cooldown)
+                            .0
+                    }
+                    None => window_hours,
+                };
 
                 // Price the segment the decision actually served: decision
                 // carbon at the forecast mean over the segment, realized
-                // carbon at the actual mean — an oracle forecast makes the
-                // two identical, exactly like the epoch-boundary engine.
-                let (seg_servers, seg_server_site, seg_actual, seg_apps) =
-                    self.build_epoch_inputs(window_start, segment_hours, &service, mean_population);
-                let mut pricing =
-                    PlacementProblem::new(seg_servers, seg_apps, segment_hours as f64)
-                        .with_latency_model(self.latency_model.clone());
-                if let Some(prep) = &self.prep {
-                    pricing = pricing.with_latency_cache(Arc::clone(&prep.latency));
-                }
-                let seg_decision_g = pricing
-                    .total_carbon_g(&decision.assignment)
-                    .expect("committed assignment stays feasible")
-                    + decision.migration_carbon_g;
-                for (server, actual) in pricing.servers.iter_mut().zip(&seg_actual) {
-                    server.carbon_intensity = *actual;
-                }
-                let seg_realized_g = pricing
-                    .total_carbon_g(&decision.assignment)
-                    .expect("committed assignment stays feasible")
-                    + decision.migration_carbon_g;
-                let seg_energy_j = pricing
+                // carbon at the actual mean.  Only the intensities differ, so
+                // a zero-error forecast realizes exactly what it promised.
+                // Migration carbon is a fixed per-move charge, identical
+                // under both pricings.
+                let cut_segment;
+                let served_means = if segment_hours == window_hours {
+                    window_means
+                } else {
+                    cut_segment =
+                        site_means_for_window(&self.sites, &service, window_start, segment_hours);
+                    price_decided(&mut problem, &cut_segment, segment_hours);
+                    &cut_segment
+                };
+                let carbon_g = |p: &PlacementProblem| {
+                    p.total_carbon_g(&decision.assignment)
+                        .expect("committed assignment stays feasible")
+                        + decision.migration_carbon_g
+                };
+                let decided_g = carbon_g(&problem);
+                let energy_j = problem
                     .total_energy_j(&decision.assignment)
                     .expect("committed assignment stays feasible");
+                for server in &mut problem.servers {
+                    server.carbon_intensity = served_means[server.site].1;
+                }
+                let realized_g = carbon_g(&problem);
 
                 let placed = decision.assignment.iter().flatten().count();
-                ep.carbon_g += seg_realized_g;
-                ep.decision_carbon_g += seg_decision_g;
-                ep.energy_j += seg_energy_j;
-                ep.moves += decision.moves;
-                ep.migration_carbon_g += decision.migration_carbon_g;
+                if decisions == 0 {
+                    ep.mean_latency_ms = decision.mean_latency_ms;
+                    ep.placed_apps = placed;
+                }
+                decisions += 1;
                 latency_weighted += decision.mean_latency_ms * placed as f64;
                 latency_weight += placed;
-                if first_segment {
-                    ep.placed_apps = placed;
-                    first_segment = false;
-                }
+                ep.carbon_g += realized_g;
+                ep.decision_carbon_g += decided_g;
+                ep.energy_j += energy_j;
+                ep.moves += decision.moves;
+                ep.migration_carbon_g += decision.migration_carbon_g;
                 moves_total += decision.moves;
                 migration_total += decision.migration_carbon_g;
 
                 let month = window_start.month();
-                for assignment in decision.assignment.iter().flatten() {
-                    let site = seg_server_site[*assignment];
-                    placements_per_site[month][site] += 1;
-                    assigned_intensity.push(pricing.servers[*assignment].carbon_intensity);
+                for &server in decision.assignment.iter().flatten() {
+                    placements_per_site[month][prep.server_site[server]] += 1;
+                    assigned_intensity.push(problem.servers[server].carbon_intensity);
                 }
-                committed = Some(decision.assignment);
+                // Delta re-placement: the next decision is solved against
+                // this committed assignment, so the placer weighs each move's
+                // forecast savings against its migration cost (the deployment
+                // is epoch-invariant, so incumbent server indices stay valid).
+                problem.state = Some(PlacementState::new(decision.assignment, migration.clone()));
                 offset += segment_hours;
             }
-            if latency_weight > 0 {
+            // An epoch decided more than once reports the placed-weighted
+            // mean latency of its decisions.
+            if decisions > 1 && latency_weight > 0 {
                 ep.mean_latency_ms = latency_weighted / latency_weight as f64;
             }
             outcome.accumulate(&PolicyOutcome {
@@ -1107,8 +900,44 @@ impl CdnSimulator {
             exact_decisions,
             moves: moves_total,
             migration_carbon_g: migration_total,
-            serving: Some(engine.finish()),
+            serving: engine.map(ServingEngine::finish),
         }
+    }
+
+    /// Builds the event-level serving engine for this deployment: one
+    /// request stream per application (seeded from its (app, origin-site)
+    /// pair and the trace seed), per-site capacities matching the scenario's
+    /// server counts, and the profiled service time of the configured
+    /// (model, device) pair.
+    fn build_serving_engine(&self) -> ServingEngine {
+        let config = &self.config;
+        let streams = self
+            .prep
+            .apps
+            .iter()
+            .enumerate()
+            .map(|(i, app)| {
+                let site = app.origin_site;
+                RequestStream::new(
+                    i,
+                    site,
+                    config.request_rate_rps,
+                    config.arrivals,
+                    config.seed,
+                )
+            })
+            .collect();
+        let locations: Vec<_> = self.sites.iter().map(|(_, loc, _, _)| *loc).collect();
+        let profile = WorkloadProfile::lookup(self.config.model, self.config.device)
+            .expect("CDN simulations use profiled (model, device) pairs");
+        ServingEngine::new(
+            streams,
+            &locations,
+            &self.prep.servers_per_site,
+            profile.max_throughput_rps(),
+            profile.processing_time_ms,
+            &self.latency_model,
+        )
     }
 
     /// Post-processes the per-epoch outcomes into the 12 calendar-month
@@ -1355,8 +1184,8 @@ mod tests {
         }));
         assert!(poisoned.is_err());
         let config = CdnConfig::new(ZoneArea::Europe).with_site_limit(3);
-        let sim = shared.simulator(config);
-        assert!(sim.prep.is_some());
+        let sim = shared.simulator(config.clone());
+        assert!(Arc::ptr_eq(&sim.prep, &shared.simulator(config).prep));
         assert_eq!(shared.cached_prep_count(), 1);
     }
 
@@ -1636,7 +1465,7 @@ mod tests {
     #[test]
     fn online_replace_with_infinite_threshold_matches_epoch_boundaries() {
         // A trigger that never fires degenerates to one segment per epoch —
-        // the same decisions as the epoch-boundary engine.
+        // the same run as EventLevel, field for field.
         let base = small_config(ZoneArea::Europe).with_site_limit(12);
         let epochal = CdnSimulator::new(base.clone().with_serving(ServingMode::EventLevel))
             .run(PlacementPolicy::CarbonAware);
@@ -1646,9 +1475,51 @@ mod tests {
         )
         .run(PlacementPolicy::CarbonAware);
         assert_eq!(online.serving.expect("metrics").online_replacements, 0);
-        assert_eq!(epochal.outcome.carbon_g, online.outcome.carbon_g);
-        assert_eq!(epochal.outcome.energy_j, online.outcome.energy_j);
-        assert_eq!(epochal.moves, online.moves);
+        assert_same_result(&epochal, &online);
+    }
+
+    /// Asserts two runs agree on every `CdnResult` field, bit for bit.
+    fn assert_same_result(a: &CdnResult, b: &CdnResult) {
+        assert_eq!(a.policy, b.policy);
+        assert_eq!(a.outcome, b.outcome);
+        assert_eq!(a.decision_carbon_g, b.decision_carbon_g);
+        assert_eq!(a.monthly, b.monthly);
+        assert_eq!(a.epochs, b.epochs);
+        assert_eq!(a.placements_per_site, b.placements_per_site);
+        assert_eq!(a.assigned_intensity, b.assigned_intensity);
+        assert_eq!(a.site_names, b.site_names);
+        assert_eq!(a.solver_pivots, b.solver_pivots);
+        assert_eq!(a.exact_decisions, b.exact_decisions);
+        assert_eq!(a.moves, b.moves);
+        assert_eq!(a.migration_carbon_g, b.migration_carbon_g);
+        assert_eq!(a.serving, b.serving);
+    }
+
+    #[test]
+    fn cached_and_fresh_preps_agree_when_drift_cuts_windows() {
+        // A hair trigger on weekly epochs with a non-oracle forecaster: one
+        // run decides over whole epochs read from the prep and over windows
+        // the drift cut short, computed on demand.  The cached prep was built
+        // for a different consumer-axis variant of the scenario, so a prep
+        // key that missed an input would make it differ from a fresh one.
+        let config = small_config(ZoneArea::Europe)
+            .with_site_limit(10)
+            .with_epoch(EpochSchedule::Weekly)
+            .with_forecaster(ForecasterKind::MovingAverage { window_hours: 24 })
+            .with_serving(ServingMode::OnlineReplace)
+            .with_drift(0.05, 24);
+        let shared = CdnShared::new();
+        let _ = shared.simulator(config.clone().with_serving(ServingMode::Aggregate));
+        let cached = shared
+            .simulator(config.clone())
+            .run(PlacementPolicy::CarbonAware);
+        let fresh = shared
+            .cold_simulator(config)
+            .run(PlacementPolicy::CarbonAware);
+        assert_eq!(shared.cached_prep_count(), 1);
+        let serving = cached.serving.expect("OnlineReplace reports metrics");
+        assert!(serving.online_replacements > 0, "the trigger must fire");
+        assert_same_result(&cached, &fresh);
     }
 
     #[test]

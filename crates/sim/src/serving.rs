@@ -17,7 +17,7 @@
 //! observed per-site demand against the assumption baked into the last
 //! placement decision and reports when the relative drift exceeds a
 //! threshold, at which point the simulator re-solves mid-epoch (see
-//! `CdnSimulator::run_online`).
+//! `CdnSimulator::run_with`).
 
 use carbonedge_net::LatencyModel;
 use carbonedge_workload::{RequestStream, StreamScratch};
@@ -278,8 +278,10 @@ impl ServingEngine {
     /// when the observed per-site demand deviates from the decision's
     /// assumption by more than `drift_threshold` (relative), serving stops
     /// *after* the offending hour and the number of hours served is
-    /// returned together with `true`.  A non-finite threshold disables the
-    /// trigger (plain [`ServingMode::EventLevel`]).
+    /// returned together with `true`.  Drift on the window's last hour is
+    /// not a fire: the window ends there anyway, so no re-placement would
+    /// follow.  A non-finite threshold disables the trigger (plain
+    /// [`ServingMode::EventLevel`]).
     pub fn serve_hours(
         &mut self,
         from: usize,
@@ -290,7 +292,10 @@ impl ServingEngine {
         debug_assert!(to <= self.epoch_hours);
         for hour in from..to {
             let drift = self.step_hour(hour);
-            if drift_threshold.is_finite() && hour + 1 - from > cooldown && drift > drift_threshold
+            if drift_threshold.is_finite()
+                && hour + 1 < to
+                && hour + 1 - from > cooldown
+                && drift > drift_threshold
             {
                 self.online_replacements += 1;
                 return (hour + 1 - from, true);
@@ -633,6 +638,18 @@ mod tests {
         assert!(hours > 6 && hours <= 168, "fired after {hours} hours");
         let m = engine.finish();
         assert_eq!(m.online_replacements, 1);
+    }
+
+    #[test]
+    fn drift_on_the_last_hour_of_the_window_is_not_a_fire() {
+        // The window ends after its last hour anyway, so drift there must
+        // neither stop serving early nor count as a re-placement.  (A
+        // one-hour *epoch* would carry exactly the mean rate and no drift.)
+        let mut engine = two_site_engine(60.0, 1);
+        engine.load_epoch(0, 24);
+        identity_assignment(&mut engine);
+        assert_eq!(engine.serve_hours(0, 1, 0.0, 0), (1, false));
+        assert_eq!(engine.finish().online_replacements, 0);
     }
 
     #[test]

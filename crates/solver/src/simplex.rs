@@ -464,7 +464,7 @@ impl SimplexWorkspace {
     /// except the columns in `at_upper`, which rest on their (finite)
     /// upper bound.  Marks the workspace primal-restart ready when the
     /// implied basic point is primal feasible, so the next
-    /// [`Simplex::solve_workspace`] goes straight to phase-2 instead of
+    /// [`SimplexSolver::solve_workspace`] goes straight to phase-2 instead of
     /// the cold dual walk.  Returns `false` — leaving the workspace
     /// cold-start clean — when the basis is singular or the point is out
     /// of bounds.

@@ -1,14 +1,15 @@
 //! The prep-cache differential: sweep reports produced through the shared
 //! [`CdnShared`] scenario preparation and the executor's group warm starts
 //! must be **bit-identical** to the cold oracle — a fresh standalone
-//! simulator and a fresh placer per cell, re-deriving every epoch's inputs
-//! from scratch — for any job count.
+//! simulator on its own freshly built prep and a fresh placer per cell — for
+//! any job count.
 //!
-//! This is the contract that keeps the delta-evaluation machinery honest:
-//! every cached value (epoch intensity means, the pair-latency matrix, a
-//! neighbor cell's warm-start basis) must be produced by the same float
-//! expressions the cold path evaluates, so caching is purely a performance
-//! change, never a numerical one.
+//! This is the contract that keeps the delta-evaluation machinery honest: a
+//! cached prep must equal the one each of its cells would build for itself
+//! (its `PrepKey` must cover every input that shapes it), and no solver
+//! state, such as a neighbor cell's warm-start basis, may cross a cell
+//! boundary.  Caching is then purely a performance change, never a
+//! numerical one.
 
 use carbonedge_core::{IncrementalPlacer, PlacementPolicy};
 use carbonedge_datasets::zones::ZoneArea;
@@ -20,8 +21,9 @@ use carbonedge_sweep::report::SweepReport;
 use carbonedge_sweep::spec::SweepSpec;
 
 /// Runs every cell of `spec` on the cold path: a fresh shared environment's
-/// standalone (prep-free) simulator and a basis-free placer per cell, so no
-/// state of any kind crosses cell boundaries.
+/// cold simulator (on its own fresh prep, bypassing the cache) and a
+/// basis-free placer per cell, so no state of any kind crosses cell
+/// boundaries.
 fn cold_oracle(spec: &SweepSpec, template: &IncrementalPlacer) -> Vec<carbonedge_sim::CdnResult> {
     let shared = CdnShared::new();
     spec.cells()
@@ -143,8 +145,10 @@ fn exact_path_group_warm_starts_match_cold_oracle() {
 
 #[test]
 fn online_serving_cells_match_cold_oracle() {
-    // OnlineReplace exercises run_online, where only the epoch-invariant
-    // parts of the prep (mean population, pair latencies) apply.
+    // OnlineReplace cells decide over whole epochs read from the prep and
+    // over any drift-cut windows computed on demand.  At the default 0.5
+    // threshold the trigger may never fire here; the sim crate's
+    // `cached_and_fresh_preps_agree_when_drift_cuts_windows` covers fires.
     let spec = SweepSpec::new("delta-online")
         .with_areas(vec![ZoneArea::Europe])
         .with_latency_limits(vec![20.0])
@@ -186,8 +190,9 @@ fn shared_environment_caches_one_prep_per_scenario() {
 
 #[test]
 fn standalone_simulator_is_the_cold_path() {
-    // `CdnSimulator::new` must stay prep-free: it is the documented oracle
-    // constructor, and its results are what every prepped run is held to.
+    // `CdnSimulator::new` must build its own fresh prep: it is the documented
+    // oracle constructor, and its results are what every cached-prep run is
+    // held to.
     let config = spec_config();
     let standalone = CdnSimulator::new(config.clone());
     let shared = CdnShared::new();
