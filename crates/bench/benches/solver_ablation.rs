@@ -118,7 +118,7 @@ fn bench_scale_corridor(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver_scale");
     group.sample_size(10);
     // Cold solves: discarding the warm start each iteration times the
-    // presolve + sparse-LU + branch-and-bound stack rather than the
+    // decomposition + sparse-LU + branch-and-bound stack rather than the
     // workspace's same-model memoization.
     for (label, problem) in [
         ("exact_60x15", scale_problem(15, 4)),
@@ -135,7 +135,7 @@ fn bench_scale_corridor(c: &mut Criterion) {
     // Decomposition versus forced-monolithic on the identical corridor
     // instances: the race the Dantzig-Wolfe path has to win.  The automatic
     // path (above) picks decomposition at these sizes; this arm disables it
-    // and runs the presolve + monolithic branch-and-bound pipeline.
+    // and runs monolithic branch-and-bound on the full model.
     let mut monolithic =
         IncrementalPlacer::new(PlacementPolicy::CarbonAware).with_exact_size_limit(100_000);
     monolithic.milp_solver.decomp_min_vars = usize::MAX;

@@ -11,15 +11,16 @@
 //! exact path (decomposition disabled, so the race between the two is
 //! explicit per case), the retained **reference** exact path (dense Big-M
 //! tableau, cold-start branch-and-bound) and the assignment **heuristic**.
-//! Every case emits one unified field set — sizes, medians, speedups,
-//! branch-and-bound/simplex/factorization work, the pricing anti-cycling
-//! ladder (devex resets, Bland fallback activations) and the
-//! column-generation counters (`columns_generated`, `pricing_rounds`,
-//! `master_pivots`, zero on monolithic solves) — so trajectory tooling
-//! never special-cases entries.  The `solver_scale` cases stretch the
-//! comparison to SLO-sparse corridor instances of up to 800 applications ×
-//! 100 servers (thousands of MILP rows); the dense reference is impractical
-//! beyond 200×50 and is skipped there (`reference_samples: 0`).
+//! Every case emits one unified field set — sizes, medians with their
+//! sample counts, speedups, branch-and-bound/simplex/factorization work,
+//! the pricing anti-cycling ladder (devex resets, Bland fallback
+//! activations) and the column-generation counters (`columns_generated`,
+//! `pricing_rounds`, `master_pivots`, zero on monolithic solves) — so
+//! trajectory tooling never special-cases entries.  The `solver_scale`
+//! cases stretch the comparison to SLO-sparse corridor instances of up to
+//! 800 applications × 100 servers (thousands of MILP rows); the dense
+//! reference is impractical beyond 200×50 and is skipped there
+//! (`reference_samples: 0`).
 //!
 //! The sweep snapshot measures cells/second of the quick scenario grid at
 //! `--jobs 1` and `--jobs 0` (one worker per CPU; the auto measurement is
@@ -268,14 +269,14 @@ fn solver_case_entry(name: &str, problem: &PlacementProblem, cfg: &CaseConfig) -
     let revised_warm_stats = cold_solver.solve(&placement_model.model);
     let mono_solver = monolithic.milp_solver.clone();
     let mono_stats = mono_solver.solve(&placement_model.model);
-    debug_assert!(
+    assert!(
         (revised_stats.objective - mono_stats.objective).abs()
             <= 1e-6 * revised_stats.objective.abs().max(1.0),
         "automatic and forced-monolithic solvers disagree on the benchmark model"
     );
     let (reference_nodes, reference_pivots) = if cfg.reference_samples > 0 {
         let reference_stats = reference_solver.solve(&placement_model.model);
-        debug_assert!(
+        assert!(
             (revised_stats.objective - reference_stats.objective).abs()
                 <= 1e-6 * revised_stats.objective.abs().max(1.0),
             "revised and reference solvers disagree on the benchmark model"
@@ -300,6 +301,7 @@ fn solver_case_entry(name: &str, problem: &PlacementProblem, cfg: &CaseConfig) -
             "      \"exact_monolithic_ns_median\": {},\n",
             "      \"speedup_vs_monolithic\": {:.2},\n",
             "      \"exact_reference_ns_median\": {},\n",
+            "      \"samples\": {},\n",
             "      \"reference_samples\": {},\n",
             "      \"speedup_vs_reference\": {:.2},\n",
             "      \"heuristic_ns_median\": {},\n",
@@ -327,6 +329,7 @@ fn solver_case_entry(name: &str, problem: &PlacementProblem, cfg: &CaseConfig) -
         monolithic_ns,
         speedup_vs_monolithic,
         reference_ns,
+        cfg.revised_samples,
         cfg.reference_samples,
         speedup_vs_reference,
         heuristic_ns,
@@ -359,9 +362,9 @@ pub fn solver_bench_json(quick: bool) -> String {
         reference_samples: if quick { 1 } else { 3 },
         discard_warm: true,
     };
-    // The dense reference pays O(m²) per pivot on the full unpresolved
-    // model; beyond 200×50 it is impractical and the corridor cases race
-    // the decomposition against the monolithic cold path only.
+    // The dense reference pays O(m²) per pivot on the full model; beyond
+    // 200×50 it is impractical and the corridor cases race the
+    // decomposition against the monolithic cold path only.
     let scale_no_reference = CaseConfig {
         reference_samples: 0,
         ..scale
@@ -410,11 +413,9 @@ pub fn solver_bench_json(quick: bool) -> String {
             "{{\n",
             "  \"bench\": \"solver\",\n",
             "  \"unit\": \"ns\",\n",
-            "  \"samples_per_case\": {},\n",
             "  \"cases\": [\n{}\n  ]\n",
             "}}\n"
         ),
-        samples,
         entries.join(",\n")
     )
 }
@@ -437,7 +438,7 @@ fn epoch_replan_entry(samples: usize) -> String {
     let before = ReplanCounters::snapshot(&placer);
     let warm_run = simulator.run_with(&placer);
     let warm = before.diff(&placer);
-    debug_assert_eq!(
+    assert_eq!(
         cold_run.outcome, warm_run.outcome,
         "warm epoch re-solves must stay exact"
     );
@@ -454,6 +455,7 @@ fn epoch_replan_entry(samples: usize) -> String {
             "      \"exact_decisions\": {},\n",
             "      \"moves\": {},\n",
             "      \"run_ns_median\": {},\n",
+            "      \"samples\": {},\n",
             "      \"ns_per_epoch_median\": {},\n",
             "      \"pivots_cold_run\": {},\n",
             "      \"pivots_warm_run\": {},\n",
@@ -464,6 +466,7 @@ fn epoch_replan_entry(samples: usize) -> String {
         cold_run.exact_decisions,
         cold_run.moves,
         run_ns,
+        samples,
         run_ns / epochs.max(1) as u64,
         cold_run.solver_pivots,
         warm_run.solver_pivots,
@@ -491,7 +494,7 @@ fn migration_replan_entry(samples: usize) -> String {
     let before = ReplanCounters::snapshot(&placer);
     let warm_run = simulator.run_with(&placer);
     let warm = before.diff(&placer);
-    debug_assert_eq!(
+    assert_eq!(
         cold_run.outcome, warm_run.outcome,
         "warm delta re-solves must stay exact"
     );
@@ -508,6 +511,7 @@ fn migration_replan_entry(samples: usize) -> String {
             "      \"exact_decisions\": {},\n",
             "      \"moves\": {},\n",
             "      \"run_ns_median\": {},\n",
+            "      \"samples\": {},\n",
             "      \"ns_per_epoch_median\": {},\n",
             "      \"pivots_cold_run\": {},\n",
             "      \"pivots_warm_run\": {},\n",
@@ -518,6 +522,7 @@ fn migration_replan_entry(samples: usize) -> String {
         cold_run.exact_decisions,
         cold_run.moves,
         run_ns,
+        samples,
         run_ns / epochs.max(1) as u64,
         cold_run.solver_pivots,
         warm_run.solver_pivots,
@@ -758,6 +763,7 @@ mod tests {
         // the per-case fields appear once per case.
         let case_count = json.matches("\"name\":").count();
         for field in [
+            "\"samples\":",
             "\"milp_vars\":",
             "\"milp_rows\":",
             "\"refactorizations\":",

@@ -19,7 +19,6 @@
 
 use crate::decomp::{solve_decomposed, BlockStructure, DecompState};
 use crate::model::Model;
-use crate::presolve::{presolve, PresolveOutcome};
 use crate::simplex::{LpOutcome, Prepared, SimplexSolver, SimplexWorkspace};
 use std::collections::BinaryHeap;
 use std::sync::Mutex;
@@ -199,7 +198,7 @@ pub struct MilpWorkspace {
     /// (all zero when every solve took the monolithic path).
     accumulated_decomp: DecompStats,
     /// Variable/row counts of the most recent model solved through this
-    /// workspace (the raw model, before presolve or decomposition).
+    /// workspace (the model as given, before decomposition drops rows).
     last_dims: (usize, usize),
     /// Scratch state of the Dantzig–Wolfe decomposition path (restricted
     /// master, activation flags, node arena) — persistent for the same
@@ -267,33 +266,23 @@ pub struct BranchBoundSolver {
     pub max_nodes: usize,
     /// Integrality tolerance.
     pub tolerance: f64,
-    /// Models with at least this many variables run the [`presolve`] pass
-    /// before the search; smaller models (the warm-restarted epoch and
-    /// migration re-solve streams) go straight to the simplex so their
-    /// resident-basis warm starts survive byte-for-byte.
-    pub presolve_min_vars: usize,
     /// Models with at least this many variables are tried on the
     /// Dantzig–Wolfe decomposition path ([`crate::decomp`]) first: if the
     /// model has the assignment-with-activation block structure the
     /// column-generation master solves it with far fewer rows, otherwise
-    /// the solve falls through to presolve + monolithic search.  Set to
-    /// `usize::MAX` to force the monolithic path, `0` to force
-    /// decomposition onto any detectable model (bench overrides).
+    /// the solve falls through to monolithic search.  Set to `usize::MAX`
+    /// to force the monolithic path, `0` to force decomposition onto any
+    /// detectable model (bench overrides).
     pub decomp_min_vars: usize,
     /// Scratch arena reused across nodes and across successive solves.
     workspace: Mutex<MilpWorkspace>,
 }
 
-/// Default [`BranchBoundSolver::presolve_min_vars`]: comfortably above the
+/// Default [`BranchBoundSolver::decomp_min_vars`]: comfortably above the
 /// exact-path placement models (`IncrementalPlacer` caps those at ~46
-/// variables) so only the large cold instances pay for — and profit from —
-/// the reductions.
-pub const PRESOLVE_MIN_VARS: usize = 256;
-
-/// Default [`BranchBoundSolver::decomp_min_vars`]: the same threshold as
-/// presolve — below it the linking rows are few enough that the monolithic
-/// warm-restart machinery wins; at or above it the row count is dominated
-/// by `x ≤ y` links the decomposition master drops entirely.
+/// variables).  Below it the linking rows are few enough that the
+/// monolithic warm-restart machinery wins; at or above it the row count is
+/// dominated by `x ≤ y` links the decomposition master drops entirely.
 pub const DECOMP_MIN_VARS: usize = 256;
 
 impl Default for BranchBoundSolver {
@@ -302,7 +291,6 @@ impl Default for BranchBoundSolver {
             lp: SimplexSolver::new(),
             max_nodes: 50_000,
             tolerance: 1e-6,
-            presolve_min_vars: PRESOLVE_MIN_VARS,
             decomp_min_vars: DECOMP_MIN_VARS,
             workspace: Mutex::new(MilpWorkspace::new()),
         }
@@ -316,7 +304,6 @@ impl Clone for BranchBoundSolver {
             lp: self.lp.clone(),
             max_nodes: self.max_nodes,
             tolerance: self.tolerance,
-            presolve_min_vars: self.presolve_min_vars,
             decomp_min_vars: self.decomp_min_vars,
             workspace: Mutex::new(MilpWorkspace::new()),
         }
@@ -438,7 +425,8 @@ impl BranchBoundSolver {
     }
 
     /// `(variables, rows)` of the most recent model solved through
-    /// [`Self::solve`] — the raw model, before presolve or decomposition.
+    /// [`Self::solve`] — the model as given, before decomposition drops
+    /// rows.
     pub fn last_model_dims(&self) -> (usize, usize) {
         self.workspace
             .lock()
@@ -456,43 +444,19 @@ impl BranchBoundSolver {
     /// optimum — the repeated re-optimization pattern of a placement
     /// service re-solving as carbon intensities shift epoch to epoch.
     pub fn solve_with_workspace(&self, model: &Model, ws: &mut MilpWorkspace) -> MilpSolution {
-        // The decomposition path is checked on the *raw* model, before
-        // presolve: the structure detection wants the assignment rows and
-        // `x ≤ y` links exactly as the placement builder emitted them, and
-        // the master performs its own (cheaper) reduction by dropping the
-        // linking rows outright.
+        // Large models with the placement block structure go to the
+        // decomposition master, which reduces the model by dropping the
+        // `x ≤ y` linking rows outright; every other model is searched
+        // monolithically as given.
         if model.num_vars() >= self.decomp_min_vars {
             if let Some(structure) = BlockStructure::detect(model) {
                 return solve_decomposed(self, model, &structure, &mut ws.decomp);
             }
         }
-        if model.num_vars() < self.presolve_min_vars {
-            return self.search(model, ws);
-        }
-        match presolve(model) {
-            PresolveOutcome::Infeasible => MilpSolution {
-                outcome: MilpOutcome::Infeasible,
-                objective: f64::INFINITY,
-                values: vec![],
-                nodes: 0,
-                pivots: 0,
-                factor: FactorStats::default(),
-                pricing: PricingStats::default(),
-                decomp: None,
-            },
-            PresolveOutcome::Reduced(pm) => {
-                let mut solution = self.search(&pm.model, ws);
-                if solution.has_solution() {
-                    solution.values = pm.postsolve(&solution.values);
-                    solution.objective = pm.full_objective(solution.objective);
-                }
-                solution
-            }
-        }
+        self.search(model, ws)
     }
 
-    /// The branch-and-bound search itself, on a model that has already been
-    /// presolved (or is small enough to skip presolve).
+    /// The monolithic branch-and-bound search over the full model.
     fn search(&self, model: &Model, ws: &mut MilpWorkspace) -> MilpSolution {
         if ws.loaded && ws.prep.matches_structure(model) {
             if ws.prep.refresh_costs(model) {

@@ -255,7 +255,7 @@ impl BlockStructure {
 
 /// Builds the restricted-master model: identical variables, objective and
 /// rows as the original, minus the linking rows.  Variable indices map
-/// 1:1, so master solutions need no postsolve.
+/// 1:1, so master solutions need no mapping back to the original model.
 fn build_master(model: &Model, structure: &BlockStructure) -> Model {
     let mut master = Model::new();
     for kind in model.vars() {

@@ -95,11 +95,6 @@ impl BasisFactor {
         Self::default()
     }
 
-    /// Dimension of the factored basis.
-    pub fn dim(&self) -> usize {
-        self.m
-    }
-
     /// Number of eta updates applied since the last factorization.
     pub fn eta_count(&self) -> usize {
         self.eta_piv.len()

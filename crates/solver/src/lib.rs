@@ -15,10 +15,6 @@
 //!   Markowitz-ordered sparse LU factorization of the basis with
 //!   product-form eta updates per pivot and an adaptive refactorization
 //!   trigger, making FTRAN/BTRAN cost `O(nnz)` instead of `O(m^2)`;
-//! * [`mod@presolve`] — model reductions applied before large solves (empty
-//!   and redundant rows, singleton-row bound tightening, fixed-variable
-//!   substitution, dominated binary columns in assignment rows) with a
-//!   postsolve mapping back to full-model solutions;
 //! * [`branch_bound`] — an exact branch-and-bound MILP solver over the
 //!   binary variables: best-first node selection from a bound-ordered
 //!   priority queue, compact parent-diff node records, and dual-simplex
@@ -47,7 +43,6 @@ pub mod branch_bound;
 pub mod decomp;
 pub mod factor;
 pub mod model;
-pub mod presolve;
 pub mod reference;
 pub mod simplex;
 
@@ -59,6 +54,5 @@ pub use branch_bound::{
 pub use decomp::{BlockStructure, DecompState};
 pub use factor::BasisFactor;
 pub use model::{Comparison, Constraint, LinearExpr, Model, VarId, VarKind};
-pub use presolve::{presolve, PresolveOutcome, PresolvedModel};
 pub use reference::{DenseSimplexSolver, ReferenceBranchBound};
 pub use simplex::{LpOutcome, LpSolution, Prepared, SimplexSolver, SimplexWorkspace};

@@ -28,7 +28,7 @@
 //! allocation-free after the first.
 
 use crate::factor::BasisFactor;
-use crate::model::{Comparison, Model, VarKind};
+use crate::model::{Comparison, Model};
 
 /// The status of an LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1513,20 +1513,6 @@ impl SimplexSolver {
     }
 }
 
-/// Returns the natural bounds of every variable of a model (the LP
-/// relaxation bounds for binaries), used by branch-and-bound to seed a
-/// workspace.
-pub fn natural_bounds(model: &Model) -> Vec<(f64, f64)> {
-    model
-        .vars()
-        .iter()
-        .map(|kind| match kind {
-            VarKind::Continuous { lower, upper } => (*lower, *upper),
-            VarKind::Binary => (0.0, 1.0),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1862,14 +1848,6 @@ mod tests {
         assert_eq!(sol.outcome, LpOutcome::Optimal);
         assert!(approx(sol.objective, -4.0), "obj {}", sol.objective);
         assert!(approx(sol.values[x.index()], 4.0));
-    }
-
-    #[test]
-    fn natural_bounds_reports_relaxation_bounds() {
-        let mut m = Model::new();
-        m.add_binary();
-        m.add_continuous(-1.0, 2.5);
-        assert_eq!(natural_bounds(&m), vec![(0.0, 1.0), (-1.0, 2.5)]);
     }
 
     #[test]

@@ -16,8 +16,8 @@ use carbonedge_geo::Coordinates;
 use carbonedge_grid::ZoneId;
 use carbonedge_net::LatencyModel;
 use carbonedge_solver::{
-    presolve, BlockStructure, BranchBoundSolver, Comparison, DenseSimplexSolver, LinearExpr,
-    LpOutcome, Model, PresolveOutcome, ReferenceBranchBound, SimplexSolver, VarKind,
+    BlockStructure, BranchBoundSolver, Comparison, DenseSimplexSolver, LinearExpr, LpOutcome,
+    Model, ReferenceBranchBound, SimplexSolver, VarKind,
 };
 use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind};
 use proptest::prelude::*;
@@ -524,68 +524,31 @@ proptest! {
         }
     }
 
-    /// Property test: branch-and-bound **with the presolve pass forced on**
-    /// agrees with the cold reference oracle, and its postsolved incumbent
-    /// is feasible for the *original* model — exercising fixed-variable
-    /// substitution, bound tightening, dominated-column elimination and
-    /// the postsolve mapping on every case.
+    /// Property test: branch-and-bound agrees with the cold reference
+    /// oracle across the sparse model family, and its incumbent is feasible
+    /// — duplicate columns and degenerate ties under branching.
     #[test]
-    fn presolved_branch_bound_matches_reference_oracle(seed in 0u64..10_000) {
+    fn branch_and_bound_matches_reference_oracle_on_sparse_models(seed in 0u64..10_000) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut presolved = BranchBoundSolver::new();
-        presolved.presolve_min_vars = 0;
+        let revised = BranchBoundSolver::new();
         let oracle = ReferenceBranchBound::new();
         for _ in 0..2 {
             let model = sparse_random_model(&mut rng);
-            let a = presolved.solve(&model);
+            let a = revised.solve(&model);
             let b = oracle.solve(&model);
             prop_assert_eq!(a.outcome, b.outcome);
             if a.has_solution() {
                 let scale = b.objective.abs().max(1.0);
                 prop_assert!(
                     (a.objective - b.objective).abs() <= 1e-5 * scale,
-                    "seed {}: presolved {} vs oracle {}",
+                    "seed {}: revised {} vs oracle {}",
                     seed, a.objective, b.objective
                 );
                 prop_assert!(
                     model.is_feasible(&a.values, 1e-5),
-                    "seed {}: postsolved incumbent infeasible on the original model",
+                    "seed {}: revised incumbent infeasible",
                     seed
                 );
-            }
-        }
-    }
-
-    /// Property test: when presolve proves a model infeasible or reduces
-    /// it, the reduction itself is sound — solving the reduced model and
-    /// postsolving reproduces the reference optimum exactly.
-    #[test]
-    fn presolve_reductions_are_lossless(seed in 0u64..10_000) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let model = sparse_random_model(&mut rng);
-        let oracle = ReferenceBranchBound::new().solve(&model);
-        match presolve(&model) {
-            PresolveOutcome::Infeasible => {
-                prop_assert!(
-                    !oracle.has_solution(),
-                    "seed {}: presolve claimed infeasible but oracle found {}",
-                    seed, oracle.objective
-                );
-            }
-            PresolveOutcome::Reduced(pm) => {
-                let sub = BranchBoundSolver::new().solve(&pm.model);
-                prop_assert_eq!(sub.has_solution(), oracle.has_solution());
-                if sub.has_solution() {
-                    let obj = pm.full_objective(sub.objective);
-                    let scale = oracle.objective.abs().max(1.0);
-                    prop_assert!(
-                        (obj - oracle.objective).abs() <= 1e-5 * scale,
-                        "seed {}: postsolved {} vs oracle {}",
-                        seed, obj, oracle.objective
-                    );
-                    let full = pm.postsolve(&sub.values);
-                    prop_assert!(model.is_feasible(&full, 1e-5), "seed {}", seed);
-                }
             }
         }
     }
@@ -798,15 +761,16 @@ proptest! {
     }
 }
 
-/// Composition of the large-model gates: at ≥256 variables the default
-/// solver auto-routes block-structured models to the decomposition path,
-/// while a solver with presolve forced and decomposition disabled runs the
-/// presolve+monolithic pipeline — both must produce feasible full-space
-/// solutions with the same objective.
+/// Both routes a model of ≥256 variables can take.  The default solver
+/// sends a block-structured placement to the decomposition path, and a
+/// solver with decomposition disabled must find the same objective by
+/// monolithic search.  The same placement plus one `≥` row falls outside
+/// the block shape, so the default solver searches it monolithically and
+/// must match the reference oracle.
 #[test]
-fn decomposition_and_presolve_paths_agree_on_a_large_placement() {
-    // 32 apps x 10 servers, all pairs feasible: 330 binaries, above both
-    // the presolve (256) and decomposition (256) gates.
+fn large_models_take_decomposition_or_monolithic_search() {
+    // 32 apps x 10 servers, all pairs feasible: 330 binaries, above the
+    // decomposition gate (256).
     let apps = 32usize;
     let servers = 10usize;
     let mut m = Model::new();
@@ -857,7 +821,7 @@ fn decomposition_and_presolve_paths_agree_on_a_large_placement() {
     }
     assert!(
         m.num_vars() >= 256,
-        "model must clear the large-model gates"
+        "model must clear the decomposition gate"
     );
     assert!(BlockStructure::detect(&m).is_some());
 
@@ -870,23 +834,48 @@ fn decomposition_and_presolve_paths_agree_on_a_large_placement() {
     );
     assert!(m.is_feasible(&auto.values, 1e-5));
 
-    // Presolve + monolithic pipeline on the same model.
+    // Forced monolithic search on the same model.
     let mut mono = BranchBoundSolver::new();
     mono.decomp_min_vars = usize::MAX;
-    mono.presolve_min_vars = 0;
-    let pre = mono.solve(&m);
-    assert!(pre.has_solution());
-    assert_eq!(pre.decomp, None);
+    let full = mono.solve(&m);
+    assert!(full.has_solution());
+    assert_eq!(full.decomp, None);
+    assert!(m.is_feasible(&full.values, 1e-5));
+    let scale = full.objective.abs().max(1.0);
     assert!(
-        m.is_feasible(&pre.values, 1e-5),
-        "postsolved incumbent must be feasible on the full model"
-    );
-    let scale = pre.objective.abs().max(1.0);
-    assert!(
-        (auto.objective - pre.objective).abs() <= 1e-6 * scale,
-        "decomposition {} vs presolve+monolithic {}",
+        (auto.objective - full.objective).abs() <= 1e-6 * scale,
+        "decomposition {} vs monolithic {}",
         auto.objective,
-        pre.objective
+        full.objective
+    );
+
+    // Fill server 4 to its capacity of 4 apps: a `≥` row the block
+    // detection rejects, so the default solver takes monolithic search at
+    // ≥256 variables.  The row binds (it raises the optimum), so the
+    // search has to branch.
+    let mut off_block = m.clone();
+    let mut expr = LinearExpr::new();
+    for v in x.iter().filter_map(|row| row[4]) {
+        expr.add(v, 1.0);
+    }
+    off_block.add_constraint(expr, Comparison::GreaterEq, 4.0, "fill4");
+    assert!(BlockStructure::detect(&off_block).is_none());
+    let searched = BranchBoundSolver::new().solve(&off_block);
+    assert!(searched.has_solution(), "off-block model must be solvable");
+    assert_eq!(searched.decomp, None);
+    assert!(off_block.is_feasible(&searched.values, 1e-5));
+    assert!(
+        searched.objective > auto.objective + 0.5,
+        "the `≥` row must bind"
+    );
+    let oracle = ReferenceBranchBound::new().solve(&off_block);
+    assert!(oracle.has_solution());
+    let scale = oracle.objective.abs().max(1.0);
+    assert!(
+        (searched.objective - oracle.objective).abs() <= 1e-6 * scale,
+        "monolithic {} vs reference {}",
+        searched.objective,
+        oracle.objective
     );
 }
 
