@@ -9,7 +9,9 @@
 //! vector, or sorted first (`sweep::report` is the worked example).
 //!
 //! Scope: the report-rendering and output crates (`sweep::report`,
-//! `analysis`, `bench`) — the paths whose output is golden-tested.
+//! `analysis`, `bench`) — the paths whose output is golden-tested — and
+//! `solver`, whose decomposition promises ascending-index determinism and
+//! holds no hash container.
 //!
 //! Detection is two-pass: bindings (and struct fields / fn params) whose
 //! declaration mentions `HashMap`/`HashSet` are collected, then any
@@ -51,6 +53,7 @@ impl Rule for OrderedIteration {
             || path.starts_with("crates/analysis/src/")
             || path.starts_with("crates/bench/src/")
             || path.starts_with("crates/bench/benches/")
+            || path.starts_with("crates/solver/src/")
     }
 
     fn check(&self, ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {

@@ -31,6 +31,12 @@ const CASES: &[(&str, &str, &str, &str)] = &[
         "crates/analysis/src/fx.rs",
     ),
     (
+        "ordered-iteration",
+        "ordered_iteration_fire.rs",
+        "ordered_iteration_clean.rs",
+        "crates/solver/src/fx.rs",
+    ),
+    (
         "wall-clock",
         "wall_clock_fire.rs",
         "wall_clock_clean.rs",

@@ -458,7 +458,7 @@ impl BranchBoundSolver {
 
     /// The monolithic branch-and-bound search over the full model.
     fn search(&self, model: &Model, ws: &mut MilpWorkspace) -> MilpSolution {
-        if ws.loaded && ws.prep.matches_structure(model) {
+        if ws.loaded && ws.prep.matches_structure(model, &[]) {
             if ws.prep.refresh_costs(model) {
                 ws.simplex.invalidate_duals();
                 ws.last_solution = None;
@@ -480,7 +480,7 @@ impl BranchBoundSolver {
                 ws.simplex.reset_var_bounds(&ws.prep, v as usize);
             }
         } else {
-            ws.prep.load(model);
+            ws.prep.load(model, &[]);
             ws.simplex.reset(&ws.prep);
             ws.loaded = true;
             ws.last_solution = None;

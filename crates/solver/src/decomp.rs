@@ -16,9 +16,11 @@
 //! `y = 0` already forces `x = 0` through a capacity row — verified by
 //! [`BlockStructure::detect`], which falls back to the monolithic path
 //! otherwise), with all but an initial working set of assignment columns
-//! pinned to `[0, 0]`.  At the 200×50 corridor scale this cuts the row
-//! count from ~1.4k to ~400: the linking rows are the bulk of the matrix
-//! and the master never materializes them.
+//! pinned to `[0, 0]`.  The master is a row view, not a copied `Model`:
+//! [`Prepared::load`] reads the original model and skips the rows
+//! `detect` marks as linking.  At the 200×50 corridor scale this cuts the
+//! row count from ~1.4k to ~400: the linking rows are the bulk of the
+//! matrix and the master never materializes them.
 //!
 //! Columns are "generated" by relaxing their pinned bounds back to the
 //! natural `[0, 1]` — the prepared matrix never changes shape, so every
@@ -44,8 +46,8 @@ use crate::branch_bound::{
     PricingStats, NO_VAR,
 };
 use crate::model::{Comparison, Model, VarKind};
-use crate::simplex::{LpOutcome, Prepared, SimplexWorkspace};
-use std::collections::{BinaryHeap, HashSet};
+use crate::simplex::{kept_rows, LpOutcome, Prepared, SimplexWorkspace};
+use std::collections::BinaryHeap;
 
 /// Feasibility slack used when the greedy seeding packs columns against
 /// row capacities and when integer candidates are checked.
@@ -60,8 +62,8 @@ const SEED_TOL: f64 = 1e-9;
 #[derive(Debug, Clone)]
 pub struct BlockStructure {
     /// Per original row: `true` when the row is an `x ≤ y` linking row the
-    /// master drops.
-    linking: Vec<bool>,
+    /// master drops (the row mask of the master's [`Prepared`] view).
+    pub(crate) linking: Vec<bool>,
     /// Per original row: `true` when the row is a per-app convexity row.
     convexity: Vec<bool>,
     /// Per assignment (convexity) row, in row order: that app's candidate
@@ -139,9 +141,9 @@ impl BlockStructure {
         // Activation variables: negative coefficient in a kept coupling row
         // or on the negative side of a linking row.  `forced` records the
         // `(x, y)` pairs where a kept coupling row already enforces
-        // "`y = 0` ⇒ `x = 0`" (lookup-only, so hash order never leaks).
+        // "`y = 0` ⇒ `x = 0`", sorted and deduplicated for binary search.
         let mut is_y = vec![false; n];
-        let mut forced: HashSet<(usize, usize)> = HashSet::new();
+        let mut forced: Vec<(usize, usize)> = Vec::new();
         for (r, c) in model.constraints().iter().enumerate() {
             match kinds[r] {
                 RowKind::Linking => {
@@ -162,7 +164,7 @@ impl BlockStructure {
                     if let Some(y) = y {
                         for (v, a) in &c.expr.terms {
                             if *a > 0.0 {
-                                forced.insert((v.index(), y));
+                                forced.push((v.index(), y));
                             }
                         }
                     }
@@ -170,6 +172,8 @@ impl BlockStructure {
                 RowKind::EqOne => {}
             }
         }
+        forced.sort_unstable();
+        forced.dedup();
 
         // Convexity rows: `= 1` rows that are not single-term activation
         // pins; every candidate column belongs to exactly one.
@@ -219,7 +223,7 @@ impl BlockStructure {
                     y = v.index();
                 }
             }
-            if app_of[x] == usize::MAX || !forced.contains(&(x, y)) {
+            if app_of[x] == usize::MAX || forced.binary_search(&(x, y)).is_err() {
                 return None;
             }
             linking[r] = true;
@@ -253,35 +257,8 @@ impl BlockStructure {
     }
 }
 
-/// Builds the restricted-master model: identical variables, objective and
-/// rows as the original, minus the linking rows.  Variable indices map
-/// 1:1, so master solutions need no mapping back to the original model.
-fn build_master(model: &Model, structure: &BlockStructure) -> Model {
-    let mut master = Model::new();
-    for kind in model.vars() {
-        match kind {
-            VarKind::Binary => {
-                master.add_binary();
-            }
-            VarKind::Continuous { lower, upper } => {
-                master.add_continuous(*lower, *upper);
-            }
-        }
-    }
-    for (v, c) in &model.objective().terms {
-        master.set_objective_term(*v, *c);
-    }
-    for (r, c) in model.constraints().iter().enumerate() {
-        if structure.linking[r] {
-            continue;
-        }
-        master.add_constraint(c.expr.clone(), c.cmp, c.rhs, c.name.clone());
-    }
-    master
-}
-
 /// Persistent scratch state of the decomposition path: the restricted
-/// master's prepared matrix and simplex workspace, the column activation
+/// master's prepared row view and simplex workspace, the column activation
 /// flags, and the branch-and-price node arena.  Lives inside
 /// `MilpWorkspace` so successive solves reuse the resident basis exactly
 /// like the monolithic path does.
@@ -422,7 +399,7 @@ fn repair_stranded(
 /// packed even after the swap repair; the master then starts from the
 /// full-activation-safe working set and the cold dual walk.
 fn seed_columns(
-    master: &Model,
+    model: &Model,
     structure: &BlockStructure,
     st: &mut DecompState,
     stats: &mut DecompStats,
@@ -430,9 +407,7 @@ fn seed_columns(
     // Remaining slack per master row under full activation: `rhs` plus the
     // magnitude of every negative (activation) coefficient for `≤` rows;
     // other rows never constrain the greedy.
-    let mut remaining: Vec<f64> = master
-        .constraints()
-        .iter()
+    let mut remaining: Vec<f64> = kept_rows(model, &structure.linking)
         .map(|c| match c.cmp {
             Comparison::LessEq => {
                 let activation: f64 = c
@@ -596,12 +571,11 @@ pub(crate) fn solve_decomposed(
     structure: &BlockStructure,
     st: &mut DecompState,
 ) -> MilpSolution {
-    let master = build_master(model, structure);
     let mut stats = DecompStats::default();
     let mut pricing = PricingStats::default();
 
-    if st.loaded && st.prep.matches_structure(&master) {
-        if st.prep.refresh_costs(&master) {
+    if st.loaded && st.prep.matches_structure(model, &structure.linking) {
+        if st.prep.refresh_costs(model) {
             st.simplex.invalidate_duals();
             st.last_solution = None;
         } else if st.last_max_nodes == solver.max_nodes && st.last_tolerance == solver.tolerance {
@@ -621,17 +595,17 @@ pub(crate) fn solve_decomposed(
         }
         st.touched.clear();
     } else {
-        st.prep.load(&master);
+        st.prep.load(model, &structure.linking);
         st.simplex.reset(&st.prep);
         st.loaded = true;
         st.last_solution = None;
         st.active.clear();
-        st.active.resize(master.num_vars(), true);
+        st.active.resize(model.num_vars(), true);
         for &j in &structure.x_cols {
             st.active[j] = false;
             st.simplex.set_var_bounds(j, 0.0, 0.0);
         }
-        if let Some(plan) = seed_columns(&master, structure, st, &mut stats) {
+        if let Some(plan) = seed_columns(model, structure, st, &mut stats) {
             // The greedy seeding doubled as an integral, capacity-feasible
             // assignment: seat it as the starting basis (block triangular,
             // fill-in free) so the first master solve opens in phase-2 a
@@ -647,7 +621,7 @@ pub(crate) fn solve_decomposed(
     st.open.clear();
     st.binaries.clear();
     st.binaries
-        .extend(master.binary_vars().iter().map(|v| v.index()));
+        .extend(model.binary_vars().iter().map(|v| v.index()));
     st.incumbent.clear();
 
     st.nodes.push(NodeRec {
@@ -788,7 +762,7 @@ pub(crate) fn solve_decomposed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::LinearExpr;
+    use crate::model::{LinearExpr, VarId};
 
     fn approx(a: f64, b: f64) -> bool {
         (a - b).abs() < 1e-6
@@ -1022,8 +996,11 @@ mod tests {
         // Shift the costs (the epoch re-solve pattern): same structure,
         // different objective.  The warm path must agree with a cold one.
         let mut shifted = placement_model(costs, 1.0, 2.0, &[1.0, 1.0], &[false, false]);
-        let terms: Vec<_> = shifted.objective().terms.clone();
-        for (v, _) in terms {
+        let terms: Vec<_> = (0..shifted.num_vars())
+            .filter(|&j| shifted.objective()[j] != 0.0)
+            .map(VarId)
+            .collect();
+        for v in terms {
             shifted.set_objective_term(v, 0.25);
         }
         let warm = solver.solve(&shifted);

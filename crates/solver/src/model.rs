@@ -120,7 +120,8 @@ impl Constraint {
 #[derive(Debug, Clone, Default)]
 pub struct Model {
     vars: Vec<VarKind>,
-    objective: LinearExpr,
+    /// Objective coefficient per variable, in id order.
+    objective: Vec<f64>,
     constraints: Vec<Constraint>,
 }
 
@@ -133,6 +134,7 @@ impl Model {
     /// Adds a binary variable.
     pub fn add_binary(&mut self) -> VarId {
         self.vars.push(VarKind::Binary);
+        self.objective.push(0.0);
         VarId(self.vars.len() - 1)
     }
 
@@ -140,6 +142,7 @@ impl Model {
     pub fn add_continuous(&mut self, lower: f64, upper: f64) -> VarId {
         assert!(lower <= upper, "invalid variable bounds");
         self.vars.push(VarKind::Continuous { lower, upper });
+        self.objective.push(0.0);
         VarId(self.vars.len() - 1)
     }
 
@@ -163,14 +166,15 @@ impl Model {
         &self.constraints
     }
 
-    /// The minimization objective.
-    pub fn objective(&self) -> &LinearExpr {
+    /// The minimization objective: one coefficient per variable, in id
+    /// order, zero for a variable without an objective term.
+    pub fn objective(&self) -> &[f64] {
         &self.objective
     }
 
     /// Sets an objective coefficient (adds to any existing coefficient).
     pub fn set_objective_term(&mut self, var: VarId, coeff: f64) {
-        self.objective.add(var, coeff);
+        self.objective[var.index()] += coeff;
     }
 
     /// Adds a constraint; returns its index.
@@ -190,9 +194,15 @@ impl Model {
         self.constraints.len() - 1
     }
 
-    /// Objective value at an assignment.
+    /// Objective value at an assignment.  Zero-cost variables contribute
+    /// nothing, whatever their value.
     pub fn objective_value(&self, values: &[f64]) -> f64 {
-        self.objective.evaluate(values)
+        self.objective
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| **c != 0.0)
+            .map(|(j, c)| c * values[j])
+            .sum()
     }
 
     /// Whether an assignment satisfies all constraints and variable bounds.
@@ -299,7 +309,28 @@ mod tests {
         let v = m.add_binary();
         m.set_objective_term(v, 1.5);
         m.set_objective_term(v, 2.5);
-        assert_eq!(m.objective().terms, vec![(v, 4.0)]);
+        assert_eq!(m.objective(), &[4.0]);
+    }
+
+    #[test]
+    fn dense_objective_accumulates_and_skips_zero_costs() {
+        let mut m = Model::new();
+        let x = m.add_binary();
+        m.add_continuous(f64::NEG_INFINITY, f64::INFINITY);
+        let cancelled = m.add_continuous(0.0, f64::INFINITY);
+        for _ in 0..4 {
+            m.set_objective_term(x, 0.5);
+        }
+        m.set_objective_term(cancelled, 3.0);
+        m.set_objective_term(cancelled, -3.0);
+        // Repeated terms accumulate; an exact cancellation reads as zero.
+        assert_eq!(m.objective(), &[2.0, 0.0, 0.0]);
+        // Zero-cost variables add nothing, even at non-finite values.
+        assert_eq!(
+            m.objective_value(&[1.0, f64::NEG_INFINITY, f64::INFINITY]),
+            2.0
+        );
+        assert_eq!(m.objective_value(&[0.5, f64::NAN, f64::NAN]), 1.0);
     }
 
     #[test]

@@ -141,9 +141,11 @@ impl DenseSimplexSolver {
         // Objective coefficients for structural variables (shifted): the
         // constant offset c' * lower is added back at the end.
         let mut obj_offset = 0.0;
-        for (v, c) in &model.objective().terms {
-            obj[v.index()] += *c;
-            obj_offset += *c * lower[v.index()];
+        for (j, &c) in model.objective().iter().enumerate() {
+            if c != 0.0 {
+                obj[j] += c;
+                obj_offset += c * lower[j];
+            }
         }
 
         let mut slack_cursor = n;

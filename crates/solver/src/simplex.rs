@@ -28,7 +28,7 @@
 //! allocation-free after the first.
 
 use crate::factor::BasisFactor;
-use crate::model::{Comparison, Model};
+use crate::model::{Comparison, Constraint, Model};
 
 /// The status of an LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,12 +73,13 @@ const FEAS_TOL: f64 = 1e-6;
 /// far that the weights are reset to unity.
 const DEVEX_RESET: f64 = 1e12;
 
-/// Column-wise (CSC) form of a model plus its natural bounds and costs,
-/// built once per model and shared by every node of a branch-and-bound
-/// search.  Column layout: `0..n` structural variables, `n..n+m` slack
-/// variables (one per row, turning every constraint into an equality), and
-/// `n+m..n+2m` phase-1 artificial slots (a signed unit column, activated on
-/// demand by the cold start).
+/// Column-wise (CSC) form of a model, or of a row view of it (see
+/// [`Prepared::load`]), plus its natural bounds and costs, built once per
+/// model and shared by every node of a branch-and-bound search.  Column
+/// layout: `0..n` structural variables, `n..n+m` slack variables (one per
+/// kept row, turning every constraint into an equality), and `n+m..n+2m`
+/// phase-1 artificial slots (a signed unit column, activated on demand by
+/// the cold start).
 #[derive(Debug, Clone, Default)]
 pub struct Prepared {
     /// Structural variable count.
@@ -97,8 +98,30 @@ pub struct Prepared {
     rhs: Vec<f64>,
     /// Scratch cursors for structure comparison (reused, never observable).
     cursor_scratch: Vec<usize>,
-    /// Scratch accumulator for cost refresh (reused, never observable).
-    cost_scratch: Vec<f64>,
+}
+
+/// The rows of `model` a prepared form holds, in model order: every row
+/// whose `skip` entry is not `true` (an empty mask keeps every row).
+pub(crate) fn kept_rows<'a>(
+    model: &'a Model,
+    skip: &'a [bool],
+) -> impl Iterator<Item = &'a Constraint> {
+    debug_assert!(skip.is_empty() || skip.len() == model.num_constraints());
+    model
+        .constraints()
+        .iter()
+        .enumerate()
+        .filter(|(r, _)| skip.get(*r) != Some(&true))
+        .map(|(_, c)| c)
+}
+
+/// Natural bounds of the slack column of a row with sense `cmp`.
+fn slack_bounds(cmp: Comparison) -> (f64, f64) {
+    match cmp {
+        Comparison::LessEq => (0.0, f64::INFINITY),
+        Comparison::GreaterEq => (f64::NEG_INFINITY, 0.0),
+        Comparison::Equal => (0.0, 0.0),
+    }
 }
 
 impl Prepared {
@@ -107,19 +130,21 @@ impl Prepared {
         self.n + 2 * self.m
     }
 
-    /// (Re)builds the prepared form from a model, reusing allocations.
-    pub fn load(&mut self, model: &Model) {
+    /// (Re)builds the prepared form from a row view of `model`, reusing
+    /// allocations: every variable, its objective coefficient and bounds,
+    /// and the rows `skip` does not mark (an empty mask keeps every row),
+    /// renumbered densely in model order.  The decomposition master is such
+    /// a view: the model minus its linking rows, with no copied `Model`.
+    pub fn load(&mut self, model: &Model, skip: &[bool]) {
         let n = model.num_vars();
-        let m = model.num_constraints();
+        let m = kept_rows(model, skip).count();
         self.n = n;
         self.m = m;
         let ncols = n + 2 * m;
 
         self.cost.clear();
+        self.cost.extend_from_slice(model.objective());
         self.cost.resize(ncols, 0.0);
-        for (v, c) in &model.objective().terms {
-            self.cost[v.index()] += *c;
-        }
 
         self.lower.clear();
         self.upper.clear();
@@ -131,13 +156,9 @@ impl Prepared {
             self.upper[j] = hi;
         }
         self.rhs.clear();
-        for (r, c) in model.constraints().iter().enumerate() {
+        for (r, c) in kept_rows(model, skip).enumerate() {
             self.rhs.push(c.rhs);
-            let (sl, su) = match c.cmp {
-                Comparison::LessEq => (0.0, f64::INFINITY),
-                Comparison::GreaterEq => (f64::NEG_INFINITY, 0.0),
-                Comparison::Equal => (0.0, 0.0),
-            };
+            let (sl, su) = slack_bounds(c.cmp);
             self.lower[n + r] = sl;
             self.upper[n + r] = su;
             // Artificial slots stay pinned at [0, 0] until activated.
@@ -150,7 +171,7 @@ impl Prepared {
         self.col_row.clear();
         self.col_val.clear();
         let mut counts = vec![0usize; n + m];
-        for c in model.constraints() {
+        for c in kept_rows(model, skip) {
             for (v, _) in &c.expr.terms {
                 counts[v.index()] += 1;
             }
@@ -166,7 +187,7 @@ impl Prepared {
         self.col_row.resize(nnz, 0);
         self.col_val.resize(nnz, 0.0);
         let mut cursor: Vec<usize> = self.col_ptr[..n + m].to_vec();
-        for (r, c) in model.constraints().iter().enumerate() {
+        for (r, c) in kept_rows(model, skip).enumerate() {
             for (v, a) in &c.expr.terms {
                 let p = cursor[v.index()];
                 self.col_row[p] = r;
@@ -182,20 +203,21 @@ impl Prepared {
         }
     }
 
-    /// Builds the prepared form of a model.
+    /// Builds the prepared form of a model, every row kept.
     pub fn build(model: &Model) -> Self {
         let mut prep = Self::default();
-        prep.load(model);
+        prep.load(model, &[]);
         prep
     }
 
-    /// Whether `model` has the same constraint matrix, right-hand sides and
+    /// Whether the row view of `model` that `skip` selects (see
+    /// [`Self::load`]) has the same constraint matrix, right-hand sides and
     /// natural bounds as this prepared form (costs may differ).  When true,
     /// a resident simplex basis remains structurally valid and the solver
     /// can restart from it instead of cold-starting.  (`&mut self` only for
     /// a scratch cursor buffer; the prepared form itself is not changed.)
-    pub fn matches_structure(&mut self, model: &Model) -> bool {
-        if self.n != model.num_vars() || self.m != model.num_constraints() {
+    pub fn matches_structure(&mut self, model: &Model, skip: &[bool]) -> bool {
+        if self.n != model.num_vars() || self.m != kept_rows(model, skip).count() {
             return false;
         }
         for (j, kind) in model.vars().iter().enumerate() {
@@ -205,18 +227,14 @@ impl Prepared {
             }
         }
         // Compare the sparse matrix column-by-column via the same fill
-        // order `load` uses (constraints in order, terms in order).
+        // order `load` uses (kept rows in order, terms in order).
         self.cursor_scratch.clear();
         self.cursor_scratch
             .extend_from_slice(&self.col_ptr[..self.n]);
         let mut cursor = std::mem::take(&mut self.cursor_scratch);
         let mut same = true;
-        'rows: for (r, c) in model.constraints().iter().enumerate() {
-            let (sl, su) = match c.cmp {
-                Comparison::LessEq => (0.0, f64::INFINITY),
-                Comparison::GreaterEq => (f64::NEG_INFINITY, 0.0),
-                Comparison::Equal => (0.0, 0.0),
-            };
+        'rows: for (r, c) in kept_rows(model, skip).enumerate() {
+            let (sl, su) = slack_bounds(c.cmp);
             if self.rhs[r] != c.rhs || self.lower[self.n + r] != sl || self.upper[self.n + r] != su
             {
                 same = false;
@@ -242,21 +260,11 @@ impl Prepared {
     /// any coefficient changed.  Only valid after [`Self::matches_structure`]
     /// confirmed the shapes agree.
     pub fn refresh_costs(&mut self, model: &Model) -> bool {
-        debug_assert_eq!(self.n, model.num_vars());
-        self.cost_scratch.clear();
-        self.cost_scratch.resize(self.n, 0.0);
-        let mut fresh = std::mem::take(&mut self.cost_scratch);
-        for (v, c) in &model.objective().terms {
-            fresh[v.index()] += *c;
+        let fresh = model.objective();
+        let changed = self.cost[..self.n] != *fresh;
+        if changed {
+            self.cost[..self.n].copy_from_slice(fresh);
         }
-        let mut changed = false;
-        for (j, &new_cost) in fresh.iter().enumerate() {
-            if self.cost[j] != new_cost {
-                self.cost[j] = new_cost;
-                changed = true;
-            }
-        }
-        self.cost_scratch = fresh;
         changed
     }
 
@@ -1898,5 +1906,108 @@ mod tests {
             "obj {}",
             ws.objective(&prep)
         );
+    }
+
+    /// A 3-app × 2-server placement MILP in the shape
+    /// `carbonedge_core::IncrementalPlacer` builds: assignment rows, then
+    /// per server a capacity row coupled to its activation variable and,
+    /// when `linking`, that server's `x ≤ y` rows, so skipped rows sit
+    /// between kept ones.
+    fn block_model(costs: [[f64; 2]; 3], capacity: f64, linking: bool) -> Model {
+        let mut m = Model::new();
+        let x: Vec<Vec<_>> = costs
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&cost| {
+                        let v = m.add_binary();
+                        m.set_objective_term(v, cost);
+                        v
+                    })
+                    .collect()
+            })
+            .collect();
+        let y: Vec<_> = (0..2).map(|_| m.add_binary()).collect();
+        for &v in &y {
+            m.set_objective_term(v, 0.5);
+        }
+        for (i, row) in x.iter().enumerate() {
+            let expr = LinearExpr::new().with(row[0], 1.0).with(row[1], 1.0);
+            m.add_constraint(expr, Comparison::Equal, 1.0, format!("assign{i}"));
+        }
+        for (j, &yj) in y.iter().enumerate() {
+            let mut cap = LinearExpr::new();
+            for row in &x {
+                cap.add(row[j], 1.0);
+            }
+            cap.add(yj, -capacity);
+            m.add_constraint(cap, Comparison::LessEq, 0.0, format!("cap{j}"));
+            if linking {
+                for (i, row) in x.iter().enumerate() {
+                    let link = LinearExpr::new().with(row[j], 1.0).with(yj, -1.0);
+                    m.add_constraint(link, Comparison::LessEq, 0.0, format!("link{i}_{j}"));
+                }
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn a_row_view_equals_the_model_built_without_its_skipped_rows() {
+        let costs = [[3.0, 1.0], [2.0, 4.0], [1.0, 2.0]];
+        let full = block_model(costs, 2.0, true);
+        let structure = crate::decomp::BlockStructure::detect(&full).expect("placement shape");
+        let skip = &structure.linking;
+        assert_eq!(skip.iter().filter(|&&l| l).count(), 6);
+        let mut view = Prepared::default();
+        view.load(&full, skip);
+        let plain = Prepared::build(&block_model(costs, 2.0, false));
+        assert_eq!((view.n, view.m), (8, 5));
+        assert_eq!((view.n, view.m), (plain.n, plain.m));
+        assert_eq!(view.col_ptr, plain.col_ptr);
+        assert_eq!(view.col_row, plain.col_row);
+        assert_eq!(view.col_val, plain.col_val);
+        assert_eq!(view.rhs, plain.rhs);
+        assert_eq!(view.lower, plain.lower);
+        assert_eq!(view.upper, plain.upper);
+        assert_eq!(view.cost, plain.cost);
+
+        // A cost-only shift keeps the view's structure and refreshes the
+        // costs in place.
+        let shifted_costs = [[1.0, 3.0], [4.0, 2.0], [2.0, 1.0]];
+        let shifted = block_model(shifted_costs, 2.0, true);
+        assert!(view.matches_structure(&shifted, skip));
+        assert!(view.refresh_costs(&shifted));
+        assert_eq!(view.cost[..view.n], *shifted.objective());
+        assert!(!view.refresh_costs(&shifted));
+        // An edit to a kept capacity row, or the full row set, does not.
+        assert!(!view.matches_structure(&block_model(shifted_costs, 3.0, true), skip));
+        assert!(!view.matches_structure(&shifted, &[]));
+    }
+
+    #[test]
+    fn prepared_costs_copy_the_dense_objective() {
+        // Coefficients set in forward or reverse variable order, with a
+        // zero-cost free variable and a cancelled one in between.
+        let build = |order: [usize; 4]| {
+            let mut m = Model::new();
+            let vars = [
+                m.add_continuous(0.0, 1.0),
+                m.add_continuous(f64::NEG_INFINITY, f64::INFINITY),
+                m.add_continuous(f64::NEG_INFINITY, 0.0),
+                m.add_binary(),
+            ];
+            for j in order {
+                m.set_objective_term(vars[j], [2.0, 0.0, 5.0, -1.5][j]);
+            }
+            m.set_objective_term(vars[2], -5.0);
+            let row = LinearExpr::new().with(vars[0], 1.0).with(vars[3], 1.0);
+            m.add_constraint(row, Comparison::LessEq, 1.0, "r");
+            Prepared::build(&m)
+        };
+        let forward = build([0, 1, 2, 3]);
+        let reverse = build([3, 2, 1, 0]);
+        assert_eq!(forward.cost, vec![2.0, 0.0, 0.0, -1.5, 0.0, 0.0]);
+        assert_eq!(forward.cost, reverse.cost);
     }
 }

@@ -17,7 +17,7 @@ use carbonedge_grid::ZoneId;
 use carbonedge_net::LatencyModel;
 use carbonedge_solver::{
     BlockStructure, BranchBoundSolver, Comparison, DenseSimplexSolver, LinearExpr, LpOutcome,
-    Model, ReferenceBranchBound, SimplexSolver, VarKind,
+    Model, ReferenceBranchBound, SimplexSolver, VarId, VarKind,
 };
 use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind};
 use proptest::prelude::*;
@@ -738,7 +738,13 @@ proptest! {
         warm.decomp_min_vars = 0;
         for step in 0..4 {
             let mut shifted = base.clone();
-            let terms: Vec<_> = shifted.objective().terms.clone();
+            let terms: Vec<_> = shifted
+                .objective()
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| **c != 0.0)
+                .map(|(j, c)| (VarId(j), *c))
+                .collect();
             for (k, (v, c)) in terms.into_iter().enumerate() {
                 let bump = ((k + step) % 5) as f64 * 0.25;
                 shifted.set_objective_term(v, c + bump);
