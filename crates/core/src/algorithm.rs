@@ -10,9 +10,8 @@
 //! 5. commit the placement and power decisions and update server state.
 //!
 //! Steps 1–3 are embodied in [`crate::problem::PlacementProblem`]; this
-//! module performs steps 4–5.  Small instances are solved exactly (via the
-//! generic branch-and-bound MILP when requested, or exhaustive enumeration
-//! inside the assignment solver); large instances use the regret-greedy +
+//! module performs steps 4–5.  Small instances are solved exactly by the
+//! generic branch-and-bound MILP; large instances use the regret-greedy +
 //! local-search assignment heuristic, which is how the framework scales to
 //! CDN-sized batches (Figure 17).
 //!
@@ -30,8 +29,7 @@ use crate::diff::AssignmentDiff;
 use crate::policy::PlacementPolicy;
 use crate::problem::{PlacementProblem, PlacementState};
 use carbonedge_solver::{
-    AssignmentProblem, AssignmentSolver, BranchBoundSolver, Comparison, LinearExpr, MilpOutcome,
-    Model,
+    AssignmentProblem, BranchBoundSolver, Comparison, LinearExpr, MilpOutcome, Model,
 };
 use serde::{Deserialize, Serialize};
 
@@ -130,8 +128,6 @@ pub struct IncrementalPlacer {
     /// Use the exact branch-and-bound MILP when the instance is small enough
     /// (`apps * servers <= exact_size_limit`).
     pub exact_size_limit: usize,
-    /// Heuristic assignment solver configuration.
-    pub assignment_solver: AssignmentSolver,
     /// Branch-and-bound configuration for the exact path.
     pub milp_solver: BranchBoundSolver,
 }
@@ -144,7 +140,6 @@ impl IncrementalPlacer {
         Self {
             policy,
             exact_size_limit: 40,
-            assignment_solver: AssignmentSolver::new(),
             milp_solver: BranchBoundSolver::with_node_limit(20_000),
         }
     }
@@ -152,7 +147,6 @@ impl IncrementalPlacer {
     /// Forces the heuristic path regardless of instance size.
     pub fn heuristic_only(mut self) -> Self {
         self.exact_size_limit = 0;
-        self.assignment_solver.exhaustive_limit = 0;
         self
     }
 
@@ -163,10 +157,10 @@ impl IncrementalPlacer {
     }
 
     /// Re-targets this placer at a different policy, keeping the solver
-    /// configuration (exact-size threshold, heuristic parameters, node
-    /// limits).  The scenario-sweep executor uses this to stamp per-cell
-    /// policies onto one shared placer template instead of re-deriving the
-    /// solver configuration in every cell.
+    /// configuration (exact-size threshold, node limits).  The
+    /// scenario-sweep executor uses this to stamp per-cell policies onto one
+    /// shared placer template instead of re-deriving the solver
+    /// configuration in every cell.
     pub fn with_policy(mut self, policy: PlacementPolicy) -> Self {
         self.policy = policy;
         self
@@ -286,24 +280,20 @@ impl IncrementalPlacer {
             return Err(PlacementError::NoFeasibleServer(stranded));
         }
 
-        let (mut assignment, exact) = if apps * servers <= self.exact_size_limit {
-            match self.solve_exact(problem, &pair_cost, &activation_cost) {
-                Some(a) => (a, true),
-                None => (
-                    self.solve_heuristic(problem, &pair_cost, &activation_cost),
-                    false,
-                ),
-            }
+        let exact_assignment = if apps * servers <= self.exact_size_limit {
+            self.solve_exact(problem, &pair_cost, &activation_cost)
         } else {
-            (
-                self.solve_heuristic(problem, &pair_cost, &activation_cost),
-                false,
-            )
+            None
         };
-        if !exact {
-            self.apply_move_hysteresis(problem, &pair_cost, &mut assignment);
-        }
-        let assignment = assignment;
+        let (assignment, exact) = match exact_assignment {
+            Some(a) => (a, true),
+            None => {
+                let instance = assignment_instance(problem, pair_cost, activation_cost);
+                let mut assignment = instance.solve().assignment;
+                self.apply_move_hysteresis(problem, &instance, &mut assignment);
+                (assignment, false)
+            }
+        };
 
         let unplaced: Vec<usize> = assignment
             .iter()
@@ -352,34 +342,29 @@ impl IncrementalPlacer {
     fn apply_move_hysteresis(
         &self,
         problem: &PlacementProblem,
-        pair_cost: &[Vec<Option<f64>>],
+        instance: &AssignmentProblem,
         assignment: &mut [Option<usize>],
     ) {
-        if self.active_migration_state(problem).is_none() {
+        let Some(state) = self.active_migration_state(problem) else {
             return;
-        }
-        let state = problem.state.as_ref().expect("active state exists");
+        };
         // Running per-server usage of the current assignment.
-        let servers = problem.servers.len();
-        let mut used = vec![[0.0f64; 3]; servers];
+        let mut used = vec![[0.0f64; 3]; instance.num_servers()];
         for (i, a) in assignment.iter().enumerate() {
-            let Some(j) = a else { continue };
-            let d = problem.demand(i, *j).expect("assigned pair has demand");
-            used[*j][0] += d.compute;
-            used[*j][1] += d.memory_mb;
-            used[*j][2] += d.bandwidth_mbps;
+            let Some(j) = *a else { continue };
+            for (u, d) in used[j].iter_mut().zip(&instance.demand[i][j]) {
+                *u += d;
+            }
         }
-        for i in 0..assignment.len() {
-            let Some(prev) = state.previous.get(i).copied().flatten() else {
-                continue;
-            };
-            let Some(current) = assignment[i] else {
+        for (i, (a, prev)) in assignment.iter_mut().zip(&state.previous).enumerate() {
+            let (Some(current), Some(prev)) = (*a, *prev) else {
                 continue;
             };
             if current == prev {
                 continue;
             }
-            let (Some(keep_cost), Some(move_cost)) = (pair_cost[i][prev], pair_cost[i][current])
+            let (Some(keep_cost), Some(move_cost)) =
+                (instance.cost[i][prev], instance.cost[i][current])
             else {
                 continue;
             };
@@ -390,66 +375,18 @@ impl IncrementalPlacer {
                 continue;
             }
             // Reverting must not newly activate the incumbent.
-            let incumbent_active =
-                problem.servers[prev].powered_on || used[prev].iter().any(|u| *u > 0.0);
-            if !incumbent_active {
+            let incumbent_active = instance.open[prev] || used[prev].iter().any(|u| *u > 0.0);
+            if !incumbent_active || !instance.fits(i, prev, &used) {
                 continue;
             }
-            let Some(d) = problem.demand(i, prev) else {
-                continue;
-            };
-            let cap = problem.servers[prev].available;
-            let fits = used[prev][0] + d.compute <= cap.compute + 1e-9
-                && used[prev][1] + d.memory_mb <= cap.memory_mb + 1e-9
-                && used[prev][2] + d.bandwidth_mbps <= cap.bandwidth_mbps + 1e-9;
-            if !fits {
-                continue;
+            for (u, d) in used[current].iter_mut().zip(&instance.demand[i][current]) {
+                *u -= d;
             }
-            let d_cur = problem
-                .demand(i, current)
-                .expect("assigned pair has demand");
-            used[current][0] -= d_cur.compute;
-            used[current][1] -= d_cur.memory_mb;
-            used[current][2] -= d_cur.bandwidth_mbps;
-            used[prev][0] += d.compute;
-            used[prev][1] += d.memory_mb;
-            used[prev][2] += d.bandwidth_mbps;
-            assignment[i] = Some(prev);
+            for (u, d) in used[prev].iter_mut().zip(&instance.demand[i][prev]) {
+                *u += d;
+            }
+            *a = Some(prev);
         }
-    }
-
-    /// Builds the assignment-problem form and solves it heuristically.
-    fn solve_heuristic(
-        &self,
-        problem: &PlacementProblem,
-        pair_cost: &[Vec<Option<f64>>],
-        activation_cost: &[f64],
-    ) -> Vec<Option<usize>> {
-        let (apps, servers) = problem.size();
-        let demand: Vec<Vec<Vec<f64>>> = (0..apps)
-            .map(|i| {
-                (0..servers)
-                    .map(|j| match problem.demand(i, j) {
-                        Some(d) => vec![d.compute, d.memory_mb, d.bandwidth_mbps],
-                        None => vec![0.0, 0.0, 0.0],
-                    })
-                    .collect()
-            })
-            .collect();
-        let capacity: Vec<Vec<f64>> = (0..servers)
-            .map(|j| {
-                let c = problem.servers[j].available;
-                vec![c.compute, c.memory_mb, c.bandwidth_mbps]
-            })
-            .collect();
-        let instance = AssignmentProblem {
-            cost: pair_cost.to_vec(),
-            demand,
-            capacity,
-            activation_cost: activation_cost.to_vec(),
-            open: problem.servers.iter().map(|s| s.powered_on).collect(),
-        };
-        self.assignment_solver.solve(&instance).assignment
     }
 
     /// Builds the MILP of Eq. 7 from precomputed policy costs.
@@ -504,17 +441,13 @@ impl IncrementalPlacer {
         // Capacity constraints per server and resource dimension (Eq. 1),
         // with the y_j coupling, and x <= y linking (Eq. 5).
         for j in 0..servers {
-            let cap = problem.servers[j].available;
-            for (k, cap_k) in [cap.compute, cap.memory_mb, cap.bandwidth_mbps]
-                .into_iter()
-                .enumerate()
-            {
+            let capacity = problem.servers[j].available.to_array();
+            for (k, cap_k) in capacity.into_iter().enumerate() {
                 let mut expr = LinearExpr::new();
                 for (i, x_row) in x.iter().enumerate() {
                     if let Some(v) = x_row[j] {
                         let d = problem.demand(i, j).expect("feasible pair has demand");
-                        let d_k = [d.compute, d.memory_mb, d.bandwidth_mbps][k];
-                        expr.add(v, d_k);
+                        expr.add(v, d.to_array()[k]);
                     }
                 }
                 expr.add(y[j], -cap_k);
@@ -553,6 +486,35 @@ impl IncrementalPlacer {
             return None;
         }
         Some(placement_model.decode(&solution.values))
+    }
+}
+
+/// The heuristic's form of a placement problem: the folded pair costs and
+/// activation costs, moved in, with each pair's demand and each server's
+/// capacity in `ResourceDemand::to_array` order.
+fn assignment_instance(
+    problem: &PlacementProblem,
+    cost: Vec<Vec<Option<f64>>>,
+    activation_cost: Vec<f64>,
+) -> AssignmentProblem {
+    let (apps, servers) = problem.size();
+    let demand = (0..apps)
+        .map(|i| {
+            (0..servers)
+                .map(|j| problem.demand(i, j).map_or([0.0; 3], |d| d.to_array()))
+                .collect()
+        })
+        .collect();
+    AssignmentProblem {
+        cost,
+        demand,
+        capacity: problem
+            .servers
+            .iter()
+            .map(|s| s.available.to_array())
+            .collect(),
+        activation_cost,
+        open: problem.servers.iter().map(|s| s.powered_on).collect(),
     }
 }
 
@@ -882,8 +844,8 @@ mod tests {
         assert_eq!(stamped.policy, PlacementPolicy::CarbonAware);
         assert_eq!(stamped.exact_size_limit, 7);
         assert_eq!(
-            stamped.assignment_solver.exhaustive_limit,
-            template.assignment_solver.exhaustive_limit
+            stamped.milp_solver.max_nodes,
+            template.milp_solver.max_nodes
         );
     }
 
@@ -993,6 +955,72 @@ mod tests {
             .unwrap();
         assert_eq!(moved.assignment, vec![Some(1)]);
         assert!((moved.migration_carbon_g - savings * 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_full_incumbent_blocks_a_hysteresis_revert() {
+        // Four ResNet50 apps at 25 rps use 0.325 of an A2 each, so three fit
+        // per server.  All four are incumbent on the green server; the
+        // heuristic keeps three there and moves app 3 to the dirty server.
+        // Staying would be far cheaper than the move plus its migration, but
+        // the incumbent is full, so the move must survive the hysteresis
+        // pass.
+        let servers = vec![
+            ServerSnapshot::new(
+                0,
+                0,
+                ZoneId(0),
+                DeviceKind::A2,
+                Coordinates::new(46.95, 7.45),
+            )
+            .with_carbon_intensity(45.0),
+            ServerSnapshot::new(
+                1,
+                1,
+                ZoneId(1),
+                DeviceKind::A2,
+                Coordinates::new(48.14, 11.58),
+            )
+            .with_carbon_intensity(550.0),
+        ];
+        let apps: Vec<Application> = (0..4)
+            .map(|i| {
+                Application::new(
+                    AppId(i),
+                    ModelKind::ResNet50,
+                    25.0,
+                    40.0,
+                    Coordinates::new(47.5, 9.5),
+                    0,
+                )
+            })
+            .collect();
+        let p = PlacementProblem::new(servers, apps, 1.0)
+            .with_latency_model(LatencyModel::deterministic())
+            .with_state(PlacementState::new(
+                vec![Some(0); 4],
+                vec![MigrationCost::new(1.0, 0.0); 4],
+            ));
+        let keep = p.operational_carbon_g(3, 0).unwrap();
+        let migrate = p.operational_carbon_g(3, 1).unwrap() + 1.0;
+        assert!(
+            keep < migrate,
+            "app 3 would revert if the incumbent had room"
+        );
+        let d = IncrementalPlacer::new(PlacementPolicy::CarbonAware)
+            .heuristic_only()
+            .place(&p)
+            .unwrap();
+        assert_eq!(d.assignment, vec![Some(0), Some(0), Some(0), Some(1)]);
+        assert_eq!(d.moves, 1);
+        let mut compute = [0.0f64; 2];
+        for (i, a) in d.assignment.iter().enumerate() {
+            let j = a.unwrap();
+            compute[j] += p.demand(i, j).unwrap().compute;
+        }
+        for c in compute {
+            assert!(c <= 1.0, "compute {c}");
+        }
     }
 
     #[test]

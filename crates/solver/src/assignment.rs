@@ -1,27 +1,37 @@
-//! Specialized solver for the incremental placement problem.
+//! The assignment heuristic for the incremental placement problem.
 //!
 //! The paper's placement problem (Eq. 7) is a generalized assignment problem
 //! with fixed server-activation charges: each application must be assigned
-//! to exactly one feasible server, multi-dimensional server capacities must
-//! be respected, and opening a previously-off server adds its activation
-//! carbon.  For testbed-sized instances the generic branch-and-bound solver
-//! is exact; at CDN scale (hundreds of servers, dozens of applications per
-//! batch) this module provides a regret-based greedy construction followed
-//! by local search, which the tests validate against exhaustive enumeration
-//! on small instances.
+//! to exactly one feasible server, the three server capacities of Eq. 1
+//! (compute, memory, bandwidth) must be respected, and opening a
+//! previously-off server adds its activation carbon.  For testbed-sized
+//! instances the generic branch-and-bound solver is exact; at CDN scale
+//! (hundreds of servers, dozens of applications per batch) this module
+//! provides a regret-based greedy construction followed by local search,
+//! which the tests check against exhaustive enumeration on small instances.
 
-/// One instance of the placement problem in solver-neutral form.
+/// Maximum number of local-search improvement passes.
+const LOCAL_SEARCH_PASSES: usize = 8;
+
+/// Batches larger than this many applications skip the O(n²·m) regret
+/// ordering and fall back to a simple cheapest-feasible greedy pass,
+/// keeping CDN-scale batches (hundreds of applications over hundreds of
+/// servers) fast.
+const REGRET_LIMIT: usize = 200;
+
+/// One instance of the placement problem in solver-neutral form.  Every
+/// resource vector is `[compute, memory, bandwidth]`.
 #[derive(Debug, Clone)]
 pub struct AssignmentProblem {
     /// `cost[i][j]`: cost of running application `i` on server `j`, or
     /// `None` when the pair is infeasible (latency violation or
     /// incompatible hardware).
     pub cost: Vec<Vec<Option<f64>>>,
-    /// `demand[i][j][k]`: demand of application `i` on server `j` in
-    /// resource dimension `k` (only read when the pair is feasible).
-    pub demand: Vec<Vec<Vec<f64>>>,
-    /// `capacity[j][k]`: available capacity of server `j` in dimension `k`.
-    pub capacity: Vec<Vec<f64>>,
+    /// `demand[i][j]`: resource demand of application `i` on server `j`
+    /// (only read when the pair is feasible).
+    pub demand: Vec<Vec<[f64; 3]>>,
+    /// `capacity[j]`: available resources of server `j`.
+    pub capacity: Vec<[f64; 3]>,
     /// `activation_cost[j]`: extra cost incurred the first time an
     /// application is placed on server `j` while it is closed.
     pub activation_cost: Vec<f64>,
@@ -55,24 +65,17 @@ impl AssignmentProblem {
         if self.demand.len() != self.num_apps() {
             return Err("demand outer length mismatch".into());
         }
-        let dims = self.capacity.first().map(|c| c.len()).unwrap_or(0);
-        if self.capacity.iter().any(|c| c.len() != dims) {
-            return Err("capacity dimension mismatch".into());
-        }
         for (i, row) in self.demand.iter().enumerate() {
             if row.len() != servers {
                 return Err(format!("demand row {i} has wrong length"));
-            }
-            for d in row {
-                if d.len() != dims {
-                    return Err(format!("demand dims mismatch for app {i}"));
-                }
             }
         }
         Ok(())
     }
 
-    fn fits(&self, app: usize, server: usize, used: &[Vec<f64>]) -> bool {
+    /// Whether application `app` fits on `server` on top of the per-server
+    /// usage `used`, in every resource.
+    pub fn fits(&self, app: usize, server: usize, used: &[[f64; 3]]) -> bool {
         self.demand[app][server]
             .iter()
             .zip(used[server].iter().zip(self.capacity[server].iter()))
@@ -85,8 +88,7 @@ impl AssignmentProblem {
         if assignment.len() != self.num_apps() {
             return None;
         }
-        let dims = self.capacity.first().map(|c| c.len()).unwrap_or(0);
-        let mut used = vec![vec![0.0; dims]; self.num_servers()];
+        let mut used = vec![[0.0; 3]; self.num_servers()];
         let mut opened = vec![false; self.num_servers()];
         let mut total = 0.0;
         for (i, a) in assignment.iter().enumerate() {
@@ -95,8 +97,8 @@ impl AssignmentProblem {
             if !self.fits(i, *j, &used) {
                 return None;
             }
-            for (k, d) in self.demand[i][*j].iter().enumerate() {
-                used[*j][k] += d;
+            for (u, d) in used[*j].iter_mut().zip(&self.demand[i][*j]) {
+                *u += d;
             }
             total += cost;
             if !self.open[*j] && !opened[*j] {
@@ -105,6 +107,21 @@ impl AssignmentProblem {
             }
         }
         Some(total)
+    }
+
+    /// Solves the instance with the regret-greedy construction (or, above
+    /// `REGRET_LIMIT` applications, the cheapest-feasible greedy pass)
+    /// followed by local search.
+    pub fn solve(&self) -> AssignmentSolution {
+        self.validate().expect("malformed assignment problem");
+        let mut state = State::new(self);
+        if self.num_apps() > REGRET_LIMIT {
+            state.greedy_construct_simple();
+        } else {
+            state.greedy_construct();
+        }
+        state.local_search();
+        state.finish()
     }
 }
 
@@ -129,32 +146,6 @@ impl AssignmentSolution {
     }
 }
 
-/// Regret-greedy + local-search heuristic, with exhaustive enumeration for
-/// tiny instances.
-#[derive(Debug, Clone)]
-pub struct AssignmentSolver {
-    /// Maximum number of local-search improvement passes.
-    pub local_search_passes: usize,
-    /// Instances with at most this many `servers^apps` combinations are
-    /// solved exactly by enumeration.
-    pub exhaustive_limit: u64,
-    /// Batches larger than this many applications skip the O(n²·m) regret
-    /// ordering and fall back to a simple cheapest-feasible greedy pass,
-    /// keeping CDN-scale batches (hundreds of applications over hundreds of
-    /// servers) fast.
-    pub regret_limit: usize,
-}
-
-impl Default for AssignmentSolver {
-    fn default() -> Self {
-        Self {
-            local_search_passes: 8,
-            exhaustive_limit: 20_000,
-            regret_limit: 200,
-        }
-    }
-}
-
 /// Cached best/second-best marginal costs of one application, kept
 /// consistent with [`State::marginal`] (see there for the exactness
 /// argument).  `second_c` is `f64::INFINITY` when only one server is
@@ -173,7 +164,7 @@ enum Top2 {
 struct State<'p> {
     problem: &'p AssignmentProblem,
     assignment: Vec<Option<usize>>,
-    used: Vec<Vec<f64>>,
+    used: Vec<[f64; 3]>,
     app_count_per_server: Vec<usize>,
     /// `marginal[i * servers + j]`: cached marginal cost of placing app `i`
     /// on server `j` in the *current* state (`NAN` = infeasible).  Placing
@@ -193,13 +184,12 @@ struct State<'p> {
 
 impl<'p> State<'p> {
     fn new(problem: &'p AssignmentProblem) -> Self {
-        let dims = problem.capacity.first().map(|c| c.len()).unwrap_or(0);
         let apps = problem.num_apps();
         let servers = problem.num_servers();
         let mut state = Self {
             problem,
             assignment: vec![None; apps],
-            used: vec![vec![0.0; dims]; servers],
+            used: vec![[0.0; 3]; servers],
             app_count_per_server: vec![0; servers],
             marginal: vec![f64::NAN; apps * servers],
             top2: vec![Top2::Dirty; apps],
@@ -324,8 +314,8 @@ impl<'p> State<'p> {
 
     fn place(&mut self, i: usize, j: usize) {
         debug_assert!(self.assignment[i].is_none());
-        for (k, d) in self.problem.demand[i][j].iter().enumerate() {
-            self.used[j][k] += d;
+        for (u, d) in self.used[j].iter_mut().zip(&self.problem.demand[i][j]) {
+            *u += d;
         }
         self.app_count_per_server[j] += 1;
         self.assignment[i] = Some(j);
@@ -334,8 +324,8 @@ impl<'p> State<'p> {
 
     fn unplace(&mut self, i: usize) {
         if let Some(j) = self.assignment[i].take() {
-            for (k, d) in self.problem.demand[i][j].iter().enumerate() {
-                self.used[j][k] -= d;
+            for (u, d) in self.used[j].iter_mut().zip(&self.problem.demand[i][j]) {
+                *u -= d;
             }
             self.app_count_per_server[j] -= 1;
             self.refresh_column(j);
@@ -356,59 +346,18 @@ impl<'p> State<'p> {
         }
         total
     }
-}
-
-impl AssignmentSolver {
-    /// Creates a solver with default parameters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Solves the assignment problem.
-    pub fn solve(&self, problem: &AssignmentProblem) -> AssignmentSolution {
-        problem.validate().expect("malformed assignment problem");
-        let apps = problem.num_apps();
-        let servers = problem.num_servers();
-        if apps == 0 || servers == 0 {
-            return AssignmentSolution {
-                assignment: vec![None; apps],
-                cost: 0.0,
-                unassigned: (0..apps).collect(),
-                newly_opened: vec![],
-            };
-        }
-
-        // Exact enumeration for tiny instances.
-        let combos = (servers as u64).checked_pow(apps as u32);
-        if let Some(combos) = combos {
-            if combos <= self.exhaustive_limit {
-                if let Some(sol) = self.solve_exhaustive(problem) {
-                    return sol;
-                }
-            }
-        }
-
-        let mut state = State::new(problem);
-        if apps > self.regret_limit {
-            self.greedy_construct_simple(&mut state);
-        } else {
-            self.greedy_construct(&mut state);
-        }
-        self.local_search(&mut state);
-        self.finish(state)
-    }
 
     /// Cheapest-feasible greedy in application order; O(apps · servers).
-    fn greedy_construct_simple(&self, state: &mut State<'_>) {
-        for i in 0..state.problem.num_apps() {
-            if let Some((j, _)) = state.best_server(i) {
-                state.place(i, j);
+    fn greedy_construct_simple(&mut self) {
+        for i in 0..self.problem.num_apps() {
+            if let Some((j, _)) = self.best_server(i) {
+                self.place(i, j);
             }
         }
     }
 
-    fn greedy_construct(&self, state: &mut State<'_>) {
-        let apps = state.problem.num_apps();
+    fn greedy_construct(&mut self) {
+        let apps = self.problem.num_apps();
         let mut remaining: Vec<usize> = (0..apps).collect();
         while !remaining.is_empty() {
             // For each remaining app read the cached best and second-best
@@ -418,7 +367,7 @@ impl AssignmentSolver {
             // uncached construction bit for bit.
             let mut chosen: Option<(usize, usize, f64)> = None; // (pos, server, regret)
             for (pos, &i) in remaining.iter().enumerate() {
-                let Some((bj, bc, second)) = state.top2(i) else {
+                let Some((bj, bc, second)) = self.top2(i) else {
                     continue;
                 };
                 let regret = if second.is_finite() {
@@ -437,39 +386,39 @@ impl AssignmentSolver {
             match chosen {
                 Some((pos, server, _)) => {
                     let app = remaining.remove(pos);
-                    state.place(app, server);
+                    self.place(app, server);
                 }
                 None => break, // nothing placeable anymore
             }
         }
     }
 
-    fn local_search(&self, state: &mut State<'_>) {
-        for _ in 0..self.local_search_passes {
+    fn local_search(&mut self) {
+        for _ in 0..LOCAL_SEARCH_PASSES {
             let mut improved = false;
-            for i in 0..state.problem.num_apps() {
-                let Some(current) = state.assignment[i] else {
+            for i in 0..self.problem.num_apps() {
+                let Some(current) = self.assignment[i] else {
                     continue;
                 };
-                let before = state.total_cost();
-                state.unplace(i);
+                let before = self.total_cost();
+                self.unplace(i);
                 // The cheapest feasible server for i in the reduced state.
-                let best = state.best_server(i);
+                let best = self.best_server(i);
                 match best {
                     Some((j, _)) => {
-                        state.place(i, j);
-                        let after = state.total_cost();
+                        self.place(i, j);
+                        let after = self.total_cost();
                         if after < before - 1e-9 {
                             improved = true;
                         } else if j != current {
                             // Revert if no strict improvement.
-                            state.unplace(i);
-                            state.place(i, current);
+                            self.unplace(i);
+                            self.place(i, current);
                         }
                     }
                     None => {
                         // Should not happen since `current` was feasible; restore.
-                        state.place(i, current);
+                        self.place(i, current);
                     }
                 }
             }
@@ -479,10 +428,10 @@ impl AssignmentSolver {
         }
     }
 
-    fn finish(&self, mut state: State<'_>) -> AssignmentSolution {
-        let problem = state.problem;
-        let assignment = state.assignment.clone();
-        let cost = state.total_cost();
+    fn finish(mut self) -> AssignmentSolution {
+        let problem = self.problem;
+        let cost = self.total_cost();
+        let assignment = self.assignment;
         let unassigned = assignment
             .iter()
             .enumerate()
@@ -504,41 +453,6 @@ impl AssignmentSolver {
             newly_opened,
         }
     }
-
-    fn solve_exhaustive(&self, problem: &AssignmentProblem) -> Option<AssignmentSolution> {
-        let apps = problem.num_apps();
-        let servers = problem.num_servers();
-        let mut best: Option<(f64, Vec<Option<usize>>)> = None;
-        let total = (servers as u64).pow(apps as u32);
-        for code in 0..total {
-            let mut c = code;
-            let mut assignment = Vec::with_capacity(apps);
-            for _ in 0..apps {
-                assignment.push(Some((c % servers as u64) as usize));
-                c /= servers as u64;
-            }
-            if let Some(cost) = problem.evaluate(&assignment) {
-                if best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-                    best = Some((cost, assignment));
-                }
-            }
-        }
-        let (cost, assignment) = best?;
-        let mut newly_opened: Vec<usize> = assignment
-            .iter()
-            .flatten()
-            .copied()
-            .filter(|j| !problem.open[*j])
-            .collect();
-        newly_opened.sort_unstable();
-        newly_opened.dedup();
-        Some(AssignmentSolution {
-            assignment,
-            cost,
-            unassigned: vec![],
-            newly_opened,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -547,12 +461,40 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// A resource vector that uses compute only.
+    fn compute(x: f64) -> [f64; 3] {
+        [x, 0.0, 0.0]
+    }
+
+    /// The cost of the cheapest complete feasible assignment, found by
+    /// enumerating all `servers^apps` assignments; `None` when no complete
+    /// assignment is feasible.
+    fn enumerate_optimum(problem: &AssignmentProblem) -> Option<f64> {
+        let apps = problem.num_apps();
+        let servers = problem.num_servers();
+        let mut best: Option<f64> = None;
+        for code in 0..servers.pow(apps as u32) {
+            let mut c = code;
+            let mut assignment = Vec::with_capacity(apps);
+            for _ in 0..apps {
+                assignment.push(Some(c % servers));
+                c /= servers;
+            }
+            if let Some(cost) = problem.evaluate(&assignment) {
+                if best.is_none_or(|bc| cost < bc) {
+                    best = Some(cost);
+                }
+            }
+        }
+        best
+    }
+
     fn simple_problem() -> AssignmentProblem {
-        // 2 apps, 2 servers, one resource dimension.
+        // 2 apps, 2 servers, compute only.
         AssignmentProblem {
             cost: vec![vec![Some(10.0), Some(1.0)], vec![Some(2.0), Some(8.0)]],
-            demand: vec![vec![vec![1.0], vec![1.0]], vec![vec![1.0], vec![1.0]]],
-            capacity: vec![vec![2.0], vec![2.0]],
+            demand: vec![vec![compute(1.0); 2]; 2],
+            capacity: vec![compute(2.0); 2],
             activation_cost: vec![0.0, 0.0],
             open: vec![true, true],
         }
@@ -560,7 +502,7 @@ mod tests {
 
     #[test]
     fn picks_cheapest_assignment() {
-        let sol = AssignmentSolver::new().solve(&simple_problem());
+        let sol = simple_problem().solve();
         assert!(sol.is_complete());
         assert_eq!(sol.assignment, vec![Some(1), Some(0)]);
         assert!((sol.cost - 3.0).abs() < 1e-9);
@@ -571,8 +513,8 @@ mod tests {
         let mut p = simple_problem();
         // Both apps prefer server 1 but it only fits one.
         p.cost = vec![vec![Some(10.0), Some(1.0)], vec![Some(10.0), Some(2.0)]];
-        p.capacity = vec![vec![2.0], vec![1.0]];
-        let sol = AssignmentSolver::new().solve(&p);
+        p.capacity = vec![compute(2.0), compute(1.0)];
+        let sol = p.solve();
         assert!(sol.is_complete());
         let cost = p.evaluate(&sol.assignment).unwrap();
         // Optimum: app1 -> server1 (2), app0 -> server0 (10) = 12, or
@@ -586,12 +528,12 @@ mod tests {
         // server 1 cheaper per app but has a huge activation cost.
         let p = AssignmentProblem {
             cost: vec![vec![Some(5.0), Some(4.0)], vec![Some(5.0), Some(4.0)]],
-            demand: vec![vec![vec![1.0], vec![1.0]], vec![vec![1.0], vec![1.0]]],
-            capacity: vec![vec![2.0], vec![2.0]],
+            demand: vec![vec![compute(1.0); 2]; 2],
+            capacity: vec![compute(2.0); 2],
             activation_cost: vec![0.0, 100.0],
             open: vec![true, false],
         };
-        let sol = AssignmentSolver::new().solve(&p);
+        let sol = p.solve();
         assert_eq!(sol.assignment, vec![Some(0), Some(0)]);
         assert!(sol.newly_opened.is_empty());
         assert!((sol.cost - 10.0).abs() < 1e-9);
@@ -602,12 +544,12 @@ mod tests {
         // Cheap closed server worth opening for both apps.
         let p = AssignmentProblem {
             cost: vec![vec![Some(50.0), Some(1.0)], vec![Some(50.0), Some(1.0)]],
-            demand: vec![vec![vec![1.0], vec![1.0]], vec![vec![1.0], vec![1.0]]],
-            capacity: vec![vec![2.0], vec![2.0]],
+            demand: vec![vec![compute(1.0); 2]; 2],
+            capacity: vec![compute(2.0); 2],
             activation_cost: vec![0.0, 10.0],
             open: vec![true, false],
         };
-        let sol = AssignmentSolver::new().solve(&p);
+        let sol = p.solve();
         assert_eq!(sol.assignment, vec![Some(1), Some(1)]);
         assert_eq!(sol.newly_opened, vec![1]);
         assert!((sol.cost - 12.0).abs() < 1e-9, "cost {}", sol.cost);
@@ -617,32 +559,27 @@ mod tests {
     fn infeasible_pairs_are_avoided() {
         let p = AssignmentProblem {
             cost: vec![vec![None, Some(3.0)], vec![Some(2.0), None]],
-            demand: vec![vec![vec![1.0], vec![1.0]], vec![vec![1.0], vec![1.0]]],
-            capacity: vec![vec![1.0], vec![1.0]],
+            demand: vec![vec![compute(1.0); 2]; 2],
+            capacity: vec![compute(1.0); 2],
             activation_cost: vec![0.0, 0.0],
             open: vec![true, true],
         };
-        let sol = AssignmentSolver::new().solve(&p);
+        let sol = p.solve();
         assert_eq!(sol.assignment, vec![Some(1), Some(0)]);
         assert!(sol.is_complete());
     }
 
     #[test]
     fn overloaded_instance_reports_unassigned() {
-        // Two apps, one server with capacity for one; force the heuristic
-        // path by raising the exhaustive limit threshold artificially low.
+        // Two apps, one server with capacity for one.
         let p = AssignmentProblem {
             cost: vec![vec![Some(1.0)], vec![Some(1.0)]],
-            demand: vec![vec![vec![1.0]], vec![vec![1.0]]],
-            capacity: vec![vec![1.0]],
+            demand: vec![vec![compute(1.0)]; 2],
+            capacity: vec![compute(1.0)],
             activation_cost: vec![0.0],
             open: vec![true],
         };
-        let solver = AssignmentSolver {
-            exhaustive_limit: 0,
-            ..AssignmentSolver::new()
-        };
-        let sol = solver.solve(&p);
+        let sol = p.solve();
         assert_eq!(sol.unassigned.len(), 1);
         assert!(!sol.is_complete());
     }
@@ -652,7 +589,7 @@ mod tests {
         let p = simple_problem();
         assert!(p.evaluate(&[Some(0), Some(0)]).is_some());
         let mut tight = p.clone();
-        tight.capacity = vec![vec![1.0], vec![2.0]];
+        tight.capacity = vec![compute(1.0), compute(2.0)];
         assert!(tight.evaluate(&[Some(0), Some(0)]).is_none());
         let mut infeasible = p.clone();
         infeasible.cost[0][0] = None;
@@ -670,7 +607,7 @@ mod tests {
             activation_cost: vec![],
             open: vec![],
         };
-        let sol = AssignmentSolver::new().solve(&p);
+        let sol = p.solve();
         assert_eq!(sol.cost, 0.0);
         assert!(sol.assignment.is_empty());
     }
@@ -709,33 +646,29 @@ mod tests {
                 demand: (0..apps)
                     .map(|_| {
                         (0..servers)
-                            .map(|_| vec![rng.gen_range(0.5..2.0)])
+                            .map(|_| compute(rng.gen_range(0.5..2.0)))
                             .collect()
                     })
                     .collect(),
                 capacity: (0..servers)
-                    .map(|_| vec![rng.gen_range(2.0..5.0)])
+                    .map(|_| compute(rng.gen_range(2.0..5.0)))
                     .collect(),
                 activation_cost: (0..servers).map(|_| rng.gen_range(0.0..20.0)).collect(),
                 open: (0..servers).map(|_| rng.gen_bool(0.5)).collect(),
             };
-            // Exact (exhaustive) solution through the normal entry point.
-            let exact = AssignmentSolver::new().solve(&p);
-            // Heuristic-only solution.
-            let heuristic = AssignmentSolver {
-                exhaustive_limit: 0,
-                ..AssignmentSolver::new()
-            }
-            .solve(&p);
-            if exact.is_complete() && heuristic.is_complete() {
+            let heuristic = p.solve();
+            let Some(exact_cost) = enumerate_optimum(&p) else {
+                continue;
+            };
+            if heuristic.is_complete() {
                 // The heuristic may be suboptimal but never better than exact,
                 // and should be within 30% on these tiny instances.
-                assert!(heuristic.cost >= exact.cost - 1e-6);
+                assert!(heuristic.cost >= exact_cost - 1e-6);
                 assert!(
-                    heuristic.cost <= exact.cost * 1.3 + 1e-6,
+                    heuristic.cost <= exact_cost * 1.3 + 1e-6,
                     "heuristic {} vs exact {}",
                     heuristic.cost,
-                    exact.cost
+                    exact_cost
                 );
             }
         }
@@ -757,16 +690,54 @@ mod tests {
             demand: (0..apps)
                 .map(|_| {
                     (0..servers)
-                        .map(|_| vec![rng.gen_range(0.1..0.4), rng.gen_range(100.0..500.0)])
+                        .map(|_| [rng.gen_range(0.1..0.4), rng.gen_range(100.0..500.0), 0.0])
                         .collect()
                 })
                 .collect(),
-            capacity: (0..servers).map(|_| vec![1.0, 16_000.0]).collect(),
+            capacity: vec![[1.0, 16_000.0, 0.0]; servers],
             activation_cost: (0..servers).map(|_| rng.gen_range(0.0..50.0)).collect(),
             open: (0..servers).map(|i| i % 2 == 0).collect(),
         };
-        let sol = AssignmentSolver::new().solve(&p);
+        let sol = p.solve();
         assert!(sol.is_complete());
         assert!(p.evaluate(&sol.assignment).is_some());
+    }
+
+    #[test]
+    fn batches_above_the_regret_limit_spill_over_feasibly() {
+        // 240 apps take the cheapest-feasible construction.  Every app
+        // prefers low-index servers, but a server holds at most 10 apps
+        // (compute 0.15–0.25 of 1.5), so capacity spreads the batch over at
+        // least 24 of the 60 servers.
+        let mut rng = StdRng::seed_from_u64(17);
+        let (apps, servers) = (240, 60);
+        assert!(apps > REGRET_LIMIT);
+        let p = AssignmentProblem {
+            cost: (0..apps)
+                .map(|_| {
+                    (0..servers)
+                        .map(|j| Some(1.0 + j as f64 + rng.gen_range(0.0..0.5)))
+                        .collect()
+                })
+                .collect(),
+            demand: (0..apps)
+                .map(|_| {
+                    let d = [rng.gen_range(0.15..0.25), rng.gen_range(100.0..500.0), 5.0];
+                    vec![d; servers]
+                })
+                .collect(),
+            capacity: vec![[1.5, 16_000.0, 1_000.0]; servers],
+            activation_cost: (0..servers).map(|_| rng.gen_range(0.0..20.0)).collect(),
+            open: (0..servers).map(|j| j % 3 != 0).collect(),
+        };
+        let sol = p.solve();
+        assert!(sol.is_complete());
+        let evaluated = p.evaluate(&sol.assignment);
+        assert!(evaluated.is_some());
+        assert_eq!(Some(sol.cost), evaluated);
+        let mut used: Vec<usize> = sol.assignment.iter().flatten().copied().collect();
+        used.sort_unstable();
+        used.dedup();
+        assert!(used.len() >= 24, "only {} servers used", used.len());
     }
 }

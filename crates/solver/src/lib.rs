@@ -25,10 +25,10 @@
 //!   relaxation, pricing is a closed-form pass over the inactive columns,
 //!   and integer answers come from price-and-branch; `BranchBoundSolver`
 //!   routes large block-structured models here automatically;
-//! * [`assignment`] — a specialized solver for the incremental placement
-//!   problem (a generalized assignment problem with server-activation
-//!   costs): greedy construction with regret ordering plus local search,
-//!   and an exhaustive exact solver for tiny instances used to validate it;
+//! * [`assignment`] — a heuristic for the incremental placement problem (a
+//!   generalized assignment problem with server-activation costs under the
+//!   three resource limits of Eq. 1): greedy construction with regret
+//!   ordering plus local search;
 //! * [`mod@reference`] — the pre-rewrite dense Big-M tableau simplex and
 //!   cold-start branch-and-bound, retained **only** as differential-test
 //!   oracles and as the "before" side of `BENCH_solver.json`.
@@ -46,7 +46,7 @@ pub mod model;
 pub mod reference;
 pub mod simplex;
 
-pub use assignment::{AssignmentProblem, AssignmentSolution, AssignmentSolver};
+pub use assignment::{AssignmentProblem, AssignmentSolution};
 pub use branch_bound::{
     BranchBoundSolver, DecompStats, FactorStats, MilpOutcome, MilpSolution, MilpWorkspace,
     PricingStats,

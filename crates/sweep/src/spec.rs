@@ -6,7 +6,7 @@ use carbonedge_datasets::zones::ZoneArea;
 use carbonedge_grid::{EpochSchedule, ForecasterKind};
 use carbonedge_sim::cdn::{CdnConfig, CdnScenario};
 use carbonedge_sim::ServingMode;
-use carbonedge_workload::{DeviceKind, ModelKind};
+use carbonedge_workload::{splitmix64, DeviceKind, ModelKind};
 
 /// One workload point on the workload axis: the served model, the device the
 /// CDN installs, and the per-application request rate.
@@ -136,15 +136,6 @@ impl SweepAxis {
             SweepAxis::Serving => "serving mode",
         }
     }
-}
-
-/// `splitmix64` — the standard 64-bit mixing function, used to derive
-/// deterministic, well-separated per-cell seeds from the spec's base seed.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E3779B97F4A7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
-    x ^ (x >> 31)
 }
 
 /// One cell of the sweep grid: a fully resolved scenario coordinate.

@@ -15,26 +15,9 @@ impl AppId {
     }
 }
 
-/// The resource dimensions tracked by the multi-dimensional capacity
-/// constraint (Eq. 1): compute, device memory, and network bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ResourceKind {
-    /// Compute capacity, normalized to "device fraction" units.
-    Compute,
-    /// Device (GPU/host) memory in MB.
-    MemoryMb,
-    /// Network bandwidth in Mbps.
-    BandwidthMbps,
-}
-
-/// All resource kinds in the order used by resource vectors.
-pub const RESOURCE_KINDS: [ResourceKind; 3] = [
-    ResourceKind::Compute,
-    ResourceKind::MemoryMb,
-    ResourceKind::BandwidthMbps,
-];
-
-/// A demand (or capacity) vector over [`RESOURCE_KINDS`].
+/// A demand (or capacity) vector over the three resources of the
+/// multi-dimensional capacity constraint (Eq. 1): compute, device memory,
+/// and network bandwidth.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct ResourceDemand {
     /// Compute demand as a fraction of one device (1.0 = a whole device).
@@ -55,13 +38,10 @@ impl ResourceDemand {
         }
     }
 
-    /// Component accessor by resource kind.
-    pub fn get(&self, kind: ResourceKind) -> f64 {
-        match kind {
-            ResourceKind::Compute => self.compute,
-            ResourceKind::MemoryMb => self.memory_mb,
-            ResourceKind::BandwidthMbps => self.bandwidth_mbps,
-        }
+    /// The components as `[compute, memory, bandwidth]`, the one order
+    /// every resource vector of the placement solvers uses.
+    pub fn to_array(&self) -> [f64; 3] {
+        [self.compute, self.memory_mb, self.bandwidth_mbps]
     }
 
     /// Component-wise addition.
@@ -92,9 +72,7 @@ impl ResourceDemand {
 
     /// Whether all components are finite and non-negative.
     pub fn is_valid(&self) -> bool {
-        [self.compute, self.memory_mb, self.bandwidth_mbps]
-            .iter()
-            .all(|v| v.is_finite() && *v >= 0.0)
+        self.to_array().iter().all(|v| v.is_finite() && *v >= 0.0)
     }
 }
 
@@ -117,8 +95,8 @@ pub struct Application {
     pub latency_slo_ms: f64,
     /// Origin location of the application's users.
     pub origin: Coordinates,
-    /// Zone index of the origin edge site (set by the workload generator
-    /// when the application arrives at a specific edge data center).
+    /// Index of the origin edge site (the CDN simulator's scenario prep
+    /// sets it to the edge data center the application arrives at).
     pub origin_site: usize,
 }
 
@@ -245,11 +223,9 @@ mod tests {
     }
 
     #[test]
-    fn resource_get_matches_fields() {
+    fn to_array_orders_compute_memory_bandwidth() {
         let d = ResourceDemand::new(0.3, 64.0, 7.0);
-        assert_eq!(d.get(ResourceKind::Compute), 0.3);
-        assert_eq!(d.get(ResourceKind::MemoryMb), 64.0);
-        assert_eq!(d.get(ResourceKind::BandwidthMbps), 7.0);
+        assert_eq!(d.to_array(), [0.3, 64.0, 7.0]);
     }
 
     #[test]

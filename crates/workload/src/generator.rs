@@ -1,31 +1,28 @@
-//! Workload generation: arrival processes and demand models.
+//! Arrival processes and the seeded sampling helpers of the request
+//! streams.
 //!
-//! The CDN-scale experiments place batches of applications arriving at edge
-//! sites over time (Section 6.3); Section 6.3.4 additionally skews either
-//! the demand or the capacity according to the population of each site.
-//! This module generates those application batches deterministically.
+//! The event-level serving engine modulates each (app, site) stream's
+//! per-hour request intensity within a day by an [`ArrivalProcess`]
+//! (see [`crate::stream`]).
 
-use crate::app::{AppId, Application};
-use crate::profiles::ModelKind;
-use carbonedge_geo::Coordinates;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// The arrival process controlling how many applications arrive per epoch
-/// and, for the event-level serving engine, how per-hour request intensity
-/// is modulated within a day.
+/// The arrival process controlling how per-hour request intensity is
+/// modulated within a day.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalProcess {
-    /// A fixed number of arrivals every epoch.
+    /// A flat intensity.  The count is not read: a request stream takes its
+    /// volume from its application's rate.
     Constant(usize),
-    /// Poisson arrivals with the given mean per epoch.
+    /// A flat intensity, like `Constant`; the mean is not read.
     Poisson(f64),
-    /// Poisson arrivals whose mean follows a sinusoidal diurnal profile:
-    /// the hourly intensity is `mean * (1 + amplitude * cos(2π(h - peak)/24))`,
-    /// which averages back to `mean` over a full day.
+    /// An intensity that follows a sinusoidal diurnal profile: the hourly
+    /// intensity is `mean * (1 + amplitude * cos(2π(h - peak)/24))`, which
+    /// averages back to `mean` over a full day.
     Diurnal {
-        /// Mean arrivals per epoch (or unit rate multiplier for streams).
+        /// Mean intensity (a unit rate multiplier for streams).
         mean: f64,
         /// Relative swing of the diurnal cycle, in `[0, 1)`.
         amplitude: f64,
@@ -36,7 +33,7 @@ pub enum ArrivalProcess {
     /// independently bursts with probability `burst_probability`, scaling the
     /// intensity by `burst_magnitude` (jittered by a clamped normal sample).
     Bursty {
-        /// Mean arrivals per epoch (or unit rate multiplier for streams).
+        /// Mean intensity (a unit rate multiplier for streams).
         mean: f64,
         /// Relative swing of the diurnal cycle, in `[0, 1)`.
         amplitude: f64,
@@ -60,26 +57,6 @@ impl ArrivalProcess {
             peak_hour: 19.0,
             burst_probability: 0.02,
             burst_magnitude: 2.5,
-        }
-    }
-
-    /// The mean arrivals per epoch implied by the process.
-    pub fn mean(&self) -> f64 {
-        match self {
-            ArrivalProcess::Constant(n) => *n as f64,
-            ArrivalProcess::Poisson(lambda) => *lambda,
-            ArrivalProcess::Diurnal { mean, .. } | ArrivalProcess::Bursty { mean, .. } => *mean,
-        }
-    }
-
-    /// Samples the number of arrivals for one epoch.  Diurnal modulation
-    /// averages out over a day, so epoch-level sampling uses the mean.
-    pub fn sample(&self, rng: &mut StdRng) -> usize {
-        match self {
-            ArrivalProcess::Constant(n) => *n,
-            ArrivalProcess::Poisson(lambda) => sample_poisson(*lambda, rng),
-            ArrivalProcess::Diurnal { mean, .. } => sample_poisson(*mean, rng),
-            ArrivalProcess::Bursty { mean, .. } => sample_poisson(*mean, rng),
         }
     }
 
@@ -123,9 +100,8 @@ fn diurnal_factor(hour_of_day: f64, amplitude: f64, peak_hour: f64) -> f64 {
     (1.0 + amplitude * phase.cos()).max(0.0)
 }
 
-/// A standard-normal sample via Box–Muller, clamped to ±3σ so downstream
-/// normal approximations (Poisson counts, burst jitter) can never round an
-/// extreme tail into an absurd arrival count.
+/// A standard-normal sample via Box–Muller, clamped to ±3σ so the burst
+/// jitter can never round an extreme tail into an absurd intensity.
 pub fn sample_standard_normal(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(1e-12..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
@@ -143,284 +119,10 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Knuth's algorithm for small-λ Poisson sampling, with a normal
-/// approximation for large λ to stay O(1).
-fn sample_poisson(lambda: f64, rng: &mut StdRng) -> usize {
-    if lambda <= 0.0 {
-        return 0;
-    }
-    if lambda > 64.0 {
-        // Normal approximation N(λ, λ), tail-clamped to ±3σ.
-        let z = sample_standard_normal(rng);
-        return (lambda + z * lambda.sqrt()).round().max(0.0) as usize;
-    }
-    let l = (-lambda).exp();
-    let mut k = 0usize;
-    let mut p = 1.0;
-    loop {
-        let u: f64 = rng.gen_range(0.0..1.0);
-        p *= u;
-        if p <= l {
-            return k;
-        }
-        k += 1;
-    }
-}
-
-/// How application origins are distributed across edge sites.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum DemandModel {
-    /// Every site receives the same share of arrivals ("Homo" in Fig. 14).
-    Uniform,
-    /// Arrivals are distributed proportionally to per-site weights
-    /// (population-proportional demand in Fig. 14).
-    Weighted(Vec<f64>),
-}
-
-impl DemandModel {
-    /// Normalized per-site probabilities over `site_count` sites.
-    pub fn probabilities(&self, site_count: usize) -> Vec<f64> {
-        match self {
-            DemandModel::Uniform => vec![1.0 / site_count.max(1) as f64; site_count],
-            DemandModel::Weighted(weights) => {
-                assert_eq!(
-                    weights.len(),
-                    site_count,
-                    "weight vector length must match site count"
-                );
-                let total: f64 = weights.iter().map(|w| w.max(0.0)).sum();
-                if total <= 0.0 {
-                    return vec![1.0 / site_count.max(1) as f64; site_count];
-                }
-                weights.iter().map(|w| w.max(0.0) / total).collect()
-            }
-        }
-    }
-}
-
-/// Deterministic generator of application batches.
-#[derive(Debug, Clone)]
-pub struct WorkloadGenerator {
-    /// Arrival process per epoch.
-    pub arrivals: ArrivalProcess,
-    /// How origins are spread over sites.
-    pub demand: DemandModel,
-    /// Models to draw from, with relative weights.
-    pub model_mix: Vec<(ModelKind, f64)>,
-    /// Request-rate range (rps), sampled uniformly.
-    pub rate_range_rps: (f64, f64),
-    /// Round-trip latency SLO applied to every generated application (ms).
-    pub latency_slo_ms: f64,
-    seed: u64,
-    next_id: usize,
-}
-
-impl WorkloadGenerator {
-    /// Creates a generator with the paper's default setup: ResNet50-style
-    /// inference workloads with a 20 ms round-trip SLO.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            arrivals: ArrivalProcess::Constant(50),
-            demand: DemandModel::Uniform,
-            model_mix: vec![(ModelKind::ResNet50, 1.0)],
-            rate_range_rps: (5.0, 30.0),
-            latency_slo_ms: 20.0,
-            seed,
-            next_id: 0,
-        }
-    }
-
-    /// Sets the arrival process.
-    pub fn with_arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.arrivals = arrivals;
-        self
-    }
-
-    /// Sets the demand model.
-    pub fn with_demand(mut self, demand: DemandModel) -> Self {
-        self.demand = demand;
-        self
-    }
-
-    /// Sets the model mix (pairs of model and relative weight).
-    pub fn with_model_mix(mut self, mix: Vec<(ModelKind, f64)>) -> Self {
-        assert!(!mix.is_empty(), "model mix must not be empty");
-        self.model_mix = mix;
-        self
-    }
-
-    /// Sets the latency SLO applied to generated applications.
-    pub fn with_latency_slo(mut self, slo_ms: f64) -> Self {
-        self.latency_slo_ms = slo_ms;
-        self
-    }
-
-    /// Sets the request-rate range.
-    pub fn with_rate_range(mut self, lo: f64, hi: f64) -> Self {
-        assert!(lo <= hi && lo >= 0.0, "invalid rate range");
-        self.rate_range_rps = (lo, hi);
-        self
-    }
-
-    fn pick_model(&self, rng: &mut StdRng) -> ModelKind {
-        let total: f64 = self.model_mix.iter().map(|(_, w)| w.max(0.0)).sum();
-        let mut target = rng.gen_range(0.0..total.max(1e-12));
-        for (m, w) in &self.model_mix {
-            target -= w.max(0.0);
-            if target <= 0.0 {
-                return *m;
-            }
-        }
-        self.model_mix[0].0
-    }
-
-    fn pick_site(probs: &[f64], rng: &mut StdRng) -> usize {
-        let mut target: f64 = rng.gen_range(0.0..1.0);
-        for (i, p) in probs.iter().enumerate() {
-            target -= p;
-            if target <= 0.0 {
-                return i;
-            }
-        }
-        probs.len().saturating_sub(1)
-    }
-
-    /// Generates the batch of applications arriving at `epoch`, given the
-    /// edge sites (their representative coordinates).  Application ids are
-    /// globally unique across calls to the same generator.
-    pub fn generate_epoch(&mut self, epoch: usize, sites: &[Coordinates]) -> Vec<Application> {
-        assert!(!sites.is_empty(), "cannot generate workload without sites");
-        let mut rng =
-            StdRng::seed_from_u64(self.seed ^ (epoch as u64).wrapping_mul(0x9e3779b97f4a7c15));
-        let count = self.arrivals.sample(&mut rng);
-        let probs = self.demand.probabilities(sites.len());
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let site = Self::pick_site(&probs, &mut rng);
-            let model = self.pick_model(&mut rng);
-            let rate = if self.rate_range_rps.0 < self.rate_range_rps.1 {
-                rng.gen_range(self.rate_range_rps.0..self.rate_range_rps.1)
-            } else {
-                self.rate_range_rps.0
-            };
-            out.push(Application::new(
-                AppId(self.next_id),
-                model,
-                rate,
-                self.latency_slo_ms,
-                sites[site],
-                site,
-            ));
-            self.next_id += 1;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    fn sites(n: usize) -> Vec<Coordinates> {
-        (0..n)
-            .map(|i| Coordinates::new(25.0 + i as f64, -80.0))
-            .collect()
-    }
-
-    #[test]
-    fn constant_arrivals_generate_exact_count() {
-        let mut g = WorkloadGenerator::new(1).with_arrivals(ArrivalProcess::Constant(10));
-        let batch = g.generate_epoch(0, &sites(5));
-        assert_eq!(batch.len(), 10);
-    }
-
-    #[test]
-    fn ids_are_unique_across_epochs() {
-        let mut g = WorkloadGenerator::new(1).with_arrivals(ArrivalProcess::Constant(5));
-        let s = sites(3);
-        let mut all_ids = Vec::new();
-        for e in 0..4 {
-            for a in g.generate_epoch(e, &s) {
-                all_ids.push(a.id.index());
-            }
-        }
-        let count = all_ids.len();
-        all_ids.sort_unstable();
-        all_ids.dedup();
-        assert_eq!(all_ids.len(), count);
-    }
-
-    #[test]
-    fn generation_is_deterministic_per_seed_and_epoch() {
-        let s = sites(4);
-        let mut g1 = WorkloadGenerator::new(9).with_arrivals(ArrivalProcess::Constant(20));
-        let mut g2 = WorkloadGenerator::new(9).with_arrivals(ArrivalProcess::Constant(20));
-        assert_eq!(g1.generate_epoch(3, &s), g2.generate_epoch(3, &s));
-    }
-
-    #[test]
-    fn weighted_demand_skews_origins() {
-        let s = sites(2);
-        // All demand on site 1.
-        let mut g = WorkloadGenerator::new(2)
-            .with_arrivals(ArrivalProcess::Constant(50))
-            .with_demand(DemandModel::Weighted(vec![0.0, 1.0]));
-        let batch = g.generate_epoch(0, &s);
-        assert!(batch.iter().all(|a| a.origin_site == 1));
-    }
-
-    #[test]
-    fn uniform_demand_covers_sites() {
-        let s = sites(4);
-        let mut g = WorkloadGenerator::new(3).with_arrivals(ArrivalProcess::Constant(400));
-        let batch = g.generate_epoch(0, &s);
-        let mut counts = [0usize; 4];
-        for a in &batch {
-            counts[a.origin_site] += 1;
-        }
-        for c in counts {
-            assert!(c > 50, "counts {counts:?}");
-        }
-    }
-
-    #[test]
-    fn latency_slo_and_rates_are_respected() {
-        let mut g = WorkloadGenerator::new(4)
-            .with_latency_slo(12.5)
-            .with_rate_range(2.0, 4.0)
-            .with_arrivals(ArrivalProcess::Constant(30));
-        for a in g.generate_epoch(0, &sites(3)) {
-            assert_eq!(a.latency_slo_ms, 12.5);
-            assert!(a.request_rate_rps >= 2.0 && a.request_rate_rps < 4.0);
-        }
-    }
-
-    #[test]
-    fn poisson_mean_is_roughly_lambda() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let lambda = 20.0;
-        let n = 2000;
-        let total: usize = (0..n).map(|_| sample_poisson(lambda, &mut rng)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - lambda).abs() < 1.0, "mean {mean}");
-    }
-
-    #[test]
-    fn poisson_large_lambda_uses_normal_approximation() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let lambda = 500.0;
-        let n = 500;
-        let total: usize = (0..n).map(|_| sample_poisson(lambda, &mut rng)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - lambda).abs() < 25.0, "mean {mean}");
-    }
-
-    #[test]
-    fn zero_lambda_yields_zero() {
-        let mut rng = StdRng::seed_from_u64(7);
-        assert_eq!(sample_poisson(0.0, &mut rng), 0);
-    }
+    use rand::SeedableRng;
 
     #[test]
     fn standard_normal_is_clamped_and_roughly_centered() {
@@ -482,73 +184,10 @@ mod tests {
     }
 
     #[test]
-    fn diurnal_and_bursty_sample_epochs_around_mean() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let p = ArrivalProcess::Diurnal {
-            mean: 30.0,
-            amplitude: 0.5,
-            peak_hour: 12.0,
-        };
-        let n = 1000;
-        let total: usize = (0..n).map(|_| p.sample(&mut rng)).sum();
-        let mean = total as f64 / n as f64;
-        assert!((mean - 30.0).abs() < 1.5, "mean {mean}");
-        assert_eq!(ArrivalProcess::diurnal_bursty().mean(), 1.0);
-    }
-
-    #[test]
     fn splitmix64_mixes_nearby_seeds_apart() {
         assert_ne!(splitmix64(1), splitmix64(2));
         assert_ne!(splitmix64(0), 0);
         // Reference value from the canonical SplitMix64 sequence.
         assert_eq!(splitmix64(0), 0xe220a8397b1dcdaf);
-    }
-
-    #[test]
-    fn zero_weights_fall_back_to_uniform() {
-        let d = DemandModel::Weighted(vec![0.0, 0.0, 0.0]);
-        let p = d.probabilities(3);
-        assert!(p.iter().all(|x| (x - 1.0 / 3.0).abs() < 1e-12));
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_weights_panic() {
-        DemandModel::Weighted(vec![1.0, 2.0]).probabilities(3);
-    }
-
-    #[test]
-    fn model_mix_draws_all_models() {
-        let mut g = WorkloadGenerator::new(5)
-            .with_arrivals(ArrivalProcess::Constant(300))
-            .with_model_mix(vec![
-                (ModelKind::EfficientNetB0, 1.0),
-                (ModelKind::ResNet50, 1.0),
-                (ModelKind::YoloV4, 1.0),
-            ]);
-        let batch = g.generate_epoch(0, &sites(2));
-        let models: std::collections::HashSet<_> = batch.iter().map(|a| a.model).collect();
-        assert_eq!(models.len(), 3);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn probabilities_sum_to_one(weights in proptest::collection::vec(0.0f64..10.0, 1..20)) {
-            let n = weights.len();
-            let d = DemandModel::Weighted(weights);
-            let p = d.probabilities(n);
-            let total: f64 = p.iter().sum();
-            prop_assert!((total - 1.0).abs() < 1e-9);
-        }
-
-        #[test]
-        fn origin_site_is_always_valid(seed in 0u64..500, nsites in 1usize..10) {
-            let s = sites(nsites);
-            let mut g = WorkloadGenerator::new(seed).with_arrivals(ArrivalProcess::Constant(20));
-            for a in g.generate_epoch(0, &s) {
-                prop_assert!(a.origin_site < nsites);
-            }
-        }
     }
 }

@@ -11,7 +11,7 @@
 //!   ([`profiles`]),
 //! * application descriptions with resource demands, request rates and
 //!   latency SLOs ([`app`]),
-//! * arrival processes and demand models used by the CDN-scale experiments
+//! * arrival processes that modulate per-hour request intensity
 //!   ([`generator`]),
 //! * deterministic per-(app, site) request streams for the event-level
 //!   serving engine ([`stream`]).
@@ -21,9 +21,7 @@ pub mod generator;
 pub mod profiles;
 pub mod stream;
 
-pub use app::{AppId, Application, ResourceDemand, ResourceKind, RESOURCE_KINDS};
-pub use generator::{
-    sample_standard_normal, splitmix64, ArrivalProcess, DemandModel, WorkloadGenerator,
-};
+pub use app::{AppId, Application, ResourceDemand};
+pub use generator::{sample_standard_normal, splitmix64, ArrivalProcess};
 pub use profiles::{DeviceKind, ModelKind, WorkloadProfile};
 pub use stream::{RequestStream, StreamScratch};
