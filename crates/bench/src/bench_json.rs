@@ -603,11 +603,14 @@ impl ReplanCounters {
     }
 }
 
-/// Renders the sweep snapshot: quick-grid cells/second at one worker and at
-/// one worker per CPU.  On a single-CPU machine the automatic worker count
-/// resolves to the same single worker as `jobs_1`, so the duplicate
-/// measurement is skipped rather than snapshotted as a misleading
-/// "parallel" figure.
+/// Passes timed per worker mode in the sweep snapshot.
+const SWEEP_SAMPLES: usize = 5;
+
+/// Renders the sweep snapshot: grid cells/second at one worker and at one
+/// worker per CPU, each from the median of `SWEEP_SAMPLES` passes.  On a
+/// single-CPU machine the automatic worker count resolves to the same
+/// single worker as `jobs_1`, so the duplicate measurement is skipped rather
+/// than snapshotted as a misleading "parallel" figure.
 pub fn sweep_bench_json(quick: bool) -> String {
     let detected_cpus = rayon::current_num_threads();
     let mut modes = vec![("jobs_1", 1usize)];
@@ -617,20 +620,24 @@ pub fn sweep_bench_json(quick: bool) -> String {
     let mut sections = Vec::new();
     let mut cells = 0usize;
     for (label, jobs) in modes {
-        let start = Instant::now();
-        let report = crate::summary::run_sweep(quick, jobs);
-        let seconds = start.elapsed().as_secs_f64();
-        cells = report.cells.len();
+        let mut workers = 0usize;
+        let median = median_ns(SWEEP_SAMPLES, || {
+            let report = crate::summary::run_sweep(quick, jobs);
+            cells = report.cells.len();
+            workers = report.jobs;
+        });
+        let seconds = median as f64 / 1e9;
         let rate = cells as f64 / seconds.max(1e-9);
         sections.push(format!(
             concat!(
                 "  \"{}\": {{\n",
                 "    \"workers\": {},\n",
+                "    \"samples\": {},\n",
                 "    \"seconds\": {:.3},\n",
                 "    \"cells_per_sec\": {:.2}\n",
                 "  }}"
             ),
-            label, report.jobs, seconds, rate
+            label, workers, SWEEP_SAMPLES, seconds, rate
         ));
     }
     format!(
@@ -811,6 +818,7 @@ mod tests {
         let json = sweep_bench_json(true);
         assert!(json.contains("\"detected_cpus\""));
         assert!(json.contains("\"jobs_1\""));
+        assert!(json.contains(&format!("\"samples\": {SWEEP_SAMPLES}")));
         let cpus = rayon::current_num_threads();
         assert_eq!(
             json.contains("\"jobs_auto\""),

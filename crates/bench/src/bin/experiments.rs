@@ -60,6 +60,7 @@ use carbonedge_sim::cdn::{CdnConfig, CdnScenario, CdnSimulator};
 use carbonedge_sim::hetero::{run_heterogeneity, HeterogeneityConfig};
 use carbonedge_sim::testbed::{run_testbed, TestbedConfig, TestbedWorkload};
 use carbonedge_sim::TradeoffSweep;
+use carbonedge_solver::Candidate;
 use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind, WorkloadProfile};
 use std::time::Instant;
 
@@ -910,7 +911,7 @@ fn fig17() {
             servers,
             50,
             elapsed,
-            approx_problem_memory_mb(&problem)
+            approx_problem_memory_mb(&placer, &problem)
         );
     }
     for apps in [20, 60, 100, 140] {
@@ -923,7 +924,7 @@ fn fig17() {
             400,
             apps,
             elapsed,
-            approx_problem_memory_mb(&problem)
+            approx_problem_memory_mb(&placer, &problem)
         );
     }
     println!("(paper: 50 apps x 400 servers completes within ~3 s and <200 MB with OR-Tools)");
@@ -938,10 +939,17 @@ fn fig17() {
     );
 }
 
-/// Rough memory footprint of the cost/demand matrices used by a placement,
-/// in MB (the dominant allocation of the algorithm).
-fn approx_problem_memory_mb(problem: &PlacementProblem) -> f64 {
-    let (apps, servers) = problem.size();
-    let per_pair = 16.0 + 3.0 * 8.0;
-    (apps as f64 * servers as f64 * per_pair + servers as f64 * 128.0) / 1.0e6
+/// Rough memory a heuristic placement decision holds, in MB.  Its dominant
+/// allocations are per feasible (app, server) pair: the policy cost, the
+/// heuristic's candidate, one cached marginal cost and one entry of the
+/// per-server `(app, slot)` index.  Counting the pairs runs the policy's
+/// cost pass once more, so callers keep it out of any timed region.
+fn approx_problem_memory_mb(placer: &IncrementalPlacer, problem: &PlacementProblem) -> f64 {
+    let pairs = placer.policy.costs(problem).0.num_pairs();
+    let per_pair = std::mem::size_of::<(usize, f64)>()
+        + std::mem::size_of::<Candidate>()
+        + std::mem::size_of::<f64>()
+        + std::mem::size_of::<(usize, usize)>();
+    let servers = problem.servers.len();
+    (pairs as f64 * per_pair as f64 + servers as f64 * 128.0) / 1.0e6
 }

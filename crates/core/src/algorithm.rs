@@ -15,6 +15,15 @@
 //! local-search assignment heuristic, which is how the framework scales to
 //! CDN-sized batches (Figure 17).
 //!
+//! A decision walks its feasible pairs only.  [`PlacementPolicy::costs`]
+//! lists each application's latency- and hardware-feasible servers with
+//! their costs ([`PairCosts`]); migration costs are folded into that list,
+//! the heuristic takes its rows as candidate rows, and the MILP builder
+//! creates one `x` variable per listed pair and gathers each server's
+//! capacity and linking terms from the same rows.  A mesoscale latency
+//! limit keeps a row to the servers a few hundred kilometres away, so this
+//! is a fraction of the applications × servers grid.
+//!
 //! The exact path is built for **repeated** decisions: the placer's
 //! [`BranchBoundSolver`] owns a scratch workspace (basis, basis inverse,
 //! node arena) that persists across successive [`IncrementalPlacer::place`]
@@ -26,11 +35,13 @@
 //! per-decision latency well below the paper's ~3.3 ms OR-Tools budget.
 
 use crate::diff::AssignmentDiff;
-use crate::policy::PlacementPolicy;
+use crate::policy::{PairCosts, PlacementPolicy};
 use crate::problem::{PlacementProblem, PlacementState};
 use carbonedge_solver::{
-    AssignmentProblem, BranchBoundSolver, Comparison, LinearExpr, MilpOutcome, Model,
+    AssignmentProblem, BranchBoundSolver, Candidate, Comparison, LinearExpr, MilpOutcome, Model,
+    VarId,
 };
+use carbonedge_workload::DeviceKind;
 use serde::{Deserialize, Serialize};
 
 /// Errors returned by the placer.
@@ -42,6 +53,10 @@ pub enum PlacementError {
     NoServers,
     /// No feasible server exists for the listed applications.
     NoFeasibleServer(Vec<usize>),
+    /// The attached [`PlacementState`] does not fit the problem: its vectors
+    /// differ in length from the batch, or an incumbent names a server
+    /// outside the problem.
+    InvalidState,
 }
 
 impl std::fmt::Display for PlacementError {
@@ -52,6 +67,10 @@ impl std::fmt::Display for PlacementError {
             PlacementError::NoFeasibleServer(apps) => {
                 write!(f, "no feasible server for applications {apps:?}")
             }
+            PlacementError::InvalidState => write!(
+                f,
+                "placement state does not fit the batch or names an unknown server"
+            ),
         }
     }
 }
@@ -98,9 +117,9 @@ pub struct PlacementModel {
     pub model: Model,
     /// `x[i][j]`: the binary assignment variable for a feasible
     /// `(application, server)` pair, `None` when the pair is infeasible.
-    pub x: Vec<Vec<Option<carbonedge_solver::VarId>>>,
+    pub x: Vec<Vec<Option<VarId>>>,
     /// `y[j]`: the binary power-state variable of each server.
-    pub y: Vec<carbonedge_solver::VarId>,
+    pub y: Vec<VarId>,
 }
 
 impl PlacementModel {
@@ -184,7 +203,7 @@ impl IncrementalPlacer {
         let mut newly_on = vec![false; problem.servers.len()];
         for (i, a) in assignment.iter().enumerate() {
             let Some(j) = a else { continue };
-            total += pair_cost.get(i)?.get(*j).copied()??;
+            total += pair_cost.get(i, *j)?;
             if !problem.servers[*j].powered_on {
                 newly_on[*j] = true;
             }
@@ -232,11 +251,11 @@ impl IncrementalPlacer {
     /// variable, so the MILP keeps the *identical* structure across epochs
     /// and the branch-and-bound warm-starts every delta re-solve as a
     /// cost-only change.
-    fn fold_migration_costs(&self, problem: &PlacementProblem, pair_cost: &mut [Vec<Option<f64>>]) {
+    fn fold_migration_costs(&self, problem: &PlacementProblem, pair_cost: &mut PairCosts) {
         let Some(state) = self.active_migration_state(problem) else {
             return;
         };
-        for (i, row) in pair_cost.iter_mut().enumerate() {
+        for i in 0..pair_cost.num_apps() {
             let Some(prev) = state.previous.get(i).copied().flatten() else {
                 continue;
             };
@@ -244,11 +263,9 @@ impl IncrementalPlacer {
             if migration <= 0.0 {
                 continue;
             }
-            for (j, cell) in row.iter_mut().enumerate() {
-                if j != prev {
-                    if let Some(cost) = cell {
-                        *cost += migration;
-                    }
+            for (j, cost) in pair_cost.row_mut(i) {
+                if *j != prev {
+                    *cost += migration;
                 }
             }
         }
@@ -260,6 +277,10 @@ impl IncrementalPlacer {
     /// MILP (via the folded costs), and the heuristic path additionally gets
     /// a hysteresis pass that reverts any move whose forecast savings over
     /// the epoch do not exceed its migration cost.
+    ///
+    /// A state whose vectors differ in length from the batch, or whose
+    /// incumbent names a server outside the problem, is rejected with
+    /// [`PlacementError::InvalidState`].
     pub fn place(&self, problem: &PlacementProblem) -> Result<PlacementDecision, PlacementError> {
         let (apps, servers) = problem.size();
         if apps == 0 {
@@ -268,14 +289,20 @@ impl IncrementalPlacer {
         if servers == 0 {
             return Err(PlacementError::NoServers);
         }
+        if let Some(state) = &problem.state {
+            if state.previous.len() != apps
+                || state.migration.len() != apps
+                || state.previous.iter().flatten().any(|&j| j >= servers)
+            {
+                return Err(PlacementError::InvalidState);
+            }
+        }
 
         let (mut pair_cost, activation_cost) = self.policy.costs(problem);
         self.fold_migration_costs(problem, &mut pair_cost);
 
         // Applications with no feasible server at all: hard constraint failure.
-        let stranded: Vec<usize> = (0..apps)
-            .filter(|i| pair_cost[*i].iter().all(|c| c.is_none()))
-            .collect();
+        let stranded: Vec<usize> = (0..apps).filter(|&i| pair_cost.row(i).is_empty()).collect();
         if !stranded.is_empty() {
             return Err(PlacementError::NoFeasibleServer(stranded));
         }
@@ -288,7 +315,7 @@ impl IncrementalPlacer {
         let (assignment, exact) = match exact_assignment {
             Some(a) => (a, true),
             None => {
-                let instance = assignment_instance(problem, pair_cost, activation_cost);
+                let instance = assignment_instance(problem, &pair_cost, activation_cost);
                 let mut assignment = instance.solve().assignment;
                 self.apply_move_hysteresis(problem, &instance, &mut assignment);
                 (assignment, false)
@@ -351,8 +378,10 @@ impl IncrementalPlacer {
         // Running per-server usage of the current assignment.
         let mut used = vec![[0.0f64; 3]; instance.num_servers()];
         for (i, a) in assignment.iter().enumerate() {
-            let Some(j) = *a else { continue };
-            for (u, d) in used[j].iter_mut().zip(&instance.demand[i][j]) {
+            let Some(placed) = a.and_then(|j| instance.candidate(i, j)) else {
+                continue;
+            };
+            for (u, d) in used[placed.server].iter_mut().zip(&placed.demand) {
                 *u += d;
             }
         }
@@ -363,26 +392,26 @@ impl IncrementalPlacer {
             if current == prev {
                 continue;
             }
-            let (Some(keep_cost), Some(move_cost)) =
-                (instance.cost[i][prev], instance.cost[i][current])
+            let (Some(keep), Some(moved)) =
+                (instance.candidate(i, prev), instance.candidate(i, current))
             else {
                 continue;
             };
-            // `move_cost` carries the folded migration term, so this is the
+            // `moved.cost` carries the folded migration term, so this is the
             // hysteresis comparison: savings must *exceed* the migration
             // cost for the move to survive.
-            if keep_cost > move_cost {
+            if keep.cost > moved.cost {
                 continue;
             }
             // Reverting must not newly activate the incumbent.
             let incumbent_active = instance.open[prev] || used[prev].iter().any(|u| *u > 0.0);
-            if !incumbent_active || !instance.fits(i, prev, &used) {
+            if !incumbent_active || !instance.fits(prev, &keep.demand, &used) {
                 continue;
             }
-            for (u, d) in used[current].iter_mut().zip(&instance.demand[i][current]) {
+            for (u, d) in used[current].iter_mut().zip(&moved.demand) {
                 *u -= d;
             }
-            for (u, d) in used[prev].iter_mut().zip(&instance.demand[i][prev]) {
+            for (u, d) in used[prev].iter_mut().zip(&keep.demand) {
                 *u += d;
             }
             *a = Some(prev);
@@ -397,28 +426,35 @@ impl IncrementalPlacer {
     fn build_model_from_costs(
         &self,
         problem: &PlacementProblem,
-        pair_cost: &[Vec<Option<f64>>],
+        pair_cost: &PairCosts,
         activation_cost: &[f64],
     ) -> PlacementModel {
         let (apps, servers) = problem.size();
         let mut model = Model::new();
-        // x variables for feasible pairs only.
-        let mut x: Vec<Vec<Option<carbonedge_solver::VarId>>> = vec![vec![None; servers]; apps];
-        for i in 0..apps {
-            for j in 0..servers {
-                if let Some(cost) = pair_cost[i][j] {
-                    let v = model.add_binary();
-                    model.set_objective_term(v, cost);
-                    x[i][j] = Some(v);
-                }
+        // x variables for feasible pairs only, in (app, server) order.  Each
+        // app's assignment row is gathered on the way, and so is each
+        // server's column of (app, x, demand) terms, apps ascending.
+        let mut x: Vec<Vec<Option<VarId>>> = vec![vec![None; servers]; apps];
+        let mut assign_rows = Vec::with_capacity(apps);
+        let mut columns: Vec<Vec<(usize, VarId, [f64; 3])>> = vec![Vec::new(); servers];
+        for (i, x_row) in x.iter_mut().enumerate() {
+            let mut assign = LinearExpr::new();
+            for &(j, cost) in pair_cost.row(i) {
+                let v = model.add_binary();
+                model.set_objective_term(v, cost);
+                x_row[j] = Some(v);
+                assign.add(v, 1.0);
+                let demand = problem.demand(i, j).expect("feasible pair has demand");
+                columns[j].push((i, v, demand.to_array()));
             }
+            assign_rows.push(assign);
         }
         // y variables per server; objective carries the activation cost for
         // currently-off servers (y_j - y_j^curr reduces to y_j when off, and
         // the power-consistency constraint pins y_j = 1 when already on).
-        let y: Vec<carbonedge_solver::VarId> = (0..servers).map(|_| model.add_binary()).collect();
-        for j in 0..servers {
-            if problem.servers[j].powered_on {
+        let y: Vec<VarId> = (0..servers).map(|_| model.add_binary()).collect();
+        for (j, server) in problem.servers.iter().enumerate() {
+            if server.powered_on {
                 // Power-state consistency (Eq. 4): already-on servers stay on.
                 model.add_constraint(
                     LinearExpr::new().with(y[j], 1.0),
@@ -431,39 +467,30 @@ impl IncrementalPlacer {
             }
         }
         // Assignment constraints (Eq. 3).
-        for (i, x_row) in x.iter().enumerate() {
-            let mut expr = LinearExpr::new();
-            for v in x_row.iter().flatten() {
-                expr.add(*v, 1.0);
-            }
-            model.add_constraint(expr, Comparison::Equal, 1.0, format!("assign-{i}"));
+        for (i, assign) in assign_rows.into_iter().enumerate() {
+            model.add_constraint(assign, Comparison::Equal, 1.0, format!("assign-{i}"));
         }
         // Capacity constraints per server and resource dimension (Eq. 1),
         // with the y_j coupling, and x <= y linking (Eq. 5).
-        for j in 0..servers {
+        for (j, column) in columns.iter().enumerate() {
             let capacity = problem.servers[j].available.to_array();
             for (k, cap_k) in capacity.into_iter().enumerate() {
                 let mut expr = LinearExpr::new();
-                for (i, x_row) in x.iter().enumerate() {
-                    if let Some(v) = x_row[j] {
-                        let d = problem.demand(i, j).expect("feasible pair has demand");
-                        expr.add(v, d.to_array()[k]);
-                    }
+                for (_, v, demand) in column {
+                    expr.add(*v, demand[k]);
                 }
                 expr.add(y[j], -cap_k);
                 if !expr.terms.is_empty() {
                     model.add_constraint(expr, Comparison::LessEq, 0.0, format!("cap-{j}-{k}"));
                 }
             }
-            for (i, x_row) in x.iter().enumerate() {
-                if let Some(v) = x_row[j] {
-                    model.add_constraint(
-                        LinearExpr::new().with(v, 1.0).with(y[j], -1.0),
-                        Comparison::LessEq,
-                        0.0,
-                        format!("active-{i}-{j}"),
-                    );
-                }
+            for (i, v, _) in column {
+                model.add_constraint(
+                    LinearExpr::new().with(*v, 1.0).with(y[j], -1.0),
+                    Comparison::LessEq,
+                    0.0,
+                    format!("active-{i}-{j}"),
+                );
             }
         }
 
@@ -474,7 +501,7 @@ impl IncrementalPlacer {
     fn solve_exact(
         &self,
         problem: &PlacementProblem,
-        pair_cost: &[Vec<Option<f64>>],
+        pair_cost: &PairCosts,
         activation_cost: &[f64],
     ) -> Option<Vec<Option<usize>>> {
         let placement_model = self.build_model_from_costs(problem, pair_cost, activation_cost);
@@ -489,25 +516,44 @@ impl IncrementalPlacer {
     }
 }
 
-/// The heuristic's form of a placement problem: the folded pair costs and
-/// activation costs, moved in, with each pair's demand and each server's
-/// capacity in `ResourceDemand::to_array` order.
+/// The heuristic's form of a placement problem: one candidate row per
+/// application from the folded pair costs, the activation costs moved in,
+/// and each server's capacity, all in `ResourceDemand::to_array` order.
 fn assignment_instance(
     problem: &PlacementProblem,
-    cost: Vec<Vec<Option<f64>>>,
+    pair_cost: &PairCosts,
     activation_cost: Vec<f64>,
 ) -> AssignmentProblem {
-    let (apps, servers) = problem.size();
-    let demand = (0..apps)
+    let candidates = (0..pair_cost.num_apps())
         .map(|i| {
-            (0..servers)
-                .map(|j| problem.demand(i, j).map_or([0.0; 3], |d| d.to_array()))
+            // A demand depends on the server's device only, so it is
+            // computed once per run of candidates that share a device.
+            let mut run: Option<(DeviceKind, [f64; 3])> = None;
+            pair_cost
+                .row(i)
+                .iter()
+                .map(|&(server, cost)| {
+                    let device = problem.servers[server].device;
+                    let demand = match run {
+                        Some((run_device, demand)) if run_device == device => demand,
+                        _ => {
+                            let demand =
+                                problem.demand(i, server).map_or([0.0; 3], |d| d.to_array());
+                            run = Some((device, demand));
+                            demand
+                        }
+                    };
+                    Candidate {
+                        server,
+                        cost,
+                        demand,
+                    }
+                })
                 .collect()
         })
         .collect();
     AssignmentProblem {
-        cost,
-        demand,
+        candidates,
         capacity: problem
             .servers
             .iter()
@@ -818,6 +864,63 @@ mod tests {
         assert!(PlacementError::NoFeasibleServer(vec![1, 2])
             .to_string()
             .contains("[1, 2]"));
+        assert!(PlacementError::InvalidState.to_string().contains("state"));
+    }
+
+    #[test]
+    fn a_nan_slo_leaves_the_app_without_candidates() {
+        let mut p = green_and_dirty_problem(30.0);
+        let mut second = p.apps[0].clone();
+        second.id = AppId(1);
+        second.latency_slo_ms = f64::NAN;
+        p.apps.push(second);
+        let (costs, _) = PlacementPolicy::CarbonAware.costs(&p);
+        assert_eq!(costs.row(0).len(), 2);
+        assert!(costs.row(1).is_empty());
+        for placer in [
+            IncrementalPlacer::new(PlacementPolicy::CarbonAware),
+            IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),
+        ] {
+            assert_eq!(
+                placer.place(&p).unwrap_err(),
+                PlacementError::NoFeasibleServer(vec![1])
+            );
+        }
+    }
+
+    #[test]
+    fn an_incumbent_on_an_unknown_server_is_rejected() {
+        // Two servers, but the incumbent names server 7.
+        let p = green_and_dirty_problem(30.0).with_state(PlacementState::new(
+            vec![Some(7)],
+            vec![MigrationCost::new(1.0, 0.0)],
+        ));
+        for placer in [
+            IncrementalPlacer::new(PlacementPolicy::CarbonAware),
+            IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),
+        ] {
+            assert_eq!(placer.place(&p).unwrap_err(), PlacementError::InvalidState);
+        }
+    }
+
+    #[test]
+    fn a_state_of_the_wrong_length_is_rejected() {
+        let too_long = green_and_dirty_problem(30.0).with_state(PlacementState::new(
+            vec![Some(0), Some(1)],
+            vec![MigrationCost::new(1.0, 0.0); 2],
+        ));
+        let misaligned = green_and_dirty_problem(30.0).with_state(PlacementState {
+            previous: vec![Some(0)],
+            migration: vec![],
+        });
+        for p in [too_long, misaligned] {
+            for placer in [
+                IncrementalPlacer::new(PlacementPolicy::CarbonAware),
+                IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),
+            ] {
+                assert_eq!(placer.place(&p).unwrap_err(), PlacementError::InvalidState);
+            }
+        }
     }
 
     #[test]

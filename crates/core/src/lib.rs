@@ -51,7 +51,7 @@ pub mod problem;
 
 pub use algorithm::{IncrementalPlacer, PlacementDecision, PlacementError, PlacementModel};
 pub use diff::AssignmentDiff;
-pub use policy::PlacementPolicy;
+pub use policy::{PairCosts, PlacementPolicy};
 pub use problem::{
     MigrationCost, MigrationCostLevel, PairLatencyCache, PlacementProblem, PlacementState,
     ServerSnapshot,

@@ -70,34 +70,70 @@ impl PlacementPolicy {
     /// Builds the per-pair operational costs and per-server activation costs
     /// the placement optimizer should minimize for this policy.
     ///
-    /// Returns `(pair_cost, activation_cost)`, where `pair_cost[i][j]` is
-    /// `None` for infeasible pairs (hardware or latency), and
+    /// Returns `(pair_cost, activation_cost)`: `pair_cost` lists each
+    /// application's feasible `(server, cost)` pairs, servers ascending (a
+    /// pair that fails the hardware or latency test is absent), and
     /// `activation_cost[j]` is the extra cost of newly powering on server `j`.
-    pub fn costs(&self, problem: &PlacementProblem) -> (Vec<Vec<Option<f64>>>, Vec<f64>) {
-        let (apps, servers) = problem.size();
-        let feasible_cost = |i: usize, j: usize| -> Option<f64> {
-            if !problem.is_feasible_pair(i, j) {
-                return None;
+    ///
+    /// The pairs are found in one pass: per application, the energy is read
+    /// once per run of consecutive servers with the same device (`None` marks
+    /// the run hardware-infeasible), and each server of the run is kept when
+    /// its latency meets the SLO.  Every cost is computed by the expression
+    /// of the matching per-pair method of [`PlacementProblem`], so it equals
+    /// that method bit for bit.
+    pub fn costs(&self, problem: &PlacementProblem) -> (PairCosts, Vec<f64>) {
+        let servers = &problem.servers;
+        let mut runs = Vec::new();
+        let mut run_start = 0;
+        for j in 1..=servers.len() {
+            if j == servers.len() || servers[j].device != servers[run_start].device {
+                runs.push(run_start..j);
+                run_start = j;
             }
-            match self {
-                PlacementPolicy::CarbonAware => problem.operational_carbon_g(i, j),
-                PlacementPolicy::LatencyAware => Some(problem.latency_ms(i, j)),
-                PlacementPolicy::EnergyAware => problem.energy_j(i, j),
-                PlacementPolicy::IntensityAware => Some(problem.servers[j].carbon_intensity),
-                PlacementPolicy::CarbonEnergyTradeoff { .. } => {
-                    // Filled in after normalization below; return raw carbon for now.
-                    problem.operational_carbon_g(i, j)
+        }
+
+        let mut pair_cost = PairCosts {
+            offsets: vec![0],
+            pairs: Vec::new(),
+        };
+        // The tradeoff's raw energies, aligned with `pair_cost.pairs`, which
+        // hold its raw carbon until normalization below.
+        let mut energies = Vec::new();
+        for (i, app) in problem.apps.iter().enumerate() {
+            for run in &runs {
+                let Some(energy) = problem.energy_j(i, run.start) else {
+                    continue;
+                };
+                for j in run.clone() {
+                    let latency = problem.latency_ms(i, j);
+                    // NaN latencies and SLOs fail this test, as in
+                    // `PlacementProblem::is_feasible_pair`.
+                    let within_slo = latency <= app.latency_slo_ms + 1e-9;
+                    if !within_slo {
+                        continue;
+                    }
+                    let intensity = servers[j].carbon_intensity;
+                    let cost = match self {
+                        PlacementPolicy::CarbonAware => energy / 3.6e6 * intensity,
+                        PlacementPolicy::LatencyAware => latency,
+                        PlacementPolicy::EnergyAware => energy,
+                        PlacementPolicy::IntensityAware => intensity,
+                        PlacementPolicy::CarbonEnergyTradeoff { .. } => {
+                            energies.push(energy);
+                            energy / 3.6e6 * intensity
+                        }
+                    };
+                    pair_cost.pairs.push((j, cost));
                 }
             }
-        };
+            pair_cost.offsets.push(pair_cost.pairs.len());
+        }
 
-        let mut pair_cost: Vec<Vec<Option<f64>>> = (0..apps)
-            .map(|i| (0..servers).map(|j| feasible_cost(i, j)).collect())
-            .collect();
-
-        let mut activation: Vec<f64> = (0..servers)
-            .map(|j| {
-                if problem.servers[j].powered_on {
+        let mut activation: Vec<f64> = servers
+            .iter()
+            .enumerate()
+            .map(|(j, server)| {
+                if server.powered_on {
                     0.0
                 } else {
                     match self {
@@ -114,43 +150,17 @@ impl PlacementPolicy {
             let alpha = alpha.clamp(0.0, 1.0);
             // Min-max normalize carbon and energy over the feasible pairs
             // (the paper normalizes both objectives to [0, 1]).
-            let mut carbon_vals = Vec::new();
-            let mut energy_vals = Vec::new();
-            for i in 0..apps {
-                for j in 0..servers {
-                    if problem.is_feasible_pair(i, j) {
-                        if let (Some(c), Some(e)) =
-                            (problem.operational_carbon_g(i, j), problem.energy_j(i, j))
-                        {
-                            carbon_vals.push(c);
-                            energy_vals.push(e);
-                        }
-                    }
-                }
-            }
-            let range = |vals: &[f64]| -> (f64, f64) {
-                let min = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-                let max = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                (min, (max - min).max(1e-12))
-            };
-            if !carbon_vals.is_empty() {
-                let (cmin, cspan) = range(&carbon_vals);
-                let (emin, espan) = range(&energy_vals);
-                for (i, row) in pair_cost.iter_mut().enumerate() {
-                    for (j, cell) in row.iter_mut().enumerate() {
-                        if cell.is_some() {
-                            let c = problem.operational_carbon_g(i, j).unwrap();
-                            let e = problem.energy_j(i, j).unwrap();
-                            let norm =
-                                alpha * (e - emin) / espan + (1.0 - alpha) * (c - cmin) / cspan;
-                            *cell = Some(norm);
-                        }
-                    }
+            if !energies.is_empty() {
+                let (cmin, cspan) = min_and_span(pair_cost.pairs.iter().map(|&(_, c)| c));
+                let (emin, espan) = min_and_span(energies.iter().copied());
+                for ((_, cost), &e) in pair_cost.pairs.iter_mut().zip(&energies) {
+                    let c = *cost;
+                    *cost = alpha * (e - emin) / espan + (1.0 - alpha) * (c - cmin) / cspan;
                 }
                 // Activation costs normalized against the same spans so they
                 // stay commensurate with the pair costs.
                 for (j, act) in activation.iter_mut().enumerate() {
-                    if !problem.servers[j].powered_on {
+                    if !servers[j].powered_on {
                         let c = problem.activation_carbon_g(j) / cspan;
                         let e = problem.activation_energy_j(j) / espan;
                         *act = alpha * e + (1.0 - alpha) * c;
@@ -160,6 +170,64 @@ impl PlacementPolicy {
         }
 
         (pair_cost, activation)
+    }
+}
+
+/// The minimum of `values` and their span, `max - min` floored at `1e-12`.
+fn min_and_span(values: impl Iterator<Item = f64>) -> (f64, f64) {
+    let (min, max) = values.fold((f64::INFINITY, f64::NEG_INFINITY), |(min, max), v| {
+        (min.min(v), max.max(v))
+    });
+    (min, (max - min).max(1e-12))
+}
+
+/// The feasible `(server, cost)` pairs of each application of a placement
+/// problem, servers strictly ascending within a row.  The rows sit in one
+/// flat vector; a server missing from a row is an infeasible pair.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairCosts {
+    /// `pairs[offsets[i]..offsets[i + 1]]` is row `i`.
+    offsets: Vec<usize>,
+    pairs: Vec<(usize, f64)>,
+}
+
+impl PairCosts {
+    /// Number of applications (rows).
+    pub fn num_apps(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of feasible pairs over all rows.
+    pub fn num_pairs(&self) -> usize {
+        self.pairs.len()
+    }
+
+    fn range(&self, app: usize) -> std::ops::Range<usize> {
+        self.offsets[app]..self.offsets[app + 1]
+    }
+
+    /// Application `app`'s feasible `(server, cost)` pairs, servers
+    /// ascending.  Panics if `app` is out of range.
+    pub fn row(&self, app: usize) -> &[(usize, f64)] {
+        &self.pairs[self.range(app)]
+    }
+
+    /// Mutable access to application `app`'s costs (the servers must stay
+    /// as they are).  Panics if `app` is out of range.
+    pub fn row_mut(&mut self, app: usize) -> &mut [(usize, f64)] {
+        let range = self.range(app);
+        &mut self.pairs[range]
+    }
+
+    /// The cost of the pair `(app, server)`, or `None` when the pair is
+    /// infeasible or either index is out of range.
+    pub fn get(&self, app: usize, server: usize) -> Option<f64> {
+        if app >= self.num_apps() {
+            return None;
+        }
+        let row = self.row(app);
+        let k = row.binary_search_by_key(&server, |&(j, _)| j).ok()?;
+        Some(row[k].1)
     }
 }
 
@@ -210,14 +278,14 @@ mod tests {
     fn carbon_aware_prefers_green_server() {
         let p = problem();
         let (costs, _) = PlacementPolicy::CarbonAware.costs(&p);
-        assert!(costs[0][1].unwrap() < costs[0][0].unwrap());
+        assert!(costs.get(0, 1).unwrap() < costs.get(0, 0).unwrap());
     }
 
     #[test]
     fn latency_aware_prefers_local_server() {
         let p = problem();
         let (costs, activation) = PlacementPolicy::LatencyAware.costs(&p);
-        assert!(costs[0][0].unwrap() < costs[0][1].unwrap());
+        assert!(costs.get(0, 0).unwrap() < costs.get(0, 1).unwrap());
         assert_eq!(activation, vec![0.0, 0.0]);
     }
 
@@ -226,15 +294,15 @@ mod tests {
         let p = problem();
         let (costs, _) = PlacementPolicy::EnergyAware.costs(&p);
         // ResNet50 on A2 uses less energy than on GTX 1080.
-        assert!(costs[0][1].unwrap() < costs[0][0].unwrap());
+        assert!(costs.get(0, 1).unwrap() < costs.get(0, 0).unwrap());
     }
 
     #[test]
     fn intensity_aware_uses_zone_intensity_only() {
         let p = problem();
         let (costs, _) = PlacementPolicy::IntensityAware.costs(&p);
-        assert_eq!(costs[0][0].unwrap(), 500.0);
-        assert_eq!(costs[0][1].unwrap(), 50.0);
+        assert_eq!(costs.get(0, 0).unwrap(), 500.0);
+        assert_eq!(costs.get(0, 1).unwrap(), 50.0);
     }
 
     #[test]
@@ -242,8 +310,8 @@ mod tests {
         let mut p = problem();
         p.apps[0].latency_slo_ms = 3.0; // remote server now violates the SLO
         let (costs, _) = PlacementPolicy::CarbonAware.costs(&p);
-        assert!(costs[0][0].is_some());
-        assert!(costs[0][1].is_none());
+        assert!(costs.get(0, 0).is_some());
+        assert!(costs.get(0, 1).is_none());
     }
 
     #[test]
@@ -262,15 +330,18 @@ mod tests {
         let (carbon, _) = PlacementPolicy::CarbonAware.costs(&p);
         let (mixed, _) = PlacementPolicy::CarbonEnergyTradeoff { alpha: 0.0 }.costs(&p);
         // Same ranking of the two servers.
-        assert_eq!(carbon[0][0] > carbon[0][1], mixed[0][0] > mixed[0][1]);
+        assert_eq!(
+            carbon.get(0, 0) > carbon.get(0, 1),
+            mixed.get(0, 0) > mixed.get(0, 1)
+        );
     }
 
     #[test]
     fn tradeoff_costs_are_normalized() {
         let p = problem();
         let (mixed, _) = PlacementPolicy::CarbonEnergyTradeoff { alpha: 0.5 }.costs(&p);
-        for cell in mixed[0].iter().take(2) {
-            let c = cell.unwrap();
+        assert_eq!(mixed.row(0).len(), 2);
+        for &(_, c) in mixed.row(0) {
             assert!((0.0..=1.0 + 1e-9).contains(&c), "cost {c}");
         }
     }

@@ -19,25 +19,8 @@ impl EnergyMix {
     /// Shares must be non-negative; they are normalized so they sum to one.
     /// Returns `None` if all shares are zero or any share is negative/NaN.
     pub fn new(shares: &[(EnergySource, f64)]) -> Option<Self> {
-        let mut merged: Vec<(EnergySource, f64)> = Vec::new();
-        for &(src, share) in shares {
-            if !(share.is_finite()) || share < 0.0 {
-                return None;
-            }
-            if let Some(entry) = merged.iter_mut().find(|(s, _)| *s == src) {
-                entry.1 += share;
-            } else {
-                merged.push((src, share));
-            }
-        }
-        let total: f64 = merged.iter().map(|(_, s)| s).sum();
-        if total <= 0.0 {
-            return None;
-        }
-        for entry in &mut merged {
-            entry.1 /= total;
-        }
-        Some(Self { shares: merged })
+        let mut merged = shares.to_vec();
+        normalize(&mut merged).then_some(Self { shares: merged })
     }
 
     /// Convenience constructor for a single-source mix.
@@ -63,10 +46,7 @@ impl EnergyMix {
 
     /// Mix-weighted average carbon intensity in g·CO2eq/kWh.
     pub fn carbon_intensity(&self) -> f64 {
-        self.shares
-            .iter()
-            .map(|(s, share)| s.carbon_factor() * share)
-            .sum()
+        carbon_intensity_of(&self.shares)
     }
 
     /// Fraction of supply coming from low-carbon sources.
@@ -80,11 +60,7 @@ impl EnergyMix {
 
     /// Fraction of supply coming from fossil sources.
     pub fn fossil_share(&self) -> f64 {
-        self.shares
-            .iter()
-            .filter(|(s, _)| s.is_fossil())
-            .map(|(_, share)| share)
-            .sum()
+        fossil_share_of(&self.shares)
     }
 
     /// Returns a new mix where the shares of the variable sources (solar and
@@ -98,9 +74,28 @@ impl EnergyMix {
     /// produces the diurnal and seasonal carbon-intensity swings shown in
     /// Figure 4 of the paper.
     pub fn with_variable_output(&self, solar_factor: f64, wind_factor: f64) -> EnergyMix {
+        let mut shares = Vec::with_capacity(self.shares.len());
+        if self.variable_output_into(solar_factor, wind_factor, &mut shares) {
+            EnergyMix { shares }
+        } else {
+            self.clone()
+        }
+    }
+
+    /// The normalized shares of [`Self::with_variable_output`], written into
+    /// `out` (cleared first) so a caller adjusting the mix every hour can
+    /// reuse one buffer.  Returns `false`, leaving `out` unspecified, where
+    /// `with_variable_output` falls back to the base mix: the adjusted
+    /// shares cannot be normalized, e.g. a pure-solar zone at night.
+    pub(crate) fn variable_output_into(
+        &self,
+        solar_factor: f64,
+        wind_factor: f64,
+        out: &mut Vec<(EnergySource, f64)>,
+    ) -> bool {
         let solar_factor = solar_factor.clamp(0.0, 3.0);
         let wind_factor = wind_factor.clamp(0.0, 1.5);
-        let mut new_shares: Vec<(EnergySource, f64)> = Vec::with_capacity(self.shares.len());
+        out.clear();
         let mut variable_total = 0.0;
         let mut firm_total = 0.0;
         for &(src, share) in &self.shares {
@@ -114,23 +109,70 @@ impl EnergyMix {
             };
             if src.is_variable() {
                 variable_total += scaled;
-                new_shares.push((src, scaled));
-            } else {
-                new_shares.push((src, scaled));
             }
+            out.push((src, scaled));
         }
         // The firm sources scale to fill the remaining demand.
         let residual = (1.0 - variable_total).max(0.0);
         if firm_total > 0.0 {
             let scale = residual / firm_total;
-            for entry in &mut new_shares {
+            for entry in out.iter_mut() {
                 if !entry.0.is_variable() {
                     entry.1 *= scale;
                 }
             }
         }
-        EnergyMix::new(&new_shares).unwrap_or_else(|| self.clone())
+        normalize(out)
     }
+}
+
+/// The normalization of [`EnergyMix::new`], in place: merges duplicate
+/// sources into their first occurrence and divides by the total.  Returns
+/// `false` if any share is negative or not finite, or the total is not
+/// positive.
+fn normalize(shares: &mut Vec<(EnergySource, f64)>) -> bool {
+    if shares
+        .iter()
+        .any(|&(_, share)| !share.is_finite() || share < 0.0)
+    {
+        return false;
+    }
+    let mut kept = 0;
+    for k in 0..shares.len() {
+        let (src, share) = shares[k];
+        if let Some(entry) = shares[..kept].iter_mut().find(|(s, _)| *s == src) {
+            entry.1 += share;
+        } else {
+            shares[kept] = (src, share);
+            kept += 1;
+        }
+    }
+    shares.truncate(kept);
+    let total: f64 = shares.iter().map(|(_, s)| s).sum();
+    if total <= 0.0 {
+        return false;
+    }
+    for entry in shares.iter_mut() {
+        entry.1 /= total;
+    }
+    true
+}
+
+/// Mix-weighted average carbon intensity of normalized shares, g·CO2eq/kWh.
+pub(crate) fn carbon_intensity_of(shares: &[(EnergySource, f64)]) -> f64 {
+    shares
+        .iter()
+        .map(|(s, share)| s.carbon_factor() * share)
+        .sum()
+}
+
+/// Fossil fraction of normalized shares.
+pub(crate) fn fossil_share_of(shares: &[(EnergySource, f64)]) -> f64 {
+    shares
+        .iter()
+        .filter(|(s, _)| s.is_fossil())
+        .map(|(_, share)| share)
+        .sum()
 }
 
 #[cfg(test)]

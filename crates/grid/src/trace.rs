@@ -1,5 +1,6 @@
 //! Hourly carbon-intensity traces and the synthetic trace generator.
 
+use crate::mix::{carbon_intensity_of, fossil_share_of};
 use crate::time::{HourOfYear, HOURS_PER_DAY, HOURS_PER_YEAR};
 use crate::zone::ZoneProfile;
 use rand::rngs::StdRng;
@@ -159,24 +160,40 @@ impl TraceGenerator {
         let wind_phi = 0.92; // hour-to-hour persistence
         let wind_sigma = profile.wind_variability * 0.25;
 
-        for hour in HourOfYear::all() {
-            let hod = hour.hour_of_day() as f64;
-            let doy = hour.day_of_year() as f64;
-
-            // Solar capacity factor: half-sine between 06:00 and 18:00 local,
-            // modulated seasonally (peak around day 172, the summer solstice
-            // in the northern hemisphere, where all modeled zones are).
-            let season = ((doy - 172.0) / 365.0 * std::f64::consts::TAU).cos();
-            let seasonal_scale = 1.0 - profile.solar_seasonality * 0.5 * (1.0 - season);
-            let solar_diurnal = if (6.0..18.0).contains(&hod) {
+        // Solar capacity factor: half-sine between 06:00 and 18:00 local.
+        let solar_diurnal: [f64; HOURS_PER_DAY] = std::array::from_fn(|h| {
+            let hod = h as f64;
+            if (6.0..18.0).contains(&hod) {
                 ((hod - 6.0) / 12.0 * std::f64::consts::PI).sin()
             } else {
                 0.0
-            };
+            }
+        });
+        // Demand swing: evening peak (hour 19 local).
+        let demand: [f64; HOURS_PER_DAY] = std::array::from_fn(|h| {
+            let hod = h as f64;
+            ((hod - 19.0) / 24.0 * std::f64::consts::TAU).cos()
+        });
+        // Where the adjusted shares cannot be normalized, the hour keeps the
+        // base mix.
+        let base = (profile.mix.carbon_intensity(), profile.mix.fossil_share());
+        let mut shares = Vec::new();
+        let mut seasonal_scale = 0.0;
+
+        for hour in HourOfYear::all() {
+            let hod = hour.hour_of_day();
+            if hod == 0 {
+                // The solar half-sine is modulated seasonally (peak around
+                // day 172, the summer solstice in the northern hemisphere,
+                // where all modeled zones are).
+                let doy = hour.day_of_year() as f64;
+                let season = ((doy - 172.0) / 365.0 * std::f64::consts::TAU).cos();
+                seasonal_scale = 1.0 - profile.solar_seasonality * 0.5 * (1.0 - season);
+            }
             // Normalize so the *average* solar factor over the year stays near 1.0
             // (the baseline mix is an annual average): the mean of the half-sine
             // over 24h is 2/PI * 12/24 = 1/PI.
-            let solar_factor = (solar_diurnal * seasonal_scale) / std::f64::consts::FRAC_1_PI;
+            let solar_factor = (solar_diurnal[hod] * seasonal_scale) / std::f64::consts::FRAC_1_PI;
 
             // Wind capacity factor: persistent AR(1) noise around 1.0.
             let noise: f64 = rng.gen_range(-1.0..1.0);
@@ -184,13 +201,19 @@ impl TraceGenerator {
             wind_state = wind_state.clamp(0.0, 2.0);
             let wind_factor = wind_state.min(1.5);
 
-            let mix = profile.mix.with_variable_output(solar_factor, wind_factor);
-            let mut intensity = mix.carbon_intensity();
+            let (mut intensity, fossil_share) =
+                if profile
+                    .mix
+                    .variable_output_into(solar_factor, wind_factor, &mut shares)
+                {
+                    (carbon_intensity_of(&shares), fossil_share_of(&shares))
+                } else {
+                    base
+                };
 
-            // Demand swing: evening peak (hour 19 local) increases the carbon
-            // intensity of marginal generation for fossil-heavy zones.
-            let demand = ((hod - 19.0) / 24.0 * std::f64::consts::TAU).cos();
-            intensity *= 1.0 + profile.demand_swing * 0.5 * demand * mix.fossil_share();
+            // The demand swing increases the carbon intensity of marginal
+            // generation for fossil-heavy zones.
+            intensity *= 1.0 + profile.demand_swing * 0.5 * demand[hod] * fossil_share;
 
             // Small measurement-like jitter (±2%).
             let jitter: f64 = rng.gen_range(-0.02..0.02);
@@ -249,6 +272,97 @@ mod tests {
             Coordinates::new(46.9, 7.4),
             EnergyMix::new(&[(EnergySource::Hydro, 0.85), (EnergySource::Nuclear, 0.15)]).unwrap(),
         )
+    }
+
+    /// The per-hour synthesis `TraceGenerator::generate` replaced: two
+    /// fresh mixes and three trig calls per hour.  `generate` must match it
+    /// bit for bit.
+    fn generate_per_hour(gen: &TraceGenerator, profile: &ZoneProfile) -> CarbonTrace {
+        let mut rng = StdRng::seed_from_u64(gen.zone_seed(profile));
+        let mut values = Vec::with_capacity(HOURS_PER_YEAR);
+
+        // AR(1) state for wind output around 1.0.
+        let mut wind_state = 1.0f64;
+        let wind_phi = 0.92; // hour-to-hour persistence
+        let wind_sigma = profile.wind_variability * 0.25;
+
+        for hour in HourOfYear::all() {
+            let hod = hour.hour_of_day() as f64;
+            let doy = hour.day_of_year() as f64;
+
+            // Solar capacity factor: half-sine between 06:00 and 18:00 local,
+            // modulated seasonally (peak around day 172, the summer solstice
+            // in the northern hemisphere, where all modeled zones are).
+            let season = ((doy - 172.0) / 365.0 * std::f64::consts::TAU).cos();
+            let seasonal_scale = 1.0 - profile.solar_seasonality * 0.5 * (1.0 - season);
+            let solar_diurnal = if (6.0..18.0).contains(&hod) {
+                ((hod - 6.0) / 12.0 * std::f64::consts::PI).sin()
+            } else {
+                0.0
+            };
+            // Normalize so the *average* solar factor over the year stays near 1.0
+            // (the baseline mix is an annual average): the mean of the half-sine
+            // over 24h is 2/PI * 12/24 = 1/PI.
+            let solar_factor = (solar_diurnal * seasonal_scale) / std::f64::consts::FRAC_1_PI;
+
+            // Wind capacity factor: persistent AR(1) noise around 1.0.
+            let noise: f64 = rng.gen_range(-1.0..1.0);
+            wind_state = 1.0 + wind_phi * (wind_state - 1.0) + wind_sigma * noise;
+            wind_state = wind_state.clamp(0.0, 2.0);
+            let wind_factor = wind_state.min(1.5);
+
+            let mix = profile.mix.with_variable_output(solar_factor, wind_factor);
+            let mut intensity = mix.carbon_intensity();
+
+            // Demand swing: evening peak (hour 19 local) increases the carbon
+            // intensity of marginal generation for fossil-heavy zones.
+            let demand = ((hod - 19.0) / 24.0 * std::f64::consts::TAU).cos();
+            intensity *= 1.0 + profile.demand_swing * 0.5 * demand * mix.fossil_share();
+
+            // Small measurement-like jitter (±2%).
+            let jitter: f64 = rng.gen_range(-0.02..0.02);
+            intensity *= 1.0 + jitter;
+
+            values.push(intensity.max(0.0));
+        }
+
+        CarbonTrace { values }
+    }
+
+    fn pure_solar_zone() -> ZoneProfile {
+        ZoneProfile::new(
+            "PureSolarZone",
+            Coordinates::new(35.0, -115.0),
+            EnergyMix::pure(EnergySource::Solar),
+        )
+    }
+
+    #[test]
+    fn generate_matches_the_per_hour_synthesis_bit_for_bit() {
+        // The pure-solar zone falls back to the base mix every night.
+        let zones = [
+            pure_solar_zone(),
+            coal_zone(),
+            hydro_zone(),
+            solar_heavy_zone(),
+        ];
+        for seed in [0, 1, 7, 42, 1234] {
+            let gen = TraceGenerator::new(seed);
+            for zone in &zones {
+                let fast: Vec<u64> = gen
+                    .generate(zone)
+                    .values()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                let slow: Vec<u64> = generate_per_hour(&gen, zone)
+                    .values()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect();
+                assert!(fast == slow, "{} diverges at seed {seed}", zone.name);
+            }
+        }
     }
 
     #[test]

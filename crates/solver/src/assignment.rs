@@ -9,27 +9,45 @@
 //! (hundreds of servers, dozens of applications per batch) this module
 //! provides a regret-based greedy construction followed by local search,
 //! which the tests check against exhaustive enumeration on small instances.
+//!
+//! An instance lists only the feasible pairs: each application has a row of
+//! [`Candidate`] servers, ascending by server.  A mesoscale latency limit
+//! admits servers a few hundred kilometres away, so a row holds a fraction
+//! of the fleet, and every step of the heuristic — the marginal-cost cache,
+//! its refresh after a placement, the top-2 and cheapest-server scans — costs
+//! in candidates rather than in applications × servers.
 
 /// Maximum number of local-search improvement passes.
 const LOCAL_SEARCH_PASSES: usize = 8;
 
-/// Batches larger than this many applications skip the O(n²·m) regret
-/// ordering and fall back to a simple cheapest-feasible greedy pass,
-/// keeping CDN-scale batches (hundreds of applications over hundreds of
-/// servers) fast.
+/// Batches larger than this many applications skip the regret ordering,
+/// which may rescan the candidate rows of every remaining application per
+/// placement (O(n·c) for `n` applications with `c` candidates in total),
+/// and fall back to a simple cheapest-feasible greedy pass (one scan of
+/// each row), keeping CDN-scale batches (hundreds of applications over
+/// hundreds of servers) fast.
 const REGRET_LIMIT: usize = 200;
+
+/// One feasible `(application, server)` pair of an [`AssignmentProblem`].
+/// Every resource vector is `[compute, memory, bandwidth]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Candidate {
+    /// The server index.
+    pub server: usize,
+    /// Cost of running the application on the server.
+    pub cost: f64,
+    /// Resource demand of the application on the server.
+    pub demand: [f64; 3],
+}
 
 /// One instance of the placement problem in solver-neutral form.  Every
 /// resource vector is `[compute, memory, bandwidth]`.
 #[derive(Debug, Clone)]
 pub struct AssignmentProblem {
-    /// `cost[i][j]`: cost of running application `i` on server `j`, or
-    /// `None` when the pair is infeasible (latency violation or
-    /// incompatible hardware).
-    pub cost: Vec<Vec<Option<f64>>>,
-    /// `demand[i][j]`: resource demand of application `i` on server `j`
-    /// (only read when the pair is feasible).
-    pub demand: Vec<Vec<[f64; 3]>>,
+    /// `candidates[i]`: the servers application `i` may run on, strictly
+    /// ascending by server.  A server missing from the row is an infeasible
+    /// pair (latency violation or incompatible hardware).
+    pub candidates: Vec<Vec<Candidate>>,
     /// `capacity[j]`: available resources of server `j`.
     pub capacity: Vec<[f64; 3]>,
     /// `activation_cost[j]`: extra cost incurred the first time an
@@ -42,7 +60,7 @@ pub struct AssignmentProblem {
 impl AssignmentProblem {
     /// Number of applications.
     pub fn num_apps(&self) -> usize {
-        self.cost.len()
+        self.candidates.len()
     }
 
     /// Number of servers.
@@ -50,33 +68,37 @@ impl AssignmentProblem {
         self.capacity.len()
     }
 
-    /// Validates internal dimensions; returns an error string when shapes
-    /// are inconsistent.
+    /// Validates internal dimensions and row order; returns an error string
+    /// when shapes are inconsistent, a row is not strictly ascending by
+    /// server, or a row names a server out of range.
     pub fn validate(&self) -> Result<(), String> {
         let servers = self.num_servers();
         if self.activation_cost.len() != servers || self.open.len() != servers {
             return Err("activation/open length mismatch".into());
         }
-        for (i, row) in self.cost.iter().enumerate() {
-            if row.len() != servers {
-                return Err(format!("cost row {i} has wrong length"));
+        for (i, row) in self.candidates.iter().enumerate() {
+            if row.windows(2).any(|w| w[0].server >= w[1].server) {
+                return Err(format!("candidate row {i} is not strictly ascending"));
             }
-        }
-        if self.demand.len() != self.num_apps() {
-            return Err("demand outer length mismatch".into());
-        }
-        for (i, row) in self.demand.iter().enumerate() {
-            if row.len() != servers {
-                return Err(format!("demand row {i} has wrong length"));
+            if row.last().is_some_and(|c| c.server >= servers) {
+                return Err(format!("candidate row {i} names a server out of range"));
             }
         }
         Ok(())
     }
 
-    /// Whether application `app` fits on `server` on top of the per-server
-    /// usage `used`, in every resource.
-    pub fn fits(&self, app: usize, server: usize, used: &[[f64; 3]]) -> bool {
-        self.demand[app][server]
+    /// The candidate pairing application `app` with `server`, or `None` when
+    /// the pair is infeasible.
+    pub fn candidate(&self, app: usize, server: usize) -> Option<&Candidate> {
+        let row = self.candidates.get(app)?;
+        let k = row.binary_search_by_key(&server, |c| c.server).ok()?;
+        Some(&row[k])
+    }
+
+    /// Whether `demand` fits on `server` on top of the per-server usage
+    /// `used`, in every resource.
+    pub fn fits(&self, server: usize, demand: &[f64; 3], used: &[[f64; 3]]) -> bool {
+        demand
             .iter()
             .zip(used[server].iter().zip(self.capacity[server].iter()))
             .all(|(d, (u, c))| u + d <= c + 1e-9)
@@ -93,14 +115,14 @@ impl AssignmentProblem {
         let mut total = 0.0;
         for (i, a) in assignment.iter().enumerate() {
             let Some(j) = a else { return None };
-            let cost = self.cost[i][*j]?;
-            if !self.fits(i, *j, &used) {
+            let candidate = self.candidate(i, *j)?;
+            if !self.fits(*j, &candidate.demand, &used) {
                 return None;
             }
-            for (u, d) in used[*j].iter_mut().zip(&self.demand[i][*j]) {
+            for (u, d) in used[*j].iter_mut().zip(&candidate.demand) {
                 *u += d;
             }
-            total += cost;
+            total += candidate.cost;
             if !self.open[*j] && !opened[*j] {
                 opened[*j] = true;
                 total += self.activation_cost[*j];
@@ -148,33 +170,43 @@ impl AssignmentSolution {
 
 /// Cached best/second-best marginal costs of one application, kept
 /// consistent with [`State::marginal`] (see there for the exactness
-/// argument).  `second_c` is `f64::INFINITY` when only one server is
-/// feasible, matching the cold scan's "no second candidate" regret.
+/// argument).  `second_c` is `f64::INFINITY` when only one candidate fits,
+/// matching the cold scan's "no second candidate" regret.
 #[derive(Debug, Clone, Copy)]
 enum Top2 {
     /// The cached entry may be stale; the next lookup rescans the row.
     Dirty,
-    /// No feasible server remains for this application.
+    /// No candidate of this application fits anymore.
     Infeasible,
-    /// `(best_j, best_c, second_c)` exactly as a fresh full scan would
-    /// compute them.
+    /// `(best_slot, best_c, second_c)` exactly as a fresh scan of the row
+    /// would compute them.
     Cached(usize, f64, f64),
 }
 
+/// The heuristic's working state.  Applications refer to their servers by
+/// *slot*, the position of the server in the application's candidate row.
 struct State<'p> {
     problem: &'p AssignmentProblem,
+    /// `assignment[i]`: the slot of application `i`'s current server.
     assignment: Vec<Option<usize>>,
     used: Vec<[f64; 3]>,
     app_count_per_server: Vec<usize>,
-    /// `marginal[i * servers + j]`: cached marginal cost of placing app `i`
-    /// on server `j` in the *current* state (`NAN` = infeasible).  Placing
-    /// or unplacing an application changes `used`/`app_count` for exactly
-    /// one server, so every mutation refreshes exactly one column instead
-    /// of the cold path's full `apps × servers` rescan per round.  The
-    /// cached values are produced by the same `marginal_cost` arithmetic
-    /// the cold scan runs, so every comparison made against them is
-    /// bit-identical to an uncached solve.
+    /// `row_start[i]..row_start[i + 1]`: application `i`'s range of
+    /// `marginal`, one entry per candidate.
+    row_start: Vec<usize>,
+    /// `marginal[row_start[i] + k]`: cached marginal cost of placing app `i`
+    /// on its candidate `k` in the *current* state (`NAN` = does not fit).
+    /// Placing or unplacing an application changes `used`/`app_count` for
+    /// exactly one server, so every mutation refreshes that server's column
+    /// instead of rescanning every pair.  The cached values are produced by
+    /// the same `marginal_cost` arithmetic a cold scan runs, so every
+    /// comparison made against them is bit-identical to an uncached solve.
     marginal: Vec<f64>,
+    /// `column[column_start[j]..column_start[j + 1]]`: the `(app, slot)`
+    /// candidates on server `j`, apps ascending.  An application without a
+    /// candidate on `j` has no cached value that a change to `j` could move.
+    column_start: Vec<usize>,
+    column: Vec<(usize, usize)>,
     /// Per-app best/second cache over `marginal`, invalidated only when a
     /// column update could disturb it.
     top2: Vec<Top2>,
@@ -186,19 +218,46 @@ impl<'p> State<'p> {
     fn new(problem: &'p AssignmentProblem) -> Self {
         let apps = problem.num_apps();
         let servers = problem.num_servers();
+        let mut row_start = Vec::with_capacity(apps + 1);
+        let mut pairs = 0;
+        // Counting sort of the candidates by server; visiting the rows in
+        // app order keeps every column ascending by app.
+        let mut column_start = vec![0; servers + 1];
+        for row in &problem.candidates {
+            row_start.push(pairs);
+            pairs += row.len();
+            for c in row {
+                column_start[c.server + 1] += 1;
+            }
+        }
+        row_start.push(pairs);
+        for j in 0..servers {
+            column_start[j + 1] += column_start[j];
+        }
+        let mut next = column_start.clone();
+        let mut column = vec![(0, 0); pairs];
+        for (i, row) in problem.candidates.iter().enumerate() {
+            for (k, c) in row.iter().enumerate() {
+                column[next[c.server]] = (i, k);
+                next[c.server] += 1;
+            }
+        }
         let mut state = Self {
             problem,
             assignment: vec![None; apps],
             used: vec![[0.0; 3]; servers],
             app_count_per_server: vec![0; servers],
-            marginal: vec![f64::NAN; apps * servers],
+            marginal: Vec::with_capacity(pairs),
+            row_start,
+            column_start,
+            column,
             top2: vec![Top2::Dirty; apps],
             opened_scratch: vec![false; servers],
         };
-        for i in 0..apps {
-            for j in 0..servers {
-                let c = state.marginal_cost(i, j).unwrap_or(f64::NAN);
-                state.marginal[i * servers + j] = c;
+        for (i, row) in problem.candidates.iter().enumerate() {
+            for k in 0..row.len() {
+                let c = state.marginal_cost(i, k);
+                state.marginal.push(c);
             }
         }
         state
@@ -208,33 +267,35 @@ impl<'p> State<'p> {
         self.problem.open[j] || self.app_count_per_server[j] > 0
     }
 
-    /// Marginal cost of placing app i on server j given the current state.
-    fn marginal_cost(&self, i: usize, j: usize) -> Option<f64> {
-        let base = self.problem.cost[i][j]?;
-        if !self.problem.fits(i, j, &self.used) {
-            return None;
+    /// Marginal cost of placing app `i` on its candidate `k` given the
+    /// current state, `NAN` when it does not fit.
+    fn marginal_cost(&self, i: usize, k: usize) -> f64 {
+        let candidate = &self.problem.candidates[i][k];
+        let j = candidate.server;
+        if !self.problem.fits(j, &candidate.demand, &self.used) {
+            return f64::NAN;
         }
         let activation = if self.server_is_open(j) {
             0.0
         } else {
             self.problem.activation_cost[j]
         };
-        Some(base + activation)
+        candidate.cost + activation
     }
 
-    /// Refreshes the cached marginal column of server `j` after its
-    /// capacity or open state changed, invalidating any top-2 entry the
-    /// change could disturb: the column was its best server, or the old or
+    /// Refreshes the cached marginals of the candidates on server `j` after
+    /// its capacity or open state changed, invalidating any top-2 entry the
+    /// change could disturb: the candidate was its app's best, or the old or
     /// new value reaches into the cached top-2 range.
     fn refresh_column(&mut self, j: usize) {
-        let servers = self.problem.num_servers();
-        for i in 0..self.problem.num_apps() {
-            let old = self.marginal[i * servers + j];
-            let new = self.marginal_cost(i, j).unwrap_or(f64::NAN);
+        for &(i, k) in &self.column[self.column_start[j]..self.column_start[j + 1]] {
+            let pos = self.row_start[i] + k;
+            let old = self.marginal[pos];
+            let new = self.marginal_cost(i, k);
             if old.to_bits() == new.to_bits() {
                 continue;
             }
-            self.marginal[i * servers + j] = new;
+            self.marginal[pos] = new;
             match self.top2[i] {
                 Top2::Dirty => {}
                 Top2::Infeasible => {
@@ -242,10 +303,10 @@ impl<'p> State<'p> {
                         self.top2[i] = Top2::Dirty;
                     }
                 }
-                Top2::Cached(best_j, _, second_c) => {
-                    // NaN comparisons are false, so an infeasible old/new
-                    // value never dirties through the value checks alone.
-                    if j == best_j || old <= second_c || new <= second_c {
+                Top2::Cached(best_k, _, second_c) => {
+                    // NaN comparisons are false, so a value that does not fit
+                    // never dirties through the value checks alone.
+                    if k == best_k || old <= second_c || new <= second_c {
                         self.top2[i] = Top2::Dirty;
                     }
                 }
@@ -253,27 +314,30 @@ impl<'p> State<'p> {
         }
     }
 
+    /// The cached marginals of app `i`'s candidates, in row order.
+    fn marginal_row(&self, i: usize) -> &[f64] {
+        &self.marginal[self.row_start[i]..self.row_start[i + 1]]
+    }
+
     /// The best and second-best marginal costs of app `i`, exactly as the
-    /// cold per-round scan computes them: `best` keeps the first server
+    /// cold per-round scan computes them: `best` keeps the first candidate
     /// attaining the strict running minimum, `second` is the minimum over
-    /// the remaining values.  Returns `None` when no server is feasible.
+    /// the remaining values.  Returns `None` when no candidate fits.
     fn top2(&mut self, i: usize) -> Option<(usize, f64, f64)> {
         if let Top2::Dirty = self.top2[i] {
             self.top2[i] = self.rescan_top2(i);
         }
         match self.top2[i] {
-            Top2::Cached(best_j, best_c, second_c) => Some((best_j, best_c, second_c)),
+            Top2::Cached(best_k, best_c, second_c) => Some((best_k, best_c, second_c)),
             Top2::Infeasible => None,
             Top2::Dirty => unreachable!("entry was just rescanned"),
         }
     }
 
     fn rescan_top2(&self, i: usize) -> Top2 {
-        let servers = self.problem.num_servers();
-        let row = &self.marginal[i * servers..(i + 1) * servers];
         let mut best: Option<(usize, f64)> = None;
         let mut second: Option<f64> = None;
-        for (j, &c) in row.iter().enumerate() {
+        for (k, &c) in self.marginal_row(i).iter().enumerate() {
             if c.is_nan() {
                 continue;
             }
@@ -287,44 +351,48 @@ impl<'p> State<'p> {
                     if let Some((_, bc)) = best {
                         second = Some(bc);
                     }
-                    best = Some((j, c));
+                    best = Some((k, c));
                 }
             }
         }
         match best {
-            Some((bj, bc)) => Top2::Cached(bj, bc, second.unwrap_or(f64::INFINITY)),
+            Some((bk, bc)) => Top2::Cached(bk, bc, second.unwrap_or(f64::INFINITY)),
             None => Top2::Infeasible,
         }
     }
 
-    /// The cheapest feasible server for app `i` (first index on ties), read
-    /// from the cached marginal column — the same result a fresh
-    /// `marginal_cost` scan in ascending server order produces.
+    /// The cheapest candidate of app `i` that fits (first on ties), as
+    /// `(slot, marginal cost)`, read from the cached marginals — the same
+    /// result a fresh `marginal_cost` scan in ascending server order
+    /// produces.
     fn best_server(&self, i: usize) -> Option<(usize, f64)> {
-        let servers = self.problem.num_servers();
-        let row = &self.marginal[i * servers..(i + 1) * servers];
         let mut best: Option<(usize, f64)> = None;
-        for (j, &c) in row.iter().enumerate() {
+        for (k, &c) in self.marginal_row(i).iter().enumerate() {
             if !c.is_nan() && best.is_none_or(|(_, bc)| c < bc) {
-                best = Some((j, c));
+                best = Some((k, c));
             }
         }
         best
     }
 
-    fn place(&mut self, i: usize, j: usize) {
+    /// Places app `i` on its candidate `k`.
+    fn place(&mut self, i: usize, k: usize) {
         debug_assert!(self.assignment[i].is_none());
-        for (u, d) in self.used[j].iter_mut().zip(&self.problem.demand[i][j]) {
+        let candidate = &self.problem.candidates[i][k];
+        let j = candidate.server;
+        for (u, d) in self.used[j].iter_mut().zip(&candidate.demand) {
             *u += d;
         }
         self.app_count_per_server[j] += 1;
-        self.assignment[i] = Some(j);
+        self.assignment[i] = Some(k);
         self.refresh_column(j);
     }
 
     fn unplace(&mut self, i: usize) {
-        if let Some(j) = self.assignment[i].take() {
-            for (u, d) in self.used[j].iter_mut().zip(&self.problem.demand[i][j]) {
+        if let Some(k) = self.assignment[i].take() {
+            let candidate = &self.problem.candidates[i][k];
+            let j = candidate.server;
+            for (u, d) in self.used[j].iter_mut().zip(&candidate.demand) {
                 *u -= d;
             }
             self.app_count_per_server[j] -= 1;
@@ -335,23 +403,26 @@ impl<'p> State<'p> {
     fn total_cost(&mut self) -> f64 {
         let mut total = 0.0;
         self.opened_scratch.fill(false);
-        for (i, a) in self.assignment.iter().enumerate() {
-            if let Some(j) = a {
-                total += self.problem.cost[i][*j].unwrap_or(0.0);
-                if !self.problem.open[*j] && !self.opened_scratch[*j] {
-                    self.opened_scratch[*j] = true;
-                    total += self.problem.activation_cost[*j];
+        for (row, a) in self.problem.candidates.iter().zip(&self.assignment) {
+            if let Some(k) = a {
+                let candidate = &row[*k];
+                let j = candidate.server;
+                total += candidate.cost;
+                if !self.problem.open[j] && !self.opened_scratch[j] {
+                    self.opened_scratch[j] = true;
+                    total += self.problem.activation_cost[j];
                 }
             }
         }
         total
     }
 
-    /// Cheapest-feasible greedy in application order; O(apps · servers).
+    /// Cheapest-feasible greedy in application order; one scan of each
+    /// candidate row.
     fn greedy_construct_simple(&mut self) {
         for i in 0..self.problem.num_apps() {
-            if let Some((j, _)) = self.best_server(i) {
-                self.place(i, j);
+            if let Some((k, _)) = self.best_server(i) {
+                self.place(i, k);
             }
         }
     }
@@ -365,9 +436,9 @@ impl<'p> State<'p> {
             // (difference).  The cache holds exactly the values a fresh
             // scan would compute, so the chosen (app, server) matches the
             // uncached construction bit for bit.
-            let mut chosen: Option<(usize, usize, f64)> = None; // (pos, server, regret)
+            let mut chosen: Option<(usize, usize, f64)> = None; // (pos, slot, regret)
             for (pos, &i) in remaining.iter().enumerate() {
-                let Some((bj, bc, second)) = self.top2(i) else {
+                let Some((bk, bc, second)) = self.top2(i) else {
                     continue;
                 };
                 let regret = if second.is_finite() {
@@ -380,13 +451,13 @@ impl<'p> State<'p> {
                     Some((_, _, r)) => regret > *r,
                 };
                 if better {
-                    chosen = Some((pos, bj, regret));
+                    chosen = Some((pos, bk, regret));
                 }
             }
             match chosen {
-                Some((pos, server, _)) => {
+                Some((pos, slot, _)) => {
                     let app = remaining.remove(pos);
-                    self.place(app, server);
+                    self.place(app, slot);
                 }
                 None => break, // nothing placeable anymore
             }
@@ -402,15 +473,15 @@ impl<'p> State<'p> {
                 };
                 let before = self.total_cost();
                 self.unplace(i);
-                // The cheapest feasible server for i in the reduced state.
+                // The cheapest feasible candidate for i in the reduced state.
                 let best = self.best_server(i);
                 match best {
-                    Some((j, _)) => {
-                        self.place(i, j);
+                    Some((k, _)) => {
+                        self.place(i, k);
                         let after = self.total_cost();
                         if after < before - 1e-9 {
                             improved = true;
-                        } else if j != current {
+                        } else if k != current {
                             // Revert if no strict improvement.
                             self.unplace(i);
                             self.place(i, current);
@@ -431,7 +502,12 @@ impl<'p> State<'p> {
     fn finish(mut self) -> AssignmentSolution {
         let problem = self.problem;
         let cost = self.total_cost();
-        let assignment = self.assignment;
+        let assignment: Vec<Option<usize>> = problem
+            .candidates
+            .iter()
+            .zip(&self.assignment)
+            .map(|(row, a)| a.map(|k| row[k].server))
+            .collect();
         let unassigned = assignment
             .iter()
             .enumerate()
@@ -466,6 +542,41 @@ mod tests {
         [x, 0.0, 0.0]
     }
 
+    /// An instance from a dense cost matrix (`None` marks an infeasible
+    /// pair) and dense per-pair demands.
+    fn dense(
+        cost: Vec<Vec<Option<f64>>>,
+        demand: Vec<Vec<[f64; 3]>>,
+        capacity: Vec<[f64; 3]>,
+        activation_cost: Vec<f64>,
+        open: Vec<bool>,
+    ) -> AssignmentProblem {
+        let candidates = cost
+            .iter()
+            .zip(&demand)
+            .map(|(costs, demands)| {
+                costs
+                    .iter()
+                    .zip(demands)
+                    .enumerate()
+                    .filter_map(|(server, (c, d))| {
+                        c.map(|cost| Candidate {
+                            server,
+                            cost,
+                            demand: *d,
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        AssignmentProblem {
+            candidates,
+            capacity,
+            activation_cost,
+            open,
+        }
+    }
+
     /// The cost of the cheapest complete feasible assignment, found by
     /// enumerating all `servers^apps` assignments; `None` when no complete
     /// assignment is feasible.
@@ -491,13 +602,13 @@ mod tests {
 
     fn simple_problem() -> AssignmentProblem {
         // 2 apps, 2 servers, compute only.
-        AssignmentProblem {
-            cost: vec![vec![Some(10.0), Some(1.0)], vec![Some(2.0), Some(8.0)]],
-            demand: vec![vec![compute(1.0); 2]; 2],
-            capacity: vec![compute(2.0); 2],
-            activation_cost: vec![0.0, 0.0],
-            open: vec![true, true],
-        }
+        dense(
+            vec![vec![Some(10.0), Some(1.0)], vec![Some(2.0), Some(8.0)]],
+            vec![vec![compute(1.0); 2]; 2],
+            vec![compute(2.0); 2],
+            vec![0.0, 0.0],
+            vec![true, true],
+        )
     }
 
     #[test]
@@ -510,10 +621,14 @@ mod tests {
 
     #[test]
     fn respects_capacity() {
-        let mut p = simple_problem();
         // Both apps prefer server 1 but it only fits one.
-        p.cost = vec![vec![Some(10.0), Some(1.0)], vec![Some(10.0), Some(2.0)]];
-        p.capacity = vec![compute(2.0), compute(1.0)];
+        let p = dense(
+            vec![vec![Some(10.0), Some(1.0)], vec![Some(10.0), Some(2.0)]],
+            vec![vec![compute(1.0); 2]; 2],
+            vec![compute(2.0), compute(1.0)],
+            vec![0.0, 0.0],
+            vec![true, true],
+        );
         let sol = p.solve();
         assert!(sol.is_complete());
         let cost = p.evaluate(&sol.assignment).unwrap();
@@ -526,13 +641,13 @@ mod tests {
     fn activation_cost_consolidates_servers() {
         // Two apps; server 0 slightly more expensive per app but open,
         // server 1 cheaper per app but has a huge activation cost.
-        let p = AssignmentProblem {
-            cost: vec![vec![Some(5.0), Some(4.0)], vec![Some(5.0), Some(4.0)]],
-            demand: vec![vec![compute(1.0); 2]; 2],
-            capacity: vec![compute(2.0); 2],
-            activation_cost: vec![0.0, 100.0],
-            open: vec![true, false],
-        };
+        let p = dense(
+            vec![vec![Some(5.0), Some(4.0)], vec![Some(5.0), Some(4.0)]],
+            vec![vec![compute(1.0); 2]; 2],
+            vec![compute(2.0); 2],
+            vec![0.0, 100.0],
+            vec![true, false],
+        );
         let sol = p.solve();
         assert_eq!(sol.assignment, vec![Some(0), Some(0)]);
         assert!(sol.newly_opened.is_empty());
@@ -542,13 +657,13 @@ mod tests {
     #[test]
     fn activation_cost_paid_once() {
         // Cheap closed server worth opening for both apps.
-        let p = AssignmentProblem {
-            cost: vec![vec![Some(50.0), Some(1.0)], vec![Some(50.0), Some(1.0)]],
-            demand: vec![vec![compute(1.0); 2]; 2],
-            capacity: vec![compute(2.0); 2],
-            activation_cost: vec![0.0, 10.0],
-            open: vec![true, false],
-        };
+        let p = dense(
+            vec![vec![Some(50.0), Some(1.0)], vec![Some(50.0), Some(1.0)]],
+            vec![vec![compute(1.0); 2]; 2],
+            vec![compute(2.0); 2],
+            vec![0.0, 10.0],
+            vec![true, false],
+        );
         let sol = p.solve();
         assert_eq!(sol.assignment, vec![Some(1), Some(1)]);
         assert_eq!(sol.newly_opened, vec![1]);
@@ -557,13 +672,13 @@ mod tests {
 
     #[test]
     fn infeasible_pairs_are_avoided() {
-        let p = AssignmentProblem {
-            cost: vec![vec![None, Some(3.0)], vec![Some(2.0), None]],
-            demand: vec![vec![compute(1.0); 2]; 2],
-            capacity: vec![compute(1.0); 2],
-            activation_cost: vec![0.0, 0.0],
-            open: vec![true, true],
-        };
+        let p = dense(
+            vec![vec![None, Some(3.0)], vec![Some(2.0), None]],
+            vec![vec![compute(1.0); 2]; 2],
+            vec![compute(1.0); 2],
+            vec![0.0, 0.0],
+            vec![true, true],
+        );
         let sol = p.solve();
         assert_eq!(sol.assignment, vec![Some(1), Some(0)]);
         assert!(sol.is_complete());
@@ -572,13 +687,13 @@ mod tests {
     #[test]
     fn overloaded_instance_reports_unassigned() {
         // Two apps, one server with capacity for one.
-        let p = AssignmentProblem {
-            cost: vec![vec![Some(1.0)], vec![Some(1.0)]],
-            demand: vec![vec![compute(1.0)]; 2],
-            capacity: vec![compute(1.0)],
-            activation_cost: vec![0.0],
-            open: vec![true],
-        };
+        let p = dense(
+            vec![vec![Some(1.0)], vec![Some(1.0)]],
+            vec![vec![compute(1.0)]; 2],
+            vec![compute(1.0)],
+            vec![0.0],
+            vec![true],
+        );
         let sol = p.solve();
         assert_eq!(sol.unassigned.len(), 1);
         assert!(!sol.is_complete());
@@ -592,7 +707,7 @@ mod tests {
         tight.capacity = vec![compute(1.0), compute(2.0)];
         assert!(tight.evaluate(&[Some(0), Some(0)]).is_none());
         let mut infeasible = p.clone();
-        infeasible.cost[0][0] = None;
+        infeasible.candidates[0].remove(0);
         assert!(infeasible.evaluate(&[Some(0), Some(1)]).is_none());
         assert!(p.evaluate(&[Some(0)]).is_none());
         assert!(p.evaluate(&[None, Some(1)]).is_none());
@@ -600,13 +715,7 @@ mod tests {
 
     #[test]
     fn empty_problem_is_handled() {
-        let p = AssignmentProblem {
-            cost: vec![],
-            demand: vec![],
-            capacity: vec![],
-            activation_cost: vec![],
-            open: vec![],
-        };
+        let p = dense(vec![], vec![], vec![], vec![], vec![]);
         let sol = p.solve();
         assert_eq!(sol.cost, 0.0);
         assert!(sol.assignment.is_empty());
@@ -617,10 +726,30 @@ mod tests {
         let mut p = simple_problem();
         p.activation_cost = vec![0.0];
         assert!(p.validate().is_err());
-        let mut p2 = simple_problem();
-        p2.cost[0] = vec![Some(1.0)];
-        assert!(p2.validate().is_err());
         assert!(simple_problem().validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_unsorted_duplicate_and_out_of_range_rows() {
+        let mut unsorted = simple_problem();
+        unsorted.candidates[0].swap(0, 1);
+        assert!(unsorted.validate().is_err());
+        let mut duplicate = simple_problem();
+        duplicate.candidates[1][1].server = 0;
+        assert!(duplicate.validate().is_err());
+        let mut out_of_range = simple_problem();
+        out_of_range.candidates[0][1].server = 2;
+        assert!(out_of_range.validate().is_err());
+    }
+
+    #[test]
+    fn candidate_finds_listed_pairs_only() {
+        let mut p = simple_problem();
+        p.candidates[0].remove(0);
+        assert_eq!(p.candidate(0, 1).map(|c| c.cost), Some(1.0));
+        assert!(p.candidate(0, 0).is_none());
+        assert!(p.candidate(0, 2).is_none());
+        assert!(p.candidate(2, 0).is_none());
     }
 
     #[test]
@@ -629,8 +758,8 @@ mod tests {
         for _case in 0..20 {
             let apps = rng.gen_range(2..5);
             let servers = rng.gen_range(2..4);
-            let p = AssignmentProblem {
-                cost: (0..apps)
+            let p = dense(
+                (0..apps)
                     .map(|_| {
                         (0..servers)
                             .map(|_| {
@@ -643,19 +772,19 @@ mod tests {
                             .collect()
                     })
                     .collect(),
-                demand: (0..apps)
+                (0..apps)
                     .map(|_| {
                         (0..servers)
                             .map(|_| compute(rng.gen_range(0.5..2.0)))
                             .collect()
                     })
                     .collect(),
-                capacity: (0..servers)
+                (0..servers)
                     .map(|_| compute(rng.gen_range(2.0..5.0)))
                     .collect(),
-                activation_cost: (0..servers).map(|_| rng.gen_range(0.0..20.0)).collect(),
-                open: (0..servers).map(|_| rng.gen_bool(0.5)).collect(),
-            };
+                (0..servers).map(|_| rng.gen_range(0.0..20.0)).collect(),
+                (0..servers).map(|_| rng.gen_bool(0.5)).collect(),
+            );
             let heuristic = p.solve();
             let Some(exact_cost) = enumerate_optimum(&p) else {
                 continue;
@@ -679,25 +808,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(99);
         let apps = 50;
         let servers = 40;
-        let p = AssignmentProblem {
-            cost: (0..apps)
+        let p = dense(
+            (0..apps)
                 .map(|_| {
                     (0..servers)
                         .map(|_| Some(rng.gen_range(1.0..100.0)))
                         .collect()
                 })
                 .collect(),
-            demand: (0..apps)
+            (0..apps)
                 .map(|_| {
                     (0..servers)
                         .map(|_| [rng.gen_range(0.1..0.4), rng.gen_range(100.0..500.0), 0.0])
                         .collect()
                 })
                 .collect(),
-            capacity: vec![[1.0, 16_000.0, 0.0]; servers],
-            activation_cost: (0..servers).map(|_| rng.gen_range(0.0..50.0)).collect(),
-            open: (0..servers).map(|i| i % 2 == 0).collect(),
-        };
+            vec![[1.0, 16_000.0, 0.0]; servers],
+            (0..servers).map(|_| rng.gen_range(0.0..50.0)).collect(),
+            (0..servers).map(|i| i % 2 == 0).collect(),
+        );
         let sol = p.solve();
         assert!(sol.is_complete());
         assert!(p.evaluate(&sol.assignment).is_some());
@@ -712,24 +841,24 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let (apps, servers) = (240, 60);
         assert!(apps > REGRET_LIMIT);
-        let p = AssignmentProblem {
-            cost: (0..apps)
+        let p = dense(
+            (0..apps)
                 .map(|_| {
                     (0..servers)
                         .map(|j| Some(1.0 + j as f64 + rng.gen_range(0.0..0.5)))
                         .collect()
                 })
                 .collect(),
-            demand: (0..apps)
+            (0..apps)
                 .map(|_| {
                     let d = [rng.gen_range(0.15..0.25), rng.gen_range(100.0..500.0), 5.0];
                     vec![d; servers]
                 })
                 .collect(),
-            capacity: vec![[1.5, 16_000.0, 1_000.0]; servers],
-            activation_cost: (0..servers).map(|_| rng.gen_range(0.0..20.0)).collect(),
-            open: (0..servers).map(|j| j % 3 != 0).collect(),
-        };
+            vec![[1.5, 16_000.0, 1_000.0]; servers],
+            (0..servers).map(|_| rng.gen_range(0.0..20.0)).collect(),
+            (0..servers).map(|j| j % 3 != 0).collect(),
+        );
         let sol = p.solve();
         assert!(sol.is_complete());
         let evaluated = p.evaluate(&sol.assignment);

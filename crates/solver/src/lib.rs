@@ -27,8 +27,9 @@
 //!   routes large block-structured models here automatically;
 //! * [`assignment`] — a heuristic for the incremental placement problem (a
 //!   generalized assignment problem with server-activation costs under the
-//!   three resource limits of Eq. 1): greedy construction with regret
-//!   ordering plus local search;
+//!   three resource limits of Eq. 1) over per-application rows of feasible
+//!   candidate servers: greedy construction with regret ordering plus local
+//!   search;
 //! * [`mod@reference`] — the pre-rewrite dense Big-M tableau simplex and
 //!   cold-start branch-and-bound, retained **only** as differential-test
 //!   oracles and as the "before" side of `BENCH_solver.json`.
@@ -46,7 +47,7 @@ pub mod model;
 pub mod reference;
 pub mod simplex;
 
-pub use assignment::{AssignmentProblem, AssignmentSolution};
+pub use assignment::{AssignmentProblem, AssignmentSolution, Candidate};
 pub use branch_bound::{
     BranchBoundSolver, DecompStats, FactorStats, MilpOutcome, MilpSolution, MilpWorkspace,
     PricingStats,

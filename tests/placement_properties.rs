@@ -1,8 +1,9 @@
 //! Property tests for placement invariants over randomly generated
 //! `PlacementProblem`s: capacity is never exceeded in any resource
 //! dimension, every application is either placed or explicitly reported
-//! (in-band via `unplaced` or out-of-band via `PlacementError`), and
-//! placement is deterministic under a fixed seed.
+//! (in-band via `unplaced` or out-of-band via `PlacementError`), placement
+//! is deterministic under a fixed seed, and every policy's sparse pair costs
+//! equal the per-pair methods of `PlacementProblem` bit for bit.
 
 use carbonedge_core::{
     IncrementalPlacer, PlacementError, PlacementPolicy, PlacementProblem, ServerSnapshot,
@@ -44,6 +45,45 @@ fn random_problem(seed: u64, n_servers: usize, n_apps: usize) -> PlacementProble
         })
         .collect();
     PlacementProblem::new(servers, apps, 1.0).with_latency_model(LatencyModel::deterministic())
+}
+
+/// A problem for the sparse-cost property: A2, Gtx1080 and XeonCpu servers
+/// interleaved at random (so a run of one device ends mid-row), some powered
+/// off, and applications of every model — SciCpu runs on XeonCpu only — with
+/// SLOs tight enough that latency removes pairs too.
+fn mixed_device_problem(seed: u64, n_servers: usize, n_apps: usize) -> PlacementProblem {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let base = Coordinates::new(44.0, 7.0);
+    let devices = [DeviceKind::A2, DeviceKind::Gtx1080, DeviceKind::XeonCpu];
+    let servers: Vec<ServerSnapshot> = (0..n_servers)
+        .map(|j| {
+            let loc = Coordinates::new(
+                base.lat + rng.gen_range(-2.0..2.0),
+                base.lon + rng.gen_range(-3.0..3.0),
+            );
+            let device = devices[rng.gen_range(0..devices.len())];
+            ServerSnapshot::new(j, j / 2, ZoneId(j), device, loc)
+                .with_carbon_intensity(rng.gen_range(20.0..800.0))
+                .with_powered_on(rng.gen_bool(0.6))
+        })
+        .collect();
+    let apps: Vec<Application> = (0..n_apps)
+        .map(|i| {
+            let origin = Coordinates::new(
+                base.lat + rng.gen_range(-2.0..2.0),
+                base.lon + rng.gen_range(-3.0..3.0),
+            );
+            Application::new(
+                AppId(i),
+                ModelKind::ALL[rng.gen_range(0..ModelKind::ALL.len())],
+                rng.gen_range(2.0..30.0),
+                rng.gen_range(4.0..45.0),
+                origin,
+                0,
+            )
+        })
+        .collect();
+    PlacementProblem::new(servers, apps, 1.5).with_latency_model(LatencyModel::deterministic())
 }
 
 fn apps_entry(i: usize, rng: &mut StdRng, origin: Coordinates) -> Application {
@@ -161,6 +201,68 @@ proptest! {
                     (a, b) => {
                         prop_assert!(false, "diverging outcomes: {a:?} vs {b:?}");
                     }
+                }
+            }
+        }
+    }
+
+    /// `PlacementPolicy::costs` lists, for every policy, exactly the pairs
+    /// `is_feasible_pair` accepts, servers ascending, each priced by the
+    /// per-pair method it stands for (for the trade-off, the min-max
+    /// normalization of those methods' values), equal by `to_bits`.
+    #[test]
+    fn sparse_costs_match_the_per_pair_methods(
+        seed in 0u64..10_000, servers in 1usize..16, apps in 1usize..10, alpha in 0.0f64..1.0,
+    ) {
+        let problem = mixed_device_problem(seed, servers, apps);
+        let feasible: Vec<Vec<usize>> = (0..apps)
+            .map(|i| (0..servers).filter(|&j| problem.is_feasible_pair(i, j)).collect())
+            .collect();
+        let carbon = |i: usize, j: usize| problem.operational_carbon_g(i, j).unwrap();
+        let energy = |i: usize, j: usize| problem.energy_j(i, j).unwrap();
+        let min_span = |values: &[f64]| {
+            let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
+            let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            (min, (max - min).max(1e-12))
+        };
+        let pairs: Vec<(usize, usize)> = feasible
+            .iter()
+            .enumerate()
+            .flat_map(|(i, row)| row.iter().map(move |&j| (i, j)))
+            .collect();
+        let carbons: Vec<f64> = pairs.iter().map(|&(i, j)| carbon(i, j)).collect();
+        let energies: Vec<f64> = pairs.iter().map(|&(i, j)| energy(i, j)).collect();
+        let (cmin, cspan) = min_span(&carbons);
+        let (emin, espan) = min_span(&energies);
+        let policies = [
+            PlacementPolicy::CarbonAware,
+            PlacementPolicy::LatencyAware,
+            PlacementPolicy::EnergyAware,
+            PlacementPolicy::IntensityAware,
+            PlacementPolicy::CarbonEnergyTradeoff { alpha },
+        ];
+        for policy in policies {
+            let (costs, _) = policy.costs(&problem);
+            prop_assert_eq!(costs.num_apps(), apps);
+            prop_assert_eq!(costs.num_pairs(), pairs.len());
+            for (i, row_servers) in feasible.iter().enumerate() {
+                let listed: Vec<usize> = costs.row(i).iter().map(|&(j, _)| j).collect();
+                prop_assert!(&listed == row_servers,
+                    "{policy:?} app {i} lists {listed:?}, feasible {row_servers:?}");
+                for &(j, cost) in costs.row(i) {
+                    let expected = match policy {
+                        PlacementPolicy::CarbonAware => carbon(i, j),
+                        PlacementPolicy::LatencyAware => problem.latency_ms(i, j),
+                        PlacementPolicy::EnergyAware => energy(i, j),
+                        PlacementPolicy::IntensityAware => problem.servers[j].carbon_intensity,
+                        PlacementPolicy::CarbonEnergyTradeoff { alpha } => {
+                            alpha * (energy(i, j) - emin) / espan
+                                + (1.0 - alpha) * (carbon(i, j) - cmin) / cspan
+                        }
+                    };
+                    prop_assert!(cost.to_bits() == expected.to_bits(),
+                        "{policy:?} pair ({i}, {j}): {cost} vs {expected}");
+                    prop_assert_eq!(costs.get(i, j).map(f64::to_bits), Some(cost.to_bits()));
                 }
             }
         }
