@@ -98,6 +98,10 @@ pub struct PlacementDecision {
     /// Whether the exact MILP solver produced the decision (vs. the
     /// assignment heuristic).
     pub exact: bool,
+    /// Whether the exact path ran but returned no assignment — an
+    /// infeasible MILP, or the node limit reached without an incumbent — so
+    /// the heuristic decided instead (`exact` is then `false`).
+    pub exact_fallback: bool,
     /// Applications moved off their incumbent server (0 for stateless
     /// problems).
     pub moves: usize,
@@ -307,7 +311,8 @@ impl IncrementalPlacer {
             return Err(PlacementError::NoFeasibleServer(stranded));
         }
 
-        let exact_assignment = if apps * servers <= self.exact_size_limit {
+        let tried_exact = apps * servers <= self.exact_size_limit;
+        let exact_assignment = if tried_exact {
             self.solve_exact(problem, &pair_cost, &activation_cost)
         } else {
             None
@@ -353,6 +358,7 @@ impl IncrementalPlacer {
             unplaced,
             policy: self.policy.name(),
             exact,
+            exact_fallback: tried_exact && !exact,
             moves,
             migration_carbon_g,
         })
@@ -433,10 +439,10 @@ impl IncrementalPlacer {
         let mut model = Model::new();
         // x variables for feasible pairs only, in (app, server) order.  Each
         // app's assignment row is gathered on the way, and so is each
-        // server's column of (app, x, demand) terms, apps ascending.
+        // server's column of (x, demand) terms, apps ascending.
         let mut x: Vec<Vec<Option<VarId>>> = vec![vec![None; servers]; apps];
         let mut assign_rows = Vec::with_capacity(apps);
-        let mut columns: Vec<Vec<(usize, VarId, [f64; 3])>> = vec![Vec::new(); servers];
+        let mut columns: Vec<Vec<(VarId, [f64; 3])>> = vec![Vec::new(); servers];
         for (i, x_row) in x.iter_mut().enumerate() {
             let mut assign = LinearExpr::new();
             for &(j, cost) in pair_cost.row(i) {
@@ -445,7 +451,7 @@ impl IncrementalPlacer {
                 x_row[j] = Some(v);
                 assign.add(v, 1.0);
                 let demand = problem.demand(i, j).expect("feasible pair has demand");
-                columns[j].push((i, v, demand.to_array()));
+                columns[j].push((v, demand.to_array()));
             }
             assign_rows.push(assign);
         }
@@ -456,19 +462,14 @@ impl IncrementalPlacer {
         for (j, server) in problem.servers.iter().enumerate() {
             if server.powered_on {
                 // Power-state consistency (Eq. 4): already-on servers stay on.
-                model.add_constraint(
-                    LinearExpr::new().with(y[j], 1.0),
-                    Comparison::Equal,
-                    1.0,
-                    format!("power-consistency-{j}"),
-                );
+                model.add_constraint(LinearExpr::new().with(y[j], 1.0), Comparison::Equal, 1.0);
             } else {
                 model.set_objective_term(y[j], activation_cost[j]);
             }
         }
         // Assignment constraints (Eq. 3).
-        for (i, assign) in assign_rows.into_iter().enumerate() {
-            model.add_constraint(assign, Comparison::Equal, 1.0, format!("assign-{i}"));
+        for assign in assign_rows {
+            model.add_constraint(assign, Comparison::Equal, 1.0);
         }
         // Capacity constraints per server and resource dimension (Eq. 1),
         // with the y_j coupling, and x <= y linking (Eq. 5).
@@ -476,20 +477,19 @@ impl IncrementalPlacer {
             let capacity = problem.servers[j].available.to_array();
             for (k, cap_k) in capacity.into_iter().enumerate() {
                 let mut expr = LinearExpr::new();
-                for (_, v, demand) in column {
+                for (v, demand) in column {
                     expr.add(*v, demand[k]);
                 }
                 expr.add(y[j], -cap_k);
                 if !expr.terms.is_empty() {
-                    model.add_constraint(expr, Comparison::LessEq, 0.0, format!("cap-{j}-{k}"));
+                    model.add_constraint(expr, Comparison::LessEq, 0.0);
                 }
             }
-            for (i, v, _) in column {
+            for (v, _) in column {
                 model.add_constraint(
                     LinearExpr::new().with(*v, 1.0).with(y[j], -1.0),
                     Comparison::LessEq,
                     0.0,
-                    format!("active-{i}-{j}"),
                 );
             }
         }
@@ -764,6 +764,61 @@ mod tests {
             .unwrap();
         assert!(!heuristic.exact);
         assert!((exact.total_carbon_g - heuristic.total_carbon_g).abs() < 1e-6);
+    }
+
+    #[test]
+    fn only_a_failed_exact_path_is_a_fallback() {
+        let p = green_and_dirty_problem(30.0);
+        let exact = IncrementalPlacer::new(PlacementPolicy::CarbonAware)
+            .place(&p)
+            .unwrap();
+        assert!(exact.exact);
+        assert!(!exact.exact_fallback);
+        let heuristic = IncrementalPlacer::new(PlacementPolicy::CarbonAware)
+            .heuristic_only()
+            .place(&p)
+            .unwrap();
+        assert!(!heuristic.exact);
+        assert!(!heuristic.exact_fallback);
+    }
+
+    #[test]
+    fn an_infeasible_milp_falls_back_to_the_heuristic_visibly() {
+        // Eight ResNet50 apps at 40 rps use 0.52 of an A2 each, so one A2
+        // takes a single app: the MILP over the 8 pairs is infeasible, and
+        // the heuristic places what fits.
+        let servers = vec![ServerSnapshot::new(
+            0,
+            0,
+            ZoneId(0),
+            DeviceKind::A2,
+            Coordinates::new(48.14, 11.58),
+        )
+        .with_carbon_intensity(550.0)];
+        let apps: Vec<Application> = (0..8)
+            .map(|i| {
+                Application::new(
+                    AppId(i),
+                    ModelKind::ResNet50,
+                    40.0,
+                    40.0,
+                    Coordinates::new(48.14, 11.58),
+                    0,
+                )
+            })
+            .collect();
+        let p = PlacementProblem::new(servers, apps, 1.0)
+            .with_latency_model(LatencyModel::deterministic());
+        let placer = IncrementalPlacer::new(PlacementPolicy::CarbonAware);
+        let model = placer.build_model(&p);
+        assert_eq!(
+            placer.milp_solver.clone().solve(&model.model).outcome,
+            MilpOutcome::Infeasible
+        );
+        let d = placer.place(&p).unwrap();
+        assert!(!d.exact);
+        assert!(d.exact_fallback);
+        assert_eq!(d.unplaced, (1..8).collect::<Vec<_>>());
     }
 
     #[test]

@@ -277,6 +277,10 @@ pub struct CdnResult {
     pub solver_pivots: usize,
     /// Number of epochs decided by the exact MILP path.
     pub exact_decisions: usize,
+    /// Number of decisions whose exact path ran but found no assignment,
+    /// so the heuristic decided instead (see
+    /// `PlacementDecision::exact_fallback`).
+    pub exact_fallbacks: usize,
     /// Applications moved between servers across all epoch boundaries (the
     /// run's churn).
     pub moves: usize,
@@ -757,6 +761,7 @@ impl CdnSimulator {
         let mut epochs = Vec::with_capacity(config.epoch.epoch_count());
         let pivots_before = placer.milp_solver.accumulated_pivots();
         let mut exact_decisions = 0usize;
+        let mut exact_fallbacks = 0usize;
         let mut moves_total = 0usize;
         let mut migration_total = 0.0f64;
 
@@ -800,6 +805,7 @@ impl CdnSimulator {
                     .place(&problem)
                     .expect("CDN placement has feasible options");
                 exact_decisions += usize::from(decision.exact);
+                exact_fallbacks += usize::from(decision.exact_fallback);
 
                 // Serve under this decision until the next trigger.
                 let segment_hours = match engine.as_mut() {
@@ -898,6 +904,7 @@ impl CdnSimulator {
             site_names: self.sites.iter().map(|(n, _, _, _)| n.clone()).collect(),
             solver_pivots: placer.milp_solver.accumulated_pivots() - pivots_before,
             exact_decisions,
+            exact_fallbacks,
             moves: moves_total,
             migration_carbon_g: migration_total,
             serving: engine.map(ServingEngine::finish),
@@ -1490,6 +1497,7 @@ mod tests {
         assert_eq!(a.site_names, b.site_names);
         assert_eq!(a.solver_pivots, b.solver_pivots);
         assert_eq!(a.exact_decisions, b.exact_decisions);
+        assert_eq!(a.exact_fallbacks, b.exact_fallbacks);
         assert_eq!(a.moves, b.moves);
         assert_eq!(a.migration_carbon_g, b.migration_carbon_g);
         assert_eq!(a.serving, b.serving);
@@ -1548,5 +1556,22 @@ mod tests {
         let heuristic = sim.run(PlacementPolicy::CarbonAware);
         assert_eq!(heuristic.solver_pivots, 0);
         assert_eq!(heuristic.exact_decisions, 0);
+    }
+
+    #[test]
+    fn exact_fallbacks_are_counted() {
+        // A node limit of zero ends every exact solve without an incumbent,
+        // so each epoch's exact path hands its batch to the heuristic.
+        let mut config = CdnConfig::new(ZoneArea::Europe).with_site_limit(3);
+        config.servers_per_site = 2;
+        let sim = CdnSimulator::new(config);
+        let mut placer = IncrementalPlacer::new(PlacementPolicy::CarbonAware);
+        placer.milp_solver.max_nodes = 0;
+        let result = sim.run_with(&placer);
+        assert_eq!(result.exact_decisions, 0);
+        assert_eq!(result.exact_fallbacks, result.epochs.len());
+        assert_eq!(result.exact_fallbacks, 12);
+        // A heuristic-only run never tries the exact path.
+        assert_eq!(sim.run(PlacementPolicy::CarbonAware).exact_fallbacks, 0);
     }
 }

@@ -100,61 +100,99 @@ pub struct HeterogeneityResult {
     pub outcome: PolicyOutcome,
 }
 
-/// Runs the heterogeneity experiment across all cluster kinds and the four
-/// policies of Figure 15, returning one result per (cluster, policy).
-pub fn run_heterogeneity(config: &HeterogeneityConfig) -> Vec<HeterogeneityResult> {
-    let catalog = ZoneCatalog::worldwide();
-    let region = MesoscaleRegion::resolve(config.region, &catalog);
-    let traces = catalog.generate_traces(config.seed);
-    let now = HourOfYear::new(config.hour);
-    let latency_model = LatencyModel::deterministic();
+/// The deployment of Figures 15 and 16, generated once per experiment: the
+/// sites of the configured region, each priced at its zone's carbon
+/// intensity at the configured hour of the seeded traces.
+pub(crate) struct Deployment {
+    config: HeterogeneityConfig,
+    region: MesoscaleRegion,
+    /// Carbon intensity per site, in region member order.
+    intensity: Vec<f64>,
+}
 
-    let mut results = Vec::new();
-    for cluster in ClusterKind::ALL {
-        // Build server snapshots: each site hosts `devices()` servers.
+impl Deployment {
+    /// Resolves the region and prices its sites.
+    pub(crate) fn new(config: &HeterogeneityConfig) -> Self {
+        let catalog = ZoneCatalog::worldwide();
+        let region = MesoscaleRegion::resolve(config.region, &catalog);
+        let traces = catalog.generate_traces(config.seed);
+        let now = HourOfYear::new(config.hour);
+        let intensity = region
+            .zones
+            .iter()
+            .map(|zone| traces[zone.index()].at(now))
+            .collect();
+        Self {
+            config: config.clone(),
+            region,
+            intensity,
+        }
+    }
+
+    /// The one-hour placement problem of `cluster`: each site hosts one
+    /// server per device of the cluster and receives
+    /// `apps_per_model_per_site` applications of each GPU model at the
+    /// configured rate and SLO.
+    pub(crate) fn problem(&self, cluster: ClusterKind) -> PlacementProblem {
+        let sites = self.region.zones.iter().zip(&self.region.members);
         let mut servers = Vec::new();
-        for (site_idx, (zone, (_, loc))) in
-            region.zones.iter().zip(region.members.iter()).enumerate()
-        {
+        for (site_idx, ((zone, (_, loc)), intensity)) in sites.zip(&self.intensity).enumerate() {
             for device in cluster.devices() {
                 servers.push(
                     ServerSnapshot::new(servers.len(), site_idx, *zone, device, *loc)
-                        .with_carbon_intensity(traces[zone.index()].at(now)),
+                        .with_carbon_intensity(*intensity),
                 );
             }
         }
-        // Applications: a mix of the three GPU models at each site.
         let mut apps = Vec::new();
-        for (_, loc) in &region.members {
+        for (_, loc) in &self.region.members {
             for model in ModelKind::GPU_MODELS {
-                for _ in 0..config.apps_per_model_per_site {
+                for _ in 0..self.config.apps_per_model_per_site {
                     apps.push(Application::new(
                         AppId(apps.len()),
                         model,
-                        config.request_rate_rps,
-                        config.latency_slo_ms,
+                        self.config.request_rate_rps,
+                        self.config.latency_slo_ms,
                         *loc,
                         0,
                     ));
                 }
             }
         }
+        PlacementProblem::new(servers, apps, 1.0).with_latency_model(LatencyModel::deterministic())
+    }
+}
+
+/// Places `problem` with the assignment heuristic under `policy` and totals
+/// the decision.
+pub(crate) fn place_heuristic(
+    problem: &PlacementProblem,
+    policy: PlacementPolicy,
+) -> PolicyOutcome {
+    let decision = IncrementalPlacer::new(policy)
+        .heuristic_only()
+        .place(problem)
+        .expect("heterogeneous deployment placement feasible");
+    PolicyOutcome {
+        carbon_g: decision.total_carbon_g,
+        energy_j: decision.total_energy_j,
+        mean_latency_ms: decision.mean_latency_ms,
+        placed_apps: problem.apps.len() - decision.unplaced.len(),
+    }
+}
+
+/// Runs the heterogeneity experiment across all cluster kinds and the four
+/// policies of Figure 15, returning one result per (cluster, policy).
+pub fn run_heterogeneity(config: &HeterogeneityConfig) -> Vec<HeterogeneityResult> {
+    let deployment = Deployment::new(config);
+    let mut results = Vec::new();
+    for cluster in ClusterKind::ALL {
+        let problem = deployment.problem(cluster);
         for policy in PlacementPolicy::BASELINE_SET {
-            let problem = PlacementProblem::new(servers.clone(), apps.clone(), 1.0)
-                .with_latency_model(latency_model.clone());
-            let decision = IncrementalPlacer::new(policy)
-                .heuristic_only()
-                .place(&problem)
-                .expect("heterogeneity placement feasible");
             results.push(HeterogeneityResult {
                 cluster: cluster.name(),
                 policy: policy.name(),
-                outcome: PolicyOutcome {
-                    carbon_g: decision.total_carbon_g,
-                    energy_j: decision.total_energy_j,
-                    mean_latency_ms: decision.mean_latency_ms,
-                    placed_apps: apps.len() - decision.unplaced.len(),
-                },
+                outcome: place_heuristic(&problem, policy),
             });
         }
     }

@@ -12,16 +12,28 @@
 //! anytime solver that reports the best incumbent found (mirroring how
 //! OR-Tools is used with a time limit in the paper's placement service).
 //!
+//! There is one search and two node LPs.  A model without the placement
+//! block structure (or below [`BranchBoundSolver::decomp_min_vars`]) is
+//! searched monolithically: each node solves its LP relaxation over the
+//! full model.  A block-structured model is searched over its
+//! Dantzig–Wolfe restricted master instead, and each node's LP is column
+//! generation over that master ([`crate::decomp`]).  Node selection,
+//! branching, incumbent verification against the original model and the
+//! memoized re-solve are the same code on both routes.
+//!
 //! The workspace persists inside the solver behind a mutex, so successive
 //! `solve` calls — e.g. the per-epoch placements of
 //! `carbonedge_core::IncrementalPlacer` — reuse all buffers without
-//! reallocating.
+//! reallocating.  The resident basis is reused only when it was loaded for
+//! the same route and the same structure (matrix, right-hand sides and
+//! bounds of the full model or of the master view); any other solve
+//! reloads it cold.
 
-use crate::decomp::{solve_decomposed, BlockStructure, DecompState};
+use crate::decomp::{self, BlockStructure};
 use crate::model::Model;
 use crate::simplex::{LpOutcome, Prepared, SimplexSolver, SimplexWorkspace};
 use std::collections::BinaryHeap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Status of a MILP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,14 +78,6 @@ pub struct PricingStats {
     /// Dantzig→Bland fallback activations (one per degenerate streak that
     /// exceeded the Bland threshold) summed across every LP solve.
     pub bland_activations: usize,
-}
-
-impl PricingStats {
-    /// Accumulates the most recent LP solve's counters from a workspace.
-    pub(crate) fn absorb(&mut self, simplex: &SimplexWorkspace) {
-        self.devex_resets += simplex.last_devex_resets();
-        self.bland_activations += simplex.last_bland_activations();
-    }
 }
 
 /// Column-generation statistics of a decomposition-path MILP solve
@@ -122,24 +126,24 @@ impl MilpSolution {
 }
 
 /// Sentinel for "no parent" / "no branching decision" (the root node).
-pub(crate) const NO_VAR: u32 = u32::MAX;
+const NO_VAR: u32 = u32::MAX;
 
 /// One arena entry: the branching decision that distinguishes this node
 /// from its parent.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct NodeRec {
-    pub(crate) parent: u32,
-    pub(crate) var: u32,
-    pub(crate) fixed: f64,
+struct NodeRec {
+    parent: u32,
+    var: u32,
+    fixed: f64,
 }
 
 /// Heap entry; ordered so the *smallest* relaxation bound pops first
 /// (ties broken by insertion order for determinism).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct OpenNode {
-    pub(crate) bound: f64,
-    pub(crate) seq: u32,
-    pub(crate) node: u32,
+struct OpenNode {
+    bound: f64,
+    seq: u32,
+    node: u32,
 }
 
 impl PartialEq for OpenNode {
@@ -167,14 +171,25 @@ impl Ord for OpenNode {
 }
 
 /// Scratch arena shared by every node of a search and across successive
-/// searches: prepared matrix, simplex workspace, node records, open queue
-/// and incumbent buffers.
+/// searches, on either route: prepared matrix, simplex workspace, node
+/// records, open queue, incumbent buffers, the memo of the previous search
+/// and, on the decomposition route, the master's column-activation state.
 #[derive(Debug, Default)]
-pub struct MilpWorkspace {
-    prep: Prepared,
-    simplex: SimplexWorkspace,
+pub(crate) struct MilpWorkspace {
+    /// The full model, or the restricted master's row view of it.
+    pub(crate) prep: Prepared,
+    pub(crate) simplex: SimplexWorkspace,
     /// Whether `prep`/`simplex` have been loaded at least once.
     loaded: bool,
+    /// Whether the resident `prep` is a decomposition master.  The row mask
+    /// alone cannot tell: a block model without linking rows masks nothing.
+    decomposed: bool,
+    /// Master only, per structural column: whether the restricted master
+    /// may use it (bounds `[0, 1]`) or it is still pinned to `[0, 0]`.
+    /// Monotone within and across solves of one model; rebuilt on reload.
+    pub(crate) active: Vec<bool>,
+    /// Master only, pricing scratch: columns selected for activation.
+    pub(crate) to_activate: Vec<usize>,
     nodes: Vec<NodeRec>,
     open: BinaryHeap<OpenNode>,
     touched: Vec<u32>,
@@ -200,16 +215,12 @@ pub struct MilpWorkspace {
     /// Variable/row counts of the most recent model solved through this
     /// workspace (the model as given, before decomposition drops rows).
     last_dims: (usize, usize),
-    /// Scratch state of the Dantzig–Wolfe decomposition path (restricted
-    /// master, activation flags, node arena) — persistent for the same
-    /// warm-restart reasons as the monolithic fields above.
-    decomp: DecompState,
     /// Memoized result of the previous search, returned verbatim (with
     /// zero pivots, since no simplex work runs) when the next model is
-    /// bit-identical — matrix, right-hand sides, bounds *and* costs — and
-    /// the solver configuration is unchanged.  This is what makes a
-    /// same-model re-solve an exact fixed point even on degenerate models
-    /// with tied optimal vertices, where replaying the search from a
+    /// bit-identical — matrix, right-hand sides, bounds *and* costs — on the
+    /// same route and the solver configuration is unchanged.  This is what
+    /// makes a same-model re-solve an exact fixed point even on degenerate
+    /// models with tied optimal vertices, where replaying the search from a
     /// (numerically different) eta-file state could land on another tie.
     last_solution: Option<MilpSolution>,
     last_max_nodes: usize,
@@ -217,25 +228,11 @@ pub struct MilpWorkspace {
 }
 
 impl MilpWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops any resident basis so the next solve cold-starts (buffers and
-    /// their allocations are kept).  Callers that interleave solves of
-    /// *different* problem streams — e.g. a sweep worker moving to another
-    /// cell — use this to keep results independent of which stream a
-    /// worker happened to serve before.
-    pub fn discard_warm_start(&mut self) {
-        self.loaded = false;
-        self.last_solution = None;
-        self.decomp.discard_warm_start();
-    }
-
     /// Applies a node's bound diffs (the chain of branching decisions up to
     /// the root) onto the simplex workspace, undoing the previous node's
-    /// diffs first.  O(depth) and allocation-free.
+    /// diffs first.  O(depth) and allocation-free.  Branch variables are
+    /// always usable columns, so undoing a diff restores the natural
+    /// `[0, 1]` on either route.
     fn apply_bounds(&mut self, node: u32) {
         for &v in &self.touched {
             self.simplex.reset_var_bounds(&self.prep, v as usize);
@@ -255,6 +252,21 @@ impl MilpWorkspace {
             cur = rec.parent;
         }
     }
+
+    /// Solves the resident LP from the current basis and adds the solve's
+    /// pivots and pricing-ladder counters to the search's totals.
+    pub(crate) fn solve_lp(
+        &mut self,
+        lp: &SimplexSolver,
+        pivots: &mut usize,
+        pricing: &mut PricingStats,
+    ) -> LpOutcome {
+        let outcome = lp.solve_workspace(&self.prep, &mut self.simplex);
+        *pivots += self.simplex.last_pivots();
+        pricing.devex_resets += self.simplex.last_devex_resets();
+        pricing.bland_activations += self.simplex.last_bland_activations();
+        outcome
+    }
 }
 
 /// Branch-and-bound solver configuration plus its reusable workspace.
@@ -267,12 +279,12 @@ pub struct BranchBoundSolver {
     /// Integrality tolerance.
     pub tolerance: f64,
     /// Models with at least this many variables are tried on the
-    /// Dantzig–Wolfe decomposition path ([`crate::decomp`]) first: if the
-    /// model has the assignment-with-activation block structure the
-    /// column-generation master solves it with far fewer rows, otherwise
-    /// the solve falls through to monolithic search.  Set to `usize::MAX`
-    /// to force the monolithic path, `0` to force decomposition onto any
-    /// detectable model (bench overrides).
+    /// Dantzig–Wolfe decomposition route ([`crate::decomp`]) first: if the
+    /// model has the assignment-with-activation block structure the search
+    /// runs over the column-generation master with far fewer rows,
+    /// otherwise it runs monolithically.  Set to `usize::MAX` to force the
+    /// monolithic route, `0` to force decomposition onto any detectable
+    /// model (bench overrides).
     pub decomp_min_vars: usize,
     /// Scratch arena reused across nodes and across successive solves.
     workspace: Mutex<MilpWorkspace>,
@@ -292,7 +304,7 @@ impl Default for BranchBoundSolver {
             max_nodes: 50_000,
             tolerance: 1e-6,
             decomp_min_vars: DECOMP_MIN_VARS,
-            workspace: Mutex::new(MilpWorkspace::new()),
+            workspace: Mutex::default(),
         }
     }
 }
@@ -305,7 +317,7 @@ impl Clone for BranchBoundSolver {
             max_nodes: self.max_nodes,
             tolerance: self.tolerance,
             decomp_min_vars: self.decomp_min_vars,
-            workspace: Mutex::new(MilpWorkspace::new()),
+            workspace: Mutex::default(),
         }
     }
 }
@@ -324,11 +336,15 @@ impl BranchBoundSolver {
         }
     }
 
-    pub(crate) fn most_fractional_binary(
-        &self,
-        binaries: &[usize],
-        values: &[f64],
-    ) -> Option<usize> {
+    /// Locks the internal workspace, recovering the guard if an earlier
+    /// solve panicked while holding it.
+    fn lock(&self) -> MutexGuard<'_, MilpWorkspace> {
+        self.workspace
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    fn most_fractional_binary(&self, binaries: &[usize], values: &[f64]) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for &vi in binaries {
             let val = values[vi];
@@ -345,22 +361,36 @@ impl BranchBoundSolver {
     }
 
     /// Drops the internal workspace's resident basis so the next solve
-    /// cold-starts from a canonical state (allocations are kept).
+    /// cold-starts from a canonical state (allocations are kept).  Callers
+    /// that interleave solves of *different* problem streams — e.g. a sweep
+    /// worker moving to another cell — use this to keep results independent
+    /// of which stream a worker happened to serve before.
     pub fn discard_warm_start(&self) {
-        self.workspace
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .discard_warm_start();
+        let mut ws = self.lock();
+        ws.loaded = false;
+        ws.last_solution = None;
     }
 
     /// Solves the MILP to optimality (or best effort within the node
     /// limit), reusing the solver's internal workspace.
+    ///
+    /// Large models with the placement block structure are searched over
+    /// the decomposition master, which drops the `x ≤ y` linking rows
+    /// outright; every other model is searched monolithically as given.
+    /// When the model has the same constraint matrix, right-hand sides and
+    /// bounds as the previous solve on the same route, the resident simplex
+    /// basis is reused: identical costs return the memoized result, changed
+    /// costs restart primal phase-2 from the old optimum — the repeated
+    /// re-optimization pattern of a placement service re-solving as carbon
+    /// intensities shift epoch to epoch.
     pub fn solve(&self, model: &Model) -> MilpSolution {
-        let mut ws = self
-            .workspace
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let solution = self.solve_with_workspace(model, &mut ws);
+        let structure = if model.num_vars() >= self.decomp_min_vars {
+            BlockStructure::detect(model)
+        } else {
+            None
+        };
+        let mut ws = self.lock();
+        let solution = self.search(model, structure.as_ref(), &mut ws);
         ws.accumulated_pivots += solution.pivots;
         ws.accumulated_factor.refactorizations += solution.factor.refactorizations;
         ws.accumulated_factor.peak_eta_len = ws
@@ -385,13 +415,8 @@ impl BranchBoundSolver {
     /// solver's internal workspace.  Reading the counter before and after a
     /// stream of placements gives the per-run pivot count — e.g. the
     /// epoch-to-epoch warm-restart work of a year-long simulation.
-    /// (Callers driving `solve_with_workspace` directly track their own
-    /// counts from [`MilpSolution::pivots`].)
     pub fn accumulated_pivots(&self) -> usize {
-        self.workspace
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .accumulated_pivots
+        self.lock().accumulated_pivots
     }
 
     /// Factorization statistics accumulated across every [`Self::solve`]
@@ -399,78 +424,57 @@ impl BranchBoundSolver {
     /// eta length is the running maximum, fill-in ratio is the most recent
     /// solve that factorized).
     pub fn accumulated_factor_stats(&self) -> FactorStats {
-        self.workspace
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .accumulated_factor
+        self.lock().accumulated_factor
     }
 
     /// Pricing-ladder statistics accumulated across every [`Self::solve`]
     /// call on this solver's internal workspace.
     pub fn accumulated_pricing_stats(&self) -> PricingStats {
-        self.workspace
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .accumulated_pricing
+        self.lock().accumulated_pricing
     }
 
     /// Column-generation statistics accumulated across every [`Self::solve`]
     /// call on this solver's internal workspace (all zero when every solve
     /// took the monolithic path).
     pub fn accumulated_decomp_stats(&self) -> DecompStats {
-        self.workspace
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .accumulated_decomp
+        self.lock().accumulated_decomp
     }
 
     /// `(variables, rows)` of the most recent model solved through
     /// [`Self::solve`] — the model as given, before decomposition drops
     /// rows.
     pub fn last_model_dims(&self) -> (usize, usize) {
-        self.workspace
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .last_dims
+        self.lock().last_dims
     }
 
-    /// Solves the MILP in a caller-provided workspace (for callers that
-    /// manage their own scratch arenas or want to avoid the internal lock).
-    ///
-    /// When the model has the same constraint matrix, right-hand sides and
-    /// bounds as the previous solve, the resident simplex basis is reused:
-    /// identical costs warm-start the root through the dual simplex (often
-    /// zero pivots), changed costs restart primal phase-2 from the old
-    /// optimum — the repeated re-optimization pattern of a placement
-    /// service re-solving as carbon intensities shift epoch to epoch.
-    pub fn solve_with_workspace(&self, model: &Model, ws: &mut MilpWorkspace) -> MilpSolution {
-        // Large models with the placement block structure go to the
-        // decomposition master, which reduces the model by dropping the
-        // `x ≤ y` linking rows outright; every other model is searched
-        // monolithically as given.
-        if model.num_vars() >= self.decomp_min_vars {
-            if let Some(structure) = BlockStructure::detect(model) {
-                return solve_decomposed(self, model, &structure, &mut ws.decomp);
-            }
-        }
-        self.search(model, ws)
-    }
-
-    /// The monolithic branch-and-bound search over the full model.
-    fn search(&self, model: &Model, ws: &mut MilpWorkspace) -> MilpSolution {
-        if ws.loaded && ws.prep.matches_structure(model, &[]) {
+    /// The branch-and-bound search, over the full model or, given its
+    /// block `structure`, over the decomposition master.  The two routes
+    /// differ only in the node LP: one simplex solve, or column generation
+    /// ([`decomp::node_lp`]) whose integer candidates are still verified
+    /// against the full model, linking rows included.
+    fn search(
+        &self,
+        model: &Model,
+        structure: Option<&BlockStructure>,
+        ws: &mut MilpWorkspace,
+    ) -> MilpSolution {
+        let decomposed = structure.is_some();
+        let mask = structure.map_or(&[][..], |s| &s.linking[..]);
+        let mut stats = DecompStats::default();
+        if ws.loaded && ws.decomposed == decomposed && ws.prep.matches_structure(model, mask) {
             if ws.prep.refresh_costs(model) {
                 ws.simplex.invalidate_duals();
                 ws.last_solution = None;
             } else if ws.last_max_nodes == self.max_nodes && ws.last_tolerance == self.tolerance {
                 // Bit-identical model and configuration: the previous
-                // result is still the answer, and no simplex work is
-                // needed to reproduce it.
+                // result is still the answer, and no simplex or pricing
+                // work is needed to reproduce it.
                 if let Some(cached) = &ws.last_solution {
                     let mut solution = cached.clone();
                     solution.pivots = 0;
                     solution.factor = FactorStats::default();
                     solution.pricing = PricingStats::default();
+                    solution.decomp = decomposed.then(DecompStats::default);
                     return solution;
                 }
             }
@@ -480,10 +484,14 @@ impl BranchBoundSolver {
                 ws.simplex.reset_var_bounds(&ws.prep, v as usize);
             }
         } else {
-            ws.prep.load(model, &[]);
+            ws.prep.load(model, mask);
             ws.simplex.reset(&ws.prep);
             ws.loaded = true;
+            ws.decomposed = decomposed;
             ws.last_solution = None;
+            if let Some(structure) = structure {
+                decomp::load_master(model, structure, ws, &mut stats);
+            }
         }
         ws.simplex.reset_factor_stats();
         ws.nodes.clear();
@@ -526,9 +534,17 @@ impl BranchBoundSolver {
             nodes += 1;
 
             ws.apply_bounds(open.node);
-            let outcome = self.lp.solve_workspace(&ws.prep, &mut ws.simplex);
-            pivots += ws.simplex.last_pivots();
-            pricing.absorb(&ws.simplex);
+            let outcome = match structure {
+                Some(structure) => decomp::node_lp(
+                    &self.lp,
+                    structure,
+                    ws,
+                    &mut stats,
+                    &mut pivots,
+                    &mut pricing,
+                ),
+                None => ws.solve_lp(&self.lp, &mut pivots, &mut pricing),
+            };
             match outcome {
                 LpOutcome::Optimal => {}
                 // Infeasible nodes are pruned; unbounded relaxations of a
@@ -539,9 +555,10 @@ impl BranchBoundSolver {
             }
             let obj = ws.simplex.objective(&ws.prep);
             if open.node == 0 {
-                // Remember the root-optimal basis; the search re-installs
-                // it after exploring the tree so a repeated solve of the
-                // same model replays identically (see below).
+                // Remember the root-optimal (on a master: fully priced)
+                // basis; the search re-installs it after exploring the tree
+                // so a repeated solve of the same model replays identically
+                // (see below).
                 ws.simplex.snapshot_basis();
             }
             if have_incumbent && obj >= best_obj - self.tolerance {
@@ -552,6 +569,9 @@ impl BranchBoundSolver {
                 None => {
                     // Integer feasible: round binaries exactly and keep if
                     // improving (buffers reused, no per-incumbent clone).
+                    // The check is against the *original* model, so on a
+                    // master the dropped linking rows are re-checked and no
+                    // master artifact can become an incumbent.
                     ws.candidate.clear();
                     ws.candidate.extend_from_slice(ws.simplex.values());
                     for &b in &ws.binaries {
@@ -603,41 +623,31 @@ impl BranchBoundSolver {
             ws.simplex.restore_basis(&ws.prep);
         }
 
-        let factor = FactorStats {
-            refactorizations: ws.simplex.refactor_count(),
-            peak_eta_len: ws.simplex.peak_eta_len(),
-            fill_in_ratio: ws.simplex.fill_in_ratio(),
-        };
-        let solution = if have_incumbent {
-            MilpSolution {
-                outcome: if exhausted {
-                    MilpOutcome::Optimal
-                } else {
-                    MilpOutcome::Feasible
-                },
-                objective: best_obj,
-                values: ws.incumbent.clone(),
-                nodes,
-                pivots,
-                factor,
-                pricing,
-                decomp: None,
-            }
-        } else {
-            MilpSolution {
-                outcome: if exhausted {
-                    MilpOutcome::Infeasible
-                } else {
-                    MilpOutcome::NodeLimit
-                },
-                objective: f64::INFINITY,
-                values: vec![],
-                nodes,
-                pivots,
-                factor,
-                pricing,
-                decomp: None,
-            }
+        let solution = MilpSolution {
+            outcome: match (have_incumbent, exhausted) {
+                (true, true) => MilpOutcome::Optimal,
+                (true, false) => MilpOutcome::Feasible,
+                (false, true) => MilpOutcome::Infeasible,
+                (false, false) => MilpOutcome::NodeLimit,
+            },
+            // Both stay at their start (infinity, empty) without an
+            // incumbent.
+            objective: best_obj,
+            values: ws.incumbent.clone(),
+            nodes,
+            pivots,
+            factor: FactorStats {
+                refactorizations: ws.simplex.refactor_count(),
+                peak_eta_len: ws.simplex.peak_eta_len(),
+                fill_in_ratio: ws.simplex.fill_in_ratio(),
+            },
+            pricing,
+            // The pricing subproblems are closed-form, so every pivot of
+            // the decomposition route is a master pivot.
+            decomp: structure.map(|_| DecompStats {
+                master_pivots: pivots,
+                ..stats
+            }),
         };
         ws.last_solution = Some(solution.clone());
         ws.last_max_nodes = self.max_nodes;
@@ -670,7 +680,6 @@ mod tests {
             LinearExpr::new().with(a, 5.0).with(b, 4.0).with(c, 3.0),
             Comparison::LessEq,
             8.0,
-            "w",
         );
         let sol = BranchBoundSolver::new().solve(&m);
         assert_eq!(sol.outcome, MilpOutcome::Optimal);
@@ -693,14 +702,14 @@ mod tests {
                 x[i].push(v);
             }
             let expr = LinearExpr::new().with(x[i][0], 1.0).with(x[i][1], 1.0);
-            m.add_constraint(expr, Comparison::Equal, 1.0, format!("assign{i}"));
+            m.add_constraint(expr, Comparison::Equal, 1.0);
         }
         for j in 0..2 {
             let mut expr = LinearExpr::new();
             for row in &x {
                 expr.add(row[j], 1.0);
             }
-            m.add_constraint(expr, Comparison::LessEq, 2.0, format!("cap{j}"));
+            m.add_constraint(expr, Comparison::LessEq, 2.0);
         }
         let sol = BranchBoundSolver::new().solve(&m);
         assert_eq!(sol.outcome, MilpOutcome::Optimal);
@@ -715,13 +724,12 @@ mod tests {
         let mut m = Model::new();
         let a = m.add_binary();
         let b = m.add_binary();
-        m.add_constraint(LinearExpr::new().with(a, 1.0), Comparison::Equal, 1.0, "a1");
-        m.add_constraint(LinearExpr::new().with(b, 1.0), Comparison::Equal, 1.0, "a2");
+        m.add_constraint(LinearExpr::new().with(a, 1.0), Comparison::Equal, 1.0);
+        m.add_constraint(LinearExpr::new().with(b, 1.0), Comparison::Equal, 1.0);
         m.add_constraint(
             LinearExpr::new().with(a, 1.0).with(b, 1.0),
             Comparison::LessEq,
             1.0,
-            "cap",
         );
         let sol = BranchBoundSolver::new().solve(&m);
         assert_eq!(sol.outcome, MilpOutcome::Infeasible);
@@ -745,19 +753,16 @@ mod tests {
             LinearExpr::new().with(xa, 1.0).with(xb, 1.0),
             Comparison::Equal,
             1.0,
-            "assign",
         );
         m.add_constraint(
             LinearExpr::new().with(xa, 1.0).with(ya, -1.0),
             Comparison::LessEq,
             0.0,
-            "linkA",
         );
         m.add_constraint(
             LinearExpr::new().with(xb, 1.0).with(yb, -1.0),
             Comparison::LessEq,
             0.0,
-            "linkB",
         );
         let sol = BranchBoundSolver::new().solve(&m);
         assert_eq!(sol.outcome, MilpOutcome::Optimal);
@@ -778,7 +783,7 @@ mod tests {
             m.set_objective_term(*v, -vals[i]);
             cap.add(*v, weights[i]);
         }
-        m.add_constraint(cap, Comparison::LessEq, 10.0, "w");
+        m.add_constraint(cap, Comparison::LessEq, 10.0);
         let limited = BranchBoundSolver::with_node_limit(3).solve(&m);
         assert!(limited.nodes <= 3);
         let full = BranchBoundSolver::new().solve(&m);
@@ -801,7 +806,6 @@ mod tests {
             LinearExpr::new().with(x, 1.0).with(y, 2.0),
             Comparison::GreaterEq,
             3.0,
-            "cover",
         );
         let sol = BranchBoundSolver::new().solve(&m);
         assert_eq!(sol.outcome, MilpOutcome::Optimal);
@@ -835,14 +839,14 @@ mod tests {
                 for &v in &x[i] {
                     expr.add(v, 1.0);
                 }
-                m.add_constraint(expr, Comparison::Equal, 1.0, format!("assign{i}"));
+                m.add_constraint(expr, Comparison::Equal, 1.0);
             }
             for j in 0..servers {
                 let mut expr = LinearExpr::new();
                 for (row, &d) in x.iter().zip(demand.iter()) {
                     expr.add(row[j], d);
                 }
-                m.add_constraint(expr, Comparison::LessEq, capacity, format!("cap{j}"));
+                m.add_constraint(expr, Comparison::LessEq, capacity);
             }
             let sol = BranchBoundSolver::new().solve(&m);
 
@@ -886,7 +890,6 @@ mod tests {
             LinearExpr::new().with(a, 1.0).with(b, 2.0),
             Comparison::LessEq,
             2.0,
-            "cap",
         );
         let first = solver.solve(&knapsack);
 
@@ -901,7 +904,6 @@ mod tests {
             LinearExpr::new().with(p, 1.0).with(q, 1.0).with(r, 1.0),
             Comparison::LessEq,
             2.0,
-            "pick2",
         );
         let middle = solver.solve(&other);
         assert_eq!(middle.outcome, MilpOutcome::Optimal);
@@ -926,7 +928,7 @@ mod tests {
             m.set_objective_term(*v, -vals[i]);
             cap.add(*v, weights[i]);
         }
-        m.add_constraint(cap, Comparison::LessEq, 9.0, "w");
+        m.add_constraint(cap, Comparison::LessEq, 9.0);
         let sol = BranchBoundSolver::new().solve(&m);
         assert_eq!(sol.outcome, MilpOutcome::Optimal);
         assert!(sol.nodes >= 1);
@@ -944,7 +946,6 @@ mod tests {
             LinearExpr::new().with(a, 1.0).with(b, 1.0),
             Comparison::LessEq,
             1.0,
-            "pick-one",
         );
         let solver = BranchBoundSolver::new();
         assert_eq!(solver.accumulated_pivots(), 0);

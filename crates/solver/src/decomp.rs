@@ -24,30 +24,26 @@
 //!
 //! Columns are "generated" by relaxing their pinned bounds back to the
 //! natural `[0, 1]` — the prepared matrix never changes shape, so every
-//! master re-solve is a warm restart in the resident
-//! [`SimplexWorkspace`] and the epoch/migration cost-only re-solve
-//! contracts (memoized bit-identical re-solves at zero pivots) carry over
-//! from the monolithic path unchanged.
+//! master re-solve is a warm restart in the resident simplex workspace.
 //!
-//! Integer solutions come from **price-and-branch**: the search mirrors
-//! [`crate::branch_bound`] (best-first bound-ordered queue, parent-diff
-//! node arena, dual-simplex warm starts after bound fixings) but re-prices
-//! inside every node, and integer candidates are verified against the
-//! *full original model* — linking rows included — before they become
-//! incumbents.
+//! Integer solutions come from **price-and-branch**, and column generation
+//! is the node LP of the one branch-and-bound search
+//! ([`crate::branch_bound`]): the search loads the master instead of the
+//! full model, and `node_lp` re-prices inside every node.  Everything
+//! else is the search's own — the best-first queue, the parent-diff node
+//! arena, dual-simplex warm starts after bound fixings, the memoized
+//! bit-identical re-solve at zero pivots, and the verification of every
+//! integer candidate against the *full original model*, linking rows
+//! included, before it becomes an incumbent.
 //!
 //! Determinism: columns are seeded, priced and activated in ascending
 //! variable order, ties break toward the lower index, and nothing here
 //! reads a clock; repeated solves of a bit-identical model return the
 //! memoized solution with zero pivots.
 
-use crate::branch_bound::{
-    BranchBoundSolver, DecompStats, FactorStats, MilpOutcome, MilpSolution, NodeRec, OpenNode,
-    PricingStats, NO_VAR,
-};
+use crate::branch_bound::{DecompStats, MilpWorkspace, PricingStats};
 use crate::model::{Comparison, Model, VarKind};
-use crate::simplex::{kept_rows, LpOutcome, Prepared, SimplexWorkspace};
-use std::collections::BinaryHeap;
+use crate::simplex::{kept_rows, LpOutcome, Prepared, SimplexSolver};
 
 /// Feasibility slack used when the greedy seeding packs columns against
 /// row capacities and when integer candidates are checked.
@@ -257,70 +253,8 @@ impl BlockStructure {
     }
 }
 
-/// Persistent scratch state of the decomposition path: the restricted
-/// master's prepared row view and simplex workspace, the column activation
-/// flags, and the branch-and-price node arena.  Lives inside
-/// `MilpWorkspace` so successive solves reuse the resident basis exactly
-/// like the monolithic path does.
-#[derive(Debug, Default)]
-pub struct DecompState {
-    prep: Prepared,
-    simplex: SimplexWorkspace,
-    /// Whether `prep`/`simplex` have been loaded at least once.
-    loaded: bool,
-    /// Per structural column: whether the restricted master may use it
-    /// (bounds `[0, 1]`) or it is still pinned to `[0, 0]`.  Monotone
-    /// within and across solves of one model; rebuilt on structure change.
-    active: Vec<bool>,
-    /// Pricing scratch: columns selected for activation this round.
-    to_activate: Vec<usize>,
-    nodes: Vec<NodeRec>,
-    open: BinaryHeap<OpenNode>,
-    touched: Vec<u32>,
-    binaries: Vec<usize>,
-    candidate: Vec<f64>,
-    incumbent: Vec<f64>,
-    /// Memoized previous solution (see `MilpWorkspace::last_solution`):
-    /// returned with zero pivots when the model and configuration are
-    /// bit-identical, which keeps same-model re-solves exact fixed points.
-    last_solution: Option<MilpSolution>,
-    last_max_nodes: usize,
-    last_tolerance: f64,
-}
-
-impl DecompState {
-    /// Drops the resident master basis and activation set so the next
-    /// solve cold-starts (allocations are kept).
-    pub fn discard_warm_start(&mut self) {
-        self.loaded = false;
-        self.last_solution = None;
-    }
-
-    /// Applies a node's branching diffs onto the master workspace, undoing
-    /// the previous node's diffs first (mirror of
-    /// `MilpWorkspace::apply_bounds`; branch variables are always active
-    /// columns, so resetting them restores the natural `[0, 1]`).
-    fn apply_bounds(&mut self, node: u32) {
-        for &v in &self.touched {
-            self.simplex.reset_var_bounds(&self.prep, v as usize);
-        }
-        self.touched.clear();
-        let mut cur = node;
-        loop {
-            let rec = self.nodes[cur as usize];
-            if rec.var != NO_VAR {
-                self.simplex
-                    .set_var_bounds(rec.var as usize, rec.fixed, rec.fixed);
-                self.touched.push(rec.var);
-            }
-            if rec.parent == NO_VAR {
-                break;
-            }
-            cur = rec.parent;
-        }
-    }
-
-    /// Activates a pinned column: relaxes its master bounds back to the
+impl MilpWorkspace {
+    /// Activates a pinned master column: relaxes its bounds back to the
     /// natural `[0, 1]`.
     fn activate(&mut self, j: usize, stats: &mut DecompStats) {
         if !self.active[j] {
@@ -331,12 +265,6 @@ impl DecompState {
     }
 }
 
-/// Deterministic greedy seeding of the initial working set: walking the
-/// apps in row order, each app activates its cheapest column that still
-/// fits the remaining `≤`-row slack (assuming every activation variable at
-/// 1, i.e. maximum capacity), plus its unconditionally cheapest column so
-/// the convexity row always has somewhere to rest.  Ties break toward the
-/// earlier term.
 /// `true` when column `j`'s demands fit in the per-row residuals.
 fn column_fits(prep: &Prepared, remaining: &[f64], j: usize) -> bool {
     prep.col(j)
@@ -393,15 +321,21 @@ fn repair_stranded(
     None
 }
 
-/// Activates the initial working set of columns and returns the greedy
-/// integral assignment (one fitted column per app) when one was found —
-/// the crash-basis plan.  `None` means at least one app could not be
-/// packed even after the swap repair; the master then starts from the
-/// full-activation-safe working set and the cold dual walk.
+/// Deterministic greedy seeding of the initial working set: walking the
+/// apps in row order, each app activates its cheapest column that still
+/// fits the remaining `≤`-row slack (assuming every activation variable at
+/// 1, i.e. maximum capacity), plus its unconditionally cheapest column so
+/// the convexity row always has somewhere to rest.  Ties break toward the
+/// earlier term.
+///
+/// Returns the greedy integral assignment (one fitted column per app) when
+/// one was found — the crash-basis plan.  `None` means at least one app
+/// could not be packed even after the swap repair; the master then starts
+/// from the full-activation-safe working set and the cold dual walk.
 fn seed_columns(
     model: &Model,
     structure: &BlockStructure,
-    st: &mut DecompState,
+    ws: &mut MilpWorkspace,
     stats: &mut DecompStats,
 ) -> Option<Vec<usize>> {
     // Remaining slack per master row under full activation: `rhs` plus the
@@ -429,20 +363,20 @@ fn seed_columns(
         let mut cheapest: Option<(usize, f64)> = None;
         let mut fitting: Option<(usize, f64)> = None;
         for &j in app {
-            let cost = st.prep.col_cost(j);
+            let cost = ws.prep.col_cost(j);
             if cheapest.is_none_or(|(_, best)| cost < best) {
                 cheapest = Some((j, cost));
             }
-            if column_fits(&st.prep, &remaining, j) && fitting.is_none_or(|(_, best)| cost < best) {
+            if column_fits(&ws.prep, &remaining, j) && fitting.is_none_or(|(_, best)| cost < best) {
                 fitting = Some((j, cost));
             }
         }
         if let Some((j, _)) = fitting {
-            deduct_column(&st.prep, &mut remaining, j, 1.0);
+            deduct_column(&ws.prep, &mut remaining, j, 1.0);
             fitted[k] = Some(j);
-            st.activate(j, stats);
+            ws.activate(j, stats);
             if let Some((j, _)) = cheapest {
-                st.activate(j, stats);
+                ws.activate(j, stats);
             }
         } else {
             // Congested neighborhood: nothing fits in the greedy residual,
@@ -452,19 +386,19 @@ fn seed_columns(
             // keeps the master feasible whenever the full master is.
             stranded.push(k);
             for &j in app {
-                st.activate(j, stats);
+                ws.activate(j, stats);
             }
         }
     }
     for &k in &stranded {
-        repair_stranded(&st.prep, &structure.apps, &mut remaining, &mut fitted, k)?;
+        repair_stranded(&ws.prep, &structure.apps, &mut remaining, &mut fitted, k)?;
     }
     // A repair may have re-fitted an app onto a column outside the working
     // set; make sure every planned column is active.
     let plan: Vec<usize> = fitted.into_iter().collect::<Option<Vec<usize>>>()?;
     for &j in &plan {
-        if !st.active[j] {
-            st.activate(j, stats);
+        if !ws.active[j] {
+            ws.activate(j, stats);
         }
     }
     Some(plan)
@@ -495,33 +429,58 @@ fn crash_basis(model: &Model, structure: &BlockStructure, plan: &[usize]) -> Vec
     basic
 }
 
-/// Solves one node's LP relaxation to *full-master* optimality by column
-/// generation: solve the restricted master, price every pinned column
-/// against the master duals, activate all improving columns, repeat.  An
-/// infeasible restricted master activates every remaining column once
-/// before the verdict is trusted (the full master is a relaxation of the
-/// original model under the same fixings, so full-master infeasibility
-/// soundly prunes the node).
-fn node_lp(
-    solver: &BranchBoundSolver,
+/// Readies a freshly loaded master for its first search: pins every
+/// candidate column to `[0, 0]`, activates the greedy working set and, when
+/// the greedy found an integral assignment, seats it as the starting basis.
+pub(crate) fn load_master(
+    model: &Model,
     structure: &BlockStructure,
-    st: &mut DecompState,
+    ws: &mut MilpWorkspace,
     stats: &mut DecompStats,
+) {
+    ws.active.clear();
+    ws.active.resize(model.num_vars(), true);
+    for &j in &structure.x_cols {
+        ws.active[j] = false;
+        ws.simplex.set_var_bounds(j, 0.0, 0.0);
+    }
+    if let Some(plan) = seed_columns(model, structure, ws, stats) {
+        // The greedy seeding doubled as an integral, capacity-feasible
+        // assignment: seat it as the starting basis (block triangular,
+        // fill-in free) so the first master solve opens in phase-2 a few
+        // pivots from the optimum instead of cold dual-walking the whole
+        // row count.
+        let basic = crash_basis(model, structure, &plan);
+        ws.simplex
+            .install_crash_basis(&ws.prep, &basic, &structure.unpinned_y);
+    }
+}
+
+/// The node LP of the decomposition route: solves one node's relaxation to
+/// *full-master* optimality by column generation — solve the restricted
+/// master, price every pinned column against the master duals, activate
+/// all improving columns, repeat.  An infeasible restricted master
+/// activates every remaining column once before the verdict is trusted
+/// (the full master is a relaxation of the original model under the same
+/// fixings, so full-master infeasibility soundly prunes the node).
+pub(crate) fn node_lp(
+    lp: &SimplexSolver,
+    structure: &BlockStructure,
+    ws: &mut MilpWorkspace,
+    stats: &mut DecompStats,
+    pivots: &mut usize,
     pricing: &mut PricingStats,
 ) -> LpOutcome {
     let mut rescued = false;
     loop {
-        let outcome = solver.lp.solve_workspace(&st.prep, &mut st.simplex);
-        stats.master_pivots += st.simplex.last_pivots();
-        pricing.absorb(&st.simplex);
-        match outcome {
+        match ws.solve_lp(lp, pivots, pricing) {
             LpOutcome::Optimal => {}
             LpOutcome::Infeasible if !rescued => {
                 rescued = true;
                 let mut any = false;
                 for &j in &structure.x_cols {
-                    if !st.active[j] {
-                        st.activate(j, stats);
+                    if !ws.active[j] {
+                        ws.activate(j, stats);
                         any = true;
                     }
                 }
@@ -533,235 +492,37 @@ fn node_lp(
             other => return other,
         }
         stats.pricing_rounds += 1;
-        st.to_activate.clear();
+        ws.to_activate.clear();
         {
-            let duals = st.simplex.duals();
-            let prep = &st.prep;
+            let duals = ws.simplex.duals();
+            let prep = &ws.prep;
             for &j in &structure.x_cols {
-                if st.active[j] {
+                if ws.active[j] {
                     continue;
                 }
                 let mut rc = prep.col_cost(j);
                 for (r, a) in prep.col(j) {
                     rc -= duals[r] * a;
                 }
-                if rc < -solver.lp.tolerance {
-                    st.to_activate.push(j);
+                if rc < -lp.tolerance {
+                    ws.to_activate.push(j);
                 }
             }
         }
-        if st.to_activate.is_empty() {
+        if ws.to_activate.is_empty() {
             return LpOutcome::Optimal;
         }
-        for idx in 0..st.to_activate.len() {
-            let j = st.to_activate[idx];
-            st.activate(j, stats);
+        for idx in 0..ws.to_activate.len() {
+            let j = ws.to_activate[idx];
+            ws.activate(j, stats);
         }
     }
-}
-
-/// Branch-and-price over the restricted master.  Mirrors
-/// `BranchBoundSolver::search` — best-first queue, parent-diff arena,
-/// root-basis snapshot for the re-solve fixed point — with column
-/// generation inside every node and incumbents verified against the full
-/// original model (linking rows included).
-pub(crate) fn solve_decomposed(
-    solver: &BranchBoundSolver,
-    model: &Model,
-    structure: &BlockStructure,
-    st: &mut DecompState,
-) -> MilpSolution {
-    let mut stats = DecompStats::default();
-    let mut pricing = PricingStats::default();
-
-    if st.loaded && st.prep.matches_structure(model, &structure.linking) {
-        if st.prep.refresh_costs(model) {
-            st.simplex.invalidate_duals();
-            st.last_solution = None;
-        } else if st.last_max_nodes == solver.max_nodes && st.last_tolerance == solver.tolerance {
-            // Bit-identical master and configuration: the previous result
-            // is still the answer; no simplex or pricing work is needed.
-            if let Some(cached) = &st.last_solution {
-                let mut solution = cached.clone();
-                solution.pivots = 0;
-                solution.factor = FactorStats::default();
-                solution.pricing = PricingStats::default();
-                solution.decomp = Some(DecompStats::default());
-                return solution;
-            }
-        }
-        for &v in &st.touched {
-            st.simplex.reset_var_bounds(&st.prep, v as usize);
-        }
-        st.touched.clear();
-    } else {
-        st.prep.load(model, &structure.linking);
-        st.simplex.reset(&st.prep);
-        st.loaded = true;
-        st.last_solution = None;
-        st.active.clear();
-        st.active.resize(model.num_vars(), true);
-        for &j in &structure.x_cols {
-            st.active[j] = false;
-            st.simplex.set_var_bounds(j, 0.0, 0.0);
-        }
-        if let Some(plan) = seed_columns(model, structure, st, &mut stats) {
-            // The greedy seeding doubled as an integral, capacity-feasible
-            // assignment: seat it as the starting basis (block triangular,
-            // fill-in free) so the first master solve opens in phase-2 a
-            // few pivots from the optimum instead of cold dual-walking the
-            // whole row count.
-            let basic = crash_basis(model, structure, &plan);
-            st.simplex
-                .install_crash_basis(&st.prep, &basic, &structure.unpinned_y);
-        }
-    }
-    st.simplex.reset_factor_stats();
-    st.nodes.clear();
-    st.open.clear();
-    st.binaries.clear();
-    st.binaries
-        .extend(model.binary_vars().iter().map(|v| v.index()));
-    st.incumbent.clear();
-
-    st.nodes.push(NodeRec {
-        parent: NO_VAR,
-        var: NO_VAR,
-        fixed: 0.0,
-    });
-    st.open.push(OpenNode {
-        bound: f64::NEG_INFINITY,
-        seq: 0,
-        node: 0,
-    });
-    let mut seq = 1u32;
-
-    let mut have_incumbent = false;
-    let mut best_obj = f64::INFINITY;
-    let mut nodes = 0usize;
-    let mut exhausted = true;
-
-    while let Some(open) = st.open.pop() {
-        if nodes >= solver.max_nodes {
-            exhausted = false;
-            break;
-        }
-        if have_incumbent && open.bound >= best_obj - solver.tolerance {
-            break;
-        }
-        nodes += 1;
-
-        st.apply_bounds(open.node);
-        let outcome = node_lp(solver, structure, st, &mut stats, &mut pricing);
-        match outcome {
-            LpOutcome::Optimal => {}
-            _ => continue,
-        }
-        let obj = st.simplex.objective(&st.prep);
-        if open.node == 0 {
-            // Remember the fully-priced root-optimal basis; re-installed
-            // after the search so a repeated solve replays identically.
-            st.simplex.snapshot_basis();
-        }
-        if have_incumbent && obj >= best_obj - solver.tolerance {
-            continue;
-        }
-
-        match solver.most_fractional_binary(&st.binaries, st.simplex.values()) {
-            None => {
-                st.candidate.clear();
-                st.candidate.extend_from_slice(st.simplex.values());
-                for &b in &st.binaries {
-                    st.candidate[b] = st.candidate[b].round();
-                }
-                // Verify against the *original* model: the dropped linking
-                // rows are re-checked here, so no master artifact can ever
-                // become an incumbent.
-                if model.is_feasible(&st.candidate, 1e-5) {
-                    let candidate_obj = model.objective_value(&st.candidate);
-                    if !have_incumbent || candidate_obj < best_obj - solver.tolerance {
-                        have_incumbent = true;
-                        best_obj = candidate_obj;
-                        st.incumbent.clear();
-                        st.incumbent.extend_from_slice(&st.candidate);
-                    }
-                }
-            }
-            Some(branch_var) => {
-                for fixed in [1.0, 0.0] {
-                    let idx = st.nodes.len() as u32;
-                    st.nodes.push(NodeRec {
-                        parent: open.node,
-                        var: branch_var as u32,
-                        fixed,
-                    });
-                    st.open.push(OpenNode {
-                        bound: obj,
-                        seq,
-                        node: idx,
-                    });
-                    seq += 1;
-                }
-            }
-        }
-    }
-
-    // Rest on the fully-priced root-optimal basis (see
-    // `BranchBoundSolver::search` for the fixed-point rationale).
-    if nodes > 1 {
-        for &v in &st.touched {
-            st.simplex.reset_var_bounds(&st.prep, v as usize);
-        }
-        st.touched.clear();
-        st.simplex.restore_basis(&st.prep);
-    }
-
-    let factor = FactorStats {
-        refactorizations: st.simplex.refactor_count(),
-        peak_eta_len: st.simplex.peak_eta_len(),
-        fill_in_ratio: st.simplex.fill_in_ratio(),
-    };
-    let pivots = stats.master_pivots;
-    let solution = if have_incumbent {
-        MilpSolution {
-            outcome: if exhausted {
-                MilpOutcome::Optimal
-            } else {
-                MilpOutcome::Feasible
-            },
-            objective: best_obj,
-            values: st.incumbent.clone(),
-            nodes,
-            pivots,
-            factor,
-            pricing,
-            decomp: Some(stats),
-        }
-    } else {
-        MilpSolution {
-            outcome: if exhausted {
-                MilpOutcome::Infeasible
-            } else {
-                MilpOutcome::NodeLimit
-            },
-            objective: f64::INFINITY,
-            values: vec![],
-            nodes,
-            pivots,
-            factor,
-            pricing,
-            decomp: Some(stats),
-        }
-    };
-    st.last_solution = Some(solution.clone());
-    st.last_max_nodes = solver.max_nodes;
-    st.last_tolerance = solver.tolerance;
-    solution
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::branch_bound::{BranchBoundSolver, MilpOutcome};
     use crate::model::{LinearExpr, VarId};
 
     fn approx(a: f64, b: f64) -> bool {
@@ -800,20 +561,15 @@ mod tests {
             .collect();
         for (j, &pin) in pinned.iter().enumerate() {
             if pin {
-                m.add_constraint(
-                    LinearExpr::new().with(y[j], 1.0),
-                    Comparison::Equal,
-                    1.0,
-                    format!("pin{j}"),
-                );
+                m.add_constraint(LinearExpr::new().with(y[j], 1.0), Comparison::Equal, 1.0);
             }
         }
-        for (i, row) in x.iter().enumerate() {
+        for row in &x {
             let mut expr = LinearExpr::new();
             for v in row.iter().flatten() {
                 expr.add(*v, 1.0);
             }
-            m.add_constraint(expr, Comparison::Equal, 1.0, format!("assign{i}"));
+            m.add_constraint(expr, Comparison::Equal, 1.0);
         }
         for (j, &yv) in y.iter().enumerate() {
             let mut expr = LinearExpr::new();
@@ -826,16 +582,15 @@ mod tests {
                 continue;
             }
             expr.add(yv, -capacity);
-            m.add_constraint(expr, Comparison::LessEq, 0.0, format!("cap{j}"));
+            m.add_constraint(expr, Comparison::LessEq, 0.0);
         }
-        for (i, row) in x.iter().enumerate() {
+        for row in &x {
             for (j, v) in row.iter().enumerate() {
                 if let Some(v) = v {
                     m.add_constraint(
                         LinearExpr::new().with(*v, 1.0).with(y[j], -1.0),
                         Comparison::LessEq,
                         0.0,
-                        format!("link{i}_{j}"),
                     );
                 }
             }
@@ -874,18 +629,13 @@ mod tests {
         // Continuous variable.
         let mut m = Model::new();
         let x = m.add_continuous(0.0, 1.0);
-        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::Equal, 1.0, "r");
+        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::Equal, 1.0);
         assert!(BlockStructure::detect(&m).is_none());
 
         // `≥` row.
         let mut m = Model::new();
         let a = m.add_binary();
-        m.add_constraint(
-            LinearExpr::new().with(a, 1.0),
-            Comparison::GreaterEq,
-            1.0,
-            "r",
-        );
+        m.add_constraint(LinearExpr::new().with(a, 1.0), Comparison::GreaterEq, 1.0);
         assert!(BlockStructure::detect(&m).is_none());
 
         // Knapsack: a `≤` row but no convexity row.
@@ -898,7 +648,6 @@ mod tests {
             LinearExpr::new().with(a, 1.0).with(b, 2.0),
             Comparison::LessEq,
             2.0,
-            "cap",
         );
         assert!(BlockStructure::detect(&m).is_none());
 
@@ -909,12 +658,11 @@ mod tests {
         let y = m.add_binary();
         m.set_objective_term(x, 1.0);
         m.set_objective_term(y, 1.0);
-        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::Equal, 1.0, "a");
+        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::Equal, 1.0);
         m.add_constraint(
             LinearExpr::new().with(x, 1.0).with(y, -1.0),
             Comparison::LessEq,
             0.0,
-            "link",
         );
         assert!(BlockStructure::detect(&m).is_none());
     }
@@ -1046,5 +794,72 @@ mod tests {
         let forced = forced_decomp().solve(&m);
         assert!(forced.decomp.is_some());
         assert!(approx(auto.objective, forced.objective));
+    }
+
+    /// Four apps on three servers, unit demands, capacity 2 per server and
+    /// `costs` per app: capacity rows but no activation variables, so
+    /// `detect` accepts the model with no linking rows to drop.
+    fn unlinked_model(costs: [f64; 3]) -> Model {
+        let mut m = Model::new();
+        let x: Vec<Vec<VarId>> = (0..4)
+            .map(|_| {
+                costs
+                    .iter()
+                    .map(|&c| {
+                        let v = m.add_binary();
+                        m.set_objective_term(v, c);
+                        v
+                    })
+                    .collect()
+            })
+            .collect();
+        for row in &x {
+            let mut expr = LinearExpr::new();
+            for &v in row {
+                expr.add(v, 1.0);
+            }
+            m.add_constraint(expr, Comparison::Equal, 1.0);
+        }
+        for j in 0..3 {
+            let mut expr = LinearExpr::new();
+            for row in &x {
+                expr.add(row[j], 1.0);
+            }
+            m.add_constraint(expr, Comparison::LessEq, 2.0);
+        }
+        m
+    }
+
+    #[test]
+    fn switching_paths_on_one_solver_matches_a_fresh_solver() {
+        // With no linking rows the master's row mask selects every row, so
+        // only the route itself tells a master from a full model: a solver
+        // switched between routes must not restart one route from the
+        // other's resident state.
+        let first = unlinked_model([1.0, 5.0, 9.0]);
+        let second = unlinked_model([9.0, 5.0, 1.0]);
+        let structure = BlockStructure::detect(&first).expect("assignment shape");
+        assert_eq!(structure.num_linking_rows(), 0);
+
+        let mut solver = BranchBoundSolver::new();
+        for (min_vars, model) in [(0, &first), (usize::MAX, &second), (0, &first)] {
+            solver.decomp_min_vars = min_vars;
+            let switched = solver.solve(model);
+            let mut fresh = BranchBoundSolver::new();
+            fresh.decomp_min_vars = min_vars;
+            let expected = fresh.solve(model);
+            assert_eq!(switched.outcome, MilpOutcome::Optimal);
+            assert_eq!(switched.outcome, expected.outcome);
+            assert_eq!(
+                switched.objective.to_bits(),
+                expected.objective.to_bits(),
+                "objective {} vs fresh {}",
+                switched.objective,
+                expected.objective
+            );
+            assert_eq!(switched.values, expected.values);
+            assert_eq!(switched.decomp.is_some(), min_vars == 0);
+            assert_eq!(expected.decomp.is_some(), min_vars == 0);
+        }
     }
 }

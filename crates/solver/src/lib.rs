@@ -19,12 +19,12 @@
 //!   binary variables: best-first node selection from a bound-ordered
 //!   priority queue, compact parent-diff node records, and dual-simplex
 //!   warm starts in a scratch workspace shared across nodes and solves;
-//! * [`decomp`] — a Dantzig–Wolfe column-generation path for
-//!   assignment-shaped placement MILPs: the restricted master drops the
-//!   `x ≤ y` linking rows and activates columns on demand via bound
-//!   relaxation, pricing is a closed-form pass over the inactive columns,
-//!   and integer answers come from price-and-branch; `BranchBoundSolver`
-//!   routes large block-structured models here automatically;
+//! * [`decomp`] — Dantzig–Wolfe column generation for assignment-shaped
+//!   placement MILPs, as the node LP of the one branch-and-bound search:
+//!   the restricted master drops the `x ≤ y` linking rows and activates
+//!   columns on demand via bound relaxation, and pricing is a closed-form
+//!   pass over the inactive columns; `BranchBoundSolver` searches large
+//!   block-structured models over the master automatically;
 //! * [`assignment`] — a heuristic for the incremental placement problem (a
 //!   generalized assignment problem with server-activation costs under the
 //!   three resource limits of Eq. 1) over per-application rows of feasible
@@ -49,10 +49,9 @@ pub mod simplex;
 
 pub use assignment::{AssignmentProblem, AssignmentSolution, Candidate};
 pub use branch_bound::{
-    BranchBoundSolver, DecompStats, FactorStats, MilpOutcome, MilpSolution, MilpWorkspace,
-    PricingStats,
+    BranchBoundSolver, DecompStats, FactorStats, MilpOutcome, MilpSolution, PricingStats,
 };
-pub use decomp::{BlockStructure, DecompState};
+pub use decomp::BlockStructure;
 pub use factor::BasisFactor;
 pub use model::{Comparison, Constraint, LinearExpr, Model, VarId, VarKind};
 pub use reference::{DenseSimplexSolver, ReferenceBranchBound};

@@ -98,8 +98,6 @@ pub struct Constraint {
     pub cmp: Comparison,
     /// Right-hand side constant.
     pub rhs: f64,
-    /// Optional human-readable name for diagnostics.
-    pub name: String,
 }
 
 impl Constraint {
@@ -178,19 +176,8 @@ impl Model {
     }
 
     /// Adds a constraint; returns its index.
-    pub fn add_constraint(
-        &mut self,
-        expr: LinearExpr,
-        cmp: Comparison,
-        rhs: f64,
-        name: impl Into<String>,
-    ) -> usize {
-        self.constraints.push(Constraint {
-            expr,
-            cmp,
-            rhs,
-            name: name.into(),
-        });
+    pub fn add_constraint(&mut self, expr: LinearExpr, cmp: Comparison, rhs: f64) -> usize {
+        self.constraints.push(Constraint { expr, cmp, rhs });
         self.constraints.len() - 1
     }
 
@@ -251,7 +238,6 @@ mod tests {
             LinearExpr::new().with(a, 1.0).with(b, 2.0),
             Comparison::LessEq,
             2.0,
-            "capacity",
         );
         m
     }
@@ -340,19 +326,16 @@ mod tests {
             expr: expr.clone(),
             cmp: Comparison::LessEq,
             rhs: 1.0,
-            name: String::new(),
         };
         let ge = Constraint {
             expr: expr.clone(),
             cmp: Comparison::GreaterEq,
             rhs: 1.0,
-            name: String::new(),
         };
         let eq = Constraint {
             expr,
             cmp: Comparison::Equal,
             rhs: 1.0,
-            name: String::new(),
         };
         assert!(le.is_satisfied(&[0.5], 1e-9));
         assert!(!le.is_satisfied(&[1.5], 1e-9));

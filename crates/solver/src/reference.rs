@@ -507,7 +507,6 @@ mod tests {
             LinearExpr::new().with(x, 1.0).with(y, 1.0),
             Comparison::LessEq,
             4.0,
-            "cap",
         );
         let sol = DenseSimplexSolver::new().solve(&m);
         assert_eq!(sol.outcome, LpOutcome::Optimal);
@@ -519,13 +518,8 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_continuous(0.0, 10.0);
         m.set_objective_term(x, 1.0);
-        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::LessEq, 1.0, "a");
-        m.add_constraint(
-            LinearExpr::new().with(x, 1.0),
-            Comparison::GreaterEq,
-            2.0,
-            "b",
-        );
+        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::LessEq, 1.0);
+        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::GreaterEq, 2.0);
         assert_eq!(
             DenseSimplexSolver::new().solve(&m).outcome,
             LpOutcome::Infeasible
@@ -554,7 +548,6 @@ mod tests {
             LinearExpr::new().with(a, 5.0).with(b, 4.0).with(c, 3.0),
             Comparison::LessEq,
             8.0,
-            "w",
         );
         let sol = ReferenceBranchBound::new().solve(&m);
         assert_eq!(sol.outcome, MilpOutcome::Optimal);
@@ -566,13 +559,12 @@ mod tests {
         let mut m = Model::new();
         let a = m.add_binary();
         let b = m.add_binary();
-        m.add_constraint(LinearExpr::new().with(a, 1.0), Comparison::Equal, 1.0, "a1");
-        m.add_constraint(LinearExpr::new().with(b, 1.0), Comparison::Equal, 1.0, "a2");
+        m.add_constraint(LinearExpr::new().with(a, 1.0), Comparison::Equal, 1.0);
+        m.add_constraint(LinearExpr::new().with(b, 1.0), Comparison::Equal, 1.0);
         m.add_constraint(
             LinearExpr::new().with(a, 1.0).with(b, 1.0),
             Comparison::LessEq,
             1.0,
-            "cap",
         );
         let sol = ReferenceBranchBound::new().solve(&m);
         assert_eq!(sol.outcome, MilpOutcome::Infeasible);

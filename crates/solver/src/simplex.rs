@@ -1543,7 +1543,6 @@ mod tests {
             LinearExpr::new().with(x, 1.0).with(y, 1.0),
             Comparison::LessEq,
             4.0,
-            "cap",
         );
         let sol = SimplexSolver::new().solve(&m);
         assert_eq!(sol.outcome, LpOutcome::Optimal);
@@ -1564,7 +1563,6 @@ mod tests {
             LinearExpr::new().with(x, 1.0).with(y, 1.0),
             Comparison::Equal,
             5.0,
-            "eq",
         );
         let sol = SimplexSolver::new().solve(&m);
         assert_eq!(sol.outcome, LpOutcome::Optimal);
@@ -1584,7 +1582,6 @@ mod tests {
             LinearExpr::new().with(x, 1.0).with(y, 1.0),
             Comparison::GreaterEq,
             4.0,
-            "cover",
         );
         let sol = SimplexSolver::new().solve(&m);
         assert_eq!(sol.outcome, LpOutcome::Optimal);
@@ -1597,13 +1594,8 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_continuous(0.0, 10.0);
         m.set_objective_term(x, 1.0);
-        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::LessEq, 1.0, "a");
-        m.add_constraint(
-            LinearExpr::new().with(x, 1.0),
-            Comparison::GreaterEq,
-            2.0,
-            "b",
-        );
+        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::LessEq, 1.0);
+        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::GreaterEq, 2.0);
         let sol = SimplexSolver::new().solve(&m);
         assert_eq!(sol.outcome, LpOutcome::Infeasible);
     }
@@ -1640,7 +1632,6 @@ mod tests {
             LinearExpr::new().with(x, 1.0).with(y, 1.0),
             Comparison::LessEq,
             1.0,
-            "one",
         );
         // Fix x = 0; then y should go to 1.
         let sol = SimplexSolver::new().solve_with_bounds(&m, &[Some((0.0, 0.0)), None]);
@@ -1681,7 +1672,6 @@ mod tests {
             LinearExpr::new().with(x, 1.0).with(y, 1.0),
             Comparison::GreaterEq,
             -3.0,
-            "floor",
         );
         let sol = SimplexSolver::new().solve(&m);
         assert_eq!(sol.outcome, LpOutcome::Optimal);
@@ -1698,20 +1688,20 @@ mod tests {
             .map(|_| (0..2).map(|_| m.add_binary()).collect())
             .collect();
         let costs = [[5.0, 1.0], [2.0, 4.0]];
-        for (i, (x_row, cost_row)) in x.iter().zip(costs.iter()).enumerate() {
+        for (x_row, cost_row) in x.iter().zip(costs.iter()) {
             let mut expr = LinearExpr::new();
             for (&v, &cost) in x_row.iter().zip(cost_row.iter()) {
                 m.set_objective_term(v, cost);
                 expr.add(v, 1.0);
             }
-            m.add_constraint(expr, Comparison::Equal, 1.0, format!("assign{i}"));
+            m.add_constraint(expr, Comparison::Equal, 1.0);
         }
         for j in 0..2 {
             let mut expr = LinearExpr::new();
             for row in &x {
                 expr.add(row[j], 1.0);
             }
-            m.add_constraint(expr, Comparison::LessEq, 1.0, format!("cap{j}"));
+            m.add_constraint(expr, Comparison::LessEq, 1.0);
         }
         let sol = SimplexSolver::new().solve(&m);
         assert_eq!(sol.outcome, LpOutcome::Optimal);
@@ -1734,7 +1724,6 @@ mod tests {
             LinearExpr::new().with(a, 5.0).with(b, 4.0).with(c, 3.0),
             Comparison::LessEq,
             8.0,
-            "w",
         );
         let solver = SimplexSolver::new();
         let prep = solver.prepare(&m);
@@ -1768,7 +1757,6 @@ mod tests {
             LinearExpr::new().with(x, 1.0).with(y, 1.0),
             Comparison::Equal,
             1.0,
-            "one",
         );
         let solver = SimplexSolver::new();
         let prep = solver.prepare(&m);
@@ -1799,13 +1787,8 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_continuous(f64::NEG_INFINITY, f64::INFINITY);
         m.set_objective_term(x, 1.0);
-        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::Equal, 5.0, "hi");
-        m.add_constraint(
-            LinearExpr::new().with(x, 1.0),
-            Comparison::Equal,
-            -5.0,
-            "lo",
-        );
+        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::Equal, 5.0);
+        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::Equal, -5.0);
         let sol = SimplexSolver::new().solve(&m);
         assert_eq!(sol.outcome, LpOutcome::Infeasible);
     }
@@ -1817,18 +1800,8 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_continuous(-3.0, f64::INFINITY);
         m.set_objective_term(x, -1.0);
-        m.add_constraint(
-            LinearExpr::new().with(x, 1.0),
-            Comparison::LessEq,
-            -2.0,
-            "cap",
-        );
-        m.add_constraint(
-            LinearExpr::new().with(x, -1.0),
-            Comparison::LessEq,
-            0.0,
-            "nonneg",
-        );
+        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::LessEq, -2.0);
+        m.add_constraint(LinearExpr::new().with(x, -1.0), Comparison::LessEq, 0.0);
         let sol = SimplexSolver::new().solve(&m);
         assert_eq!(sol.outcome, LpOutcome::Infeasible);
     }
@@ -1840,18 +1813,8 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_continuous(-3.0, f64::INFINITY);
         m.set_objective_term(x, -1.0);
-        m.add_constraint(
-            LinearExpr::new().with(x, 1.0),
-            Comparison::LessEq,
-            4.0,
-            "cap",
-        );
-        m.add_constraint(
-            LinearExpr::new().with(x, -1.0),
-            Comparison::LessEq,
-            0.0,
-            "nonneg",
-        );
+        m.add_constraint(LinearExpr::new().with(x, 1.0), Comparison::LessEq, 4.0);
+        m.add_constraint(LinearExpr::new().with(x, -1.0), Comparison::LessEq, 0.0);
         let sol = SimplexSolver::new().solve(&m);
         assert_eq!(sol.outcome, LpOutcome::Optimal);
         assert!(approx(sol.objective, -4.0), "obj {}", sol.objective);
@@ -1872,13 +1835,11 @@ mod tests {
             LinearExpr::new().with(x, 1.0).with(y, 1.0),
             Comparison::LessEq,
             4.0,
-            "cap",
         );
         m.add_constraint(
             LinearExpr::new().with(x, 1.0).with(y, -1.0),
             Comparison::LessEq,
             3.0,
-            "skew",
         );
         let solver = SimplexSolver::new();
         let prep = solver.prepare(&m);
@@ -1931,9 +1892,9 @@ mod tests {
         for &v in &y {
             m.set_objective_term(v, 0.5);
         }
-        for (i, row) in x.iter().enumerate() {
+        for row in &x {
             let expr = LinearExpr::new().with(row[0], 1.0).with(row[1], 1.0);
-            m.add_constraint(expr, Comparison::Equal, 1.0, format!("assign{i}"));
+            m.add_constraint(expr, Comparison::Equal, 1.0);
         }
         for (j, &yj) in y.iter().enumerate() {
             let mut cap = LinearExpr::new();
@@ -1941,11 +1902,11 @@ mod tests {
                 cap.add(row[j], 1.0);
             }
             cap.add(yj, -capacity);
-            m.add_constraint(cap, Comparison::LessEq, 0.0, format!("cap{j}"));
+            m.add_constraint(cap, Comparison::LessEq, 0.0);
             if linking {
-                for (i, row) in x.iter().enumerate() {
+                for row in &x {
                     let link = LinearExpr::new().with(row[j], 1.0).with(yj, -1.0);
-                    m.add_constraint(link, Comparison::LessEq, 0.0, format!("link{i}_{j}"));
+                    m.add_constraint(link, Comparison::LessEq, 0.0);
                 }
             }
         }
@@ -2002,7 +1963,7 @@ mod tests {
             }
             m.set_objective_term(vars[2], -5.0);
             let row = LinearExpr::new().with(vars[0], 1.0).with(vars[3], 1.0);
-            m.add_constraint(row, Comparison::LessEq, 1.0, "r");
+            m.add_constraint(row, Comparison::LessEq, 1.0);
             Prepared::build(&m)
         };
         let forward = build([0, 1, 2, 3]);

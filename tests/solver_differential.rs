@@ -305,7 +305,7 @@ fn random_model(rng: &mut StdRng) -> Model {
         }
     }
     let rows = rng.gen_range(0..6);
-    for r in 0..rows {
+    for _ in 0..rows {
         let mut expr = LinearExpr::new();
         for &v in &vars {
             if rng.gen_bool(0.6) {
@@ -322,7 +322,7 @@ fn random_model(rng: &mut StdRng) -> Model {
         };
         // Bias right-hand sides toward feasible magnitudes.
         let rhs = rng.gen_range(-4.0..8.0);
-        m.add_constraint(expr, cmp, rhs, format!("r{r}"));
+        m.add_constraint(expr, cmp, rhs);
     }
     m
 }
@@ -365,11 +365,10 @@ fn revised_simplex_matches_dense_oracle_on_random_models() {
             // constraint satisfied and every value inside its (relaxed)
             // bounds.  Binaries may be fractional here, so `is_feasible`
             // (which checks integrality) is deliberately not used.
-            for c in model.constraints() {
+            for (r, c) in model.constraints().iter().enumerate() {
                 assert!(
                     c.is_satisfied(&a.values, 1e-5),
-                    "case {case}: constraint `{}` violated by the revised LP point",
-                    c.name
+                    "case {case}: constraint {r} violated by the revised LP point"
                 );
             }
             for (i, kind) in model.vars().iter().enumerate() {
@@ -466,7 +465,7 @@ fn sparse_random_model(rng: &mut StdRng) -> Model {
             row_exprs[r].add(v, a);
         }
     }
-    for (r, expr) in row_exprs.into_iter().enumerate() {
+    for expr in row_exprs {
         if expr.terms.is_empty() {
             continue;
         }
@@ -476,7 +475,7 @@ fn sparse_random_model(rng: &mut StdRng) -> Model {
             _ => Comparison::LessEq,
         };
         // Integer right-hand sides keep degenerate ties frequent.
-        m.add_constraint(expr, cmp, rng.gen_range(-2..8) as f64, format!("r{r}"));
+        m.add_constraint(expr, cmp, rng.gen_range(-2..8) as f64);
     }
     m
 }
@@ -513,11 +512,11 @@ proptest! {
                     "seed {}: revised {} vs oracle {}",
                     seed, a.objective, b.objective
                 );
-                for c in model.constraints() {
+                for (r, c) in model.constraints().iter().enumerate() {
                     prop_assert!(
                         c.is_satisfied(&a.values, 1e-5),
-                        "seed {}: constraint `{}` violated",
-                        seed, c.name
+                        "seed {}: constraint {} violated",
+                        seed, r
                     );
                 }
             }
@@ -618,22 +617,17 @@ fn block_structured_model(rng: &mut StdRng) -> Model {
             v
         })
         .collect();
-    for (j, &yv) in y.iter().enumerate() {
+    for &yv in &y {
         if rng.gen_bool(0.3) {
-            m.add_constraint(
-                LinearExpr::new().with(yv, 1.0),
-                Comparison::Equal,
-                1.0,
-                format!("pin{j}"),
-            );
+            m.add_constraint(LinearExpr::new().with(yv, 1.0), Comparison::Equal, 1.0);
         }
     }
-    for (i, row) in x.iter().enumerate() {
+    for row in &x {
         let mut expr = LinearExpr::new();
         for v in row.iter().flatten() {
             expr.add(*v, 1.0);
         }
-        m.add_constraint(expr, Comparison::Equal, 1.0, format!("assign{i}"));
+        m.add_constraint(expr, Comparison::Equal, 1.0);
     }
     for (j, &yv) in y.iter().enumerate() {
         let mut expr = LinearExpr::new();
@@ -646,16 +640,15 @@ fn block_structured_model(rng: &mut StdRng) -> Model {
             continue;
         }
         expr.add(yv, -capacity[j]);
-        m.add_constraint(expr, Comparison::LessEq, 0.0, format!("cap{j}"));
+        m.add_constraint(expr, Comparison::LessEq, 0.0);
     }
-    for (i, row) in x.iter().enumerate() {
+    for row in &x {
         for (j, v) in row.iter().enumerate() {
             if let Some(v) = v {
                 m.add_constraint(
                     LinearExpr::new().with(*v, 1.0).with(y[j], -1.0),
                     Comparison::LessEq,
                     0.0,
-                    format!("link{i}_{j}"),
                 );
             }
         }
@@ -796,12 +789,12 @@ fn large_models_take_decomposition_or_monolithic_search() {
             v
         })
         .collect();
-    for (i, row) in x.iter().enumerate() {
+    for row in &x {
         let mut expr = LinearExpr::new();
         for v in row.iter().flatten() {
             expr.add(*v, 1.0);
         }
-        m.add_constraint(expr, Comparison::Equal, 1.0, format!("assign{i}"));
+        m.add_constraint(expr, Comparison::Equal, 1.0);
     }
     for (j, &yv) in y.iter().enumerate() {
         let mut expr = LinearExpr::new();
@@ -811,16 +804,15 @@ fn large_models_take_decomposition_or_monolithic_search() {
             }
         }
         expr.add(yv, -4.0);
-        m.add_constraint(expr, Comparison::LessEq, 0.0, format!("cap{j}"));
+        m.add_constraint(expr, Comparison::LessEq, 0.0);
     }
-    for (i, row) in x.iter().enumerate() {
+    for row in &x {
         for (j, v) in row.iter().enumerate() {
             if let Some(v) = v {
                 m.add_constraint(
                     LinearExpr::new().with(*v, 1.0).with(y[j], -1.0),
                     Comparison::LessEq,
                     0.0,
-                    format!("link{i}_{j}"),
                 );
             }
         }
@@ -864,7 +856,7 @@ fn large_models_take_decomposition_or_monolithic_search() {
     for v in x.iter().filter_map(|row| row[4]) {
         expr.add(v, 1.0);
     }
-    off_block.add_constraint(expr, Comparison::GreaterEq, 4.0, "fill4");
+    off_block.add_constraint(expr, Comparison::GreaterEq, 4.0);
     assert!(BlockStructure::detect(&off_block).is_none());
     let searched = BranchBoundSolver::new().solve(&off_block);
     assert!(searched.has_solution(), "off-block model must be solvable");
@@ -906,13 +898,11 @@ fn duplicate_columns_and_degenerate_ties_match_the_oracle() {
         LinearExpr::new().with(x1, 1.0).with(x2, 1.0).with(x3, 1.0),
         Comparison::LessEq,
         4.0,
-        "capA",
     );
     twins.add_constraint(
         LinearExpr::new().with(x1, 2.0).with(x2, 2.0).with(x3, 1.0),
         Comparison::LessEq,
         6.0,
-        "capB",
     );
 
     // A fully degenerate vertex: every ratio ties at zero.
@@ -921,19 +911,17 @@ fn duplicate_columns_and_degenerate_ties_match_the_oracle() {
     let y2 = degen.add_continuous(0.0, 10.0);
     degen.set_objective_term(y1, -1.0);
     degen.set_objective_term(y2, -1.0);
-    for (i, coef) in [(0usize, 1.0), (1, 2.0), (2, 3.0)] {
+    for coef in [1.0, 2.0, 3.0] {
         degen.add_constraint(
             LinearExpr::new().with(y1, coef).with(y2, -1.0),
             Comparison::LessEq,
             0.0,
-            format!("tie{i}"),
         );
     }
     degen.add_constraint(
         LinearExpr::new().with(y1, 1.0).with(y2, 1.0),
         Comparison::LessEq,
         3.0,
-        "cap",
     );
 
     for (name, model) in [("twins", twins), ("degenerate", degen)] {
