@@ -56,13 +56,21 @@ struct SolverCase {
     problem: PlacementProblem,
 }
 
-/// Builds the regional placement instance of the `placement_overhead` bench:
-/// one application against the Florida mesoscale sites.
-fn single_app_regional_problem() -> PlacementProblem {
+/// Builds a regional placement instance: one A2 server per mesoscale site
+/// of `region`, priced at its zone's seed-42 reading at `hour`, and
+/// `apps_per_site` ResNet50 applications (20 ms SLO, `rate_rps` each) at
+/// each of the first `app_sites` sites.
+fn regional_problem(
+    region: StudyRegion,
+    hour: usize,
+    rate_rps: f64,
+    app_sites: usize,
+    apps_per_site: usize,
+) -> PlacementProblem {
     let catalog = ZoneCatalog::worldwide();
-    let region = MesoscaleRegion::resolve(StudyRegion::Florida, &catalog);
+    let region = MesoscaleRegion::resolve(region, &catalog);
     let traces = catalog.generate_traces(42);
-    let now = HourOfYear::new(5000);
+    let now = HourOfYear::new(hour);
     let servers: Vec<ServerSnapshot> = region
         .zones
         .iter()
@@ -73,47 +81,14 @@ fn single_app_regional_problem() -> PlacementProblem {
                 .with_carbon_intensity(traces[zone.index()].at(now))
         })
         .collect();
-    let app = Application::new(
-        AppId(0),
-        ModelKind::ResNet50,
-        15.0,
-        20.0,
-        region.members[0].1,
-        0,
-    );
-    PlacementProblem::new(servers, vec![app], 1.0).with_latency_model(LatencyModel::deterministic())
-}
-
-/// Builds the regional instance of the `solver_ablation` bench:
-/// `apps_per_site` applications per Central-EU mesoscale site.
-fn regional_problem(apps_per_site: usize) -> PlacementProblem {
-    let catalog = ZoneCatalog::worldwide();
-    let region = MesoscaleRegion::resolve(StudyRegion::CentralEu, &catalog);
-    let traces = catalog.generate_traces(42);
-    let now = HourOfYear::new(4000);
-    let servers: Vec<ServerSnapshot> = region
-        .zones
+    let apps: Vec<Application> = region
+        .members
         .iter()
-        .zip(region.members.iter())
+        .take(app_sites)
+        .flat_map(|(_, loc)| std::iter::repeat_n(*loc, apps_per_site))
         .enumerate()
-        .map(|(site, (zone, (_, loc)))| {
-            ServerSnapshot::new(site, site, *zone, DeviceKind::A2, *loc)
-                .with_carbon_intensity(traces[zone.index()].at(now))
-        })
+        .map(|(i, loc)| Application::new(AppId(i), ModelKind::ResNet50, rate_rps, 20.0, loc, 0))
         .collect();
-    let mut apps = Vec::new();
-    for (_, loc) in &region.members {
-        for _ in 0..apps_per_site {
-            apps.push(Application::new(
-                AppId(apps.len()),
-                ModelKind::ResNet50,
-                10.0,
-                20.0,
-                *loc,
-                0,
-            ));
-        }
-    }
     PlacementProblem::new(servers, apps, 1.0).with_latency_model(LatencyModel::deterministic())
 }
 
@@ -371,13 +346,17 @@ pub fn solver_bench_json(quick: bool) -> String {
     };
 
     let cases = [
+        // The instance of the `placement_overhead` bench: one application
+        // against the Florida sites.
         SolverCase {
             name: "placement_overhead/single_app_regional_decision",
-            problem: single_app_regional_problem(),
+            problem: regional_problem(StudyRegion::Florida, 5000, 15.0, 1, 1),
         },
+        // The instance of the `solver_ablation` bench: one application per
+        // Central-EU site.
         SolverCase {
             name: "solver_ablation/exact_milp_5x5",
-            problem: regional_problem(1),
+            problem: regional_problem(StudyRegion::CentralEu, 4000, 10.0, usize::MAX, 1),
         },
     ];
 
@@ -405,8 +384,16 @@ pub fn solver_bench_json(quick: bool) -> String {
         entries.push(solver_case_entry(name, problem, cfg));
     }
 
-    entries.push(epoch_replan_entry(samples));
-    entries.push(migration_replan_entry(samples));
+    entries.push(replan_entry(
+        "epoch_replan/monthly_eu_3site_exact",
+        MigrationCostLevel::Free,
+        samples,
+    ));
+    entries.push(replan_entry(
+        "migration_replan/monthly_eu_3site_exact_paper",
+        MigrationCostLevel::Paper,
+        samples,
+    ));
 
     format!(
         concat!(
@@ -422,69 +409,16 @@ pub fn solver_bench_json(quick: bool) -> String {
 
 /// Measures epoch-to-epoch re-placement through the warm-started exact
 /// path: a small European deployment re-solved at every monthly epoch as
-/// carbon intensities shift.  Consecutive epochs build structurally
-/// identical MILPs whose costs change, so each re-solve restarts primal
-/// phase-2 in the shared `MilpWorkspace` instead of cold-starting; the
-/// pivot counts come from the placer's accumulated-pivot counter via
-/// `CdnResult::solver_pivots`.
-fn epoch_replan_entry(samples: usize) -> String {
-    let mut config = CdnConfig::new(ZoneArea::Europe).with_site_limit(3);
-    config.servers_per_site = 2;
-    let simulator = CdnSimulator::new(config);
-    let placer = IncrementalPlacer::new(PlacementPolicy::CarbonAware);
-
-    placer.milp_solver.discard_warm_start();
-    let cold_run = simulator.run_with(&placer);
-    let before = ReplanCounters::snapshot(&placer);
-    let warm_run = simulator.run_with(&placer);
-    let warm = before.diff(&placer);
-    assert_eq!(
-        cold_run.outcome, warm_run.outcome,
-        "warm epoch re-solves must stay exact"
-    );
-    let epochs = cold_run.epochs.len();
-    let run_ns = median_ns(samples, || {
-        let _ = simulator.run_with(&placer);
-    });
-
-    format!(
-        concat!(
-            "    {{\n",
-            "      \"name\": \"epoch_replan/monthly_eu_3site_exact\",\n",
-            "      \"epochs\": {},\n",
-            "      \"exact_decisions\": {},\n",
-            "      \"moves\": {},\n",
-            "      \"run_ns_median\": {},\n",
-            "      \"samples\": {},\n",
-            "      \"ns_per_epoch_median\": {},\n",
-            "      \"pivots_cold_run\": {},\n",
-            "      \"pivots_warm_run\": {},\n",
-            "{}",
-            "    }}"
-        ),
-        epochs,
-        cold_run.exact_decisions,
-        cold_run.moves,
-        run_ns,
-        samples,
-        run_ns / epochs.max(1) as u64,
-        cold_run.solver_pivots,
-        warm_run.solver_pivots,
-        warm.render(&placer),
-    )
-}
-
-/// Measures stateful delta re-placement through the warm-started exact
-/// path: the `epoch_replan` deployment re-solved monthly with
-/// paper-calibrated migration costs.  The migration terms are folded into
-/// the objective coefficients — the constraint matrix never changes — so
-/// every delta re-solve is still a cost-only warm restart (primal phase-2)
-/// in the shared `MilpWorkspace`, and the warm run's pivot count stays at
-/// or below the cold run's.
-fn migration_replan_entry(samples: usize) -> String {
+/// carbon intensities shift, charging `migration` per move.  Migration
+/// terms are folded into the objective coefficients, so consecutive epochs
+/// build structurally identical MILPs whose costs change, and each re-solve
+/// restarts primal phase-2 from the previous basis instead of
+/// cold-starting.  The pivot counts come from the placer's
+/// accumulated-pivot counter via `CdnResult::solver_pivots`.
+fn replan_entry(name: &str, migration: MigrationCostLevel, samples: usize) -> String {
     let mut config = CdnConfig::new(ZoneArea::Europe)
         .with_site_limit(3)
-        .with_migration(MigrationCostLevel::Paper);
+        .with_migration(migration);
     config.servers_per_site = 2;
     let simulator = CdnSimulator::new(config);
     let placer = IncrementalPlacer::new(PlacementPolicy::CarbonAware);
@@ -496,7 +430,7 @@ fn migration_replan_entry(samples: usize) -> String {
     let warm = before.diff(&placer);
     assert_eq!(
         cold_run.outcome, warm_run.outcome,
-        "warm delta re-solves must stay exact"
+        "{name}: warm re-solves must stay exact"
     );
     let epochs = cold_run.epochs.len();
     let run_ns = median_ns(samples, || {
@@ -506,7 +440,7 @@ fn migration_replan_entry(samples: usize) -> String {
     format!(
         concat!(
             "    {{\n",
-            "      \"name\": \"migration_replan/monthly_eu_3site_exact_paper\",\n",
+            "      \"name\": \"{}\",\n",
             "      \"epochs\": {},\n",
             "      \"exact_decisions\": {},\n",
             "      \"moves\": {},\n",
@@ -518,6 +452,7 @@ fn migration_replan_entry(samples: usize) -> String {
             "{}",
             "    }}"
         ),
+        name,
         epochs,
         cold_run.exact_decisions,
         cold_run.moves,

@@ -105,25 +105,34 @@ fn print_usage() {
 }
 
 /// Parses a `--<name> DIR` / `--<name>=DIR` flag out of the argument list,
-/// removing the consumed tokens.  Shared by `--bench-json` and `--out`.
+/// removing the consumed tokens.  Shared by `--bench-json` and `--out`.  A
+/// missing or empty directory, one starting with `-` (the next flag, most
+/// likely) and a repeated flag are errors.
 fn take_dir_flag(args: &mut Vec<String>, name: &str) -> Result<Option<String>, String> {
     let flag = format!("--{name}");
     let prefix = format!("--{name}=");
     let mut dir = None;
     let mut i = 0;
     while i < args.len() {
-        if args[i] == flag {
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| format!("{flag} requires a directory"))?;
-            dir = Some(value.clone());
-            args.drain(i..=i + 1);
+        let value = if args[i] == flag {
+            let value = args.get(i + 1).cloned().unwrap_or_default();
+            args.drain(i..args.len().min(i + 2));
+            value
         } else if let Some(value) = args[i].strip_prefix(&prefix) {
-            dir = Some(value.to_string());
+            let value = value.to_string();
             args.remove(i);
+            value
         } else {
             i += 1;
+            continue;
+        };
+        if value.is_empty() || value.starts_with('-') {
+            return Err(format!("{flag} requires a directory"));
         }
+        if dir.is_some() {
+            return Err(format!("{flag} given more than once"));
+        }
+        dir = Some(value);
     }
     Ok(dir)
 }
@@ -952,4 +961,59 @@ fn approx_problem_memory_mb(placer: &IncrementalPlacer, problem: &PlacementProbl
         + std::mem::size_of::<(usize, usize)>();
     let servers = problem.servers.len();
     (pairs as f64 * per_pair as f64 + servers as f64 * 128.0) / 1.0e6
+}
+
+#[cfg(test)]
+mod tests {
+    use super::take_dir_flag;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn dir_flag_takes_its_value_and_leaves_the_other_arguments() {
+        let mut spaced = args(&["--quick", "--out", "artifacts", "all"]);
+        assert_eq!(
+            take_dir_flag(&mut spaced, "out"),
+            Ok(Some("artifacts".to_string()))
+        );
+        assert_eq!(spaced, args(&["--quick", "all"]));
+        let mut joined = args(&["fig7", "--bench-json=bench-out"]);
+        assert_eq!(
+            take_dir_flag(&mut joined, "bench-json"),
+            Ok(Some("bench-out".to_string()))
+        );
+        assert_eq!(joined, args(&["fig7"]));
+        let mut absent = args(&["--quick"]);
+        assert_eq!(take_dir_flag(&mut absent, "out"), Ok(None));
+        assert_eq!(absent, args(&["--quick"]));
+    }
+
+    #[test]
+    fn a_flag_is_not_a_directory() {
+        for list in [
+            &["--bench-json", "--quick", "fig7"][..],
+            &["--bench-json", "-q"],
+            &["fig7", "--bench-json"],
+            &["--bench-json="],
+            &["--bench-json", ""],
+        ] {
+            assert!(
+                take_dir_flag(&mut args(list), "bench-json").is_err(),
+                "{list:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_repeated_dir_flag_is_an_error() {
+        for list in [
+            &["--out", "a", "--out", "b"][..],
+            &["--out=a", "--out", "b"],
+            &["--out", "a", "--out=a"],
+        ] {
+            assert!(take_dir_flag(&mut args(list), "out").is_err(), "{list:?}");
+        }
+    }
 }

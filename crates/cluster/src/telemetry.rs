@@ -8,7 +8,6 @@
 //! carbon over time.
 
 use crate::server::{Server, ServerId};
-use carbonedge_grid::{CarbonIntensityService, HourOfYear};
 use carbonedge_workload::AppId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -59,17 +58,16 @@ impl Telemetry {
     /// Records one epoch (of `hours` length) of operation for a server: its
     /// base energy is attributed to the server, and each hosted
     /// application's share of the dynamic energy is attributed to the
-    /// application.  Carbon is computed from the server's zone intensity at
-    /// `now`.
+    /// application.  Carbon is computed at `intensity`, the carbon intensity
+    /// of the server's zone (g·CO2eq/kWh), like
+    /// [`record_app_energy`](Self::record_app_energy).
     pub fn record_epoch(
         &mut self,
         server: &Server,
         app_energy_j: &[(AppId, f64)],
-        carbon: &CarbonIntensityService,
-        now: HourOfYear,
+        intensity: f64,
         hours: f64,
     ) {
-        let intensity = carbon.current(server.spec.zone, now);
         if server.power_state.is_on() {
             let base = server.spec.power.base_energy_j(hours);
             self.per_server
@@ -123,15 +121,11 @@ mod tests {
     use super::*;
     use crate::power::PowerState;
     use crate::server::ServerSpec;
-    use carbonedge_grid::{CarbonTrace, ZoneId};
+    use carbonedge_grid::ZoneId;
     use carbonedge_workload::DeviceKind;
 
-    fn carbon_service() -> CarbonIntensityService {
-        CarbonIntensityService::new(vec![
-            CarbonTrace::constant(360.0),
-            CarbonTrace::constant(36.0),
-        ])
-    }
+    /// Zone intensities (g·CO2eq/kWh), indexed by zone.
+    const INTENSITY: [f64; 2] = [360.0, 36.0];
 
     fn server(zone: usize) -> Server {
         Server::new_powered_on(ServerSpec::from_device(
@@ -155,8 +149,7 @@ mod tests {
     fn record_epoch_accounts_base_and_app_energy() {
         let mut t = Telemetry::new();
         let s = server(0);
-        let carbon = carbon_service();
-        t.record_epoch(&s, &[(AppId(1), 1.8e6)], &carbon, HourOfYear(0), 1.0);
+        t.record_epoch(&s, &[(AppId(1), 1.8e6)], INTENSITY[0], 1.0);
         // Base: 18 W * 3600 s = 64.8 kJ at 360 g/kWh = 6.48 g.
         let server_acc = t.server(ServerId(0));
         assert!((server_acc.energy_j - 64_800.0).abs() < 1.0);
@@ -174,28 +167,15 @@ mod tests {
         let mut t = Telemetry::new();
         let mut s = server(0);
         s.power_state = PowerState::Off;
-        t.record_epoch(&s, &[], &carbon_service(), HourOfYear(0), 1.0);
+        t.record_epoch(&s, &[], INTENSITY[0], 1.0);
         assert_eq!(t.total().energy_j, 0.0);
     }
 
     #[test]
     fn greener_zone_emits_less_for_same_energy() {
-        let carbon = carbon_service();
         let mut t = Telemetry::new();
-        t.record_epoch(
-            &server(0),
-            &[(AppId(0), 1.0e6)],
-            &carbon,
-            HourOfYear(0),
-            0.0,
-        );
-        t.record_epoch(
-            &server(1),
-            &[(AppId(1), 1.0e6)],
-            &carbon,
-            HourOfYear(0),
-            0.0,
-        );
+        t.record_epoch(&server(0), &[(AppId(0), 1.0e6)], INTENSITY[0], 0.0);
+        t.record_epoch(&server(1), &[(AppId(1), 1.0e6)], INTENSITY[1], 0.0);
         assert!(t.app(AppId(1)).carbon_g < t.app(AppId(0)).carbon_g);
         assert!((t.app(AppId(0)).carbon_g / t.app(AppId(1)).carbon_g - 10.0).abs() < 1e-6);
     }

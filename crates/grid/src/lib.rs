@@ -11,23 +11,21 @@
 //! lifecycle values (IPCC AR5 medians), so the absolute magnitudes
 //! (g·CO2eq/kWh) land in the same ranges the paper reports.
 //!
-//! On top of the traces, the crate provides the *carbon intensity service*
-//! of the CarbonEdge architecture (Figure 6, step 0): real-time lookups and
-//! forecasts used by the placement service ([`service::CarbonIntensityService`]).
+//! On top of the traces, a [`forecast::ForecasterKind`] value forecasts the
+//! mean intensity the placement service decides with — the role of the
+//! *carbon intensity service* of the CarbonEdge architecture (Figure 6,
+//! step 0).  Real-time readings are plain trace lookups
+//! ([`trace::CarbonTrace::at`]).
 
 pub mod forecast;
 pub mod mix;
-pub mod service;
 pub mod source;
 pub mod time;
 pub mod trace;
 pub mod zone;
 
-pub use forecast::{
-    Forecaster, ForecasterKind, MovingAverageForecaster, OracleForecaster, PersistenceForecaster,
-};
+pub use forecast::ForecasterKind;
 pub use mix::EnergyMix;
-pub use service::CarbonIntensityService;
 pub use source::EnergySource;
 pub use time::{Epoch, EpochSchedule, HourOfYear, HOURS_PER_DAY, HOURS_PER_YEAR};
 pub use trace::{CarbonTrace, TraceGenerator};

@@ -37,14 +37,6 @@ impl CarbonTrace {
         }
     }
 
-    /// Test-only constructor that bypasses validation, for exercising
-    /// robustness against malformed readings (e.g. NaN) that the public
-    /// constructors reject.
-    #[cfg(test)]
-    pub(crate) fn unchecked_for_tests(values: Vec<f64>) -> Self {
-        Self { values }
-    }
-
     /// Carbon intensity at a given hour.
     pub fn at(&self, hour: HourOfYear) -> f64 {
         self.values[hour.index()]

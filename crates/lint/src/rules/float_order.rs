@@ -1,11 +1,12 @@
 //! `float-order`: no `partial_cmp` outside `PartialOrd` impls.
 //!
-//! The bug class: `partial_cmp(..).unwrap()` panics on NaN (PR 4's
-//! `greenest_zone` crash) and `partial_cmp(..).unwrap_or(Equal)` silently
-//! builds an inconsistent comparator under NaN, corrupting sort order and —
-//! in largest-remainder apportionment — conservation itself (the PR 7
-//! sweep).  Every float ordering in this workspace goes through
-//! `f64::total_cmp`, which is total, deterministic, and NaN-stable.
+//! The bug class: `partial_cmp(..).unwrap()` panics on NaN (it once crashed
+//! `greenest_zone`, a zone lookup since deleted) and
+//! `partial_cmp(..).unwrap_or(Equal)` silently builds an inconsistent
+//! comparator under NaN, corrupting sort order and — in largest-remainder
+//! apportionment — conservation itself (the request streams' sort).  Every
+//! float ordering in this workspace goes through `f64::total_cmp`, which is
+//! total, deterministic, and NaN-stable.
 //!
 //! A line *defining* `fn partial_cmp` (a `PartialOrd` impl forwarding to
 //! `Ord::cmp`) is the one legitimate appearance and is exempt.

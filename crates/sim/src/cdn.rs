@@ -9,9 +9,9 @@
 //!
 //! The year is partitioned by an [`EpochSchedule`] (monthly, weekly or
 //! daily).  At each epoch boundary the simulator re-solves placement against
-//! the **forecast** mean intensity Ī over the epoch, served by a
-//! [`CarbonIntensityService`] configured with the scenario's
-//! [`ForecasterKind`] — this is the *decision* intensity of Section 4.2.
+//! the **forecast** mean intensity Ī over the epoch, computed by the
+//! scenario's [`ForecasterKind`] from the zone's trace — this is the
+//! *decision* intensity of Section 4.2.
 //! Realized carbon is then *accounted* from the actual hourly trace over the
 //! same epoch (the assignment's energy re-priced at the epoch's true mean
 //! intensity), so forecast error shows up as the gap between
@@ -47,9 +47,7 @@ use carbonedge_core::{
 };
 use carbonedge_datasets::zones::ZoneArea;
 use carbonedge_datasets::{EdgeSiteCatalog, ZoneCatalog};
-use carbonedge_grid::{
-    CarbonIntensityService, CarbonTrace, EpochSchedule, ForecasterKind, HourOfYear, ZoneId,
-};
+use carbonedge_grid::{CarbonTrace, EpochSchedule, ForecasterKind, HourOfYear, ZoneId};
 use carbonedge_net::LatencyModel;
 use carbonedge_workload::{
     AppId, Application, ArrivalProcess, DeviceKind, ModelKind, RequestStream, WorkloadProfile,
@@ -115,9 +113,6 @@ pub struct CdnConfig {
     /// the batched event-level loop (with or without the online
     /// re-placement trigger).
     pub serving: ServingMode,
-    /// Hour-of-day modulation of the event-level request streams (its
-    /// `mean` field is ignored; each stream scales by the app's rate).
-    pub arrivals: ArrivalProcess,
     /// Relative per-site demand drift that triggers a mid-epoch re-solve
     /// under [`ServingMode::OnlineReplace`].
     pub drift_threshold: f64,
@@ -144,7 +139,6 @@ impl CdnConfig {
             forecaster: ForecasterKind::Oracle,
             migration: MigrationCostLevel::Free,
             serving: ServingMode::Aggregate,
-            arrivals: ArrivalProcess::diurnal_bursty(),
             drift_threshold: 0.5,
             drift_cooldown_hours: 24,
         }
@@ -190,12 +184,6 @@ impl CdnConfig {
     /// the online re-placement trigger).
     pub fn with_serving(mut self, serving: ServingMode) -> Self {
         self.serving = serving;
-        self
-    }
-
-    /// Sets the arrival modulation of the event-level request streams.
-    pub fn with_arrivals(mut self, arrivals: ArrivalProcess) -> Self {
-        self.arrivals = arrivals;
         self
     }
 
@@ -336,10 +324,9 @@ type Site = (String, carbonedge_geo::Coordinates, ZoneId, f64);
 
 /// The configuration fields a [`ScenarioPrep`] depends on: everything that
 /// shapes the deployment, the traces, the epoch schedule, or the forecast —
-/// but **not** the policy, migration costs, serving mode, arrival
-/// modulation or drift trigger, which only steer how the shared inputs are
-/// consumed.  Sweep cells differing in those consumer axes therefore share
-/// one prep.
+/// but **not** the policy, migration costs, serving mode or drift trigger,
+/// which only steer how the shared inputs are consumed.  Sweep cells
+/// differing in those consumer axes therefore share one prep.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PrepKey {
     area: ZoneArea,
@@ -410,7 +397,7 @@ impl ScenarioPrep {
     fn build(
         config: &CdnConfig,
         sites: &[Site],
-        traces: &Arc<Vec<CarbonTrace>>,
+        traces: &[CarbonTrace],
         latency_model: &LatencyModel,
     ) -> Self {
         // The mean metro population normalizes the population-proportional
@@ -460,12 +447,13 @@ impl ScenarioPrep {
             sites.len(),
         ));
 
-        let service = config.intensity_service(traces);
         let epoch_site_means = config
             .epoch
             .epochs()
             .into_iter()
-            .map(|epoch| site_means_for_window(sites, &service, epoch.start, epoch.hours))
+            .map(|epoch| {
+                site_means_for_window(sites, traces, config.forecaster, epoch.start, epoch.hours)
+            })
             .collect();
         Self {
             servers,
@@ -503,13 +491,6 @@ impl CdnConfig {
             _ => self.apps_per_site,
         }
     }
-
-    /// The intensity service answering this configuration's decision
-    /// forecasts.
-    fn intensity_service(&self, traces: &Arc<Vec<CarbonTrace>>) -> CarbonIntensityService {
-        CarbonIntensityService::shared(Arc::clone(traces))
-            .with_forecaster(self.forecaster.build(), 1)
-    }
 }
 
 /// The per-site (decision, actual) mean intensities for one window:
@@ -521,7 +502,8 @@ impl CdnConfig {
 /// the windows the drift trigger cuts short, both through this routine.
 fn site_means_for_window(
     sites: &[Site],
-    service: &CarbonIntensityService,
+    traces: &[CarbonTrace],
+    forecaster: ForecasterKind,
     window_start: HourOfYear,
     window_hours: usize,
 ) -> Vec<(f64, f64)> {
@@ -530,12 +512,10 @@ fn site_means_for_window(
         .iter()
         .map(|(_, _, zone, _)| {
             *zone_means.entry(*zone).or_insert_with(|| {
+                let trace = &traces[zone.index()];
                 (
-                    service.forecast_mean_over(*zone, window_start, window_hours),
-                    service
-                        .trace(*zone)
-                        .window_mean(window_start, window_hours)
-                        .max(0.0),
+                    forecaster.forecast_mean(trace, window_start, window_hours),
+                    trace.window_mean(window_start, window_hours).max(0.0),
                 )
             })
         })
@@ -720,11 +700,10 @@ impl CdnSimulator {
     ///
     /// One loop serves every [`ServingMode`].  Per epoch of the configured
     /// [`EpochSchedule`] it decides over the remaining window against the
-    /// **forecast** mean intensity ([`CarbonIntensityService::forecast_mean_over`]
-    /// with the configured [`ForecasterKind`]), serves until the next
-    /// trigger, accounts the served segment at its **actual** mean intensity
-    /// plus the migration carbon of any moves, and repeats until the epoch
-    /// ends.  The trigger is the epoch end, or a demand drift past
+    /// **forecast** mean intensity ([`ForecasterKind::forecast_mean`] of the
+    /// configured forecaster), serves until the next trigger, accounts the
+    /// served segment at its **actual** mean intensity plus the migration
+    /// carbon of any moves, and repeats until the epoch ends.  The trigger is the epoch end, or a demand drift past
     /// [`CdnConfig::drift_threshold`] under [`ServingMode::OnlineReplace`];
     /// `Aggregate` has no serving engine and `EventLevel` passes an infinite
     /// threshold, so both decide once per epoch.  Each decision re-prices one
@@ -737,7 +716,6 @@ impl CdnSimulator {
     pub fn run_with(&self, placer: &IncrementalPlacer) -> CdnResult {
         let config = &self.config;
         let prep = &*self.prep;
-        let service = config.intensity_service(&self.traces);
         let cost = config.migration.cost_for(config.model, config.device);
         let migration = vec![cost; prep.apps.len()];
         let drift_threshold = match config.serving {
@@ -796,8 +774,13 @@ impl CdnSimulator {
                 let window_means: &[(f64, f64)] = if offset == 0 {
                     &prep.epoch_site_means[epoch.index]
                 } else {
-                    cut_window =
-                        site_means_for_window(&self.sites, &service, window_start, window_hours);
+                    cut_window = site_means_for_window(
+                        &self.sites,
+                        &self.traces,
+                        config.forecaster,
+                        window_start,
+                        window_hours,
+                    );
                     &cut_window
                 };
                 price_decided(&mut problem, window_means, window_hours);
@@ -831,8 +814,13 @@ impl CdnSimulator {
                 let served_means = if segment_hours == window_hours {
                     window_means
                 } else {
-                    cut_segment =
-                        site_means_for_window(&self.sites, &service, window_start, segment_hours);
+                    cut_segment = site_means_for_window(
+                        &self.sites,
+                        &self.traces,
+                        config.forecaster,
+                        window_start,
+                        segment_hours,
+                    );
                     price_decided(&mut problem, &cut_segment, segment_hours);
                     &cut_segment
                 };
@@ -913,11 +901,13 @@ impl CdnSimulator {
 
     /// Builds the event-level serving engine for this deployment: one
     /// request stream per application (seeded from its (app, origin-site)
-    /// pair and the trace seed), per-site capacities matching the scenario's
-    /// server counts, and the profiled service time of the configured
-    /// (model, device) pair.
+    /// pair and the trace seed, and modulated by
+    /// [`ArrivalProcess::diurnal_bursty`]), per-site capacities matching the
+    /// scenario's server counts, and the profiled service time of the
+    /// configured (model, device) pair.
     fn build_serving_engine(&self) -> ServingEngine {
         let config = &self.config;
+        let arrivals = ArrivalProcess::diurnal_bursty();
         let streams = self
             .prep
             .apps
@@ -925,13 +915,7 @@ impl CdnSimulator {
             .enumerate()
             .map(|(i, app)| {
                 let site = app.origin_site;
-                RequestStream::new(
-                    i,
-                    site,
-                    config.request_rate_rps,
-                    config.arrivals,
-                    config.seed,
-                )
+                RequestStream::new(i, site, config.request_rate_rps, arrivals, config.seed)
             })
             .collect();
         let locations: Vec<_> = self.sites.iter().map(|(_, loc, _, _)| *loc).collect();

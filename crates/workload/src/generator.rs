@@ -13,17 +13,12 @@ use serde::{Deserialize, Serialize};
 /// modulated within a day.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalProcess {
-    /// A flat intensity.  The count is not read: a request stream takes its
-    /// volume from its application's rate.
-    Constant(usize),
-    /// A flat intensity, like `Constant`; the mean is not read.
-    Poisson(f64),
+    /// A flat intensity.
+    Flat,
     /// An intensity that follows a sinusoidal diurnal profile: the hourly
-    /// intensity is `mean * (1 + amplitude * cos(2π(h - peak)/24))`, which
-    /// averages back to `mean` over a full day.
+    /// weight is `1 + amplitude * cos(2π(h - peak)/24)`, which averages to
+    /// one over a full day.
     Diurnal {
-        /// Mean intensity (a unit rate multiplier for streams).
-        mean: f64,
         /// Relative swing of the diurnal cycle, in `[0, 1)`.
         amplitude: f64,
         /// Hour of day (0–24) at which intensity peaks.
@@ -33,8 +28,6 @@ pub enum ArrivalProcess {
     /// independently bursts with probability `burst_probability`, scaling the
     /// intensity by `burst_magnitude` (jittered by a clamped normal sample).
     Bursty {
-        /// Mean intensity (a unit rate multiplier for streams).
-        mean: f64,
         /// Relative swing of the diurnal cycle, in `[0, 1)`.
         amplitude: f64,
         /// Hour of day (0–24) at which intensity peaks.
@@ -47,12 +40,10 @@ pub enum ArrivalProcess {
 }
 
 impl ArrivalProcess {
-    /// The default diurnal + burst overlay used by the event-level serving
-    /// engine: a 35 % evening-peaked swing with rare 2.5× bursts.  `mean` is
-    /// `1.0` because request streams scale by the application's own rate.
+    /// The diurnal + burst overlay of the event-level serving engine: a
+    /// 35 % evening-peaked swing with rare 2.5× bursts.
     pub fn diurnal_bursty() -> Self {
         ArrivalProcess::Bursty {
-            mean: 1.0,
             amplitude: 0.35,
             peak_hour: 19.0,
             burst_probability: 0.02,
@@ -61,23 +52,21 @@ impl ArrivalProcess {
     }
 
     /// The relative intensity multiplier for the hour-of-day `hour` (0–24).
-    /// Constant and plain-Poisson processes are flat; diurnal processes
-    /// follow their sinusoid; bursty processes additionally draw a burst
-    /// from `rng`.  The diurnal part has unit mean over a full day.
+    /// Flat processes weigh every hour alike; diurnal processes follow
+    /// their sinusoid; bursty processes additionally draw a burst from
+    /// `rng`.  The diurnal part has unit mean over a full day.
     pub fn hourly_weight(&self, hour_of_day: f64, rng: &mut StdRng) -> f64 {
         match self {
-            ArrivalProcess::Constant(_) | ArrivalProcess::Poisson(_) => 1.0,
+            ArrivalProcess::Flat => 1.0,
             ArrivalProcess::Diurnal {
                 amplitude,
                 peak_hour,
-                ..
             } => diurnal_factor(hour_of_day, *amplitude, *peak_hour),
             ArrivalProcess::Bursty {
                 amplitude,
                 peak_hour,
                 burst_probability,
                 burst_magnitude,
-                ..
             } => {
                 let base = diurnal_factor(hour_of_day, *amplitude, *peak_hour);
                 let roll: f64 = rng.gen_range(0.0..1.0);
@@ -140,7 +129,6 @@ mod tests {
     #[test]
     fn diurnal_weight_peaks_at_peak_hour_and_averages_to_one() {
         let p = ArrivalProcess::Diurnal {
-            mean: 10.0,
             amplitude: 0.4,
             peak_hour: 19.0,
         };
@@ -159,7 +147,6 @@ mod tests {
     #[test]
     fn bursty_weight_exceeds_diurnal_only_during_bursts() {
         let p = ArrivalProcess::Bursty {
-            mean: 1.0,
             amplitude: 0.0,
             peak_hour: 0.0,
             burst_probability: 0.25,

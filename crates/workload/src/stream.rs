@@ -34,8 +34,8 @@ pub struct RequestStream {
     pub site: usize,
     /// The aggregate model's constant request rate for the app (rps).
     pub rate_rps: f64,
-    /// Hour-of-day modulation shape (its `mean` field is ignored; the rate
-    /// above scales the stream).
+    /// Hour-of-day modulation shape; the rate above sets the stream's
+    /// volume.
     pub process: ArrivalProcess,
     seed: u64,
 }
@@ -186,7 +186,6 @@ mod tests {
     #[test]
     fn diurnal_streams_shift_load_toward_the_peak_hour() {
         let process = ArrivalProcess::Diurnal {
-            mean: 1.0,
             amplitude: 0.5,
             peak_hour: 19.0,
         };
@@ -202,7 +201,7 @@ mod tests {
 
     #[test]
     fn flat_processes_spread_requests_evenly() {
-        let s = RequestStream::new(1, 2, 2.0, ArrivalProcess::Constant(1), 9);
+        let s = RequestStream::new(1, 2, 2.0, ArrivalProcess::Flat, 9);
         let counts = s.hourly_counts(0, 10);
         for c in &counts {
             assert_eq!(*c, 7200, "counts {counts:?}");
@@ -232,7 +231,6 @@ mod tests {
         // total exactly (NaN floors contribute zero, so the whole total is
         // apportioned by the leftover pass).
         let process = ArrivalProcess::Diurnal {
-            mean: 1.0,
             amplitude: f64::INFINITY,
             peak_hour: 19.0,
         };

@@ -21,14 +21,13 @@
 use carbonedge_core::{IncrementalPlacer, MigrationCostLevel, PlacementPolicy, PlacementProblem};
 use carbonedge_datasets::zones::ZoneArea;
 use carbonedge_datasets::{EdgeSiteCatalog, ZoneCatalog};
-use carbonedge_grid::{CarbonIntensityService, EpochSchedule};
+use carbonedge_grid::EpochSchedule;
 use carbonedge_net::LatencyModel;
 use carbonedge_sim::cdn::{CdnConfig, CdnScenario, CdnSimulator};
 use carbonedge_sim::metrics::PolicyOutcome;
 use carbonedge_workload::{AppId, Application};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Everything the stateless PR 4 epoch engine reported that the stateful
 /// engine must reproduce at zero migration cost.
@@ -46,7 +45,7 @@ struct StatelessRun {
 fn stateless_run(config: &CdnConfig, placer: &IncrementalPlacer) -> StatelessRun {
     let catalog = ZoneCatalog::worldwide();
     let site_catalog = EdgeSiteCatalog::akamai_like(&catalog);
-    let traces = Arc::new(catalog.generate_traces(config.seed));
+    let traces = catalog.generate_traces(config.seed);
     let mut sites: Vec<_> = site_catalog
         .in_area(config.area)
         .iter()
@@ -57,8 +56,6 @@ fn stateless_run(config: &CdnConfig, placer: &IncrementalPlacer) -> StatelessRun
     }
     let latency_model = LatencyModel::deterministic();
     let mean_population = sites.iter().map(|(_, _, p)| *p).sum::<f64>() / sites.len().max(1) as f64;
-    let service = CarbonIntensityService::shared(Arc::clone(&traces))
-        .with_forecaster(config.forecaster.build(), 1);
 
     let mut outcome = PolicyOutcome::default();
     let mut epoch_carbon = Vec::new();
@@ -80,7 +77,11 @@ fn stateless_run(config: &CdnConfig, placer: &IncrementalPlacer) -> StatelessRun
             };
             let (decided, actual) = *zone_means.entry(*zone).or_insert_with(|| {
                 (
-                    service.forecast_mean_over(*zone, epoch.start, epoch.hours),
+                    config.forecaster.forecast_mean(
+                        &traces[zone.index()],
+                        epoch.start,
+                        epoch.hours,
+                    ),
                     traces[zone.index()]
                         .window_mean(epoch.start, epoch.hours)
                         .max(0.0),
