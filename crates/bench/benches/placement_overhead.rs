@@ -3,41 +3,16 @@
 //! radius analysis used by the motivation study.
 
 use carbonedge_analysis::RadiusAnalysis;
-use carbonedge_core::{IncrementalPlacer, PlacementPolicy, PlacementProblem, ServerSnapshot};
-use carbonedge_datasets::{EdgeSiteCatalog, MesoscaleRegion, StudyRegion, ZoneCatalog};
-use carbonedge_grid::HourOfYear;
+use carbonedge_bench::bench_json::regional_problem;
+use carbonedge_core::{IncrementalPlacer, PlacementPolicy};
+use carbonedge_datasets::{EdgeSiteCatalog, StudyRegion, ZoneCatalog};
 use carbonedge_net::LatencyModel;
-use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn single_app_regional_problem() -> PlacementProblem {
-    let catalog = ZoneCatalog::worldwide();
-    let region = MesoscaleRegion::resolve(StudyRegion::Florida, &catalog);
-    let traces = catalog.generate_traces(42);
-    let now = HourOfYear::new(5000);
-    let servers: Vec<ServerSnapshot> = region
-        .zones
-        .iter()
-        .zip(region.members.iter())
-        .enumerate()
-        .map(|(site, (zone, (_, loc)))| {
-            ServerSnapshot::new(site, site, *zone, DeviceKind::A2, *loc)
-                .with_carbon_intensity(traces[zone.index()].at(now))
-        })
-        .collect();
-    let app = Application::new(
-        AppId(0),
-        ModelKind::ResNet50,
-        15.0,
-        20.0,
-        region.members[0].1,
-        0,
-    );
-    PlacementProblem::new(servers, vec![app], 1.0).with_latency_model(LatencyModel::deterministic())
-}
-
 fn bench_decision_overhead(c: &mut Criterion) {
-    let problem = single_app_regional_problem();
+    // One ResNet50 application (15 rps, 20 ms SLO) at the first Florida
+    // site, priced at hour 5000: the `BENCH_solver.json` instance.
+    let problem = regional_problem(StudyRegion::Florida, 5000, 15.0, 1, 1);
     let placer = IncrementalPlacer::new(PlacementPolicy::CarbonAware);
     let mut group = c.benchmark_group("placement_overhead");
     group.sample_size(20);

@@ -3,83 +3,17 @@
 //! in DESIGN.md), plus the revised-vs-reference exact-solver comparison
 //! whose medians `BENCH_solver.json` snapshots.
 
-use carbonedge_core::{IncrementalPlacer, PlacementPolicy, PlacementProblem, ServerSnapshot};
-use carbonedge_datasets::{MesoscaleRegion, StudyRegion, ZoneCatalog};
-use carbonedge_geo::Coordinates;
-use carbonedge_grid::{HourOfYear, ZoneId};
-use carbonedge_net::LatencyModel;
+use carbonedge_bench::bench_json::{regional_problem, scale_problem};
+use carbonedge_core::{IncrementalPlacer, PlacementPolicy};
+use carbonedge_datasets::StudyRegion;
 use carbonedge_solver::ReferenceBranchBound;
-use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind, ResourceDemand};
 use criterion::{criterion_group, criterion_main, Criterion};
 
-fn regional_problem(apps_per_site: usize) -> PlacementProblem {
-    let catalog = ZoneCatalog::worldwide();
-    let region = MesoscaleRegion::resolve(StudyRegion::CentralEu, &catalog);
-    let traces = catalog.generate_traces(42);
-    let now = HourOfYear::new(4000);
-    let servers: Vec<ServerSnapshot> = region
-        .zones
-        .iter()
-        .zip(region.members.iter())
-        .enumerate()
-        .map(|(site, (zone, (_, loc)))| {
-            ServerSnapshot::new(site, site, *zone, DeviceKind::A2, *loc)
-                .with_carbon_intensity(traces[zone.index()].at(now))
-        })
-        .collect();
-    let mut apps = Vec::new();
-    for (_, loc) in &region.members {
-        for _ in 0..apps_per_site {
-            apps.push(Application::new(
-                AppId(apps.len()),
-                ModelKind::ResNet50,
-                10.0,
-                20.0,
-                *loc,
-                0,
-            ));
-        }
-    }
-    PlacementProblem::new(servers, apps, 1.0).with_latency_model(LatencyModel::deterministic())
-}
-
-/// The SLO-sparse corridor instance of the `solver_scale` snapshot cases:
-/// one A2 server per site along the equator (150 km spacing), four ResNet50
-/// applications arriving per site, and a 10 ms round-trip SLO that admits at
-/// most the two neighbouring sites on either side.  Mirrors
-/// `bench_json::scale_problem` so the criterion trend lines and the JSON
-/// snapshot measure the same instances.
-fn scale_problem(n_sites: usize, apps_per_site: usize) -> PlacementProblem {
-    const SITE_SPACING_KM: f64 = 150.0;
-    const EARTH_KM_PER_DEG: f64 = 111.195;
-    let lon_step = SITE_SPACING_KM / EARTH_KM_PER_DEG;
-    let servers: Vec<ServerSnapshot> = (0..n_sites)
-        .map(|site| {
-            let loc = Coordinates::new(0.0, site as f64 * lon_step);
-            let intensity = 80.0 + ((site * 97) % 18) as f64 * 45.0;
-            ServerSnapshot::new(site, site, ZoneId(site), DeviceKind::A2, loc)
-                .with_carbon_intensity(intensity)
-                .with_available(ResourceDemand::new(1280.0, 6.0 * 350.0, 1000.0))
-        })
-        .collect();
-    let apps: Vec<Application> = (0..n_sites * apps_per_site)
-        .map(|i| {
-            let site = i / apps_per_site;
-            Application::new(
-                AppId(i),
-                ModelKind::ResNet50,
-                10.0,
-                10.0,
-                servers[site].location,
-                site,
-            )
-        })
-        .collect();
-    PlacementProblem::new(servers, apps, 1.0).with_latency_model(LatencyModel::deterministic())
-}
-
 fn bench_exact_vs_heuristic(c: &mut Criterion) {
-    let problem = regional_problem(1);
+    // One ResNet50 application (10 rps, 20 ms SLO) at every Central-EU
+    // site, priced at hour 4000; the instances are `bench_json`'s, so the
+    // criterion trend lines and the JSON snapshot measure the same models.
+    let problem = regional_problem(StudyRegion::CentralEu, 4000, 10.0, usize::MAX, 1);
     let exact = IncrementalPlacer::new(PlacementPolicy::CarbonAware).with_exact_size_limit(1_000);
     let heuristic = IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only();
 
@@ -105,7 +39,7 @@ fn bench_exact_vs_heuristic(c: &mut Criterion) {
     group.bench_function("heuristic_5x5", |bench| {
         bench.iter(|| heuristic.place(&problem).unwrap())
     });
-    let larger = regional_problem(6);
+    let larger = regional_problem(StudyRegion::CentralEu, 4000, 10.0, usize::MAX, 6);
     group.bench_function("heuristic_30x5", |bench| {
         bench.iter(|| heuristic.place(&larger).unwrap())
     });

@@ -57,6 +57,11 @@ pub enum PlacementError {
     /// differ in length from the batch, or an incumbent names a server
     /// outside the problem.
     InvalidState,
+    /// The listed applications have a feasible pair whose folded cost, or
+    /// whose server's activation cost, is NaN or infinite (for example a
+    /// server's `carbon_intensity` set to NaN directly, or a NaN tradeoff
+    /// `alpha`).
+    NonFiniteCost(Vec<usize>),
 }
 
 impl std::fmt::Display for PlacementError {
@@ -71,6 +76,9 @@ impl std::fmt::Display for PlacementError {
                 f,
                 "placement state does not fit the batch or names an unknown server"
             ),
+            PlacementError::NonFiniteCost(apps) => {
+                write!(f, "non-finite placement cost for applications {apps:?}")
+            }
         }
     }
 }
@@ -284,7 +292,11 @@ impl IncrementalPlacer {
     ///
     /// A state whose vectors differ in length from the batch, or whose
     /// incumbent names a server outside the problem, is rejected with
-    /// [`PlacementError::InvalidState`].
+    /// [`PlacementError::InvalidState`].  An application whose feasible
+    /// pairs carry a NaN or infinite cost (the folded pair cost, or the
+    /// activation cost of the pair's server) is rejected with
+    /// [`PlacementError::NonFiniteCost`] before either path runs, so no
+    /// decision is made against a NaN.
     pub fn place(&self, problem: &PlacementProblem) -> Result<PlacementDecision, PlacementError> {
         let (apps, servers) = problem.size();
         if apps == 0 {
@@ -305,10 +317,26 @@ impl IncrementalPlacer {
         let (mut pair_cost, activation_cost) = self.policy.costs(problem);
         self.fold_migration_costs(problem, &mut pair_cost);
 
-        // Applications with no feasible server at all: hard constraint failure.
-        let stranded: Vec<usize> = (0..apps).filter(|&i| pair_cost.row(i).is_empty()).collect();
+        // Applications with no feasible server at all (a hard constraint
+        // failure), and applications with a non-finite cost on some pair.
+        let mut stranded = Vec::new();
+        let mut non_finite = Vec::new();
+        for i in 0..apps {
+            let row = pair_cost.row(i);
+            if row.is_empty() {
+                stranded.push(i);
+            } else if row
+                .iter()
+                .any(|&(j, cost)| !cost.is_finite() || !activation_cost[j].is_finite())
+            {
+                non_finite.push(i);
+            }
+        }
         if !stranded.is_empty() {
             return Err(PlacementError::NoFeasibleServer(stranded));
+        }
+        if !non_finite.is_empty() {
+            return Err(PlacementError::NonFiniteCost(non_finite));
         }
 
         let tried_exact = apps * servers <= self.exact_size_limit;
@@ -920,6 +948,68 @@ mod tests {
             .to_string()
             .contains("[1, 2]"));
         assert!(PlacementError::InvalidState.to_string().contains("state"));
+        assert!(PlacementError::NonFiniteCost(vec![0, 3])
+            .to_string()
+            .contains("non-finite placement cost for applications [0, 3]"));
+    }
+
+    #[test]
+    fn a_nan_intensity_is_rejected_on_both_paths() {
+        let mut one = green_and_dirty_problem(30.0);
+        one.servers[1].carbon_intensity = f64::NAN;
+        let mut both = one.clone();
+        both.servers[0].carbon_intensity = f64::NAN;
+        for p in [one, both] {
+            for placer in [
+                IncrementalPlacer::new(PlacementPolicy::CarbonAware),
+                IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),
+            ] {
+                assert_eq!(
+                    placer.place(&p).unwrap_err(),
+                    PlacementError::NonFiniteCost(vec![0])
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_infinite_activation_cost_is_rejected() {
+        // Server 1 is off with an infinite base power: its pair costs stay
+        // finite, and only its activation carbon is not.  The latency-aware
+        // policy charges no activation, so it still decides.
+        let mut p = green_and_dirty_problem(30.0);
+        p.servers[1].base_power_w = f64::INFINITY;
+        p.servers[1].powered_on = false;
+        let (costs, activation) = PlacementPolicy::CarbonAware.costs(&p);
+        assert!(costs.row(0).iter().all(|&(_, c)| c.is_finite()));
+        assert_eq!(activation[1], f64::INFINITY);
+        for placer in [
+            IncrementalPlacer::new(PlacementPolicy::CarbonAware),
+            IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),
+        ] {
+            assert_eq!(
+                placer.place(&p).unwrap_err(),
+                PlacementError::NonFiniteCost(vec![0])
+            );
+        }
+        assert!(IncrementalPlacer::new(PlacementPolicy::LatencyAware)
+            .place(&p)
+            .is_ok());
+    }
+
+    #[test]
+    fn a_nan_tradeoff_alpha_is_rejected() {
+        let p = green_and_dirty_problem(30.0);
+        let policy = PlacementPolicy::CarbonEnergyTradeoff { alpha: f64::NAN };
+        for placer in [
+            IncrementalPlacer::new(policy),
+            IncrementalPlacer::new(policy).heuristic_only(),
+        ] {
+            assert_eq!(
+                placer.place(&p).unwrap_err(),
+                PlacementError::NonFiniteCost(vec![0])
+            );
+        }
     }
 
     #[test]
