@@ -1,7 +1,6 @@
 //! Ablation: exact branch-and-bound MILP versus the assignment heuristic on
-//! testbed-sized placement instances (the solver-choice ablation called out
-//! in DESIGN.md), plus the revised-vs-reference exact-solver comparison
-//! whose medians `BENCH_solver.json` snapshots.
+//! testbed-sized placement instances, plus the revised-vs-reference
+//! exact-solver comparison whose medians `BENCH_solver.json` snapshots.
 
 use carbonedge_bench::bench_json::{regional_problem, scale_problem};
 use carbonedge_core::{IncrementalPlacer, PlacementPolicy};

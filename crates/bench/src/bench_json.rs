@@ -553,12 +553,13 @@ pub fn sweep_bench_json(quick: bool) -> String {
     if detected_cpus > 1 {
         modes.push(("jobs_auto", 0usize));
     }
+    let spec = crate::summary::sweep_spec(quick);
     let mut sections = Vec::new();
     let mut cells = 0usize;
     for (label, jobs) in modes {
         let mut workers = 0usize;
         let median = median_ns(SWEEP_SAMPLES, || {
-            let report = crate::summary::run_sweep(quick, jobs);
+            let report = crate::summary::run(&spec, jobs);
             cells = report.cells.len();
             workers = report.jobs;
         });

@@ -51,6 +51,7 @@ use carbonedge_analysis::mesoscale::{
     TemporalProfile,
 };
 use carbonedge_analysis::RadiusAnalysis;
+use carbonedge_bench::summary;
 use carbonedge_core::{IncrementalPlacer, PlacementPolicy, PlacementProblem, ServerSnapshot};
 use carbonedge_datasets::zones::ZoneArea;
 use carbonedge_datasets::{EdgeSiteCatalog, StudyRegion, ZoneCatalog};
@@ -61,6 +62,7 @@ use carbonedge_sim::hetero::{run_heterogeneity, HeterogeneityConfig};
 use carbonedge_sim::testbed::{run_testbed, TestbedConfig, TestbedWorkload};
 use carbonedge_sim::TradeoffSweep;
 use carbonedge_solver::Candidate;
+use carbonedge_sweep::{SweepReport, SweepSpec};
 use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind, WorkloadProfile};
 use std::time::Instant;
 
@@ -156,47 +158,16 @@ fn run_bench_json(dir: &str, quick: bool) {
     }
 }
 
-/// Runs the scenario grid through the sweep engine and prints its report.
-fn run_sweep(quick: bool, jobs: usize) {
-    header(&format!(
-        "Scenario sweep ({})",
-        if quick { "quick grid" } else { "default grid" }
-    ));
-    let report = carbonedge_bench::summary::run_sweep(quick, jobs);
-    print!("{}", report.render());
-    eprintln!("\n{}", report.footer());
-}
+/// The table a sweep-engine grid prints (`SweepReport::render` or one of
+/// its `render_*` siblings).
+type Render = fn(&SweepReport) -> String;
 
-/// Runs the forecaster × epoch grid and prints the forecast-regret table.
-fn run_forecast(quick: bool, jobs: usize) {
-    header(&format!(
-        "Forecast regret ({})",
-        if quick { "quick grid" } else { "full grid" }
-    ));
-    let report = carbonedge_bench::summary::run_forecast(quick, jobs);
-    print!("{}", report.render_forecast_regret());
-    eprintln!("\n{}", report.footer());
-}
-
-/// Runs the epoch × migration-cost grid and prints the churn table.
-fn run_migration(quick: bool, jobs: usize) {
-    header(&format!(
-        "Migration churn ({})",
-        if quick { "quick grid" } else { "full grid" }
-    ));
-    let report = carbonedge_bench::summary::run_migration(quick, jobs);
-    print!("{}", report.render_migration());
-    eprintln!("\n{}", report.footer());
-}
-
-/// Runs the serving-mode × policy grid and prints the serving table.
-fn run_serving(quick: bool, jobs: usize) {
-    header(&format!(
-        "Event-level serving ({})",
-        if quick { "quick grid" } else { "full grid" }
-    ));
-    let report = carbonedge_bench::summary::run_serving(quick, jobs);
-    print!("{}", report.render_serving());
+/// Runs one sweep-engine grid and prints `render` of its report under
+/// `title`, with the run's footer on stderr.
+fn print_grid(title: &str, spec: &SweepSpec, jobs: usize, render: Render) {
+    header(title);
+    let report = summary::run(spec, jobs);
+    print!("{}", render(&report));
     eprintln!("\n{}", report.footer());
 }
 
@@ -259,22 +230,27 @@ fn run_all_artifacts(dir: &str, quick: bool, jobs: usize) {
     }
 
     // The sweep-engine tables run in-process so they honor `--jobs`.
-    let sweep = carbonedge_bench::summary::run_sweep(quick, jobs);
-    write_artifact(out, "sweep.txt", sweep.render().as_bytes());
-    let forecast = carbonedge_bench::summary::run_forecast(quick, jobs);
-    write_artifact(
-        out,
-        "forecast.txt",
-        forecast.render_forecast_regret().as_bytes(),
-    );
-    let migration = carbonedge_bench::summary::run_migration(quick, jobs);
-    write_artifact(
-        out,
-        "migration.txt",
-        migration.render_migration().as_bytes(),
-    );
-    let serving = carbonedge_bench::summary::run_serving(quick, jobs);
-    write_artifact(out, "serving.txt", serving.render_serving().as_bytes());
+    let tables: [(&str, SweepSpec, Render); 4] = [
+        ("sweep.txt", summary::sweep_spec(quick), SweepReport::render),
+        (
+            "forecast.txt",
+            summary::forecast_spec(quick),
+            SweepReport::render_forecast_regret,
+        ),
+        (
+            "migration.txt",
+            summary::migration_spec(quick),
+            SweepReport::render_migration,
+        ),
+        (
+            "serving.txt",
+            summary::serving_spec(quick),
+            SweepReport::render_serving,
+        ),
+    ];
+    for (name, spec, render) in tables {
+        write_artifact(out, name, render(&summary::run(&spec, jobs)).as_bytes());
+    }
 
     run_bench_json(dir, quick);
 }
@@ -361,17 +337,41 @@ fn main() {
         std::process::exit(2);
     }
     let preamble = Instant::now();
+    let grid = if quick { "quick grid" } else { "full grid" };
     if sweep {
-        run_sweep(quick, jobs);
+        print_grid(
+            &format!(
+                "Scenario sweep ({})",
+                if quick { "quick grid" } else { "default grid" }
+            ),
+            &summary::sweep_spec(quick),
+            jobs,
+            SweepReport::render,
+        );
     }
     if forecast {
-        run_forecast(quick, jobs);
+        print_grid(
+            &format!("Forecast regret ({grid})"),
+            &summary::forecast_spec(quick),
+            jobs,
+            SweepReport::render_forecast_regret,
+        );
     }
     if migration {
-        run_migration(quick, jobs);
+        print_grid(
+            &format!("Migration churn ({grid})"),
+            &summary::migration_spec(quick),
+            jobs,
+            SweepReport::render_migration,
+        );
     }
     if serving {
-        run_serving(quick, jobs);
+        print_grid(
+            &format!("Event-level serving ({grid})"),
+            &summary::serving_spec(quick),
+            jobs,
+            SweepReport::render_serving,
+        );
     }
     if let Some(dir) = &bench_json {
         run_bench_json(dir, quick);

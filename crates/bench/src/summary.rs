@@ -1,13 +1,14 @@
-//! The scenario grids behind `experiments --sweep` and the deterministic
-//! quick summary snapshotted by the golden-output regression test.
+//! The scenario grids behind `experiments --sweep`, `--forecast`,
+//! `--migration` and `--serving`, and the one runner that executes them.
 //!
-//! The quick summary replays the figure-generating sweeps of the paper
+//! The quick sweep grid replays the figure-generating sweeps of the paper
 //! (Figure 11's area comparison, Figure 12's latency-tolerance sweep,
 //! Figure 14's demand/capacity skew) on a reduced site catalog through the
-//! sweep engine.  Its rendering is seed-stable and independent of the worker
-//! count, so `tests/experiments_golden.rs` can diff it against a checked-in
-//! snapshot with numeric tolerances and catch silent drift in any layer
-//! under it (datasets, traces, solver, simulator, aggregation).
+//! sweep engine.  Every report renders seed-stable and independent of the
+//! worker count, so `tests/experiments_golden.rs` can diff each quick
+//! grid's table against a checked-in snapshot with numeric tolerances and
+//! catch silent drift in any layer under it (datasets, traces, solver,
+//! simulator, aggregation).
 
 use carbonedge_core::MigrationCostLevel;
 use carbonedge_datasets::zones::ZoneArea;
@@ -15,14 +16,18 @@ use carbonedge_grid::{EpochSchedule, ForecasterKind};
 use carbonedge_sim::ServingMode;
 use carbonedge_sweep::{SweepExecutor, SweepReport, SweepSpec};
 
-/// Times a sweep run and stamps the wall-clock seconds onto the report.
-/// The executor itself never reads the clock (its decision logic must stay
-/// timing-independent — see the `wall-clock` lint rule), so measurement
-/// lives here at the bench edge, next to the code that prints
-/// [`SweepReport::footer`].
-fn timed(run: impl FnOnce() -> SweepReport) -> SweepReport {
+/// Runs `spec` with `jobs` workers and stamps the wall-clock seconds onto
+/// the report.  The executor itself never reads the clock (its decision
+/// logic must stay timing-independent — see the `wall-clock` lint rule), so
+/// measurement lives here at the bench edge, next to the code that prints
+/// [`SweepReport::footer`].  Panics if `spec` is invalid; every caller
+/// passes one of the grids below.
+pub fn run(spec: &SweepSpec, jobs: usize) -> SweepReport {
     let started = std::time::Instant::now();
-    let mut report = run();
+    let mut report = SweepExecutor::new()
+        .with_jobs(jobs)
+        .run(spec)
+        .expect("the built-in sweep grids are valid");
     report.wall_seconds = started.elapsed().as_secs_f64();
     report
 }
@@ -41,22 +46,6 @@ pub fn sweep_spec(quick: bool) -> SweepSpec {
             ..spec.with_site_limit(Some(120))
         }
     }
-}
-
-/// Runs the quick grid and returns its deterministic rendering.
-pub fn quick_summary(jobs: usize) -> String {
-    let report = run_sweep(true, jobs);
-    report.render()
-}
-
-/// Runs the `--sweep` grid with `jobs` workers.
-pub fn run_sweep(quick: bool, jobs: usize) -> SweepReport {
-    timed(|| {
-        SweepExecutor::new()
-            .with_jobs(jobs)
-            .run(&sweep_spec(quick))
-            .expect("the built-in sweep grids are valid")
-    })
 }
 
 /// The grid `experiments --forecast` runs: forecaster (oracle, persistence,
@@ -91,22 +80,6 @@ pub fn forecast_spec(quick: bool) -> SweepSpec {
     .with_epochs(vec![EpochSchedule::Monthly, EpochSchedule::Weekly])
 }
 
-/// Runs the `--forecast` grid with `jobs` workers.
-pub fn run_forecast(quick: bool, jobs: usize) -> SweepReport {
-    timed(|| {
-        SweepExecutor::new()
-            .with_jobs(jobs)
-            .run(&forecast_spec(quick))
-            .expect("the built-in forecast grids are valid")
-    })
-}
-
-/// Runs the quick forecast grid and returns the deterministic regret table
-/// (snapshotted by the golden-output regression test).
-pub fn forecast_summary(jobs: usize) -> String {
-    run_forecast(true, jobs).render_forecast_regret()
-}
-
 /// The grid `experiments --migration` runs: the re-placement epoch schedule
 /// (monthly, weekly, daily) crossed with the migration-cost calibration
 /// (free, paper, heavy) and both policies, so the churn table isolates what
@@ -136,22 +109,6 @@ pub fn migration_spec(quick: bool) -> SweepSpec {
     .with_migrations(MigrationCostLevel::ALL.to_vec())
 }
 
-/// Runs the `--migration` grid with `jobs` workers.
-pub fn run_migration(quick: bool, jobs: usize) -> SweepReport {
-    timed(|| {
-        SweepExecutor::new()
-            .with_jobs(jobs)
-            .run(&migration_spec(quick))
-            .expect("the built-in migration grids are valid")
-    })
-}
-
-/// Runs the quick migration grid and returns the deterministic churn table
-/// (snapshotted by the golden-output regression test).
-pub fn migration_summary(jobs: usize) -> String {
-    run_migration(true, jobs).render_migration()
-}
-
 /// The grid `experiments --serving` runs: all three serving modes
 /// (aggregate, event-level, event-level with the online drift trigger)
 /// crossed with both policies, so the serving table prices carbon-aware
@@ -173,22 +130,6 @@ pub fn serving_spec(quick: bool) -> SweepSpec {
     .with_site_limit(Some(if quick { 25 } else { 60 }))
     .with_demand(4, 1)
     .with_servings(ServingMode::ALL.to_vec())
-}
-
-/// Runs the `--serving` grid with `jobs` workers.
-pub fn run_serving(quick: bool, jobs: usize) -> SweepReport {
-    timed(|| {
-        SweepExecutor::new()
-            .with_jobs(jobs)
-            .run(&serving_spec(quick))
-            .expect("the built-in serving grids are valid")
-    })
-}
-
-/// Runs the quick serving grid and returns the deterministic serving table
-/// (snapshotted by the golden-output regression test).
-pub fn serving_summary(jobs: usize) -> String {
-    run_serving(true, jobs).render_serving()
 }
 
 #[cfg(test)]

@@ -187,16 +187,6 @@ impl IncrementalPlacer {
         self
     }
 
-    /// Re-targets this placer at a different policy, keeping the solver
-    /// configuration (exact-size threshold, node limits).  The
-    /// scenario-sweep executor uses this to stamp per-cell policies onto one
-    /// shared placer template instead of re-deriving the solver
-    /// configuration in every cell.
-    pub fn with_policy(mut self, policy: PlacementPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Objective value of an assignment under this placer's policy: the sum
     /// of the per-pair policy costs plus activation costs of newly powered-on
     /// servers.  Returns `None` when the assignment uses an infeasible pair.
@@ -1081,20 +1071,6 @@ mod tests {
             let again = placer.place(&p).unwrap();
             assert_eq!(first, again);
         }
-    }
-
-    #[test]
-    fn with_policy_keeps_solver_configuration() {
-        let template = IncrementalPlacer::new(PlacementPolicy::LatencyAware)
-            .heuristic_only()
-            .with_exact_size_limit(7);
-        let stamped = template.clone().with_policy(PlacementPolicy::CarbonAware);
-        assert_eq!(stamped.policy, PlacementPolicy::CarbonAware);
-        assert_eq!(stamped.exact_size_limit, 7);
-        assert_eq!(
-            stamped.milp_solver.max_nodes,
-            template.milp_solver.max_nodes
-        );
     }
 
     #[test]

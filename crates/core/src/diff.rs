@@ -48,21 +48,6 @@ impl AssignmentDiff {
     pub fn moves(&self) -> usize {
         self.moved.len()
     }
-
-    /// Number of applications that kept their server.
-    pub fn stays(&self) -> usize {
-        self.stayed.len()
-    }
-
-    /// Number of applications that lost their placement.
-    pub fn evictions(&self) -> usize {
-        self.evicted.len()
-    }
-
-    /// Whether nothing moved, arrived or was evicted.
-    pub fn is_stable(&self) -> bool {
-        self.moved.is_empty() && self.evicted.is_empty() && self.arrived.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -79,17 +64,19 @@ mod tests {
         assert_eq!(diff.evicted, vec![2]);
         assert_eq!(diff.arrived, vec![3]);
         assert_eq!(diff.moves(), 1);
-        assert_eq!(diff.stays(), 1);
-        assert_eq!(diff.evictions(), 1);
-        assert!(!diff.is_stable());
     }
 
     #[test]
     fn identical_assignments_are_stable() {
         let a = vec![Some(2), None, Some(5)];
         let diff = AssignmentDiff::between(&a, &a);
-        assert_eq!(diff.stayed, vec![0, 2]);
-        assert!(diff.is_stable());
+        assert_eq!(
+            diff,
+            AssignmentDiff {
+                stayed: vec![0, 2],
+                ..AssignmentDiff::default()
+            }
+        );
         assert_eq!(diff.moves(), 0);
     }
 
@@ -106,8 +93,6 @@ mod tests {
 
     #[test]
     fn empty_assignments_diff_to_empty() {
-        let diff = AssignmentDiff::between(&[], &[]);
-        assert!(diff.is_stable());
-        assert_eq!(diff.stays(), 0);
+        assert_eq!(AssignmentDiff::between(&[], &[]), AssignmentDiff::default());
     }
 }

@@ -127,12 +127,6 @@ impl EdgeSiteCatalog {
     pub fn in_area(&self, area: ZoneArea) -> Vec<&EdgeSiteRecord> {
         self.sites.iter().filter(|s| s.area == area).collect()
     }
-
-    /// Per-site population weights (used by the demand/capacity skew
-    /// experiments of Figure 14).
-    pub fn population_weights(&self, area: ZoneArea) -> Vec<f64> {
-        self.in_area(area).iter().map(|s| s.population_m).collect()
-    }
 }
 
 #[cfg(test)]
@@ -207,14 +201,5 @@ mod tests {
         for (i, s) in sites.sites().iter().enumerate() {
             assert_eq!(s.id, i);
         }
-    }
-
-    #[test]
-    fn population_weights_match_area_filter() {
-        let zones = ZoneCatalog::worldwide();
-        let sites = EdgeSiteCatalog::akamai_like(&zones);
-        let w = sites.population_weights(ZoneArea::Europe);
-        assert_eq!(w.len(), sites.in_area(ZoneArea::Europe).len());
-        assert!(w.iter().all(|x| *x > 0.0));
     }
 }

@@ -7,7 +7,7 @@
 //! zone catalog.
 
 use crate::zones::ZoneCatalog;
-use carbonedge_geo::{Coordinates, Region};
+use carbonedge_geo::Coordinates;
 use carbonedge_grid::ZoneId;
 
 /// The four mesoscale regions studied in the paper.
@@ -104,11 +104,6 @@ impl MesoscaleRegion {
             .map(|r| Self::resolve(*r, catalog))
             .collect()
     }
-
-    /// As a geometric [`Region`] (for bounding boxes and diameters).
-    pub fn as_geo_region(&self) -> Region {
-        Region::new(self.region.name(), self.members.clone())
-    }
 }
 
 #[cfg(test)]
@@ -121,21 +116,6 @@ mod tests {
         for region in MesoscaleRegion::all(&catalog) {
             assert_eq!(region.zones.len(), 5);
             assert_eq!(region.members.len(), 5);
-        }
-    }
-
-    #[test]
-    fn regions_are_mesoscale_in_extent() {
-        // Figure 2 annotates each region with an extent around 700-1400 km.
-        let catalog = ZoneCatalog::worldwide();
-        for region in MesoscaleRegion::all(&catalog) {
-            let geo = region.as_geo_region();
-            let diameter = geo.diameter_km();
-            assert!(
-                diameter > 200.0 && diameter < 1600.0,
-                "{} diameter {diameter}",
-                region.region.name()
-            );
         }
     }
 

@@ -324,15 +324,6 @@ impl ZoneCatalog {
     pub fn generate_traces(&self, seed: u64) -> Vec<carbonedge_grid::CarbonTrace> {
         TraceGenerator::new(seed).generate_all(&self.profiles())
     }
-
-    /// The zone nearest to a coordinate (by great-circle distance).
-    pub fn nearest_zone(&self, location: Coordinates) -> Option<&ZoneRecord> {
-        self.records.iter().min_by(|a, b| {
-            a.location
-                .distance_km(&location)
-                .total_cmp(&b.location.distance_km(&location))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -483,14 +474,6 @@ mod tests {
                 / zones.len() as f64
         };
         assert!(mean(ZoneArea::Europe) < mean(ZoneArea::UnitedStates));
-    }
-
-    #[test]
-    fn nearest_zone_lookup() {
-        let cat = ZoneCatalog::worldwide();
-        // A point in downtown Miami maps to the Miami zone.
-        let z = cat.nearest_zone(Coordinates::new(25.77, -80.20)).unwrap();
-        assert_eq!(z.name, "Miami");
     }
 
     #[test]

@@ -35,24 +35,6 @@ impl Coordinates {
     pub fn distance_km(&self, other: &Coordinates) -> f64 {
         haversine_km(*self, *other)
     }
-
-    /// Returns the midpoint (on the great circle) between two coordinates.
-    ///
-    /// Used when collapsing multiple edge data centers in the same city into
-    /// a single logical site, mirroring the trace-integration step of the
-    /// paper (Section 6.1.1).
-    pub fn midpoint(&self, other: &Coordinates) -> Coordinates {
-        let lat1 = self.lat.to_radians();
-        let lon1 = self.lon.to_radians();
-        let lat2 = other.lat.to_radians();
-        let lon2 = other.lon.to_radians();
-        let dlon = lon2 - lon1;
-        let bx = lat2.cos() * dlon.cos();
-        let by = lat2.cos() * dlon.sin();
-        let lat3 = (lat1.sin() + lat2.sin()).atan2(((lat1.cos() + bx).powi(2) + by.powi(2)).sqrt());
-        let lon3 = lon1 + by.atan2(lat1.cos() + bx);
-        Coordinates::new(lat3.to_degrees(), lon3.to_degrees())
-    }
 }
 
 /// Haversine great-circle distance between two coordinates, in kilometers.
@@ -127,23 +109,6 @@ mod tests {
         assert!(approx(c.lon, -170.0, 1e-9));
         let c = Coordinates::new(0.0, -200.0);
         assert!(approx(c.lon, 160.0, 1e-9));
-    }
-
-    #[test]
-    fn midpoint_of_identical_points_is_same() {
-        let c = Coordinates::new(48.0, 11.0);
-        let m = c.midpoint(&c);
-        assert!(approx(m.lat, 48.0, 1e-9));
-        assert!(approx(m.lon, 11.0, 1e-9));
-    }
-
-    #[test]
-    fn midpoint_is_roughly_between() {
-        let a = Coordinates::new(40.0, -74.0);
-        let b = Coordinates::new(42.0, -71.0);
-        let m = a.midpoint(&b);
-        assert!(m.lat > 40.0 && m.lat < 42.0);
-        assert!(m.lon > -74.0 && m.lon < -71.0);
     }
 
     proptest! {

@@ -2,14 +2,11 @@
 //! Geographic primitives for CarbonEdge.
 //!
 //! This crate provides the small geographic substrate that the rest of the
-//! workspace builds on: coordinates, great-circle (haversine) distances,
-//! bounding boxes, and named mesoscale regions.  The paper's mesoscale
-//! analysis (Section 3) and the CDN-scale evaluation (Section 6.3) are both
-//! driven by pairwise distances between edge data centers, which this crate
-//! computes.
+//! workspace builds on: coordinates and great-circle (haversine) distances.
+//! The paper's mesoscale analysis (Section 3) and the CDN-scale evaluation
+//! (Section 6.3) are both driven by pairwise distances between edge data
+//! centers, which this crate computes.
 
 pub mod coord;
-pub mod region;
 
 pub use coord::{haversine_km, Coordinates, EARTH_RADIUS_KM};
-pub use region::{BoundingBox, Region};

@@ -49,15 +49,6 @@ impl EnergyMix {
         carbon_intensity_of(&self.shares)
     }
 
-    /// Fraction of supply coming from low-carbon sources.
-    pub fn low_carbon_share(&self) -> f64 {
-        self.shares
-            .iter()
-            .filter(|(s, _)| s.is_low_carbon())
-            .map(|(_, share)| share)
-            .sum()
-    }
-
     /// Fraction of supply coming from fossil sources.
     pub fn fossil_share(&self) -> f64 {
         fossil_share_of(&self.shares)
@@ -230,9 +221,8 @@ mod tests {
     }
 
     #[test]
-    fn low_carbon_and_fossil_shares() {
+    fn fossil_share_sums_the_fossil_sources() {
         let mix = sample_mix();
-        assert!((mix.low_carbon_share() - 0.5).abs() < 1e-9);
         assert!((mix.fossil_share() - 0.5).abs() < 1e-9);
     }
 

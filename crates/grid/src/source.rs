@@ -69,12 +69,6 @@ impl EnergySource {
         }
     }
 
-    /// Whether the source is conventionally considered low-carbon
-    /// (renewables, nuclear, storage).
-    pub fn is_low_carbon(&self) -> bool {
-        self.carbon_factor() < 100.0
-    }
-
     /// Whether the source is variable/intermittent (its output depends on
     /// weather and time of day).
     pub fn is_variable(&self) -> bool {
@@ -87,22 +81,6 @@ impl EnergySource {
             self,
             EnergySource::Coal | EnergySource::Gas | EnergySource::Oil
         )
-    }
-
-    /// Short lowercase label (matches the legend style of Figure 1a).
-    pub fn label(&self) -> &'static str {
-        match self {
-            EnergySource::Hydro => "hydro",
-            EnergySource::Solar => "solar",
-            EnergySource::Wind => "wind",
-            EnergySource::Nuclear => "nuclear",
-            EnergySource::Coal => "coal",
-            EnergySource::Gas => "gas",
-            EnergySource::Oil => "oil",
-            EnergySource::Biomass => "biomass",
-            EnergySource::Geothermal => "geothermal",
-            EnergySource::Battery => "battery",
-        }
     }
 }
 
@@ -134,16 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn low_carbon_classification() {
-        assert!(EnergySource::Hydro.is_low_carbon());
-        assert!(EnergySource::Wind.is_low_carbon());
-        assert!(EnergySource::Nuclear.is_low_carbon());
-        assert!(!EnergySource::Coal.is_low_carbon());
-        assert!(!EnergySource::Gas.is_low_carbon());
-        assert!(!EnergySource::Biomass.is_low_carbon());
-    }
-
-    #[test]
     fn variable_sources() {
         assert!(EnergySource::Solar.is_variable());
         assert!(EnergySource::Wind.is_variable());
@@ -157,13 +125,5 @@ mod tests {
         assert!(EnergySource::Gas.is_fossil());
         assert!(EnergySource::Oil.is_fossil());
         assert!(!EnergySource::Solar.is_fossil());
-    }
-
-    #[test]
-    fn labels_are_unique() {
-        let mut labels: Vec<&str> = EnergySource::ALL.iter().map(|s| s.label()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), EnergySource::ALL.len());
     }
 }

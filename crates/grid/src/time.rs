@@ -53,14 +53,6 @@ impl HourOfYear {
         11
     }
 
-    /// Three-letter month name (Jan..Dec).
-    pub fn month_name(&self) -> &'static str {
-        const NAMES: [&str; 12] = [
-            "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
-        ];
-        NAMES[self.month()]
-    }
-
     /// Advances by `hours`, wrapping at the end of the year.
     pub fn plus(&self, hours: usize) -> HourOfYear {
         HourOfYear::new(self.0 + hours)
@@ -200,12 +192,6 @@ mod tests {
         assert_eq!(HourOfYear::new(31 * 24 - 1).month(), 0);
         assert_eq!(HourOfYear::new(31 * 24).month(), 1);
         assert_eq!(HourOfYear::new(HOURS_PER_YEAR - 1).month(), 11);
-    }
-
-    #[test]
-    fn month_names() {
-        assert_eq!(HourOfYear::new(0).month_name(), "Jan");
-        assert_eq!(HourOfYear::new(HOURS_PER_YEAR - 1).month_name(), "Dec");
     }
 
     #[test]

@@ -8,20 +8,6 @@ use serde::{Deserialize, Serialize};
 /// Speed of light in fiber, km per millisecond (≈ 2/3 c).
 const FIBER_KM_PER_MS: f64 = 200.0;
 
-/// A single latency observation between two endpoints.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LatencySample {
-    /// One-way latency in milliseconds.
-    pub one_way_ms: f64,
-}
-
-impl LatencySample {
-    /// Round-trip latency in milliseconds.
-    pub fn round_trip_ms(&self) -> f64 {
-        self.one_way_ms * 2.0
-    }
-}
-
 /// Geodesic latency model replacing the WonderNetwork ping dataset.
 ///
 /// One-way latency between two points is modeled as
@@ -104,24 +90,6 @@ impl LatencyModel {
     pub fn round_trip_ms(&self, a: Coordinates, b: Coordinates) -> f64 {
         self.one_way_ms(a, b) * 2.0
     }
-
-    /// Convenience sample constructor.
-    pub fn sample(&self, a: Coordinates, b: Coordinates) -> LatencySample {
-        LatencySample {
-            one_way_ms: self.one_way_ms(a, b),
-        }
-    }
-
-    /// The maximum one-way reach (km) achievable within a round-trip latency
-    /// limit, ignoring jitter.  Used to translate the paper's latency limits
-    /// into search radii (20 ms RTT ≈ 500 km in Section 6.1.1).
-    pub fn reach_km(&self, round_trip_limit_ms: f64) -> f64 {
-        let one_way = round_trip_limit_ms / 2.0 - self.access_delay_ms;
-        if one_way <= 0.0 {
-            return 0.0;
-        }
-        one_way * FIBER_KM_PER_MS / self.routing_inflation
-    }
 }
 
 #[cfg(test)]
@@ -177,8 +145,6 @@ mod tests {
         let m = LatencyModel::default();
         let (a, b) = coords();
         assert!((m.round_trip_ms(a, b) - 2.0 * m.one_way_ms(a, b)).abs() < 1e-9);
-        let s = m.sample(a, b);
-        assert!((s.round_trip_ms() - 2.0 * s.one_way_ms).abs() < 1e-12);
     }
 
     #[test]
@@ -201,20 +167,6 @@ mod tests {
             ..LatencyModel::default()
         };
         assert!((m1.one_way_ms(a, b) - m2.one_way_ms(a, b)).abs() > 1e-9);
-    }
-
-    #[test]
-    fn reach_of_20ms_rtt_is_about_500km() {
-        // The paper equates a 20 ms round-trip limit with roughly 500 km.
-        let m = LatencyModel::deterministic();
-        let reach = m.reach_km(20.0);
-        assert!(reach > 400.0 && reach < 1200.0, "got {reach}");
-    }
-
-    #[test]
-    fn reach_of_tiny_limit_is_zero() {
-        let m = LatencyModel::deterministic();
-        assert_eq!(m.reach_km(1.0), 0.0);
     }
 
     proptest! {

@@ -12,5 +12,5 @@
 pub mod latency;
 pub mod matrix;
 
-pub use latency::{LatencyModel, LatencySample};
+pub use latency::LatencyModel;
 pub use matrix::LatencyMatrix;

@@ -32,20 +32,6 @@ impl LatencyMatrix {
         }
     }
 
-    /// Builds a matrix from explicit one-way values (row-major, n×n).
-    ///
-    /// Returns `None` if the value count does not match the number of names
-    /// squared, or any value is negative/non-finite.
-    pub fn from_values(names: Vec<String>, one_way_ms: Vec<f64>) -> Option<Self> {
-        if one_way_ms.len() != names.len() * names.len() {
-            return None;
-        }
-        if one_way_ms.iter().any(|v| !v.is_finite() || *v < 0.0) {
-            return None;
-        }
-        Some(Self { names, one_way_ms })
-    }
-
     /// Number of sites.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -64,24 +50,6 @@ impl LatencyMatrix {
     /// One-way latency between site indices `i` and `j`, in ms.
     pub fn one_way(&self, i: usize, j: usize) -> f64 {
         self.one_way_ms[i * self.names.len() + j]
-    }
-
-    /// Round-trip latency between site indices `i` and `j`, in ms.
-    pub fn round_trip(&self, i: usize, j: usize) -> f64 {
-        self.one_way(i, j) * 2.0
-    }
-
-    /// Index of a site by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
-    /// Indices of all sites within a round-trip latency limit of site `i`
-    /// (including `i` itself).
-    pub fn within_round_trip(&self, i: usize, limit_ms: f64) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&j| self.round_trip(i, j) <= limit_ms)
-            .collect()
     }
 
     /// Maximum one-way latency in the matrix (ignoring the diagonal).
@@ -156,35 +124,6 @@ mod tests {
         let mean = m.mean_off_diagonal();
         assert!(max > 3.0 && max < 12.0, "max {max}");
         assert!(mean > 1.5 && mean < 8.0, "mean {mean}");
-    }
-
-    #[test]
-    fn within_round_trip_includes_self_and_respects_limit() {
-        let m = LatencyMatrix::from_model(&florida_sites(), &LatencyModel::deterministic());
-        let near = m.within_round_trip(1, 8.0); // Miami with an 8 ms RTT budget
-        assert!(near.contains(&1));
-        for j in near {
-            assert!(m.round_trip(1, j) <= 8.0);
-        }
-        let all = m.within_round_trip(1, 1000.0);
-        assert_eq!(all.len(), m.len());
-    }
-
-    #[test]
-    fn from_values_validation() {
-        assert!(LatencyMatrix::from_values(vec!["a".into(), "b".into()], vec![0.0; 3]).is_none());
-        assert!(LatencyMatrix::from_values(vec!["a".into()], vec![-1.0]).is_none());
-        let ok = LatencyMatrix::from_values(vec!["a".into(), "b".into()], vec![0.0, 5.0, 5.0, 0.0])
-            .unwrap();
-        assert_eq!(ok.one_way(0, 1), 5.0);
-        assert_eq!(ok.round_trip(0, 1), 10.0);
-    }
-
-    #[test]
-    fn index_of_lookup() {
-        let m = LatencyMatrix::from_model(&florida_sites(), &LatencyModel::default());
-        assert_eq!(m.index_of("Miami"), Some(1));
-        assert_eq!(m.index_of("Boston"), None);
     }
 
     #[test]

@@ -695,8 +695,8 @@ impl CdnSimulator {
     }
 
     /// Runs the year-long simulation with a caller-provided placer, letting
-    /// sweeps share one solver configuration across cells (see
-    /// [`IncrementalPlacer::with_policy`]).
+    /// sweeps share one solver configuration across cells (the sweep
+    /// executor assigns each cell's policy to its placer's `policy` field).
     ///
     /// One loop serves every [`ServingMode`].  Per epoch of the configured
     /// [`EpochSchedule`] it decides over the remaining window against the
@@ -1183,9 +1183,9 @@ mod tests {
     #[test]
     fn run_with_reuses_a_shared_placer_template() {
         let sim = CdnSimulator::new(CdnConfig::new(ZoneArea::Europe).with_site_limit(20));
-        let template = IncrementalPlacer::new(PlacementPolicy::LatencyAware).heuristic_only();
-        let stamped = template.with_policy(PlacementPolicy::CarbonAware);
-        let via_template = sim.run_with(&stamped);
+        let mut placer = IncrementalPlacer::new(PlacementPolicy::LatencyAware).heuristic_only();
+        placer.policy = PlacementPolicy::CarbonAware;
+        let via_template = sim.run_with(&placer);
         let direct = sim.run(PlacementPolicy::CarbonAware);
         assert_eq!(via_template.policy, "CarbonEdge");
         assert_eq!(via_template.outcome, direct.outcome);

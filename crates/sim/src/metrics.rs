@@ -28,16 +28,6 @@ impl PolicyOutcome {
         self.energy_j += other.energy_j;
         self.placed_apps = total_apps;
     }
-
-    /// Carbon in metric tons.
-    pub fn carbon_t(&self) -> f64 {
-        self.carbon_g / 1e6
-    }
-
-    /// Energy in kWh.
-    pub fn energy_kwh(&self) -> f64 {
-        self.energy_j / 3.6e6
-    }
 }
 
 /// Savings of a policy relative to the Latency-aware baseline — the metric
@@ -136,17 +126,5 @@ mod tests {
         let s = Savings::versus(&PolicyOutcome::default(), &PolicyOutcome::default());
         assert_eq!(s.carbon_percent, 0.0);
         assert_eq!(s.energy_ratio, 1.0);
-    }
-
-    #[test]
-    fn unit_conversions() {
-        let o = PolicyOutcome {
-            carbon_g: 2.5e6,
-            energy_j: 7.2e6,
-            mean_latency_ms: 0.0,
-            placed_apps: 0,
-        };
-        assert!((o.carbon_t() - 2.5).abs() < 1e-12);
-        assert!((o.energy_kwh() - 2.0).abs() < 1e-12);
     }
 }

@@ -55,15 +55,6 @@ impl ServingMode {
         ServingMode::OnlineReplace,
     ];
 
-    /// Human-readable name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ServingMode::Aggregate => "Aggregate",
-            ServingMode::EventLevel => "EventLevel",
-            ServingMode::OnlineReplace => "OnlineReplace",
-        }
-    }
-
     /// Short label used in sweep cell labels.
     pub fn label(&self) -> &'static str {
         match self {

@@ -36,8 +36,8 @@
 //!
 //! The placement policies in `carbonedge-core` use the exact solver for
 //! small instances and the assignment heuristic at CDN scale; benches in
-//! `carbonedge-bench` compare the paths (the solver ablation called out in
-//! DESIGN.md) and measure the revised-vs-reference speedup.
+//! `carbonedge-bench` compare the paths (the solver ablation) and measure
+//! the revised-vs-reference speedup.
 
 pub mod assignment;
 pub mod branch_bound;

@@ -59,9 +59,9 @@ pub fn take_jobs_flag(args: &mut Vec<String>) -> Result<usize, String> {
 pub struct SweepExecutor {
     /// Number of worker threads; `0` means one per available CPU.
     pub jobs: usize,
-    /// The placer template stamped with each cell's policy
-    /// ([`IncrementalPlacer::with_policy`]); heuristic-only by default, as in
-    /// the CDN-scale experiments.
+    /// The placer template each worker clones once; a cell assigns its
+    /// policy to the clone's `policy` field.  Heuristic-only by default, as
+    /// in the CDN-scale experiments.
     pub placer_template: IncrementalPlacer,
 }
 
@@ -138,8 +138,8 @@ impl SweepExecutor {
         }
     }
 
-    /// Runs the full grid.  Returns an error for degenerate specs (empty
-    /// axes, non-finite latency limits, zero site caps).
+    /// Runs the full grid.  Returns an error, before any cell runs, for a
+    /// spec that [`SweepSpec::validate`] rejects.
     pub fn run(&self, spec: &SweepSpec) -> Result<SweepReport, String> {
         spec.validate()?;
         let cells = spec.cells();
@@ -211,14 +211,49 @@ impl SweepExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::SweepSpec;
+    use crate::spec::{SweepSpec, WorkloadSpec};
     use carbonedge_datasets::zones::ZoneArea;
+    use carbonedge_workload::{DeviceKind, ModelKind};
 
     fn tiny_spec() -> SweepSpec {
         SweepSpec::new("tiny")
             .with_areas(vec![ZoneArea::Europe])
             .with_latency_limits(vec![10.0, 20.0])
             .with_site_limit(Some(12))
+    }
+
+    /// A 5-site European grid that `validate` must reject, naming `culprit`,
+    /// before the executor runs a cell (each panicked inside a cell when
+    /// `validate` let it through).
+    fn assert_rejected_before_running(spec: SweepSpec, culprit: &str) {
+        let spec = spec
+            .with_areas(vec![ZoneArea::Europe])
+            .with_site_limit(Some(5));
+        let run = SweepExecutor::new().with_jobs(1).run(&spec);
+        let err = spec.validate().expect_err("validate accepts the spec");
+        assert!(err.contains(culprit), "`{err}` does not name `{culprit}`");
+        assert_eq!(run.err(), Some(err));
+    }
+
+    #[test]
+    fn a_nan_tradeoff_alpha_is_rejected_before_running() {
+        let policy = PlacementPolicy::CarbonEnergyTradeoff { alpha: f64::NAN };
+        let spec = SweepSpec::new("t").with_policies(vec![PlacementPolicy::LatencyAware, policy]);
+        assert_rejected_before_running(spec, &policy.name());
+    }
+
+    #[test]
+    fn a_workload_without_a_profile_is_rejected_before_running() {
+        let workload = WorkloadSpec::new(ModelKind::SciCpu, DeviceKind::A2, 15.0);
+        let name = workload.name.clone();
+        assert_rejected_before_running(SweepSpec::new("t").with_workloads(vec![workload]), &name);
+    }
+
+    #[test]
+    fn a_nan_request_rate_is_rejected_before_running() {
+        let workload = WorkloadSpec::new(ModelKind::ResNet50, DeviceKind::A2, f64::NAN);
+        let name = workload.name.clone();
+        assert_rejected_before_running(SweepSpec::new("t").with_workloads(vec![workload]), &name);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use carbonedge_datasets::zones::ZoneArea;
 use carbonedge_grid::{EpochSchedule, ForecasterKind};
 use carbonedge_sim::cdn::{CdnConfig, CdnScenario};
 use carbonedge_sim::ServingMode;
-use carbonedge_workload::{splitmix64, DeviceKind, ModelKind};
+use carbonedge_workload::{splitmix64, DeviceKind, ModelKind, WorkloadProfile};
 
 /// One workload point on the workload axis: the served model, the device the
 /// CDN installs, and the per-application request rate.
@@ -60,11 +60,6 @@ impl WorkloadSpec {
     /// A light workload: EfficientNetB0 on Jetson Orin Nano.
     pub fn efficientnet_on_orin() -> Self {
         Self::new(ModelKind::EfficientNetB0, DeviceKind::OrinNano, 15.0)
-    }
-
-    /// A heavy workload: YOLOv4 on GTX 1080.
-    pub fn yolo_on_gtx1080() -> Self {
-        Self::new(ModelKind::YoloV4, DeviceKind::Gtx1080, 10.0)
     }
 
     /// The workload's lossless identity.
@@ -521,7 +516,8 @@ impl SweepSpec {
     }
 
     /// Checks that every axis has at least one value and that values are
-    /// usable (finite positive latency limits, non-empty workload names).
+    /// usable (finite positive latency limits, named and profiled workloads
+    /// with finite non-negative request rates, no NaN trade-off weight).
     pub fn validate(&self) -> Result<(), String> {
         let axes: [(&str, usize); 11] = [
             ("policies", self.policies.len()),
@@ -562,6 +558,21 @@ impl SweepSpec {
         }
         let mut names = std::collections::HashSet::new();
         for workload in &self.workloads {
+            let rate = workload.request_rate_rps;
+            if !(rate.is_finite() && rate >= 0.0) {
+                return Err(format!(
+                    "workload `{}` has request rate {rate}, not a finite non-negative value",
+                    workload.name
+                ));
+            }
+            if WorkloadProfile::lookup(workload.model, workload.device).is_none() {
+                return Err(format!(
+                    "workload `{}` has no profile: {} is not profiled on {}",
+                    workload.name,
+                    workload.model.name(),
+                    workload.device.name()
+                ));
+            }
             if !names.insert(workload.name.as_str()) {
                 return Err(format!(
                     "two workloads share the display name `{}`; rename one",
@@ -574,6 +585,12 @@ impl SweepSpec {
         // 0.304 both print `CarbonEdge(α=0.30)`) would silently merge.
         let mut policy_names = std::collections::HashSet::new();
         for policy in &self.policies {
+            if matches!(policy, PlacementPolicy::CarbonEnergyTradeoff { alpha } if alpha.is_nan()) {
+                return Err(format!(
+                    "policy `{}` has a NaN trade-off weight",
+                    policy.name()
+                ));
+            }
             if !policy_names.insert(policy.name()) {
                 return Err(format!(
                     "two policies share the display name `{}`; \
@@ -743,7 +760,11 @@ mod tests {
         let spec = SweepSpec::new("t")
             .with_latency_limits(vec![12.5])
             .with_site_limit(Some(17))
-            .with_workloads(vec![WorkloadSpec::yolo_on_gtx1080()])
+            .with_workloads(vec![WorkloadSpec::new(
+                ModelKind::YoloV4,
+                DeviceKind::Gtx1080,
+                10.0,
+            )])
             .with_seeds(vec![99]);
         let cell = &spec.cells()[0];
         let config = cell.config();
@@ -974,7 +995,7 @@ mod tests {
         let names: std::collections::HashSet<String> = [
             WorkloadSpec::resnet50_on_a2(),
             WorkloadSpec::efficientnet_on_orin(),
-            WorkloadSpec::yolo_on_gtx1080(),
+            WorkloadSpec::new(ModelKind::YoloV4, DeviceKind::Gtx1080, 10.0),
         ]
         .iter()
         .map(|w| w.name.clone())

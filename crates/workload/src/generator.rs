@@ -10,40 +10,30 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// The arrival process controlling how per-hour request intensity is
-/// modulated within a day.
+/// modulated within a day: a sinusoidal diurnal profile, whose hourly
+/// weight `1 + amplitude * cos(2π(h - peak)/24)` averages to one over a
+/// full day, with a multiplicative burst overlay: each hour independently
+/// bursts with probability `burst_probability`, scaling the intensity by
+/// `burst_magnitude` (jittered by a clamped normal sample).  A zero
+/// amplitude makes the profile flat; a zero burst probability turns the
+/// bursts off.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ArrivalProcess {
-    /// A flat intensity.
-    Flat,
-    /// An intensity that follows a sinusoidal diurnal profile: the hourly
-    /// weight is `1 + amplitude * cos(2π(h - peak)/24)`, which averages to
-    /// one over a full day.
-    Diurnal {
-        /// Relative swing of the diurnal cycle, in `[0, 1)`.
-        amplitude: f64,
-        /// Hour of day (0–24) at which intensity peaks.
-        peak_hour: f64,
-    },
-    /// Diurnal arrivals with a multiplicative burst overlay: each hour
-    /// independently bursts with probability `burst_probability`, scaling the
-    /// intensity by `burst_magnitude` (jittered by a clamped normal sample).
-    Bursty {
-        /// Relative swing of the diurnal cycle, in `[0, 1)`.
-        amplitude: f64,
-        /// Hour of day (0–24) at which intensity peaks.
-        peak_hour: f64,
-        /// Per-hour probability of a burst, in `[0, 1]`.
-        burst_probability: f64,
-        /// Intensity multiplier while bursting (≥ 1).
-        burst_magnitude: f64,
-    },
+pub struct ArrivalProcess {
+    /// Relative swing of the diurnal cycle, in `[0, 1)`.
+    pub amplitude: f64,
+    /// Hour of day (0–24) at which intensity peaks.
+    pub peak_hour: f64,
+    /// Per-hour probability of a burst, in `[0, 1]`.
+    pub burst_probability: f64,
+    /// Intensity multiplier while bursting (≥ 1).
+    pub burst_magnitude: f64,
 }
 
 impl ArrivalProcess {
     /// The diurnal + burst overlay of the event-level serving engine: a
     /// 35 % evening-peaked swing with rare 2.5× bursts.
     pub fn diurnal_bursty() -> Self {
-        ArrivalProcess::Bursty {
+        ArrivalProcess {
             amplitude: 0.35,
             peak_hour: 19.0,
             burst_probability: 0.02,
@@ -51,34 +41,19 @@ impl ArrivalProcess {
         }
     }
 
-    /// The relative intensity multiplier for the hour-of-day `hour` (0–24).
-    /// Flat processes weigh every hour alike; diurnal processes follow
-    /// their sinusoid; bursty processes additionally draw a burst from
-    /// `rng`.  The diurnal part has unit mean over a full day.
+    /// The relative intensity multiplier for the hour-of-day `hour` (0–24):
+    /// the diurnal sinusoid, times a burst drawn from `rng`.  The diurnal
+    /// part has unit mean over a full day.
     pub fn hourly_weight(&self, hour_of_day: f64, rng: &mut StdRng) -> f64 {
-        match self {
-            ArrivalProcess::Flat => 1.0,
-            ArrivalProcess::Diurnal {
-                amplitude,
-                peak_hour,
-            } => diurnal_factor(hour_of_day, *amplitude, *peak_hour),
-            ArrivalProcess::Bursty {
-                amplitude,
-                peak_hour,
-                burst_probability,
-                burst_magnitude,
-            } => {
-                let base = diurnal_factor(hour_of_day, *amplitude, *peak_hour);
-                let roll: f64 = rng.gen_range(0.0..1.0);
-                if roll < *burst_probability {
-                    // Jitter the burst height with a clamped normal sample so
-                    // bursts vary without ever exploding past ~1.45× nominal.
-                    let jitter = 1.0 + 0.15 * sample_standard_normal(rng);
-                    base * (burst_magnitude * jitter).max(1.0)
-                } else {
-                    base
-                }
-            }
+        let base = diurnal_factor(hour_of_day, self.amplitude, self.peak_hour);
+        let roll: f64 = rng.gen_range(0.0..1.0);
+        if roll < self.burst_probability {
+            // Jitter the burst height with a clamped normal sample so
+            // bursts vary without ever exploding past ~1.45× nominal.
+            let jitter = 1.0 + 0.15 * sample_standard_normal(rng);
+            base * (self.burst_magnitude * jitter).max(1.0)
+        } else {
+            base
         }
     }
 }
@@ -128,9 +103,11 @@ mod tests {
 
     #[test]
     fn diurnal_weight_peaks_at_peak_hour_and_averages_to_one() {
-        let p = ArrivalProcess::Diurnal {
+        let p = ArrivalProcess {
             amplitude: 0.4,
             peak_hour: 19.0,
+            burst_probability: 0.0,
+            burst_magnitude: 1.0,
         };
         let mut rng = StdRng::seed_from_u64(1);
         let peak = p.hourly_weight(19.0, &mut rng);
@@ -146,7 +123,7 @@ mod tests {
 
     #[test]
     fn bursty_weight_exceeds_diurnal_only_during_bursts() {
-        let p = ArrivalProcess::Bursty {
+        let p = ArrivalProcess {
             amplitude: 0.0,
             peak_hour: 0.0,
             burst_probability: 0.25,

@@ -76,16 +76,6 @@ impl DeviceKind {
         }
     }
 
-    /// Number of compute units (CUDA cores for GPUs, hardware threads for CPU).
-    pub fn compute_units(&self) -> f64 {
-        match self {
-            DeviceKind::OrinNano => 1024.0,
-            DeviceKind::A2 => 1280.0,
-            DeviceKind::Gtx1080 => 2560.0,
-            DeviceKind::XeonCpu => 40.0,
-        }
-    }
-
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -198,12 +188,6 @@ impl WorkloadProfile {
             }
         }
         out
-    }
-
-    /// Average power draw while serving `requests_per_second` requests, in
-    /// watts (energy per request × request rate).
-    pub fn dynamic_power_w(&self, requests_per_second: f64) -> f64 {
-        self.energy_per_request_j * requests_per_second.max(0.0)
     }
 
     /// Fraction of the device the workload occupies when serving
@@ -320,18 +304,10 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_power_scales_linearly() {
-        let p = WorkloadProfile::lookup(ModelKind::YoloV4, DeviceKind::Gtx1080).unwrap();
-        assert!((p.dynamic_power_w(10.0) - 10.0 * p.energy_per_request_j).abs() < 1e-12);
-        assert_eq!(p.dynamic_power_w(-1.0), 0.0);
-    }
-
-    #[test]
     fn device_base_power_below_max_power() {
         for d in DeviceKind::ALL {
             assert!(d.base_power_w() < d.max_power_w());
             assert!(d.memory_mb() > 0.0);
-            assert!(d.compute_units() > 0.0);
         }
     }
 

@@ -158,6 +158,16 @@ mod tests {
         ArrivalProcess::diurnal_bursty()
     }
 
+    /// A burst-free process with an evening-peaked swing of `amplitude`.
+    fn diurnal(amplitude: f64) -> ArrivalProcess {
+        ArrivalProcess {
+            amplitude,
+            peak_hour: 19.0,
+            burst_probability: 0.0,
+            burst_magnitude: 1.0,
+        }
+    }
+
     #[test]
     fn streams_are_deterministic_and_seed_distinct() {
         let a = RequestStream::new(3, 7, 15.0, bursty(), 42);
@@ -185,11 +195,7 @@ mod tests {
 
     #[test]
     fn diurnal_streams_shift_load_toward_the_peak_hour() {
-        let process = ArrivalProcess::Diurnal {
-            amplitude: 0.5,
-            peak_hour: 19.0,
-        };
-        let s = RequestStream::new(0, 0, 10.0, process, 11);
+        let s = RequestStream::new(0, 0, 10.0, diurnal(0.5), 11);
         let counts = s.hourly_counts(0, 24);
         assert!(
             counts[19] > counts[7],
@@ -201,7 +207,7 @@ mod tests {
 
     #[test]
     fn flat_processes_spread_requests_evenly() {
-        let s = RequestStream::new(1, 2, 2.0, ArrivalProcess::Flat, 9);
+        let s = RequestStream::new(1, 2, 2.0, diurnal(0.0), 9);
         let counts = s.hourly_counts(0, 10);
         for c in &counts {
             assert_eq!(*c, 7200, "counts {counts:?}");
@@ -230,11 +236,7 @@ mod tests {
         // well-defined and the per-hour counts still sum to the aggregate
         // total exactly (NaN floors contribute zero, so the whole total is
         // apportioned by the leftover pass).
-        let process = ArrivalProcess::Diurnal {
-            amplitude: f64::INFINITY,
-            peak_hour: 19.0,
-        };
-        let s = RequestStream::new(0, 0, 15.0, process, 3);
+        let s = RequestStream::new(0, 0, 15.0, diurnal(f64::INFINITY), 3);
         for (start, hours) in [(0usize, 24usize), (100, 48), (8750, 10)] {
             let counts = s.hourly_counts(start, hours);
             let sum: u64 = counts.iter().sum();

@@ -12,6 +12,7 @@
 //!    true minimum, so no other forecaster can realize less.  This is the
 //!    property the forecast-regret table rests on.
 
+use carbonedge_bench::summary;
 use carbonedge_core::{IncrementalPlacer, PlacementPolicy, PlacementProblem, ServerSnapshot};
 use carbonedge_datasets::zones::ZoneArea;
 use carbonedge_datasets::{EdgeSiteCatalog, ZoneCatalog};
@@ -229,7 +230,7 @@ fn forecast_regret_is_visible_and_correctly_signed_on_the_quick_grid() {
     // saturated quick grid the oracle realizes no more carbon than
     // persistence for every (policy, epoch) pair, and persistence pays a
     // strictly positive regret somewhere (forecast error has a real cost).
-    let report = carbonedge_bench::summary::run_forecast(true, 2);
+    let report = summary::run(&summary::forecast_spec(true), 2);
     let rows = report.forecast_regret_rows();
     assert!(!rows.is_empty());
     let mut persistence_regret = 0.0f64;

@@ -11,6 +11,7 @@
 #[path = "support/golden.rs"]
 mod golden;
 
+use carbonedge_bench::summary;
 use golden::{assert_matches_golden, diff_with_tolerance};
 use std::path::PathBuf;
 
@@ -32,13 +33,13 @@ fn serving_golden_path() -> PathBuf {
 
 #[test]
 fn quick_sweep_summary_matches_golden_snapshot() {
-    let actual = carbonedge_bench::summary::quick_summary(2);
+    let actual = summary::run(&summary::sweep_spec(true), 2).render();
     assert_matches_golden("quick sweep summary", &actual, &golden_path());
 }
 
 #[test]
 fn quick_forecast_regret_matches_golden_snapshot() {
-    let actual = carbonedge_bench::summary::forecast_summary(2);
+    let actual = summary::run(&summary::forecast_spec(true), 2).render_forecast_regret();
     assert_matches_golden(
         "quick forecast regret table",
         &actual,
@@ -48,7 +49,7 @@ fn quick_forecast_regret_matches_golden_snapshot() {
 
 #[test]
 fn quick_migration_churn_matches_golden_snapshot() {
-    let actual = carbonedge_bench::summary::migration_summary(2);
+    let actual = summary::run(&summary::migration_spec(true), 2).render_migration();
     assert_matches_golden(
         "quick migration churn table",
         &actual,
@@ -58,7 +59,7 @@ fn quick_migration_churn_matches_golden_snapshot() {
 
 #[test]
 fn quick_serving_table_matches_golden_snapshot() {
-    let actual = carbonedge_bench::summary::serving_summary(2);
+    let actual = summary::run(&summary::serving_spec(true), 2).render_serving();
     assert_matches_golden("quick serving table", &actual, &serving_golden_path());
 }
 

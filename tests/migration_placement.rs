@@ -18,6 +18,7 @@
 //!    and daily re-placement's extra savings are strictly eaten by the
 //!    paper-calibrated cost.
 
+use carbonedge_bench::summary;
 use carbonedge_core::{IncrementalPlacer, MigrationCostLevel, PlacementPolicy, PlacementProblem};
 use carbonedge_datasets::zones::ZoneArea;
 use carbonedge_datasets::{EdgeSiteCatalog, ZoneCatalog};
@@ -294,7 +295,7 @@ fn quick_migration_grid_savings_shrink_monotonically_with_migration_cost() {
     // savings are monotone non-increasing as the migration cost rises, and
     // the daily block shows the paper-calibrated cost strictly eating the
     // free re-placement gains.
-    let report = carbonedge_bench::summary::run_migration(true, 2);
+    let report = summary::run(&summary::migration_spec(true), 2);
     let rows = report.migration_churn_rows();
     assert!(!rows.is_empty());
     let levels = ["mig-free", "mig-paper", "mig-heavy"];
