@@ -120,6 +120,25 @@ mod tests {
     }
 
     #[test]
+    fn regions_are_mesoscale_in_extent() {
+        // Figure 2 annotates each region with an extent around 700-1400 km;
+        // the diameter is the largest distance between two member cities.
+        let catalog = ZoneCatalog::worldwide();
+        for region in MesoscaleRegion::all(&catalog) {
+            let diameter = region
+                .members
+                .iter()
+                .flat_map(|(_, a)| region.members.iter().map(move |(_, b)| a.distance_km(b)))
+                .fold(0.0, f64::max);
+            assert!(
+                diameter > 200.0 && diameter < 1600.0,
+                "{} diameter {diameter}",
+                region.region.name()
+            );
+        }
+    }
+
+    #[test]
     fn central_eu_contains_expected_cities() {
         let catalog = ZoneCatalog::worldwide();
         let region = MesoscaleRegion::resolve(StudyRegion::CentralEu, &catalog);
