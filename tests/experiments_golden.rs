@@ -1,5 +1,5 @@
-//! Golden-output regression test for the `experiments --sweep --quick`
-//! summary: the figure-generating sweep tables are snapshotted under
+//! Golden-output regression tests for the `experiments --sweep` summaries
+//! (quick and default grid): the figure-generating sweep tables are snapshotted under
 //! `tests/golden/` and compared token-by-token with numeric tolerances, so
 //! a change anywhere in the stack (datasets, traces, solver, simulator,
 //! aggregation, rendering) that silently shifts the reported numbers fails
@@ -19,6 +19,10 @@ fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/experiments_quick.txt")
 }
 
+fn default_grid_golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/sweep_default.txt")
+}
+
 fn forecast_golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/forecast_quick.txt")
 }
@@ -35,6 +39,18 @@ fn serving_golden_path() -> PathBuf {
 fn quick_sweep_summary_matches_golden_snapshot() {
     let actual = summary::run(&summary::sweep_spec(true), 2).render();
     assert_matches_golden("quick sweep summary", &actual, &golden_path());
+}
+
+/// The 120-site default grid `experiments --sweep` prints; the quick
+/// snapshots stop at 40 sites.
+#[test]
+fn default_grid_sweep_summary_matches_golden_snapshot() {
+    let actual = summary::run(&summary::sweep_spec(false), 2).render();
+    assert_matches_golden(
+        "default-grid sweep summary",
+        &actual,
+        &default_grid_golden_path(),
+    );
 }
 
 #[test]
