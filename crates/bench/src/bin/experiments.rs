@@ -52,7 +52,9 @@ use carbonedge_analysis::mesoscale::{
 };
 use carbonedge_analysis::RadiusAnalysis;
 use carbonedge_bench::summary;
-use carbonedge_core::{IncrementalPlacer, PlacementPolicy, PlacementProblem, ServerSnapshot};
+use carbonedge_core::{
+    IncrementalPlacer, PlacementPolicy, PlacementProblem, PlacementSkeleton, ServerSnapshot,
+};
 use carbonedge_datasets::zones::ZoneArea;
 use carbonedge_datasets::{EdgeSiteCatalog, StudyRegion, ZoneCatalog};
 use carbonedge_grid::{EnergySource, HourOfYear};
@@ -61,7 +63,6 @@ use carbonedge_sim::cdn::{CdnConfig, CdnScenario, CdnSimulator};
 use carbonedge_sim::hetero::{run_heterogeneity, HeterogeneityConfig};
 use carbonedge_sim::testbed::{run_testbed, TestbedConfig, TestbedWorkload};
 use carbonedge_sim::TradeoffSweep;
-use carbonedge_solver::Candidate;
 use carbonedge_sweep::{SweepReport, SweepSpec};
 use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind, WorkloadProfile};
 use std::time::Instant;
@@ -920,7 +921,7 @@ fn fig17() {
             servers,
             50,
             elapsed,
-            approx_problem_memory_mb(&placer, &problem)
+            approx_problem_memory_mb(&problem)
         );
     }
     for apps in [20, 60, 100, 140] {
@@ -933,7 +934,7 @@ fn fig17() {
             400,
             apps,
             elapsed,
-            approx_problem_memory_mb(&placer, &problem)
+            approx_problem_memory_mb(&problem)
         );
     }
     println!("(paper: 50 apps x 400 servers completes within ~3 s and <200 MB with OR-Tools)");
@@ -949,18 +950,16 @@ fn fig17() {
 }
 
 /// Rough memory a heuristic placement decision holds, in MB.  Its dominant
-/// allocations are per feasible (app, server) pair: the policy cost, the
-/// heuristic's candidate, one cached marginal cost and one entry of the
-/// per-server `(app, slot)` index.  Counting the pairs runs the policy's
-/// cost pass once more, so callers keep it out of any timed region.
-fn approx_problem_memory_mb(placer: &IncrementalPlacer, problem: &PlacementProblem) -> f64 {
-    let pairs = placer.policy.costs(problem).0.num_pairs();
-    let per_pair = std::mem::size_of::<(usize, f64)>()
-        + std::mem::size_of::<Candidate>()
-        + std::mem::size_of::<f64>()
-        + std::mem::size_of::<(usize, usize)>();
+/// allocations are per feasible (app, server) pair: the placement
+/// skeleton's entries (server, demand, per-hour energy, latency and one
+/// entry of the per-server `(app, slot)` index) and the decision's own pair
+/// cost and cached marginal cost.  Building the skeleton runs the pair pass
+/// once more, so callers keep it out of any timed region.
+fn approx_problem_memory_mb(problem: &PlacementProblem) -> f64 {
+    let skeleton = PlacementSkeleton::new(problem);
+    let per_decision = skeleton.pairs().len() * 2 * std::mem::size_of::<f64>();
     let servers = problem.servers.len();
-    (pairs as f64 * per_pair as f64 + servers as f64 * 128.0) / 1.0e6
+    ((skeleton.bytes() + per_decision) as f64 + servers as f64 * 128.0) / 1.0e6
 }
 
 #[cfg(test)]

@@ -15,14 +15,18 @@
 //! local-search assignment heuristic, which is how the framework scales to
 //! CDN-sized batches (Figure 17).
 //!
-//! A decision walks its feasible pairs only.  [`PlacementPolicy::costs`]
+//! A decision walks its feasible pairs only.  A [`PlacementSkeleton`]
 //! lists each application's latency- and hardware-feasible servers with
-//! their costs ([`PairCosts`]); migration costs are folded into that list,
-//! the heuristic takes its rows as candidate rows, and the MILP builder
-//! creates one `x` variable per listed pair and gathers each server's
-//! capacity and linking terms from the same rows.  A mesoscale latency
-//! limit keeps a row to the servers a few hundred kilometres away, so this
-//! is a fraction of the applications × servers grid.
+//! their demands and the per-server column index; [`PlacementPolicy::costs`]
+//! prices those pairs into one cost vector aligned with them, migration
+//! costs are folded into that vector, the heuristic reads the skeleton's
+//! pairs with it, and the MILP builder creates one `x` variable per pair and
+//! gathers each server's capacity and linking terms from the column index.
+//! A mesoscale latency limit keeps a row to the servers a few hundred
+//! kilometres away, so this is a fraction of the applications × servers
+//! grid.  A problem that carries a skeleton
+//! ([`PlacementProblem::with_skeleton`]) is priced on it; any other builds
+//! a fresh one per call, so both run the same code.
 //!
 //! The exact path is built for **repeated** decisions: the placer's
 //! [`BranchBoundSolver`] owns a scratch workspace (basis, basis inverse,
@@ -35,14 +39,13 @@
 //! per-decision latency well below the paper's ~3.3 ms OR-Tools budget.
 
 use crate::diff::AssignmentDiff;
-use crate::policy::{PairCosts, PlacementPolicy};
-use crate::problem::{PlacementProblem, PlacementState};
+use crate::policy::PlacementPolicy;
+use crate::problem::{PlacementProblem, PlacementSkeleton, PlacementState};
 use carbonedge_solver::{
-    AssignmentProblem, BranchBoundSolver, Candidate, Comparison, LinearExpr, MilpOutcome, Model,
-    VarId,
+    AssignmentProblem, BranchBoundSolver, Comparison, LinearExpr, MilpOutcome, Model, VarId,
 };
-use carbonedge_workload::DeviceKind;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Errors returned by the placer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -62,6 +65,13 @@ pub enum PlacementError {
     /// server's `carbon_intensity` set to NaN directly, or a NaN tradeoff
     /// `alpha`).
     NonFiniteCost(Vec<usize>),
+    /// The listed applications have a negative or non-finite energy or
+    /// resource demand on some compatible device (for example a negative or
+    /// infinite `request_rate_rps`).
+    InvalidDemand(Vec<usize>),
+    /// The attached [`PlacementSkeleton`] was built for a different number
+    /// of applications or servers than the problem now holds.
+    SkeletonMismatch,
 }
 
 impl std::fmt::Display for PlacementError {
@@ -79,6 +89,14 @@ impl std::fmt::Display for PlacementError {
             PlacementError::NonFiniteCost(apps) => {
                 write!(f, "non-finite placement cost for applications {apps:?}")
             }
+            PlacementError::InvalidDemand(apps) => write!(
+                f,
+                "negative or non-finite energy or demand for applications {apps:?}"
+            ),
+            PlacementError::SkeletonMismatch => write!(
+                f,
+                "the attached placement skeleton does not fit the problem's applications or servers"
+            ),
         }
     }
 }
@@ -189,15 +207,17 @@ impl IncrementalPlacer {
 
     /// Objective value of an assignment under this placer's policy: the sum
     /// of the per-pair policy costs plus activation costs of newly powered-on
-    /// servers.  Returns `None` when the assignment uses an infeasible pair.
-    /// This is the quantity the exact and heuristic paths both minimize, so
+    /// servers.  Returns `None` when the assignment uses an infeasible pair,
+    /// or when the attached skeleton no longer fits the problem.  This is
+    /// the quantity the exact and heuristic paths both minimize, so
     /// differential tests compare it rather than raw carbon.
     pub fn objective_of(
         &self,
         problem: &PlacementProblem,
         assignment: &[Option<usize>],
     ) -> Option<f64> {
-        let (pair_cost, activation_cost) = self.policy.costs(problem);
+        let skeleton = skeleton_of(problem).ok()?;
+        let (pair_cost, activation_cost) = self.policy.costs(problem, &skeleton);
         let mut total = 0.0;
         if let Some(state) = self.active_migration_state(problem) {
             total += state.migration_carbon_g(assignment);
@@ -205,7 +225,7 @@ impl IncrementalPlacer {
         let mut newly_on = vec![false; problem.servers.len()];
         for (i, a) in assignment.iter().enumerate() {
             let Some(j) = a else { continue };
-            total += pair_cost.get(i, *j)?;
+            total += pair_cost[skeleton.pairs().find(i, *j)?];
             if !problem.servers[*j].powered_on {
                 newly_on[*j] = true;
             }
@@ -223,10 +243,14 @@ impl IncrementalPlacer {
     /// power-consistency / linking constraints — with the migration terms of
     /// the attached [`PlacementState`] folded into the pair costs (see
     /// `Self::fold_migration_costs`).
+    ///
+    /// Panics if the attached skeleton no longer fits the problem, which
+    /// [`Self::place`] reports as [`PlacementError::SkeletonMismatch`].
     pub fn build_model(&self, problem: &PlacementProblem) -> PlacementModel {
-        let (mut pair_cost, activation_cost) = self.policy.costs(problem);
-        self.fold_migration_costs(problem, &mut pair_cost);
-        self.build_model_from_costs(problem, &pair_cost, &activation_cost)
+        let skeleton = skeleton_of(problem).expect("the attached skeleton fits the problem");
+        let (mut pair_cost, activation_cost) = self.policy.costs(problem, &skeleton);
+        self.fold_migration_costs(problem, &skeleton, &mut pair_cost);
+        build_model_from_costs(problem, &skeleton, &pair_cost, &activation_cost)
     }
 
     /// The migration state that should influence this placer's decisions:
@@ -253,11 +277,17 @@ impl IncrementalPlacer {
     /// variable, so the MILP keeps the *identical* structure across epochs
     /// and the branch-and-bound warm-starts every delta re-solve as a
     /// cost-only change.
-    fn fold_migration_costs(&self, problem: &PlacementProblem, pair_cost: &mut PairCosts) {
+    fn fold_migration_costs(
+        &self,
+        problem: &PlacementProblem,
+        skeleton: &PlacementSkeleton,
+        pair_cost: &mut [f64],
+    ) {
         let Some(state) = self.active_migration_state(problem) else {
             return;
         };
-        for i in 0..pair_cost.num_apps() {
+        let pairs = skeleton.pairs();
+        for i in 0..pairs.num_apps() {
             let Some(prev) = state.previous.get(i).copied().flatten() else {
                 continue;
             };
@@ -265,8 +295,9 @@ impl IncrementalPlacer {
             if migration <= 0.0 {
                 continue;
             }
-            for (j, cost) in pair_cost.row_mut(i) {
-                if *j != prev {
+            let row = pairs.row(i);
+            for (&j, cost) in pairs.servers()[row.clone()].iter().zip(&mut pair_cost[row]) {
+                if j != prev {
                     *cost += migration;
                 }
             }
@@ -282,9 +313,12 @@ impl IncrementalPlacer {
     ///
     /// A state whose vectors differ in length from the batch, or whose
     /// incumbent names a server outside the problem, is rejected with
-    /// [`PlacementError::InvalidState`].  An application whose feasible
-    /// pairs carry a NaN or infinite cost (the folded pair cost, or the
-    /// activation cost of the pair's server) is rejected with
+    /// [`PlacementError::InvalidState`], and an attached skeleton that no
+    /// longer fits the problem with [`PlacementError::SkeletonMismatch`].
+    /// Applications with a negative or non-finite energy or demand are
+    /// rejected with [`PlacementError::InvalidDemand`].  An application
+    /// whose feasible pairs carry a NaN or infinite cost (the folded pair
+    /// cost, or the activation cost of the pair's server) is rejected with
     /// [`PlacementError::NonFiniteCost`] before either path runs, so no
     /// decision is made against a NaN.
     pub fn place(&self, problem: &PlacementProblem) -> Result<PlacementDecision, PlacementError> {
@@ -304,20 +338,28 @@ impl IncrementalPlacer {
             }
         }
 
-        let (mut pair_cost, activation_cost) = self.policy.costs(problem);
-        self.fold_migration_costs(problem, &mut pair_cost);
+        let skeleton = skeleton_of(problem)?;
+        if !skeleton.invalid_apps().is_empty() {
+            return Err(PlacementError::InvalidDemand(
+                skeleton.invalid_apps().to_vec(),
+            ));
+        }
+        let (mut pair_cost, activation_cost) = self.policy.costs(problem, &skeleton);
+        self.fold_migration_costs(problem, &skeleton, &mut pair_cost);
 
         // Applications with no feasible server at all (a hard constraint
         // failure), and applications with a non-finite cost on some pair.
+        let pairs = skeleton.pairs();
         let mut stranded = Vec::new();
         let mut non_finite = Vec::new();
         for i in 0..apps {
-            let row = pair_cost.row(i);
+            let row = pairs.row(i);
             if row.is_empty() {
                 stranded.push(i);
-            } else if row
+            } else if pairs.servers()[row.clone()]
                 .iter()
-                .any(|&(j, cost)| !cost.is_finite() || !activation_cost[j].is_finite())
+                .zip(&pair_cost[row])
+                .any(|(&j, cost)| !cost.is_finite() || !activation_cost[j].is_finite())
             {
                 non_finite.push(i);
             }
@@ -331,14 +373,26 @@ impl IncrementalPlacer {
 
         let tried_exact = apps * servers <= self.exact_size_limit;
         let exact_assignment = if tried_exact {
-            self.solve_exact(problem, &pair_cost, &activation_cost)
+            self.solve_exact(problem, &skeleton, &pair_cost, &activation_cost)
         } else {
             None
         };
         let (assignment, exact) = match exact_assignment {
             Some(a) => (a, true),
             None => {
-                let instance = assignment_instance(problem, &pair_cost, activation_cost);
+                let capacity: Vec<[f64; 3]> = problem
+                    .servers
+                    .iter()
+                    .map(|s| s.available.to_array())
+                    .collect();
+                let open: Vec<bool> = problem.servers.iter().map(|s| s.powered_on).collect();
+                let instance = AssignmentProblem {
+                    pairs,
+                    cost: &pair_cost,
+                    capacity: &capacity,
+                    activation_cost: &activation_cost,
+                    open: &open,
+                };
                 let mut assignment = instance.solve().assignment;
                 self.apply_move_hysteresis(problem, &instance, &mut assignment);
                 (assignment, false)
@@ -399,13 +453,18 @@ impl IncrementalPlacer {
         let Some(state) = self.active_migration_state(problem) else {
             return;
         };
+        let pairs = instance.pairs;
+        let demand = pairs.demands();
         // Running per-server usage of the current assignment.
         let mut used = vec![[0.0f64; 3]; instance.num_servers()];
         for (i, a) in assignment.iter().enumerate() {
-            let Some(placed) = a.and_then(|j| instance.candidate(i, j)) else {
+            let Some(j) = *a else {
                 continue;
             };
-            for (u, d) in used[placed.server].iter_mut().zip(&placed.demand) {
+            let Some(placed) = pairs.find(i, j) else {
+                continue;
+            };
+            for (u, d) in used[j].iter_mut().zip(&demand[placed]) {
                 *u += d;
             }
         }
@@ -416,113 +475,39 @@ impl IncrementalPlacer {
             if current == prev {
                 continue;
             }
-            let (Some(keep), Some(moved)) =
-                (instance.candidate(i, prev), instance.candidate(i, current))
-            else {
+            let (Some(keep), Some(moved)) = (pairs.find(i, prev), pairs.find(i, current)) else {
                 continue;
             };
-            // `moved.cost` carries the folded migration term, so this is the
-            // hysteresis comparison: savings must *exceed* the migration
-            // cost for the move to survive.
-            if keep.cost > moved.cost {
+            // The moved pair's cost carries the folded migration term, so
+            // this is the hysteresis comparison: savings must *exceed* the
+            // migration cost for the move to survive.
+            if instance.cost[keep] > instance.cost[moved] {
                 continue;
             }
             // Reverting must not newly activate the incumbent.
             let incumbent_active = instance.open[prev] || used[prev].iter().any(|u| *u > 0.0);
-            if !incumbent_active || !instance.fits(prev, &keep.demand, &used) {
+            if !incumbent_active || !instance.fits(prev, &demand[keep], &used) {
                 continue;
             }
-            for (u, d) in used[current].iter_mut().zip(&moved.demand) {
+            for (u, d) in used[current].iter_mut().zip(&demand[moved]) {
                 *u -= d;
             }
-            for (u, d) in used[prev].iter_mut().zip(&keep.demand) {
+            for (u, d) in used[prev].iter_mut().zip(&demand[keep]) {
                 *u += d;
             }
             *a = Some(prev);
         }
     }
 
-    /// Builds the MILP of Eq. 7 from precomputed policy costs.
-    ///
-    /// Variables: `x_ij` per feasible pair, `y_j` per server.  Constraints:
-    /// assignment (Eq. 3), capacity linked to power state (Eq. 1), power
-    /// consistency (Eq. 4) and assignment-requires-active (Eq. 5).
-    fn build_model_from_costs(
-        &self,
-        problem: &PlacementProblem,
-        pair_cost: &PairCosts,
-        activation_cost: &[f64],
-    ) -> PlacementModel {
-        let (apps, servers) = problem.size();
-        let mut model = Model::new();
-        // x variables for feasible pairs only, in (app, server) order.  Each
-        // app's assignment row is gathered on the way, and so is each
-        // server's column of (x, demand) terms, apps ascending.
-        let mut x: Vec<Vec<Option<VarId>>> = vec![vec![None; servers]; apps];
-        let mut assign_rows = Vec::with_capacity(apps);
-        let mut columns: Vec<Vec<(VarId, [f64; 3])>> = vec![Vec::new(); servers];
-        for (i, x_row) in x.iter_mut().enumerate() {
-            let mut assign = LinearExpr::new();
-            for &(j, cost) in pair_cost.row(i) {
-                let v = model.add_binary();
-                model.set_objective_term(v, cost);
-                x_row[j] = Some(v);
-                assign.add(v, 1.0);
-                let demand = problem.demand(i, j).expect("feasible pair has demand");
-                columns[j].push((v, demand.to_array()));
-            }
-            assign_rows.push(assign);
-        }
-        // y variables per server; objective carries the activation cost for
-        // currently-off servers (y_j - y_j^curr reduces to y_j when off, and
-        // the power-consistency constraint pins y_j = 1 when already on).
-        let y: Vec<VarId> = (0..servers).map(|_| model.add_binary()).collect();
-        for (j, server) in problem.servers.iter().enumerate() {
-            if server.powered_on {
-                // Power-state consistency (Eq. 4): already-on servers stay on.
-                model.add_constraint(LinearExpr::new().with(y[j], 1.0), Comparison::Equal, 1.0);
-            } else {
-                model.set_objective_term(y[j], activation_cost[j]);
-            }
-        }
-        // Assignment constraints (Eq. 3).
-        for assign in assign_rows {
-            model.add_constraint(assign, Comparison::Equal, 1.0);
-        }
-        // Capacity constraints per server and resource dimension (Eq. 1),
-        // with the y_j coupling, and x <= y linking (Eq. 5).
-        for (j, column) in columns.iter().enumerate() {
-            let capacity = problem.servers[j].available.to_array();
-            for (k, cap_k) in capacity.into_iter().enumerate() {
-                let mut expr = LinearExpr::new();
-                for (v, demand) in column {
-                    expr.add(*v, demand[k]);
-                }
-                expr.add(y[j], -cap_k);
-                if !expr.terms.is_empty() {
-                    model.add_constraint(expr, Comparison::LessEq, 0.0);
-                }
-            }
-            for (v, _) in column {
-                model.add_constraint(
-                    LinearExpr::new().with(*v, 1.0).with(y[j], -1.0),
-                    Comparison::LessEq,
-                    0.0,
-                );
-            }
-        }
-
-        PlacementModel { model, x, y }
-    }
-
     /// Solves the MILP of Eq. 7 exactly with branch-and-bound.
     fn solve_exact(
         &self,
         problem: &PlacementProblem,
-        pair_cost: &PairCosts,
+        skeleton: &PlacementSkeleton,
+        pair_cost: &[f64],
         activation_cost: &[f64],
     ) -> Option<Vec<Option<usize>>> {
-        let placement_model = self.build_model_from_costs(problem, pair_cost, activation_cost);
+        let placement_model = build_model_from_costs(problem, skeleton, pair_cost, activation_cost);
         let solution = self.milp_solver.solve(&placement_model.model);
         if !matches!(
             solution.outcome,
@@ -534,52 +519,95 @@ impl IncrementalPlacer {
     }
 }
 
-/// The heuristic's form of a placement problem: one candidate row per
-/// application from the folded pair costs, the activation costs moved in,
-/// and each server's capacity, all in `ResourceDemand::to_array` order.
-fn assignment_instance(
-    problem: &PlacementProblem,
-    pair_cost: &PairCosts,
-    activation_cost: Vec<f64>,
-) -> AssignmentProblem {
-    let candidates = (0..pair_cost.num_apps())
-        .map(|i| {
-            // A demand depends on the server's device only, so it is
-            // computed once per run of candidates that share a device.
-            let mut run: Option<(DeviceKind, [f64; 3])> = None;
-            pair_cost
-                .row(i)
-                .iter()
-                .map(|&(server, cost)| {
-                    let device = problem.servers[server].device;
-                    let demand = match run {
-                        Some((run_device, demand)) if run_device == device => demand,
-                        _ => {
-                            let demand =
-                                problem.demand(i, server).map_or([0.0; 3], |d| d.to_array());
-                            run = Some((device, demand));
-                            demand
-                        }
-                    };
-                    Candidate {
-                        server,
-                        cost,
-                        demand,
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    AssignmentProblem {
-        candidates,
-        capacity: problem
-            .servers
-            .iter()
-            .map(|s| s.available.to_array())
-            .collect(),
-        activation_cost,
-        open: problem.servers.iter().map(|s| s.powered_on).collect(),
+/// The skeleton `problem` carries, or a fresh one built from it when it
+/// carries none.  An attached skeleton built for a different number of
+/// applications or servers is an error, never silently rebuilt.
+fn skeleton_of(problem: &PlacementProblem) -> Result<Arc<PlacementSkeleton>, PlacementError> {
+    let (apps, servers) = problem.size();
+    match &problem.skeleton {
+        Some(skeleton) if skeleton.covers(apps, servers) => Ok(Arc::clone(skeleton)),
+        Some(_) => Err(PlacementError::SkeletonMismatch),
+        None => Ok(Arc::new(PlacementSkeleton::new(problem))),
     }
+}
+
+/// Builds the MILP of Eq. 7 from the skeleton's pairs and their costs.
+///
+/// Variables: `x_ij` per feasible pair, `y_j` per server.  Constraints:
+/// assignment (Eq. 3), capacity linked to power state (Eq. 1), power
+/// consistency (Eq. 4) and assignment-requires-active (Eq. 5).
+fn build_model_from_costs(
+    problem: &PlacementProblem,
+    skeleton: &PlacementSkeleton,
+    pair_cost: &[f64],
+    activation_cost: &[f64],
+) -> PlacementModel {
+    let (apps, servers) = problem.size();
+    let pairs = skeleton.pairs();
+    let mut model = Model::new();
+    // x variables for feasible pairs only, in pair order (apps, then
+    // servers ascending); each app's assignment row is gathered on the way.
+    let mut x: Vec<Vec<Option<VarId>>> = vec![vec![None; servers]; apps];
+    let mut pair_var = Vec::with_capacity(pairs.len());
+    let mut assign_rows = Vec::with_capacity(apps);
+    for (i, x_row) in x.iter_mut().enumerate() {
+        let mut assign = LinearExpr::new();
+        for p in pairs.row(i) {
+            let v = model.add_binary();
+            model.set_objective_term(v, pair_cost[p]);
+            x_row[pairs.servers()[p]] = Some(v);
+            assign.add(v, 1.0);
+            pair_var.push(v);
+        }
+        assign_rows.push(assign);
+    }
+    // y variables per server; objective carries the activation cost for
+    // currently-off servers (y_j - y_j^curr reduces to y_j when off, and
+    // the power-consistency constraint pins y_j = 1 when already on).
+    let y: Vec<VarId> = (0..servers).map(|_| model.add_binary()).collect();
+    for (j, server) in problem.servers.iter().enumerate() {
+        if server.powered_on {
+            // Power-state consistency (Eq. 4): already-on servers stay on.
+            model.add_constraint(LinearExpr::new().with(y[j], 1.0), Comparison::Equal, 1.0);
+        } else {
+            model.set_objective_term(y[j], activation_cost[j]);
+        }
+    }
+    // Assignment constraints (Eq. 3).
+    for assign in assign_rows {
+        model.add_constraint(assign, Comparison::Equal, 1.0);
+    }
+    // Capacity constraints per server and resource dimension (Eq. 1),
+    // with the y_j coupling, and x <= y linking (Eq. 5); a server's
+    // column lists its pairs apps ascending.
+    let demand = pairs.demands();
+    for (j, (server, &y_j)) in problem.servers.iter().zip(&y).enumerate() {
+        let column = || {
+            pairs
+                .column(j)
+                .iter()
+                .map(|&(i, slot)| pairs.row(i).start + slot)
+        };
+        for (k, cap_k) in server.available.to_array().into_iter().enumerate() {
+            let mut expr = LinearExpr::new();
+            for p in column() {
+                expr.add(pair_var[p], demand[p][k]);
+            }
+            expr.add(y_j, -cap_k);
+            if !expr.terms.is_empty() {
+                model.add_constraint(expr, Comparison::LessEq, 0.0);
+            }
+        }
+        for p in column() {
+            model.add_constraint(
+                LinearExpr::new().with(pair_var[p], 1.0).with(y_j, -1.0),
+                Comparison::LessEq,
+                0.0,
+            );
+        }
+    }
+
+    PlacementModel { model, x, y }
 }
 
 #[cfg(test)]
@@ -941,6 +969,74 @@ mod tests {
         assert!(PlacementError::NonFiniteCost(vec![0, 3])
             .to_string()
             .contains("non-finite placement cost for applications [0, 3]"));
+        assert!(PlacementError::InvalidDemand(vec![2])
+            .to_string()
+            .contains("negative or non-finite energy or demand for applications [2]"));
+        assert!(PlacementError::SkeletonMismatch
+            .to_string()
+            .contains("skeleton"));
+    }
+
+    #[test]
+    fn a_negative_or_infinite_request_rate_is_rejected_on_both_paths() {
+        // A negative rate prices a negative energy, so the carbon-aware
+        // policy would prefer the dirtier server; an infinite one prices
+        // infinite energy and demand.  Both are input errors.
+        for rate in [-5.0, f64::INFINITY] {
+            let mut p = green_and_dirty_problem(30.0);
+            p.apps[0].request_rate_rps = rate;
+            for placer in [
+                IncrementalPlacer::new(PlacementPolicy::CarbonAware),
+                IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),
+            ] {
+                assert_eq!(
+                    placer.place(&p).unwrap_err(),
+                    PlacementError::InvalidDemand(vec![0]),
+                    "rate {rate}"
+                );
+                assert_eq!(
+                    placer.place(&p.clone().with_skeleton()).unwrap_err(),
+                    PlacementError::InvalidDemand(vec![0]),
+                    "rate {rate}, attached skeleton"
+                );
+            }
+        }
+        let mut idle = green_and_dirty_problem(30.0);
+        idle.apps[0].request_rate_rps = 0.0;
+        for placer in [
+            IncrementalPlacer::new(PlacementPolicy::CarbonAware),
+            IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),
+        ] {
+            let d = placer.place(&idle).unwrap();
+            assert!(d.unplaced.is_empty());
+            assert_eq!(d.total_carbon_g, 0.0);
+        }
+    }
+
+    #[test]
+    fn a_skeleton_that_no_longer_fits_is_rejected() {
+        let attached = green_and_dirty_problem(30.0).with_skeleton();
+        let mut more_apps = attached.clone();
+        more_apps.apps.push(more_apps.apps[0].clone());
+        let mut fewer_servers = attached.clone();
+        fewer_servers.servers.pop();
+        for p in [more_apps, fewer_servers] {
+            for placer in [
+                IncrementalPlacer::new(PlacementPolicy::CarbonAware),
+                IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),
+            ] {
+                assert_eq!(
+                    placer.place(&p).unwrap_err(),
+                    PlacementError::SkeletonMismatch
+                );
+                assert_eq!(placer.objective_of(&p, &vec![Some(0); p.apps.len()]), None);
+            }
+        }
+        let placer = IncrementalPlacer::new(PlacementPolicy::CarbonAware);
+        assert_eq!(
+            placer.place(&attached).unwrap(),
+            placer.place(&green_and_dirty_problem(30.0)).unwrap()
+        );
     }
 
     #[test]
@@ -970,8 +1066,9 @@ mod tests {
         let mut p = green_and_dirty_problem(30.0);
         p.servers[1].base_power_w = f64::INFINITY;
         p.servers[1].powered_on = false;
-        let (costs, activation) = PlacementPolicy::CarbonAware.costs(&p);
-        assert!(costs.row(0).iter().all(|&(_, c)| c.is_finite()));
+        let (costs, activation) =
+            PlacementPolicy::CarbonAware.costs(&p, &PlacementSkeleton::new(&p));
+        assert!(costs.iter().all(|c| c.is_finite()));
         assert_eq!(activation[1], f64::INFINITY);
         for placer in [
             IncrementalPlacer::new(PlacementPolicy::CarbonAware),
@@ -1009,9 +1106,9 @@ mod tests {
         second.id = AppId(1);
         second.latency_slo_ms = f64::NAN;
         p.apps.push(second);
-        let (costs, _) = PlacementPolicy::CarbonAware.costs(&p);
-        assert_eq!(costs.row(0).len(), 2);
-        assert!(costs.row(1).is_empty());
+        let skeleton = PlacementSkeleton::new(&p);
+        assert_eq!(skeleton.pairs().row(0).len(), 2);
+        assert!(skeleton.pairs().row(1).is_empty());
         for placer in [
             IncrementalPlacer::new(PlacementPolicy::CarbonAware),
             IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),

@@ -8,7 +8,8 @@
 //!
 //! * [`problem`] — the placement problem: server snapshots, application
 //!   batches, latency/energy/carbon inputs (Table 2) and the carbon
-//!   objective (Eq. 6) with its multi-objective extension (Eq. 8);
+//!   objective (Eq. 6) with its multi-objective extension (Eq. 8), and the
+//!   placement skeleton a deployment decided again and again builds once;
 //! * [`policy`] — the placement policies: `CarbonEdge` (carbon-aware),
 //!   `Latency-aware`, `Energy-aware`, `Intensity-aware`, and the
 //!   carbon–energy trade-off policy;
@@ -51,10 +52,10 @@ pub mod problem;
 
 pub use algorithm::{IncrementalPlacer, PlacementDecision, PlacementError, PlacementModel};
 pub use diff::AssignmentDiff;
-pub use policy::{PairCosts, PlacementPolicy};
+pub use policy::PlacementPolicy;
 pub use problem::{
-    MigrationCost, MigrationCostLevel, PairLatencyCache, PlacementProblem, PlacementState,
-    ServerSnapshot,
+    MigrationCost, MigrationCostLevel, PairLatencyCache, PlacementProblem, PlacementSkeleton,
+    PlacementState, ServerSnapshot,
 };
 
 /// Convenient re-exports of the types needed to drive a placement.

@@ -11,7 +11,7 @@
 //! server)` pairs plus a per-server activation cost; the incremental
 //! placement algorithm minimizes the summed cost.
 
-use crate::problem::PlacementProblem;
+use crate::problem::{PlacementProblem, PlacementSkeleton};
 use serde::{Deserialize, Serialize};
 
 /// The placement policies of the paper.
@@ -67,67 +67,43 @@ impl PlacementPolicy {
         matches!(self, PlacementPolicy::CarbonAware)
     }
 
-    /// Builds the per-pair operational costs and per-server activation costs
-    /// the placement optimizer should minimize for this policy.
+    /// Prices the pairs of `skeleton`, which must be `problem`'s, for this
+    /// policy.
     ///
-    /// Returns `(pair_cost, activation_cost)`: `pair_cost` lists each
-    /// application's feasible `(server, cost)` pairs, servers ascending (a
-    /// pair that fails the hardware or latency test is absent), and
-    /// `activation_cost[j]` is the extra cost of newly powering on server `j`.
-    ///
-    /// The pairs are found in one pass: per application, the energy is read
-    /// once per run of consecutive servers with the same device (`None` marks
-    /// the run hardware-infeasible), and each server of the run is kept when
-    /// its latency meets the SLO.  Every cost is computed by the expression
-    /// of the matching per-pair method of [`PlacementProblem`], so it equals
-    /// that method bit for bit.
-    pub fn costs(&self, problem: &PlacementProblem) -> (PairCosts, Vec<f64>) {
+    /// Returns `(pair_cost, activation_cost)`: `pair_cost[p]` is the cost
+    /// of the pair at position `p` of [`PlacementSkeleton::pairs`], and
+    /// `activation_cost[j]` is the extra cost of newly powering on server
+    /// `j`.  Every cost is computed by the expression of the matching
+    /// per-pair method of [`PlacementProblem`], so it equals that method
+    /// bit for bit.
+    pub fn costs(
+        &self,
+        problem: &PlacementProblem,
+        skeleton: &PlacementSkeleton,
+    ) -> (Vec<f64>, Vec<f64>) {
         let servers = &problem.servers;
-        let mut runs = Vec::new();
-        let mut run_start = 0;
-        for j in 1..=servers.len() {
-            if j == servers.len() || servers[j].device != servers[run_start].device {
-                runs.push(run_start..j);
-                run_start = j;
-            }
-        }
-
-        let mut pair_cost = PairCosts {
-            offsets: vec![0],
-            pairs: Vec::new(),
-        };
-        // The tradeoff's raw energies, aligned with `pair_cost.pairs`, which
-        // hold its raw carbon until normalization below.
-        let mut energies = Vec::new();
-        for (i, app) in problem.apps.iter().enumerate() {
-            for run in &runs {
-                let Some(energy) = problem.energy_j(i, run.start) else {
-                    continue;
-                };
-                for j in run.clone() {
-                    let latency = problem.latency_ms(i, j);
-                    // NaN latencies and SLOs fail this test, as in
-                    // `PlacementProblem::is_feasible_pair`.
-                    let within_slo = latency <= app.latency_slo_ms + 1e-9;
-                    if !within_slo {
-                        continue;
+        let epoch_hours = problem.epoch_hours;
+        let pairs = skeleton
+            .pairs()
+            .servers()
+            .iter()
+            .zip(skeleton.energy_per_hour_j())
+            .zip(skeleton.latency_ms());
+        // The tradeoff prices its raw carbon here and normalizes below.
+        let mut pair_cost: Vec<f64> = pairs
+            .map(|((&j, &per_hour), &latency)| {
+                let energy = per_hour * epoch_hours;
+                let intensity = servers[j].carbon_intensity;
+                match self {
+                    PlacementPolicy::CarbonAware | PlacementPolicy::CarbonEnergyTradeoff { .. } => {
+                        energy / 3.6e6 * intensity
                     }
-                    let intensity = servers[j].carbon_intensity;
-                    let cost = match self {
-                        PlacementPolicy::CarbonAware => energy / 3.6e6 * intensity,
-                        PlacementPolicy::LatencyAware => latency,
-                        PlacementPolicy::EnergyAware => energy,
-                        PlacementPolicy::IntensityAware => intensity,
-                        PlacementPolicy::CarbonEnergyTradeoff { .. } => {
-                            energies.push(energy);
-                            energy / 3.6e6 * intensity
-                        }
-                    };
-                    pair_cost.pairs.push((j, cost));
+                    PlacementPolicy::LatencyAware => latency,
+                    PlacementPolicy::EnergyAware => energy,
+                    PlacementPolicy::IntensityAware => intensity,
                 }
-            }
-            pair_cost.offsets.push(pair_cost.pairs.len());
-        }
+            })
+            .collect();
 
         let mut activation: Vec<f64> = servers
             .iter()
@@ -150,10 +126,14 @@ impl PlacementPolicy {
             let alpha = alpha.clamp(0.0, 1.0);
             // Min-max normalize carbon and energy over the feasible pairs
             // (the paper normalizes both objectives to [0, 1]).
-            if !energies.is_empty() {
-                let (cmin, cspan) = min_and_span(pair_cost.pairs.iter().map(|&(_, c)| c));
-                let (emin, espan) = min_and_span(energies.iter().copied());
-                for ((_, cost), &e) in pair_cost.pairs.iter_mut().zip(&energies) {
+            if !pair_cost.is_empty() {
+                let energies = skeleton
+                    .energy_per_hour_j()
+                    .iter()
+                    .map(|per_hour| per_hour * epoch_hours);
+                let (cmin, cspan) = min_and_span(pair_cost.iter().copied());
+                let (emin, espan) = min_and_span(energies.clone());
+                for (cost, e) in pair_cost.iter_mut().zip(energies) {
                     let c = *cost;
                     *cost = alpha * (e - emin) / espan + (1.0 - alpha) * (c - cmin) / cspan;
                 }
@@ -179,56 +159,6 @@ fn min_and_span(values: impl Iterator<Item = f64>) -> (f64, f64) {
         (min.min(v), max.max(v))
     });
     (min, (max - min).max(1e-12))
-}
-
-/// The feasible `(server, cost)` pairs of each application of a placement
-/// problem, servers strictly ascending within a row.  The rows sit in one
-/// flat vector; a server missing from a row is an infeasible pair.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PairCosts {
-    /// `pairs[offsets[i]..offsets[i + 1]]` is row `i`.
-    offsets: Vec<usize>,
-    pairs: Vec<(usize, f64)>,
-}
-
-impl PairCosts {
-    /// Number of applications (rows).
-    pub fn num_apps(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Number of feasible pairs over all rows.
-    pub fn num_pairs(&self) -> usize {
-        self.pairs.len()
-    }
-
-    fn range(&self, app: usize) -> std::ops::Range<usize> {
-        self.offsets[app]..self.offsets[app + 1]
-    }
-
-    /// Application `app`'s feasible `(server, cost)` pairs, servers
-    /// ascending.  Panics if `app` is out of range.
-    pub fn row(&self, app: usize) -> &[(usize, f64)] {
-        &self.pairs[self.range(app)]
-    }
-
-    /// Mutable access to application `app`'s costs (the servers must stay
-    /// as they are).  Panics if `app` is out of range.
-    pub fn row_mut(&mut self, app: usize) -> &mut [(usize, f64)] {
-        let range = self.range(app);
-        &mut self.pairs[range]
-    }
-
-    /// The cost of the pair `(app, server)`, or `None` when the pair is
-    /// infeasible or either index is out of range.
-    pub fn get(&self, app: usize, server: usize) -> Option<f64> {
-        if app >= self.num_apps() {
-            return None;
-        }
-        let row = self.row(app);
-        let k = row.binary_search_by_key(&server, |&(j, _)| j).ok()?;
-        Some(row[k].1)
-    }
 }
 
 #[cfg(test)]
@@ -274,74 +204,84 @@ mod tests {
             .with_latency_model(LatencyModel::deterministic())
     }
 
+    /// The policy's pair costs of `p` as a lookup by `(app, server)`
+    /// (`None` for an infeasible pair), and its activation costs.
+    fn priced(
+        policy: PlacementPolicy,
+        p: &PlacementProblem,
+    ) -> (impl Fn(usize, usize) -> Option<f64>, Vec<f64>) {
+        let skeleton = PlacementSkeleton::new(p);
+        let (costs, activation) = policy.costs(p, &skeleton);
+        let lookup = move |i, j| skeleton.pairs().find(i, j).map(|k| costs[k]);
+        (lookup, activation)
+    }
+
     #[test]
     fn carbon_aware_prefers_green_server() {
         let p = problem();
-        let (costs, _) = PlacementPolicy::CarbonAware.costs(&p);
-        assert!(costs.get(0, 1).unwrap() < costs.get(0, 0).unwrap());
+        let (costs, _) = priced(PlacementPolicy::CarbonAware, &p);
+        assert!(costs(0, 1).unwrap() < costs(0, 0).unwrap());
     }
 
     #[test]
     fn latency_aware_prefers_local_server() {
         let p = problem();
-        let (costs, activation) = PlacementPolicy::LatencyAware.costs(&p);
-        assert!(costs.get(0, 0).unwrap() < costs.get(0, 1).unwrap());
+        let (costs, activation) = priced(PlacementPolicy::LatencyAware, &p);
+        assert!(costs(0, 0).unwrap() < costs(0, 1).unwrap());
         assert_eq!(activation, vec![0.0, 0.0]);
     }
 
     #[test]
     fn energy_aware_prefers_efficient_device() {
         let p = problem();
-        let (costs, _) = PlacementPolicy::EnergyAware.costs(&p);
+        let (costs, _) = priced(PlacementPolicy::EnergyAware, &p);
         // ResNet50 on A2 uses less energy than on GTX 1080.
-        assert!(costs.get(0, 1).unwrap() < costs.get(0, 0).unwrap());
+        assert!(costs(0, 1).unwrap() < costs(0, 0).unwrap());
     }
 
     #[test]
     fn intensity_aware_uses_zone_intensity_only() {
         let p = problem();
-        let (costs, _) = PlacementPolicy::IntensityAware.costs(&p);
-        assert_eq!(costs.get(0, 0).unwrap(), 500.0);
-        assert_eq!(costs.get(0, 1).unwrap(), 50.0);
+        let (costs, _) = priced(PlacementPolicy::IntensityAware, &p);
+        assert_eq!(costs(0, 0).unwrap(), 500.0);
+        assert_eq!(costs(0, 1).unwrap(), 50.0);
     }
 
     #[test]
     fn infeasible_pairs_have_no_cost() {
         let mut p = problem();
         p.apps[0].latency_slo_ms = 3.0; // remote server now violates the SLO
-        let (costs, _) = PlacementPolicy::CarbonAware.costs(&p);
-        assert!(costs.get(0, 0).is_some());
-        assert!(costs.get(0, 1).is_none());
+        let (costs, _) = priced(PlacementPolicy::CarbonAware, &p);
+        assert!(costs(0, 0).is_some());
+        assert!(costs(0, 1).is_none());
     }
 
     #[test]
     fn activation_costs_only_for_powered_off_servers() {
         let p = problem();
-        let (_, act_carbon) = PlacementPolicy::CarbonAware.costs(&p);
+        let (_, act_carbon) = priced(PlacementPolicy::CarbonAware, &p);
         assert_eq!(act_carbon[0], 0.0);
         assert!(act_carbon[1] > 0.0);
-        let (_, act_energy) = PlacementPolicy::EnergyAware.costs(&p);
+        let (_, act_energy) = priced(PlacementPolicy::EnergyAware, &p);
         assert!(act_energy[1] > 0.0);
     }
 
     #[test]
     fn tradeoff_alpha_zero_matches_carbon_ranking() {
         let p = problem();
-        let (carbon, _) = PlacementPolicy::CarbonAware.costs(&p);
-        let (mixed, _) = PlacementPolicy::CarbonEnergyTradeoff { alpha: 0.0 }.costs(&p);
+        let (carbon, _) = priced(PlacementPolicy::CarbonAware, &p);
+        let (mixed, _) = priced(PlacementPolicy::CarbonEnergyTradeoff { alpha: 0.0 }, &p);
         // Same ranking of the two servers.
-        assert_eq!(
-            carbon.get(0, 0) > carbon.get(0, 1),
-            mixed.get(0, 0) > mixed.get(0, 1)
-        );
+        assert_eq!(carbon(0, 0) > carbon(0, 1), mixed(0, 0) > mixed(0, 1));
     }
 
     #[test]
     fn tradeoff_costs_are_normalized() {
         let p = problem();
-        let (mixed, _) = PlacementPolicy::CarbonEnergyTradeoff { alpha: 0.5 }.costs(&p);
-        assert_eq!(mixed.row(0).len(), 2);
-        for &(_, c) in mixed.row(0) {
+        let skeleton = PlacementSkeleton::new(&p);
+        let (mixed, _) = PlacementPolicy::CarbonEnergyTradeoff { alpha: 0.5 }.costs(&p, &skeleton);
+        assert_eq!(mixed.len(), 2);
+        for c in mixed {
             assert!((0.0..=1.0 + 1e-9).contains(&c), "cost {c}");
         }
     }
@@ -349,8 +289,9 @@ mod tests {
     #[test]
     fn tradeoff_alpha_is_clamped() {
         let p = problem();
-        let (hi, _) = PlacementPolicy::CarbonEnergyTradeoff { alpha: 5.0 }.costs(&p);
-        let (one, _) = PlacementPolicy::CarbonEnergyTradeoff { alpha: 1.0 }.costs(&p);
+        let skeleton = PlacementSkeleton::new(&p);
+        let (hi, _) = PlacementPolicy::CarbonEnergyTradeoff { alpha: 5.0 }.costs(&p, &skeleton);
+        let (one, _) = PlacementPolicy::CarbonEnergyTradeoff { alpha: 1.0 }.costs(&p, &skeleton);
         assert_eq!(hi, one);
     }
 

@@ -6,6 +6,7 @@
 use carbonedge_geo::Coordinates;
 use carbonedge_grid::ZoneId;
 use carbonedge_net::LatencyModel;
+use carbonedge_solver::CandidatePairs;
 use carbonedge_workload::{Application, DeviceKind, ModelKind, ResourceDemand, WorkloadProfile};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -308,6 +309,132 @@ impl PairLatencyCache {
     }
 }
 
+/// The part of a [`PlacementProblem`] that stays fixed while a deployment is
+/// decided again and again: each application's latency- and
+/// hardware-feasible servers, ascending, with each pair's resource demand
+/// and the per-server `(app, slot)` index ([`CandidatePairs`]), plus what
+/// pricing reads per pair: the application's energy per hour on the
+/// server's device and the pair's round-trip latency.
+///
+/// It reads the applications, the servers' devices and locations, and the
+/// latency model or cache, and nothing else: server intensities, capacities
+/// and power states, `epoch_hours` and the incumbent `state` may change
+/// under an attached skeleton, and each decision prices its pairs afresh.
+/// [`PlacementProblem::with_skeleton`] attaches one.
+#[derive(Debug, Clone)]
+pub struct PlacementSkeleton {
+    pairs: CandidatePairs,
+    /// Per pair: the application's energy per hour on the server's device,
+    /// joules.
+    energy_per_hour_j: Vec<f64>,
+    /// Per pair: the round-trip latency, ms.
+    latency_ms: Vec<f64>,
+    /// Applications with a negative or non-finite energy or resource demand
+    /// on some compatible device, ascending.
+    invalid_apps: Vec<usize>,
+}
+
+impl PlacementSkeleton {
+    /// Builds the skeleton of `problem` in one pass.  Per application, the
+    /// energy and demand are read once per run of consecutive servers with
+    /// the same device (an incompatible device skips the run), and each
+    /// server of the run is kept when its latency meets the SLO, the tests
+    /// of [`PlacementProblem::is_feasible_pair`].
+    pub fn new(problem: &PlacementProblem) -> Self {
+        let servers = &problem.servers;
+        let mut runs = Vec::new();
+        let mut run_start = 0;
+        for j in 1..=servers.len() {
+            if j == servers.len() || servers[j].device != servers[run_start].device {
+                runs.push(run_start..j);
+                run_start = j;
+            }
+        }
+
+        let mut row_start = Vec::with_capacity(problem.apps.len() + 1);
+        row_start.push(0);
+        let mut server = Vec::new();
+        let mut demand = Vec::new();
+        let mut energy_per_hour_j = Vec::new();
+        let mut latency_ms = Vec::new();
+        let mut invalid_apps = Vec::new();
+        for (i, app) in problem.apps.iter().enumerate() {
+            let mut valid = true;
+            for run in &runs {
+                let device = servers[run.start].device;
+                let (Some(per_hour), Some(need)) = (app.energy_on(device), app.demand_on(device))
+                else {
+                    continue;
+                };
+                let need = need.to_array();
+                valid &= std::iter::once(per_hour)
+                    .chain(need)
+                    .all(|v| v.is_finite() && v >= 0.0);
+                for j in run.clone() {
+                    let latency = problem.latency_ms(i, j);
+                    // NaN latencies and SLOs fail this test, as in
+                    // `PlacementProblem::is_feasible_pair`.
+                    let within_slo = latency <= app.latency_slo_ms + 1e-9;
+                    if !within_slo {
+                        continue;
+                    }
+                    server.push(j);
+                    demand.push(need);
+                    energy_per_hour_j.push(per_hour);
+                    latency_ms.push(latency);
+                }
+            }
+            if !valid {
+                invalid_apps.push(i);
+            }
+            row_start.push(server.len());
+        }
+        let pairs = CandidatePairs::new(servers.len(), row_start, server, demand)
+            .expect("rows ascend within the server range by construction");
+        Self {
+            pairs,
+            energy_per_hour_j,
+            latency_ms,
+            invalid_apps,
+        }
+    }
+
+    /// The feasible pairs.
+    pub fn pairs(&self) -> &CandidatePairs {
+        &self.pairs
+    }
+
+    /// Per pair: the application's energy per hour on the server's device,
+    /// joules.
+    pub(crate) fn energy_per_hour_j(&self) -> &[f64] {
+        &self.energy_per_hour_j
+    }
+
+    /// Per pair: the round-trip latency, ms.
+    pub(crate) fn latency_ms(&self) -> &[f64] {
+        &self.latency_ms
+    }
+
+    /// Applications with a negative or non-finite energy or resource demand
+    /// on some compatible device, ascending.
+    pub(crate) fn invalid_apps(&self) -> &[usize] {
+        &self.invalid_apps
+    }
+
+    /// Whether the skeleton was built for this many applications and
+    /// servers.
+    pub(crate) fn covers(&self, apps: usize, servers: usize) -> bool {
+        self.pairs.num_apps() == apps && self.pairs.num_servers() == servers
+    }
+
+    /// Heap bytes the skeleton holds.
+    pub fn bytes(&self) -> usize {
+        self.pairs.bytes()
+            + (self.energy_per_hour_j.len() + self.latency_ms.len()) * std::mem::size_of::<f64>()
+            + self.invalid_apps.len() * std::mem::size_of::<usize>()
+    }
+}
+
 /// One instance of the incremental placement problem: a batch of arriving
 /// applications, the current server states, and the epoch length over which
 /// operational energy is accounted.
@@ -330,6 +457,9 @@ pub struct PlacementProblem {
     /// Optional precomputed pair latencies (see [`PairLatencyCache`]);
     /// `None` computes every lookup from the latency model.
     pub latency_cache: Option<Arc<PairLatencyCache>>,
+    /// The skeleton attached by [`Self::with_skeleton`]; `None` builds a
+    /// fresh one per placement call.
+    pub(crate) skeleton: Option<Arc<PlacementSkeleton>>,
 }
 
 impl PlacementProblem {
@@ -342,6 +472,7 @@ impl PlacementProblem {
             latency_model: LatencyModel::default(),
             state: None,
             latency_cache: None,
+            skeleton: None,
         }
     }
 
@@ -358,6 +489,17 @@ impl PlacementProblem {
         if cache.covers(self.apps.len(), self.servers.len()) {
             self.latency_cache = Some(cache);
         }
+        self
+    }
+
+    /// Builds this problem's [`PlacementSkeleton`] and attaches it, so that
+    /// every later placement call prices the skeleton's pairs instead of
+    /// finding them again.  Attach it after the latency model and cache.
+    /// Change no application, server device or location afterwards: a
+    /// placement call rejects a skeleton whose application or server count
+    /// no longer matches, and cannot detect any other change.
+    pub fn with_skeleton(mut self) -> Self {
+        self.skeleton = Some(Arc::new(PlacementSkeleton::new(&self)));
         self
     }
 

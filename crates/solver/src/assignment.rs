@@ -10,15 +10,22 @@
 //! provides a regret-based greedy construction followed by local search,
 //! which the tests check against exhaustive enumeration on small instances.
 //!
-//! An instance lists only the feasible pairs: each application has a row of
-//! [`Candidate`] servers, ascending by server.  A mesoscale latency limit
-//! admits servers a few hundred kilometres away, so a row holds a fraction
-//! of the fleet, and every step of the heuristic — the marginal-cost cache,
-//! its refresh after a placement, the top-2 and cheapest-server scans, and
-//! each local-search visit — costs in candidates rather than in
-//! applications × servers.  A visit reads the application's cached row with
-//! its current server re-priced as if the application were removed, and
-//! touches the state only when another candidate is cheaper.
+//! An instance lists only the feasible pairs: [`CandidatePairs`] holds each
+//! application's row of candidate servers, ascending by server, in one flat
+//! layout, together with each pair's demand and the per-server column
+//! index.  A mesoscale latency limit admits servers a few hundred kilometres
+//! away, so a row holds a fraction of the fleet, and every step of the
+//! heuristic — the marginal-cost cache, its refresh after a placement, the
+//! top-2 and cheapest-server scans, and each local-search visit — costs in
+//! candidates rather than in applications × servers.  A visit reads the
+//! application's cached row with its current server re-priced as if the
+//! application were removed, and touches the state only when another
+//! candidate is cheaper.
+//!
+//! The pairs do not depend on costs, so a deployment decided again and
+//! again builds them once and hands them to every instance by reference;
+//! an instance adds only its cost vector, aligned with the pairs, and the
+//! per-server capacity, activation and power state.
 
 /// Maximum number of local-search improvement passes.
 const LOCAL_SEARCH_PASSES: usize = 8;
@@ -31,39 +38,165 @@ const LOCAL_SEARCH_PASSES: usize = 8;
 /// hundreds of servers) fast.
 const REGRET_LIMIT: usize = 200;
 
-/// One feasible `(application, server)` pair of an [`AssignmentProblem`].
-/// Every resource vector is `[compute, memory, bandwidth]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Candidate {
-    /// The server index.
-    pub server: usize,
-    /// Cost of running the application on the server.
-    pub cost: f64,
-    /// Resource demand of the application on the server.
-    pub demand: [f64; 3],
+/// The feasible `(application, server)` pairs of an assignment instance,
+/// independent of their costs.  Pairs are numbered row by row: application
+/// `i`'s pairs are the positions [`Self::row`]`(i)`, servers strictly
+/// ascending, and a server missing from a row is an infeasible pair
+/// (latency violation or incompatible hardware).  Every resource vector is
+/// `[compute, memory, bandwidth]`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CandidatePairs {
+    /// `row_start[i]..row_start[i + 1]`: the positions of application `i`.
+    row_start: Vec<usize>,
+    /// The server of each pair.
+    server: Vec<usize>,
+    /// The resource demand of each pair.
+    demand: Vec<[f64; 3]>,
+    /// `column[column_start[j]..column_start[j + 1]]`: the `(app, slot)`
+    /// pairs on server `j`, apps ascending, where `slot` is the server's
+    /// place in the application's row.
+    column_start: Vec<usize>,
+    column: Vec<(usize, usize)>,
 }
 
-/// One instance of the placement problem in solver-neutral form.  Every
-/// resource vector is `[compute, memory, bandwidth]`.
-#[derive(Debug, Clone)]
-pub struct AssignmentProblem {
-    /// `candidates[i]`: the servers application `i` may run on, strictly
-    /// ascending by server.  A server missing from the row is an infeasible
-    /// pair (latency violation or incompatible hardware).
-    pub candidates: Vec<Vec<Candidate>>,
+impl CandidatePairs {
+    /// Builds the pairs of `servers` servers from rows laid out flat:
+    /// `row_start` holds one offset per application plus the end, and
+    /// `server` and `demand` one entry per pair.  Returns an error when the
+    /// offsets do not cover the pair vectors in order, a row is not
+    /// strictly ascending by server, or a row names a server out of range.
+    pub fn new(
+        servers: usize,
+        row_start: Vec<usize>,
+        server: Vec<usize>,
+        demand: Vec<[f64; 3]>,
+    ) -> Result<Self, String> {
+        if row_start.first() != Some(&0)
+            || row_start.last() != Some(&server.len())
+            || row_start.windows(2).any(|w| w[0] > w[1])
+            || demand.len() != server.len()
+        {
+            return Err("row offsets do not cover the pairs".into());
+        }
+        for (i, w) in row_start.windows(2).enumerate() {
+            let row = &server[w[0]..w[1]];
+            if row.windows(2).any(|s| s[0] >= s[1]) {
+                return Err(format!("candidate row {i} is not strictly ascending"));
+            }
+            if row.last().is_some_and(|&j| j >= servers) {
+                return Err(format!("candidate row {i} names a server out of range"));
+            }
+        }
+        // Counting sort of the pairs by server; visiting the rows in app
+        // order keeps every column ascending by app.
+        let mut column_start = vec![0; servers + 1];
+        for &j in &server {
+            column_start[j + 1] += 1;
+        }
+        for j in 0..servers {
+            column_start[j + 1] += column_start[j];
+        }
+        let mut next = column_start.clone();
+        let mut column = vec![(0, 0); server.len()];
+        for (i, w) in row_start.windows(2).enumerate() {
+            for (k, &j) in server[w[0]..w[1]].iter().enumerate() {
+                column[next[j]] = (i, k);
+                next[j] += 1;
+            }
+        }
+        Ok(Self {
+            row_start,
+            server,
+            demand,
+            column_start,
+            column,
+        })
+    }
+
+    /// Number of applications (rows).
+    pub fn num_apps(&self) -> usize {
+        self.row_start.len() - 1
+    }
+
+    /// Number of servers.
+    pub fn num_servers(&self) -> usize {
+        self.column_start.len() - 1
+    }
+
+    /// Number of pairs over all rows.
+    pub fn len(&self) -> usize {
+        self.server.len()
+    }
+
+    /// Whether no application has a pair.
+    pub fn is_empty(&self) -> bool {
+        self.server.is_empty()
+    }
+
+    /// The positions of application `app`'s pairs.  Panics if `app` is out
+    /// of range.
+    pub fn row(&self, app: usize) -> std::ops::Range<usize> {
+        self.row_start[app]..self.row_start[app + 1]
+    }
+
+    /// The server of every pair, by position.
+    pub fn servers(&self) -> &[usize] {
+        &self.server
+    }
+
+    /// The resource demand of every pair, by position.
+    pub fn demands(&self) -> &[[f64; 3]] {
+        &self.demand
+    }
+
+    /// The `(app, slot)` pairs on server `j`, apps ascending; the pair's
+    /// position is `row(app).start + slot`.
+    pub fn column(&self, j: usize) -> &[(usize, usize)] {
+        &self.column[self.column_start[j]..self.column_start[j + 1]]
+    }
+
+    /// The position of the pair `(app, server)`, or `None` when the pair is
+    /// infeasible or `app` is out of range.
+    pub fn find(&self, app: usize, server: usize) -> Option<usize> {
+        if app >= self.num_apps() {
+            return None;
+        }
+        let row = self.row(app);
+        let k = self.server[row.clone()].binary_search(&server).ok()?;
+        Some(row.start + k)
+    }
+
+    /// Heap bytes the pairs hold.
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.row_start.len() + self.server.len() + self.column_start.len()) * size_of::<usize>()
+            + self.demand.len() * size_of::<[f64; 3]>()
+            + self.column.len() * size_of::<(usize, usize)>()
+    }
+}
+
+/// One instance of the placement problem in solver-neutral form: the
+/// feasible pairs, a cost per pair, and the servers' state.  Every resource
+/// vector is `[compute, memory, bandwidth]`.
+#[derive(Debug, Clone, Copy)]
+pub struct AssignmentProblem<'a> {
+    /// The feasible pairs.
+    pub pairs: &'a CandidatePairs,
+    /// `cost[p]`: the cost of the pair at position `p` of `pairs`.
+    pub cost: &'a [f64],
     /// `capacity[j]`: available resources of server `j`.
-    pub capacity: Vec<[f64; 3]>,
+    pub capacity: &'a [[f64; 3]],
     /// `activation_cost[j]`: extra cost incurred the first time an
     /// application is placed on server `j` while it is closed.
-    pub activation_cost: Vec<f64>,
+    pub activation_cost: &'a [f64],
     /// `open[j]`: whether server `j` is already powered on.
-    pub open: Vec<bool>,
+    pub open: &'a [bool],
 }
 
-impl AssignmentProblem {
+impl AssignmentProblem<'_> {
     /// Number of applications.
     pub fn num_apps(&self) -> usize {
-        self.candidates.len()
+        self.pairs.num_apps()
     }
 
     /// Number of servers.
@@ -71,31 +204,20 @@ impl AssignmentProblem {
         self.capacity.len()
     }
 
-    /// Validates internal dimensions and row order; returns an error string
-    /// when shapes are inconsistent, a row is not strictly ascending by
-    /// server, or a row names a server out of range.
+    /// Validates internal dimensions; returns an error string when the
+    /// pairs, costs and per-server vectors disagree in length.
     pub fn validate(&self) -> Result<(), String> {
         let servers = self.num_servers();
-        if self.activation_cost.len() != servers || self.open.len() != servers {
-            return Err("activation/open length mismatch".into());
+        if self.pairs.num_servers() != servers
+            || self.activation_cost.len() != servers
+            || self.open.len() != servers
+        {
+            return Err("pairs/activation/open length mismatch".into());
         }
-        for (i, row) in self.candidates.iter().enumerate() {
-            if row.windows(2).any(|w| w[0].server >= w[1].server) {
-                return Err(format!("candidate row {i} is not strictly ascending"));
-            }
-            if row.last().is_some_and(|c| c.server >= servers) {
-                return Err(format!("candidate row {i} names a server out of range"));
-            }
+        if self.cost.len() != self.pairs.len() {
+            return Err("cost vector does not align with the pairs".into());
         }
         Ok(())
-    }
-
-    /// The candidate pairing application `app` with `server`, or `None` when
-    /// the pair is infeasible.
-    pub fn candidate(&self, app: usize, server: usize) -> Option<&Candidate> {
-        let row = self.candidates.get(app)?;
-        let k = row.binary_search_by_key(&server, |c| c.server).ok()?;
-        Some(&row[k])
     }
 
     /// Whether `demand` fits on `server` on top of the per-server usage
@@ -125,14 +247,15 @@ impl AssignmentProblem {
         let mut total = 0.0;
         for (i, a) in assignment.iter().enumerate() {
             let Some(j) = a else { return None };
-            let candidate = self.candidate(i, *j)?;
-            if !self.fits(*j, &candidate.demand, &used) {
+            let p = self.pairs.find(i, *j)?;
+            let demand = &self.pairs.demand[p];
+            if !self.fits(*j, demand, &used) {
                 return None;
             }
-            for (u, d) in used[*j].iter_mut().zip(&candidate.demand) {
+            for (u, d) in used[*j].iter_mut().zip(demand) {
                 *u += d;
             }
-            total += candidate.cost;
+            total += self.cost[p];
             if !self.open[*j] && !opened[*j] {
                 opened[*j] = true;
                 total += self.activation_cost[*j];
@@ -166,14 +289,20 @@ fn fits_within(demand: &[f64; 3], used: &[f64; 3], capacity: &[f64; 3]) -> bool 
         .all(|(d, (u, c))| u + d <= c + 1e-9)
 }
 
-/// The marginal cost of `candidate` on a server with usage `used` and
-/// capacity `capacity`: `NAN` when its demand does not fit, otherwise its
-/// cost plus `activation` (`0.0` for an open server, its activation cost
-/// otherwise).  Every cached and every freshly computed marginal comes from
-/// here, so comparisons between them are bit-exact.
-fn marginal(candidate: &Candidate, used: &[f64; 3], capacity: &[f64; 3], activation: f64) -> f64 {
-    if fits_within(&candidate.demand, used, capacity) {
-        candidate.cost + activation
+/// The marginal cost of a pair with `cost` and `demand` on a server with
+/// usage `used` and capacity `capacity`: `NAN` when the demand does not
+/// fit, otherwise `cost` plus `activation` (`0.0` for an open server, its
+/// activation cost otherwise).  Every cached and every freshly computed
+/// marginal comes from here, so comparisons between them are bit-exact.
+fn marginal(
+    cost: f64,
+    demand: &[f64; 3],
+    used: &[f64; 3],
+    capacity: &[f64; 3],
+    activation: f64,
+) -> f64 {
+    if fits_within(demand, used, capacity) {
+        cost + activation
     } else {
         f64::NAN
     }
@@ -230,27 +359,20 @@ enum Top2 {
 /// The heuristic's working state.  Applications refer to their servers by
 /// *slot*, the position of the server in the application's candidate row.
 struct State<'p> {
-    problem: &'p AssignmentProblem,
+    problem: &'p AssignmentProblem<'p>,
     /// `assignment[i]`: the slot of application `i`'s current server.
     assignment: Vec<Option<usize>>,
     used: Vec<[f64; 3]>,
     app_count_per_server: Vec<usize>,
-    /// `row_start[i]..row_start[i + 1]`: application `i`'s range of
-    /// `marginal`, one entry per candidate.
-    row_start: Vec<usize>,
-    /// `marginal[row_start[i] + k]`: cached marginal cost of placing app `i`
-    /// on its candidate `k` in the *current* state (`NAN` = does not fit).
-    /// Placing or unplacing an application changes `used`/`app_count` for
-    /// exactly one server, so every mutation refreshes that server's column
-    /// instead of rescanning every pair.  The cached values are produced by
-    /// the same [`marginal`] arithmetic a cold scan runs, so every
-    /// comparison made against them is bit-identical to an uncached solve.
+    /// `marginal[p]`: cached marginal cost of the pair at position `p` in
+    /// the *current* state (`NAN` = does not fit).  Placing or unplacing an
+    /// application changes `used`/`app_count` for exactly one server, so
+    /// every mutation refreshes that server's column of the pairs' column
+    /// index instead of rescanning every pair.  The cached values are
+    /// produced by the same [`marginal`] arithmetic a cold scan runs, so
+    /// every comparison made against them is bit-identical to an uncached
+    /// solve.
     marginal: Vec<f64>,
-    /// `column[column_start[j]..column_start[j + 1]]`: the `(app, slot)`
-    /// candidates on server `j`, apps ascending.  An application without a
-    /// candidate on `j` has no cached value that a change to `j` could move.
-    column_start: Vec<usize>,
-    column: Vec<(usize, usize)>,
     /// Per-app best/second cache over `marginal`, invalidated only when a
     /// column update could disturb it.  Only the regret construction reads
     /// it.
@@ -260,47 +382,28 @@ struct State<'p> {
 }
 
 impl<'p> State<'p> {
-    fn new(problem: &'p AssignmentProblem) -> Self {
+    /// Prices every pair against the empty state; the pairs bring their
+    /// column index along.
+    fn new(problem: &'p AssignmentProblem<'p>) -> Self {
         let apps = problem.num_apps();
         let servers = problem.num_servers();
-        let mut row_start = Vec::with_capacity(apps + 1);
-        let pairs = problem.candidates.iter().map(Vec::len).sum();
-        let mut marginal_cache = Vec::with_capacity(pairs);
-        // One row-order pass prices every candidate against the empty state
-        // and counts the candidates per server for the column index.
-        let mut column_start = vec![0; servers + 1];
-        for row in &problem.candidates {
-            row_start.push(marginal_cache.len());
-            for c in row {
-                let j = c.server;
+        let pairs = problem.pairs;
+        let marginal_cache = pairs
+            .server
+            .iter()
+            .zip(&pairs.demand)
+            .zip(problem.cost)
+            .map(|((&j, demand), &cost)| {
                 let activation = problem.activation_term(j, 0);
-                marginal_cache.push(marginal(c, &[0.0; 3], &problem.capacity[j], activation));
-                column_start[j + 1] += 1;
-            }
-        }
-        row_start.push(pairs);
-        for j in 0..servers {
-            column_start[j + 1] += column_start[j];
-        }
-        // Counting sort of the candidates by server; visiting the rows in
-        // app order keeps every column ascending by app.
-        let mut next = column_start.clone();
-        let mut column = vec![(0, 0); pairs];
-        for (i, row) in problem.candidates.iter().enumerate() {
-            for (k, c) in row.iter().enumerate() {
-                column[next[c.server]] = (i, k);
-                next[c.server] += 1;
-            }
-        }
+                marginal(cost, demand, &[0.0; 3], &problem.capacity[j], activation)
+            })
+            .collect();
         Self {
             problem,
             assignment: vec![None; apps],
             used: vec![[0.0; 3]; servers],
             app_count_per_server: vec![0; servers],
             marginal: marginal_cache,
-            row_start,
-            column_start,
-            column,
             top2: vec![Top2::Dirty; apps],
             opened_scratch: vec![false; servers],
         }
@@ -316,11 +419,12 @@ impl<'p> State<'p> {
         let activation = self
             .problem
             .activation_term(j, self.app_count_per_server[j]);
-        let candidates = &self.problem.candidates;
-        for &(i, k) in &self.column[self.column_start[j]..self.column_start[j + 1]] {
-            let pos = self.row_start[i] + k;
+        let pairs = self.problem.pairs;
+        let cost = self.problem.cost;
+        for &(i, k) in pairs.column(j) {
+            let pos = pairs.row_start[i] + k;
             let old = self.marginal[pos];
-            let new = marginal(&candidates[i][k], &used, &capacity, activation);
+            let new = marginal(cost[pos], &pairs.demand[pos], &used, &capacity, activation);
             if old.to_bits() == new.to_bits() {
                 continue;
             }
@@ -345,7 +449,7 @@ impl<'p> State<'p> {
 
     /// The cached marginals of app `i`'s candidates, in row order.
     fn marginal_row(&self, i: usize) -> &[f64] {
-        &self.marginal[self.row_start[i]..self.row_start[i + 1]]
+        &self.marginal[self.problem.pairs.row(i)]
     }
 
     /// The best and second-best marginal costs of app `i`, exactly as the
@@ -390,12 +494,18 @@ impl<'p> State<'p> {
         }
     }
 
+    /// The position of app `i`'s candidate `k` among the pairs.
+    fn pos(&self, i: usize, k: usize) -> usize {
+        self.problem.pairs.row_start[i] + k
+    }
+
     /// Places app `i` on its candidate `k`.
     fn place(&mut self, i: usize, k: usize) {
         debug_assert!(self.assignment[i].is_none());
-        let candidate = &self.problem.candidates[i][k];
-        let j = candidate.server;
-        for (u, d) in self.used[j].iter_mut().zip(&candidate.demand) {
+        let pairs = self.problem.pairs;
+        let pos = self.pos(i, k);
+        let j = pairs.server[pos];
+        for (u, d) in self.used[j].iter_mut().zip(&pairs.demand[pos]) {
             *u += d;
         }
         self.app_count_per_server[j] += 1;
@@ -405,9 +515,10 @@ impl<'p> State<'p> {
 
     fn unplace(&mut self, i: usize) {
         if let Some(k) = self.assignment[i].take() {
-            let candidate = &self.problem.candidates[i][k];
-            let j = candidate.server;
-            for (u, d) in self.used[j].iter_mut().zip(&candidate.demand) {
+            let pairs = self.problem.pairs;
+            let pos = self.pos(i, k);
+            let j = pairs.server[pos];
+            for (u, d) in self.used[j].iter_mut().zip(&pairs.demand[pos]) {
                 *u -= d;
             }
             self.app_count_per_server[j] -= 1;
@@ -418,11 +529,11 @@ impl<'p> State<'p> {
     fn total_cost(&mut self) -> f64 {
         let mut total = 0.0;
         self.opened_scratch.fill(false);
-        for (row, a) in self.problem.candidates.iter().zip(&self.assignment) {
+        for (i, a) in self.assignment.iter().enumerate() {
             if let Some(k) = a {
-                let candidate = &row[*k];
-                let j = candidate.server;
-                total += candidate.cost;
+                let pos = self.problem.pairs.row_start[i] + k;
+                let j = self.problem.pairs.server[pos];
+                total += self.problem.cost[pos];
                 if !self.problem.open[j] && !self.opened_scratch[j] {
                     self.opened_scratch[j] = true;
                     total += self.problem.activation_cost[j];
@@ -498,16 +609,23 @@ impl<'p> State<'p> {
                 let Some(current) = self.assignment[i] else {
                     continue;
                 };
-                let candidate = &self.problem.candidates[i][current];
-                let j = candidate.server;
+                let pos = self.pos(i, current);
+                let j = self.problem.pairs.server[pos];
+                let demand = self.problem.pairs.demand[pos];
                 let mut reduced = self.used[j];
-                for (u, d) in reduced.iter_mut().zip(&candidate.demand) {
+                for (u, d) in reduced.iter_mut().zip(&demand) {
                     *u -= d;
                 }
                 let activation = self
                     .problem
                     .activation_term(j, self.app_count_per_server[j] - 1);
-                let stay = marginal(candidate, &reduced, &self.problem.capacity[j], activation);
+                let stay = marginal(
+                    self.problem.cost[pos],
+                    &demand,
+                    &reduced,
+                    &self.problem.capacity[j],
+                    activation,
+                );
                 let best = cheapest(self.marginal_row(i).iter().enumerate().map(|(k, &c)| {
                     if k == current {
                         stay
@@ -539,7 +657,7 @@ impl<'p> State<'p> {
                         // leave, and re-price the column only when that round
                         // trip moved them.
                         let mut restored = reduced;
-                        for (u, d) in restored.iter_mut().zip(&candidate.demand) {
+                        for (u, d) in restored.iter_mut().zip(&demand) {
                             *u += d;
                         }
                         if restored
@@ -562,11 +680,11 @@ impl<'p> State<'p> {
 
     fn finish(self, cost: f64) -> AssignmentSolution {
         let problem = self.problem;
-        let assignment: Vec<Option<usize>> = problem
-            .candidates
+        let assignment: Vec<Option<usize>> = self
+            .assignment
             .iter()
-            .zip(&self.assignment)
-            .map(|(row, a)| a.map(|k| row[k].server))
+            .enumerate()
+            .map(|(i, a)| a.map(|k| problem.pairs.server[self.pos(i, k)]))
             .collect();
         let unassigned = assignment
             .iter()
@@ -602,6 +720,60 @@ mod tests {
         [x, 0.0, 0.0]
     }
 
+    /// The vectors an [`AssignmentProblem`] borrows.
+    #[derive(Debug, Clone)]
+    struct Instance {
+        pairs: CandidatePairs,
+        cost: Vec<f64>,
+        capacity: Vec<[f64; 3]>,
+        activation_cost: Vec<f64>,
+        open: Vec<bool>,
+    }
+
+    impl Instance {
+        fn problem(&self) -> AssignmentProblem<'_> {
+            AssignmentProblem {
+                pairs: &self.pairs,
+                cost: &self.cost,
+                capacity: &self.capacity,
+                activation_cost: &self.activation_cost,
+                open: &self.open,
+            }
+        }
+
+        fn solve(&self) -> AssignmentSolution {
+            self.problem().solve()
+        }
+    }
+
+    /// An instance from rows of `(server, cost, demand)` candidates,
+    /// servers ascending.
+    fn from_rows(
+        rows: Vec<Vec<(usize, f64, [f64; 3])>>,
+        capacity: Vec<[f64; 3]>,
+        activation_cost: Vec<f64>,
+        open: Vec<bool>,
+    ) -> Instance {
+        let mut row_start = vec![0];
+        let (mut server, mut cost, mut demand) = (Vec::new(), Vec::new(), Vec::new());
+        for row in rows {
+            for (j, c, d) in row {
+                server.push(j);
+                cost.push(c);
+                demand.push(d);
+            }
+            row_start.push(server.len());
+        }
+        Instance {
+            pairs: CandidatePairs::new(capacity.len(), row_start, server, demand)
+                .expect("rows are well formed"),
+            cost,
+            capacity,
+            activation_cost,
+            open,
+        }
+    }
+
     /// An instance from a dense cost matrix (`None` marks an infeasible
     /// pair) and dense per-pair demands.
     fn dense(
@@ -610,8 +782,8 @@ mod tests {
         capacity: Vec<[f64; 3]>,
         activation_cost: Vec<f64>,
         open: Vec<bool>,
-    ) -> AssignmentProblem {
-        let candidates = cost
+    ) -> Instance {
+        let rows = cost
             .iter()
             .zip(&demand)
             .map(|(costs, demands)| {
@@ -619,22 +791,11 @@ mod tests {
                     .iter()
                     .zip(demands)
                     .enumerate()
-                    .filter_map(|(server, (c, d))| {
-                        c.map(|cost| Candidate {
-                            server,
-                            cost,
-                            demand: *d,
-                        })
-                    })
+                    .filter_map(|(server, (c, d))| c.map(|cost| (server, cost, *d)))
                     .collect()
             })
             .collect();
-        AssignmentProblem {
-            candidates,
-            capacity,
-            activation_cost,
-            open,
-        }
+        from_rows(rows, capacity, activation_cost, open)
     }
 
     /// The cost of the cheapest complete feasible assignment, found by
@@ -660,7 +821,7 @@ mod tests {
         best
     }
 
-    fn simple_problem() -> AssignmentProblem {
+    fn simple_problem() -> Instance {
         // 2 apps, 2 servers, compute only.
         dense(
             vec![vec![Some(10.0), Some(1.0)], vec![Some(2.0), Some(8.0)]],
@@ -691,7 +852,7 @@ mod tests {
         );
         let sol = p.solve();
         assert!(sol.is_complete());
-        let cost = p.evaluate(&sol.assignment).unwrap();
+        let cost = p.problem().evaluate(&sol.assignment).unwrap();
         // Optimum: app1 -> server1 (2), app0 -> server0 (10) = 12, or
         // app0 -> server1 (1) + app1 -> server0 (10) = 11.
         assert!((cost - 11.0).abs() < 1e-9, "cost {cost}");
@@ -762,15 +923,20 @@ mod tests {
     #[test]
     fn evaluate_rejects_capacity_violation_and_infeasible_pairs() {
         let p = simple_problem();
-        assert!(p.evaluate(&[Some(0), Some(0)]).is_some());
+        assert!(p.problem().evaluate(&[Some(0), Some(0)]).is_some());
         let mut tight = p.clone();
         tight.capacity = vec![compute(1.0), compute(2.0)];
-        assert!(tight.evaluate(&[Some(0), Some(0)]).is_none());
-        let mut infeasible = p.clone();
-        infeasible.candidates[0].remove(0);
-        assert!(infeasible.evaluate(&[Some(0), Some(1)]).is_none());
-        assert!(p.evaluate(&[Some(0)]).is_none());
-        assert!(p.evaluate(&[None, Some(1)]).is_none());
+        assert!(tight.problem().evaluate(&[Some(0), Some(0)]).is_none());
+        let infeasible = dense(
+            vec![vec![None, Some(1.0)], vec![Some(2.0), Some(8.0)]],
+            vec![vec![compute(1.0); 2]; 2],
+            vec![compute(2.0); 2],
+            vec![0.0, 0.0],
+            vec![true, true],
+        );
+        assert!(infeasible.problem().evaluate(&[Some(0), Some(1)]).is_none());
+        assert!(p.problem().evaluate(&[Some(0)]).is_none());
+        assert!(p.problem().evaluate(&[None, Some(1)]).is_none());
     }
 
     #[test]
@@ -785,31 +951,42 @@ mod tests {
     fn validate_catches_shape_errors() {
         let mut p = simple_problem();
         p.activation_cost = vec![0.0];
-        assert!(p.validate().is_err());
-        assert!(simple_problem().validate().is_ok());
+        assert!(p.problem().validate().is_err());
+        let mut short_cost = simple_problem();
+        short_cost.cost.pop();
+        assert!(short_cost.problem().validate().is_err());
+        assert!(simple_problem().problem().validate().is_ok());
     }
 
     #[test]
     fn validate_rejects_unsorted_duplicate_and_out_of_range_rows() {
-        let mut unsorted = simple_problem();
-        unsorted.candidates[0].swap(0, 1);
-        assert!(unsorted.validate().is_err());
-        let mut duplicate = simple_problem();
-        duplicate.candidates[1][1].server = 0;
-        assert!(duplicate.validate().is_err());
-        let mut out_of_range = simple_problem();
-        out_of_range.candidates[0][1].server = 2;
-        assert!(out_of_range.validate().is_err());
+        let row = |servers: &[usize]| {
+            let demand = vec![compute(1.0); servers.len()];
+            CandidatePairs::new(2, vec![0, servers.len()], servers.to_vec(), demand)
+        };
+        assert!(row(&[0, 1]).is_ok());
+        assert!(row(&[1, 0]).is_err(), "unsorted");
+        assert!(row(&[0, 0]).is_err(), "duplicate");
+        assert!(row(&[0, 2]).is_err(), "out of range");
+        let uncovered = CandidatePairs::new(2, vec![0, 1], vec![0, 1], vec![compute(1.0); 2]);
+        assert!(uncovered.is_err(), "offsets that miss a pair");
     }
 
     #[test]
     fn candidate_finds_listed_pairs_only() {
-        let mut p = simple_problem();
-        p.candidates[0].remove(0);
-        assert_eq!(p.candidate(0, 1).map(|c| c.cost), Some(1.0));
-        assert!(p.candidate(0, 0).is_none());
-        assert!(p.candidate(0, 2).is_none());
-        assert!(p.candidate(2, 0).is_none());
+        let p = dense(
+            vec![vec![None, Some(1.0)], vec![Some(2.0), Some(8.0)]],
+            vec![vec![compute(1.0); 2]; 2],
+            vec![compute(2.0); 2],
+            vec![0.0, 0.0],
+            vec![true, true],
+        );
+        assert_eq!(p.pairs.find(0, 1).map(|k| p.cost[k]), Some(1.0));
+        assert_eq!(p.pairs.find(1, 1).map(|k| p.cost[k]), Some(8.0));
+        assert!(p.pairs.find(0, 0).is_none());
+        assert!(p.pairs.find(0, 2).is_none());
+        assert!(p.pairs.find(2, 0).is_none());
+        assert_eq!(p.pairs.column(1), &[(0, 0), (1, 1)]);
     }
 
     #[test]
@@ -846,7 +1023,7 @@ mod tests {
                 (0..servers).map(|_| rng.gen_bool(0.5)).collect(),
             );
             let heuristic = p.solve();
-            let Some(exact_cost) = enumerate_optimum(&p) else {
+            let Some(exact_cost) = enumerate_optimum(&p.problem()) else {
                 continue;
             };
             if heuristic.is_complete() {
@@ -889,7 +1066,7 @@ mod tests {
         );
         let sol = p.solve();
         assert!(sol.is_complete());
-        assert!(p.evaluate(&sol.assignment).is_some());
+        assert!(p.problem().evaluate(&sol.assignment).is_some());
     }
 
     #[test]
@@ -921,7 +1098,7 @@ mod tests {
         );
         let sol = p.solve();
         assert!(sol.is_complete());
-        let evaluated = p.evaluate(&sol.assignment);
+        let evaluated = p.problem().evaluate(&sol.assignment);
         assert!(evaluated.is_some());
         assert_eq!(Some(sol.cost), evaluated);
         let mut used: Vec<usize> = sol.assignment.iter().flatten().copied().collect();
@@ -981,7 +1158,7 @@ mod tests {
         let sol = p.solve();
         assert_eq!(sol.assignment, vec![Some(2); 4]);
         assert_eq!(sol.cost, 34.0);
-        let (assignment, cost) = reference_solve(&p, &mut Moves::default());
+        let (assignment, cost) = reference_solve(&p.problem(), &mut Moves::default());
         assert_eq!(sol.assignment, assignment);
         assert_eq!(sol.cost.to_bits(), cost.to_bits());
     }
@@ -1001,7 +1178,7 @@ mod tests {
     /// and the total cost.
     fn reference_solve(p: &AssignmentProblem, moves: &mut Moves) -> (Vec<Option<usize>>, f64) {
         struct Reference<'a> {
-            p: &'a AssignmentProblem,
+            p: &'a AssignmentProblem<'a>,
             used: Vec<[f64; 3]>,
             count: Vec<usize>,
             /// The slot of each application's server.
@@ -1009,17 +1186,23 @@ mod tests {
         }
         impl Reference<'_> {
             fn marginals(&self, i: usize) -> Vec<f64> {
-                self.p.candidates[i]
-                    .iter()
-                    .map(|c| {
-                        let j = c.server;
-                        if !self.p.fits(j, &c.demand, &self.used) {
+                self.p
+                    .pairs
+                    .row(i)
+                    .map(|pos| {
+                        let j = self.p.pairs.servers()[pos];
+                        if !self.p.fits(j, &self.p.pairs.demands()[pos], &self.used) {
                             return f64::NAN;
                         }
                         let open = self.p.open[j] || self.count[j] > 0;
-                        c.cost + if open { 0.0 } else { self.p.activation_cost[j] }
+                        self.p.cost[pos] + if open { 0.0 } else { self.p.activation_cost[j] }
                     })
                     .collect()
+            }
+            /// The server and demand of app `i`'s candidate `k`.
+            fn candidate(&self, i: usize, k: usize) -> (usize, [f64; 3]) {
+                let pos = self.p.pairs.row(i).start + k;
+                (self.p.pairs.servers()[pos], self.p.pairs.demands()[pos])
             }
             fn cheapest(&self, i: usize) -> Option<(usize, f64)> {
                 let mut best: Option<(usize, f64)> = None;
@@ -1031,31 +1214,31 @@ mod tests {
                 best
             }
             fn place(&mut self, i: usize, k: usize) {
-                let c = &self.p.candidates[i][k];
-                for (u, d) in self.used[c.server].iter_mut().zip(&c.demand) {
+                let (j, demand) = self.candidate(i, k);
+                for (u, d) in self.used[j].iter_mut().zip(&demand) {
                     *u += d;
                 }
-                self.count[c.server] += 1;
+                self.count[j] += 1;
                 self.slot[i] = Some(k);
             }
             fn unplace(&mut self, i: usize) {
                 let k = self.slot[i].take().expect("app is placed");
-                let c = &self.p.candidates[i][k];
-                for (u, d) in self.used[c.server].iter_mut().zip(&c.demand) {
+                let (j, demand) = self.candidate(i, k);
+                for (u, d) in self.used[j].iter_mut().zip(&demand) {
                     *u -= d;
                 }
-                self.count[c.server] -= 1;
+                self.count[j] -= 1;
             }
             fn total_cost(&self) -> f64 {
                 let mut total = 0.0;
                 let mut opened = vec![false; self.p.num_servers()];
-                for (row, a) in self.p.candidates.iter().zip(&self.slot) {
+                for (i, a) in self.slot.iter().enumerate() {
                     if let Some(k) = a {
-                        let c = &row[*k];
-                        total += c.cost;
-                        if !self.p.open[c.server] && !opened[c.server] {
-                            opened[c.server] = true;
-                            total += self.p.activation_cost[c.server];
+                        let (j, _) = self.candidate(i, *k);
+                        total += self.p.cost[self.p.pairs.row(i).start + k];
+                        if !self.p.open[j] && !opened[j] {
+                            opened[j] = true;
+                            total += self.p.activation_cost[j];
                         }
                     }
                 }
@@ -1130,11 +1313,11 @@ mod tests {
             }
         }
         let cost = r.total_cost();
-        let assignment = p
-            .candidates
+        let assignment = r
+            .slot
             .iter()
-            .zip(&r.slot)
-            .map(|(row, a)| a.map(|k| row[k].server))
+            .enumerate()
+            .map(|(i, a)| a.map(|k| r.candidate(i, k).0))
             .collect();
         (assignment, cost)
     }
@@ -1155,7 +1338,7 @@ mod tests {
             };
             let servers = rng.gen_range(2..8);
             let tenths = |rng: &mut StdRng, hi: u32| f64::from(rng.gen_range(1..hi)) / 10.0;
-            let mut candidates = vec![Vec::new(); apps];
+            let mut candidates: Vec<Vec<(usize, f64, [f64; 3])>> = vec![Vec::new(); apps];
             for row in &mut candidates {
                 let base = [
                     tenths(&mut rng, 12),
@@ -1171,17 +1354,13 @@ mod tests {
                     } else {
                         [tenths(&mut rng, 12), base[1], tenths(&mut rng, 4)]
                     };
-                    row.push(Candidate {
-                        server,
-                        cost: f64::from(rng.gen_range(1..10u32)),
-                        demand,
-                    });
+                    row.push((server, f64::from(rng.gen_range(1..10u32)), demand));
                 }
             }
             let mut summed = [0.0; 3];
             for row in &candidates {
-                if let Some(c) = row.first() {
-                    for (s, d) in summed.iter_mut().zip(&c.demand) {
+                if let Some((_, _, demand)) = row.first() {
+                    for (s, d) in summed.iter_mut().zip(demand) {
                         *s += d;
                     }
                 }
@@ -1192,16 +1371,16 @@ mod tests {
                     summed.map(|s| (s * share * 10.0).round() / 10.0)
                 })
                 .collect();
-            let p = AssignmentProblem {
+            let p = from_rows(
                 candidates,
                 capacity,
-                activation_cost: (0..servers)
+                (0..servers)
                     .map(|_| f64::from(rng.gen_range(0..15u32)))
                     .collect(),
-                open: (0..servers).map(|_| rng.gen_bool(0.5)).collect(),
-            };
+                (0..servers).map(|_| rng.gen_bool(0.5)).collect(),
+            );
             let sol = p.solve();
-            let (assignment, cost) = reference_solve(&p, &mut moves);
+            let (assignment, cost) = reference_solve(&p.problem(), &mut moves);
             assert_eq!(sol.assignment, assignment, "case {case}");
             assert_eq!(sol.cost.to_bits(), cost.to_bits(), "case {case}");
         }

@@ -47,7 +47,7 @@ pub mod model;
 pub mod reference;
 pub mod simplex;
 
-pub use assignment::{AssignmentProblem, AssignmentSolution, Candidate};
+pub use assignment::{AssignmentProblem, AssignmentSolution, CandidatePairs};
 pub use branch_bound::{
     BranchBoundSolver, DecompStats, FactorStats, MilpOutcome, MilpSolution, PricingStats,
 };

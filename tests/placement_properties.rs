@@ -2,16 +2,21 @@
 //! `PlacementProblem`s: capacity is never exceeded in any resource
 //! dimension, every application is either placed or explicitly reported
 //! (in-band via `unplaced` or out-of-band via `PlacementError`), placement
-//! is deterministic under a fixed seed, and every policy's sparse pair costs
-//! equal the per-pair methods of `PlacementProblem` bit for bit.
+//! is deterministic under a fixed seed, every policy's sparse pair costs
+//! equal the per-pair methods of `PlacementProblem` bit for bit, and a
+//! problem with an attached placement skeleton decides exactly like one
+//! without.
 
 use carbonedge_core::{
-    IncrementalPlacer, PlacementError, PlacementPolicy, PlacementProblem, ServerSnapshot,
+    IncrementalPlacer, MigrationCost, PlacementDecision, PlacementError, PlacementPolicy,
+    PlacementProblem, PlacementSkeleton, PlacementState, ServerSnapshot,
 };
 use carbonedge_geo::Coordinates;
 use carbonedge_grid::ZoneId;
 use carbonedge_net::LatencyModel;
-use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind};
+use carbonedge_workload::{
+    AppId, Application, DeviceKind, ModelKind, ResourceDemand, WorkloadProfile,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -206,10 +211,11 @@ proptest! {
         }
     }
 
-    /// `PlacementPolicy::costs` lists, for every policy, exactly the pairs
-    /// `is_feasible_pair` accepts, servers ascending, each priced by the
-    /// per-pair method it stands for (for the trade-off, the min-max
-    /// normalization of those methods' values), equal by `to_bits`.
+    /// The skeleton lists exactly the pairs `is_feasible_pair` accepts,
+    /// servers ascending, and `PlacementPolicy::costs` prices each, for
+    /// every policy, by the per-pair method it stands for (for the
+    /// trade-off, the min-max normalization of those methods' values),
+    /// equal by `to_bits`.
     #[test]
     fn sparse_costs_match_the_per_pair_methods(
         seed in 0u64..10_000, servers in 1usize..16, apps in 1usize..10, alpha in 0.0f64..1.0,
@@ -241,15 +247,19 @@ proptest! {
             PlacementPolicy::IntensityAware,
             PlacementPolicy::CarbonEnergyTradeoff { alpha },
         ];
+        let skeleton = PlacementSkeleton::new(&problem);
+        let listed = skeleton.pairs();
+        prop_assert_eq!(listed.num_apps(), apps);
+        prop_assert_eq!(listed.len(), pairs.len());
         for policy in policies {
-            let (costs, _) = policy.costs(&problem);
-            prop_assert_eq!(costs.num_apps(), apps);
-            prop_assert_eq!(costs.num_pairs(), pairs.len());
+            let (costs, _) = policy.costs(&problem, &skeleton);
+            prop_assert_eq!(costs.len(), pairs.len());
             for (i, row_servers) in feasible.iter().enumerate() {
-                let listed: Vec<usize> = costs.row(i).iter().map(|&(j, _)| j).collect();
-                prop_assert!(&listed == row_servers,
-                    "{policy:?} app {i} lists {listed:?}, feasible {row_servers:?}");
-                for &(j, cost) in costs.row(i) {
+                let row = listed.row(i);
+                let servers = &listed.servers()[row.clone()];
+                prop_assert!(servers == row_servers.as_slice(),
+                    "{policy:?} app {i} lists {servers:?}, feasible {row_servers:?}");
+                for (&j, &cost) in servers.iter().zip(&costs[row]) {
                     let expected = match policy {
                         PlacementPolicy::CarbonAware => carbon(i, j),
                         PlacementPolicy::LatencyAware => problem.latency_ms(i, j),
@@ -262,7 +272,8 @@ proptest! {
                     };
                     prop_assert!(cost.to_bits() == expected.to_bits(),
                         "{policy:?} pair ({i}, {j}): {cost} vs {expected}");
-                    prop_assert_eq!(costs.get(i, j).map(f64::to_bits), Some(cost.to_bits()));
+                    let found = listed.find(i, j).map(|k| costs[k].to_bits());
+                    prop_assert_eq!(found, Some(cost.to_bits()));
                 }
             }
         }
@@ -278,4 +289,180 @@ proptest! {
         let no_servers = PlacementProblem::new(vec![], problem.apps.clone(), 1.0);
         prop_assert_eq!(placer.place(&no_servers).unwrap_err(), PlacementError::NoServers);
     }
+}
+
+/// A decision with every float as its bits: the assignment; the carbon,
+/// energy, mean latency and migration carbon; the moves; and whether the
+/// exact path decided and whether it fell back.
+type DecisionKey = (Vec<Option<usize>>, [u64; 4], usize, bool, bool);
+
+/// The key of one placement call's outcome, so that two calls agree
+/// exactly when their keys are equal.
+fn decision_key(
+    outcome: &Result<PlacementDecision, PlacementError>,
+) -> Result<DecisionKey, PlacementError> {
+    outcome.clone().map(|d| {
+        let bits = [
+            d.total_carbon_g.to_bits(),
+            d.total_energy_j.to_bits(),
+            d.mean_latency_ms.to_bits(),
+            d.migration_carbon_g.to_bits(),
+        ];
+        (d.assignment, bits, d.moves, d.exact, d.exact_fallback)
+    })
+}
+
+/// A deployment for the skeleton differential: A2, Gtx1080 and XeonCpu
+/// servers (GPU models cannot run on the Xeon, SciCpu runs nowhere else),
+/// each application starting next to a server it can run on, on some seeds
+/// an application whose SLO empties its row, and on others capacities
+/// close to the batch's total demand.
+fn skeleton_problem(seed: u64) -> PlacementProblem {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n_servers = rng.gen_range(2..7);
+    let n_apps = rng.gen_range(1..6);
+    let base = Coordinates::new(44.0, 7.0);
+    let devices = [DeviceKind::A2, DeviceKind::Gtx1080, DeviceKind::XeonCpu];
+    let servers: Vec<ServerSnapshot> = (0..n_servers)
+        .map(|j| {
+            let loc = Coordinates::new(
+                base.lat + rng.gen_range(-1.0..1.0),
+                base.lon + rng.gen_range(-1.5..1.5),
+            );
+            // Servers 0 and 1 are an A2 and a Xeon, so every model runs
+            // somewhere.
+            let device = match j {
+                0 => DeviceKind::A2,
+                1 => DeviceKind::XeonCpu,
+                _ => devices[rng.gen_range(0..devices.len())],
+            };
+            ServerSnapshot::new(j, j / 2, ZoneId(j), device, loc).with_powered_on(rng.gen_bool(0.6))
+        })
+        .collect();
+    let apps: Vec<Application> = (0..n_apps)
+        .map(|i| {
+            let model = ModelKind::ALL[rng.gen_range(0..ModelKind::ALL.len())];
+            let hosts: Vec<&ServerSnapshot> = servers
+                .iter()
+                .filter(|s| WorkloadProfile::lookup(model, s.device).is_some())
+                .collect();
+            let home = hosts[rng.gen_range(0..hosts.len())].location;
+            let slo = if seed % 10 == 3 && i == n_apps - 1 {
+                0.0
+            } else {
+                rng.gen_range(4.0..30.0)
+            };
+            Application::new(AppId(i), model, rng.gen_range(2.0..30.0), slo, home, 0)
+        })
+        .collect();
+    let mut problem =
+        PlacementProblem::new(servers, apps, 1.5).with_latency_model(LatencyModel::deterministic());
+    if seed.is_multiple_of(3) {
+        for j in 0..n_servers {
+            let device = problem.servers[j].device;
+            let mut total = [0.0; 3];
+            for app in &problem.apps {
+                if let Some(d) = app.demand_on(device) {
+                    for (t, v) in total.iter_mut().zip(d.to_array()) {
+                        *t += v;
+                    }
+                }
+            }
+            let share = rng.gen_range(0.8..1.6) / n_servers as f64;
+            let [compute, memory, bandwidth] = total.map(|t| t * share);
+            problem.servers[j].available = ResourceDemand::new(compute, memory, bandwidth);
+        }
+    }
+    problem
+}
+
+/// A problem with a skeleton attached once decides exactly like the same
+/// problem without one, for every policy, stateless and with paid
+/// migration, on the exact and the heuristic path, over three decisions
+/// that re-price the intensities and the epoch length and carry the
+/// previous assignment as the state.
+#[test]
+fn an_attached_skeleton_decides_like_a_fresh_one() {
+    let (mut decided, mut exact, mut fallbacks, mut moves) = (0usize, 0usize, 0usize, 0usize);
+    for seed in 0..500u64 {
+        let base = skeleton_problem(seed);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let alpha = rng.gen_range(0.0..1.0);
+        let policies = [
+            PlacementPolicy::CarbonAware,
+            PlacementPolicy::LatencyAware,
+            PlacementPolicy::EnergyAware,
+            PlacementPolicy::IntensityAware,
+            PlacementPolicy::CarbonEnergyTradeoff { alpha },
+        ];
+        let (apps, servers) = base.size();
+        for policy in policies {
+            for paid in [false, true] {
+                for heuristic in [false, true] {
+                    let placer = || {
+                        let p = IncrementalPlacer::new(policy).with_exact_size_limit(usize::MAX);
+                        if heuristic {
+                            p.heuristic_only()
+                        } else {
+                            p
+                        }
+                    };
+                    let (attached_placer, fresh_placer) = (placer(), placer());
+                    let mut attached = base.clone().with_skeleton();
+                    let mut fresh = base.clone();
+                    let migration: Vec<MigrationCost> = (0..apps)
+                        .map(|_| MigrationCost::new(rng.gen_range(0.0..2.0), 0.0))
+                        .collect();
+                    let mut previous: Vec<Option<usize>> = (0..apps)
+                        .map(|_| rng.gen_bool(0.7).then(|| rng.gen_range(0..servers)))
+                        .collect();
+                    for _ in 0..3 {
+                        let intensities: Vec<f64> =
+                            (0..servers).map(|_| rng.gen_range(20.0..800.0)).collect();
+                        let epoch_hours = rng.gen_range(0.5..800.0);
+                        let state =
+                            paid.then(|| PlacementState::new(previous.clone(), migration.clone()));
+                        for p in [&mut attached, &mut fresh] {
+                            for (server, &intensity) in p.servers.iter_mut().zip(&intensities) {
+                                server.carbon_intensity = intensity;
+                            }
+                            p.epoch_hours = epoch_hours;
+                            p.state = state.clone();
+                        }
+                        let a = attached_placer.place(&attached);
+                        let f = fresh_placer.place(&fresh);
+                        assert_eq!(
+                            decision_key(&a),
+                            decision_key(&f),
+                            "seed {seed}, {policy:?}, paid {paid}, heuristic {heuristic}"
+                        );
+                        if let Ok(decision) = a {
+                            let objective = |placer: &IncrementalPlacer, p| {
+                                placer
+                                    .objective_of(p, &decision.assignment)
+                                    .map(f64::to_bits)
+                            };
+                            assert_eq!(
+                                objective(&attached_placer, &attached),
+                                objective(&fresh_placer, &fresh),
+                                "seed {seed}, {policy:?}, paid {paid}, heuristic {heuristic}"
+                            );
+                            decided += 1;
+                            exact += usize::from(decision.exact);
+                            fallbacks += usize::from(decision.exact_fallback);
+                            moves += decision.moves;
+                            previous = decision.assignment;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // Only the emptied rows fail; the tight capacities send some exact
+    // decisions back to the heuristic, and paid migration still moves
+    // applications.
+    assert!(decided > 25_000, "{decided} decisions");
+    assert!(exact > 5_000, "{exact} exact decisions");
+    assert!(fallbacks > 1_000, "{fallbacks} exact fallbacks");
+    assert!(moves > 1_000, "{moves} moves");
 }
