@@ -25,6 +25,42 @@ pub struct StreamScratch {
     order: Vec<u32>,
 }
 
+/// Hands `leftover` requests to the hours of `counts` by largest remainder:
+/// every hour gets `leftover / hours`, and the `leftover % hours` hours that
+/// rank first by remainder, descending, ties to the earlier hour, get one
+/// more.  `order` holds the hour indices in any order and is permuted.
+///
+/// The ranking is a strict total order, so the hours a selection puts first
+/// are exactly the first hours of a full sort.  It compares by `total_cmp`,
+/// not `partial_cmp(..).unwrap_or(Equal)`: a NaN share (infinite modulation
+/// weights divide to NaN) would make the Equal fallback an inconsistent
+/// comparator.  Under the total order NaN remainders simply rank first and
+/// conservation still holds — the floor of a NaN share contributes zero,
+/// so the whole total flows through here, and `leftover` may reach
+/// `hours`.
+fn distribute_leftover(counts: &mut [u64], remainders: &[f64], order: &mut [u32], leftover: u64) {
+    let hours = counts.len() as u64;
+    if hours == 0 {
+        return;
+    }
+    let per_hour = leftover / hours;
+    if per_hour > 0 {
+        counts.iter_mut().for_each(|c| *c += per_hour);
+    }
+    let extra = (leftover % hours) as usize;
+    if extra == 0 {
+        return;
+    }
+    order.select_nth_unstable_by(extra - 1, |&a, &b| {
+        remainders[b as usize]
+            .total_cmp(&remainders[a as usize])
+            .then(a.cmp(&b))
+    });
+    for &h in &order[..extra] {
+        counts[h as usize] += 1;
+    }
+}
+
 /// A deterministic per-(app, site) request stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestStream {
@@ -118,25 +154,7 @@ impl RequestStream {
         }
 
         let leftover = total.saturating_sub(assigned);
-        if leftover == 0 {
-            return;
-        }
-        let remainders = &scratch.remainders;
-        // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: a NaN share
-        // (infinite modulation weights divide to NaN) would make the Equal
-        // fallback an inconsistent comparator, which `sort_unstable_by` is
-        // allowed to reject.  Under the total order NaN remainders simply
-        // sort first and conservation still holds — the floor of a NaN
-        // share contributes zero, so the whole total flows through the
-        // leftover distribution.
-        scratch.order.sort_unstable_by(|&a, &b| {
-            remainders[b as usize]
-                .total_cmp(&remainders[a as usize])
-                .then(a.cmp(&b))
-        });
-        for i in 0..leftover as usize {
-            counts[scratch.order[i % hours] as usize] += 1;
-        }
+        distribute_leftover(counts, &scratch.remainders, &mut scratch.order, leftover);
     }
 
     /// Allocating convenience wrapper around
@@ -153,6 +171,7 @@ impl RequestStream {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::Rng;
 
     fn bursty() -> ArrivalProcess {
         ArrivalProcess::diurnal_bursty()
@@ -241,6 +260,39 @@ mod tests {
             let counts = s.hourly_counts(start, hours);
             let sum: u64 = counts.iter().sum();
             assert_eq!(sum, s.aggregate_total(hours), "window ({start}, {hours})");
+        }
+    }
+
+    #[test]
+    fn leftover_selection_matches_a_full_sort() {
+        // The reference sorts every hour by remainder and hands the
+        // leftover out round-robin in that order.
+        fn sorted(remainders: &[f64], leftover: u64) -> Vec<u64> {
+            let hours = remainders.len();
+            let mut order: Vec<usize> = (0..hours).collect();
+            order.sort_by(|&a, &b| remainders[b].total_cmp(&remainders[a]).then(a.cmp(&b)));
+            let mut counts = vec![0u64; hours];
+            for i in 0..leftover as usize {
+                counts[order[i % hours]] += 1;
+            }
+            counts
+        }
+        let mut rng = StdRng::seed_from_u64(7);
+        for case in 0..2_000 {
+            let hours = rng.gen_range(1..800usize);
+            let remainders: Vec<f64> = (0..hours)
+                .map(|_| match rng.gen_range(0..10) {
+                    0 => f64::NAN,
+                    1 => 0.0,
+                    2 => 0.5,
+                    _ => rng.gen_range(0.0..1.0),
+                })
+                .collect();
+            let leftover = rng.gen_range(0..3 * hours as u64 + 1);
+            let mut counts = vec![0u64; hours];
+            let mut order: Vec<u32> = (0..hours as u32).rev().collect();
+            distribute_leftover(&mut counts, &remainders, &mut order, leftover);
+            assert_eq!(counts, sorted(&remainders, leftover), "case {case}");
         }
     }
 
