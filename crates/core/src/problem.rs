@@ -340,6 +340,11 @@ impl PlacementSkeleton {
     /// the same device (an incompatible device skips the run), and each
     /// server of the run is kept when its latency meets the SLO, the tests
     /// of [`PlacementProblem::is_feasible_pair`].
+    ///
+    /// Without a latency cache every latency is a geodesic computation that
+    /// depends on the application only through its origin, so consecutive
+    /// applications with a bit-identical origin (several applications per
+    /// edge site) compute each server's latency once.
     pub fn new(problem: &PlacementProblem) -> Self {
         let servers = &problem.servers;
         let mut runs = Vec::new();
@@ -358,7 +363,15 @@ impl PlacementSkeleton {
         let mut energy_per_hour_j = Vec::new();
         let mut latency_ms = Vec::new();
         let mut invalid_apps = Vec::new();
+        // Latencies from `row_origin` (NaN: not computed yet).
+        let mut row = vec![f64::NAN; servers.len()];
+        let mut row_origin = None;
         for (i, app) in problem.apps.iter().enumerate() {
+            let origin = (app.origin.lat.to_bits(), app.origin.lon.to_bits());
+            if problem.latency_cache.is_some() || row_origin != Some(origin) {
+                row.fill(f64::NAN);
+                row_origin = Some(origin);
+            }
             let mut valid = true;
             for run in &runs {
                 let device = servers[run.start].device;
@@ -371,7 +384,10 @@ impl PlacementSkeleton {
                     .chain(need)
                     .all(|v| v.is_finite() && v >= 0.0);
                 for j in run.clone() {
-                    let latency = problem.latency_ms(i, j);
+                    if row[j].is_nan() {
+                        row[j] = problem.latency_ms(i, j);
+                    }
+                    let latency = row[j];
                     // NaN latencies and SLOs fail this test, as in
                     // `PlacementProblem::is_feasible_pair`.
                     let within_slo = latency <= app.latency_slo_ms + 1e-9;
@@ -753,6 +769,55 @@ mod tests {
             .with_latency_model(LatencyModel::deterministic());
         assert!(p.mean_latency_ms(&[Some(0)]) < 1.0);
         assert!(p.mean_latency_ms(&[Some(1)]) > 3.0);
+    }
+
+    #[test]
+    fn skeleton_rows_match_the_pair_tests_when_apps_share_an_origin() {
+        // Jittered latencies; apps 0-2 share Munich (SciCpu runs on the
+        // Xeon only, so app 1 reads a row app 0 left partly empty), app 3
+        // starts in Bern and app 4 returns to Munich.
+        let mut servers = servers();
+        servers.push(ServerSnapshot::new(
+            2,
+            2,
+            ZoneId(2),
+            DeviceKind::XeonCpu,
+            Coordinates::new(47.37, 8.54),
+        ));
+        let munich = Coordinates::new(48.14, 11.58);
+        let bern = Coordinates::new(46.95, 7.45);
+        let apps: Vec<Application> = [
+            (ModelKind::ResNet50, munich, 30.0),
+            (ModelKind::SciCpu, munich, 30.0),
+            (ModelKind::YoloV4, munich, 9.0),
+            (ModelKind::ResNet50, bern, 30.0),
+            (ModelKind::EfficientNetB0, munich, 30.0),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (model, origin, slo))| Application::new(AppId(i), model, 20.0, slo, origin, 0))
+        .collect();
+        let p = PlacementProblem::new(servers, apps, 1.0);
+        let skeleton = PlacementSkeleton::new(&p);
+        let pairs = skeleton.pairs();
+        for i in 0..p.apps.len() {
+            let feasible: Vec<usize> = (0..3).filter(|&j| p.is_feasible_pair(i, j)).collect();
+            let row = pairs.row(i);
+            assert_eq!(
+                &pairs.servers()[row.clone()],
+                feasible.as_slice(),
+                "app {i}"
+            );
+            for (&j, latency) in feasible.iter().zip(&skeleton.latency_ms()[row]) {
+                assert_eq!(
+                    latency.to_bits(),
+                    p.latency_ms(i, j).to_bits(),
+                    "app {i}, server {j}"
+                );
+            }
+        }
+        assert_eq!(pairs.row(1).len(), 1);
+        assert!(pairs.row(2).len() < pairs.row(0).len());
     }
 
     #[test]

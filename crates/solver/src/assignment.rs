@@ -44,7 +44,7 @@ const REGRET_LIMIT: usize = 200;
 /// ascending, and a server missing from a row is an infeasible pair
 /// (latency violation or incompatible hardware).  Every resource vector is
 /// `[compute, memory, bandwidth]`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct CandidatePairs {
     /// `row_start[i]..row_start[i + 1]`: the positions of application `i`.
     row_start: Vec<usize>,
@@ -178,7 +178,7 @@ impl CandidatePairs {
 /// One instance of the placement problem in solver-neutral form: the
 /// feasible pairs, a cost per pair, and the servers' state.  Every resource
 /// vector is `[compute, memory, bandwidth]`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct AssignmentProblem<'a> {
     /// The feasible pairs.
     pub pairs: &'a CandidatePairs,
