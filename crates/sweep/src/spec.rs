@@ -984,6 +984,69 @@ mod tests {
             .is_err());
     }
 
+    /// Whether `cell` holds value `digit` of `axis` in `spec`.
+    fn holds_value(spec: &SweepSpec, cell: &SweepCell, axis: SweepAxis, digit: usize) -> bool {
+        match axis {
+            SweepAxis::Policy => cell.policy == spec.policies[digit],
+            SweepAxis::Area => cell.area == spec.areas[digit],
+            SweepAxis::Scenario => cell.scenario == spec.scenarios[digit],
+            SweepAxis::LatencyLimit => {
+                cell.latency_limit_ms.to_bits() == spec.latency_limits_ms[digit].to_bits()
+            }
+            SweepAxis::SiteLimit => cell.site_limit == spec.site_limits[digit],
+            SweepAxis::Workload => cell.workload == spec.workloads[digit],
+            SweepAxis::Seed => cell.seed == spec.seeds[digit],
+            SweepAxis::Forecaster => cell.forecaster == spec.forecasters[digit],
+            SweepAxis::Epoch => cell.epoch == spec.epochs[digit],
+            SweepAxis::Migration => cell.migration == spec.migrations[digit],
+            SweepAxis::Serving => cell.serving == spec.servings[digit],
+        }
+    }
+
+    #[test]
+    fn cells_walk_the_mixed_radix_digits_of_their_index() {
+        let spec = SweepSpec::new("t")
+            .with_base_seed(7)
+            .with_areas(vec![ZoneArea::UnitedStates, ZoneArea::Europe])
+            .with_scenarios(vec![
+                CdnScenario::Homogeneous,
+                CdnScenario::PopulationDemand,
+            ])
+            .with_latency_limits(vec![10.0, 20.0])
+            .with_site_limits(vec![Some(5), None])
+            .with_workloads(vec![
+                WorkloadSpec::resnet50_on_a2(),
+                WorkloadSpec::efficientnet_on_orin(),
+            ])
+            .with_seeds(vec![1, 2])
+            .with_forecasters(vec![ForecasterKind::Oracle, ForecasterKind::Persistence])
+            .with_epochs(vec![EpochSchedule::Monthly, EpochSchedule::Weekly])
+            .with_migrations(vec![MigrationCostLevel::Free, MigrationCostLevel::Paper])
+            .with_servings(vec![ServingMode::Aggregate, ServingMode::EventLevel]);
+        assert!(spec.validate().is_ok());
+        assert_eq!(spec.cell_count(), 2048);
+        assert_eq!(spec.axis_count(), 11);
+        let cells = spec.cells();
+        assert_eq!(cells.len(), 2048);
+        for (index, cell) in cells.iter().enumerate() {
+            assert_eq!(cell.index, index);
+            // Every axis has two values, so axis `k` of `SweepAxis::ALL` is
+            // bit `10 - k` of the index: policy is the least significant.
+            for (k, &axis) in SweepAxis::ALL.iter().enumerate() {
+                let digit = (index >> (SweepAxis::ALL.len() - 1 - k)) & 1;
+                assert!(
+                    holds_value(&spec, cell, axis, digit),
+                    "cell {index}: {} is not value {digit}",
+                    axis.name()
+                );
+            }
+            assert_eq!(
+                cell.cell_seed,
+                splitmix64(splitmix64(spec.base_seed ^ index as u64) ^ cell.seed)
+            );
+        }
+    }
+
     #[test]
     fn axis_count_counts_widened_axes() {
         assert_eq!(SweepSpec::new("t").axis_count(), 1); // policies only
