@@ -166,29 +166,24 @@ impl SweepExecutor {
                 group_start = i;
             }
         }
-        if jobs <= 1 {
+        // A worker clones the placer once, then claims groups off the shared
+        // cursor until none are left.  A single worker runs on this thread.
+        let cursor = AtomicUsize::new(0);
+        let worker = || {
             let mut placer = self.placer_template.clone();
-            for group in &groups {
+            while let Some(group) = groups.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                 for i in group.clone() {
-                    *slots[i].lock().expect("result slot poisoned") =
-                        Some(self.run_cell(&shared, &cells[i], &mut placer));
+                    let result = self.run_cell(&shared, &cells[i], &mut placer);
+                    *slots[i].lock().expect("result slot poisoned") = Some(result);
                 }
             }
+        };
+        if jobs <= 1 {
+            worker();
         } else {
-            let cursor = AtomicUsize::new(0);
             std::thread::scope(|scope| {
                 for _ in 0..jobs {
-                    scope.spawn(|| {
-                        let mut placer = self.placer_template.clone();
-                        loop {
-                            let g = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(group) = groups.get(g) else { break };
-                            for i in group.clone() {
-                                let result = self.run_cell(&shared, &cells[i], &mut placer);
-                                *slots[i].lock().expect("result slot poisoned") = Some(result);
-                            }
-                        }
-                    });
+                    scope.spawn(worker);
                 }
             });
         }

@@ -37,9 +37,10 @@
 //! ```
 //!
 //! To add a new axis to the engine itself: add the field to [`SweepSpec`],
-//! a loop level in `SweepSpec::cells`, a variant in [`SweepAxis`], and its
-//! display form in `SweepReport::axis_value` — the executor and report
-//! aggregation pick it up unchanged (see `ROADMAP.md`).
+//! a variant in [`SweepAxis`] (placed in `SweepAxis::ALL` where it should
+//! sit in the enumeration order), an arm in `SweepSpec::axis_len`, and its
+//! display form in `SweepReport::axis_value` — the grid walk, validation,
+//! executor and report aggregation pick it up unchanged (see `ROADMAP.md`).
 
 pub mod executor;
 pub mod report;

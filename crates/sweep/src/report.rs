@@ -7,6 +7,7 @@ use carbonedge_sim::metrics::{PolicyOutcome, Savings};
 use carbonedge_sim::ServingMetrics;
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::Hash;
 
 /// The display name of the baseline policy savings are computed against.
 pub const BASELINE_POLICY: &str = "Latency-aware";
@@ -196,14 +197,7 @@ impl SweepReport {
     /// Latency-aware cell of the same scenario coordinate, in cell order.
     /// Scenarios without a Latency-aware cell produce no rows.
     pub fn savings_rows(&self) -> Vec<SavingsRow> {
-        let mut baseline_by_key: HashMap<ScenarioKey, &CellResult> = HashMap::new();
-        for cell in &self.cells {
-            if cell.cell.policy.name() == BASELINE_POLICY {
-                baseline_by_key
-                    .entry(cell.cell.scenario_key())
-                    .or_insert(cell);
-            }
-        }
+        let baseline_by_key = self.baselines();
         let mut rows = Vec::new();
         for (index, cell) in self.cells.iter().enumerate() {
             if cell.cell.policy.name() == BASELINE_POLICY {
@@ -222,6 +216,18 @@ impl SweepReport {
             });
         }
         rows
+    }
+
+    /// The first Latency-aware cell of each scenario coordinate: the baseline
+    /// every other policy of that coordinate is compared with.
+    fn baselines(&self) -> HashMap<ScenarioKey, &CellResult> {
+        let mut by_key = HashMap::new();
+        for cell in &self.cells {
+            if cell.cell.policy.name() == BASELINE_POLICY {
+                by_key.entry(cell.cell.scenario_key()).or_insert(cell);
+            }
+        }
+        by_key
     }
 
     /// The display value of `axis` for a cell.  Grouping uses the lossless
@@ -260,20 +266,7 @@ impl SweepReport {
 
     /// Whether an axis has more than one value in this sweep.
     pub fn axis_is_widened(&self, axis: SweepAxis) -> bool {
-        let len = match axis {
-            SweepAxis::Policy => self.spec.policies.len(),
-            SweepAxis::Area => self.spec.areas.len(),
-            SweepAxis::Scenario => self.spec.scenarios.len(),
-            SweepAxis::LatencyLimit => self.spec.latency_limits_ms.len(),
-            SweepAxis::SiteLimit => self.spec.site_limits.len(),
-            SweepAxis::Workload => self.spec.workloads.len(),
-            SweepAxis::Seed => self.spec.seeds.len(),
-            SweepAxis::Forecaster => self.spec.forecasters.len(),
-            SweepAxis::Epoch => self.spec.epochs.len(),
-            SweepAxis::Migration => self.spec.migrations.len(),
-            SweepAxis::Serving => self.spec.servings.len(),
-        };
-        len > 1
+        self.spec.axis_len(axis) > 1
     }
 
     /// Marginal savings per value of one axis: for each (axis value, policy)
@@ -286,34 +279,21 @@ impl SweepReport {
     /// Marginal aggregation over precomputed savings rows, so callers that
     /// need several axes (like [`Self::render`]) pair baselines only once.
     fn marginal_rows_from(&self, rows: &[SavingsRow], axis: SweepAxis) -> Vec<MarginalRow> {
-        let mut order: Vec<(String, String)> = Vec::new();
-        let mut display: HashMap<(String, String), String> = HashMap::new();
-        let mut sums: HashMap<(String, String), (usize, f64, f64)> = HashMap::new();
-        for row in rows {
-            let cell = &self.cells[row.cell_index].cell;
-            let key = (Self::axis_key(cell, axis), row.policy.clone());
-            let entry = sums.entry(key.clone()).or_insert_with(|| {
-                display.insert(key.clone(), Self::axis_value(cell, axis));
-                order.push(key);
-                (0, 0.0, 0.0)
-            });
-            entry.0 += 1;
-            entry.1 += row.savings.carbon_percent;
-            entry.2 += row.savings.latency_increase_ms;
-        }
-        order
-            .into_iter()
-            .map(|key| {
-                let (n, saving, latency) = sums[&key];
-                MarginalRow {
-                    value: display[&key].clone(),
-                    policy: key.1,
-                    comparisons: n,
-                    mean_saving_percent: saving / n as f64,
-                    mean_latency_increase_ms: latency / n as f64,
-                }
-            })
-            .collect()
+        group_sums(rows.iter().map(|row| {
+            let cell = &self.cells[row.cell_index];
+            let key = (Self::axis_key(&cell.cell, axis), row.policy.clone());
+            let values = [row.savings.carbon_percent, row.savings.latency_increase_ms];
+            (key, cell, values)
+        }))
+        .into_iter()
+        .map(|group| MarginalRow {
+            value: Self::axis_value(&group.first.cell, axis),
+            policy: group.first.cell.policy.name(),
+            comparisons: group.count,
+            mean_saving_percent: group.mean(0),
+            mean_latency_increase_ms: group.mean(1),
+        })
+        .collect()
     }
 
     /// Forecast-regret aggregation: every cell paired with the **oracle**
@@ -330,55 +310,40 @@ impl SweepReport {
                     .or_insert(cell.outcome.carbon_g);
             }
         }
-        type Triple = (String, String, String);
-        let mut order: Vec<Triple> = Vec::new();
-        let mut sums: HashMap<Triple, (usize, f64, f64, f64, f64)> = HashMap::new();
-        for cell in &self.cells {
+        group_sums(self.cells.iter().filter_map(|cell| {
             let mut oracle_key = cell.cell.scenario_key();
             oracle_key.forecaster = ForecasterKind::Oracle;
-            let Some(oracle_carbon) = oracle_by_key.get(&(oracle_key, cell.cell.policy.name()))
-            else {
-                continue;
-            };
+            let oracle_carbon = *oracle_by_key.get(&(oracle_key, cell.cell.policy.name()))?;
             let key = (
                 cell.cell.policy.name(),
                 cell.cell.forecaster.label(),
-                cell.cell.epoch.name().to_string(),
+                cell.cell.epoch.name(),
             );
-            let entry = sums.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                (0, 0.0, 0.0, 0.0, 0.0)
-            });
-            entry.0 += 1;
-            entry.1 += cell.outcome.carbon_g;
-            entry.2 += oracle_carbon;
-            entry.3 += if *oracle_carbon > 0.0 {
+            let regret = if oracle_carbon > 0.0 {
                 (cell.outcome.carbon_g / oracle_carbon - 1.0) * 100.0
             } else {
                 0.0
             };
-            entry.4 += if cell.outcome.carbon_g > 0.0 {
+            let decision_error = if cell.outcome.carbon_g > 0.0 {
                 (cell.decision_carbon_g / cell.outcome.carbon_g - 1.0) * 100.0
             } else {
                 0.0
             };
-        }
-        order
-            .into_iter()
-            .map(|key| {
-                let (n, carbon, oracle, regret, decision_error) = sums[&key];
-                RegretRow {
-                    policy: key.0,
-                    forecaster: key.1,
-                    epoch: key.2,
-                    comparisons: n,
-                    mean_carbon_g: carbon / n as f64,
-                    mean_oracle_carbon_g: oracle / n as f64,
-                    mean_regret_percent: regret / n as f64,
-                    mean_decision_error_percent: decision_error / n as f64,
-                }
-            })
-            .collect()
+            let values = [cell.outcome.carbon_g, oracle_carbon, regret, decision_error];
+            Some((key, cell, values))
+        }))
+        .into_iter()
+        .map(|group| RegretRow {
+            policy: group.first.cell.policy.name(),
+            forecaster: group.first.cell.forecaster.label(),
+            epoch: group.first.cell.epoch.name().to_string(),
+            comparisons: group.count,
+            mean_carbon_g: group.mean(0),
+            mean_oracle_carbon_g: group.mean(1),
+            mean_regret_percent: group.mean(2),
+            mean_decision_error_percent: group.mean(3),
+        })
+        .collect()
     }
 
     /// Churn-vs-savings aggregation: every non-baseline cell paired with
@@ -389,42 +354,34 @@ impl SweepReport {
     /// down a fixed migration level shows what finer re-placement cadence
     /// buys net of churn.
     pub fn migration_churn_rows(&self) -> Vec<ChurnRow> {
-        type Triple = (String, String, String);
-        let mut order: Vec<Triple> = Vec::new();
-        let mut sums: HashMap<Triple, (usize, f64, f64, f64, f64)> = HashMap::new();
-        for row in self.savings_rows() {
+        let rows = self.savings_rows();
+        group_sums(rows.iter().map(|row| {
             let cell = &self.cells[row.cell_index];
             let key = (
                 row.policy.clone(),
-                cell.cell.epoch.name().to_string(),
-                cell.cell.migration.label().to_string(),
+                cell.cell.epoch.name(),
+                cell.cell.migration.label(),
             );
-            let entry = sums.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                (0, 0.0, 0.0, 0.0, 0.0)
-            });
-            entry.0 += 1;
-            entry.1 += cell.moves as f64;
-            entry.2 += cell.migration_carbon_g;
-            entry.3 += cell.outcome.carbon_g;
-            entry.4 += row.savings.carbon_percent;
-        }
-        order
-            .into_iter()
-            .map(|key| {
-                let (n, moves, migration, carbon, saving) = sums[&key];
-                ChurnRow {
-                    policy: key.0,
-                    epoch: key.1,
-                    migration: key.2,
-                    comparisons: n,
-                    mean_moves: moves / n as f64,
-                    mean_migration_carbon_g: migration / n as f64,
-                    mean_carbon_g: carbon / n as f64,
-                    mean_saving_percent: saving / n as f64,
-                }
-            })
-            .collect()
+            let values = [
+                cell.moves as f64,
+                cell.migration_carbon_g,
+                cell.outcome.carbon_g,
+                row.savings.carbon_percent,
+            ];
+            (key, cell, values)
+        }))
+        .into_iter()
+        .map(|group| ChurnRow {
+            policy: group.first.cell.policy.name(),
+            epoch: group.first.cell.epoch.name().to_string(),
+            migration: group.first.cell.migration.label().to_string(),
+            comparisons: group.count,
+            mean_moves: group.mean(0),
+            mean_migration_carbon_g: group.mean(1),
+            mean_carbon_g: group.mean(2),
+            mean_saving_percent: group.mean(3),
+        })
+        .collect()
     }
 
     /// Renders the churn-vs-savings table (moves, migration carbon and
@@ -485,70 +442,52 @@ impl SweepReport {
     /// down a serving mode shows the tail-latency and drop price of
     /// carbon-aware placement next to its carbon savings.
     pub fn serving_rows(&self) -> Vec<ServingRow> {
-        let mut baseline_by_key: HashMap<ScenarioKey, f64> = HashMap::new();
-        for cell in &self.cells {
-            if cell.cell.policy.name() == BASELINE_POLICY {
-                baseline_by_key
-                    .entry(cell.cell.scenario_key())
-                    .or_insert(cell.outcome.carbon_g);
-            }
-        }
-        type Pair = (String, String);
-        type Sums = (usize, [f64; 6], f64, (usize, f64));
-        let mut order: Vec<Pair> = Vec::new();
-        let mut sums: HashMap<Pair, Sums> = HashMap::new();
-        for cell in &self.cells {
-            let Some(metrics) = &cell.serving else {
-                continue;
+        let baseline_by_key = self.baselines();
+        group_sums(self.cells.iter().filter_map(|cell| {
+            let metrics = cell.serving.as_ref()?;
+            let key = (cell.cell.policy.name(), cell.cell.serving.label());
+            let baseline_carbon = baseline_by_key
+                .get(&cell.cell.scenario_key())
+                .map(|baseline| baseline.outcome.carbon_g)
+                .filter(|&carbon| carbon > 0.0 && key.0 != BASELINE_POLICY);
+            // An unpaired cell adds 0.0, which leaves the saving sum's bits
+            // unchanged: `(1 - x) * 100` is never -0.0, so neither is the sum.
+            let (pairs, saving) = match baseline_carbon {
+                Some(baseline) => (1.0, (1.0 - cell.outcome.carbon_g / baseline) * 100.0),
+                None => (0.0, 0.0),
             };
-            let key = (
-                cell.cell.policy.name(),
-                cell.cell.serving.label().to_string(),
-            );
-            let entry = sums.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                (0, [0.0; 6], 0.0, (0, 0.0))
-            });
-            entry.0 += 1;
-            entry.1[0] += metrics.p50_ms;
-            entry.1[1] += metrics.p95_ms;
-            entry.1[2] += metrics.p99_ms;
-            entry.1[3] += metrics.drop_percent();
-            entry.1[4] += metrics.mean_utilization;
-            entry.1[5] += metrics.online_replacements as f64;
-            entry.2 += cell.outcome.carbon_g;
-            if cell.cell.policy.name() != BASELINE_POLICY {
-                if let Some(baseline) = baseline_by_key.get(&cell.cell.scenario_key()) {
-                    if *baseline > 0.0 {
-                        entry.3 .0 += 1;
-                        entry.3 .1 += (1.0 - cell.outcome.carbon_g / baseline) * 100.0;
-                    }
-                }
-            }
-        }
-        order
-            .into_iter()
-            .map(|key| {
-                let (n, metrics, carbon, (pairs, saving)) = sums[&key];
-                ServingRow {
-                    policy: key.0,
-                    serving: key.1,
-                    cells: n,
-                    mean_p50_ms: metrics[0] / n as f64,
-                    mean_p95_ms: metrics[1] / n as f64,
-                    mean_p99_ms: metrics[2] / n as f64,
-                    mean_drop_percent: metrics[3] / n as f64,
-                    mean_utilization: metrics[4] / n as f64,
-                    mean_replacements: metrics[5] / n as f64,
-                    mean_carbon_g: carbon / n as f64,
-                    mean_saving_percent: if pairs > 0 {
-                        saving / pairs as f64
-                    } else {
-                        0.0
-                    },
-                }
-            })
-            .collect()
+            let values = [
+                metrics.p50_ms,
+                metrics.p95_ms,
+                metrics.p99_ms,
+                metrics.drop_percent(),
+                metrics.mean_utilization,
+                metrics.online_replacements as f64,
+                cell.outcome.carbon_g,
+                pairs,
+                saving,
+            ];
+            Some((key, cell, values))
+        }))
+        .into_iter()
+        .map(|group| ServingRow {
+            policy: group.first.cell.policy.name(),
+            serving: group.first.cell.serving.label().to_string(),
+            cells: group.count,
+            mean_p50_ms: group.mean(0),
+            mean_p95_ms: group.mean(1),
+            mean_p99_ms: group.mean(2),
+            mean_drop_percent: group.mean(3),
+            mean_utilization: group.mean(4),
+            mean_replacements: group.mean(5),
+            mean_carbon_g: group.mean(6),
+            mean_saving_percent: if group.sums[7] > 0.0 {
+                group.sums[8] / group.sums[7]
+            } else {
+                0.0
+            },
+        })
+        .collect()
     }
 
     /// Renders the serving table (tail latency, drop rate and utilization
@@ -736,6 +675,48 @@ impl SweepReport {
         }
         out
     }
+}
+
+/// One group of [`group_sums`]: its first cell, which supplies the row's
+/// display values, the number of cells in it and the per-position sums of
+/// their values.
+struct Group<'a, const N: usize> {
+    first: &'a CellResult,
+    count: usize,
+    sums: [f64; N],
+}
+
+impl<const N: usize> Group<'_, N> {
+    /// The mean of value `i` over the group's cells.
+    fn mean(&self, i: usize) -> f64 {
+        self.sums[i] / self.count as f64
+    }
+}
+
+/// Groups `(key, cell, values)` items by key, in first-occurrence order.
+/// Each group's sums accumulate in item order, so a mean depends only on
+/// the cells' order in the report, never on hashing.
+fn group_sums<'a, K: Hash + Eq, const N: usize>(
+    items: impl Iterator<Item = (K, &'a CellResult, [f64; N])>,
+) -> Vec<Group<'a, N>> {
+    let mut position: HashMap<K, usize> = HashMap::new();
+    let mut groups: Vec<Group<'a, N>> = Vec::new();
+    for (key, cell, values) in items {
+        let g = *position.entry(key).or_insert_with(|| {
+            groups.push(Group {
+                first: cell,
+                count: 0,
+                sums: [0.0; N],
+            });
+            groups.len() - 1
+        });
+        let group = &mut groups[g];
+        group.count += 1;
+        for (sum, value) in group.sums.iter_mut().zip(values) {
+            *sum += value;
+        }
+    }
+    groups
 }
 
 #[cfg(test)]

@@ -100,7 +100,9 @@ pub enum SweepAxis {
 }
 
 impl SweepAxis {
-    /// All axes in the canonical enumeration order.
+    /// All axes in the canonical enumeration order: [`SweepSpec::cells`]
+    /// reads a cell's index as one digit per axis in this order, the last
+    /// (policy) least significant.
     pub const ALL: [SweepAxis; 11] = [
         SweepAxis::Area,
         SweepAxis::Scenario,
@@ -480,61 +482,47 @@ impl SweepSpec {
         self
     }
 
+    /// Number of values on `axis`: the one place the grid's shape is read
+    /// from the axis vectors.
+    pub fn axis_len(&self, axis: SweepAxis) -> usize {
+        match axis {
+            SweepAxis::Policy => self.policies.len(),
+            SweepAxis::Area => self.areas.len(),
+            SweepAxis::Scenario => self.scenarios.len(),
+            SweepAxis::LatencyLimit => self.latency_limits_ms.len(),
+            SweepAxis::SiteLimit => self.site_limits.len(),
+            SweepAxis::Workload => self.workloads.len(),
+            SweepAxis::Seed => self.seeds.len(),
+            SweepAxis::Forecaster => self.forecasters.len(),
+            SweepAxis::Epoch => self.epochs.len(),
+            SweepAxis::Migration => self.migrations.len(),
+            SweepAxis::Serving => self.servings.len(),
+        }
+    }
+
     /// Number of cells in the grid.
     pub fn cell_count(&self) -> usize {
-        self.policies.len()
-            * self.areas.len()
-            * self.scenarios.len()
-            * self.latency_limits_ms.len()
-            * self.site_limits.len()
-            * self.workloads.len()
-            * self.seeds.len()
-            * self.forecasters.len()
-            * self.epochs.len()
-            * self.migrations.len()
-            * self.servings.len()
+        SweepAxis::ALL
+            .iter()
+            .map(|&axis| self.axis_len(axis))
+            .product()
     }
 
     /// Number of axes with more than one value (the grid's dimensionality).
     pub fn axis_count(&self) -> usize {
-        [
-            self.policies.len(),
-            self.areas.len(),
-            self.scenarios.len(),
-            self.latency_limits_ms.len(),
-            self.site_limits.len(),
-            self.workloads.len(),
-            self.seeds.len(),
-            self.forecasters.len(),
-            self.epochs.len(),
-            self.migrations.len(),
-            self.servings.len(),
-        ]
-        .iter()
-        .filter(|n| **n > 1)
-        .count()
+        SweepAxis::ALL
+            .iter()
+            .filter(|&&axis| self.axis_len(axis) > 1)
+            .count()
     }
 
     /// Checks that every axis has at least one value and that values are
     /// usable (finite positive latency limits, named and profiled workloads
     /// with finite non-negative request rates, no NaN trade-off weight).
     pub fn validate(&self) -> Result<(), String> {
-        let axes: [(&str, usize); 11] = [
-            ("policies", self.policies.len()),
-            ("areas", self.areas.len()),
-            ("scenarios", self.scenarios.len()),
-            ("latency_limits_ms", self.latency_limits_ms.len()),
-            ("site_limits", self.site_limits.len()),
-            ("workloads", self.workloads.len()),
-            ("seeds", self.seeds.len()),
-            ("forecasters", self.forecasters.len()),
-            ("epochs", self.epochs.len()),
-            ("migrations", self.migrations.len()),
-            ("servings", self.servings.len()),
-        ];
-        for (name, len) in axes {
-            if len == 0 {
-                return Err(format!("sweep axis `{name}` is empty"));
+        for axis in SweepAxis::ALL {
+            if self.axis_len(axis) == 0 {
+                return Err(format!("sweep axis `{}` is empty", axis.name()));
             }
         }
         for limit in &self.latency_limits_ms {
@@ -630,64 +618,46 @@ impl SweepSpec {
         Ok(())
     }
 
-    /// Enumerates the full grid in canonical order (area, scenario, latency
-    /// limit, site limit, workload, seed, forecaster, epoch, migration,
-    /// serving, policy — policy innermost so that a scenario's policy
-    /// variants are adjacent).  Ordering and per-cell seeds depend only on
-    /// the spec, never on execution.
+    /// Enumerates the full grid in [`SweepAxis::ALL`] order: cell `index`
+    /// takes each axis's value at that axis's digit of `index` read as a
+    /// mixed-radix number, policy the least significant digit, so a
+    /// scenario's policy variants are adjacent.  Ordering and per-cell seeds
+    /// depend only on the spec, never on execution.
     pub fn cells(&self) -> Vec<SweepCell> {
-        let mut cells = Vec::with_capacity(self.cell_count());
-        for area in &self.areas {
-            for scenario in &self.scenarios {
-                for latency in &self.latency_limits_ms {
-                    for site_limit in &self.site_limits {
-                        for workload in &self.workloads {
-                            for seed in &self.seeds {
-                                for forecaster in &self.forecasters {
-                                    for epoch in &self.epochs {
-                                        for migration in &self.migrations {
-                                            for serving in &self.servings {
-                                                for policy in &self.policies {
-                                                    let index = cells.len();
-                                                    // Chained (not XOR-combined)
-                                                    // mixing: an XOR of two
-                                                    // splitmix outputs cancels
-                                                    // whenever index == seed,
-                                                    // which would correlate
-                                                    // those cells' seeds.
-                                                    let cell_seed = splitmix64(
-                                                        splitmix64(self.base_seed ^ index as u64)
-                                                            ^ *seed,
-                                                    );
-                                                    cells.push(SweepCell {
-                                                        index,
-                                                        policy: *policy,
-                                                        area: *area,
-                                                        scenario: *scenario,
-                                                        latency_limit_ms: *latency,
-                                                        site_limit: *site_limit,
-                                                        workload: workload.clone(),
-                                                        seed: *seed,
-                                                        forecaster: *forecaster,
-                                                        epoch: *epoch,
-                                                        migration: *migration,
-                                                        serving: *serving,
-                                                        apps_per_site: self.apps_per_site,
-                                                        servers_per_site: self.servers_per_site,
-                                                        cell_seed,
-                                                    });
-                                                }
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
+        (0..self.cell_count())
+            .map(|index| {
+                // `digit[axis as usize]`: the axis's value index in this cell.
+                let mut digit = [0; SweepAxis::ALL.len()];
+                let mut rest = index;
+                for &axis in SweepAxis::ALL.iter().rev() {
+                    let len = self.axis_len(axis);
+                    digit[axis as usize] = rest % len;
+                    rest /= len;
                 }
-            }
-        }
-        cells
+                let at = |axis: SweepAxis| digit[axis as usize];
+                let seed = self.seeds[at(SweepAxis::Seed)];
+                SweepCell {
+                    index,
+                    policy: self.policies[at(SweepAxis::Policy)],
+                    area: self.areas[at(SweepAxis::Area)],
+                    scenario: self.scenarios[at(SweepAxis::Scenario)],
+                    latency_limit_ms: self.latency_limits_ms[at(SweepAxis::LatencyLimit)],
+                    site_limit: self.site_limits[at(SweepAxis::SiteLimit)],
+                    workload: self.workloads[at(SweepAxis::Workload)].clone(),
+                    seed,
+                    forecaster: self.forecasters[at(SweepAxis::Forecaster)],
+                    epoch: self.epochs[at(SweepAxis::Epoch)],
+                    migration: self.migrations[at(SweepAxis::Migration)],
+                    serving: self.servings[at(SweepAxis::Serving)],
+                    apps_per_site: self.apps_per_site,
+                    servers_per_site: self.servers_per_site,
+                    // Chained (not XOR-combined) mixing: an XOR of two
+                    // splitmix outputs cancels whenever index == seed, which
+                    // would correlate those cells' seeds.
+                    cell_seed: splitmix64(splitmix64(self.base_seed ^ index as u64) ^ seed),
+                }
+            })
+            .collect()
     }
 }
 
@@ -924,10 +894,10 @@ mod tests {
     #[test]
     fn validation_rejects_degenerate_specs() {
         assert!(SweepSpec::quick_default().validate().is_ok());
-        assert!(SweepSpec::new("t")
-            .with_policies(vec![])
-            .validate()
-            .is_err());
+        assert_eq!(
+            SweepSpec::new("t").with_policies(vec![]).validate(),
+            Err("sweep axis `policy` is empty".to_string())
+        );
         assert!(SweepSpec::new("t")
             .with_latency_limits(vec![-5.0])
             .validate()
