@@ -2,10 +2,11 @@
 //!
 //! The bug class: the repo's core promise is bit-identical results across
 //! job counts, warm/cold solver paths, and prepped/cold sweeps.  Anything in
-//! `sim`/`solver`/`sweep` that reads `Instant::now`, `SystemTime` or
-//! `available_parallelism` has, by construction, an input that differs run
-//! to run — a time-based tolerance, a load-dependent heuristic, a
-//! CPU-count-dependent grid — and the determinism contract dies quietly.
+//! `sim`/`solver`/`sweep` that reads `Instant::now`, `SystemTime` or the
+//! CPU count (`available_parallelism`, or the rayon calls that read it on
+//! every use) has, by construction, an input that differs run to run — a
+//! time-based tolerance, a load-dependent heuristic, a CPU-count-dependent
+//! grid — and the determinism contract dies quietly.
 //! Timing and topology belong to the observer crates (`bench`, the
 //! `experiments` binary), which stamp measurements *onto* results after the
 //! deterministic engine produced them.
@@ -31,6 +32,21 @@ const FORBIDDEN: &[(&str, &str)] = &[
         "CPU-topology reads make results machine-dependent — take a worker \
          count as an input (`--jobs`) and collect by index",
     ),
+    (
+        "current_num_threads",
+        "reads the CPU count on every call, which makes results \
+         machine-dependent — take a worker count as an input (`--jobs`)",
+    ),
+    (
+        "par_iter",
+        "starts one thread per CPU on every call — loop sequentially, or \
+         take a worker count as an input (`--jobs`) and collect by index",
+    ),
+    (
+        "par_iter_mut",
+        "starts one thread per CPU on every call — loop sequentially, or \
+         take a worker count as an input (`--jobs`) and collect by index",
+    ),
 ];
 
 impl Rule for WallClock {
@@ -39,7 +55,7 @@ impl Rule for WallClock {
     }
 
     fn summary(&self) -> &'static str {
-        "sim/solver/sweep must not read Instant/SystemTime/available_parallelism"
+        "sim/solver/sweep must not read Instant/SystemTime or the CPU count"
     }
 
     fn applies_to(&self, path: &str) -> bool {

@@ -155,3 +155,19 @@ fn rules_respect_their_path_scope() {
         "bench may read the clock: {out_of_scope:?}"
     );
 }
+
+#[test]
+fn wall_clock_flags_each_cpu_count_read() {
+    // The rayon calls read the CPU count on every use, so each is a finding
+    // of its own, not only `available_parallelism` itself.
+    let findings = lint_source("crates/sim/src/fx.rs", &fixture("wall_clock_fire.rs"));
+    for token in ["Instant", "par_iter_mut", "par_iter", "current_num_threads"] {
+        let needle = format!("`{token}`");
+        assert!(
+            findings
+                .iter()
+                .any(|d| d.rule == "wall-clock" && d.message.contains(&needle)),
+            "{needle} is not flagged: {findings:?}"
+        );
+    }
+}

@@ -7,3 +7,9 @@ pub struct RunStats {
 pub fn stamp(stats: &mut RunStats, wall_seconds: f64) {
     stats.wall_seconds = wall_seconds;
 }
+
+// The worker count is an input, and the fold runs in a fixed order.
+pub fn doubled_total(values: &mut [f64], jobs: usize) -> (f64, usize) {
+    values.iter_mut().for_each(|v| *v *= 2.0);
+    (values.iter().sum(), jobs.max(1))
+}

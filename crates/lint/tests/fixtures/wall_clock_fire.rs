@@ -5,3 +5,11 @@ pub fn elapsed_guess() -> f64 {
     std::hint::black_box(());
     started.elapsed().as_secs_f64()
 }
+
+// A CPU-count read: the number of partial sums depends on the machine.
+pub fn per_cpu_totals(values: &mut [f64]) -> usize {
+    values.par_iter_mut().for_each(|v| *v *= 2.0);
+    let total: f64 = values.par_iter().sum();
+    std::hint::black_box(total);
+    rayon::current_num_threads()
+}

@@ -52,7 +52,6 @@ use carbonedge_net::LatencyModel;
 use carbonedge_workload::{
     AppId, Application, ArrivalProcess, DeviceKind, ModelKind, RequestStream, WorkloadProfile,
 };
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -943,20 +942,17 @@ impl CdnSimulator {
 
     /// Post-processes the per-epoch outcomes into the 12 calendar-month
     /// aggregates (each epoch attributed to the month containing its first
-    /// hour).  Months are independent, so they are aggregated in parallel on
-    /// the rayon worker pool; within a month, epochs fold in schedule order
-    /// with the exact f64 operation sequence of the old inline loop — the
-    /// first epoch assigns the fields directly instead of flowing through
-    /// the weighted update (`(lat * p) / p` is not bit-exact `lat`), so the
-    /// monthly view reproduces the legacy per-month numbers bit for bit for
-    /// any worker count.
+    /// hour).  Within a month, epochs fold in schedule order with the exact
+    /// f64 operation sequence of the old inline loop — the first epoch
+    /// assigns the fields directly instead of flowing through the weighted
+    /// update (`(lat * p) / p` is not bit-exact `lat`), so the monthly view
+    /// reproduces the legacy per-month numbers bit for bit.
     fn monthly_from_epochs(epochs: &[EpochOutcome]) -> Vec<MonthlyOutcome> {
-        let mut slots: Vec<(usize, MonthlyOutcome)> =
-            (0..12).map(|m| (m, MonthlyOutcome::default())).collect();
-        slots.par_iter_mut().for_each(|(month, out)| {
+        let mut months = vec![MonthlyOutcome::default(); 12];
+        for (month, out) in months.iter_mut().enumerate() {
             let mut placed_so_far = 0usize;
             let mut seen = false;
-            for epoch in epochs.iter().filter(|e| e.start.month() == *month) {
+            for epoch in epochs.iter().filter(|e| e.start.month() == month) {
                 if !seen {
                     seen = true;
                     *out = MonthlyOutcome {
@@ -977,8 +973,8 @@ impl CdnSimulator {
                     placed_so_far = total_placed;
                 }
             }
-        });
-        slots.into_iter().map(|(_, monthly)| monthly).collect()
+        }
+        months
     }
 
     /// Runs CarbonEdge and the Latency-aware baseline and returns

@@ -94,6 +94,7 @@ impl SweepExecutor {
 
     /// The effective worker count for a grid of `cells` cells.
     pub fn effective_jobs(&self, cells: usize) -> usize {
+        // lint:allow(wall-clock): only `--jobs 0` reads the CPU count; cells are collected by index, so results do not depend on the worker count
         let auto = rayon::current_num_threads();
         let requested = if self.jobs == 0 { auto } else { self.jobs };
         requested.clamp(1, cells.max(1))
