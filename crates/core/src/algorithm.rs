@@ -38,7 +38,6 @@
 //! phase-2 for cost changes) instead of cold-starting, cutting the
 //! per-decision latency well below the paper's ~3.3 ms OR-Tools budget.
 
-use crate::diff::AssignmentDiff;
 use crate::policy::PlacementPolicy;
 use crate::problem::{PlacementProblem, PlacementSkeleton, PlacementState};
 use carbonedge_solver::{
@@ -415,7 +414,7 @@ impl IncrementalPlacer {
         newly_activated.dedup();
         let (moves, migration_carbon_g) = match &problem.state {
             Some(state) => (
-                AssignmentDiff::between(&state.previous, &assignment).moves(),
+                state.moves(&assignment),
                 state.migration_carbon_g(&assignment),
             ),
             None => (0, 0.0),

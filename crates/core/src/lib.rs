@@ -9,15 +9,15 @@
 //! * [`problem`] — the placement problem: server snapshots, application
 //!   batches, latency/energy/carbon inputs (Table 2) and the carbon
 //!   objective (Eq. 6) with its multi-objective extension (Eq. 8), and the
-//!   placement skeleton a deployment decided again and again builds once;
+//!   placement skeleton a deployment decided again and again builds once,
+//!   and the incumbent state whose moves the stateful re-placement pipeline
+//!   counts and charges;
 //! * [`policy`] — the placement policies: `CarbonEdge` (carbon-aware),
 //!   `Latency-aware`, `Energy-aware`, `Intensity-aware`, and the
 //!   carbon–energy trade-off policy;
 //! * [`algorithm`] — the incremental placement algorithm that filters
 //!   latency-feasible servers, solves the optimization, and commits the
-//!   resulting placement and power-state decisions;
-//! * [`diff`] — assignment diffs (moves / stays / evictions), the shared
-//!   vocabulary of the stateful re-placement pipeline's churn accounting.
+//!   resulting placement and power-state decisions.
 //!
 //! # Quick example
 //!
@@ -46,12 +46,10 @@
 //! ```
 
 pub mod algorithm;
-pub mod diff;
 pub mod policy;
 pub mod problem;
 
 pub use algorithm::{IncrementalPlacer, PlacementDecision, PlacementError, PlacementModel};
-pub use diff::AssignmentDiff;
 pub use policy::PlacementPolicy;
 pub use problem::{
     MigrationCost, MigrationCostLevel, PairLatencyCache, PlacementProblem, PlacementSkeleton,
@@ -63,7 +61,6 @@ pub mod prelude {
     pub use crate::algorithm::{
         IncrementalPlacer, PlacementDecision, PlacementError, PlacementModel,
     };
-    pub use crate::diff::AssignmentDiff;
     pub use crate::policy::PlacementPolicy;
     pub use crate::problem::{
         MigrationCost, MigrationCostLevel, PlacementProblem, PlacementState, ServerSnapshot,

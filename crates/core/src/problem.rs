@@ -248,6 +248,18 @@ impl PlacementState {
         }
         total
     }
+
+    /// Number of applications placed both before and in `assignment`, on
+    /// different servers.  An entry missing on either side counts as
+    /// unplaced, so assignments of different lengths compare without
+    /// panicking.
+    pub fn moves(&self, assignment: &[Option<usize>]) -> usize {
+        self.previous
+            .iter()
+            .zip(assignment)
+            .filter(|(before, after)| matches!((before, after), (Some(a), Some(b)) if a != b))
+            .count()
+    }
 }
 
 /// Precomputed pair round-trip latencies for problems whose applications
@@ -879,6 +891,37 @@ mod tests {
         let free = PlacementState::free(vec![Some(0), Some(1), None]);
         assert!(free.is_free());
         assert_eq!(free.migration_carbon_g(&[Some(2), Some(2), Some(2)]), 0.0);
+    }
+
+    #[test]
+    fn moves_count_apps_placed_on_both_sides_only() {
+        // App 0 stays, app 1 moves, app 2 is evicted, app 3 arrives.
+        let state = PlacementState::free(vec![Some(0), Some(1), Some(2), None, None]);
+        assert_eq!(state.moves(&[Some(0), Some(3), None, Some(4), None]), 1);
+    }
+
+    #[test]
+    fn identical_assignments_have_no_moves() {
+        let a = vec![Some(2), None, Some(5)];
+        assert_eq!(PlacementState::free(a.clone()).moves(&a), 0);
+    }
+
+    #[test]
+    fn moves_treat_missing_entries_as_unplaced() {
+        // New arrivals extend the batch; a shrunk batch drops the tail.
+        assert_eq!(
+            PlacementState::free(vec![Some(1)]).moves(&[Some(1), Some(2)]),
+            0
+        );
+        assert_eq!(
+            PlacementState::free(vec![Some(1), Some(2)]).moves(&[Some(1)]),
+            0
+        );
+    }
+
+    #[test]
+    fn empty_assignments_have_no_moves() {
+        assert_eq!(PlacementState::default().moves(&[]), 0);
     }
 
     #[test]

@@ -34,10 +34,11 @@
 //! the placer weighs the forecast carbon savings of every move against the
 //! per-application migration cost of the configured
 //! [`MigrationCostLevel`] (model-image transfer + downtime, in grams).
-//! Moves are counted per epoch with [`carbonedge_core::AssignmentDiff`],
-//! their migration carbon is charged into both the decision and the realized
-//! totals, and [`MigrationCostLevel::Free`] reproduces the stateless
-//! engine's decisions bit for bit while still reporting churn.
+//! Moves are counted per epoch with
+//! [`carbonedge_core::PlacementState::moves`], their migration carbon is
+//! charged into both the decision and the realized totals, and
+//! [`MigrationCostLevel::Free`] reproduces the stateless engine's decisions
+//! bit for bit while still reporting churn.
 
 use crate::metrics::{PolicyOutcome, Savings};
 use crate::serving::{ServingEngine, ServingMetrics, ServingMode};
