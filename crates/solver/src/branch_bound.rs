@@ -224,7 +224,6 @@ pub(crate) struct MilpWorkspace {
     /// (numerically different) eta-file state could land on another tie.
     last_solution: Option<MilpSolution>,
     last_max_nodes: usize,
-    last_tolerance: f64,
 }
 
 impl MilpWorkspace {
@@ -255,13 +254,8 @@ impl MilpWorkspace {
 
     /// Solves the resident LP from the current basis and adds the solve's
     /// pivots and pricing-ladder counters to the search's totals.
-    pub(crate) fn solve_lp(
-        &mut self,
-        lp: &SimplexSolver,
-        pivots: &mut usize,
-        pricing: &mut PricingStats,
-    ) -> LpOutcome {
-        let outcome = lp.solve_workspace(&self.prep, &mut self.simplex);
+    pub(crate) fn solve_lp(&mut self, pivots: &mut usize, pricing: &mut PricingStats) -> LpOutcome {
+        let outcome = SimplexSolver.solve_workspace(&self.prep, &mut self.simplex);
         *pivots += self.simplex.last_pivots();
         pricing.devex_resets += self.simplex.last_devex_resets();
         pricing.bland_activations += self.simplex.last_bland_activations();
@@ -272,12 +266,8 @@ impl MilpWorkspace {
 /// Branch-and-bound solver configuration plus its reusable workspace.
 #[derive(Debug)]
 pub struct BranchBoundSolver {
-    /// LP relaxation solver.
-    pub lp: SimplexSolver,
     /// Maximum number of nodes to explore.
     pub max_nodes: usize,
-    /// Integrality tolerance.
-    pub tolerance: f64,
     /// Models with at least this many variables are tried on the
     /// Dantzig–Wolfe decomposition route ([`crate::decomp`]) first: if the
     /// model has the assignment-with-activation block structure the search
@@ -290,6 +280,10 @@ pub struct BranchBoundSolver {
     workspace: Mutex<MilpWorkspace>,
 }
 
+/// Integrality tolerance of the search, also its pruning margin: a node
+/// whose bound is within it of the incumbent cannot improve on it.
+const TOLERANCE: f64 = 1e-6;
+
 /// Default [`BranchBoundSolver::decomp_min_vars`]: comfortably above the
 /// exact-path placement models (`IncrementalPlacer` caps those at ~46
 /// variables).  Below it the linking rows are few enough that the
@@ -300,9 +294,7 @@ pub const DECOMP_MIN_VARS: usize = 256;
 impl Default for BranchBoundSolver {
     fn default() -> Self {
         Self {
-            lp: SimplexSolver::new(),
             max_nodes: 50_000,
-            tolerance: 1e-6,
             decomp_min_vars: DECOMP_MIN_VARS,
             workspace: Mutex::default(),
         }
@@ -313,9 +305,7 @@ impl Clone for BranchBoundSolver {
     /// Clones the configuration; the clone gets its own fresh workspace.
     fn clone(&self) -> Self {
         Self {
-            lp: self.lp.clone(),
             max_nodes: self.max_nodes,
-            tolerance: self.tolerance,
             decomp_min_vars: self.decomp_min_vars,
             workspace: Mutex::default(),
         }
@@ -349,7 +339,7 @@ impl BranchBoundSolver {
         for &vi in binaries {
             let val = values[vi];
             let frac = (val - val.round()).abs();
-            if frac > self.tolerance {
+            if frac > TOLERANCE {
                 let distance_to_half = (val - 0.5).abs();
                 match best {
                     Some((_, d)) if d <= distance_to_half => {}
@@ -465,7 +455,7 @@ impl BranchBoundSolver {
             if ws.prep.refresh_costs(model) {
                 ws.simplex.invalidate_duals();
                 ws.last_solution = None;
-            } else if ws.last_max_nodes == self.max_nodes && ws.last_tolerance == self.tolerance {
+            } else if ws.last_max_nodes == self.max_nodes {
                 // Bit-identical model and configuration: the previous
                 // result is still the answer, and no simplex or pricing
                 // work is needed to reproduce it.
@@ -528,22 +518,17 @@ impl BranchBoundSolver {
             }
             // Best-first: once the lowest open bound cannot beat the
             // incumbent, no remaining node can — the whole tree is pruned.
-            if have_incumbent && open.bound >= best_obj - self.tolerance {
+            if have_incumbent && open.bound >= best_obj - TOLERANCE {
                 break;
             }
             nodes += 1;
 
             ws.apply_bounds(open.node);
             let outcome = match structure {
-                Some(structure) => decomp::node_lp(
-                    &self.lp,
-                    structure,
-                    ws,
-                    &mut stats,
-                    &mut pivots,
-                    &mut pricing,
-                ),
-                None => ws.solve_lp(&self.lp, &mut pivots, &mut pricing),
+                Some(structure) => {
+                    decomp::node_lp(structure, ws, &mut stats, &mut pivots, &mut pricing)
+                }
+                None => ws.solve_lp(&mut pivots, &mut pricing),
             };
             match outcome {
                 LpOutcome::Optimal => {}
@@ -561,7 +546,7 @@ impl BranchBoundSolver {
                 // (see below).
                 ws.simplex.snapshot_basis();
             }
-            if have_incumbent && obj >= best_obj - self.tolerance {
+            if have_incumbent && obj >= best_obj - TOLERANCE {
                 continue;
             }
 
@@ -579,7 +564,7 @@ impl BranchBoundSolver {
                     }
                     if model.is_feasible(&ws.candidate, 1e-5) {
                         let candidate_obj = model.objective_value(&ws.candidate);
-                        if !have_incumbent || candidate_obj < best_obj - self.tolerance {
+                        if !have_incumbent || candidate_obj < best_obj - TOLERANCE {
                             have_incumbent = true;
                             best_obj = candidate_obj;
                             ws.incumbent.clear();
@@ -651,7 +636,6 @@ impl BranchBoundSolver {
         };
         ws.last_solution = Some(solution.clone());
         ws.last_max_nodes = self.max_nodes;
-        ws.last_tolerance = self.tolerance;
         solution
     }
 }

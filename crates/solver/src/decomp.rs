@@ -43,7 +43,7 @@
 
 use crate::branch_bound::{DecompStats, MilpWorkspace, PricingStats};
 use crate::model::{Comparison, Model, VarKind};
-use crate::simplex::{kept_rows, LpOutcome, Prepared, SimplexSolver};
+use crate::simplex::{kept_rows, LpOutcome, Prepared, TOLERANCE};
 
 /// Feasibility slack used when the greedy seeding packs columns against
 /// row capacities and when integer candidates are checked.
@@ -464,7 +464,6 @@ pub(crate) fn load_master(
 /// (the full master is a relaxation of the original model under the same
 /// fixings, so full-master infeasibility soundly prunes the node).
 pub(crate) fn node_lp(
-    lp: &SimplexSolver,
     structure: &BlockStructure,
     ws: &mut MilpWorkspace,
     stats: &mut DecompStats,
@@ -473,7 +472,7 @@ pub(crate) fn node_lp(
 ) -> LpOutcome {
     let mut rescued = false;
     loop {
-        match ws.solve_lp(lp, pivots, pricing) {
+        match ws.solve_lp(pivots, pricing) {
             LpOutcome::Optimal => {}
             LpOutcome::Infeasible if !rescued => {
                 rescued = true;
@@ -504,7 +503,7 @@ pub(crate) fn node_lp(
                 for (r, a) in prep.col(j) {
                     rc -= duals[r] * a;
                 }
-                if rc < -lp.tolerance {
+                if rc < -TOLERANCE {
                     ws.to_activate.push(j);
                 }
             }

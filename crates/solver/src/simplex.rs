@@ -872,28 +872,20 @@ impl SimplexWorkspace {
     }
 }
 
-/// Bounded-variable revised simplex solver.
-#[derive(Debug, Clone)]
-pub struct SimplexSolver {
-    /// Maximum number of pivots before giving up.
-    pub max_iterations: usize,
-    /// Numerical tolerance for pricing and feasibility tests.
-    pub tolerance: f64,
-}
+/// Maximum number of pivots one solve performs before giving up.
+const MAX_ITERATIONS: usize = 20_000;
 
-impl Default for SimplexSolver {
-    fn default() -> Self {
-        Self {
-            max_iterations: 20_000,
-            tolerance: 1e-7,
-        }
-    }
-}
+/// Numerical tolerance for pricing and feasibility tests.
+pub(crate) const TOLERANCE: f64 = 1e-7;
+
+/// Bounded-variable revised simplex solver.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SimplexSolver;
 
 impl SimplexSolver {
-    /// Creates a solver with default parameters.
+    /// Creates a solver.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Builds the prepared (column-wise) form of a model for repeated
@@ -919,7 +911,7 @@ impl SimplexSolver {
         // different degenerate-optimal vertex than a cold solve.
         ws.devex.fill(1.0);
         for j in 0..prep.ncols() {
-            if ws.lower[j] > ws.upper[j] + self.tolerance {
+            if ws.lower[j] > ws.upper[j] + TOLERANCE {
                 return LpOutcome::Infeasible;
             }
         }
@@ -1177,11 +1169,11 @@ impl SimplexSolver {
     fn primal_loop(&self, prep: &Prepared, ws: &mut SimplexWorkspace) -> LoopEnd {
         let n = prep.n;
         let m = prep.m;
-        let tol = self.tolerance;
+        let tol = TOLERANCE;
         let bland_after = 2 * (prep.ncols() + m) + 64;
         let mut degenerate = 0usize;
         loop {
-            if ws.solve_pivots >= self.max_iterations {
+            if ws.solve_pivots >= MAX_ITERATIONS {
                 return LoopEnd::IterationLimit;
             }
             ws.compute_duals(prep);
@@ -1366,9 +1358,9 @@ impl SimplexSolver {
     fn dual_loop(&self, prep: &Prepared, ws: &mut SimplexWorkspace) -> DualEnd {
         let n = prep.n;
         let m = prep.m;
-        let tol = self.tolerance;
+        let tol = TOLERANCE;
         loop {
-            if ws.solve_pivots >= self.max_iterations {
+            if ws.solve_pivots >= MAX_ITERATIONS {
                 return DualEnd::IterationLimit;
             }
             // Leaving row: the basic variable most out of bounds.
