@@ -6,7 +6,8 @@ pub fn elapsed_guess() -> f64 {
     started.elapsed().as_secs_f64()
 }
 
-// A CPU-count read: the number of partial sums depends on the machine.
+// CPU-count reads: each of these calls asks how many CPUs the machine has,
+// and the two iterators start one thread per CPU.
 pub fn per_cpu_totals(values: &mut [f64]) -> usize {
     values.par_iter_mut().for_each(|v| *v *= 2.0);
     let total: f64 = values.par_iter().sum();

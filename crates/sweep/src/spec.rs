@@ -484,7 +484,7 @@ impl SweepSpec {
 
     /// Number of values on `axis`: the one place the grid's shape is read
     /// from the axis vectors.
-    pub fn axis_len(&self, axis: SweepAxis) -> usize {
+    pub(crate) fn axis_len(&self, axis: SweepAxis) -> usize {
         match axis {
             SweepAxis::Policy => self.policies.len(),
             SweepAxis::Area => self.areas.len(),
