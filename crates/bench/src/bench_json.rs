@@ -176,12 +176,6 @@ struct CaseConfig {
     /// (the corridor cases beyond 200×50, where dense O(m²)-per-pivot work
     /// is impractical) and reports zeroed reference fields.
     reference_samples: usize,
-    /// Discard the exact solvers' warm start before every sample, so the
-    /// median times a genuine cold solve instead of the workspace's
-    /// same-model memoization.  The small regional cases keep it off to
-    /// measure the steady-state (warm re-optimization) path the placement
-    /// service actually runs.
-    discard_warm: bool,
 }
 
 /// Measures one placement instance through every solver path and renders
@@ -191,10 +185,14 @@ struct CaseConfig {
 /// dense reference oracle (optional) and the assignment heuristic, plus the
 /// branch-and-bound / simplex / factorization / pricing-ladder /
 /// column-generation counters of one cold automatic solve on a fresh
-/// workspace.  On models below the decomposition threshold the two exact
-/// paths coincide, so `speedup_vs_monolithic` hovers around 1 and the
-/// column-generation counters are zero — the schema stays identical either
-/// way.
+/// workspace.  Every timed sample decides on a fresh placer (a clone keeps
+/// the settings and nothing else), so each arm times a cold decision: no
+/// memoized result, resident basis or resident deployment carries over from
+/// the sample before.  The warm steady state is measured by the re-plan
+/// cases (`replan_entry`).  On models below the decomposition threshold the
+/// two exact paths coincide, so `speedup_vs_monolithic` hovers around 1 and
+/// the column-generation counters are zero — the schema stays identical
+/// either way.
 fn solver_case_entry(name: &str, problem: &PlacementProblem, cfg: &CaseConfig) -> String {
     let (apps, servers) = problem.size();
     // `place()` only takes the exact path while `apps * servers` stays
@@ -209,28 +207,22 @@ fn solver_case_entry(name: &str, problem: &PlacementProblem, cfg: &CaseConfig) -
 
     // The automatic exact path, as the placement service runs it.
     let revised_ns = median_ns(cfg.revised_samples, || {
-        if cfg.discard_warm {
-            exact.milp_solver.discard_warm_start();
-        }
-        let _ = exact.place(problem).unwrap();
+        let _ = exact.clone().place(problem).unwrap();
     });
     // The same protocol with decomposition disabled: the race the
     // decomposition path has to win at corridor scale.
     let monolithic_ns = median_ns(cfg.revised_samples, || {
-        if cfg.discard_warm {
-            monolithic.milp_solver.discard_warm_start();
-        }
-        let _ = monolithic.place(problem).unwrap();
+        let _ = monolithic.clone().place(problem).unwrap();
     });
     let heuristic_ns = median_ns(cfg.revised_samples, || {
-        let _ = heuristic.place(problem).unwrap();
+        let _ = heuristic.clone().place(problem).unwrap();
     });
     // The retained dense Big-M reference path on the identical MILP.
     let placement_model = exact.build_model(problem);
     let reference_solver = ReferenceBranchBound::with_node_limit(20_000);
     let reference_ns = if cfg.reference_samples > 0 {
         median_ns(cfg.reference_samples, || {
-            let model = exact.build_model(problem);
+            let model = exact.clone().build_model(problem);
             let _ = reference_solver.solve(&model.model);
         })
     } else {
@@ -331,12 +323,10 @@ pub fn solver_bench_json(quick: bool) -> String {
     let small = CaseConfig {
         revised_samples: samples,
         reference_samples: samples,
-        discard_warm: false,
     };
     let scale = CaseConfig {
         revised_samples: if quick { 3 } else { 7 },
         reference_samples: if quick { 1 } else { 3 },
-        discard_warm: true,
     };
     // The dense reference pays O(m²) per pivot on the full model; beyond
     // 200×50 it is impractical and the corridor cases race the

@@ -24,27 +24,36 @@
 //! gathers each server's capacity and linking terms from the column index.
 //! A mesoscale latency limit keeps a row to the servers a few hundred
 //! kilometres away, so this is a fraction of the applications × servers
-//! grid.  A problem that carries a skeleton
-//! ([`PlacementProblem::with_skeleton`]) is priced on it; any other builds
-//! a fresh one per call, so both run the same code.
+//! grid.
 //!
-//! The exact path is built for **repeated** decisions: the placer's
-//! [`BranchBoundSolver`] owns a scratch workspace (basis, basis inverse,
-//! node arena) that persists across successive [`IncrementalPlacer::place`]
-//! calls.  When consecutive calls build structurally identical MILPs —
-//! which is exactly what happens when the same deployment is re-optimized
-//! epoch after epoch as carbon intensities shift — the solver warm-starts
+//! The placer is built for **repeated** decisions on one deployment, and it
+//! recognises the deployment itself.  It keeps the deployment it decided
+//! last: the skeleton, and after an exact decision the MILP rows built on
+//! it.  When a new problem's applications, server devices and locations,
+//! latency model and latency cache are bit-identical to that deployment's,
+//! the skeleton is reused; when every server's capacity and power state
+//! match as well, so are the rows, and the decision only rewrites their
+//! objective.  Anything else builds afresh, so callers attach nothing.
+//! The placer's [`BranchBoundSolver`] in turn keeps the block structure of
+//! the last model it classified and a scratch workspace (basis, basis
+//! inverse, node arena) that persists across successive
+//! [`IncrementalPlacer::place`] calls: a structurally identical MILP —
+//! which is exactly what re-optimizing one deployment epoch after epoch as
+//! carbon intensities shift builds — skips classification and warm-starts
 //! from the previous optimal basis (dual simplex for bound changes, primal
 //! phase-2 for cost changes) instead of cold-starting, cutting the
 //! per-decision latency well below the paper's ~3.3 ms OR-Tools budget.
 
 use crate::policy::PlacementPolicy;
-use crate::problem::{PlacementProblem, PlacementSkeleton, PlacementState};
+use crate::problem::{PairLatencyCache, PlacementProblem, PlacementSkeleton, PlacementState};
+use carbonedge_geo::Coordinates;
+use carbonedge_net::LatencyModel;
 use carbonedge_solver::{
     AssignmentProblem, BranchBoundSolver, Comparison, LinearExpr, MilpOutcome, Model, VarId,
 };
+use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Errors returned by the placer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,9 +77,6 @@ pub enum PlacementError {
     /// resource demand on some compatible device (for example a negative or
     /// infinite `request_rate_rps`).
     InvalidDemand(Vec<usize>),
-    /// The attached [`PlacementSkeleton`] was built for a different number
-    /// of applications or servers than the problem now holds.
-    SkeletonMismatch,
 }
 
 impl std::fmt::Display for PlacementError {
@@ -91,10 +97,6 @@ impl std::fmt::Display for PlacementError {
             PlacementError::InvalidDemand(apps) => write!(
                 f,
                 "negative or non-finite energy or demand for applications {apps:?}"
-            ),
-            PlacementError::SkeletonMismatch => write!(
-                f,
-                "the attached placement skeleton does not fit the problem's applications or servers"
             ),
         }
     }
@@ -169,7 +171,7 @@ impl PlacementModel {
 }
 
 /// The incremental placement service.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct IncrementalPlacer {
     /// The placement policy to optimize.
     pub policy: PlacementPolicy,
@@ -178,6 +180,148 @@ pub struct IncrementalPlacer {
     pub exact_size_limit: usize,
     /// Branch-and-bound configuration for the exact path.
     pub milp_solver: BranchBoundSolver,
+    /// The deployment decided last, reused by the next decision on the same
+    /// deployment.
+    resident: Mutex<Option<Resident>>,
+}
+
+impl Clone for IncrementalPlacer {
+    /// Clones the configuration; the clone starts without a resident
+    /// deployment, and its solver with a fresh workspace.
+    fn clone(&self) -> Self {
+        Self {
+            policy: self.policy,
+            exact_size_limit: self.exact_size_limit,
+            milp_solver: self.milp_solver.clone(),
+            resident: Mutex::default(),
+        }
+    }
+}
+
+/// The deployment an [`IncrementalPlacer`] decided last: its structural
+/// inputs, the skeleton built from them and, after an exact decision, the
+/// MILP rows built on that skeleton.
+#[derive(Debug)]
+struct Resident {
+    deployment: Deployment,
+    skeleton: Arc<PlacementSkeleton>,
+    rows: Option<ResidentRows>,
+}
+
+/// Everything [`PlacementSkeleton::new`] reads from a problem: every
+/// application field, each server's device and location, the latency model
+/// and the latency cache.  Floats are kept as their bits, so `0.0` and
+/// `-0.0` differ and a NaN matches only its own bits; the cache is compared
+/// by address, and held here so that its address cannot be reused while a
+/// comparison depends on it.
+#[derive(Debug)]
+struct Deployment {
+    apps: Vec<AppKey>,
+    servers: Vec<(DeviceKind, [u64; 2])>,
+    latency_model: [u64; 4],
+    latency_cache: Option<Arc<PairLatencyCache>>,
+}
+
+/// An application's fields, floats as bits: id, model, origin site, then
+/// request rate, SLO and origin latitude and longitude.
+type AppKey = (AppId, ModelKind, usize, [u64; 4]);
+
+fn app_key(app: &Application) -> AppKey {
+    let Application {
+        id,
+        model,
+        request_rate_rps,
+        latency_slo_ms,
+        origin,
+        origin_site,
+    } = app;
+    let [lat, lon] = location_bits(origin);
+    (
+        *id,
+        *model,
+        *origin_site,
+        [
+            request_rate_rps.to_bits(),
+            latency_slo_ms.to_bits(),
+            lat,
+            lon,
+        ],
+    )
+}
+
+fn location_bits(location: &Coordinates) -> [u64; 2] {
+    let Coordinates { lat, lon } = location;
+    [lat.to_bits(), lon.to_bits()]
+}
+
+fn latency_model_bits(model: &LatencyModel) -> [u64; 4] {
+    let LatencyModel {
+        access_delay_ms,
+        routing_inflation,
+        jitter_fraction,
+        seed,
+    } = model;
+    [
+        access_delay_ms.to_bits(),
+        routing_inflation.to_bits(),
+        jitter_fraction.to_bits(),
+        *seed,
+    ]
+}
+
+impl Deployment {
+    fn of(problem: &PlacementProblem) -> Self {
+        Self {
+            apps: problem.apps.iter().map(app_key).collect(),
+            servers: problem
+                .servers
+                .iter()
+                .map(|s| (s.device, location_bits(&s.location)))
+                .collect(),
+            latency_model: latency_model_bits(&problem.latency_model),
+            latency_cache: problem.latency_cache.clone(),
+        }
+    }
+
+    /// Whether `problem` has exactly this deployment's structural inputs.
+    fn matches(&self, problem: &PlacementProblem) -> bool {
+        let same_cache = match (&self.latency_cache, &problem.latency_cache) {
+            (Some(kept), Some(cache)) => Arc::ptr_eq(kept, cache),
+            (kept, cache) => kept.is_none() && cache.is_none(),
+        };
+        same_cache
+            && self.latency_model == latency_model_bits(&problem.latency_model)
+            && self.apps.len() == problem.apps.len()
+            && self.servers.len() == problem.servers.len()
+            && self
+                .apps
+                .iter()
+                .zip(&problem.apps)
+                .all(|(k, a)| *k == app_key(a))
+            && self
+                .servers
+                .iter()
+                .zip(&problem.servers)
+                .all(|(k, s)| *k == (s.device, location_bits(&s.location)))
+    }
+}
+
+/// The MILP rows of the resident deployment, with the only other inputs
+/// they read: each server's capacity (as bits) and power state.
+#[derive(Debug)]
+struct ResidentRows {
+    model: PlacementModel,
+    servers: Vec<([u64; 3], bool)>,
+}
+
+/// Each server's capacity bits and power state: what the MILP rows read
+/// beyond the skeleton.
+fn row_inputs(problem: &PlacementProblem) -> Vec<([u64; 3], bool)> {
+    problem
+        .servers
+        .iter()
+        .map(|s| (s.available.to_array().map(f64::to_bits), s.powered_on))
+        .collect()
 }
 
 impl IncrementalPlacer {
@@ -189,7 +333,37 @@ impl IncrementalPlacer {
             policy,
             exact_size_limit: 40,
             milp_solver: BranchBoundSolver::with_node_limit(20_000),
+            resident: Mutex::default(),
         }
+    }
+
+    /// Locks the resident deployment, recovering the guard if an earlier
+    /// decision panicked while holding it.
+    fn lock(&self) -> MutexGuard<'_, Option<Resident>> {
+        self.resident
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// The skeleton of `problem`'s deployment: the resident one when the
+    /// problem has the resident deployment's structural inputs, else a
+    /// fresh one that becomes resident.  The old deployment is dropped
+    /// first, so two skeletons are never alive at once.
+    fn skeleton_of(&self, problem: &PlacementProblem) -> Arc<PlacementSkeleton> {
+        let mut resident = self.lock();
+        if let Some(kept) = resident.as_ref() {
+            if kept.deployment.matches(problem) {
+                return Arc::clone(&kept.skeleton);
+            }
+        }
+        *resident = None;
+        let skeleton = Arc::new(PlacementSkeleton::new(problem));
+        *resident = Some(Resident {
+            deployment: Deployment::of(problem),
+            skeleton: Arc::clone(&skeleton),
+            rows: None,
+        });
+        skeleton
     }
 
     /// Forces the heuristic path regardless of instance size.
@@ -206,16 +380,15 @@ impl IncrementalPlacer {
 
     /// Objective value of an assignment under this placer's policy: the sum
     /// of the per-pair policy costs plus activation costs of newly powered-on
-    /// servers.  Returns `None` when the assignment uses an infeasible pair,
-    /// or when the attached skeleton no longer fits the problem.  This is
-    /// the quantity the exact and heuristic paths both minimize, so
+    /// servers.  Returns `None` when the assignment uses an infeasible pair.
+    /// This is the quantity the exact and heuristic paths both minimize, so
     /// differential tests compare it rather than raw carbon.
     pub fn objective_of(
         &self,
         problem: &PlacementProblem,
         assignment: &[Option<usize>],
     ) -> Option<f64> {
-        let skeleton = skeleton_of(problem).ok()?;
+        let skeleton = self.skeleton_of(problem);
         let (pair_cost, activation_cost) = self.policy.costs(problem, &skeleton);
         let mut total = 0.0;
         if let Some(state) = self.active_migration_state(problem) {
@@ -242,11 +415,8 @@ impl IncrementalPlacer {
     /// power-consistency / linking constraints — with the migration terms of
     /// the attached [`PlacementState`] folded into the pair costs (see
     /// `Self::fold_migration_costs`).
-    ///
-    /// Panics if the attached skeleton no longer fits the problem, which
-    /// [`Self::place`] reports as [`PlacementError::SkeletonMismatch`].
     pub fn build_model(&self, problem: &PlacementProblem) -> PlacementModel {
-        let skeleton = skeleton_of(problem).expect("the attached skeleton fits the problem");
+        let skeleton = self.skeleton_of(problem);
         let (mut pair_cost, activation_cost) = self.policy.costs(problem, &skeleton);
         self.fold_migration_costs(problem, &skeleton, &mut pair_cost);
         build_model_from_costs(problem, &skeleton, &pair_cost, &activation_cost)
@@ -312,8 +482,7 @@ impl IncrementalPlacer {
     ///
     /// A state whose vectors differ in length from the batch, or whose
     /// incumbent names a server outside the problem, is rejected with
-    /// [`PlacementError::InvalidState`], and an attached skeleton that no
-    /// longer fits the problem with [`PlacementError::SkeletonMismatch`].
+    /// [`PlacementError::InvalidState`].
     /// Applications with a negative or non-finite energy or demand are
     /// rejected with [`PlacementError::InvalidDemand`].  An application
     /// whose feasible pairs carry a NaN or infinite cost (the folded pair
@@ -337,7 +506,7 @@ impl IncrementalPlacer {
             }
         }
 
-        let skeleton = skeleton_of(problem)?;
+        let skeleton = self.skeleton_of(problem);
         if !skeleton.invalid_apps().is_empty() {
             return Err(PlacementError::InvalidDemand(
                 skeleton.invalid_apps().to_vec(),
@@ -498,35 +667,48 @@ impl IncrementalPlacer {
         }
     }
 
-    /// Solves the MILP of Eq. 7 exactly with branch-and-bound.
+    /// Solves the MILP of Eq. 7 exactly with branch-and-bound.  The rows
+    /// kept with the resident `skeleton` are reused when every server's
+    /// capacity and power state are bit-identical to theirs, and only their
+    /// objective is rewritten; otherwise the rows are built again.  Either
+    /// way the solved rows stay resident for the next decision.  They are
+    /// taken out while in use, so a decision that panics leaves none.
     fn solve_exact(
         &self,
         problem: &PlacementProblem,
-        skeleton: &PlacementSkeleton,
+        skeleton: &Arc<PlacementSkeleton>,
         pair_cost: &[f64],
         activation_cost: &[f64],
     ) -> Option<Vec<Option<usize>>> {
-        let placement_model = build_model_from_costs(problem, skeleton, pair_cost, activation_cost);
+        let servers = row_inputs(problem);
+        let kept = self
+            .lock()
+            .as_mut()
+            .filter(|resident| Arc::ptr_eq(&resident.skeleton, skeleton))
+            .and_then(|resident| resident.rows.take())
+            .filter(|rows| rows.servers == servers);
+        let placement_model = match kept {
+            Some(ResidentRows { mut model, .. }) => {
+                write_objective(&mut model, problem, pair_cost, activation_cost);
+                model
+            }
+            None => build_model_from_costs(problem, skeleton, pair_cost, activation_cost),
+        };
         let solution = self.milp_solver.solve(&placement_model.model);
-        if !matches!(
+        let assignment = matches!(
             solution.outcome,
             MilpOutcome::Optimal | MilpOutcome::Feasible
-        ) {
-            return None;
+        )
+        .then(|| placement_model.decode(&solution.values));
+        if let Some(resident) = self.lock().as_mut() {
+            if Arc::ptr_eq(&resident.skeleton, skeleton) {
+                resident.rows = Some(ResidentRows {
+                    model: placement_model,
+                    servers,
+                });
+            }
         }
-        Some(placement_model.decode(&solution.values))
-    }
-}
-
-/// The skeleton `problem` carries, or a fresh one built from it when it
-/// carries none.  An attached skeleton built for a different number of
-/// applications or servers is an error, never silently rebuilt.
-fn skeleton_of(problem: &PlacementProblem) -> Result<Arc<PlacementSkeleton>, PlacementError> {
-    let (apps, servers) = problem.size();
-    match &problem.skeleton {
-        Some(skeleton) if skeleton.covers(apps, servers) => Ok(Arc::clone(skeleton)),
-        Some(_) => Err(PlacementError::SkeletonMismatch),
-        None => Ok(Arc::new(PlacementSkeleton::new(problem))),
+        assignment
     }
 }
 
@@ -545,31 +727,25 @@ fn build_model_from_costs(
     let pairs = skeleton.pairs();
     let mut model = Model::new();
     // x variables for feasible pairs only, in pair order (apps, then
-    // servers ascending); each app's assignment row is gathered on the way.
+    // servers ascending), so pair `p` is variable `p`; each app's
+    // assignment row is gathered on the way.
     let mut x: Vec<Vec<Option<VarId>>> = vec![vec![None; servers]; apps];
-    let mut pair_var = Vec::with_capacity(pairs.len());
     let mut assign_rows = Vec::with_capacity(apps);
     for (i, x_row) in x.iter_mut().enumerate() {
         let mut assign = LinearExpr::new();
         for p in pairs.row(i) {
             let v = model.add_binary();
-            model.set_objective_term(v, pair_cost[p]);
             x_row[pairs.servers()[p]] = Some(v);
             assign.add(v, 1.0);
-            pair_var.push(v);
         }
         assign_rows.push(assign);
     }
-    // y variables per server; objective carries the activation cost for
-    // currently-off servers (y_j - y_j^curr reduces to y_j when off, and
-    // the power-consistency constraint pins y_j = 1 when already on).
+    // y variables per server.
     let y: Vec<VarId> = (0..servers).map(|_| model.add_binary()).collect();
-    for (j, server) in problem.servers.iter().enumerate() {
+    for (server, &y_j) in problem.servers.iter().zip(&y) {
         if server.powered_on {
             // Power-state consistency (Eq. 4): already-on servers stay on.
-            model.add_constraint(LinearExpr::new().with(y[j], 1.0), Comparison::Equal, 1.0);
-        } else {
-            model.set_objective_term(y[j], activation_cost[j]);
+            model.add_constraint(LinearExpr::new().with(y_j, 1.0), Comparison::Equal, 1.0);
         }
     }
     // Assignment constraints (Eq. 3).
@@ -590,7 +766,7 @@ fn build_model_from_costs(
         for (k, cap_k) in server.available.to_array().into_iter().enumerate() {
             let mut expr = LinearExpr::new();
             for p in column() {
-                expr.add(pair_var[p], demand[p][k]);
+                expr.add(VarId(p), demand[p][k]);
             }
             expr.add(y_j, -cap_k);
             if !expr.terms.is_empty() {
@@ -599,24 +775,54 @@ fn build_model_from_costs(
         }
         for p in column() {
             model.add_constraint(
-                LinearExpr::new().with(pair_var[p], 1.0).with(y_j, -1.0),
+                LinearExpr::new().with(VarId(p), 1.0).with(y_j, -1.0),
                 Comparison::LessEq,
                 0.0,
             );
         }
     }
 
-    PlacementModel { model, x, y }
+    let mut placement = PlacementModel { model, x, y };
+    write_objective(&mut placement, problem, pair_cost, activation_cost);
+    placement
+}
+
+/// Writes the objective of Eq. 7 over the rows of
+/// [`build_model_from_costs`]: every coefficient is reset, then each pair's
+/// cost is added to its `x` variable (variable `p` for pair `p`) and each
+/// powered-off server's activation cost to its `y` variable (`y_j -
+/// y_j^curr` reduces to `y_j` when off, and the power-consistency row pins
+/// `y_j = 1` when on).  Every coefficient is added to `0.0`, so rows built
+/// once and rewritten carry the bits of a fresh build.
+fn write_objective(
+    placement: &mut PlacementModel,
+    problem: &PlacementProblem,
+    pair_cost: &[f64],
+    activation_cost: &[f64],
+) {
+    let model = &mut placement.model;
+    model.clear_objective();
+    for (p, &cost) in pair_cost.iter().enumerate() {
+        model.set_objective_term(VarId(p), cost);
+    }
+    for ((server, &y_j), &cost) in problem
+        .servers
+        .iter()
+        .zip(&placement.y)
+        .zip(activation_cost)
+    {
+        if !server.powered_on {
+            model.set_objective_term(y_j, cost);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::{MigrationCost, ServerSnapshot};
-    use carbonedge_geo::Coordinates;
     use carbonedge_grid::ZoneId;
-    use carbonedge_net::LatencyModel;
-    use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind, ResourceDemand};
+    use carbonedge_workload::ResourceDemand;
 
     fn green_and_dirty_problem(slo_ms: f64) -> PlacementProblem {
         let servers = vec![
@@ -971,9 +1177,6 @@ mod tests {
         assert!(PlacementError::InvalidDemand(vec![2])
             .to_string()
             .contains("negative or non-finite energy or demand for applications [2]"));
-        assert!(PlacementError::SkeletonMismatch
-            .to_string()
-            .contains("skeleton"));
     }
 
     #[test]
@@ -994,9 +1197,9 @@ mod tests {
                     "rate {rate}"
                 );
                 assert_eq!(
-                    placer.place(&p.clone().with_skeleton()).unwrap_err(),
+                    placer.place(&p).unwrap_err(),
                     PlacementError::InvalidDemand(vec![0]),
-                    "rate {rate}, attached skeleton"
+                    "rate {rate}, resident deployment"
                 );
             }
         }
@@ -1013,29 +1216,186 @@ mod tests {
     }
 
     #[test]
-    fn a_skeleton_that_no_longer_fits_is_rejected() {
-        let attached = green_and_dirty_problem(30.0).with_skeleton();
-        let mut more_apps = attached.clone();
+    fn a_grown_or_shrunk_problem_decides_like_a_fresh_placer() {
+        let base = green_and_dirty_problem(30.0);
+        let mut more_apps = base.clone();
         more_apps.apps.push(more_apps.apps[0].clone());
-        let mut fewer_servers = attached.clone();
+        let mut fewer_servers = base.clone();
         fewer_servers.servers.pop();
-        for p in [more_apps, fewer_servers] {
-            for placer in [
-                IncrementalPlacer::new(PlacementPolicy::CarbonAware),
-                IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),
-            ] {
+        for placer in [
+            IncrementalPlacer::new(PlacementPolicy::CarbonAware),
+            IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),
+        ] {
+            placer.place(&base).unwrap();
+            for p in [&more_apps, &fewer_servers, &base] {
+                let everywhere = vec![Some(0); p.apps.len()];
+                assert_eq!(placer.place(p), placer.clone().place(p));
                 assert_eq!(
-                    placer.place(&p).unwrap_err(),
-                    PlacementError::SkeletonMismatch
+                    placer.objective_of(p, &everywhere),
+                    placer.clone().objective_of(p, &everywhere)
                 );
-                assert_eq!(placer.objective_of(&p, &vec![Some(0); p.apps.len()]), None);
             }
         }
+    }
+
+    /// Decides `problem` on `placer` and checks the decision against a fresh
+    /// placer's: the assignment, the carbon, energy and latency bits and
+    /// `exact`.  Returns the assignment.
+    fn decides_like_a_fresh_placer(
+        placer: &IncrementalPlacer,
+        problem: &PlacementProblem,
+        case: &str,
+    ) -> Vec<Option<usize>> {
+        let key = |d: PlacementDecision| {
+            let bits = [d.total_carbon_g, d.total_energy_j, d.mean_latency_ms].map(f64::to_bits);
+            (d.assignment, bits, d.exact)
+        };
+        let fresh = key(placer.clone().place(problem).unwrap());
+        let reused = key(placer.place(problem).unwrap());
+        assert_eq!(reused, fresh, "{case}");
+        reused.0
+    }
+
+    #[test]
+    fn a_placer_reuses_only_a_bit_identical_deployment() {
+        // One ResNet50 application at a dirty server (0) with a green one
+        // (1) about 330 km east: within a 15 ms SLO, with room for 20 rps
+        // and a 350 MB image but not for 40 rps or a 520 MB YOLOv4 image,
+        // and too costly to power on.  Every change but the sign of a zero
+        // and the equal cache moves the application to the dirty server,
+        // so a placer that kept the old skeleton or rows would not.
+        let home = Coordinates::new(47.0, 0.0);
+        let servers = vec![
+            ServerSnapshot::new(0, 0, ZoneId(0), DeviceKind::A2, home).with_carbon_intensity(550.0),
+            ServerSnapshot::new(1, 1, ZoneId(1), DeviceKind::A2, Coordinates::new(47.0, 4.4))
+                .with_carbon_intensity(45.0)
+                .with_available(ResourceDemand::new(0.5, 400.0, 1000.0)),
+        ];
+        let app = Application::new(AppId(0), ModelKind::ResNet50, 20.0, 15.0, home, 0);
+        let mut base = PlacementProblem::new(servers, vec![app], 1.0)
+            .with_latency_model(LatencyModel::deterministic());
+        base.servers[1].base_power_w = 100_000.0;
+        let changed = |change: &dyn Fn(&mut PlacementProblem)| {
+            let mut p = base.clone();
+            change(&mut p);
+            p
+        };
+
+        // Jittered latencies: two seeds put the green server on either side
+        // of the SLO.
+        let jittered = |seed| LatencyModel {
+            seed,
+            ..LatencyModel::default()
+        };
+        let green_rtt = |seed| {
+            base.clone()
+                .with_latency_model(jittered(seed))
+                .latency_ms(0, 1)
+        };
+        let (near, far) = if green_rtt(1) < green_rtt(2) {
+            (1, 2)
+        } else {
+            (2, 1)
+        };
+        assert!(green_rtt(near) < green_rtt(far));
+        let mut near_seed = base.clone().with_latency_model(jittered(near));
+        near_seed.apps[0].latency_slo_ms = (green_rtt(near) + green_rtt(far)) / 2.0;
+        let mut far_seed = near_seed.clone();
+        far_seed.latency_model.seed = far;
+
+        // Latency caches: the green server within the SLO, or beyond it.
+        let cache = |green_ms| {
+            Arc::new(PairLatencyCache::new(
+                vec![0],
+                vec![0, 1],
+                vec![0.3, green_ms],
+                2,
+            ))
+        };
+        let within = base.clone().with_latency_cache(cache(9.0));
+        let beyond = base.clone().with_latency_cache(cache(20.0));
+        let within_again = base.clone().with_latency_cache(cache(9.0));
+
+        let (green, dirty) = (vec![Some(1)], vec![Some(0)]);
+        let cases = [
+            (
+                "rate",
+                &base,
+                changed(&|p| p.apps[0].request_rate_rps = 40.0),
+                &dirty,
+            ),
+            (
+                "SLO",
+                &base,
+                changed(&|p| p.apps[0].latency_slo_ms = 5.0),
+                &dirty,
+            ),
+            (
+                "model",
+                &base,
+                changed(&|p| p.apps[0].model = ModelKind::YoloV4),
+                &dirty,
+            ),
+            (
+                "origin",
+                &base,
+                changed(&|p| p.apps[0].origin.lon = -6.0),
+                &dirty,
+            ),
+            (
+                "-0.0 origin",
+                &base,
+                changed(&|p| p.apps[0].origin.lon = -0.0),
+                &green,
+            ),
+            (
+                "device",
+                &base,
+                changed(&|p| p.servers[1].device = DeviceKind::XeonCpu),
+                &dirty,
+            ),
+            (
+                "location",
+                &base,
+                changed(&|p| p.servers[1].location.lon = 10.0),
+                &dirty,
+            ),
+            ("latency seed", &near_seed, far_seed, &dirty),
+            ("latency cache", &base, beyond.clone(), &dirty),
+            ("other latency cache", &within, beyond, &dirty),
+            ("equal latency cache", &within, within_again, &green),
+            (
+                "capacity",
+                &base,
+                changed(&|p| p.servers[1].available.compute = 0.2),
+                &dirty,
+            ),
+            (
+                "power state",
+                &base,
+                changed(&|p| p.servers[1].powered_on = false),
+                &dirty,
+            ),
+        ];
         let placer = IncrementalPlacer::new(PlacementPolicy::CarbonAware);
-        assert_eq!(
-            placer.place(&attached).unwrap(),
-            placer.place(&green_and_dirty_problem(30.0)).unwrap()
-        );
+        assert!(placer.place(&base).unwrap().exact);
+        for (case, before, after, expected) in &cases {
+            assert_eq!(
+                decides_like_a_fresh_placer(&placer, before, case),
+                green,
+                "{case}"
+            );
+            assert_eq!(
+                &decides_like_a_fresh_placer(&placer, after, case),
+                *expected,
+                "{case}"
+            );
+            assert_eq!(
+                decides_like_a_fresh_placer(&placer, before, case),
+                green,
+                "{case}"
+            );
+        }
     }
 
     #[test]

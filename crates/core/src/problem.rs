@@ -331,8 +331,11 @@ impl PairLatencyCache {
 /// It reads the applications, the servers' devices and locations, and the
 /// latency model or cache, and nothing else: server intensities, capacities
 /// and power states, `epoch_hours` and the incumbent `state` may change
-/// under an attached skeleton, and each decision prices its pairs afresh.
-/// [`PlacementProblem::with_skeleton`] attaches one.
+/// between decisions on one skeleton, and each decision prices its pairs
+/// afresh.  [`crate::IncrementalPlacer`] keeps the skeleton of the
+/// deployment it decided last and reuses it for the next problem whose
+/// inputs that the skeleton reads are bit-identical, so a caller that
+/// decides one deployment again and again builds it once.
 #[derive(Debug, Clone)]
 pub struct PlacementSkeleton {
     pairs: CandidatePairs,
@@ -449,12 +452,6 @@ impl PlacementSkeleton {
         &self.invalid_apps
     }
 
-    /// Whether the skeleton was built for this many applications and
-    /// servers.
-    pub(crate) fn covers(&self, apps: usize, servers: usize) -> bool {
-        self.pairs.num_apps() == apps && self.pairs.num_servers() == servers
-    }
-
     /// Heap bytes the skeleton holds.
     pub fn bytes(&self) -> usize {
         self.pairs.bytes()
@@ -485,9 +482,6 @@ pub struct PlacementProblem {
     /// Optional precomputed pair latencies (see [`PairLatencyCache`]);
     /// `None` computes every lookup from the latency model.
     pub latency_cache: Option<Arc<PairLatencyCache>>,
-    /// The skeleton attached by [`Self::with_skeleton`]; `None` builds a
-    /// fresh one per placement call.
-    pub(crate) skeleton: Option<Arc<PlacementSkeleton>>,
 }
 
 impl PlacementProblem {
@@ -500,7 +494,6 @@ impl PlacementProblem {
             latency_model: LatencyModel::default(),
             state: None,
             latency_cache: None,
-            skeleton: None,
         }
     }
 
@@ -517,17 +510,6 @@ impl PlacementProblem {
         if cache.covers(self.apps.len(), self.servers.len()) {
             self.latency_cache = Some(cache);
         }
-        self
-    }
-
-    /// Builds this problem's [`PlacementSkeleton`] and attaches it, so that
-    /// every later placement call prices the skeleton's pairs instead of
-    /// finding them again.  Attach it after the latency model and cache.
-    /// Change no application, server device or location afterwards: a
-    /// placement call rejects a skeleton whose application or server count
-    /// no longer matches, and cannot detect any other change.
-    pub fn with_skeleton(mut self) -> Self {
-        self.skeleton = Some(Arc::new(PlacementSkeleton::new(&self)));
         self
     }
 
@@ -598,40 +580,51 @@ impl PlacementProblem {
 
     /// Total carbon (Eq. 6) of a full assignment: operational carbon of every
     /// placed application plus activation carbon of every newly powered-on
-    /// server.  Returns `None` if any assignment refers to an infeasible pair.
+    /// server.  Returns `None` if any assignment refers to an infeasible
+    /// pair, places an application outside the batch or names a server
+    /// outside the problem.
     pub fn total_carbon_g(&self, assignment: &[Option<usize>]) -> Option<f64> {
-        let mut total = 0.0;
-        let mut newly_on = vec![false; self.servers.len()];
-        for (i, a) in assignment.iter().enumerate() {
-            let Some(j) = a else { continue };
-            total += self.operational_carbon_g(i, *j)?;
-            if !self.servers[*j].powered_on {
-                newly_on[*j] = true;
-            }
-        }
-        for (j, on) in newly_on.iter().enumerate() {
-            if *on {
-                total += self.activation_carbon_g(j);
-            }
-        }
-        Some(total)
+        self.assignment_total(
+            assignment,
+            |i, j| self.operational_carbon_g(i, j),
+            |j| self.activation_carbon_g(j),
+        )
     }
 
     /// Total energy of a full assignment in joules (operational energy of
     /// placed applications plus base energy of newly activated servers).
+    /// Returns `None` in the cases [`Self::total_carbon_g`] does.
     pub fn total_energy_j(&self, assignment: &[Option<usize>]) -> Option<f64> {
+        self.assignment_total(
+            assignment,
+            |i, j| self.energy_j(i, j),
+            |j| self.activation_energy_j(j),
+        )
+    }
+
+    /// `pair(i, j)` summed over the placed entries of `assignment`, in
+    /// order, then `activation(j)` over the servers it newly powers on.
+    fn assignment_total(
+        &self,
+        assignment: &[Option<usize>],
+        pair: impl Fn(usize, usize) -> Option<f64>,
+        activation: impl Fn(usize) -> f64,
+    ) -> Option<f64> {
         let mut total = 0.0;
         let mut newly_on = vec![false; self.servers.len()];
         for (i, a) in assignment.iter().enumerate() {
-            let Some(j) = a else { continue };
-            total += self.energy_j(i, *j)?;
-            if !self.servers[*j].powered_on {
-                newly_on[*j] = true;
+            let Some(j) = *a else { continue };
+            if i >= self.apps.len() || j >= self.servers.len() {
+                return None;
+            }
+            total += pair(i, j)?;
+            if !self.servers[j].powered_on {
+                newly_on[j] = true;
             }
         }
         for (j, on) in newly_on.iter().enumerate() {
             if *on {
-                total += self.activation_energy_j(j);
+                total += activation(j);
             }
         }
         Some(total)
@@ -757,6 +750,20 @@ mod tests {
         let on_green = p.total_carbon_g(&[Some(1)]).unwrap();
         let expected = p.operational_carbon_g(0, 1).unwrap() + p.activation_carbon_g(1);
         assert!((on_green - expected).abs() < 1e-9);
+    }
+
+    #[test]
+    fn totals_of_an_assignment_outside_the_problem_are_none() {
+        let p = PlacementProblem::new(servers(), vec![app(30.0)], 1.0);
+        for outside in [&[Some(99)][..], &[Some(0), Some(0)], &[None, Some(1)]] {
+            assert_eq!(p.total_carbon_g(outside), None, "{outside:?}");
+            assert_eq!(p.total_energy_j(outside), None, "{outside:?}");
+        }
+        // An unplaced entry past the batch places nothing.
+        assert_eq!(
+            p.total_carbon_g(&[Some(0), None]),
+            p.total_carbon_g(&[Some(0)])
+        );
     }
 
     #[test]

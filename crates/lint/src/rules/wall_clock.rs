@@ -2,11 +2,13 @@
 //!
 //! The bug class: the repo's core promise is bit-identical results across
 //! job counts, warm/cold solver paths, and prepped/cold sweeps.  Anything in
-//! `sim`/`solver`/`sweep` that reads `Instant::now`, `SystemTime` or the
-//! CPU count (`available_parallelism`, or the rayon calls that read it on
-//! every use) has, by construction, an input that differs run to run — a
-//! time-based tolerance, a load-dependent heuristic, a CPU-count-dependent
-//! grid — and the determinism contract dies quietly.
+//! `core`/`grid`/`sim`/`solver`/`sweep` that reads `Instant::now`,
+//! `SystemTime` or the CPU count (`available_parallelism`, or the rayon
+//! calls that read it on every use) has, by construction, an input that
+//! differs run to run — a time-based tolerance, a load-dependent heuristic,
+//! a CPU-count-dependent grid — and the determinism contract dies quietly.
+//! `core` holds the placer and the deployment it keeps between decisions,
+//! and `grid`'s forecasters compute the intensities each decision prices.
 //! Timing and topology belong to the observer crates (`bench`, the
 //! `experiments` binary), which stamp measurements *onto* results after the
 //! deterministic engine produced them.
@@ -55,11 +57,13 @@ impl Rule for WallClock {
     }
 
     fn summary(&self) -> &'static str {
-        "sim/solver/sweep must not read Instant/SystemTime or the CPU count"
+        "core/grid/sim/solver/sweep must not read Instant/SystemTime or the CPU count"
     }
 
     fn applies_to(&self, path: &str) -> bool {
-        path.starts_with("crates/sim/src/")
+        path.starts_with("crates/core/src/")
+            || path.starts_with("crates/grid/src/")
+            || path.starts_with("crates/sim/src/")
             || path.starts_with("crates/solver/src/")
             || path.starts_with("crates/sweep/src/")
     }

@@ -43,6 +43,12 @@ const CASES: &[(&str, &str, &str, &str)] = &[
         "crates/sweep/src/fx.rs",
     ),
     (
+        "wall-clock",
+        "wall_clock_fire.rs",
+        "wall_clock_clean.rs",
+        "crates/core/src/fx.rs",
+    ),
+    (
         "unit-hygiene",
         "unit_hygiene_fire.rs",
         "unit_hygiene_clean.rs",

@@ -708,15 +708,17 @@ impl CdnSimulator {
     /// `Aggregate` has no serving engine and `EventLevel` passes an infinite
     /// threshold, so both decide once per epoch.  Each decision re-prices one
     /// problem over the epoch-invariant deployment, with the previous
-    /// assignment as its [`PlacementState`].  The problem's placement
-    /// skeleton (each application's feasible servers, the pairs' demands,
-    /// energies and latencies, and the per-server pair index; see
-    /// [`PlacementProblem::with_skeleton`]) is built once per run, and lives
-    /// only as long as the run: between decisions only the server
-    /// intensities, `epoch_hours` and the state change, and the skeleton
-    /// reads none of them, so a decision only prices its pairs.  It is
-    /// built per run rather than per cached `ScenarioPrep` so that a sweep
-    /// keeps one skeleton per worker alive, not one per deployment.
+    /// assignment as its [`PlacementState`].  Between decisions only the
+    /// server intensities, `epoch_hours` and the state change, and the
+    /// placer's resident deployment (its placement skeleton: each
+    /// application's feasible servers, the pairs' demands, energies and
+    /// latencies, and the per-server pair index) reads none of them, so
+    /// the placer builds the skeleton on the run's first decision and every
+    /// later decision only prices its pairs.  The prep's latency cache is
+    /// shared by every run on it, so the next run on the same deployment —
+    /// a sweep worker's next policy cell — reuses the skeleton too.  A
+    /// placer holds one deployment, so a sweep keeps one skeleton per
+    /// worker alive, not one per cached `ScenarioPrep`.
     /// Migration terms are folded into
     /// the costs, never into the constraint matrix, so an exact-path placer
     /// warm-restarts every re-solve from the previous optimal basis
@@ -738,8 +740,7 @@ impl CdnSimulator {
             .then(|| self.build_serving_engine());
         let mut problem = PlacementProblem::new(prep.servers.clone(), prep.apps.clone(), 1.0)
             .with_latency_model(self.latency_model.clone())
-            .with_latency_cache(Arc::clone(&prep.latency))
-            .with_skeleton();
+            .with_latency_cache(Arc::clone(&prep.latency));
         let deployed = !prep.apps.is_empty() && !prep.servers.is_empty();
 
         let mut outcome = PolicyOutcome::default();

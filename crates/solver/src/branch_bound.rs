@@ -24,13 +24,16 @@
 //! The workspace persists inside the solver behind a mutex, so successive
 //! `solve` calls — e.g. the per-epoch placements of
 //! `carbonedge_core::IncrementalPlacer` — reuse all buffers without
-//! reallocating.  The resident basis is reused only when it was loaded for
-//! the same route and the same structure (matrix, right-hand sides and
-//! bounds of the full model or of the master view); any other solve
-//! reloads it cold.
+//! reallocating.  It also keeps the structure of the last model it
+//! classified (every variable kind and every row, compared exactly) with
+//! the block structure found for it, so a structurally identical model
+//! skips classification.  The resident basis is reused only when it was
+//! loaded for the same route and the same structure (matrix, right-hand
+//! sides and bounds of the full model or of the master view); any other
+//! solve reloads it cold.
 
 use crate::decomp::{self, BlockStructure};
-use crate::model::Model;
+use crate::model::{Comparison, Model, VarId, VarKind};
 use crate::simplex::{LpOutcome, Prepared, SimplexSolver, SimplexWorkspace};
 use std::collections::BinaryHeap;
 use std::sync::{Mutex, MutexGuard};
@@ -224,6 +227,59 @@ pub(crate) struct MilpWorkspace {
     /// (numerically different) eta-file state could land on another tie.
     last_solution: Option<MilpSolution>,
     last_max_nodes: usize,
+    /// The last model [`BranchBoundSolver::solve`] classified and what it
+    /// found.  Taken out for the duration of a solve, so a solve that
+    /// panics leaves `None` and the next one classifies afresh.
+    classified: Option<Classified>,
+}
+
+/// The structure of a classified model — every variable kind and every
+/// row's sense, right-hand side and terms, all but the objective — with
+/// whether decomposition was tried on it and the block structure found.
+/// Floats compare with `==`, as [`Prepared::matches_structure`] compares
+/// them, so a NaN never matches.
+#[derive(Debug, Default)]
+struct Classified {
+    vars: Vec<VarKind>,
+    /// Per row: its sense, right-hand side and the end of its terms.
+    rows: Vec<(Comparison, f64, usize)>,
+    terms: Vec<(VarId, f64)>,
+    tried: bool,
+    structure: Option<BlockStructure>,
+}
+
+impl Classified {
+    /// Whether `model` has exactly this structure and decomposition would
+    /// be tried on it (`tried`) exactly when it was tried here.
+    fn matches(&self, model: &Model, tried: bool) -> bool {
+        let mut start = 0;
+        self.tried == tried
+            && self.vars == model.vars()
+            && self.rows.len() == model.num_constraints()
+            && self
+                .rows
+                .iter()
+                .zip(model.constraints())
+                .all(|(&(cmp, rhs, end), c)| {
+                    let terms = &self.terms[start..end];
+                    start = end;
+                    c.cmp == cmp && c.rhs == rhs && c.expr.terms == terms
+                })
+    }
+
+    /// Records `model`'s structure, reusing the buffers.
+    fn record(&mut self, model: &Model, tried: bool, structure: Option<BlockStructure>) {
+        self.vars.clear();
+        self.vars.extend_from_slice(model.vars());
+        self.rows.clear();
+        self.terms.clear();
+        for c in model.constraints() {
+            self.terms.extend_from_slice(&c.expr.terms);
+            self.rows.push((c.cmp, c.rhs, self.terms.len()));
+        }
+        self.tried = tried;
+        self.structure = structure;
+    }
 }
 
 impl MilpWorkspace {
@@ -284,11 +340,14 @@ pub struct BranchBoundSolver {
 /// whose bound is within it of the incumbent cannot improve on it.
 const TOLERANCE: f64 = 1e-6;
 
-/// Default [`BranchBoundSolver::decomp_min_vars`]: comfortably above the
-/// exact-path placement models (`IncrementalPlacer` caps those at ~46
-/// variables).  Below it the linking rows are few enough that the
-/// monolithic warm-restart machinery wins; at or above it the row count is
-/// dominated by `x ≤ y` links the decomposition master drops entirely.
+/// Default [`BranchBoundSolver::decomp_min_vars`]: above the testbed-scale
+/// placement models `IncrementalPlacer`'s default exact limit admits (at
+/// most 40 pairs, so at most ~46 variables), below the corridor-scale
+/// models a raised limit sends to the exact path (291 variables at 60
+/// applications × 15 servers, 1,026 at 200 × 50).  Below it the linking
+/// rows are few enough that the monolithic warm-restart machinery wins; at
+/// or above it the row count is dominated by `x ≤ y` links the
+/// decomposition master drops entirely.
 pub const DECOMP_MIN_VARS: usize = 256;
 
 impl Default for BranchBoundSolver {
@@ -350,11 +409,14 @@ impl BranchBoundSolver {
         best.map(|(i, _)| i)
     }
 
-    /// Drops the internal workspace's resident basis so the next solve
-    /// cold-starts from a canonical state (allocations are kept).  Callers
-    /// that interleave solves of *different* problem streams — e.g. a sweep
-    /// worker moving to another cell — use this to keep results independent
-    /// of which stream a worker happened to serve before.
+    /// Drops the internal workspace's resident basis and memoized result so
+    /// the next solve cold-starts from a canonical state (allocations are
+    /// kept).  Callers that interleave solves of *different* problem
+    /// streams — e.g. a sweep worker moving to another cell — use this to
+    /// keep results independent of which stream a worker happened to serve
+    /// before.  The classified structure stays: it describes the model,
+    /// not the start, so a cold solve of the same structure still skips
+    /// classification.
     pub fn discard_warm_start(&self) {
         let mut ws = self.lock();
         ws.loaded = false;
@@ -367,20 +429,27 @@ impl BranchBoundSolver {
     /// Large models with the placement block structure are searched over
     /// the decomposition master, which drops the `x ≤ y` linking rows
     /// outright; every other model is searched monolithically as given.
-    /// When the model has the same constraint matrix, right-hand sides and
-    /// bounds as the previous solve on the same route, the resident simplex
-    /// basis is reused: identical costs return the memoized result, changed
-    /// costs restart primal phase-2 from the old optimum — the repeated
+    /// The model is first compared with the last one classified: when every
+    /// variable kind and row is the same and the same
+    /// [`Self::decomp_min_vars`] test holds, its block structure is reused
+    /// without running [`BlockStructure::detect`] again.  When the model
+    /// has the same constraint matrix, right-hand sides and bounds as the
+    /// previous solve on the same route, the resident simplex basis is
+    /// reused: identical costs return the memoized result, changed costs
+    /// restart primal phase-2 from the old optimum — the repeated
     /// re-optimization pattern of a placement service re-solving as carbon
     /// intensities shift epoch to epoch.
     pub fn solve(&self, model: &Model) -> MilpSolution {
-        let structure = if model.num_vars() >= self.decomp_min_vars {
-            BlockStructure::detect(model)
-        } else {
-            None
-        };
+        let tried = model.num_vars() >= self.decomp_min_vars;
         let mut ws = self.lock();
-        let solution = self.search(model, structure.as_ref(), &mut ws);
+        let mut classified = ws.classified.take().unwrap_or_default();
+        let known = classified.matches(model, tried);
+        if !known {
+            let structure = tried.then(|| BlockStructure::detect(model)).flatten();
+            classified.record(model, tried, structure);
+        }
+        let solution = self.search(model, classified.structure.as_ref(), known, &mut ws);
+        ws.classified = Some(classified);
         ws.accumulated_pivots += solution.pivots;
         ws.accumulated_factor.refactorizations += solution.factor.refactorizations;
         ws.accumulated_factor.peak_eta_len = ws
@@ -441,17 +510,23 @@ impl BranchBoundSolver {
     /// block `structure`, over the decomposition master.  The two routes
     /// differ only in the node LP: one simplex solve, or column generation
     /// ([`decomp::node_lp`]) whose integer candidates are still verified
-    /// against the full model, linking rows included.
+    /// against the full model, linking rows included.  `known` says the
+    /// model has the structure of the previous solve's, so a loaded
+    /// workspace already matches its view.
     fn search(
         &self,
         model: &Model,
         structure: Option<&BlockStructure>,
+        known: bool,
         ws: &mut MilpWorkspace,
     ) -> MilpSolution {
         let decomposed = structure.is_some();
         let mask = structure.map_or(&[][..], |s| &s.linking[..]);
         let mut stats = DecompStats::default();
-        if ws.loaded && ws.decomposed == decomposed && ws.prep.matches_structure(model, mask) {
+        if ws.loaded
+            && ws.decomposed == decomposed
+            && (known || ws.prep.matches_structure(model, mask))
+        {
             if ws.prep.refresh_costs(model) {
                 ws.simplex.invalidate_duals();
                 ws.last_solution = None;

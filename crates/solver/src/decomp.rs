@@ -795,6 +795,48 @@ mod tests {
         assert!(approx(auto.objective, forced.objective));
     }
 
+    #[test]
+    fn a_changed_linking_row_is_classified_again() {
+        // The second model differs from the first in its last row only: the
+        // link of app 2's server-1 column moves from `y_1` to `y_0`, which no
+        // capacity row implies, so the second model does not decompose.
+        // Both models have the same master view, so only a comparison of
+        // every row tells them apart.
+        let costs: &[&[Option<f64>]] = &[
+            &[Some(3.0), Some(1.0)],
+            &[Some(2.0), Some(3.0)],
+            &[Some(1.0), Some(2.0)],
+        ];
+        let first = placement_model(costs, 1.0, 2.0, &[1.0, 1.0], &[false, false]);
+        let last = first.num_constraints() - 1;
+        let y0 = VarId(first.num_vars() - 2);
+        let mut second = Model::new();
+        for (j, &cost) in first.objective().iter().enumerate() {
+            let v = second.add_binary();
+            second.set_objective_term(v, cost);
+            assert_eq!(v, VarId(j));
+        }
+        for (r, c) in first.constraints().iter().enumerate() {
+            let mut expr = c.expr.clone();
+            if r == last {
+                expr.terms[1].0 = y0;
+            }
+            second.add_constraint(expr, c.cmp, c.rhs);
+        }
+        assert!(BlockStructure::detect(&first).is_some());
+        assert!(BlockStructure::detect(&second).is_none());
+
+        let solver = forced_decomp();
+        assert!(solver.solve(&first).decomp.is_some());
+        let reused = solver.solve(&second);
+        let fresh = forced_decomp().solve(&second);
+        assert_eq!(reused.outcome, fresh.outcome);
+        assert_eq!(reused.objective.to_bits(), fresh.objective.to_bits());
+        assert_eq!(reused.values, fresh.values);
+        assert_eq!(reused.decomp, None);
+        assert_eq!(fresh.decomp, None);
+    }
+
     /// Four apps on three servers, unit demands, capacity 2 per server and
     /// `costs` per app: capacity rows but no activation variables, so
     /// `detect` accepts the model with no linking rows to drop.

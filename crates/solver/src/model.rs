@@ -175,6 +175,12 @@ impl Model {
         self.objective[var.index()] += coeff;
     }
 
+    /// Resets every objective coefficient to zero, keeping the variables
+    /// and constraints.
+    pub fn clear_objective(&mut self) {
+        self.objective.fill(0.0);
+    }
+
     /// Adds a constraint; returns its index.
     pub fn add_constraint(&mut self, expr: LinearExpr, cmp: Comparison, rhs: f64) -> usize {
         self.constraints.push(Constraint { expr, cmp, rhs });
@@ -296,6 +302,15 @@ mod tests {
         m.set_objective_term(v, 1.5);
         m.set_objective_term(v, 2.5);
         assert_eq!(m.objective(), &[4.0]);
+    }
+
+    #[test]
+    fn clearing_the_objective_keeps_variables_and_rows() {
+        let mut m = knapsack_model();
+        m.clear_objective();
+        assert_eq!(m.objective(), &[0.0, 0.0]);
+        assert_eq!((m.num_vars(), m.num_constraints()), (2, 1));
+        assert_eq!(knapsack_model().constraints(), m.constraints());
     }
 
     #[test]
