@@ -46,12 +46,11 @@
 
 use crate::policy::PlacementPolicy;
 use crate::problem::{PairLatencyCache, PlacementProblem, PlacementSkeleton, PlacementState};
-use carbonedge_geo::Coordinates;
 use carbonedge_net::LatencyModel;
 use carbonedge_solver::{
     AssignmentProblem, BranchBoundSolver, Comparison, LinearExpr, MilpOutcome, Model, VarId,
 };
-use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind};
+use carbonedge_workload::Application;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -198,130 +197,100 @@ impl Clone for IncrementalPlacer {
     }
 }
 
-/// The deployment an [`IncrementalPlacer`] decided last: its structural
-/// inputs, the skeleton built from them and, after an exact decision, the
-/// MILP rows built on that skeleton.
+/// The deployment an [`IncrementalPlacer`] decided last: its
+/// [`deployment_words`] and latency cache, the skeleton built from them
+/// and, after an exact decision, the MILP rows built on that skeleton.
+/// The cache is compared by address and held here, so that its address
+/// cannot be reused while a comparison depends on it.
 #[derive(Debug)]
 struct Resident {
-    deployment: Deployment,
+    words: Vec<u64>,
+    latency_cache: Option<Arc<PairLatencyCache>>,
     skeleton: Arc<PlacementSkeleton>,
     rows: Option<ResidentRows>,
 }
 
-/// Everything [`PlacementSkeleton::new`] reads from a problem: every
-/// application field, each server's device and location, the latency model
-/// and the latency cache.  Floats are kept as their bits, so `0.0` and
-/// `-0.0` differ and a NaN matches only its own bits; the cache is compared
-/// by address, and held here so that its address cannot be reused while a
-/// comparison depends on it.
+impl Resident {
+    /// Whether `problem` has exactly this deployment's structural inputs.
+    fn matches(&self, problem: &PlacementProblem) -> bool {
+        let same_cache = match (&self.latency_cache, &problem.latency_cache) {
+            (Some(kept), Some(cache)) => Arc::ptr_eq(kept, cache),
+            (None, None) => true,
+            _ => false,
+        };
+        same_cache && self.words.iter().copied().eq(deployment_words(problem))
+    }
+}
+
+/// The MILP rows kept with the resident skeleton, with the
+/// [`row_words`] they were built for.
 #[derive(Debug)]
-struct Deployment {
-    apps: Vec<AppKey>,
-    servers: Vec<(DeviceKind, [u64; 2])>,
-    latency_model: [u64; 4],
-    latency_cache: Option<Arc<PairLatencyCache>>,
+struct ResidentRows {
+    words: Vec<u64>,
+    model: PlacementModel,
 }
 
-/// An application's fields, floats as bits: id, model, origin site, then
-/// request rate, SLO and origin latitude and longitude.
-type AppKey = (AppId, ModelKind, usize, [u64; 4]);
-
-fn app_key(app: &Application) -> AppKey {
-    let Application {
-        id,
-        model,
-        request_rate_rps,
-        latency_slo_ms,
-        origin,
-        origin_site,
-    } = app;
-    let [lat, lon] = location_bits(origin);
-    (
-        *id,
-        *model,
-        *origin_site,
-        [
-            request_rate_rps.to_bits(),
-            latency_slo_ms.to_bits(),
-            lat,
-            lon,
-        ],
-    )
-}
-
-fn location_bits(location: &Coordinates) -> [u64; 2] {
-    let Coordinates { lat, lon } = location;
-    [lat.to_bits(), lon.to_bits()]
-}
-
-fn latency_model_bits(model: &LatencyModel) -> [u64; 4] {
+/// Everything [`PlacementSkeleton::new`] reads from `problem` apart from
+/// the latency cache, as words: the application and server counts, the
+/// latency model, every application field, and each server's device and
+/// location.  Floats are their bits, so `0.0` and `-0.0` differ and a NaN
+/// matches only its own bits.
+fn deployment_words(problem: &PlacementProblem) -> impl Iterator<Item = u64> + '_ {
     let LatencyModel {
         access_delay_ms,
         routing_inflation,
         jitter_fraction,
         seed,
-    } = model;
-    [
+    } = &problem.latency_model;
+    let head = [
+        problem.apps.len() as u64,
+        problem.servers.len() as u64,
         access_delay_ms.to_bits(),
         routing_inflation.to_bits(),
         jitter_fraction.to_bits(),
         *seed,
-    ]
+    ];
+    let apps = problem.apps.iter().flat_map(|app| {
+        let Application {
+            id,
+            model,
+            request_rate_rps,
+            latency_slo_ms,
+            origin,
+            origin_site,
+        } = app;
+        [
+            id.0 as u64,
+            *model as u64,
+            request_rate_rps.to_bits(),
+            latency_slo_ms.to_bits(),
+            origin.lat.to_bits(),
+            origin.lon.to_bits(),
+            *origin_site as u64,
+        ]
+    });
+    let servers = problem.servers.iter().flat_map(|server| {
+        [
+            server.device as u64,
+            server.location.lat.to_bits(),
+            server.location.lon.to_bits(),
+        ]
+    });
+    head.into_iter().chain(apps).chain(servers)
 }
 
-impl Deployment {
-    fn of(problem: &PlacementProblem) -> Self {
-        Self {
-            apps: problem.apps.iter().map(app_key).collect(),
-            servers: problem
-                .servers
-                .iter()
-                .map(|s| (s.device, location_bits(&s.location)))
-                .collect(),
-            latency_model: latency_model_bits(&problem.latency_model),
-            latency_cache: problem.latency_cache.clone(),
-        }
-    }
-
-    /// Whether `problem` has exactly this deployment's structural inputs.
-    fn matches(&self, problem: &PlacementProblem) -> bool {
-        let same_cache = match (&self.latency_cache, &problem.latency_cache) {
-            (Some(kept), Some(cache)) => Arc::ptr_eq(kept, cache),
-            (kept, cache) => kept.is_none() && cache.is_none(),
-        };
-        same_cache
-            && self.latency_model == latency_model_bits(&problem.latency_model)
-            && self.apps.len() == problem.apps.len()
-            && self.servers.len() == problem.servers.len()
-            && self
-                .apps
-                .iter()
-                .zip(&problem.apps)
-                .all(|(k, a)| *k == app_key(a))
-            && self
-                .servers
-                .iter()
-                .zip(&problem.servers)
-                .all(|(k, s)| *k == (s.device, location_bits(&s.location)))
-    }
-}
-
-/// The MILP rows of the resident deployment, with the only other inputs
-/// they read: each server's capacity (as bits) and power state.
-#[derive(Debug)]
-struct ResidentRows {
-    model: PlacementModel,
-    servers: Vec<([u64; 3], bool)>,
-}
-
-/// Each server's capacity bits and power state: what the MILP rows read
-/// beyond the skeleton.
-fn row_inputs(problem: &PlacementProblem) -> Vec<([u64; 3], bool)> {
-    problem
-        .servers
-        .iter()
-        .map(|s| (s.available.to_array().map(f64::to_bits), s.powered_on))
-        .collect()
+/// What the MILP rows read beyond the skeleton, as words: each server's
+/// capacity bits and power state.
+fn row_words(problem: &PlacementProblem) -> impl Iterator<Item = u64> + '_ {
+    problem.servers.iter().flat_map(|server| {
+        let [compute, memory, bandwidth] = server.available.to_array();
+        [
+            compute.to_bits(),
+            memory.to_bits(),
+            bandwidth.to_bits(),
+            u64::from(server.powered_on),
+        ]
+    })
 }
 
 impl IncrementalPlacer {
@@ -351,15 +320,14 @@ impl IncrementalPlacer {
     /// first, so two skeletons are never alive at once.
     fn skeleton_of(&self, problem: &PlacementProblem) -> Arc<PlacementSkeleton> {
         let mut resident = self.lock();
-        if let Some(kept) = resident.as_ref() {
-            if kept.deployment.matches(problem) {
-                return Arc::clone(&kept.skeleton);
-            }
+        if let Some(kept) = resident.as_ref().filter(|kept| kept.matches(problem)) {
+            return Arc::clone(&kept.skeleton);
         }
         *resident = None;
         let skeleton = Arc::new(PlacementSkeleton::new(problem));
         *resident = Some(Resident {
-            deployment: Deployment::of(problem),
+            words: deployment_words(problem).collect(),
+            latency_cache: problem.latency_cache.clone(),
             skeleton: Arc::clone(&skeleton),
             rows: None,
         });
@@ -680,13 +648,12 @@ impl IncrementalPlacer {
         pair_cost: &[f64],
         activation_cost: &[f64],
     ) -> Option<Vec<Option<usize>>> {
-        let servers = row_inputs(problem);
         let kept = self
             .lock()
             .as_mut()
             .filter(|resident| Arc::ptr_eq(&resident.skeleton, skeleton))
             .and_then(|resident| resident.rows.take())
-            .filter(|rows| rows.servers == servers);
+            .filter(|rows| rows.words.iter().copied().eq(row_words(problem)));
         let placement_model = match kept {
             Some(ResidentRows { mut model, .. }) => {
                 write_objective(&mut model, problem, pair_cost, activation_cost);
@@ -700,13 +667,15 @@ impl IncrementalPlacer {
             MilpOutcome::Optimal | MilpOutcome::Feasible
         )
         .then(|| placement_model.decode(&solution.values));
-        if let Some(resident) = self.lock().as_mut() {
-            if Arc::ptr_eq(&resident.skeleton, skeleton) {
-                resident.rows = Some(ResidentRows {
-                    model: placement_model,
-                    servers,
-                });
-            }
+        let mut resident = self.lock();
+        if let Some(resident) = resident
+            .as_mut()
+            .filter(|resident| Arc::ptr_eq(&resident.skeleton, skeleton))
+        {
+            resident.rows = Some(ResidentRows {
+                words: row_words(problem).collect(),
+                model: placement_model,
+            });
         }
         assignment
     }
@@ -821,8 +790,9 @@ fn write_objective(
 mod tests {
     use super::*;
     use crate::problem::{MigrationCost, ServerSnapshot};
+    use carbonedge_geo::Coordinates;
     use carbonedge_grid::ZoneId;
-    use carbonedge_workload::ResourceDemand;
+    use carbonedge_workload::{AppId, DeviceKind, ModelKind, ResourceDemand};
 
     fn green_and_dirty_problem(slo_ms: f64) -> PlacementProblem {
         let servers = vec![

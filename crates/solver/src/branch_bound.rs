@@ -33,7 +33,7 @@
 //! solve reloads it cold.
 
 use crate::decomp::{self, BlockStructure};
-use crate::model::{Comparison, Model, VarId, VarKind};
+use crate::model::{Constraint, Model, VarKind};
 use crate::simplex::{LpOutcome, Prepared, SimplexSolver, SimplexWorkspace};
 use std::collections::BinaryHeap;
 use std::sync::{Mutex, MutexGuard};
@@ -234,52 +234,16 @@ pub(crate) struct MilpWorkspace {
 }
 
 /// The structure of a classified model — every variable kind and every
-/// row's sense, right-hand side and terms, all but the objective — with
-/// whether decomposition was tried on it and the block structure found.
-/// Floats compare with `==`, as [`Prepared::matches_structure`] compares
-/// them, so a NaN never matches.
-#[derive(Debug, Default)]
+/// constraint, all but the objective — with whether decomposition was
+/// tried on it and the block structure found.  Floats compare with `==`,
+/// as [`Prepared::matches_structure`] compares them, so a NaN never
+/// matches.
+#[derive(Debug)]
 struct Classified {
     vars: Vec<VarKind>,
-    /// Per row: its sense, right-hand side and the end of its terms.
-    rows: Vec<(Comparison, f64, usize)>,
-    terms: Vec<(VarId, f64)>,
+    rows: Vec<Constraint>,
     tried: bool,
     structure: Option<BlockStructure>,
-}
-
-impl Classified {
-    /// Whether `model` has exactly this structure and decomposition would
-    /// be tried on it (`tried`) exactly when it was tried here.
-    fn matches(&self, model: &Model, tried: bool) -> bool {
-        let mut start = 0;
-        self.tried == tried
-            && self.vars == model.vars()
-            && self.rows.len() == model.num_constraints()
-            && self
-                .rows
-                .iter()
-                .zip(model.constraints())
-                .all(|(&(cmp, rhs, end), c)| {
-                    let terms = &self.terms[start..end];
-                    start = end;
-                    c.cmp == cmp && c.rhs == rhs && c.expr.terms == terms
-                })
-    }
-
-    /// Records `model`'s structure, reusing the buffers.
-    fn record(&mut self, model: &Model, tried: bool, structure: Option<BlockStructure>) {
-        self.vars.clear();
-        self.vars.extend_from_slice(model.vars());
-        self.rows.clear();
-        self.terms.clear();
-        for c in model.constraints() {
-            self.terms.extend_from_slice(&c.expr.terms);
-            self.rows.push((c.cmp, c.rhs, self.terms.len()));
-        }
-        self.tried = tried;
-        self.structure = structure;
-    }
 }
 
 impl MilpWorkspace {
@@ -442,12 +406,16 @@ impl BranchBoundSolver {
     pub fn solve(&self, model: &Model) -> MilpSolution {
         let tried = model.num_vars() >= self.decomp_min_vars;
         let mut ws = self.lock();
-        let mut classified = ws.classified.take().unwrap_or_default();
-        let known = classified.matches(model, tried);
-        if !known {
-            let structure = tried.then(|| BlockStructure::detect(model)).flatten();
-            classified.record(model, tried, structure);
-        }
+        let kept = ws.classified.take().filter(|kept| {
+            kept.tried == tried && kept.vars == model.vars() && kept.rows == model.constraints()
+        });
+        let known = kept.is_some();
+        let classified = kept.unwrap_or_else(|| Classified {
+            vars: model.vars().to_vec(),
+            rows: model.constraints().to_vec(),
+            tried,
+            structure: tried.then(|| BlockStructure::detect(model)).flatten(),
+        });
         let solution = self.search(model, classified.structure.as_ref(), known, &mut ws);
         ws.classified = Some(classified);
         ws.accumulated_pivots += solution.pivots;
