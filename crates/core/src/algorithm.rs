@@ -11,9 +11,9 @@
 //!
 //! Steps 1–3 are embodied in [`crate::problem::PlacementProblem`]; this
 //! module performs steps 4–5.  Small instances are solved exactly by the
-//! generic branch-and-bound MILP; large instances use the regret-greedy +
-//! local-search assignment heuristic, which is how the framework scales to
-//! CDN-sized batches (Figure 17).
+//! generic branch-and-bound MILP; large instances use the regret-greedy
+//! assignment heuristic, which is how the framework scales to CDN-sized
+//! batches (Figure 17).
 //!
 //! A decision walks its feasible pairs only.  A [`PlacementSkeleton`]
 //! lists each application's latency- and hardware-feasible servers with
@@ -529,7 +529,9 @@ impl IncrementalPlacer {
                     activation_cost: &activation_cost,
                     open: &open,
                 };
-                let mut assignment = instance.solve().assignment;
+                let mut assignment = instance
+                    .solve()
+                    .expect("the placer builds every vector at the problem's size");
                 self.apply_move_hysteresis(problem, &instance, &mut assignment);
                 (assignment, false)
             }
@@ -560,7 +562,7 @@ impl IncrementalPlacer {
         Ok(PlacementDecision {
             total_carbon_g: problem.total_carbon_g(&assignment).unwrap_or(f64::NAN),
             total_energy_j: problem.total_energy_j(&assignment).unwrap_or(f64::NAN),
-            mean_latency_ms: problem.mean_latency_ms(&assignment),
+            mean_latency_ms: problem.mean_latency_ms(&assignment).unwrap_or(f64::NAN),
             assignment,
             newly_activated,
             unplaced,

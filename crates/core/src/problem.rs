@@ -630,18 +630,23 @@ impl PlacementProblem {
         Some(total)
     }
 
-    /// Mean round-trip latency of the placed applications, in ms.
-    pub fn mean_latency_ms(&self, assignment: &[Option<usize>]) -> f64 {
+    /// Mean round-trip latency of the placed applications, in ms (`0.0`
+    /// when none is placed).  Returns `None` when a placed entry's
+    /// application is outside the batch or its server outside the problem.
+    pub fn mean_latency_ms(&self, assignment: &[Option<usize>]) -> Option<f64> {
         let placed: Vec<f64> = assignment
             .iter()
             .enumerate()
-            .filter_map(|(i, a)| a.map(|j| self.latency_ms(i, j)))
-            .collect();
-        if placed.is_empty() {
+            .filter_map(|(i, a)| a.map(|j| (i, j)))
+            .map(|(i, j)| {
+                (i < self.apps.len() && j < self.servers.len()).then(|| self.latency_ms(i, j))
+            })
+            .collect::<Option<_>>()?;
+        Some(if placed.is_empty() {
             0.0
         } else {
             placed.iter().sum::<f64>() / placed.len() as f64
-        }
+        })
     }
 
     /// Number of applications and servers.
@@ -758,6 +763,7 @@ mod tests {
         for outside in [&[Some(99)][..], &[Some(0), Some(0)], &[None, Some(1)]] {
             assert_eq!(p.total_carbon_g(outside), None, "{outside:?}");
             assert_eq!(p.total_energy_j(outside), None, "{outside:?}");
+            assert_eq!(p.mean_latency_ms(outside), None, "{outside:?}");
         }
         // An unplaced entry past the batch places nothing.
         assert_eq!(
@@ -771,7 +777,7 @@ mod tests {
         let p = PlacementProblem::new(servers(), vec![app(30.0)], 1.0);
         assert_eq!(p.total_carbon_g(&[None]).unwrap(), 0.0);
         assert_eq!(p.total_energy_j(&[None]).unwrap(), 0.0);
-        assert_eq!(p.mean_latency_ms(&[None]), 0.0);
+        assert_eq!(p.mean_latency_ms(&[None]), Some(0.0));
     }
 
     #[test]
@@ -786,8 +792,8 @@ mod tests {
     fn mean_latency_of_local_placement_is_small() {
         let p = PlacementProblem::new(servers(), vec![app(30.0)], 1.0)
             .with_latency_model(LatencyModel::deterministic());
-        assert!(p.mean_latency_ms(&[Some(0)]) < 1.0);
-        assert!(p.mean_latency_ms(&[Some(1)]) > 3.0);
+        assert!(p.mean_latency_ms(&[Some(0)]).is_some_and(|ms| ms < 1.0));
+        assert!(p.mean_latency_ms(&[Some(1)]).is_some_and(|ms| ms > 3.0));
     }
 
     #[test]

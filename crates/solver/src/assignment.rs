@@ -7,28 +7,22 @@
 //! previously-off server adds its activation carbon.  For testbed-sized
 //! instances the generic branch-and-bound solver is exact; at CDN scale
 //! (hundreds of servers, dozens of applications per batch) this module
-//! provides a regret-based greedy construction followed by local search,
-//! which the tests check against exhaustive enumeration on small instances.
+//! provides a regret-based greedy construction, which the tests check
+//! against exhaustive enumeration on small instances.
 //!
 //! An instance lists only the feasible pairs: [`CandidatePairs`] holds each
 //! application's row of candidate servers, ascending by server, in one flat
 //! layout, together with each pair's demand and the per-server column
 //! index.  A mesoscale latency limit admits servers a few hundred kilometres
 //! away, so a row holds a fraction of the fleet, and every step of the
-//! heuristic — the marginal-cost cache, its refresh after a placement, the
-//! top-2 and cheapest-server scans, and each local-search visit — costs in
-//! candidates rather than in applications × servers.  A visit reads the
-//! application's cached row with its current server re-priced as if the
-//! application were removed, and touches the state only when another
-//! candidate is cheaper.
+//! heuristic — the marginal-cost cache, its refresh after a placement, and
+//! the top-2 and cheapest-server scans — costs in candidates rather than in
+//! applications × servers.
 //!
 //! The pairs do not depend on costs, so a deployment decided again and
 //! again builds them once and hands them to every instance by reference;
 //! an instance adds only its cost vector, aligned with the pairs, and the
 //! per-server capacity, activation and power state.
-
-/// Maximum number of local-search improvement passes.
-const LOCAL_SEARCH_PASSES: usize = 8;
 
 /// Batches larger than this many applications skip the regret ordering,
 /// which may rescan the candidate rows of every remaining application per
@@ -265,18 +259,24 @@ impl AssignmentProblem<'_> {
     }
 
     /// Solves the instance with the regret-greedy construction (or, above
-    /// `REGRET_LIMIT` applications, the cheapest-feasible greedy pass)
-    /// followed by local search.
-    pub fn solve(&self) -> AssignmentSolution {
-        self.validate().expect("malformed assignment problem");
+    /// `REGRET_LIMIT` applications, the cheapest-feasible greedy pass) and
+    /// returns the chosen server per application, `None` for an application
+    /// none of whose candidates still fits.  Returns [`Self::validate`]'s
+    /// error for a malformed instance.
+    ///
+    /// Construction leaves each application on its then-cheapest fitting
+    /// candidate, and later placements only use up capacity, so with every
+    /// server open no single move is cheaper; only opening a closed server,
+    /// which drops its activation cost, can make one so.
+    pub fn solve(&self) -> Result<Vec<Option<usize>>, String> {
+        self.validate()?;
         let mut state = State::new(self);
         if self.num_apps() > REGRET_LIMIT {
             state.greedy_construct_simple();
         } else {
             state.greedy_construct();
         }
-        let cost = state.local_search();
-        state.finish(cost)
+        Ok(state.finish())
     }
 }
 
@@ -320,27 +320,6 @@ fn cheapest(marginals: impl Iterator<Item = f64>) -> Option<(usize, f64)> {
     best
 }
 
-/// The result of an assignment solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AssignmentSolution {
-    /// Chosen server per application (`None` when the heuristic could not
-    /// place the application feasibly).
-    pub assignment: Vec<Option<usize>>,
-    /// Total cost of the placed applications (operational + activation).
-    pub cost: f64,
-    /// Applications left unassigned.
-    pub unassigned: Vec<usize>,
-    /// Servers newly opened by this solution.
-    pub newly_opened: Vec<usize>,
-}
-
-impl AssignmentSolution {
-    /// Whether every application was placed.
-    pub fn is_complete(&self) -> bool {
-        self.unassigned.is_empty()
-    }
-}
-
 /// Cached best/second-best marginal costs of one application, kept
 /// consistent with [`State::marginal`] (see there for the exactness
 /// argument).  `second_c` is `f64::INFINITY` when only one candidate fits,
@@ -360,25 +339,22 @@ enum Top2 {
 /// *slot*, the position of the server in the application's candidate row.
 struct State<'p> {
     problem: &'p AssignmentProblem<'p>,
-    /// `assignment[i]`: the slot of application `i`'s current server.
+    /// `assignment[i]`: the slot of application `i`'s server.
     assignment: Vec<Option<usize>>,
     used: Vec<[f64; 3]>,
     app_count_per_server: Vec<usize>,
     /// `marginal[p]`: cached marginal cost of the pair at position `p` in
-    /// the *current* state (`NAN` = does not fit).  Placing or unplacing an
-    /// application changes `used`/`app_count` for exactly one server, so
-    /// every mutation refreshes that server's column of the pairs' column
-    /// index instead of rescanning every pair.  The cached values are
-    /// produced by the same [`marginal`] arithmetic a cold scan runs, so
-    /// every comparison made against them is bit-identical to an uncached
-    /// solve.
+    /// the *current* state (`NAN` = does not fit).  Placing an application
+    /// changes `used`/`app_count` for exactly one server, so every placement
+    /// refreshes that server's column of the pairs' column index instead of
+    /// rescanning every pair.  The cached values are produced by the same
+    /// [`marginal`] arithmetic a cold scan runs, so every comparison made
+    /// against them is bit-identical to an uncached solve.
     marginal: Vec<f64>,
     /// Per-app best/second cache over `marginal`, invalidated only when a
     /// column update could disturb it.  Only the regret construction reads
     /// it.
     top2: Vec<Top2>,
-    /// Scratch for [`Self::total_cost`], reused across calls.
-    opened_scratch: Vec<bool>,
 }
 
 impl<'p> State<'p> {
@@ -405,7 +381,6 @@ impl<'p> State<'p> {
             app_count_per_server: vec![0; servers],
             marginal: marginal_cache,
             top2: vec![Top2::Dirty; apps],
-            opened_scratch: vec![false; servers],
         }
     }
 
@@ -513,36 +488,6 @@ impl<'p> State<'p> {
         self.refresh_column(j);
     }
 
-    fn unplace(&mut self, i: usize) {
-        if let Some(k) = self.assignment[i].take() {
-            let pairs = self.problem.pairs;
-            let pos = self.pos(i, k);
-            let j = pairs.server[pos];
-            for (u, d) in self.used[j].iter_mut().zip(&pairs.demand[pos]) {
-                *u -= d;
-            }
-            self.app_count_per_server[j] -= 1;
-            self.refresh_column(j);
-        }
-    }
-
-    fn total_cost(&mut self) -> f64 {
-        let mut total = 0.0;
-        self.opened_scratch.fill(false);
-        for (i, a) in self.assignment.iter().enumerate() {
-            if let Some(k) = a {
-                let pos = self.problem.pairs.row_start[i] + k;
-                let j = self.problem.pairs.server[pos];
-                total += self.problem.cost[pos];
-                if !self.problem.open[j] && !self.opened_scratch[j] {
-                    self.opened_scratch[j] = true;
-                    total += self.problem.activation_cost[j];
-                }
-            }
-        }
-        total
-    }
-
     /// Cheapest-feasible greedy in application order; one scan of each
     /// cached candidate row, which picks what a fresh [`marginal`] scan in
     /// ascending server order picks.
@@ -591,121 +536,14 @@ impl<'p> State<'p> {
         }
     }
 
-    /// Moves single applications to their cheapest candidate while that
-    /// strictly lowers the total cost, for at most `LOCAL_SEARCH_PASSES`
-    /// passes.  Returns the total cost of the final assignment.
-    ///
-    /// A visit re-prices the application's current server as if the
-    /// application were removed and scans its cached row with that value in
-    /// place; only when another candidate is cheaper does it unplace, place
-    /// and compare (reverting a move that does not pay).  `total_cost`
-    /// depends on the assignment alone, so the cost to beat is carried from
-    /// visit to visit.
-    fn local_search(&mut self) -> f64 {
-        let mut cost = self.total_cost();
-        for _ in 0..LOCAL_SEARCH_PASSES {
-            let mut improved = false;
-            for i in 0..self.problem.num_apps() {
-                let Some(current) = self.assignment[i] else {
-                    continue;
-                };
-                let pos = self.pos(i, current);
-                let j = self.problem.pairs.server[pos];
-                let demand = self.problem.pairs.demand[pos];
-                let mut reduced = self.used[j];
-                for (u, d) in reduced.iter_mut().zip(&demand) {
-                    *u -= d;
-                }
-                let activation = self
-                    .problem
-                    .activation_term(j, self.app_count_per_server[j] - 1);
-                let stay = marginal(
-                    self.problem.cost[pos],
-                    &demand,
-                    &reduced,
-                    &self.problem.capacity[j],
-                    activation,
-                );
-                let best = cheapest(self.marginal_row(i).iter().enumerate().map(|(k, &c)| {
-                    if k == current {
-                        stay
-                    } else {
-                        c
-                    }
-                }));
-                match best {
-                    Some((k, _)) if k != current => {
-                        self.unplace(i);
-                        self.place(i, k);
-                        let after = self.total_cost();
-                        if after < cost - 1e-9 {
-                            improved = true;
-                            cost = after;
-                        } else {
-                            self.unplace(i);
-                            self.place(i, current);
-                        }
-                    }
-                    _ => {
-                        // Staying put is the common case.  Construction left
-                        // every app on its then-cheapest candidate, and later
-                        // placements only take capacity away, except that
-                        // opening a closed server drops its activation cost;
-                        // with every server already on, as in the simulator's
-                        // deployments, no visit finds a cheaper candidate.
-                        // Keep the usage bits an unplace and re-place would
-                        // leave, and re-price the column only when that round
-                        // trip moved them.
-                        let mut restored = reduced;
-                        for (u, d) in restored.iter_mut().zip(&demand) {
-                            *u += d;
-                        }
-                        if restored
-                            .iter()
-                            .zip(&self.used[j])
-                            .any(|(r, u)| r.to_bits() != u.to_bits())
-                        {
-                            self.used[j] = restored;
-                            self.refresh_column(j);
-                        }
-                    }
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-        cost
-    }
-
-    fn finish(self, cost: f64) -> AssignmentSolution {
-        let problem = self.problem;
-        let assignment: Vec<Option<usize>> = self
-            .assignment
+    /// The chosen server of each application.
+    fn finish(self) -> Vec<Option<usize>> {
+        let pairs = self.problem.pairs;
+        self.assignment
             .iter()
             .enumerate()
-            .map(|(i, a)| a.map(|k| problem.pairs.server[self.pos(i, k)]))
-            .collect();
-        let unassigned = assignment
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let mut newly_opened: Vec<usize> = assignment
-            .iter()
-            .flatten()
-            .copied()
-            .filter(|j| !problem.open[*j])
-            .collect();
-        newly_opened.sort_unstable();
-        newly_opened.dedup();
-        AssignmentSolution {
-            assignment,
-            cost,
-            unassigned,
-            newly_opened,
-        }
+            .map(|(i, a)| a.map(|k| pairs.server[self.pos(i, k)]))
+            .collect()
     }
 }
 
@@ -741,8 +579,8 @@ mod tests {
             }
         }
 
-        fn solve(&self) -> AssignmentSolution {
-            self.problem().solve()
+        fn solve(&self) -> Vec<Option<usize>> {
+            self.problem().solve().expect("instance is well formed")
         }
     }
 
@@ -834,10 +672,10 @@ mod tests {
 
     #[test]
     fn picks_cheapest_assignment() {
-        let sol = simple_problem().solve();
-        assert!(sol.is_complete());
-        assert_eq!(sol.assignment, vec![Some(1), Some(0)]);
-        assert!((sol.cost - 3.0).abs() < 1e-9);
+        let p = simple_problem();
+        let assignment = p.solve();
+        assert_eq!(assignment, vec![Some(1), Some(0)]);
+        assert_eq!(p.problem().evaluate(&assignment), Some(3.0));
     }
 
     #[test]
@@ -850,9 +688,7 @@ mod tests {
             vec![0.0, 0.0],
             vec![true, true],
         );
-        let sol = p.solve();
-        assert!(sol.is_complete());
-        let cost = p.problem().evaluate(&sol.assignment).unwrap();
+        let cost = p.problem().evaluate(&p.solve()).unwrap();
         // Optimum: app1 -> server1 (2), app0 -> server0 (10) = 12, or
         // app0 -> server1 (1) + app1 -> server0 (10) = 11.
         assert!((cost - 11.0).abs() < 1e-9, "cost {cost}");
@@ -869,10 +705,9 @@ mod tests {
             vec![0.0, 100.0],
             vec![true, false],
         );
-        let sol = p.solve();
-        assert_eq!(sol.assignment, vec![Some(0), Some(0)]);
-        assert!(sol.newly_opened.is_empty());
-        assert!((sol.cost - 10.0).abs() < 1e-9);
+        let assignment = p.solve();
+        assert_eq!(assignment, vec![Some(0), Some(0)]);
+        assert_eq!(p.problem().evaluate(&assignment), Some(10.0));
     }
 
     #[test]
@@ -885,10 +720,9 @@ mod tests {
             vec![0.0, 10.0],
             vec![true, false],
         );
-        let sol = p.solve();
-        assert_eq!(sol.assignment, vec![Some(1), Some(1)]);
-        assert_eq!(sol.newly_opened, vec![1]);
-        assert!((sol.cost - 12.0).abs() < 1e-9, "cost {}", sol.cost);
+        let assignment = p.solve();
+        assert_eq!(assignment, vec![Some(1), Some(1)]);
+        assert_eq!(p.problem().evaluate(&assignment), Some(12.0));
     }
 
     #[test]
@@ -900,9 +734,7 @@ mod tests {
             vec![0.0, 0.0],
             vec![true, true],
         );
-        let sol = p.solve();
-        assert_eq!(sol.assignment, vec![Some(1), Some(0)]);
-        assert!(sol.is_complete());
+        assert_eq!(p.solve(), vec![Some(1), Some(0)]);
     }
 
     #[test]
@@ -915,9 +747,8 @@ mod tests {
             vec![0.0],
             vec![true],
         );
-        let sol = p.solve();
-        assert_eq!(sol.unassigned.len(), 1);
-        assert!(!sol.is_complete());
+        let assignment = p.solve();
+        assert_eq!(assignment.iter().filter(|a| a.is_none()).count(), 1);
     }
 
     #[test]
@@ -942,19 +773,22 @@ mod tests {
     #[test]
     fn empty_problem_is_handled() {
         let p = dense(vec![], vec![], vec![], vec![], vec![]);
-        let sol = p.solve();
-        assert_eq!(sol.cost, 0.0);
-        assert!(sol.assignment.is_empty());
+        let assignment = p.solve();
+        assert!(assignment.is_empty());
+        assert_eq!(p.problem().evaluate(&assignment), Some(0.0));
     }
 
     #[test]
     fn validate_catches_shape_errors() {
-        let mut p = simple_problem();
-        p.activation_cost = vec![0.0];
-        assert!(p.problem().validate().is_err());
+        let mut short_activation = simple_problem();
+        short_activation.activation_cost = vec![0.0];
         let mut short_cost = simple_problem();
         short_cost.cost.pop();
-        assert!(short_cost.problem().validate().is_err());
+        for malformed in [short_activation, short_cost] {
+            let p = malformed.problem();
+            let error = p.validate().expect_err("malformed");
+            assert_eq!(p.solve(), Err(error));
+        }
         assert!(simple_problem().problem().validate().is_ok());
     }
 
@@ -1026,15 +860,17 @@ mod tests {
             let Some(exact_cost) = enumerate_optimum(&p.problem()) else {
                 continue;
             };
-            if heuristic.is_complete() {
+            if heuristic.iter().all(Option::is_some) {
+                let cost = p
+                    .problem()
+                    .evaluate(&heuristic)
+                    .expect("a complete heuristic assignment is feasible");
                 // The heuristic may be suboptimal but never better than exact,
                 // and should be within 30% on these tiny instances.
-                assert!(heuristic.cost >= exact_cost - 1e-6);
+                assert!(cost >= exact_cost - 1e-6);
                 assert!(
-                    heuristic.cost <= exact_cost * 1.3 + 1e-6,
-                    "heuristic {} vs exact {}",
-                    heuristic.cost,
-                    exact_cost
+                    cost <= exact_cost * 1.3 + 1e-6,
+                    "heuristic {cost} vs exact {exact_cost}"
                 );
             }
         }
@@ -1064,9 +900,8 @@ mod tests {
             (0..servers).map(|_| rng.gen_range(0.0..50.0)).collect(),
             (0..servers).map(|i| i % 2 == 0).collect(),
         );
-        let sol = p.solve();
-        assert!(sol.is_complete());
-        assert!(p.problem().evaluate(&sol.assignment).is_some());
+        // `evaluate` answers only for a complete, feasible assignment.
+        assert!(p.problem().evaluate(&p.solve()).is_some());
     }
 
     #[test]
@@ -1096,87 +931,19 @@ mod tests {
             (0..servers).map(|_| rng.gen_range(0.0..20.0)).collect(),
             (0..servers).map(|j| j % 3 != 0).collect(),
         );
-        let sol = p.solve();
-        assert!(sol.is_complete());
-        let evaluated = p.problem().evaluate(&sol.assignment);
-        assert!(evaluated.is_some());
-        assert_eq!(Some(sol.cost), evaluated);
-        let mut used: Vec<usize> = sol.assignment.iter().flatten().copied().collect();
+        let assignment = p.solve();
+        assert!(p.problem().evaluate(&assignment).is_some());
+        let mut used: Vec<usize> = assignment.iter().flatten().copied().collect();
         used.sort_unstable();
         used.dedup();
         assert!(used.len() >= 24, "only {} servers used", used.len());
     }
 
-    #[test]
-    fn local_search_moves_onto_a_server_opened_later() {
-        // Regret places app 0 first (regret 9 against 1), on open server 0;
-        // app 1 then opens server 1, and app 0 follows it there.
-        let p = dense(
-            vec![vec![Some(5.0), Some(4.0)], vec![Some(12.0), Some(1.0)]],
-            vec![vec![compute(1.0); 2]; 2],
-            vec![compute(2.0); 2],
-            vec![0.0, 10.0],
-            vec![true, false],
-        );
-        let sol = p.solve();
-        assert_eq!(sol.assignment, vec![Some(1), Some(1)]);
-        assert_eq!(sol.cost, 15.0);
-        assert_eq!(sol.newly_opened, vec![1]);
-    }
-
-    #[test]
-    fn a_stay_put_visit_leaves_the_usage_of_an_unplace_and_re_place() {
-        // Server 2's memory capacity is the four demands summed in app
-        // order.  Construction puts apps 2, 0 and 1 there, and app 3 then
-        // overshoots it by one ulp and opens server 0 (cost 41).  Local
-        // search keeps apps 0-2 in place; app 2's visit leaves
-        // `(u - d) + d`, one ulp below `u`, as an unplace and re-place
-        // does, and with those bits app 3 fits on server 2 and moves there
-        // (cost 34).  A visit that kept `u` would end at `[2, 2, 2, 0]`.
-        let memory = [
-            60_301_276.898_492_86,
-            35_008_932.267_520_264,
-            35_400_751.289_268_83,
-            40_866_667.845_577_225,
-        ];
-        let p = dense(
-            vec![
-                vec![Some(4.0), Some(5.0), Some(4.0)],
-                vec![Some(4.0), Some(6.0), Some(9.0)],
-                vec![None, None, Some(1.0)],
-                vec![Some(2.0), Some(3.0), Some(8.0)],
-            ],
-            memory.iter().map(|&m| vec![[0.0, m, 0.0]; 3]).collect(),
-            vec![
-                [0.0, 70_409_683.556_789_1, 0.0],
-                [0.0; 3],
-                [0.0, 171_577_628.300_859_15, 0.0],
-            ],
-            vec![13.0, 1.0, 12.0],
-            vec![false; 3],
-        );
-        let sol = p.solve();
-        assert_eq!(sol.assignment, vec![Some(2); 4]);
-        assert_eq!(sol.cost, 34.0);
-        let (assignment, cost) = reference_solve(&p.problem(), &mut Moves::default());
-        assert_eq!(sol.assignment, assignment);
-        assert_eq!(sol.cost.to_bits(), cost.to_bits());
-    }
-
-    /// The local-search moves [`reference_solve`] tried, by outcome.
-    #[derive(Debug, Default)]
-    struct Moves {
-        kept: usize,
-        reverted: usize,
-    }
-
     /// The heuristic with no caches: every regret round rescans every
-    /// remaining row for its best and second-best marginal, local search
-    /// recomputes the total cost before and after every visit and really
-    /// unplaces and re-places, and batches above `REGRET_LIMIT` take the
-    /// cheapest-feasible pass.  Returns the chosen server per application
-    /// and the total cost.
-    fn reference_solve(p: &AssignmentProblem, moves: &mut Moves) -> (Vec<Option<usize>>, f64) {
+    /// remaining row for its best and second-best marginal, and batches
+    /// above `REGRET_LIMIT` take the cheapest-feasible pass.  Returns the
+    /// chosen server per application.
+    fn reference_solve(p: &AssignmentProblem) -> Vec<Option<usize>> {
         struct Reference<'a> {
             p: &'a AssignmentProblem<'a>,
             used: Vec<[f64; 3]>,
@@ -1220,29 +987,6 @@ mod tests {
                 }
                 self.count[j] += 1;
                 self.slot[i] = Some(k);
-            }
-            fn unplace(&mut self, i: usize) {
-                let k = self.slot[i].take().expect("app is placed");
-                let (j, demand) = self.candidate(i, k);
-                for (u, d) in self.used[j].iter_mut().zip(&demand) {
-                    *u -= d;
-                }
-                self.count[j] -= 1;
-            }
-            fn total_cost(&self) -> f64 {
-                let mut total = 0.0;
-                let mut opened = vec![false; self.p.num_servers()];
-                for (i, a) in self.slot.iter().enumerate() {
-                    if let Some(k) = a {
-                        let (j, _) = self.candidate(i, *k);
-                        total += self.p.cost[self.p.pairs.row(i).start + k];
-                        if !self.p.open[j] && !opened[j] {
-                            opened[j] = true;
-                            total += self.p.activation_cost[j];
-                        }
-                    }
-                }
-                total
             }
         }
 
@@ -1289,102 +1033,139 @@ mod tests {
                 r.place(i, k);
             }
         }
-        for _ in 0..LOCAL_SEARCH_PASSES {
-            let mut improved = false;
-            for i in 0..apps {
-                let Some(current) = r.slot[i] else {
-                    continue;
-                };
-                let before = r.total_cost();
-                r.unplace(i);
-                let k = r.cheapest(i).map_or(current, |(k, _)| k);
-                r.place(i, k);
-                if r.total_cost() < before - 1e-9 {
-                    improved = true;
-                    moves.kept += 1;
-                } else if k != current {
-                    r.unplace(i);
-                    r.place(i, current);
-                    moves.reverted += 1;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-        let cost = r.total_cost();
-        let assignment = r
-            .slot
+        r.slot
             .iter()
             .enumerate()
             .map(|(i, a)| a.map(|k| r.candidate(i, k).0))
+            .collect()
+    }
+
+    /// Case `case` of a seeded corpus.  Integer costs make ties, demands in
+    /// tenths make usage sums that round, and capacities near the summed
+    /// demand make candidates stop fitting part-way through.  Every 100th
+    /// case is above the regret limit.
+    fn tenths_instance(rng: &mut StdRng, case: usize) -> Instance {
+        let apps = if case % 100 == 99 {
+            REGRET_LIMIT + rng.gen_range(1..40)
+        } else {
+            rng.gen_range(1..15)
+        };
+        let servers = rng.gen_range(2..8);
+        let tenths = |rng: &mut StdRng, hi: u32| f64::from(rng.gen_range(1..hi)) / 10.0;
+        let mut candidates: Vec<Vec<(usize, f64, [f64; 3])>> = vec![Vec::new(); apps];
+        for row in &mut candidates {
+            let base = [tenths(rng, 12), tenths(rng, 12), tenths(rng, 4)];
+            for server in 0..servers {
+                if rng.gen_bool(0.25) {
+                    continue;
+                }
+                let demand = if rng.gen_bool(0.7) {
+                    base
+                } else {
+                    [tenths(rng, 12), base[1], tenths(rng, 4)]
+                };
+                row.push((server, f64::from(rng.gen_range(1..10u32)), demand));
+            }
+        }
+        let mut summed = [0.0; 3];
+        for row in &candidates {
+            if let Some((_, _, demand)) = row.first() {
+                for (s, d) in summed.iter_mut().zip(demand) {
+                    *s += d;
+                }
+            }
+        }
+        let capacity = (0..servers)
+            .map(|_| {
+                let share = rng.gen_range(0.8..1.6) / servers as f64;
+                summed.map(|s| (s * share * 10.0).round() / 10.0)
+            })
             .collect();
-        (assignment, cost)
+        from_rows(
+            candidates,
+            capacity,
+            (0..servers)
+                .map(|_| f64::from(rng.gen_range(0..15u32)))
+                .collect(),
+            (0..servers).map(|_| rng.gen_bool(0.5)).collect(),
+        )
     }
 
     #[test]
     fn heuristic_matches_the_uncached_reference_bit_for_bit() {
-        // Integer costs make ties, demands in tenths make `(u - d) + d`
-        // round trips that move bits, and capacities near the summed demand
-        // make candidates stop fitting part-way through.  Every 100th case
-        // is above the regret limit.
+        // The corpus drives the caches through every transition: some cases
+        // leave an app unplaced although one of its candidates fitted the
+        // empty fleet (a cached row turns infeasible), some open a closed
+        // server with an activation cost (its column's marginals drop), and
+        // some are above the regret limit.
         let mut rng = StdRng::seed_from_u64(20);
-        let mut moves = Moves::default();
+        let (mut stranded, mut activated, mut spilled) = (0, 0, 0);
         for case in 0..1_200 {
-            let apps = if case % 100 == 99 {
-                REGRET_LIMIT + rng.gen_range(1..40)
-            } else {
-                rng.gen_range(1..15)
-            };
-            let servers = rng.gen_range(2..8);
-            let tenths = |rng: &mut StdRng, hi: u32| f64::from(rng.gen_range(1..hi)) / 10.0;
-            let mut candidates: Vec<Vec<(usize, f64, [f64; 3])>> = vec![Vec::new(); apps];
-            for row in &mut candidates {
-                let base = [
-                    tenths(&mut rng, 12),
-                    tenths(&mut rng, 12),
-                    tenths(&mut rng, 4),
-                ];
-                for server in 0..servers {
-                    if rng.gen_bool(0.25) {
-                        continue;
-                    }
-                    let demand = if rng.gen_bool(0.7) {
-                        base
-                    } else {
-                        [tenths(&mut rng, 12), base[1], tenths(&mut rng, 4)]
-                    };
-                    row.push((server, f64::from(rng.gen_range(1..10u32)), demand));
-                }
+            let instance = tenths_instance(&mut rng, case);
+            let p = instance.problem();
+            let assignment = instance.solve();
+            assert_eq!(assignment, reference_solve(&p), "case {case}");
+            if p.num_apps() > REGRET_LIMIT {
+                spilled += 1;
+                continue;
             }
-            let mut summed = [0.0; 3];
-            for row in &candidates {
-                if let Some((_, _, demand)) = row.first() {
-                    for (s, d) in summed.iter_mut().zip(demand) {
-                        *s += d;
-                    }
-                }
-            }
-            let capacity = (0..servers)
-                .map(|_| {
-                    let share = rng.gen_range(0.8..1.6) / servers as f64;
-                    summed.map(|s| (s * share * 10.0).round() / 10.0)
+            let fitted_once = |i: usize| {
+                p.pairs.row(i).any(|pos| {
+                    let j = p.pairs.servers()[pos];
+                    fits_within(&p.pairs.demands()[pos], &[0.0; 3], &p.capacity[j])
                 })
-                .collect();
-            let p = from_rows(
-                candidates,
-                capacity,
-                (0..servers)
-                    .map(|_| f64::from(rng.gen_range(0..15u32)))
-                    .collect(),
-                (0..servers).map(|_| rng.gen_bool(0.5)).collect(),
-            );
-            let sol = p.solve();
-            let (assignment, cost) = reference_solve(&p.problem(), &mut moves);
-            assert_eq!(sol.assignment, assignment, "case {case}");
-            assert_eq!(sol.cost.to_bits(), cost.to_bits(), "case {case}");
+            };
+            if (0..p.num_apps()).any(|i| assignment[i].is_none() && fitted_once(i)) {
+                stranded += 1;
+            }
+            if assignment
+                .iter()
+                .flatten()
+                .any(|&j| !p.open[j] && p.activation_cost[j] > 0.0)
+            {
+                activated += 1;
+            }
         }
-        assert!(moves.kept > 0, "{moves:?}");
-        assert!(moves.reverted > 0, "{moves:?}");
+        assert!(stranded > 0, "no app went unplaced after fitting");
+        assert!(activated > 0, "no case opened a server");
+        assert!(spilled > 0, "no case above the regret limit");
+    }
+
+    #[test]
+    fn with_every_server_on_no_single_move_is_cheaper() {
+        // With no activation cost to drop, construction leaves every app on
+        // its then-cheapest fitting candidate and later placements only use
+        // up capacity: no placed app has a strictly cheaper candidate that
+        // fits on top of the final usage, and no unplaced app has a fitting
+        // candidate at all.
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut blocked = 0;
+        for case in 0..2_000 {
+            let mut instance = tenths_instance(&mut rng, case);
+            instance.open.fill(true);
+            let p = instance.problem();
+            let assignment = instance.solve();
+            let mut used = vec![[0.0; 3]; p.num_servers()];
+            let mut current = vec![f64::INFINITY; p.num_apps()];
+            for (i, a) in assignment.iter().enumerate() {
+                let Some(j) = *a else { continue };
+                let pos = p.pairs.find(i, j).expect("placed on a candidate");
+                for (u, d) in used[j].iter_mut().zip(&p.pairs.demands()[pos]) {
+                    *u += d;
+                }
+                current[i] = p.cost[pos];
+            }
+            for (i, &cost) in current.iter().enumerate() {
+                for pos in p.pairs.row(i).filter(|&pos| p.cost[pos] < cost) {
+                    let j = p.pairs.servers()[pos];
+                    assert!(
+                        !p.fits(j, &p.pairs.demands()[pos], &used),
+                        "case {case}: app {i} fits on the cheaper server {j}"
+                    );
+                    blocked += 1;
+                }
+            }
+        }
+        assert!(blocked > 0);
     }
 }

@@ -28,8 +28,7 @@
 //! * [`assignment`] — a heuristic for the incremental placement problem (a
 //!   generalized assignment problem with server-activation costs under the
 //!   three resource limits of Eq. 1) over per-application rows of feasible
-//!   candidate servers: greedy construction with regret ordering plus local
-//!   search;
+//!   candidate servers: greedy construction with regret ordering;
 //! * [`mod@reference`] — the pre-rewrite dense Big-M tableau simplex and
 //!   cold-start branch-and-bound, retained **only** as differential-test
 //!   oracles and as the "before" side of `BENCH_solver.json`.
@@ -47,7 +46,7 @@ pub mod model;
 pub mod reference;
 pub mod simplex;
 
-pub use assignment::{AssignmentProblem, AssignmentSolution, CandidatePairs};
+pub use assignment::{AssignmentProblem, CandidatePairs};
 pub use branch_bound::{
     BranchBoundSolver, DecompStats, FactorStats, MilpOutcome, MilpSolution, PricingStats,
 };
