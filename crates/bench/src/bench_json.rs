@@ -59,9 +59,8 @@ struct SolverCase {
 /// Builds a regional placement instance: one A2 server per mesoscale site
 /// of `region`, priced at its zone's seed-42 reading at `hour`, and
 /// `apps_per_site` ResNet50 applications (20 ms SLO, `rate_rps` each) at
-/// each of the first `app_sites` sites.  The criterion benches
-/// `placement_overhead` and `solver_ablation` time the same instances.
-pub fn regional_problem(
+/// each of the first `app_sites` sites.
+fn regional_problem(
     region: StudyRegion,
     hour: usize,
     rate_rps: f64,
@@ -107,7 +106,7 @@ pub fn regional_problem(
 /// model images per server keeps capacity genuinely binding: with four
 /// local applications per site, chasing a low-carbon neighbour competes
 /// with its own arrivals.
-pub fn scale_problem(n_sites: usize, apps_per_site: usize) -> PlacementProblem {
+fn scale_problem(n_sites: usize, apps_per_site: usize) -> PlacementProblem {
     scale_problem_with_slots(n_sites, apps_per_site, 6)
 }
 
@@ -336,15 +335,17 @@ pub fn solver_bench_json(quick: bool) -> String {
         ..scale
     };
 
+    // The `placement_overhead/` and `solver_ablation/` prefixes stay so
+    // that committed snapshots remain comparable.
     let cases = [
-        // The instance of the `placement_overhead` bench: one application
-        // against the Florida sites.
+        // One application against the Florida sites: the per-request
+        // decision overhead of Section 6.5.
         SolverCase {
             name: "placement_overhead/single_app_regional_decision",
             problem: regional_problem(StudyRegion::Florida, 5000, 15.0, 1, 1),
         },
-        // The instance of the `solver_ablation` bench: one application per
-        // Central-EU site.
+        // One application per Central-EU site: exact against heuristic on a
+        // testbed-sized MILP.
         SolverCase {
             name: "solver_ablation/exact_milp_5x5",
             problem: regional_problem(StudyRegion::CentralEu, 4000, 10.0, usize::MAX, 1),

@@ -17,8 +17,10 @@
 //! `--sweep` runs the declarative scenario grid (area × demand scenario ×
 //! latency limit × policy) through the parallel sweep engine; with no
 //! experiment names it replaces the figure suite, while named figures still
-//! run after the sweep.  `--jobs N` sets the worker count (default: one per
-//! CPU).  The sweep's aggregated output is deterministic for any job count.
+//! run after the sweep.  `--jobs N` sets the sweep engine's worker count
+//! (default: one per CPU), for these grids and for Figs. 11, 12 and 14,
+//! which run through the same engine.  Their output is identical for any
+//! job count.
 //!
 //! `--forecast` runs the forecaster × epoch-schedule grid and prints the
 //! forecast-regret table (realized carbon versus the oracle replay per
@@ -59,11 +61,13 @@ use carbonedge_datasets::zones::ZoneArea;
 use carbonedge_datasets::{EdgeSiteCatalog, StudyRegion, ZoneCatalog};
 use carbonedge_grid::{EnergySource, HourOfYear};
 use carbonedge_net::LatencyModel;
-use carbonedge_sim::cdn::{CdnConfig, CdnScenario, CdnSimulator};
+use carbonedge_sim::cdn::{CdnScenario, CdnShared};
 use carbonedge_sim::hetero::{run_heterogeneity, HeterogeneityConfig};
+use carbonedge_sim::metrics::Savings;
 use carbonedge_sim::testbed::{run_testbed, TestbedConfig, TestbedWorkload};
 use carbonedge_sim::TradeoffSweep;
-use carbonedge_sweep::{SweepReport, SweepSpec};
+use carbonedge_sweep::spec::area_name;
+use carbonedge_sweep::{CellResult, SavingsRow, SweepReport, SweepSpec, BASELINE_POLICY};
 use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind, WorkloadProfile};
 use std::time::Instant;
 
@@ -97,7 +101,7 @@ fn print_usage() {
     println!("                    serving table (tail latency and drops vs carbon");
     println!("                    savings; composes with --quick/--jobs like --sweep)");
     println!("  --jobs N          worker threads for --sweep/--forecast/--migration/");
-    println!("                    --serving (default: one per CPU)");
+    println!("                    --serving and figs 11, 12, 14 (default: one per CPU)");
     println!("  --bench-json DIR  measure solver/sweep/serving perf and write");
     println!("                    BENCH_solver.json, BENCH_sweep.json and");
     println!("                    BENCH_serving.json into DIR (replaces the figure");
@@ -105,6 +109,15 @@ fn print_usage() {
     println!("  --all --out DIR   write every figure, every sweep-engine table and all");
     println!("                    BENCH_*.json snapshots into DIR as individual files");
     println!("  (no experiment names runs the full suite)");
+}
+
+/// Prints `error: {message}` and a blank line on stderr and the usage on
+/// stdout, then exits with status 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    eprintln!();
+    print_usage();
+    std::process::exit(2);
 }
 
 /// Parses a `--<name> DIR` / `--<name>=DIR` flag out of the argument list,
@@ -211,6 +224,10 @@ fn run_all_artifacts(dir: &str, quick: bool, jobs: usize) {
         if quick {
             command.arg("--quick");
         }
+        // Figs. 11, 12 and 14 run on the sweep engine's workers.
+        if jobs != 0 {
+            command.arg(format!("--jobs={jobs}"));
+        }
         match command.arg(name).output() {
             Ok(output) if output.status.success() => {
                 write_artifact(out, &format!("{name}.txt"), &output.stdout);
@@ -262,33 +279,9 @@ fn main() {
         print_usage();
         return;
     }
-    let jobs = match carbonedge_sweep::take_jobs_flag(&mut args) {
-        Ok(jobs) => jobs,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!();
-            print_usage();
-            std::process::exit(2);
-        }
-    };
-    let bench_json = match take_dir_flag(&mut args, "bench-json") {
-        Ok(dir) => dir,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!();
-            print_usage();
-            std::process::exit(2);
-        }
-    };
-    let out_dir = match take_dir_flag(&mut args, "out") {
-        Ok(dir) => dir,
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!();
-            print_usage();
-            std::process::exit(2);
-        }
-    };
+    let jobs = carbonedge_sweep::take_jobs_flag(&mut args).unwrap_or_else(|e| usage_error(&e));
+    let bench_json = take_dir_flag(&mut args, "bench-json").unwrap_or_else(|e| usage_error(&e));
+    let out_dir = take_dir_flag(&mut args, "out").unwrap_or_else(|e| usage_error(&e));
     let quick = args.iter().any(|a| a == "--quick");
     let sweep = args.iter().any(|a| a == "--sweep");
     let forecast = args.iter().any(|a| a == "--forecast");
@@ -297,25 +290,13 @@ fn main() {
     let all_flag = args.iter().any(|a| a == "--all" || a == "all");
     if let Some(dir) = &out_dir {
         if !all_flag {
-            eprintln!("error: --out only applies to the `--all` artifact pipeline");
-            eprintln!();
-            print_usage();
-            std::process::exit(2);
+            usage_error("--out only applies to the `--all` artifact pipeline");
         }
         run_all_artifacts(dir, quick, jobs);
         return;
     }
     if args.iter().any(|a| a == "--all") {
-        eprintln!("error: --all requires --out DIR (use `all` to print the full suite)");
-        eprintln!();
-        print_usage();
-        std::process::exit(2);
-    }
-    if jobs != 0 && !sweep && !forecast && !migration && !serving {
-        eprintln!(
-            "warning: --jobs only affects --sweep/--forecast/--migration/--serving; \
-             running the figure suite single-threaded"
-        );
+        usage_error("--all requires --out DIR (use `all` to print the full suite)");
     }
     let which: Vec<&str> = args
         .iter()
@@ -332,10 +313,7 @@ fn main() {
         .iter()
         .find(|a| **a != "all" && !EXPERIMENTS.contains(a))
     {
-        eprintln!("error: unknown experiment `{unknown}`");
-        eprintln!();
-        print_usage();
-        std::process::exit(2);
+        usage_error(&format!("unknown experiment `{unknown}`"));
     }
     let preamble = Instant::now();
     let grid = if quick { "quick grid" } else { "full grid" };
@@ -413,16 +391,16 @@ fn main() {
         testbed_figures(should("fig8"), should("fig9"), should("fig10"));
     }
     if should("fig11") {
-        fig11(quick);
+        fig11(quick, jobs);
     }
     if should("fig12") {
-        fig12(quick);
+        fig12(quick, jobs);
     }
     if should("fig13") {
         fig13(quick);
     }
     if should("fig14") {
-        fig14(quick);
+        fig14(quick, jobs);
     }
     if should("fig15") {
         fig15();
@@ -709,54 +687,70 @@ fn testbed_figures(fig8: bool, fig9: bool, fig10: bool) {
     }
 }
 
-fn cdn_config(area: ZoneArea, quick: bool) -> CdnConfig {
-    let config = CdnConfig::new(area);
-    if quick {
-        config.with_site_limit(80)
-    } else {
-        config
+/// The deployment of Figs. 11–14: both continents at `SweepSpec::new`'s
+/// defaults (the paper's CDN setup), on 80 sites each under `--quick`.
+fn cdn_spec(name: &str, quick: bool) -> SweepSpec {
+    SweepSpec::new(name)
+        .with_areas(vec![ZoneArea::UnitedStates, ZoneArea::Europe])
+        .with_site_limit(quick.then_some(80))
+}
+
+/// The figures' continent label: `area_name`, but "Europe" for "EU".
+fn area_label(area: ZoneArea) -> &'static str {
+    match area {
+        ZoneArea::Europe => "Europe",
+        _ => area_name(area),
     }
 }
 
+/// Each CarbonEdge cell of `report` in cell order (area, then scenario, then
+/// latency limit), with its Latency-aware cell and the savings between them.
+fn compared(report: &SweepReport) -> Vec<(&CellResult, &CellResult, Savings)> {
+    let pair = |row: SavingsRow| {
+        let cell = &report.cells[row.cell_index];
+        let baseline = report.find(&cell.cell.scenario_key(), BASELINE_POLICY);
+        (cell, baseline.expect("a row has a baseline"), row.savings)
+    };
+    report.savings_rows().into_iter().map(pair).collect()
+}
+
 /// Figure 11: year-long CDN savings, latency increases and load distribution.
-fn fig11(quick: bool) {
+fn fig11(quick: bool, jobs: usize) {
     header("Figure 11: year-long CDN-scale savings (20 ms RTT limit)");
     println!(
         "{:<8} {:>12} {:>16} {:>22} {:>22}",
         "area", "saving %", "latency +ms", "mean assigned g/kWh", "(Latency-aware g/kWh)"
     );
-    for (area, label) in [(ZoneArea::UnitedStates, "US"), (ZoneArea::Europe, "Europe")] {
-        let sim = CdnSimulator::new(cdn_config(area, quick));
-        let (ce, la, savings) = sim.compare();
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+    for (cell, la, savings) in compared(&summary::run(&cdn_spec("fig11", quick), jobs)) {
         println!(
             "{:<8} {:>12.1} {:>16.1} {:>22.1} {:>22.1}",
-            label,
+            area_label(cell.cell.area),
             savings.carbon_percent,
             savings.latency_increase_ms,
-            mean(&ce.assigned_intensity),
-            mean(&la.assigned_intensity)
+            cell.mean_assigned_intensity,
+            la.mean_assigned_intensity
         );
     }
     println!("(paper: 49.5% US / 67.8% Europe, ~+10.8 / +10.5 ms)");
 }
 
 /// Figure 12: effect of the latency limit on savings and latency increase.
-fn fig12(quick: bool) {
+fn fig12(quick: bool, jobs: usize) {
     header("Figure 12: effect of latency tolerance (RTT limit sweep)");
     println!(
         "{:<8} {:>10} {:>12} {:>14}",
         "area", "limit ms", "saving %", "latency +ms"
     );
-    for (area, label) in [(ZoneArea::UnitedStates, "US"), (ZoneArea::Europe, "Europe")] {
-        for limit in [5.0, 10.0, 15.0, 20.0, 25.0, 30.0] {
-            let sim = CdnSimulator::new(cdn_config(area, quick).with_latency_limit(limit));
-            let (_, _, savings) = sim.compare();
-            println!(
-                "{:<8} {:>10.0} {:>12.1} {:>14.1}",
-                label, limit, savings.carbon_percent, savings.latency_increase_ms
-            );
-        }
+    let spec =
+        cdn_spec("fig12", quick).with_latency_limits(vec![5.0, 10.0, 15.0, 20.0, 25.0, 30.0]);
+    for (cell, _, savings) in compared(&summary::run(&spec, jobs)) {
+        println!(
+            "{:<8} {:>10.0} {:>12.1} {:>14.1}",
+            area_label(cell.cell.area),
+            cell.cell.latency_limit_ms,
+            savings.carbon_percent,
+            savings.latency_increase_ms
+        );
     }
     println!("(paper: 28% US / 44.8% EU at 10 ms; diminishing returns beyond ~25 ms)");
 }
@@ -764,10 +758,12 @@ fn fig12(quick: bool) {
 /// Figure 13: seasonality of savings, latency, intensity and placements.
 fn fig13(quick: bool) {
     header("Figure 13: seasonality (monthly savings, latency, intensity, placements)");
-    for (area, label) in [(ZoneArea::UnitedStates, "US"), (ZoneArea::Europe, "Europe")] {
-        let sim = CdnSimulator::new(cdn_config(area, quick));
-        let ce = sim.run(PlacementPolicy::CarbonAware);
-        let la = sim.run(PlacementPolicy::LatencyAware);
+    let shared = CdnShared::new();
+    // One cell per continent; `compare` runs both policies on it.
+    let spec = cdn_spec("fig13", quick).with_policies(vec![PlacementPolicy::CarbonAware]);
+    for cell in spec.cells() {
+        let sim = shared.simulator(cell.config());
+        let (ce, la, _) = sim.compare();
         let savings: Vec<String> = ce
             .monthly
             .iter()
@@ -780,9 +776,10 @@ fn fig13(quick: bool) {
             .zip(la.monthly.iter())
             .map(|(c, l)| format!("{:.1}", c.mean_latency_ms - l.mean_latency_ms))
             .collect();
+        let label = area_label(cell.area);
         println!("{label} monthly savings %:   {}", savings.join(" "));
         println!("{label} monthly latency +ms: {}", latency.join(" "));
-        if area == ZoneArea::Europe {
+        if cell.area == ZoneArea::Europe {
             println!("\nmonthly carbon intensity of reference zones (g/kWh):");
             for zone in ["Paris, FR", "Oslo, NO", "Vienna, AT", "Zagreb, HR"] {
                 if let Some(series) = sim.monthly_intensity_of(zone) {
@@ -802,28 +799,25 @@ fn fig13(quick: bool) {
 }
 
 /// Figure 14: effect of population-skewed demand and capacity.
-fn fig14(quick: bool) {
+fn fig14(quick: bool, jobs: usize) {
     header("Figure 14: effect of demand and capacity skew");
     println!(
         "{:<8} {:<10} {:>12} {:>14}",
         "area", "scenario", "saving %", "latency +ms"
     );
-    for (area, label) in [(ZoneArea::UnitedStates, "US"), (ZoneArea::Europe, "Europe")] {
-        for scenario in [
-            CdnScenario::Homogeneous,
-            CdnScenario::PopulationDemand,
-            CdnScenario::PopulationCapacity,
-        ] {
-            let sim = CdnSimulator::new(cdn_config(area, quick).with_scenario(scenario));
-            let (_, _, savings) = sim.compare();
-            println!(
-                "{:<8} {:<10} {:>12.1} {:>14.1}",
-                label,
-                scenario.name(),
-                savings.carbon_percent,
-                savings.latency_increase_ms
-            );
-        }
+    let spec = cdn_spec("fig14", quick).with_scenarios(vec![
+        CdnScenario::Homogeneous,
+        CdnScenario::PopulationDemand,
+        CdnScenario::PopulationCapacity,
+    ]);
+    for (cell, _, savings) in compared(&summary::run(&spec, jobs)) {
+        println!(
+            "{:<8} {:<10} {:>12.1} {:>14.1}",
+            area_label(cell.cell.area),
+            cell.cell.scenario.name(),
+            savings.carbon_percent,
+            savings.latency_increase_ms
+        );
     }
     println!("(paper: skew changes US savings by up to ~6%, EU by <1.6%)");
 }

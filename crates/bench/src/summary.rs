@@ -1,14 +1,13 @@
 //! The scenario grids behind `experiments --sweep`, `--forecast`,
-//! `--migration` and `--serving`, and the one runner that executes them.
+//! `--migration` and `--serving`, and the one runner that executes them and
+//! the grids of the paper's Figures 11, 12 and 14.
 //!
-//! The quick sweep grid replays the figure-generating sweeps of the paper
-//! (Figure 11's area comparison, Figure 12's latency-tolerance sweep,
-//! Figure 14's demand/capacity skew) on a reduced site catalog through the
-//! sweep engine.  Every report renders seed-stable and independent of the
-//! worker count, so `tests/experiments_golden.rs` can diff each quick
-//! grid's table against a checked-in snapshot with numeric tolerances and
-//! catch silent drift in any layer under it (datasets, traces, solver,
-//! simulator, aggregation).
+//! The quick sweep grid crosses the axes of those three figures (area,
+//! latency limit, demand/capacity skew) on a reduced site catalog.  Every
+//! report renders seed-stable and independent of the worker count, so
+//! `tests/experiments_golden.rs` can diff each quick grid's table against a
+//! checked-in snapshot with numeric tolerances and catch silent drift in
+//! any layer under it (datasets, traces, solver, simulator, aggregation).
 
 use carbonedge_core::MigrationCostLevel;
 use carbonedge_datasets::zones::ZoneArea;
@@ -21,7 +20,7 @@ use carbonedge_sweep::{SweepExecutor, SweepReport, SweepSpec};
 /// logic must stay timing-independent — see the `wall-clock` lint rule), so
 /// measurement lives here at the bench edge, next to the code that prints
 /// [`SweepReport::footer`].  Panics if `spec` is invalid; every caller
-/// passes one of the grids below.
+/// passes a built-in grid: one of those below, or a paper figure's.
 pub fn run(spec: &SweepSpec, jobs: usize) -> SweepReport {
     let started = std::time::Instant::now();
     let mut report = SweepExecutor::new()

@@ -268,23 +268,6 @@ impl ZoneCatalog {
         Self { records }
     }
 
-    /// Builds a catalog restricted to US and European zones (the paper's
-    /// CDN-scale evaluation scope).
-    pub fn us_and_europe() -> Self {
-        let all = Self::worldwide();
-        let records: Vec<ZoneRecord> = all
-            .records
-            .into_iter()
-            .filter(|r| r.area != ZoneArea::RestOfWorld)
-            .enumerate()
-            .map(|(i, mut r)| {
-                r.id = ZoneId(i);
-                r
-            })
-            .collect();
-        Self { records }
-    }
-
     /// All records.
     pub fn records(&self) -> &[ZoneRecord] {
         &self.records
@@ -337,16 +320,6 @@ mod tests {
         assert_eq!(cat.in_area(ZoneArea::UnitedStates).len(), 54);
         assert_eq!(cat.in_area(ZoneArea::Europe).len(), 45);
         assert_eq!(cat.in_area(ZoneArea::RestOfWorld).len(), 49);
-    }
-
-    #[test]
-    fn us_and_europe_catalog_excludes_world() {
-        let cat = ZoneCatalog::us_and_europe();
-        assert_eq!(cat.len(), 99);
-        // Ids are re-indexed contiguously.
-        for (i, r) in cat.records().iter().enumerate() {
-            assert_eq!(r.id.index(), i);
-        }
     }
 
     #[test]
@@ -478,7 +451,7 @@ mod tests {
 
     #[test]
     fn traces_generate_for_all_zones() {
-        let cat = ZoneCatalog::us_and_europe();
+        let cat = ZoneCatalog::worldwide();
         let traces = cat.generate_traces(42);
         assert_eq!(traces.len(), cat.len());
         for t in &traces {

@@ -1,9 +1,9 @@
 //! `shim-purity`: the `shims/` seam is a manifest-only detail.
 //!
 //! The workspace builds offline against API-compatible dependency shims
-//! under `shims/` (serde/rand/rayon/criterion/proptest).  The whole design
-//! rests on one property: swapping a shim for the real registry crate is a
-//! change to the **root manifest only** (`[workspace.dependencies]`).  That
+//! under `shims/` (serde/rand/rayon/proptest).  The whole design rests on
+//! one property: swapping a shim for the real registry crate is a change
+//! to the **root manifest only** (`[workspace.dependencies]`).  That
 //! property dies the moment any crate reaches around the seam — a
 //! `path = "../../shims/..."` dependency in a crate manifest, a
 //! `#[path = ".../shims/..."]` module, an `include!` of shim source, or a

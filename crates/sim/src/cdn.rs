@@ -980,8 +980,9 @@ impl CdnSimulator {
     }
 
     /// Runs CarbonEdge and the Latency-aware baseline and returns
-    /// `(carbonedge, latency_aware, savings)` — the comparison reported in
-    /// Figures 11–14.
+    /// `(carbonedge, latency_aware, savings)`: Figure 13's monthly
+    /// comparison.  Figures 11, 12 and 14 pair the same two policies
+    /// through the sweep engine's savings rows instead.
     pub fn compare(&self) -> (CdnResult, CdnResult, Savings) {
         let baseline = self.run(PlacementPolicy::LatencyAware);
         let carbonedge = self.run(PlacementPolicy::CarbonAware);
