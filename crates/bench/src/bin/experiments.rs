@@ -49,8 +49,7 @@
 //! file).  It composes with `--quick` and `--jobs`.
 
 use carbonedge_analysis::mesoscale::{
-    region_latency_table, standard_regions_and_traces, RegionSnapshot, RegionYearly,
-    TemporalProfile,
+    region_latency_table, RegionSnapshot, RegionYearly, TemporalProfile,
 };
 use carbonedge_analysis::RadiusAnalysis;
 use carbonedge_bench::summary;
@@ -58,7 +57,7 @@ use carbonedge_core::{
     IncrementalPlacer, PlacementPolicy, PlacementProblem, PlacementSkeleton, ServerSnapshot,
 };
 use carbonedge_datasets::zones::ZoneArea;
-use carbonedge_datasets::{EdgeSiteCatalog, StudyRegion, ZoneCatalog};
+use carbonedge_datasets::{EdgeSiteCatalog, MesoscaleRegion, StudyRegion};
 use carbonedge_grid::{EnergySource, HourOfYear};
 use carbonedge_net::LatencyModel;
 use carbonedge_sim::cdn::{CdnScenario, CdnShared};
@@ -67,7 +66,7 @@ use carbonedge_sim::metrics::Savings;
 use carbonedge_sim::testbed::{run_testbed, TestbedConfig, TestbedWorkload};
 use carbonedge_sim::TradeoffSweep;
 use carbonedge_sweep::spec::area_name;
-use carbonedge_sweep::{CellResult, SavingsRow, SweepReport, SweepSpec, BASELINE_POLICY};
+use carbonedge_sweep::{CellResult, SavingsRow, SweepReport, SweepSpec};
 use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind, WorkloadProfile};
 use std::time::Instant;
 
@@ -366,23 +365,26 @@ fn main() {
     let should = |name: &str| run_all || which.contains(&name);
 
     let started = Instant::now();
+    // The seed-42 world the figures outside the sweep engine read: one zone
+    // catalog, and one trace year generated on first use.
+    let world = CdnShared::new();
     if should("fig1") {
-        fig1();
+        fig1(&world);
     }
     if should("fig2") {
-        fig2();
+        fig2(&world);
     }
     if should("fig3") {
-        fig3();
+        fig3(&world);
     }
     if should("fig4") {
-        fig4();
+        fig4(&world);
     }
     if should("fig5") {
-        fig5();
+        fig5(&world);
     }
     if should("table1") {
-        table1();
+        table1(&world);
     }
     if should("fig7") {
         fig7();
@@ -397,7 +399,7 @@ fn main() {
         fig12(quick, jobs);
     }
     if should("fig13") {
-        fig13(quick);
+        fig13(&world, quick);
     }
     if should("fig14") {
         fig14(quick, jobs);
@@ -409,7 +411,7 @@ fn main() {
         fig16();
     }
     if should("fig17") {
-        fig17();
+        fig17(&world);
     }
     eprintln!(
         "\n[experiments completed in {:.1} s]",
@@ -424,10 +426,10 @@ fn header(title: &str) {
 }
 
 /// Figure 1: energy mix and carbon intensity of four reference zones.
-fn fig1() {
+fn fig1(world: &CdnShared) {
     header("Figure 1: energy mix and carbon intensity of four reference zones");
-    let catalog = ZoneCatalog::worldwide();
-    let traces = catalog.generate_traces(SEED);
+    let catalog = world.catalog();
+    let traces = world.traces(SEED);
     let zones = ["Ontario", "California North", "New York", "Warsaw, PL"];
     println!(
         "{:<18} {:>8} {:>8} {:>8} {:>8} {:>8} | {:>14}",
@@ -460,9 +462,10 @@ fn fig1() {
 }
 
 /// Figure 2: single-hour carbon-intensity snapshots of the mesoscale regions.
-fn fig2() {
+fn fig2(world: &CdnShared) {
     header("Figure 2: mesoscale region snapshots (inter-zone variation)");
-    let (_, regions, traces) = standard_regions_and_traces(SEED);
+    let regions = MesoscaleRegion::all(world.catalog());
+    let traces = world.traces(SEED);
     println!(
         "{:<12} {:>10} | per-zone intensity (g CO2eq/kWh)",
         "region", "variation"
@@ -485,9 +488,10 @@ fn fig2() {
 }
 
 /// Figure 3: yearly mean carbon intensity per zone of two regions.
-fn fig3() {
+fn fig3(world: &CdnShared) {
     header("Figure 3: yearly mean carbon intensity (West US and Central EU)");
-    let (_, regions, traces) = standard_regions_and_traces(SEED);
+    let regions = MesoscaleRegion::all(world.catalog());
+    let traces = world.traces(SEED);
     for region in &regions {
         if region.region != StudyRegion::WestUs && region.region != StudyRegion::CentralEu {
             continue;
@@ -510,9 +514,10 @@ fn fig3() {
 }
 
 /// Figure 4: two-day and monthly carbon-intensity variation in the West US.
-fn fig4() {
+fn fig4(world: &CdnShared) {
     header("Figure 4: spatial-temporal variation, West US");
-    let (_, regions, traces) = standard_regions_and_traces(SEED);
+    let regions = MesoscaleRegion::all(world.catalog());
+    let traces = world.traces(SEED);
     let west = regions
         .iter()
         .find(|r| r.region == StudyRegion::WestUs)
@@ -539,11 +544,10 @@ fn fig4() {
 }
 
 /// Figure 5: carbon savings within a search radius, across the CDN sites.
-fn fig5() {
+fn fig5(world: &CdnShared) {
     header("Figure 5: best carbon saving within radius D across edge sites");
-    let catalog = ZoneCatalog::worldwide();
-    let sites = EdgeSiteCatalog::akamai_like(&catalog);
-    let traces = catalog.generate_traces(SEED);
+    let sites = EdgeSiteCatalog::akamai_like(world.catalog());
+    let traces = world.traces(SEED);
     let model = LatencyModel::deterministic();
     println!(
         "{:>8} {:>14} {:>14} {:>18}",
@@ -563,9 +567,9 @@ fn fig5() {
 }
 
 /// Table 1: one-way latency between edge data centers in Florida and Central EU.
-fn table1() {
+fn table1(world: &CdnShared) {
     header("Table 1: one-way network latency (ms)");
-    let (_, regions, _) = standard_regions_and_traces(SEED);
+    let regions = MesoscaleRegion::all(world.catalog());
     let model = LatencyModel::deterministic();
     for region in &regions {
         if region.region != StudyRegion::Florida && region.region != StudyRegion::CentralEu {
@@ -707,9 +711,12 @@ fn area_label(area: ZoneArea) -> &'static str {
 /// latency limit), with its Latency-aware cell and the savings between them.
 fn compared(report: &SweepReport) -> Vec<(&CellResult, &CellResult, Savings)> {
     let pair = |row: SavingsRow| {
-        let cell = &report.cells[row.cell_index];
-        let baseline = report.find(&cell.cell.scenario_key(), BASELINE_POLICY);
-        (cell, baseline.expect("a row has a baseline"), row.savings)
+        let cells = &report.cells;
+        (
+            &cells[row.cell_index],
+            &cells[row.baseline_index],
+            row.savings,
+        )
     };
     report.savings_rows().into_iter().map(pair).collect()
 }
@@ -756,13 +763,12 @@ fn fig12(quick: bool, jobs: usize) {
 }
 
 /// Figure 13: seasonality of savings, latency, intensity and placements.
-fn fig13(quick: bool) {
+fn fig13(world: &CdnShared, quick: bool) {
     header("Figure 13: seasonality (monthly savings, latency, intensity, placements)");
-    let shared = CdnShared::new();
     // One cell per continent; `compare` runs both policies on it.
     let spec = cdn_spec("fig13", quick).with_policies(vec![PlacementPolicy::CarbonAware]);
     for cell in spec.cells() {
-        let sim = shared.simulator(cell.config());
+        let sim = world.simulator(cell.config());
         let (ce, la, _) = sim.compare();
         let savings: Vec<String> = ce
             .monthly
@@ -875,10 +881,10 @@ fn fig16() {
 }
 
 /// Figure 17 / Section 6.5: placement runtime and memory scalability.
-fn fig17() {
+fn fig17(world: &CdnShared) {
     header("Figure 17: placement runtime vs number of servers and applications");
-    let catalog = ZoneCatalog::worldwide();
-    let traces = catalog.generate_traces(SEED);
+    let catalog = world.catalog();
+    let traces = world.traces(SEED);
     let build_problem = |apps: usize, servers: usize| -> PlacementProblem {
         let zone_count = catalog.len();
         let server_list: Vec<ServerSnapshot> = (0..servers)

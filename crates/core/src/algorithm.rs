@@ -239,16 +239,12 @@ fn deployment_words(problem: &PlacementProblem) -> impl Iterator<Item = u64> + '
     let LatencyModel {
         access_delay_ms,
         routing_inflation,
-        jitter_fraction,
-        seed,
     } = &problem.latency_model;
     let head = [
         problem.apps.len() as u64,
         problem.servers.len() as u64,
         access_delay_ms.to_bits(),
         routing_inflation.to_bits(),
-        jitter_fraction.to_bits(),
-        *seed,
     ];
     let apps = problem.apps.iter().flat_map(|app| {
         let Application {
@@ -1253,27 +1249,23 @@ mod tests {
             p
         };
 
-        // Jittered latencies: two seeds put the green server on either side
-        // of the SLO.
-        let jittered = |seed| LatencyModel {
-            seed,
+        // Two routing inflations put the green server on either side of
+        // the SLO.
+        let inflated = |routing_inflation| LatencyModel {
+            routing_inflation,
             ..LatencyModel::default()
         };
-        let green_rtt = |seed| {
+        let green_rtt = |inflation| {
             base.clone()
-                .with_latency_model(jittered(seed))
+                .with_latency_model(inflated(inflation))
                 .latency_ms(0, 1)
         };
-        let (near, far) = if green_rtt(1) < green_rtt(2) {
-            (1, 2)
-        } else {
-            (2, 1)
-        };
+        let (near, far) = (1.8, 2.2);
         assert!(green_rtt(near) < green_rtt(far));
-        let mut near_seed = base.clone().with_latency_model(jittered(near));
-        near_seed.apps[0].latency_slo_ms = (green_rtt(near) + green_rtt(far)) / 2.0;
-        let mut far_seed = near_seed.clone();
-        far_seed.latency_model.seed = far;
+        let mut near_route = base.clone().with_latency_model(inflated(near));
+        near_route.apps[0].latency_slo_ms = (green_rtt(near) + green_rtt(far)) / 2.0;
+        let mut far_route = near_route.clone();
+        far_route.latency_model.routing_inflation = far;
 
         // Latency caches: the green server within the SLO, or beyond it.
         let cache = |green_ms| {
@@ -1332,7 +1324,7 @@ mod tests {
                 changed(&|p| p.servers[1].location.lon = 10.0),
                 &dirty,
             ),
-            ("latency seed", &near_seed, far_seed, &dirty),
+            ("routing inflation", &near_route, far_route, &dirty),
             ("latency cache", &base, beyond.clone(), &dirty),
             ("other latency cache", &within, beyond, &dirty),
             ("equal latency cache", &within, within_again, &green),

@@ -798,7 +798,7 @@ mod tests {
 
     #[test]
     fn skeleton_rows_match_the_pair_tests_when_apps_share_an_origin() {
-        // Jittered latencies; apps 0-2 share Munich (SciCpu runs on the
+        // Default-model latencies; apps 0-2 share Munich (SciCpu runs on the
         // Xeon only, so app 1 reads a row app 0 left partly empty), app 3
         // starts in Bern and app 4 returns to Munich.
         let mut servers = servers();

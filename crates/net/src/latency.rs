@@ -1,8 +1,6 @@
 //! Distance-based network latency model.
 
 use carbonedge_geo::Coordinates;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// Speed of light in fiber, km per millisecond (≈ 2/3 c).
@@ -13,26 +11,20 @@ const FIBER_KM_PER_MS: f64 = 200.0;
 /// One-way latency between two points is modeled as
 ///
 /// ```text
-/// latency = access_delay + routing_inflation * distance / (2/3 c) + jitter
+/// latency = access_delay + routing_inflation * distance / (2/3 c)
 /// ```
 ///
 /// * `access_delay_ms` captures last-mile/metro access and processing delays
 ///   at both endpoints (the WonderNetwork data shows a ~1–3 ms floor even for
 ///   nearby cities, e.g. Orlando–Tampa at 1.86 ms one-way for ~135 km);
 /// * `routing_inflation` captures the fact that fiber paths do not follow
-///   great circles (typical inflation factors are 1.5–2.5×);
-/// * optional deterministic per-pair jitter captures topology irregularities
-///   such as the Graz–Lyon 16.2 ms outlier in Table 1b.
+///   great circles (typical inflation factors are 1.5–2.5×).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencyModel {
     /// Fixed per-path access and processing delay, in ms (one-way).
     pub access_delay_ms: f64,
     /// Multiplicative inflation of the great-circle distance.
     pub routing_inflation: f64,
-    /// Maximum relative jitter applied per pair (0 disables jitter).
-    pub jitter_fraction: f64,
-    /// Seed controlling the deterministic per-pair jitter.
-    pub seed: u64,
 }
 
 impl Default for LatencyModel {
@@ -40,38 +32,14 @@ impl Default for LatencyModel {
         Self {
             access_delay_ms: 1.5,
             routing_inflation: 1.8,
-            jitter_fraction: 0.25,
-            seed: 0x0ed6e,
         }
     }
 }
 
 impl LatencyModel {
-    /// A model without jitter, useful for tests and analytical experiments.
+    /// The default model, for callers that name their choice explicitly.
     pub fn deterministic() -> Self {
-        Self {
-            jitter_fraction: 0.0,
-            ..Self::default()
-        }
-    }
-
-    fn pair_jitter(&self, a: Coordinates, b: Coordinates) -> f64 {
-        if self.jitter_fraction <= 0.0 {
-            return 0.0;
-        }
-        // Derive a per-pair seed that is symmetric in (a, b) so that the
-        // latency matrix stays symmetric, like a ping matrix.
-        let qa = ((a.lat * 1e4) as i64, (a.lon * 1e4) as i64);
-        let qb = ((b.lat * 1e4) as i64, (b.lon * 1e4) as i64);
-        let (lo, hi) = if qa <= qb { (qa, qb) } else { (qb, qa) };
-        let mut h: u64 = self.seed ^ 0x9e3779b97f4a7c15;
-        for v in [lo.0, lo.1, hi.0, hi.1] {
-            h ^= v as u64;
-            h = h.wrapping_mul(0x100000001b3);
-            h ^= h >> 29;
-        }
-        let mut rng = StdRng::seed_from_u64(h);
-        rng.gen_range(-self.jitter_fraction..self.jitter_fraction)
+        Self::default()
     }
 
     /// One-way latency between two coordinates in milliseconds.
@@ -81,9 +49,7 @@ impl LatencyModel {
             // Same site: only local processing delay applies.
             return self.access_delay_ms * 0.2;
         }
-        let propagation = self.routing_inflation * distance / FIBER_KM_PER_MS;
-        let base = self.access_delay_ms + propagation;
-        base * (1.0 + self.pair_jitter(a, b))
+        self.access_delay_ms + self.routing_inflation * distance / FIBER_KM_PER_MS
     }
 
     /// Round-trip latency between two coordinates in milliseconds.
@@ -145,28 +111,6 @@ mod tests {
         let m = LatencyModel::default();
         let (a, b) = coords();
         assert!((m.round_trip_ms(a, b) - 2.0 * m.one_way_ms(a, b)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn jitter_is_symmetric_and_deterministic() {
-        let m = LatencyModel::default();
-        let (a, b) = coords();
-        assert!((m.one_way_ms(a, b) - m.one_way_ms(b, a)).abs() < 1e-9);
-        assert!((m.one_way_ms(a, b) - m.one_way_ms(a, b)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn different_seeds_give_different_jitter() {
-        let (a, b) = coords();
-        let m1 = LatencyModel {
-            seed: 1,
-            ..LatencyModel::default()
-        };
-        let m2 = LatencyModel {
-            seed: 2,
-            ..LatencyModel::default()
-        };
-        assert!((m1.one_way_ms(a, b) - m2.one_way_ms(a, b)).abs() > 1e-9);
     }
 
     proptest! {

@@ -14,6 +14,15 @@ use carbonedge_grid::HourOfYear;
 use carbonedge_net::LatencyModel;
 use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind};
 
+/// Region providing the edge sites and carbon zones.
+const REGION: StudyRegion = StudyRegion::CentralEu;
+/// Round-trip latency SLO (ms).
+const LATENCY_SLO_MS: f64 = 20.0;
+/// Hour of year used for the carbon-intensity snapshot.
+const HOUR: usize = 12 * 24;
+/// Trace seed.
+const SEED: u64 = 42;
+
 /// Which cluster composition to evaluate (the x-axis groups of Figure 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterKind {
@@ -59,32 +68,20 @@ impl ClusterKind {
     }
 }
 
-/// Configuration of the heterogeneity experiment.
+/// Configuration of the heterogeneity experiment: the offered load.
 #[derive(Debug, Clone)]
 pub struct HeterogeneityConfig {
-    /// Region providing the edge sites and carbon zones.
-    pub region: StudyRegion,
     /// Number of applications per model kind arriving at each site.
     pub apps_per_model_per_site: usize,
     /// Per-application request rate.
     pub request_rate_rps: f64,
-    /// Round-trip latency SLO (ms).
-    pub latency_slo_ms: f64,
-    /// Hour of year used for the carbon-intensity snapshot.
-    pub hour: usize,
-    /// Trace seed.
-    pub seed: u64,
 }
 
 impl Default for HeterogeneityConfig {
     fn default() -> Self {
         Self {
-            region: StudyRegion::CentralEu,
             apps_per_model_per_site: 1,
             request_rate_rps: 10.0,
-            latency_slo_ms: 20.0,
-            hour: 12 * 24,
-            seed: 42,
         }
     }
 }
@@ -101,8 +98,8 @@ pub struct HeterogeneityResult {
 }
 
 /// The deployment of Figures 15 and 16, generated once per experiment: the
-/// sites of the configured region, each priced at its zone's carbon
-/// intensity at the configured hour of the seeded traces.
+/// sites of [`REGION`], each priced at its zone's carbon intensity at
+/// [`HOUR`] of the seeded traces.
 pub(crate) struct Deployment {
     config: HeterogeneityConfig,
     region: MesoscaleRegion,
@@ -114,9 +111,9 @@ impl Deployment {
     /// Resolves the region and prices its sites.
     pub(crate) fn new(config: &HeterogeneityConfig) -> Self {
         let catalog = ZoneCatalog::worldwide();
-        let region = MesoscaleRegion::resolve(config.region, &catalog);
-        let traces = catalog.generate_traces(config.seed);
-        let now = HourOfYear::new(config.hour);
+        let region = MesoscaleRegion::resolve(REGION, &catalog);
+        let traces = catalog.generate_traces(SEED);
+        let now = HourOfYear::new(HOUR);
         let intensity = region
             .zones
             .iter()
@@ -132,7 +129,7 @@ impl Deployment {
     /// The one-hour placement problem of `cluster`: each site hosts one
     /// server per device of the cluster and receives
     /// `apps_per_model_per_site` applications of each GPU model at the
-    /// configured rate and SLO.
+    /// configured rate and [`LATENCY_SLO_MS`].
     pub(crate) fn problem(&self, cluster: ClusterKind) -> PlacementProblem {
         let sites = self.region.zones.iter().zip(&self.region.members);
         let mut servers = Vec::new();
@@ -152,7 +149,7 @@ impl Deployment {
                         AppId(apps.len()),
                         model,
                         self.config.request_rate_rps,
-                        self.config.latency_slo_ms,
+                        LATENCY_SLO_MS,
                         *loc,
                         0,
                     ));

@@ -15,6 +15,16 @@ use carbonedge_net::LatencyModel;
 use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind, WorkloadProfile};
 use std::collections::HashMap;
 
+/// Per-application request rate (requests/second).
+const REQUEST_RATE_RPS: f64 = 15.0;
+/// Round-trip latency SLO (ms); the paper uses 20 ms (~500 km).
+const LATENCY_SLO_MS: f64 = 20.0;
+/// First hour of the 24-hour window within the simulated year: a mid-July
+/// day, matching Figure 1b's window.
+const START_HOUR: usize = 24 * 195;
+/// Trace-generation seed.
+const SEED: u64 = 42;
+
 /// The two testbed workloads of Section 6.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TestbedWorkload {
@@ -57,27 +67,12 @@ pub struct TestbedConfig {
     pub region: StudyRegion,
     /// Which workload to run.
     pub workload: TestbedWorkload,
-    /// Per-application request rate (requests/second).
-    pub request_rate_rps: f64,
-    /// Round-trip latency SLO (ms); the paper uses 20 ms (~500 km).
-    pub latency_slo_ms: f64,
-    /// First hour of the 24-hour window within the simulated year.
-    pub start_hour: usize,
-    /// Trace-generation seed.
-    pub seed: u64,
 }
 
 impl TestbedConfig {
-    /// The paper's default configuration for a region and workload.
+    /// The paper's configuration for a region and workload.
     pub fn new(region: StudyRegion, workload: TestbedWorkload) -> Self {
-        Self {
-            region,
-            workload,
-            request_rate_rps: 15.0,
-            latency_slo_ms: 20.0,
-            start_hour: 24 * 195, // a mid-July day, matching Figure 1b's window
-            seed: 42,
-        }
+        Self { region, workload }
     }
 }
 
@@ -132,7 +127,7 @@ pub fn run_testbed_with_policies(
 ) -> TestbedResult {
     let catalog = ZoneCatalog::worldwide();
     let region = MesoscaleRegion::resolve(config.region, &catalog);
-    let traces = catalog.generate_traces(config.seed);
+    let traces = catalog.generate_traces(SEED);
     let latency_model = LatencyModel::deterministic();
     let device = config.workload.device();
     let profile = WorkloadProfile::lookup(config.workload.model(), device)
@@ -145,7 +140,7 @@ pub fn run_testbed_with_policies(
         .zip(region.members.iter())
         .map(|(zone, (name, _))| {
             let series: Vec<f64> = (0..24)
-                .map(|h| traces[zone.index()].at(HourOfYear::new(config.start_hour + h)))
+                .map(|h| traces[zone.index()].at(HourOfYear::new(START_HOUR + h)))
                 .collect();
             (name.clone(), series)
         })
@@ -202,7 +197,7 @@ fn run_policy(
     let mut outcome = PolicyOutcome::default();
 
     for h in 0..24 {
-        let now = HourOfYear::new(config.start_hour + h);
+        let now = HourOfYear::new(START_HOUR + h);
         // One server per site, powered on, with the hour's forecast intensity.
         let servers: Vec<ServerSnapshot> = region
             .zones
@@ -223,8 +218,8 @@ fn run_policy(
                 Application::new(
                     AppId(i),
                     config.workload.model(),
-                    config.request_rate_rps,
-                    config.latency_slo_ms,
+                    REQUEST_RATE_RPS,
+                    LATENCY_SLO_MS,
                     *loc,
                     i,
                 )

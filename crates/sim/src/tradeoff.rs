@@ -48,7 +48,6 @@ impl TradeoffSweep {
         let config = HeterogeneityConfig {
             apps_per_model_per_site,
             request_rate_rps,
-            ..Default::default()
         };
         let problem = Deployment::new(&config).problem(ClusterKind::Heterogeneous);
 

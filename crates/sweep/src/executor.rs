@@ -2,12 +2,12 @@
 //!
 //! The executor walks the cell list with a shared atomic cursor and a fixed
 //! worker pool (`std::thread::scope`), the same work-distribution shape a
-//! rayon `par_iter` would compile to — workers pull the next unclaimed cell,
-//! simulate it, and write the result into the cell's own slot.  Because every
-//! cell is seeded deterministically by the spec and results are collected by
-//! cell index, the aggregated report is identical for any worker count or
-//! scheduling order; catalogs and per-seed carbon traces are shared across
-//! workers through [`CdnShared`].
+//! rayon `par_iter` would compile to — workers pull the next unclaimed block
+//! of one scenario's policy cells, simulate them, and write each result into
+//! its cell's own slot.  Because every cell is seeded deterministically by
+//! the spec and results are collected by cell index, the aggregated report
+//! is identical for any worker count or scheduling order; catalogs and
+//! per-seed carbon traces are shared across workers through [`CdnShared`].
 
 use crate::report::{CellResult, SweepReport};
 use crate::spec::{SweepCell, SweepSpec};
@@ -149,33 +149,26 @@ impl SweepExecutor {
 
         let slots: Vec<Mutex<Option<CellResult>>> =
             cells.iter().map(|_| Mutex::new(None)).collect();
-        // Contiguous runs of cells sharing a `ScenarioKey` — the policy axis
-        // is innermost, so every policy variant of one scenario is adjacent.
-        // Workers claim whole groups, not single cells: one worker builds
-        // the scenario's [`ScenarioPrep`] and every neighbor cell reuses it
-        // from that worker's cache-warm state instead of rendezvousing on
-        // the `OnceLock` mid-build, and the schedule stays deterministic at
-        // the group level.  Solver state still never crosses a cell
-        // boundary (see [`Self::run_cell`]), so the report is bit-identical
-        // for any job count — pinned by `tests/sweep_delta.rs` against the
-        // cold per-cell oracle.
-        let mut groups: Vec<std::ops::Range<usize>> = Vec::new();
-        let mut group_start = 0usize;
-        for i in 1..=cells.len() {
-            if i == cells.len() || cells[i].scenario_key() != cells[group_start].scenario_key() {
-                groups.push(group_start..i);
-                group_start = i;
-            }
-        }
-        // A worker clones the placer once, then claims groups off the shared
+        // The policy axis is innermost, so each block of `policies.len()`
+        // adjacent cells holds every policy variant of one scenario (`validate`
+        // rejects an empty axis).  Workers claim whole blocks, not single
+        // cells: one worker builds the scenario's [`ScenarioPrep`] and every
+        // neighbor cell reuses it from that worker's cache-warm state instead
+        // of rendezvousing on the `OnceLock` mid-build, and the schedule stays
+        // deterministic at the block level.  Solver state still never crosses
+        // a cell boundary (see [`Self::run_cell`]), so the report is
+        // bit-identical for any job count — pinned by `tests/sweep_delta.rs`
+        // against the cold per-cell oracle.
+        let blocks: Vec<&[SweepCell]> = cells.chunks(spec.policies.len()).collect();
+        // A worker clones the placer once, then claims blocks off the shared
         // cursor until none are left.  A single worker runs on this thread.
         let cursor = AtomicUsize::new(0);
         let worker = || {
             let mut placer = self.placer_template.clone();
-            while let Some(group) = groups.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                for i in group.clone() {
-                    let result = self.run_cell(&shared, &cells[i], &mut placer);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
+            while let Some(block) = blocks.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                for cell in *block {
+                    let result = self.run_cell(&shared, cell, &mut placer);
+                    *slots[cell.index].lock().expect("result slot poisoned") = Some(result);
                 }
             }
         };

@@ -51,4 +51,4 @@ pub use report::{
     CellResult, ChurnRow, MarginalRow, RegretRow, SavingsRow, ServingRow, SweepReport,
     BASELINE_POLICY,
 };
-pub use spec::{ScenarioKey, SweepAxis, SweepCell, SweepSpec, WorkloadSpec};
+pub use spec::{SweepAxis, SweepCell, SweepSpec, WorkloadSpec};

@@ -1,13 +1,12 @@
 //! Aggregated results of a sweep: per-cell metrics, per-scenario savings
 //! against the Latency-aware baseline, and marginal savings tables per axis.
 
-use crate::spec::{area_name, ScenarioKey, SweepAxis, SweepCell, SweepSpec};
+use crate::spec::{area_name, SweepAxis, SweepCell, SweepSpec};
 use carbonedge_grid::ForecasterKind;
 use carbonedge_sim::metrics::{PolicyOutcome, Savings};
 use carbonedge_sim::ServingMetrics;
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::Hash;
 
 /// The display name of the baseline policy savings are computed against.
 pub const BASELINE_POLICY: &str = "Latency-aware";
@@ -45,6 +44,8 @@ pub struct CellResult {
 pub struct SavingsRow {
     /// Index of the policy cell in the report's cell list.
     pub cell_index: usize,
+    /// Index of its Latency-aware cell in the report's cell list.
+    pub baseline_index: usize,
     /// Scenario label (all coordinates except the policy).
     pub scenario: String,
     /// Policy display name.
@@ -161,7 +162,8 @@ pub struct MarginalRow {
 pub struct SweepReport {
     /// The spec that produced this report.
     pub spec: SweepSpec,
-    /// Per-cell results in the spec's canonical cell order.
+    /// Per-cell results of the spec's full grid in canonical cell order, so
+    /// `cells[i]` is cell `i`: pairing and grouping read it that way.
     pub cells: Vec<CellResult>,
     /// Worker threads used.
     pub jobs: usize,
@@ -174,8 +176,9 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Assembles a report (used by the executor).  `wall_seconds` starts at
-    /// zero; callers that time the run stamp it afterwards.
+    /// Assembles a report (used by the executor) from one result per cell of
+    /// `spec.cells()`, in that order.  `wall_seconds` starts at zero;
+    /// callers that time the run stamp it afterwards.
     pub fn new(spec: SweepSpec, cells: Vec<CellResult>, jobs: usize) -> Self {
         Self {
             spec,
@@ -185,29 +188,38 @@ impl SweepReport {
         }
     }
 
-    /// Looks up the result of the first cell matching a scenario key and
-    /// policy name.
-    pub fn find(&self, key: &ScenarioKey, policy: &str) -> Option<&CellResult> {
-        self.cells
+    /// The index of the cell at the same grid coordinate as cell `index`,
+    /// except for value `value` on `axis`.
+    fn partner(&self, index: usize, axis: SweepAxis, value: usize) -> usize {
+        let mut digits = self.spec.digits(index);
+        digits[axis as usize] = value;
+        self.spec.index_of(&digits)
+    }
+
+    /// The Latency-aware cell of cell `index`'s scenario coordinate; `None`
+    /// when the policy axis has no Latency-aware policy.
+    fn baseline_index(&self, index: usize) -> Option<usize> {
+        let policy = self
+            .spec
+            .policies
             .iter()
-            .find(|c| c.cell.policy.name() == policy && &c.cell.scenario_key() == key)
+            .position(|p| p.name() == BASELINE_POLICY)?;
+        Some(self.partner(index, SweepAxis::Policy, policy))
     }
 
     /// Per-scenario savings of every non-baseline policy versus the
     /// Latency-aware cell of the same scenario coordinate, in cell order.
-    /// Scenarios without a Latency-aware cell produce no rows.
+    /// A sweep without a Latency-aware policy produces no rows.
     pub fn savings_rows(&self) -> Vec<SavingsRow> {
-        let baseline_by_key = self.baselines();
         let mut rows = Vec::new();
         for (index, cell) in self.cells.iter().enumerate() {
-            if cell.cell.policy.name() == BASELINE_POLICY {
-                continue;
-            }
-            let Some(baseline) = baseline_by_key.get(&cell.cell.scenario_key()) else {
+            let Some(baseline_index) = self.baseline_index(index).filter(|&b| b != index) else {
                 continue;
             };
+            let baseline = &self.cells[baseline_index];
             rows.push(SavingsRow {
                 cell_index: index,
+                baseline_index,
                 scenario: cell.cell.label(),
                 policy: cell.cell.policy.name(),
                 carbon_g: cell.outcome.carbon_g,
@@ -218,21 +230,9 @@ impl SweepReport {
         rows
     }
 
-    /// The first Latency-aware cell of each scenario coordinate: the baseline
-    /// every other policy of that coordinate is compared with.
-    fn baselines(&self) -> HashMap<ScenarioKey, &CellResult> {
-        let mut by_key = HashMap::new();
-        for cell in &self.cells {
-            if cell.cell.policy.name() == BASELINE_POLICY {
-                by_key.entry(cell.cell.scenario_key()).or_insert(cell);
-            }
-        }
-        by_key
-    }
-
-    /// The display value of `axis` for a cell.  Grouping uses the lossless
-    /// [`Self::axis_key`] instead, so a future display form that rounds can
-    /// never merge distinct axis values.
+    /// The display value of `axis` for a cell.  Tables group by grid
+    /// coordinate instead, so a display form that rounds can never merge
+    /// distinct axis values.
     pub fn axis_value(cell: &SweepCell, axis: SweepAxis) -> String {
         match axis {
             SweepAxis::Policy => cell.policy.name(),
@@ -252,18 +252,6 @@ impl SweepReport {
         }
     }
 
-    /// A lossless grouping key for `axis` on a cell: distinct axis values
-    /// always map to distinct keys regardless of how their display forms are
-    /// formatted (latency limits key on raw bits, workloads on their full
-    /// identity rather than the display name).
-    pub fn axis_key(cell: &SweepCell, axis: SweepAxis) -> String {
-        match axis {
-            SweepAxis::LatencyLimit => format!("{:016x}", cell.latency_limit_ms.to_bits()),
-            SweepAxis::Workload => format!("{:?}", cell.workload.key()),
-            _ => Self::axis_value(cell, axis),
-        }
-    }
-
     /// Whether an axis has more than one value in this sweep.
     pub fn axis_is_widened(&self, axis: SweepAxis) -> bool {
         self.spec.axis_len(axis) > 1
@@ -279,46 +267,38 @@ impl SweepReport {
     /// Marginal aggregation over precomputed savings rows, so callers that
     /// need several axes (like [`Self::render`]) pair baselines only once.
     fn marginal_rows_from(&self, rows: &[SavingsRow], axis: SweepAxis) -> Vec<MarginalRow> {
-        group_sums(rows.iter().map(|row| {
-            let cell = &self.cells[row.cell_index];
-            let key = (Self::axis_key(&cell.cell, axis), row.policy.clone());
+        let items = rows.iter().map(|row| {
             let values = [row.savings.carbon_percent, row.savings.latency_increase_ms];
-            (key, cell, values)
-        }))
-        .into_iter()
-        .map(|group| MarginalRow {
-            value: Self::axis_value(&group.first.cell, axis),
-            policy: group.first.cell.policy.name(),
-            comparisons: group.count,
-            mean_saving_percent: group.mean(0),
-            mean_latency_increase_ms: group.mean(1),
-        })
-        .collect()
+            (row.cell_index, values)
+        });
+        self.group_sums([axis, SweepAxis::Policy], items)
+            .into_iter()
+            .map(|group| MarginalRow {
+                value: Self::axis_value(&group.first.cell, axis),
+                policy: group.first.cell.policy.name(),
+                comparisons: group.count,
+                mean_saving_percent: group.mean(0),
+                mean_latency_increase_ms: group.mean(1),
+            })
+            .collect()
     }
 
     /// Forecast-regret aggregation: every cell paired with the **oracle**
     /// cell of the same policy and scenario coordinate, grouped by (policy,
-    /// forecaster, epoch) in first-occurrence order.  Cells whose oracle
-    /// partner is absent from the sweep produce no rows; a sweep without an
-    /// oracle forecaster therefore yields an empty table.
+    /// forecaster, epoch) in first-occurrence order.  A sweep without an
+    /// oracle forecaster yields an empty table.
     pub fn forecast_regret_rows(&self) -> Vec<RegretRow> {
-        let mut oracle_by_key: HashMap<(ScenarioKey, String), f64> = HashMap::new();
-        for cell in &self.cells {
-            if cell.cell.forecaster == ForecasterKind::Oracle {
-                oracle_by_key
-                    .entry((cell.cell.scenario_key(), cell.cell.policy.name()))
-                    .or_insert(cell.outcome.carbon_g);
-            }
-        }
-        group_sums(self.cells.iter().filter_map(|cell| {
-            let mut oracle_key = cell.cell.scenario_key();
-            oracle_key.forecaster = ForecasterKind::Oracle;
-            let oracle_carbon = *oracle_by_key.get(&(oracle_key, cell.cell.policy.name()))?;
-            let key = (
-                cell.cell.policy.name(),
-                cell.cell.forecaster.label(),
-                cell.cell.epoch.name(),
-            );
+        let forecasters = &self.spec.forecasters;
+        let Some(oracle) = forecasters
+            .iter()
+            .position(|&f| f == ForecasterKind::Oracle)
+        else {
+            return Vec::new();
+        };
+        let items = self.cells.iter().enumerate().map(|(index, cell)| {
+            let oracle_carbon = self.cells[self.partner(index, SweepAxis::Forecaster, oracle)]
+                .outcome
+                .carbon_g;
             let regret = if oracle_carbon > 0.0 {
                 (cell.outcome.carbon_g / oracle_carbon - 1.0) * 100.0
             } else {
@@ -330,20 +310,22 @@ impl SweepReport {
                 0.0
             };
             let values = [cell.outcome.carbon_g, oracle_carbon, regret, decision_error];
-            Some((key, cell, values))
-        }))
-        .into_iter()
-        .map(|group| RegretRow {
-            policy: group.first.cell.policy.name(),
-            forecaster: group.first.cell.forecaster.label(),
-            epoch: group.first.cell.epoch.name().to_string(),
-            comparisons: group.count,
-            mean_carbon_g: group.mean(0),
-            mean_oracle_carbon_g: group.mean(1),
-            mean_regret_percent: group.mean(2),
-            mean_decision_error_percent: group.mean(3),
-        })
-        .collect()
+            (index, values)
+        });
+        let axes = [SweepAxis::Policy, SweepAxis::Forecaster, SweepAxis::Epoch];
+        self.group_sums(axes, items)
+            .into_iter()
+            .map(|group| RegretRow {
+                policy: group.first.cell.policy.name(),
+                forecaster: group.first.cell.forecaster.label(),
+                epoch: group.first.cell.epoch.name().to_string(),
+                comparisons: group.count,
+                mean_carbon_g: group.mean(0),
+                mean_oracle_carbon_g: group.mean(1),
+                mean_regret_percent: group.mean(2),
+                mean_decision_error_percent: group.mean(3),
+            })
+            .collect()
     }
 
     /// Churn-vs-savings aggregation: every non-baseline cell paired with
@@ -355,33 +337,30 @@ impl SweepReport {
     /// buys net of churn.
     pub fn migration_churn_rows(&self) -> Vec<ChurnRow> {
         let rows = self.savings_rows();
-        group_sums(rows.iter().map(|row| {
+        let items = rows.iter().map(|row| {
             let cell = &self.cells[row.cell_index];
-            let key = (
-                row.policy.clone(),
-                cell.cell.epoch.name(),
-                cell.cell.migration.label(),
-            );
             let values = [
                 cell.moves as f64,
                 cell.migration_carbon_g,
                 cell.outcome.carbon_g,
                 row.savings.carbon_percent,
             ];
-            (key, cell, values)
-        }))
-        .into_iter()
-        .map(|group| ChurnRow {
-            policy: group.first.cell.policy.name(),
-            epoch: group.first.cell.epoch.name().to_string(),
-            migration: group.first.cell.migration.label().to_string(),
-            comparisons: group.count,
-            mean_moves: group.mean(0),
-            mean_migration_carbon_g: group.mean(1),
-            mean_carbon_g: group.mean(2),
-            mean_saving_percent: group.mean(3),
-        })
-        .collect()
+            (row.cell_index, values)
+        });
+        let axes = [SweepAxis::Policy, SweepAxis::Epoch, SweepAxis::Migration];
+        self.group_sums(axes, items)
+            .into_iter()
+            .map(|group| ChurnRow {
+                policy: group.first.cell.policy.name(),
+                epoch: group.first.cell.epoch.name().to_string(),
+                migration: group.first.cell.migration.label().to_string(),
+                comparisons: group.count,
+                mean_moves: group.mean(0),
+                mean_migration_carbon_g: group.mean(1),
+                mean_carbon_g: group.mean(2),
+                mean_saving_percent: group.mean(3),
+            })
+            .collect()
     }
 
     /// Renders the churn-vs-savings table (moves, migration carbon and
@@ -442,14 +421,13 @@ impl SweepReport {
     /// down a serving mode shows the tail-latency and drop price of
     /// carbon-aware placement next to its carbon savings.
     pub fn serving_rows(&self) -> Vec<ServingRow> {
-        let baseline_by_key = self.baselines();
-        group_sums(self.cells.iter().filter_map(|cell| {
+        let items = self.cells.iter().enumerate().filter_map(|(index, cell)| {
             let metrics = cell.serving.as_ref()?;
-            let key = (cell.cell.policy.name(), cell.cell.serving.label());
-            let baseline_carbon = baseline_by_key
-                .get(&cell.cell.scenario_key())
-                .map(|baseline| baseline.outcome.carbon_g)
-                .filter(|&carbon| carbon > 0.0 && key.0 != BASELINE_POLICY);
+            let baseline_carbon = self
+                .baseline_index(index)
+                .filter(|&b| b != index)
+                .map(|b| self.cells[b].outcome.carbon_g)
+                .filter(|&carbon| carbon > 0.0);
             // An unpaired cell adds 0.0, which leaves the saving sum's bits
             // unchanged: `(1 - x) * 100` is never -0.0, so neither is the sum.
             let (pairs, saving) = match baseline_carbon {
@@ -467,27 +445,28 @@ impl SweepReport {
                 pairs,
                 saving,
             ];
-            Some((key, cell, values))
-        }))
-        .into_iter()
-        .map(|group| ServingRow {
-            policy: group.first.cell.policy.name(),
-            serving: group.first.cell.serving.label().to_string(),
-            cells: group.count,
-            mean_p50_ms: group.mean(0),
-            mean_p95_ms: group.mean(1),
-            mean_p99_ms: group.mean(2),
-            mean_drop_percent: group.mean(3),
-            mean_utilization: group.mean(4),
-            mean_replacements: group.mean(5),
-            mean_carbon_g: group.mean(6),
-            mean_saving_percent: if group.sums[7] > 0.0 {
-                group.sums[8] / group.sums[7]
-            } else {
-                0.0
-            },
-        })
-        .collect()
+            Some((index, values))
+        });
+        self.group_sums([SweepAxis::Policy, SweepAxis::Serving], items)
+            .into_iter()
+            .map(|group| ServingRow {
+                policy: group.first.cell.policy.name(),
+                serving: group.first.cell.serving.label().to_string(),
+                cells: group.count,
+                mean_p50_ms: group.mean(0),
+                mean_p95_ms: group.mean(1),
+                mean_p99_ms: group.mean(2),
+                mean_drop_percent: group.mean(3),
+                mean_utilization: group.mean(4),
+                mean_replacements: group.mean(5),
+                mean_carbon_g: group.mean(6),
+                mean_saving_percent: if group.sums[7] > 0.0 {
+                    group.sums[8] / group.sums[7]
+                } else {
+                    0.0
+                },
+            })
+            .collect()
     }
 
     /// Renders the serving table (tail latency, drop rate and utilization
@@ -590,6 +569,37 @@ impl SweepReport {
         out
     }
 
+    /// Groups `(cell index, values)` items by the cells' digits on `axes`,
+    /// in first-occurrence order.  Each group's sums accumulate in item
+    /// order, so a mean depends only on the cells' order in the report,
+    /// never on hashing.
+    fn group_sums<const K: usize, const N: usize>(
+        &self,
+        axes: [SweepAxis; K],
+        items: impl Iterator<Item = (usize, [f64; N])>,
+    ) -> Vec<Group<'_, N>> {
+        let mut position: HashMap<[usize; K], usize> = HashMap::new();
+        let mut groups: Vec<Group<'_, N>> = Vec::new();
+        for (index, values) in items {
+            let digits = self.spec.digits(index);
+            let key = axes.map(|axis| digits[axis as usize]);
+            let g = *position.entry(key).or_insert_with(|| {
+                groups.push(Group {
+                    first: &self.cells[index],
+                    count: 0,
+                    sums: [0.0; N],
+                });
+                groups.len() - 1
+            });
+            let group = &mut groups[g];
+            group.count += 1;
+            for (sum, value) in group.sums.iter_mut().zip(values) {
+                *sum += value;
+            }
+        }
+        groups
+    }
+
     /// One-line run summary for binaries to print on stderr.  Unlike
     /// [`Self::render`] this includes wall-clock time, so it is *not* part
     /// of the deterministic output.
@@ -677,9 +687,9 @@ impl SweepReport {
     }
 }
 
-/// One group of [`group_sums`]: its first cell, which supplies the row's
-/// display values, the number of cells in it and the per-position sums of
-/// their values.
+/// One group of [`SweepReport::group_sums`]: its first cell, which supplies
+/// the row's display values, the number of cells in it and the per-position
+/// sums of their values.
 struct Group<'a, const N: usize> {
     first: &'a CellResult,
     count: usize,
@@ -691,32 +701,6 @@ impl<const N: usize> Group<'_, N> {
     fn mean(&self, i: usize) -> f64 {
         self.sums[i] / self.count as f64
     }
-}
-
-/// Groups `(key, cell, values)` items by key, in first-occurrence order.
-/// Each group's sums accumulate in item order, so a mean depends only on
-/// the cells' order in the report, never on hashing.
-fn group_sums<'a, K: Hash + Eq, const N: usize>(
-    items: impl Iterator<Item = (K, &'a CellResult, [f64; N])>,
-) -> Vec<Group<'a, N>> {
-    let mut position: HashMap<K, usize> = HashMap::new();
-    let mut groups: Vec<Group<'a, N>> = Vec::new();
-    for (key, cell, values) in items {
-        let g = *position.entry(key).or_insert_with(|| {
-            groups.push(Group {
-                first: cell,
-                count: 0,
-                sums: [0.0; N],
-            });
-            groups.len() - 1
-        });
-        let group = &mut groups[g];
-        group.count += 1;
-        for (sum, value) in group.sums.iter_mut().zip(values) {
-            *sum += value;
-        }
-    }
-    groups
 }
 
 #[cfg(test)]
@@ -959,13 +943,145 @@ mod tests {
     }
 
     #[test]
-    fn find_locates_cells_by_scenario_and_policy() {
+    fn savings_rows_point_at_the_baseline_of_their_scenario() {
         let report = small_report();
-        let key = report.cells[0].cell.scenario_key();
-        let baseline = report.find(&key, BASELINE_POLICY).unwrap();
-        let carbon = report.find(&key, "CarbonEdge").unwrap();
-        assert_eq!(baseline.cell.scenario_key(), carbon.cell.scenario_key());
-        assert!(report.find(&key, "No-such-policy").is_none());
+        let rows = report.savings_rows();
+        assert!(!rows.is_empty());
+        for row in &rows {
+            let baseline = &report.cells[row.baseline_index];
+            assert_eq!(baseline.cell.policy.name(), BASELINE_POLICY);
+            assert_eq!(baseline.cell.label(), row.scenario);
+            assert_eq!(baseline.outcome.carbon_g, row.baseline_carbon_g);
+        }
+    }
+
+    /// Every axis widened to two values, with the baseline policy and the
+    /// oracle forecaster second on theirs, and a distinct fabricated outcome
+    /// per cell: pairing by grid coordinate must find the partners a search
+    /// by axis values finds, and every table must group the cells by value.
+    #[test]
+    fn pairing_by_coordinate_matches_a_search_by_value_on_every_axis() {
+        use crate::spec::WorkloadSpec;
+        use carbonedge_core::{MigrationCostLevel, PlacementPolicy};
+        use carbonedge_grid::EpochSchedule;
+        use carbonedge_sim::ServingMode;
+        let spec = SweepSpec::new("every-axis")
+            .with_policies(vec![
+                PlacementPolicy::CarbonAware,
+                PlacementPolicy::LatencyAware,
+            ])
+            .with_areas(vec![ZoneArea::UnitedStates, ZoneArea::Europe])
+            .with_scenarios(vec![
+                CdnScenario::Homogeneous,
+                CdnScenario::PopulationDemand,
+            ])
+            .with_latency_limits(vec![10.0, 20.0])
+            .with_site_limits(vec![Some(5), None])
+            .with_workloads(vec![
+                WorkloadSpec::resnet50_on_a2(),
+                WorkloadSpec::efficientnet_on_orin(),
+            ])
+            .with_seeds(vec![1, 2])
+            .with_forecasters(vec![ForecasterKind::Persistence, ForecasterKind::Oracle])
+            .with_epochs(vec![EpochSchedule::Monthly, EpochSchedule::Weekly])
+            .with_migrations(vec![MigrationCostLevel::Free, MigrationCostLevel::Paper])
+            .with_servings(vec![ServingMode::Aggregate, ServingMode::EventLevel]);
+        assert!(spec.validate().is_ok());
+        let cells: Vec<CellResult> = spec
+            .cells()
+            .into_iter()
+            .map(|cell| {
+                let x = cell.index as f64;
+                CellResult {
+                    outcome: PolicyOutcome {
+                        carbon_g: 1000.0 + 3.0 * x + x.sqrt(),
+                        energy_j: 500.0 + x,
+                        mean_latency_ms: 5.0 + x / 64.0,
+                        placed_apps: 10,
+                    },
+                    decision_carbon_g: 990.0 + 2.0 * x,
+                    monthly_carbon_g: vec![x; 12],
+                    mean_assigned_intensity: 100.0 + x,
+                    site_count: 5,
+                    moves: cell.index % 7,
+                    migration_carbon_g: x / 8.0,
+                    serving: (cell.serving != ServingMode::Aggregate).then(|| ServingMetrics {
+                        p50_ms: 1.0 + x / 1024.0,
+                        ..ServingMetrics::default()
+                    }),
+                    cell,
+                }
+            })
+            .collect();
+        let report = SweepReport::new(spec, cells, 1);
+        assert_eq!(report.cells.len(), 2048);
+
+        // Each cell's axis values, and the cell at cell `index`'s values with
+        // `axis` set to `value`, found by a linear search.
+        let values: Vec<_> = report
+            .cells
+            .iter()
+            .map(|c| SweepAxis::ALL.map(|axis| SweepReport::axis_value(&c.cell, axis)))
+            .collect();
+        let with = |index: usize, axis: SweepAxis, value: &str| {
+            let mut target = values[index].clone();
+            target[SweepAxis::ALL.iter().position(|&a| a == axis).unwrap()] = value.to_string();
+            values.iter().position(|v| *v == target).unwrap()
+        };
+
+        let rows = report.savings_rows();
+        assert_eq!(rows.len(), 1024);
+        for row in &rows {
+            assert_eq!(row.policy, "CarbonEdge");
+            let baseline = with(row.cell_index, SweepAxis::Policy, BASELINE_POLICY);
+            assert_eq!(row.baseline_index, baseline);
+            assert_eq!(
+                row.baseline_carbon_g,
+                report.cells[baseline].outcome.carbon_g
+            );
+        }
+
+        let regret = report.forecast_regret_rows();
+        assert_eq!(regret.len(), 8);
+        for row in &regret {
+            let (mut oracle_sum, mut regret_sum, mut count) = (0.0, 0.0, 0);
+            for (index, cell) in report.cells.iter().enumerate() {
+                if cell.cell.policy.name() == row.policy
+                    && cell.cell.forecaster.label() == row.forecaster
+                    && cell.cell.epoch.name() == row.epoch
+                {
+                    let oracle = report.cells[with(index, SweepAxis::Forecaster, "oracle")]
+                        .outcome
+                        .carbon_g;
+                    oracle_sum += oracle;
+                    regret_sum += (cell.outcome.carbon_g / oracle - 1.0) * 100.0;
+                    count += 1;
+                }
+            }
+            assert_eq!((row.comparisons, count), (256, 256));
+            assert_eq!(row.mean_oracle_carbon_g, oracle_sum / 256.0);
+            assert_eq!(row.mean_regret_percent, regret_sum / 256.0);
+        }
+
+        for axis in SweepAxis::ALL {
+            if axis == SweepAxis::Policy {
+                continue;
+            }
+            let marginals = report.marginal_rows(axis);
+            assert_eq!(marginals.len(), 2, "{}", axis.name());
+            assert_ne!(marginals[0].value, marginals[1].value, "{}", axis.name());
+            for row in &marginals {
+                assert_eq!(row.comparisons, 512, "{} {}", axis.name(), row.value);
+            }
+        }
+        let churn = report.migration_churn_rows();
+        assert_eq!(churn.len(), 4);
+        assert!(churn.iter().all(|row| row.comparisons == 256));
+        let serving = report.serving_rows();
+        assert_eq!(serving.len(), 2);
+        assert!(serving
+            .iter()
+            .all(|row| row.cells == 512 && row.serving == "events"));
     }
 
     #[test]

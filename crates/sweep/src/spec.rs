@@ -22,20 +22,6 @@ pub struct WorkloadSpec {
     pub request_rate_rps: f64,
 }
 
-/// The lossless identity of a workload point: every field that changes the
-/// simulation, with the request rate as raw bits so it is hashable.  Used
-/// for scenario pairing and marginal grouping instead of the display name,
-/// which rounds the rate and could collide for distinct workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WorkloadKey {
-    /// Served model.
-    pub model: ModelKind,
-    /// Installed device.
-    pub device: DeviceKind,
-    /// Request rate as raw bits (exact float identity).
-    pub rate_bits: u64,
-}
-
 impl WorkloadSpec {
     /// A named workload point.
     pub fn new(model: ModelKind, device: DeviceKind, request_rate_rps: f64) -> Self {
@@ -60,15 +46,6 @@ impl WorkloadSpec {
     /// A light workload: EfficientNetB0 on Jetson Orin Nano.
     pub fn efficientnet_on_orin() -> Self {
         Self::new(ModelKind::EfficientNetB0, DeviceKind::OrinNano, 15.0)
-    }
-
-    /// The workload's lossless identity.
-    pub fn key(&self) -> WorkloadKey {
-        WorkloadKey {
-            model: self.model,
-            device: self.device,
-            rate_bits: self.request_rate_rps.to_bits(),
-        }
     }
 }
 
@@ -164,7 +141,7 @@ pub struct SweepCell {
     /// Serving engine mode.
     pub serving: ServingMode,
     /// Applications per site per epoch (spec-wide deployment shape, not an
-    /// axis — constant across cells, so it is excluded from `ScenarioKey`).
+    /// axis — constant across cells).
     pub apps_per_site: usize,
     /// Servers per site (spec-wide deployment shape, like `apps_per_site`).
     pub servers_per_site: usize,
@@ -172,34 +149,6 @@ pub struct SweepCell {
     /// seed and the cell coordinate — available for any per-cell randomness
     /// a backend needs without correlating cells.
     pub cell_seed: u64,
-}
-
-/// The scenario coordinate of a cell with the policy axis removed.  Cells
-/// sharing a `ScenarioKey` differ only in policy, which is how reports pair
-/// each policy's outcome with the Latency-aware baseline of the same
-/// scenario.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ScenarioKey {
-    /// Continent.
-    pub area: ZoneArea,
-    /// Demand/capacity scenario.
-    pub scenario: CdnScenario,
-    /// Latency limit as raw bits (exact float identity, hashable).
-    pub latency_bits: u64,
-    /// Site cap.
-    pub site_limit: Option<usize>,
-    /// Workload identity.
-    pub workload: WorkloadKey,
-    /// Trace seed.
-    pub seed: u64,
-    /// Forecaster serving the decision intensity.
-    pub forecaster: ForecasterKind,
-    /// Re-placement epoch schedule.
-    pub epoch: EpochSchedule,
-    /// Per-move migration-cost calibration.
-    pub migration: MigrationCostLevel,
-    /// Serving engine mode.
-    pub serving: ServingMode,
 }
 
 impl SweepCell {
@@ -222,22 +171,6 @@ impl SweepCell {
         config.apps_per_site = self.apps_per_site;
         config.servers_per_site = self.servers_per_site;
         config
-    }
-
-    /// The cell's scenario coordinate without the policy axis.
-    pub fn scenario_key(&self) -> ScenarioKey {
-        ScenarioKey {
-            area: self.area,
-            scenario: self.scenario,
-            latency_bits: self.latency_limit_ms.to_bits(),
-            site_limit: self.site_limit,
-            workload: self.workload.key(),
-            seed: self.seed,
-            forecaster: self.forecaster,
-            epoch: self.epoch,
-            migration: self.migration,
-            serving: self.serving,
-        }
     }
 
     /// A compact human-readable label, used in report rows.  The latency
@@ -568,9 +501,10 @@ impl SweepSpec {
                 ));
             }
         }
-        // Reports pair and group policies by display name, so distinct
-        // policies whose names collide (e.g. tradeoff alphas 0.301 and
-        // 0.304 both print `CarbonEdge(α=0.30)`) would silently merge.
+        // Reports label rows and find the baseline by display name, so
+        // distinct policies whose names collide (e.g. tradeoff alphas 0.301
+        // and 0.304 both print `CarbonEdge(α=0.30)`) would print rows that
+        // cannot be told apart.
         let mut policy_names = std::collections::HashSet::new();
         for policy in &self.policies {
             if matches!(policy, PlacementPolicy::CarbonEnergyTradeoff { alpha } if alpha.is_nan()) {
@@ -587,8 +521,8 @@ impl SweepSpec {
                 ));
             }
         }
-        // Duplicate values on any axis would produce cells sharing a
-        // `ScenarioKey`, corrupting baseline pairing and marginal counts.
+        // A duplicate value on any axis is malformed input: it would print
+        // repeated rows, though pairing by grid coordinate stays correct.
         Self::reject_duplicates("areas", self.areas.iter().map(|a| format!("{a:?}")))?;
         Self::reject_duplicates("scenarios", self.scenarios.iter().map(|s| format!("{s:?}")))?;
         Self::reject_duplicates(
@@ -596,7 +530,12 @@ impl SweepSpec {
             self.latency_limits_ms.iter().map(|l| l.to_bits()),
         )?;
         Self::reject_duplicates("site_limits", self.site_limits.iter())?;
-        Self::reject_duplicates("workloads", self.workloads.iter().map(|w| w.key()))?;
+        Self::reject_duplicates(
+            "workloads",
+            self.workloads
+                .iter()
+                .map(|w| (w.model, w.device, w.request_rate_rps.to_bits())),
+        )?;
         Self::reject_duplicates("seeds", self.seeds.iter())?;
         Self::reject_duplicates("forecasters", self.forecasters.iter())?;
         Self::reject_duplicates("epochs", self.epochs.iter())?;
@@ -618,6 +557,27 @@ impl SweepSpec {
         Ok(())
     }
 
+    /// The grid coordinate of cell `index`: `index` read as a mixed-radix
+    /// number over [`SweepAxis::ALL`], policy the least significant digit.
+    /// `digits[axis as usize]` is the axis's value index in the cell.
+    pub(crate) fn digits(&self, index: usize) -> [usize; SweepAxis::ALL.len()] {
+        let mut digits = [0; SweepAxis::ALL.len()];
+        let mut rest = index;
+        for &axis in SweepAxis::ALL.iter().rev() {
+            let len = self.axis_len(axis);
+            digits[axis as usize] = rest % len;
+            rest /= len;
+        }
+        digits
+    }
+
+    /// The index of the cell at `digits`, the inverse of [`Self::digits`].
+    pub(crate) fn index_of(&self, digits: &[usize; SweepAxis::ALL.len()]) -> usize {
+        SweepAxis::ALL.iter().fold(0, |index, &axis| {
+            index * self.axis_len(axis) + digits[axis as usize]
+        })
+    }
+
     /// Enumerates the full grid in [`SweepAxis::ALL`] order: cell `index`
     /// takes each axis's value at that axis's digit of `index` read as a
     /// mixed-radix number, policy the least significant digit, so a
@@ -626,15 +586,8 @@ impl SweepSpec {
     pub fn cells(&self) -> Vec<SweepCell> {
         (0..self.cell_count())
             .map(|index| {
-                // `digit[axis as usize]`: the axis's value index in this cell.
-                let mut digit = [0; SweepAxis::ALL.len()];
-                let mut rest = index;
-                for &axis in SweepAxis::ALL.iter().rev() {
-                    let len = self.axis_len(axis);
-                    digit[axis as usize] = rest % len;
-                    rest /= len;
-                }
-                let at = |axis: SweepAxis| digit[axis as usize];
+                let digits = self.digits(index);
+                let at = |axis: SweepAxis| digits[axis as usize];
                 let seed = self.seeds[at(SweepAxis::Seed)];
                 SweepCell {
                     index,
@@ -684,9 +637,11 @@ mod tests {
             assert_eq!(x.index, y.index);
             assert_eq!(x.cell_seed, y.cell_seed);
             assert_eq!(x.label(), y.label());
+            // The mixed-radix coordinate round-trips to the index.
+            assert_eq!(spec.index_of(&spec.digits(x.index)), x.index);
         }
         // Policy variants of one scenario are adjacent.
-        assert_eq!(a[0].scenario_key(), a[1].scenario_key());
+        assert_eq!(a[0].label(), a[1].label());
         assert_ne!(a[0].policy.name(), a[1].policy.name());
     }
 
@@ -762,8 +717,8 @@ mod tests {
         assert!(spec.validate().is_ok());
         let cells = spec.cells();
         assert_eq!(cells.len(), 12);
-        // Policy stays innermost: adjacent cells share a scenario key.
-        assert_eq!(cells[0].scenario_key(), cells[1].scenario_key());
+        // Policy stays innermost: adjacent cells share a scenario label.
+        assert_eq!(cells[0].label(), cells[1].label());
         // The coordinate reaches the simulator configuration and the label.
         let weekly_persistence = cells
             .iter()
@@ -775,9 +730,9 @@ mod tests {
         assert_eq!(config.forecaster, ForecasterKind::Persistence);
         assert_eq!(config.epoch, EpochSchedule::Weekly);
         assert!(weekly_persistence.label().contains("/persistence/weekly"));
-        // Distinct coordinates keep distinct scenario keys and labels.
-        let keys: std::collections::HashSet<_> = cells.iter().map(|c| c.scenario_key()).collect();
-        assert_eq!(keys.len(), 6, "one key per non-policy coordinate");
+        // Distinct coordinates keep distinct labels.
+        let labels: std::collections::HashSet<_> = cells.iter().map(|c| c.label()).collect();
+        assert_eq!(labels.len(), 6, "one label per non-policy coordinate");
     }
 
     #[test]
@@ -789,8 +744,8 @@ mod tests {
         assert_eq!(spec.axis_count(), 3);
         assert!(spec.validate().is_ok());
         let cells = spec.cells();
-        // Policy stays innermost: adjacent cells share a scenario key.
-        assert_eq!(cells[0].scenario_key(), cells[1].scenario_key());
+        // Policy stays innermost: adjacent cells share a scenario label.
+        assert_eq!(cells[0].label(), cells[1].label());
         let heavy_daily = cells
             .iter()
             .find(|c| c.migration == MigrationCostLevel::Heavy && c.epoch == EpochSchedule::Daily)
@@ -798,9 +753,9 @@ mod tests {
         let config = heavy_daily.config();
         assert_eq!(config.migration, MigrationCostLevel::Heavy);
         assert!(heavy_daily.label().ends_with("/daily/mig-heavy/agg"));
-        // Distinct levels keep distinct scenario keys.
-        let keys: std::collections::HashSet<_> = cells.iter().map(|c| c.scenario_key()).collect();
-        assert_eq!(keys.len(), 6, "one key per non-policy coordinate");
+        // Distinct levels keep distinct labels.
+        let labels: std::collections::HashSet<_> = cells.iter().map(|c| c.label()).collect();
+        assert_eq!(labels.len(), 6, "one label per non-policy coordinate");
         // The default reproduces the stateless legacy configuration.
         assert_eq!(
             SweepSpec::new("t").cells()[0].config().migration,
@@ -824,8 +779,8 @@ mod tests {
         assert_eq!(spec.axis_count(), 2);
         assert!(spec.validate().is_ok());
         let cells = spec.cells();
-        // Policy stays innermost: adjacent cells share a scenario key.
-        assert_eq!(cells[0].scenario_key(), cells[1].scenario_key());
+        // Policy stays innermost: adjacent cells share a scenario label.
+        assert_eq!(cells[0].label(), cells[1].label());
         let online = cells
             .iter()
             .find(|c| c.serving == ServingMode::OnlineReplace)
@@ -833,9 +788,9 @@ mod tests {
         let config = online.config();
         assert_eq!(config.serving, ServingMode::OnlineReplace);
         assert!(online.label().ends_with("/mig-free/events-online"));
-        // Distinct modes keep distinct scenario keys.
-        let keys: std::collections::HashSet<_> = cells.iter().map(|c| c.scenario_key()).collect();
-        assert_eq!(keys.len(), 3, "one key per non-policy coordinate");
+        // Distinct modes keep distinct labels.
+        let labels: std::collections::HashSet<_> = cells.iter().map(|c| c.label()).collect();
+        assert_eq!(labels.len(), 3, "one label per non-policy coordinate");
         // The default reproduces the aggregate legacy configuration.
         assert_eq!(
             SweepSpec::new("t").cells()[0].config().serving,
@@ -906,7 +861,7 @@ mod tests {
             .with_latency_limits(vec![f64::NAN])
             .validate()
             .is_err());
-        // Policies whose display names collide would merge in reports.
+        // Policies whose display names collide would print look-alike rows.
         assert!(SweepSpec::new("t")
             .with_policies(vec![
                 PlacementPolicy::LatencyAware,
@@ -923,7 +878,7 @@ mod tests {
             ])
             .validate()
             .is_ok());
-        // Duplicate axis values corrupt baseline pairing — rejected on every
+        // Duplicate axis values would repeat report rows — rejected on every
         // axis, including floats compared by bits and workloads by identity.
         assert!(SweepSpec::new("t")
             .with_seeds(vec![42, 42])
