@@ -1,7 +1,7 @@
 //! Per-region mesoscale analyses (Figures 2–4, Table 1).
 
 use carbonedge_datasets::{MesoscaleRegion, ZoneCatalog};
-use carbonedge_grid::{CarbonTrace, HourOfYear};
+use carbonedge_grid::{HourOfYear, ZoneTraces};
 use carbonedge_net::{LatencyMatrix, LatencyModel};
 
 /// A single-hour carbon-intensity snapshot of a mesoscale region (Figure 2).
@@ -19,7 +19,7 @@ impl RegionSnapshot {
     /// Computes the snapshot of a region at a given hour.
     pub fn compute(
         region: &MesoscaleRegion,
-        traces: &[CarbonTrace],
+        traces: &ZoneTraces,
         hour: HourOfYear,
     ) -> RegionSnapshot {
         let intensities: Vec<(String, f64)> = region
@@ -48,7 +48,7 @@ impl RegionSnapshot {
     /// pronounced one deterministically).
     pub fn most_varied_hour(
         region: &MesoscaleRegion,
-        traces: &[CarbonTrace],
+        traces: &ZoneTraces,
     ) -> (HourOfYear, RegionSnapshot) {
         let mut best: Option<(HourOfYear, RegionSnapshot)> = None;
         for hour in HourOfYear::all().step_by(6) {
@@ -78,7 +78,7 @@ pub struct RegionYearly {
 
 impl RegionYearly {
     /// Computes the yearly summary for a region.
-    pub fn compute(region: &MesoscaleRegion, traces: &[CarbonTrace]) -> RegionYearly {
+    pub fn compute(region: &MesoscaleRegion, traces: &ZoneTraces) -> RegionYearly {
         let means: Vec<(String, f64)> = region
             .zones
             .iter()
@@ -113,7 +113,7 @@ pub struct TemporalProfile {
 impl TemporalProfile {
     /// Computes the temporal profile; `start_day` selects the two-day window
     /// (the paper uses Dec 25–27, i.e. day 358).
-    pub fn compute(region: &MesoscaleRegion, traces: &[CarbonTrace], start_day: usize) -> Self {
+    pub fn compute(region: &MesoscaleRegion, traces: &ZoneTraces, start_day: usize) -> Self {
         let start = HourOfYear::new(start_day * 24);
         let two_day = region
             .zones
@@ -163,14 +163,12 @@ pub fn region_latency_table(region: &MesoscaleRegion, model: &LatencyModel) -> L
     LatencyMatrix::from_model(&region.members, model)
 }
 
-/// Convenience: resolve the study regions, generate traces and return
+/// Convenience: resolve the study regions and the seed's traces and return
 /// everything needed by the Section-3 experiments.
-pub fn standard_regions_and_traces(
-    seed: u64,
-) -> (ZoneCatalog, Vec<MesoscaleRegion>, Vec<CarbonTrace>) {
+pub fn standard_regions_and_traces(seed: u64) -> (ZoneCatalog, Vec<MesoscaleRegion>, ZoneTraces) {
     let catalog = ZoneCatalog::worldwide();
     let regions = MesoscaleRegion::all(&catalog);
-    let traces = catalog.generate_traces(seed);
+    let traces = catalog.traces(seed);
     (catalog, regions, traces)
 }
 
@@ -179,7 +177,7 @@ mod tests {
     use super::*;
     use carbonedge_datasets::StudyRegion;
 
-    fn setup() -> (ZoneCatalog, Vec<MesoscaleRegion>, Vec<CarbonTrace>) {
+    fn setup() -> (ZoneCatalog, Vec<MesoscaleRegion>, ZoneTraces) {
         standard_regions_and_traces(42)
     }
 

@@ -8,7 +8,7 @@
 
 use crate::stats::Cdf;
 use carbonedge_datasets::EdgeSiteCatalog;
-use carbonedge_grid::CarbonTrace;
+use carbonedge_grid::ZoneTraces;
 use carbonedge_net::LatencyModel;
 use rayon::prelude::*;
 
@@ -41,12 +41,19 @@ impl RadiusAnalysis {
     /// locations; yearly means make the statistic stable).
     pub fn run(
         sites: &EdgeSiteCatalog,
-        traces: &[CarbonTrace],
+        traces: &ZoneTraces,
         latency: &LatencyModel,
         radius_km: f64,
     ) -> Self {
-        let zone_mean: Vec<f64> = traces.iter().map(|t| t.mean()).collect();
         let records = sites.sites();
+        // Only the zones the sites sit in are read, each once.
+        let mut zones: Vec<usize> = records.iter().map(|s| s.zone.index()).collect();
+        zones.sort_unstable();
+        zones.dedup();
+        let mut zone_mean = vec![0.0; traces.len()];
+        for zone in zones {
+            zone_mean[zone] = traces[zone].mean();
+        }
         let points: Vec<RadiusPoint> = records
             .par_iter()
             .map(|site| {
@@ -118,10 +125,10 @@ mod tests {
     use super::*;
     use carbonedge_datasets::ZoneCatalog;
 
-    fn setup() -> (EdgeSiteCatalog, Vec<CarbonTrace>) {
+    fn setup() -> (EdgeSiteCatalog, ZoneTraces) {
         let zones = ZoneCatalog::worldwide();
         let sites = EdgeSiteCatalog::akamai_like(&zones);
-        let traces = zones.generate_traces(7);
+        let traces = zones.traces(7);
         (sites, traces)
     }
 

@@ -69,7 +69,7 @@ fn regional_problem(
 ) -> PlacementProblem {
     let catalog = ZoneCatalog::worldwide();
     let region = MesoscaleRegion::resolve(region, &catalog);
-    let traces = catalog.generate_traces(42);
+    let traces = catalog.traces(42);
     let now = HourOfYear::new(hour);
     let servers: Vec<ServerSnapshot> = region
         .zones

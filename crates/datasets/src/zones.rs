@@ -11,7 +11,7 @@
 
 use crate::archetype::MixArchetype;
 use carbonedge_geo::Coordinates;
-use carbonedge_grid::{TraceGenerator, ZoneId, ZoneProfile};
+use carbonedge_grid::{TraceGenerator, ZoneId, ZoneProfile, ZoneTraces};
 
 /// Which macro-region a zone belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,7 +62,8 @@ impl ZoneRecord {
     }
 }
 
-/// The full zone catalog plus generated year-long traces.
+/// The full zone catalog; [`ZoneCatalog::traces`] gives its year-long
+/// traces for a seed.
 #[derive(Debug, Clone)]
 pub struct ZoneCatalog {
     records: Vec<ZoneRecord>,
@@ -298,14 +299,11 @@ impl ZoneCatalog {
         self.records.iter().filter(|r| r.area == area).collect()
     }
 
-    /// Zone profiles in id order (input to the trace generator).
-    pub fn profiles(&self) -> Vec<ZoneProfile> {
-        self.records.iter().map(|r| r.profile()).collect()
-    }
-
-    /// Generates the year-long traces for every zone with the given seed.
-    pub fn generate_traces(&self, seed: u64) -> Vec<carbonedge_grid::CarbonTrace> {
-        TraceGenerator::new(seed).generate_all(&self.profiles())
+    /// The year-long traces of every zone for the given seed, indexed by
+    /// zone id.  Each zone's trace is generated on its first read.
+    pub fn traces(&self, seed: u64) -> ZoneTraces {
+        let profiles = self.records.iter().map(ZoneRecord::profile).collect();
+        ZoneTraces::new(TraceGenerator::new(seed), profiles)
     }
 }
 
@@ -452,10 +450,41 @@ mod tests {
     #[test]
     fn traces_generate_for_all_zones() {
         let cat = ZoneCatalog::worldwide();
-        let traces = cat.generate_traces(42);
+        let traces = cat.traces(42);
         assert_eq!(traces.len(), cat.len());
-        for t in &traces {
+        for zone in 0..traces.len() {
+            let t = &traces[zone];
             assert!(t.mean() > 0.0 && t.mean() < 1000.0);
+        }
+    }
+
+    #[test]
+    fn traces_match_generate_in_any_read_order() {
+        let cat = ZoneCatalog::worldwide();
+        let reverse: Vec<usize> = (0..cat.len()).rev().collect();
+        // A stride coprime to the zone count visits every zone once, out of
+        // id order.
+        let shuffled: Vec<usize> = (0..cat.len()).map(|k| (k * 89 + 31) % cat.len()).collect();
+        let mut visited = shuffled.clone();
+        visited.sort_unstable();
+        visited.dedup();
+        assert_eq!(visited.len(), cat.len());
+        let bits = |t: &carbonedge_grid::CarbonTrace| -> Vec<u64> {
+            t.values().iter().map(|v| v.to_bits()).collect()
+        };
+        for seed in [0, 1, 42] {
+            let gen = TraceGenerator::new(seed);
+            for order in [&reverse, &shuffled] {
+                let traces = cat.traces(seed);
+                for &zone in order {
+                    let expected = gen.generate(&cat.records()[zone].profile());
+                    assert!(
+                        bits(&traces[zone]) == bits(&expected),
+                        "zone {zone} at seed {seed}"
+                    );
+                }
+                assert_eq!(traces.generated_count(), cat.len());
+            }
         }
     }
 

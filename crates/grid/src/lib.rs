@@ -7,7 +7,8 @@
 //! carbon zone is described by an [`mix::EnergyMix`] plus renewable
 //! variability parameters ([`zone::ZoneProfile`]), and an hourly trace for a
 //! whole year is generated deterministically from a seed
-//! ([`trace::TraceGenerator`]).  The per-source carbon factors are standard
+//! ([`trace::TraceGenerator`]), one zone at a time on its first read
+//! ([`trace::ZoneTraces`]).  The per-source carbon factors are standard
 //! lifecycle values (IPCC AR5 medians), so the absolute magnitudes
 //! (g·CO2eq/kWh) land in the same ranges the paper reports.
 //!
@@ -28,5 +29,5 @@ pub use forecast::ForecasterKind;
 pub use mix::EnergyMix;
 pub use source::EnergySource;
 pub use time::{Epoch, EpochSchedule, HourOfYear, HOURS_PER_DAY, HOURS_PER_YEAR};
-pub use trace::{CarbonTrace, TraceGenerator};
+pub use trace::{CarbonTrace, TraceGenerator, ZoneTraces};
 pub use zone::{ZoneId, ZoneProfile};

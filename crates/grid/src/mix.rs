@@ -46,12 +46,19 @@ impl EnergyMix {
 
     /// Mix-weighted average carbon intensity in g·CO2eq/kWh.
     pub fn carbon_intensity(&self) -> f64 {
-        carbon_intensity_of(&self.shares)
+        self.shares
+            .iter()
+            .map(|(s, share)| s.carbon_factor() * share)
+            .sum()
     }
 
     /// Fraction of supply coming from fossil sources.
     pub fn fossil_share(&self) -> f64 {
-        fossil_share_of(&self.shares)
+        self.shares
+            .iter()
+            .filter(|(s, _)| s.is_fossil())
+            .map(|(_, share)| share)
+            .sum()
     }
 
     /// Returns a new mix where the shares of the variable sources (solar and
@@ -63,57 +70,20 @@ impl EnergyMix {
     /// renewables under-produce (e.g. at night the solar share goes to zero
     /// and gas/coal pick up the slack), which is exactly the mechanism that
     /// produces the diurnal and seasonal carbon-intensity swings shown in
-    /// Figure 4 of the paper.
+    /// Figure 4 of the paper.  Where the adjusted shares cannot be
+    /// normalized (e.g. a pure-solar zone at night), the mix stays as it is.
     pub fn with_variable_output(&self, solar_factor: f64, wind_factor: f64) -> EnergyMix {
-        let mut shares = Vec::with_capacity(self.shares.len());
-        if self.variable_output_into(solar_factor, wind_factor, &mut shares) {
-            EnergyMix { shares }
-        } else {
-            self.clone()
+        match VariableMix::new(self).shares(solar_factor, wind_factor) {
+            Some(adjusted) => EnergyMix {
+                shares: self
+                    .shares
+                    .iter()
+                    .zip(adjusted)
+                    .map(|(&(src, _), share)| (src, share))
+                    .collect(),
+            },
+            None => self.clone(),
         }
-    }
-
-    /// The normalized shares of [`Self::with_variable_output`], written into
-    /// `out` (cleared first) so a caller adjusting the mix every hour can
-    /// reuse one buffer.  Returns `false`, leaving `out` unspecified, where
-    /// `with_variable_output` falls back to the base mix: the adjusted
-    /// shares cannot be normalized, e.g. a pure-solar zone at night.
-    pub(crate) fn variable_output_into(
-        &self,
-        solar_factor: f64,
-        wind_factor: f64,
-        out: &mut Vec<(EnergySource, f64)>,
-    ) -> bool {
-        let solar_factor = solar_factor.clamp(0.0, 3.0);
-        let wind_factor = wind_factor.clamp(0.0, 1.5);
-        out.clear();
-        let mut variable_total = 0.0;
-        let mut firm_total = 0.0;
-        for &(src, share) in &self.shares {
-            let scaled = match src {
-                EnergySource::Solar => share * solar_factor,
-                EnergySource::Wind => share * wind_factor,
-                _ => {
-                    firm_total += share;
-                    share
-                }
-            };
-            if src.is_variable() {
-                variable_total += scaled;
-            }
-            out.push((src, scaled));
-        }
-        // The firm sources scale to fill the remaining demand.
-        let residual = (1.0 - variable_total).max(0.0);
-        if firm_total > 0.0 {
-            let scale = residual / firm_total;
-            for entry in out.iter_mut() {
-                if !entry.0.is_variable() {
-                    entry.1 *= scale;
-                }
-            }
-        }
-        normalize(out)
     }
 }
 
@@ -149,21 +119,122 @@ fn normalize(shares: &mut Vec<(EnergySource, f64)>) -> bool {
     true
 }
 
-/// Mix-weighted average carbon intensity of normalized shares, g·CO2eq/kWh.
-pub(crate) fn carbon_intensity_of(shares: &[(EnergySource, f64)]) -> f64 {
-    shares
-        .iter()
-        .map(|(s, share)| s.carbon_factor() * share)
-        .sum()
+/// The number of distinct sources, which bounds the length of a mix:
+/// [`EnergyMix::new`] merges duplicates, and every other constructor holds
+/// each source at most once.
+const SOURCES: usize = EnergySource::ALL.len();
+
+/// How [`EnergyMix::with_variable_output`] scales a source.
+#[derive(Debug, Clone, Copy)]
+enum Output {
+    /// Scaled by the solar capacity factor.
+    Solar,
+    /// Scaled by the wind capacity factor.
+    Wind,
+    /// Scaled to fill the demand the variable sources leave.
+    Firm,
 }
 
-/// Fossil fraction of normalized shares.
-pub(crate) fn fossil_share_of(shares: &[(EnergySource, f64)]) -> f64 {
-    shares
-        .iter()
-        .filter(|(s, _)| s.is_fossil())
-        .map(|(_, share)| share)
-        .sum()
+/// [`EnergyMix::with_variable_output`] with the mix's constants hoisted
+/// out of an hourly loop: each source's output kind, carbon factor and
+/// fossil flag, and the firm-share total, in fixed-size arrays in mix
+/// order, so adjusting the mix allocates nothing.  Every floating-point
+/// operation runs in the order the `Vec`-based adjustment ran it, so each
+/// hour keeps its bits.
+#[derive(Debug, Clone)]
+pub(crate) struct VariableMix {
+    len: usize,
+    output: [Output; SOURCES],
+    shares: [f64; SOURCES],
+    factors: [f64; SOURCES],
+    fossil: [bool; SOURCES],
+    firm_total: f64,
+}
+
+impl VariableMix {
+    /// Hoists the constants of `mix`.
+    pub(crate) fn new(mix: &EnergyMix) -> Self {
+        let mut hoisted = Self {
+            len: mix.shares.len(),
+            output: [Output::Firm; SOURCES],
+            shares: [0.0; SOURCES],
+            factors: [0.0; SOURCES],
+            fossil: [false; SOURCES],
+            firm_total: 0.0,
+        };
+        for (k, &(src, share)) in mix.shares.iter().enumerate() {
+            hoisted.output[k] = match src {
+                EnergySource::Solar => Output::Solar,
+                EnergySource::Wind => Output::Wind,
+                _ => {
+                    hoisted.firm_total += share;
+                    Output::Firm
+                }
+            };
+            hoisted.shares[k] = share;
+            hoisted.factors[k] = src.carbon_factor();
+            hoisted.fossil[k] = src.is_fossil();
+        }
+        hoisted
+    }
+
+    /// The normalized shares of [`EnergyMix::with_variable_output`] in mix
+    /// order (entries past the mix's length are unspecified), or `None`
+    /// where it keeps the base mix.
+    pub(crate) fn shares(&self, solar_factor: f64, wind_factor: f64) -> Option<[f64; SOURCES]> {
+        let solar_factor = solar_factor.clamp(0.0, 3.0);
+        let wind_factor = wind_factor.clamp(0.0, 1.5);
+        let mut shares = self.shares;
+        let adjusted = &mut shares[..self.len];
+        let mut variable_total = 0.0;
+        for (share, output) in adjusted.iter_mut().zip(&self.output) {
+            let factor = match output {
+                Output::Solar => solar_factor,
+                Output::Wind => wind_factor,
+                Output::Firm => continue,
+            };
+            *share *= factor;
+            variable_total += *share;
+        }
+        // The firm sources scale to fill the remaining demand.
+        let residual = (1.0 - variable_total).max(0.0);
+        if self.firm_total > 0.0 {
+            let scale = residual / self.firm_total;
+            for (share, output) in adjusted.iter_mut().zip(&self.output) {
+                if let Output::Firm = output {
+                    *share *= scale;
+                }
+            }
+        }
+        if adjusted
+            .iter()
+            .any(|share| !share.is_finite() || *share < 0.0)
+        {
+            return None;
+        }
+        let total: f64 = adjusted.iter().sum();
+        if total <= 0.0 {
+            return None;
+        }
+        for share in adjusted.iter_mut() {
+            *share /= total;
+        }
+        Some(shares)
+    }
+
+    /// The carbon intensity (g·CO2eq/kWh) and fossil fraction of shares
+    /// returned by [`Self::shares`].
+    pub(crate) fn intensity_and_fossil_share(&self, shares: &[f64; SOURCES]) -> (f64, f64) {
+        let shares = &shares[..self.len];
+        let intensity = self.factors.iter().zip(shares).map(|(f, s)| f * s).sum();
+        let fossil_share = shares
+            .iter()
+            .zip(&self.fossil)
+            .filter(|(_, fossil)| **fossil)
+            .map(|(share, _)| share)
+            .sum();
+        (intensity, fossil_share)
+    }
 }
 
 #[cfg(test)]

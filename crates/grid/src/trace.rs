@@ -1,11 +1,13 @@
 //! Hourly carbon-intensity traces and the synthetic trace generator.
 
-use crate::mix::{carbon_intensity_of, fossil_share_of};
+use crate::mix::VariableMix;
 use crate::time::{HourOfYear, HOURS_PER_DAY, HOURS_PER_YEAR};
 use crate::zone::ZoneProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Index;
+use std::sync::OnceLock;
 
 /// An hourly carbon-intensity trace for one carbon zone over the simulated
 /// year, in g·CO2eq/kWh.
@@ -67,14 +69,17 @@ impl CarbonTrace {
 
     /// Mean over an arbitrary window of hours starting at `start`
     /// (wrapping at the end of the year).
+    ///
+    /// The hours are summed in window order whether or not the window
+    /// wraps, so a window inside the year reads its slice directly.
     pub fn window_mean(&self, start: HourOfYear, hours: usize) -> f64 {
         if hours == 0 {
             return self.at(start);
         }
-        let mut sum = 0.0;
-        for k in 0..hours {
-            sum += self.at(start.plus(k));
-        }
+        let sum = match self.values[start.index()..].get(..hours) {
+            Some(window) => window.iter().fold(0.0, |sum, v| sum + v),
+            None => (0..hours).fold(0.0, |sum, k| sum + self.at(start.plus(k))),
+        };
         sum / hours as f64
     }
 
@@ -169,7 +174,7 @@ impl TraceGenerator {
         // Where the adjusted shares cannot be normalized, the hour keeps the
         // base mix.
         let base = (profile.mix.carbon_intensity(), profile.mix.fossil_share());
-        let mut shares = Vec::new();
+        let mix = VariableMix::new(&profile.mix);
         let mut seasonal_scale = 0.0;
 
         for hour in HourOfYear::all() {
@@ -193,15 +198,10 @@ impl TraceGenerator {
             wind_state = wind_state.clamp(0.0, 2.0);
             let wind_factor = wind_state.min(1.5);
 
-            let (mut intensity, fossil_share) =
-                if profile
-                    .mix
-                    .variable_output_into(solar_factor, wind_factor, &mut shares)
-                {
-                    (carbon_intensity_of(&shares), fossil_share_of(&shares))
-                } else {
-                    base
-                };
+            let (mut intensity, fossil_share) = match mix.shares(solar_factor, wind_factor) {
+                Some(shares) => mix.intensity_and_fossil_share(&shares),
+                None => base,
+            };
 
             // The demand swing increases the carbon intensity of marginal
             // generation for fossil-heavy zones.
@@ -216,10 +216,58 @@ impl TraceGenerator {
 
         CarbonTrace { values }
     }
+}
 
-    /// Generates traces for many zones at once, in catalog order.
-    pub fn generate_all(&self, profiles: &[ZoneProfile]) -> Vec<CarbonTrace> {
-        profiles.iter().map(|p| self.generate(p)).collect()
+/// A year of hourly carbon intensity for every zone of a profile list, each
+/// zone's generated on its first read and kept.
+///
+/// Indexing by zone id (the zone's position in the list) returns its trace,
+/// generated by [`TraceGenerator::generate`] the first time.  A trace is
+/// seeded only from its zone's name and the generator's seed, so neither
+/// the order of first reads nor the thread that makes one can change a
+/// value, and concurrent first reads of one zone generate it once.
+#[derive(Debug)]
+pub struct ZoneTraces {
+    generator: TraceGenerator,
+    profiles: Vec<ZoneProfile>,
+    traces: Vec<OnceLock<CarbonTrace>>,
+}
+
+impl ZoneTraces {
+    /// A store over `profiles` (in zone-id order) that generates nothing
+    /// until a zone is read.
+    pub fn new(generator: TraceGenerator, profiles: Vec<ZoneProfile>) -> Self {
+        let traces = profiles.iter().map(|_| OnceLock::new()).collect();
+        Self {
+            generator,
+            profiles,
+            traces,
+        }
+    }
+
+    /// Number of zones.
+    pub fn len(&self) -> usize {
+        self.traces.len()
+    }
+
+    /// Whether the store has no zones.
+    pub fn is_empty(&self) -> bool {
+        self.traces.is_empty()
+    }
+
+    /// Number of zones whose trace has been generated so far.
+    pub fn generated_count(&self) -> usize {
+        self.traces.iter().filter(|t| t.get().is_some()).count()
+    }
+}
+
+impl Index<usize> for ZoneTraces {
+    type Output = CarbonTrace;
+
+    /// The trace of zone `zone`, generated on its first read.  Panics if
+    /// `zone` is out of range.
+    fn index(&self, zone: usize) -> &CarbonTrace {
+        self.traces[zone].get_or_init(|| self.generator.generate(&self.profiles[zone]))
     }
 }
 
@@ -266,9 +314,9 @@ mod tests {
         )
     }
 
-    /// The per-hour synthesis `TraceGenerator::generate` replaced: two
-    /// fresh mixes and three trig calls per hour.  `generate` must match it
-    /// bit for bit.
+    /// The per-hour synthesis `TraceGenerator::generate` replaced: a fresh
+    /// `Vec`-based mix adjustment and three trig calls per hour.
+    /// `generate` must match it bit for bit.
     fn generate_per_hour(gen: &TraceGenerator, profile: &ZoneProfile) -> CarbonTrace {
         let mut rng = StdRng::seed_from_u64(gen.zone_seed(profile));
         let mut values = Vec::with_capacity(HOURS_PER_YEAR);
@@ -303,13 +351,21 @@ mod tests {
             wind_state = wind_state.clamp(0.0, 2.0);
             let wind_factor = wind_state.min(1.5);
 
-            let mix = profile.mix.with_variable_output(solar_factor, wind_factor);
-            let mut intensity = mix.carbon_intensity();
+            let shares = variable_output_per_hour(&profile.mix, solar_factor, wind_factor);
+            let mut intensity: f64 = shares
+                .iter()
+                .map(|(s, share)| s.carbon_factor() * share)
+                .sum();
+            let fossil_share: f64 = shares
+                .iter()
+                .filter(|(s, _)| s.is_fossil())
+                .map(|(_, share)| share)
+                .sum();
 
             // Demand swing: evening peak (hour 19 local) increases the carbon
             // intensity of marginal generation for fossil-heavy zones.
             let demand = ((hod - 19.0) / 24.0 * std::f64::consts::TAU).cos();
-            intensity *= 1.0 + profile.demand_swing * 0.5 * demand * mix.fossil_share();
+            intensity *= 1.0 + profile.demand_swing * 0.5 * demand * fossil_share;
 
             // Small measurement-like jitter (±2%).
             let jitter: f64 = rng.gen_range(-0.02..0.02);
@@ -319,6 +375,66 @@ mod tests {
         }
 
         CarbonTrace { values }
+    }
+
+    /// The `Vec`-based mix adjustment `VariableMix` replaced, frozen here
+    /// so the reference above does not run the kernel it checks: scale the
+    /// variable shares, let the firm shares fill the rest, then normalize
+    /// (merging duplicate sources), or keep the base mix where that fails.
+    fn variable_output_per_hour(
+        mix: &EnergyMix,
+        solar_factor: f64,
+        wind_factor: f64,
+    ) -> Vec<(EnergySource, f64)> {
+        let solar_factor = solar_factor.clamp(0.0, 3.0);
+        let wind_factor = wind_factor.clamp(0.0, 1.5);
+        let mut out = Vec::new();
+        let mut variable_total = 0.0;
+        let mut firm_total = 0.0;
+        for (src, share) in mix.iter() {
+            let scaled = match src {
+                EnergySource::Solar => share * solar_factor,
+                EnergySource::Wind => share * wind_factor,
+                _ => {
+                    firm_total += share;
+                    share
+                }
+            };
+            if src.is_variable() {
+                variable_total += scaled;
+            }
+            out.push((src, scaled));
+        }
+        let residual = (1.0 - variable_total).max(0.0);
+        if firm_total > 0.0 {
+            let scale = residual / firm_total;
+            for entry in out.iter_mut() {
+                if !entry.0.is_variable() {
+                    entry.1 *= scale;
+                }
+            }
+        }
+        if out
+            .iter()
+            .any(|&(_, share)| !share.is_finite() || share < 0.0)
+        {
+            return mix.iter().collect();
+        }
+        let mut merged: Vec<(EnergySource, f64)> = Vec::new();
+        for (src, share) in out {
+            match merged.iter_mut().find(|(s, _)| *s == src) {
+                Some(entry) => entry.1 += share,
+                None => merged.push((src, share)),
+            }
+        }
+        let total: f64 = merged.iter().map(|(_, s)| s).sum();
+        if total <= 0.0 {
+            return mix.iter().collect();
+        }
+        for entry in merged.iter_mut() {
+            entry.1 /= total;
+        }
+        merged
     }
 
     fn pure_solar_zone() -> ZoneProfile {
@@ -450,11 +566,79 @@ mod tests {
     }
 
     #[test]
-    fn generate_all_preserves_order() {
-        let zones = vec![coal_zone(), hydro_zone()];
-        let traces = TraceGenerator::new(5).generate_all(&zones);
+    fn window_mean_sums_in_window_order_with_or_without_a_wrap() {
+        let t = TraceGenerator::new(3).generate(&solar_heavy_zone());
+        let per_hour = |start: HourOfYear, hours: usize| {
+            let mut sum = 0.0;
+            for k in 0..hours {
+                sum += t.at(start.plus(k));
+            }
+            sum / hours as f64
+        };
+        for (start, hours) in [
+            (0, 1),
+            (0, 24),
+            (100, 168),
+            (HOURS_PER_YEAR - 24, 24),
+            (HOURS_PER_YEAR - 24, 25),
+            (HOURS_PER_YEAR - 1, 48),
+            (5, HOURS_PER_YEAR),
+            (0, HOURS_PER_YEAR + 7),
+        ] {
+            let start = HourOfYear::new(start);
+            assert_eq!(
+                t.window_mean(start, hours).to_bits(),
+                per_hour(start, hours).to_bits(),
+                "{hours} hours from {start:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn zone_traces_index_in_profile_order() {
+        let traces = ZoneTraces::new(TraceGenerator::new(5), vec![coal_zone(), hydro_zone()]);
         assert_eq!(traces.len(), 2);
+        assert_eq!(traces.generated_count(), 0, "nothing is generated up front");
         assert!(traces[0].mean() > traces[1].mean());
+        assert_eq!(traces.generated_count(), 2);
+    }
+
+    #[test]
+    fn zone_traces_generate_only_the_zones_read() {
+        let traces = ZoneTraces::new(
+            TraceGenerator::new(5),
+            vec![coal_zone(), hydro_zone(), solar_heavy_zone()],
+        );
+        let first = traces[2].values().as_ptr();
+        assert_eq!(traces.generated_count(), 1);
+        assert_eq!(
+            traces[2].values().as_ptr(),
+            first,
+            "a read reuses the trace"
+        );
+        assert_eq!(traces.generated_count(), 1);
+    }
+
+    #[test]
+    fn concurrent_first_reads_of_one_zone_agree() {
+        let gen = TraceGenerator::new(42);
+        let expected = gen.generate(&solar_heavy_zone());
+        for _ in 0..8 {
+            let traces = ZoneTraces::new(gen.clone(), vec![coal_zone(), solar_heavy_zone()]);
+            let barrier = std::sync::Barrier::new(2);
+            let [a, b] = std::thread::scope(|scope| {
+                let read = || {
+                    barrier.wait();
+                    &traces[1]
+                };
+                let a = scope.spawn(read);
+                let b = scope.spawn(read);
+                [a.join().unwrap(), b.join().unwrap()]
+            });
+            assert!(std::ptr::eq(a, b), "one generation serves both readers");
+            assert_eq!(a, &expected);
+            assert_eq!(traces.generated_count(), 1);
+        }
     }
 
     proptest! {

@@ -48,7 +48,7 @@ use carbonedge_core::{
 };
 use carbonedge_datasets::zones::ZoneArea;
 use carbonedge_datasets::{EdgeSiteCatalog, ZoneCatalog};
-use carbonedge_grid::{CarbonTrace, EpochSchedule, ForecasterKind, HourOfYear, ZoneId};
+use carbonedge_grid::{EpochSchedule, ForecasterKind, HourOfYear, ZoneId, ZoneTraces};
 use carbonedge_net::LatencyModel;
 use carbonedge_workload::{
     AppId, Application, ArrivalProcess, DeviceKind, ModelKind, RequestStream, WorkloadProfile,
@@ -290,33 +290,31 @@ impl CdnResult {
 }
 
 /// Immutable inputs shared by every CDN simulation: the worldwide zone
-/// catalog, the Akamai-like edge-site catalog derived from it, and a cache of
-/// generated carbon traces keyed by seed.
+/// catalog, the Akamai-like edge-site catalog derived from it, one trace
+/// store per seed, and a cache of scenario preparations.
 ///
-/// Building traces is the expensive part of `CdnSimulator::new` (a year of
-/// hourly values for every zone), and a scenario sweep instantiates dozens to
-/// thousands of simulators that differ only in policy, latency limit or
-/// demand scenario.  Sharing one `CdnShared` across those cells makes
-/// simulator construction an `Arc` clone plus a site-list copy, and is safe
-/// to use concurrently from the sweep executor's worker threads.
+/// A year of hourly values per zone is the expensive input of a simulator,
+/// and a scenario sweep instantiates dozens to thousands of simulators that
+/// differ only in policy, latency limit or demand scenario.  Each seed's
+/// [`ZoneTraces`] generates a zone's year the first time a scenario
+/// preparation (or [`CdnSimulator::monthly_intensity_of`]) reads it, so a
+/// sweep generates only the zones its sites sit in, and each of them once
+/// per seed.  Sharing one `CdnShared` across those cells makes simulator
+/// construction an `Arc` clone plus a site-list copy, and is safe to use
+/// concurrently from the sweep executor's worker threads.
 pub struct CdnShared {
     catalog: Arc<ZoneCatalog>,
     site_catalog: EdgeSiteCatalog,
-    /// Per-seed trace slots.  The map mutex is only held for slot lookup;
-    /// generation happens inside the seed's own `OnceLock`, so concurrent
-    /// requests for *different* seeds generate in parallel while concurrent
-    /// requests for the *same* seed generate exactly once.
-    traces_by_seed: Mutex<HashMap<u64, TraceSlot>>,
-    /// Per-scenario preparation slots, same lookup/init discipline as
-    /// `traces_by_seed`: the mutex is held only to find the slot, the
-    /// (expensive) prep build happens inside the scenario's own `OnceLock`.
+    /// Per-seed trace stores.  Creating one generates nothing, so it
+    /// happens under the map mutex; generation happens inside each zone's
+    /// own slot of the store.
+    traces_by_seed: Mutex<HashMap<u64, Arc<ZoneTraces>>>,
+    /// Per-scenario preparation slots: the mutex is held only to find the
+    /// slot, the (expensive) prep build happens inside the scenario's own
+    /// `OnceLock`.
     preps: Mutex<HashMap<PrepKey, PrepSlot>>,
 }
 
-/// A year of traces for every zone, shared across simulators.
-type SharedTraces = Arc<Vec<CarbonTrace>>;
-/// A lazily initialized per-seed cache slot.
-type TraceSlot = Arc<OnceLock<SharedTraces>>;
 /// A lazily initialized per-scenario prep slot.
 type PrepSlot = Arc<OnceLock<Arc<ScenarioPrep>>>;
 /// One simulated edge site: name, location, zone and metro population.
@@ -397,7 +395,7 @@ impl ScenarioPrep {
     fn build(
         config: &CdnConfig,
         sites: &[Site],
-        traces: &[CarbonTrace],
+        traces: &ZoneTraces,
         latency_model: &LatencyModel,
     ) -> Self {
         // The mean metro population normalizes the population-proportional
@@ -502,7 +500,7 @@ impl CdnConfig {
 /// the windows the drift trigger cuts short, both through this routine.
 fn site_means_for_window(
     sites: &[Site],
-    traces: &[CarbonTrace],
+    traces: &ZoneTraces,
     forecaster: ForecasterKind,
     window_start: HourOfYear,
     window_hours: usize,
@@ -534,7 +532,8 @@ fn price_decided(problem: &mut PlacementProblem, site_means: &[(f64, f64)], hour
 }
 
 impl CdnShared {
-    /// Builds the shared catalogs (traces are generated lazily per seed).
+    /// Builds the shared catalogs (traces are generated lazily per seed and
+    /// zone).
     pub fn new() -> Self {
         let catalog = Arc::new(ZoneCatalog::worldwide());
         let site_catalog = EdgeSiteCatalog::akamai_like(&catalog);
@@ -551,31 +550,31 @@ impl CdnShared {
         &self.catalog
     }
 
-    /// The traces for a seed, generating and caching them on first use.
+    /// The trace store of a seed, created on first use.  It generates a
+    /// zone's year on that zone's first read, so this call itself
+    /// generates nothing.
     ///
-    /// Both caches are monotone insert-only maps of lazily initialized
-    /// slots, so a lock poisoned by a panicking sweep worker is still
-    /// structurally sound — recover the guard instead of cascading the
-    /// panic into every other worker.
-    pub fn traces(&self, seed: u64) -> Arc<Vec<CarbonTrace>> {
-        let slot = {
-            let mut cache = self
-                .traces_by_seed
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(cache.entry(seed).or_default())
-        };
-        Arc::clone(slot.get_or_init(|| Arc::new(self.catalog.generate_traces(seed))))
+    /// Both caches are monotone insert-only maps, so a lock poisoned by a
+    /// panicking sweep worker is still structurally sound — recover the
+    /// guard instead of cascading the panic into every other worker.
+    pub fn traces(&self, seed: u64) -> Arc<ZoneTraces> {
+        let mut cache = self
+            .traces_by_seed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(
+            cache
+                .entry(seed)
+                .or_insert_with(|| Arc::new(self.catalog.traces(seed))),
+        )
     }
 
-    /// Number of distinct seeds whose traces are cached (generated).
+    /// Number of distinct seeds with a trace store.
     pub fn cached_seed_count(&self) -> usize {
         self.traces_by_seed
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .filter(|slot| slot.get().is_some())
-            .count()
+            .len()
     }
 
     /// Number of distinct scenarios whose preparation is cached (built).
@@ -649,7 +648,7 @@ impl Default for CdnShared {
 pub struct CdnSimulator {
     config: CdnConfig,
     catalog: Arc<ZoneCatalog>,
-    traces: Arc<Vec<CarbonTrace>>,
+    traces: Arc<ZoneTraces>,
     /// The sites restricted to the area.
     sites: Vec<Site>,
     latency_model: LatencyModel,
@@ -1148,6 +1147,26 @@ mod tests {
         );
         shared.traces(2);
         assert_eq!(shared.cached_seed_count(), 2);
+    }
+
+    #[test]
+    fn a_simulator_generates_only_its_sites_zones() {
+        let shared = CdnShared::new();
+        let config = CdnConfig::new(ZoneArea::Europe).with_site_limit(120);
+        let seed = config.seed;
+        assert_eq!(shared.traces(seed).generated_count(), 0);
+        let sim = shared.simulator(config);
+        let mut zones: Vec<ZoneId> = sim.sites.iter().map(|(_, _, zone, _)| *zone).collect();
+        zones.sort_unstable();
+        zones.dedup();
+        assert_eq!(zones.len(), 26);
+        assert_eq!(shared.traces(seed).generated_count(), zones.len());
+        sim.run(PlacementPolicy::CarbonAware);
+        assert_eq!(
+            shared.traces(seed).generated_count(),
+            zones.len(),
+            "a run reads no zone its prep did not"
+        );
     }
 
     #[test]

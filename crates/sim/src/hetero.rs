@@ -112,7 +112,7 @@ impl Deployment {
     pub(crate) fn new(config: &HeterogeneityConfig) -> Self {
         let catalog = ZoneCatalog::worldwide();
         let region = MesoscaleRegion::resolve(REGION, &catalog);
-        let traces = catalog.generate_traces(SEED);
+        let traces = catalog.traces(SEED);
         let now = HourOfYear::new(HOUR);
         let intensity = region
             .zones

@@ -10,7 +10,7 @@
 use crate::metrics::{PolicyOutcome, Savings};
 use carbonedge_core::{IncrementalPlacer, PlacementPolicy, PlacementProblem, ServerSnapshot};
 use carbonedge_datasets::{MesoscaleRegion, StudyRegion, ZoneCatalog};
-use carbonedge_grid::{CarbonTrace, HourOfYear};
+use carbonedge_grid::{HourOfYear, ZoneTraces};
 use carbonedge_net::LatencyModel;
 use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind, WorkloadProfile};
 use std::collections::HashMap;
@@ -127,7 +127,7 @@ pub fn run_testbed_with_policies(
 ) -> TestbedResult {
     let catalog = ZoneCatalog::worldwide();
     let region = MesoscaleRegion::resolve(config.region, &catalog);
-    let traces = catalog.generate_traces(SEED);
+    let traces = catalog.traces(SEED);
     let latency_model = LatencyModel::deterministic();
     let device = config.workload.device();
     let profile = WorkloadProfile::lookup(config.workload.model(), device)
@@ -181,7 +181,7 @@ pub fn run_testbed_with_policies(
 fn run_policy(
     config: &TestbedConfig,
     region: &MesoscaleRegion,
-    traces: &[CarbonTrace],
+    traces: &ZoneTraces,
     latency_model: &LatencyModel,
     profile: &WorkloadProfile,
     policy: PlacementPolicy,

@@ -259,6 +259,22 @@ mod tests {
     }
 
     #[test]
+    fn the_default_grid_generates_only_its_sites_zones() {
+        // `experiments --sweep`'s grid: 120 sites per continent, which sit
+        // in 23 US and 26 European zones of the 148.
+        let spec = SweepSpec::quick_default().with_site_limit(Some(120));
+        let executor = SweepExecutor::new();
+        let shared = CdnShared::new();
+        let mut placer = executor.placer_template.clone();
+        for cell in spec.cells() {
+            executor.run_cell(&shared, &cell, &mut placer);
+        }
+        for seed in &spec.seeds {
+            assert_eq!(shared.traces(*seed).generated_count(), 49);
+        }
+    }
+
+    #[test]
     fn parallel_and_sequential_runs_agree_exactly() {
         let spec = tiny_spec();
         let sequential = SweepExecutor::new().with_jobs(1).run(&spec).unwrap();

@@ -27,7 +27,7 @@ fn main() {
     println!("\nHow common are these opportunities across the CDN footprint?");
     let catalog = ZoneCatalog::worldwide();
     let sites = EdgeSiteCatalog::akamai_like(&catalog);
-    let site_traces = catalog.generate_traces(42);
+    let site_traces = catalog.traces(42);
     let latency = LatencyModel::deterministic();
     println!(
         "{:>10} {:>24} {:>24} {:>20}",

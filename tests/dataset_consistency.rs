@@ -19,7 +19,7 @@ fn catalog_counts_match_the_paper() {
 fn every_edge_site_references_a_valid_zone_with_a_trace() {
     let zones = ZoneCatalog::worldwide();
     let sites = EdgeSiteCatalog::akamai_like(&zones);
-    let traces = zones.generate_traces(7);
+    let traces = zones.traces(7);
     for site in sites.sites() {
         assert!(site.zone.index() < zones.len(), "{}", site.name);
         let trace = &traces[site.zone.index()];

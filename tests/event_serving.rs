@@ -45,7 +45,7 @@ struct LegacyRun {
 fn legacy_run(config: &CdnConfig, placer: &IncrementalPlacer) -> LegacyRun {
     let catalog = ZoneCatalog::worldwide();
     let site_catalog = EdgeSiteCatalog::akamai_like(&catalog);
-    let traces = catalog.generate_traces(config.seed);
+    let traces = catalog.traces(config.seed);
     let mut sites: Vec<_> = site_catalog
         .in_area(config.area)
         .iter()

@@ -12,7 +12,7 @@ use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind};
 fn regional_scenario() -> (Vec<ServerSnapshot>, Vec<Application>, Vec<EdgeSite>) {
     let catalog = ZoneCatalog::worldwide();
     let region = MesoscaleRegion::resolve(StudyRegion::CentralEu, &catalog);
-    let traces = catalog.generate_traces(42);
+    let traces = catalog.traces(42);
     let now = HourOfYear::new(4000);
 
     let mut snapshots = Vec::new();
