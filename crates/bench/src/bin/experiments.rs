@@ -905,19 +905,30 @@ fn fig17(world: &CdnShared) {
         PlacementProblem::new(server_list, app_list, 1.0)
             .with_latency_model(LatencyModel::deterministic())
     };
+    let sizes: Vec<(usize, usize)> = [100, 200, 300, 400]
+        .map(|servers| (servers, 50))
+        .into_iter()
+        .chain([20, 60, 100, 140].map(|apps| (400, apps)))
+        .collect();
+    let problems: Vec<PlacementProblem> = sizes
+        .iter()
+        .map(|&(servers, apps)| build_problem(apps, servers))
+        .collect();
     let placer = IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only();
+    let placer_small = IncrementalPlacer::new(PlacementPolicy::CarbonAware);
+    let single_app = build_problem(1, 5);
+    let mut cases: Vec<(&IncrementalPlacer, &PlacementProblem)> =
+        problems.iter().map(|problem| (&placer, problem)).collect();
+    cases.push((&placer_small, &single_app));
+    let timings = cold_decision_ms(&cases);
 
     println!(
         "{:>10} {:>8} {:>10} {:>15} {:>4} {:>16}",
         "servers", "apps", "median ms", "min-max ms", "n", "approx mem MB"
     );
-    let sizes = [100, 200, 300, 400].map(|servers| (servers, 50));
-    for (servers, apps) in sizes
-        .into_iter()
-        .chain([20, 60, 100, 140].map(|apps| (400, apps)))
+    for ((&(servers, apps), problem), &(median, min, max)) in
+        sizes.iter().zip(&problems).zip(&timings)
     {
-        let problem = build_problem(apps, servers);
-        let (median, min, max) = cold_decision_ms(&placer, &problem);
         println!(
             "{:>10} {:>8} {:>10.2} {:>15} {:>4} {:>16.1}",
             servers,
@@ -925,13 +936,12 @@ fn fig17(world: &CdnShared) {
             median,
             format!("{min:.2}-{max:.2}"),
             FIG17_SAMPLES,
-            approx_problem_memory_mb(&problem)
+            approx_problem_memory_mb(problem)
         );
     }
     println!("(paper: 50 apps x 400 servers completes within ~3 s and <200 MB with OR-Tools)");
 
-    let placer_small = IncrementalPlacer::new(PlacementPolicy::CarbonAware);
-    let (median, min, max) = cold_decision_ms(&placer_small, &build_problem(1, 5));
+    let (median, min, max) = timings[problems.len()];
     println!(
         "single-application decision on a 5-server regional edge: median {median:.3} ms \
          (min-max {min:.3}-{max:.3} ms, n = {FIG17_SAMPLES}) (paper: ~3.3 ms)"
@@ -942,20 +952,29 @@ fn fig17(world: &CdnShared) {
 const FIG17_SAMPLES: usize = 11;
 
 /// The median, minimum and maximum wall time (ms) of [`FIG17_SAMPLES`]
-/// decisions on `problem`.  Each sample decides on a fresh clone of
-/// `placer`, so none reuses the deployment an earlier sample left resident.
-fn cold_decision_ms(placer: &IncrementalPlacer, problem: &PlacementProblem) -> (f64, f64, f64) {
-    let mut times: Vec<f64> = (0..FIG17_SAMPLES)
-        .map(|_| {
+/// decisions per `(placer, problem)` case.  The samples are taken in
+/// rounds, one decision per case per round, so a slow stretch of the
+/// machine lands on every case alike.  Each sample decides on a fresh clone
+/// of its placer, so none reuses the deployment an earlier sample left
+/// resident.
+fn cold_decision_ms(cases: &[(&IncrementalPlacer, &PlacementProblem)]) -> Vec<(f64, f64, f64)> {
+    let mut times = vec![Vec::with_capacity(FIG17_SAMPLES); cases.len()];
+    for _ in 0..FIG17_SAMPLES {
+        for (case_times, &(placer, problem)) in times.iter_mut().zip(cases) {
             let cold = placer.clone();
             let start = Instant::now();
             cold.place(problem)
                 .expect("Fig. 17's instances are feasible");
-            start.elapsed().as_secs_f64() * 1000.0
+            case_times.push(start.elapsed().as_secs_f64() * 1000.0);
+        }
+    }
+    times
+        .into_iter()
+        .map(|mut t| {
+            t.sort_unstable_by(f64::total_cmp);
+            (t[t.len() / 2], t[0], t[t.len() - 1])
         })
-        .collect();
-    times.sort_unstable_by(f64::total_cmp);
-    (times[times.len() / 2], times[0], times[times.len() - 1])
+        .collect()
 }
 
 /// Rough memory a heuristic placement decision holds, in MB.  Its dominant

@@ -575,10 +575,9 @@ impl BranchBoundSolver {
             };
             match outcome {
                 LpOutcome::Optimal => {}
-                // Infeasible nodes are pruned; unbounded relaxations of a
-                // bounded-binary problem can only come from unbounded
-                // continuous variables and make the node unusable, as does
-                // an iteration limit.
+                // Infeasible nodes are pruned; a node whose LP stopped at
+                // the pivot cap or on numerical trouble is unusable and
+                // dropped the same way.
                 _ => continue,
             }
             let obj = ws.simplex.objective(&ws.prep);

@@ -159,13 +159,6 @@ impl BasisFactor {
         self.basis_nnz = m;
     }
 
-    /// Installs the factorization of a diagonal basis (slack columns with
-    /// activated `±1` artificial columns).
-    pub fn reset_diagonal(&mut self, diag: &[f64]) {
-        self.reset_identity(diag.len());
-        self.u_diag.copy_from_slice(diag);
-    }
-
     /// Factorizes the basis given column-wise (CSC) with column `k` being
     /// basis slot `k`.  Returns `false` when the matrix is numerically
     /// singular; the previous factors are destroyed either way, so the
@@ -680,7 +673,14 @@ mod tests {
         let mut out = vec![0.0; 4];
         f.ftran(&mut v, &mut out);
         assert_close(&out, &b);
-        f.reset_diagonal(&[1.0, -1.0, 1.0, -1.0]);
+        // Refactorizing the identity-reset factor as a diagonal with
+        // negated slots must leave nothing of the identity behind.
+        let diag = [1.0, -1.0, 1.0, -1.0];
+        let cols: Vec<Vec<f64>> = (0..4)
+            .map(|k| (0..4).map(|r| if r == k { diag[k] } else { 0.0 }).collect())
+            .collect();
+        let (m, ptr, rows, vals) = to_csc(&cols);
+        assert!(f.factorize(m, &ptr, &rows, &vals));
         let mut v = b.clone();
         f.ftran(&mut v, &mut out);
         assert_close(&out, &[1.0, -2.0, 3.0, -4.0]);

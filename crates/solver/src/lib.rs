@@ -7,10 +7,12 @@
 //! * [`model`] — a small modeling layer for mixed binary/continuous linear
 //!   programs (variables, linear constraints, minimization objective);
 //! * [`simplex`] — a bounded-variable **revised** simplex for the LP
-//!   relaxation: bounds live in the basis logic (nonbasic-at-lower/upper),
-//!   feasibility comes from a proper phase-1 instead of a Big-M penalty,
-//!   devex pricing picks entering columns, and a bounded dual simplex
-//!   provides warm restarts after bound changes;
+//!   relaxation of a boxed model (every variable has two finite bounds):
+//!   bounds live in the basis logic (nonbasic-at-lower/upper), a cold
+//!   start is a dual simplex walk from the slack basis (dual feasible
+//!   because every column is boxed) with no phase-1 and no Big-M
+//!   penalty, devex pricing picks entering columns, and the same bounded
+//!   dual simplex provides warm restarts after bound changes;
 //! * [`factor`] — the sparse linear algebra under the simplex: a
 //!   Markowitz-ordered sparse LU factorization of the basis with
 //!   product-form eta updates per pivot and an adaptive refactorization

@@ -14,7 +14,7 @@ impl VarId {
 /// The kind of a decision variable.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VarKind {
-    /// A continuous variable with lower and upper bounds.
+    /// A continuous variable with finite lower and upper bounds.
     Continuous {
         /// Lower bound.
         lower: f64,
@@ -136,9 +136,15 @@ impl Model {
         VarId(self.vars.len() - 1)
     }
 
-    /// Adds a bounded continuous variable.  Panics if `lower > upper`.
+    /// Adds a boxed continuous variable.  Panics unless both bounds are
+    /// finite and `lower <= upper`: the simplex rests every nonbasic column
+    /// on a finite bound, which keeps each LP it solves bounded and its cold
+    /// slack basis dual feasible.
     pub fn add_continuous(&mut self, lower: f64, upper: f64) -> VarId {
-        assert!(lower <= upper, "invalid variable bounds");
+        assert!(
+            lower.is_finite() && upper.is_finite() && lower <= upper,
+            "invalid variable bounds [{lower}, {upper}]"
+        );
         self.vars.push(VarKind::Continuous { lower, upper });
         self.objective.push(0.0);
         VarId(self.vars.len() - 1)
@@ -313,8 +319,8 @@ mod tests {
     fn dense_objective_accumulates_and_skips_zero_costs() {
         let mut m = Model::new();
         let x = m.add_binary();
-        m.add_continuous(f64::NEG_INFINITY, f64::INFINITY);
-        let cancelled = m.add_continuous(0.0, f64::INFINITY);
+        m.add_continuous(-1.0, 1.0);
+        let cancelled = m.add_continuous(0.0, 4.0);
         for _ in 0..4 {
             m.set_objective_term(x, 0.5);
         }
@@ -396,8 +402,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "invalid variable bounds")]
     fn invalid_bounds_panic() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        for (lower, upper) in [(-inf, 1.0), (0.0, inf), (-inf, inf), (nan, 1.0), (0.0, nan)] {
+            let added = std::panic::catch_unwind(|| Model::new().add_continuous(lower, upper));
+            assert!(added.is_err(), "bounds [{lower}, {upper}] accepted");
+        }
         Model::new().add_continuous(2.0, 1.0);
     }
 }

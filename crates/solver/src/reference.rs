@@ -525,11 +525,15 @@ mod tests {
             LpOutcome::Infeasible
         );
 
+        // A model's bounds are finite, so only a bound override can lift
+        // one to infinity and leave the objective unbounded.
         let mut unbounded = Model::new();
-        let z = unbounded.add_continuous(0.0, f64::INFINITY);
+        let z = unbounded.add_continuous(0.0, 1.0);
         unbounded.set_objective_term(z, -1.0);
         assert_eq!(
-            DenseSimplexSolver::new().solve(&unbounded).outcome,
+            DenseSimplexSolver::new()
+                .solve_with_bounds(&unbounded, &[Some((0.0, f64::INFINITY))])
+                .outcome,
             LpOutcome::Unbounded
         );
     }
