@@ -12,6 +12,7 @@
 mod golden;
 
 use carbonedge_bench::summary;
+use carbonedge_sweep::SweepReport;
 use golden::{assert_matches_golden, diff_with_tolerance};
 use std::path::PathBuf;
 
@@ -21,6 +22,10 @@ fn golden_path() -> PathBuf {
 
 fn default_grid_golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/sweep_default.txt")
+}
+
+fn default_grid_bits_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/sweep_default_bits.txt")
 }
 
 fn forecast_golden_path() -> PathBuf {
@@ -50,6 +55,59 @@ fn default_grid_sweep_summary_matches_golden_snapshot() {
         "default-grid sweep summary",
         &actual,
         &default_grid_golden_path(),
+    );
+}
+
+/// Every number of every cell of the default grid, `f64`s as their bits in
+/// hex, one line per cell.
+fn cell_bits(report: &SweepReport) -> String {
+    let mut out = String::from(
+        "# cell label policy: carbon energy latency placed decision monthly[12] intensity moves migration\n",
+    );
+    for cell in &report.cells {
+        let bits = |x: f64| format!("{:016x}", x.to_bits());
+        let o = &cell.outcome;
+        let monthly: Vec<String> = cell.monthly_carbon_g.iter().map(|&x| bits(x)).collect();
+        out.push_str(&format!(
+            "{} {} {}: {} {} {} {} {} [{}] {} {} {}\n",
+            cell.cell.index,
+            cell.cell.label(),
+            cell.cell.policy.name(),
+            bits(o.carbon_g),
+            bits(o.energy_j),
+            bits(o.mean_latency_ms),
+            o.placed_apps,
+            bits(cell.decision_carbon_g),
+            monthly.join(" "),
+            bits(cell.mean_assigned_intensity),
+            cell.moves,
+            bits(cell.migration_carbon_g),
+        ));
+    }
+    out
+}
+
+/// The default grid bit for bit: the printed snapshot above rounds to two
+/// decimals and compares within a tolerance, so a last-bit drift in one
+/// decision passes it but fails here.
+#[test]
+fn default_grid_sweep_cells_match_their_bits() {
+    let actual = cell_bits(&summary::run(&summary::sweep_spec(false), 2));
+    let path = default_grid_bits_path();
+    if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0") {
+        std::fs::write(&path, &actual).expect("write golden snapshot");
+        return;
+    }
+    let expected = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
+    for (n, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(a, e, "line {} of {} differs", n + 1, path.display());
+    }
+    assert_eq!(
+        actual.lines().count(),
+        expected.lines().count(),
+        "line count of {}",
+        path.display()
     );
 }
 
