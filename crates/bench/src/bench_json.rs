@@ -155,7 +155,14 @@ fn scale_problem_with_slots(
 }
 
 /// Median wall time of `f` over `samples` runs, in nanoseconds.
-fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> u64 {
+fn median_ns<F: FnMut()>(samples: usize, f: F) -> u64 {
+    let times = sorted_ns(samples, f);
+    times[times.len() / 2]
+}
+
+/// The wall time of each of `samples` calls of `f` (at least one), in
+/// nanoseconds, ascending.
+fn sorted_ns<F: FnMut()>(samples: usize, mut f: F) -> Vec<u64> {
     let mut times: Vec<u64> = (0..samples.max(1))
         .map(|_| {
             let start = Instant::now();
@@ -164,7 +171,7 @@ fn median_ns<F: FnMut()>(samples: usize, mut f: F) -> u64 {
         })
         .collect();
     times.sort_unstable();
-    times[times.len() / 2]
+    times
 }
 
 /// Per-case measurement protocol for [`solver_case_entry`].
@@ -534,7 +541,8 @@ impl ReplanCounters {
 const SWEEP_SAMPLES: usize = 5;
 
 /// Renders the sweep snapshot: grid cells/second at one worker and at one
-/// worker per CPU, each from the median of `SWEEP_SAMPLES` passes.  On a
+/// worker per CPU, each from the median of `SWEEP_SAMPLES` passes, with the
+/// fastest and slowest pass next to the median's seconds.  On a
 /// single-CPU machine the automatic worker count resolves to the same
 /// single worker as `jobs_1`, so the duplicate measurement is skipped rather
 /// than snapshotted as a misleading "parallel" figure.
@@ -549,23 +557,32 @@ pub fn sweep_bench_json(quick: bool) -> String {
     let mut cells = 0usize;
     for (label, jobs) in modes {
         let mut workers = 0usize;
-        let median = median_ns(SWEEP_SAMPLES, || {
+        let times = sorted_ns(SWEEP_SAMPLES, || {
             let report = crate::summary::run(&spec, jobs);
             cells = report.cells.len();
             workers = report.jobs;
         });
-        let seconds = median as f64 / 1e9;
-        let rate = cells as f64 / seconds.max(1e-9);
+        let seconds = |ns: u64| ns as f64 / 1e9;
+        let median = seconds(times[times.len() / 2]);
+        let rate = cells as f64 / median.max(1e-9);
         sections.push(format!(
             concat!(
                 "  \"{}\": {{\n",
                 "    \"workers\": {},\n",
                 "    \"samples\": {},\n",
                 "    \"seconds\": {:.3},\n",
+                "    \"seconds_min\": {:.3},\n",
+                "    \"seconds_max\": {:.3},\n",
                 "    \"cells_per_sec\": {:.2}\n",
                 "  }}"
             ),
-            label, workers, SWEEP_SAMPLES, seconds, rate
+            label,
+            workers,
+            times.len(),
+            median,
+            seconds(times[0]),
+            seconds(times[times.len() - 1]),
+            rate
         ));
     }
     format!(
@@ -752,6 +769,20 @@ mod tests {
         assert!(json.contains("\"detected_cpus\""));
         assert!(json.contains("\"jobs_1\""));
         assert!(json.contains(&format!("\"samples\": {SWEEP_SAMPLES}")));
+        // Every mode carries its spread: fastest <= median <= slowest pass.
+        let field = |name: &str| -> Vec<f64> {
+            let key = format!("\"{name}\": ");
+            json.lines()
+                .filter_map(|line| line.trim().strip_prefix(&key))
+                .map(|v| v.trim_end_matches(',').parse().expect("a number"))
+                .collect()
+        };
+        let (median, min, max) = (field("seconds"), field("seconds_min"), field("seconds_max"));
+        assert_eq!(median.len(), field("workers").len());
+        assert_eq!((min.len(), max.len()), (median.len(), median.len()));
+        for ((lo, mid), hi) in min.iter().zip(&median).zip(&max) {
+            assert!(lo <= mid && mid <= hi, "spread {lo} / {mid} / {hi}");
+        }
         let cpus = rayon::current_num_threads();
         assert_eq!(
             json.contains("\"jobs_auto\""),

@@ -481,17 +481,21 @@ impl IncrementalPlacer {
 
         // Applications with no feasible server at all (a hard constraint
         // failure), and applications with a non-finite cost on some pair.
+        // A row's activation costs need a look only when some server's is
+        // non-finite.
         let pairs = skeleton.pairs();
+        let activation_finite = activation_cost.iter().all(|c| c.is_finite());
         let mut stranded = Vec::new();
         let mut non_finite = Vec::new();
         for i in 0..apps {
             let row = pairs.row(i);
             if row.is_empty() {
                 stranded.push(i);
-            } else if pairs.servers()[row.clone()]
-                .iter()
-                .zip(&pair_cost[row])
-                .any(|(&j, cost)| !cost.is_finite() || !activation_cost[j].is_finite())
+            } else if pair_cost[row.clone()].iter().any(|c| !c.is_finite())
+                || (!activation_finite
+                    && pairs.servers()[row]
+                        .iter()
+                        .any(|&j| !activation_cost[j].is_finite()))
             {
                 non_finite.push(i);
             }

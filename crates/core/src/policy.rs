@@ -83,27 +83,27 @@ impl PlacementPolicy {
     ) -> (Vec<f64>, Vec<f64>) {
         let servers = &problem.servers;
         let epoch_hours = problem.epoch_hours;
-        let pairs = skeleton
-            .pairs()
-            .servers()
-            .iter()
-            .zip(skeleton.energy_per_hour_j())
-            .zip(skeleton.latency_ms());
-        // The tradeoff prices its raw carbon here and normalizes below.
-        let mut pair_cost: Vec<f64> = pairs
-            .map(|((&j, &per_hour), &latency)| {
-                let energy = per_hour * epoch_hours;
-                let intensity = servers[j].carbon_intensity;
-                match self {
-                    PlacementPolicy::CarbonAware | PlacementPolicy::CarbonEnergyTradeoff { .. } => {
-                        energy / 3.6e6 * intensity
-                    }
-                    PlacementPolicy::LatencyAware => latency,
-                    PlacementPolicy::EnergyAware => energy,
-                    PlacementPolicy::IntensityAware => intensity,
-                }
-            })
-            .collect();
+        let pair_server = skeleton.pairs().servers();
+        let energy_per_hour = skeleton.energy_per_hour_j();
+        let intensity: Vec<f64> = servers.iter().map(|s| s.carbon_intensity).collect();
+        // One loop per policy, each pricing a pair by the expression of its
+        // per-pair method.  The tradeoff prices its raw carbon here and
+        // normalizes below.
+        let mut pair_cost: Vec<f64> = match self {
+            PlacementPolicy::CarbonAware | PlacementPolicy::CarbonEnergyTradeoff { .. } => {
+                pair_server
+                    .iter()
+                    .zip(energy_per_hour)
+                    .map(|(&j, &per_hour)| per_hour * epoch_hours / 3.6e6 * intensity[j])
+                    .collect()
+            }
+            PlacementPolicy::LatencyAware => skeleton.latency_ms().to_vec(),
+            PlacementPolicy::EnergyAware => energy_per_hour
+                .iter()
+                .map(|&per_hour| per_hour * epoch_hours)
+                .collect(),
+            PlacementPolicy::IntensityAware => pair_server.iter().map(|&j| intensity[j]).collect(),
+        };
 
         let mut activation: Vec<f64> = servers
             .iter()

@@ -12,12 +12,20 @@
 //!
 //! An instance lists only the feasible pairs: [`CandidatePairs`] holds each
 //! application's row of candidate servers, ascending by server, in one flat
-//! layout, together with each pair's demand and the per-server column
-//! index.  A mesoscale latency limit admits servers a few hundred kilometres
-//! away, so a row holds a fraction of the fleet, and every step of the
-//! heuristic — the marginal-cost cache, its refresh after a placement, and
-//! the top-2 and cheapest-server scans — costs in candidates rather than in
-//! applications × servers.
+//! layout, together with each pair's demand, the per-server column index
+//! and each server's component-wise largest demand.  A mesoscale latency
+//! limit admits servers a few hundred kilometres away, so a row holds a
+//! fraction of the fleet, and every step of the heuristic costs in
+//! candidates rather than in applications × servers.
+//!
+//! The heuristic caches one marginal cost per pair.  A placement changes
+//! one server's usage, so it refreshes that server's column only, and not
+//! even that while the server's largest demand still fits and its
+//! activation term is unchanged: every marginal of the column then keeps
+//! its bits.  The regret construction also keeps each unplaced row's best
+//! and second-best marginal, and reads a row again only when a refresh
+//! touched a value within that range; each round then picks the first
+//! largest of one regret per application.
 //!
 //! The pairs do not depend on costs, so a deployment decided again and
 //! again builds them once and hands them to every instance by reference;
@@ -25,9 +33,9 @@
 //! per-server capacity, activation and power state.
 
 /// Batches larger than this many applications skip the regret ordering,
-/// which may rescan the candidate rows of every remaining application per
-/// placement (O(n·c) for `n` applications with `c` candidates in total),
-/// and fall back to a simple cheapest-feasible greedy pass (one scan of
+/// whose rounds each read one regret per application (O(n²) for `n`
+/// applications) on top of the rows a placement disturbs, and fall back to
+/// a simple cheapest-feasible greedy pass in application order (one read of
 /// each row), keeping CDN-scale batches (hundreds of applications over
 /// hundreds of servers) fast.
 const REGRET_LIMIT: usize = 200;
@@ -51,6 +59,10 @@ pub struct CandidatePairs {
     /// place in the application's row.
     column_start: Vec<usize>,
     column: Vec<(usize, usize)>,
+    /// `largest_demand[j]`: the component-wise largest demand of the pairs
+    /// on server `j` (`NAN` in a component where one of them is `NAN`,
+    /// `-inf` for a server with no pair).
+    largest_demand: Vec<[f64; 3]>,
 }
 
 impl CandidatePairs {
@@ -92,10 +104,21 @@ impl CandidatePairs {
         }
         let mut next = column_start.clone();
         let mut column = vec![(0, 0); server.len()];
+        let mut largest_demand = vec![[f64::NEG_INFINITY; 3]; servers];
         for (i, w) in row_start.windows(2).enumerate() {
-            for (k, &j) in server[w[0]..w[1]].iter().enumerate() {
+            for (k, (&j, d)) in server[w[0]..w[1]]
+                .iter()
+                .zip(&demand[w[0]..w[1]])
+                .enumerate()
+            {
                 column[next[j]] = (i, k);
                 next[j] += 1;
+                for (l, &d) in largest_demand[j].iter_mut().zip(d) {
+                    // Once `NAN`, `d > *l` is false: the component stays `NAN`.
+                    if d > *l || d.is_nan() {
+                        *l = d;
+                    }
+                }
             }
         }
         Ok(Self {
@@ -104,6 +127,7 @@ impl CandidatePairs {
             demand,
             column_start,
             column,
+            largest_demand,
         })
     }
 
@@ -164,7 +188,7 @@ impl CandidatePairs {
     pub fn bytes(&self) -> usize {
         use std::mem::size_of;
         (self.row_start.len() + self.server.len() + self.column_start.len()) * size_of::<usize>()
-            + self.demand.len() * size_of::<[f64; 3]>()
+            + (self.demand.len() + self.largest_demand.len()) * size_of::<[f64; 3]>()
             + self.column.len() * size_of::<(usize, usize)>()
     }
 }
@@ -270,11 +294,12 @@ impl AssignmentProblem<'_> {
     /// which drops its activation cost, can make one so.
     pub fn solve(&self) -> Result<Vec<Option<usize>>, String> {
         self.validate()?;
-        let mut state = State::new(self);
-        if self.num_apps() > REGRET_LIMIT {
-            state.greedy_construct_simple();
-        } else {
+        let regret = self.num_apps() <= REGRET_LIMIT;
+        let mut state = State::new(self, regret);
+        if regret {
             state.greedy_construct();
+        } else {
+            state.greedy_construct_simple();
         }
         Ok(state.finish())
     }
@@ -289,11 +314,19 @@ fn fits_within(demand: &[f64; 3], used: &[f64; 3], capacity: &[f64; 3]) -> bool 
         .all(|(d, (u, c))| u + d <= c + 1e-9)
 }
 
+/// Whether every demand of a column whose component-wise largest demand is
+/// `largest` fits on top of `used` within `capacity`.  Rounded addition is
+/// monotone, so with `used` finite `used + d <= used + largest` for every
+/// demand `d` of the column, and `largest` fitting means each `d` fits.
+fn column_fits(largest: &[f64; 3], used: &[f64; 3], capacity: &[f64; 3]) -> bool {
+    used.iter().all(|u| u.is_finite()) && fits_within(largest, used, capacity)
+}
+
 /// The marginal cost of a pair with `cost` and `demand` on a server with
 /// usage `used` and capacity `capacity`: `NAN` when the demand does not
 /// fit, otherwise `cost` plus `activation` (`0.0` for an open server, its
 /// activation cost otherwise).  Every cached and every freshly computed
-/// marginal comes from here, so comparisons between them are bit-exact.
+/// marginal is this value, so comparisons between them are bit-exact.
 fn marginal(
     cost: f64,
     demand: &[f64; 3],
@@ -320,19 +353,56 @@ fn cheapest(marginals: impl Iterator<Item = f64>) -> Option<(usize, f64)> {
     best
 }
 
-/// Cached best/second-best marginal costs of one application, kept
-/// consistent with [`State::marginal`] (see there for the exactness
-/// argument).  `second_c` is `f64::INFINITY` when only one candidate fits,
-/// matching the cold scan's "no second candidate" regret.
-#[derive(Debug, Clone, Copy)]
-enum Top2 {
-    /// The cached entry may be stale; the next lookup rescans the row.
-    Dirty,
-    /// No candidate of this application fits anymore.
-    Infeasible,
-    /// `(best_slot, best_c, second_c)` exactly as a fresh scan of the row
-    /// would compute them.
-    Cached(usize, f64, f64),
+/// The best and second-best marginal of a candidate row, skipping `NAN`, as
+/// `(best_slot, best, second)`: `best` is the first candidate attaining the
+/// strict running minimum, `second` the minimum over the other values, and
+/// `INFINITY` when only one candidate fits.  `None` when none fits.
+fn top2(row: &[f64]) -> Option<(usize, f64, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    let mut second = f64::INFINITY;
+    for (k, &c) in row.iter().enumerate() {
+        if c.is_nan() {
+            continue;
+        }
+        match best {
+            Some((_, bc)) if c >= bc => {
+                if c < second {
+                    second = c;
+                }
+            }
+            _ => {
+                if let Some((_, bc)) = best {
+                    second = bc;
+                }
+                best = Some((k, c));
+            }
+        }
+    }
+    best.map(|(k, c)| (k, c, second))
+}
+
+/// The regret of a row's top-2: `second - best`, `INFINITY` for a lone
+/// candidate, and `-inf` for a row where nothing fits, below every regret.
+fn regret_of(top2: Option<(usize, f64, f64)>) -> f64 {
+    match top2 {
+        Some((_, best, second)) if second.is_finite() => second - best,
+        Some(_) => f64::INFINITY,
+        None => f64::NEG_INFINITY,
+    }
+}
+
+/// The index of the first maximum of `values` above `-inf`; `None` when
+/// every value is `-inf`.
+fn first_max(values: &[f64]) -> Option<usize> {
+    let mut best = None;
+    let mut max = f64::NEG_INFINITY;
+    for (i, &v) in values.iter().enumerate() {
+        if v > max {
+            best = Some(i);
+            max = v;
+        }
+    }
+    best
 }
 
 /// The heuristic's working state.  Applications refer to their servers by
@@ -351,43 +421,82 @@ struct State<'p> {
     /// [`marginal`] arithmetic a cold scan runs, so every comparison made
     /// against them is bit-identical to an uncached solve.
     marginal: Vec<f64>,
-    /// Per-app best/second cache over `marginal`, invalidated only when a
-    /// column update could disturb it.  Only the regret construction reads
-    /// it.
-    top2: Vec<Top2>,
+    /// `activation[j]`: the activation term the cached marginals on server
+    /// `j` carry.
+    activation: Vec<f64>,
+    /// `roomy[j]`: whether server `j`'s largest demand fits on top of
+    /// `used[j]`, so that every cached marginal on it is `cost +
+    /// activation[j]`.
+    roomy: Vec<bool>,
+    /// The regret construction's rows, empty on the cheapest-feasible pass:
+    /// `top2[i]` is [`top2`] of unplaced app `i`'s cached marginals, read
+    /// again whenever a refresh could disturb it, and `regret[i]` is
+    /// [`regret_of`] it, `-inf` once app `i` is placed.
+    top2: Vec<Option<(usize, f64, f64)>>,
+    regret: Vec<f64>,
 }
 
 impl<'p> State<'p> {
-    /// Prices every pair against the empty state; the pairs bring their
-    /// column index along.
-    fn new(problem: &'p AssignmentProblem<'p>) -> Self {
+    /// Prices every pair against the empty state and, for the regret
+    /// construction, reads each row's top-2 right after pricing it.  On a
+    /// server whose largest demand fits it empty every pair fits, so its
+    /// pairs cost `cost + activation` without a fit test.
+    fn new(problem: &'p AssignmentProblem<'p>, regret: bool) -> Self {
         let apps = problem.num_apps();
         let servers = problem.num_servers();
         let pairs = problem.pairs;
-        let marginal_cache = pairs
-            .server
-            .iter()
-            .zip(&pairs.demand)
-            .zip(problem.cost)
-            .map(|((&j, demand), &cost)| {
-                let activation = problem.activation_term(j, 0);
-                marginal(cost, demand, &[0.0; 3], &problem.capacity[j], activation)
-            })
+        let empty = [0.0; 3];
+        let activation: Vec<f64> = (0..servers)
+            .map(|j| problem.activation_term(j, 0))
             .collect();
+        let roomy: Vec<bool> = pairs
+            .largest_demand
+            .iter()
+            .zip(problem.capacity)
+            .map(|(largest, capacity)| column_fits(largest, &empty, capacity))
+            .collect();
+        let mut marginals = Vec::with_capacity(pairs.len());
+        let (mut top2s, mut regrets) = (Vec::new(), Vec::new());
+        for i in 0..apps {
+            let row = pairs.row(i);
+            let priced = pairs.server[row.clone()]
+                .iter()
+                .zip(&pairs.demand[row.clone()])
+                .zip(&problem.cost[row.clone()])
+                .map(|((&j, demand), &cost)| {
+                    if roomy[j] {
+                        cost + activation[j]
+                    } else {
+                        marginal(cost, demand, &empty, &problem.capacity[j], activation[j])
+                    }
+                });
+            marginals.extend(priced);
+            if regret {
+                let t = top2(&marginals[row]);
+                top2s.push(t);
+                regrets.push(regret_of(t));
+            }
+        }
         Self {
             problem,
             assignment: vec![None; apps],
             used: vec![[0.0; 3]; servers],
             app_count_per_server: vec![0; servers],
-            marginal: marginal_cache,
-            top2: vec![Top2::Dirty; apps],
+            marginal: marginals,
+            activation,
+            roomy,
+            top2: top2s,
+            regret: regrets,
         }
     }
 
     /// Refreshes the cached marginals of the candidates on server `j` after
-    /// its capacity or open state changed, invalidating any top-2 entry the
-    /// change could disturb: the candidate was its app's best, or the old or
-    /// new value reaches into the cached top-2 range.
+    /// a placement there, and reads again the top-2 of every unplaced app
+    /// the change could disturb: the candidate was its app's best, or the
+    /// old or new value reaches into the cached top-2 range.  Returns at
+    /// once when the server's largest demand fitted before the placement
+    /// and still fits, and the activation term kept its bits: every
+    /// marginal of the column is then unchanged.
     fn refresh_column(&mut self, j: usize) {
         let used = self.used[j];
         let capacity = self.problem.capacity[j];
@@ -395,6 +504,12 @@ impl<'p> State<'p> {
             .problem
             .activation_term(j, self.app_count_per_server[j]);
         let pairs = self.problem.pairs;
+        let roomy = column_fits(&pairs.largest_demand[j], &used, &capacity);
+        let was_roomy = std::mem::replace(&mut self.roomy[j], roomy);
+        let old_activation = std::mem::replace(&mut self.activation[j], activation);
+        if was_roomy && roomy && old_activation.to_bits() == activation.to_bits() {
+            return;
+        }
         let cost = self.problem.cost;
         for &(i, k) in pairs.column(j) {
             let pos = pairs.row_start[i] + k;
@@ -404,20 +519,19 @@ impl<'p> State<'p> {
                 continue;
             }
             self.marginal[pos] = new;
-            match self.top2[i] {
-                Top2::Dirty => {}
-                Top2::Infeasible => {
-                    if !new.is_nan() {
-                        self.top2[i] = Top2::Dirty;
-                    }
-                }
-                Top2::Cached(best_k, _, second_c) => {
-                    // NaN comparisons are false, so a value that does not fit
-                    // never dirties through the value checks alone.
-                    if k == best_k || old <= second_c || new <= second_c {
-                        self.top2[i] = Top2::Dirty;
-                    }
-                }
+            if self.top2.is_empty() || self.assignment[i].is_some() {
+                continue;
+            }
+            // NaN comparisons are false, so a value that does not fit never
+            // disturbs a row through the value checks alone.
+            let disturbed = match self.top2[i] {
+                None => !new.is_nan(),
+                Some((best_k, _, second)) => k == best_k || old <= second || new <= second,
+            };
+            if disturbed {
+                let t = top2(&self.marginal[pairs.row(i)]);
+                self.top2[i] = t;
+                self.regret[i] = regret_of(t);
             }
         }
     }
@@ -425,48 +539,6 @@ impl<'p> State<'p> {
     /// The cached marginals of app `i`'s candidates, in row order.
     fn marginal_row(&self, i: usize) -> &[f64] {
         &self.marginal[self.problem.pairs.row(i)]
-    }
-
-    /// The best and second-best marginal costs of app `i`, exactly as the
-    /// cold per-round scan computes them: `best` keeps the first candidate
-    /// attaining the strict running minimum, `second` is the minimum over
-    /// the remaining values.  Returns `None` when no candidate fits.
-    fn top2(&mut self, i: usize) -> Option<(usize, f64, f64)> {
-        if let Top2::Dirty = self.top2[i] {
-            self.top2[i] = self.rescan_top2(i);
-        }
-        match self.top2[i] {
-            Top2::Cached(best_k, best_c, second_c) => Some((best_k, best_c, second_c)),
-            Top2::Infeasible => None,
-            Top2::Dirty => unreachable!("entry was just rescanned"),
-        }
-    }
-
-    fn rescan_top2(&self, i: usize) -> Top2 {
-        let mut best: Option<(usize, f64)> = None;
-        let mut second: Option<f64> = None;
-        for (k, &c) in self.marginal_row(i).iter().enumerate() {
-            if c.is_nan() {
-                continue;
-            }
-            match best {
-                Some((_, bc)) if c >= bc => {
-                    if second.is_none_or(|s| c < s) {
-                        second = Some(c);
-                    }
-                }
-                _ => {
-                    if let Some((_, bc)) = best {
-                        second = Some(bc);
-                    }
-                    best = Some((k, c));
-                }
-            }
-        }
-        match best {
-            Some((bk, bc)) => Top2::Cached(bk, bc, second.unwrap_or(f64::INFINITY)),
-            None => Top2::Infeasible,
-        }
     }
 
     /// The position of app `i`'s candidate `k` among the pairs.
@@ -499,40 +571,16 @@ impl<'p> State<'p> {
         }
     }
 
+    /// The regret construction: until no unplaced app has a fitting
+    /// candidate, place the app with the largest regret (the lowest index
+    /// among ties) on its best candidate.  Every unplaced row's top-2 is
+    /// what a fresh scan would read, so the chosen (app, server) matches
+    /// the uncached construction bit for bit.
     fn greedy_construct(&mut self) {
-        let apps = self.problem.num_apps();
-        let mut remaining: Vec<usize> = (0..apps).collect();
-        while !remaining.is_empty() {
-            // For each remaining app read the cached best and second-best
-            // marginal cost; pick the app with the largest regret
-            // (difference).  The cache holds exactly the values a fresh
-            // scan would compute, so the chosen (app, server) matches the
-            // uncached construction bit for bit.
-            let mut chosen: Option<(usize, usize, f64)> = None; // (pos, slot, regret)
-            for (pos, &i) in remaining.iter().enumerate() {
-                let Some((bk, bc, second)) = self.top2(i) else {
-                    continue;
-                };
-                let regret = if second.is_finite() {
-                    second - bc
-                } else {
-                    f64::INFINITY
-                };
-                let better = match &chosen {
-                    None => true,
-                    Some((_, _, r)) => regret > *r,
-                };
-                if better {
-                    chosen = Some((pos, bk, regret));
-                }
-            }
-            match chosen {
-                Some((pos, slot, _)) => {
-                    let app = remaining.remove(pos);
-                    self.place(app, slot);
-                }
-                None => break, // nothing placeable anymore
-            }
+        while let Some(i) = first_max(&self.regret) {
+            let (k, _, _) = self.top2[i].expect("an app with a regret has a fitting candidate");
+            self.regret[i] = f64::NEG_INFINITY;
+            self.place(i, k);
         }
     }
 
@@ -1129,6 +1177,110 @@ mod tests {
         assert!(stranded > 0, "no app went unplaced after fitting");
         assert!(activated > 0, "no case opened a server");
         assert!(spilled > 0, "no case above the regret limit");
+    }
+
+    /// A seeded sweep-shaped instance: 100–150 apps on 75–125 sites of four
+    /// identical servers, so an app's costs tie within a site.  Each app
+    /// reaches the sites within a few of its home site and demands its own
+    /// resources in tenths, so every column mixes demands.  A site's
+    /// capacity holds from under one to a dozen apps, so servers fill
+    /// part-way and a column's largest demand can stop fitting while its
+    /// smaller ones still do.
+    fn sweep_instance(rng: &mut StdRng) -> Instance {
+        const PER_SITE: usize = 4;
+        let apps: usize = rng.gen_range(100..151);
+        let sites: usize = rng.gen_range(75..126);
+        let tenths = |rng: &mut StdRng, lo: u32, hi: u32| f64::from(rng.gen_range(lo..hi)) / 10.0;
+        let site_intensity: Vec<f64> = (0..sites)
+            .map(|_| f64::from(rng.gen_range(1..40u32)))
+            .collect();
+        let site_capacity: Vec<[f64; 3]> = (0..sites)
+            .map(|_| [tenths(rng, 8, 60), tenths(rng, 8, 60), tenths(rng, 4, 30)])
+            .collect();
+        let site_activation: Vec<f64> = (0..sites)
+            .map(|_| f64::from(rng.gen_range(0..15u32)))
+            .collect();
+        let rows = (0..apps)
+            .map(|_| {
+                let home: usize = rng.gen_range(0..sites);
+                let reach: usize = rng.gen_range(1..6);
+                let energy = f64::from(rng.gen_range(1..8u32));
+                let demand = [tenths(rng, 1, 12), tenths(rng, 1, 12), tenths(rng, 1, 4)];
+                (home.saturating_sub(reach)..(home + reach + 1).min(sites))
+                    .flat_map(|site| {
+                        let cost = energy * site_intensity[site];
+                        (0..PER_SITE).map(move |s| (site * PER_SITE + s, cost, demand))
+                    })
+                    .collect()
+            })
+            .collect();
+        let servers = sites * PER_SITE;
+        from_rows(
+            rows,
+            (0..servers).map(|j| site_capacity[j / PER_SITE]).collect(),
+            (0..servers)
+                .map(|j| site_activation[j / PER_SITE])
+                .collect(),
+            (0..servers).map(|_| rng.gen_bool(0.5)).collect(),
+        )
+    }
+
+    #[test]
+    fn heuristic_matches_the_uncached_reference_on_sweep_shaped_instances() {
+        // Read from each instance and its result: a server whose largest
+        // demand fits it empty has its pairs priced without a fit test, one
+        // whose largest demand does not is priced pair by pair, and a
+        // server that took two apps with room for its largest demand left
+        // had its column's refresh return early on the second.  A server
+        // whose largest demand no longer fits while a smaller demand still
+        // does had its column refreshed pair by pair.
+        let mut rng = StdRng::seed_from_u64(31);
+        let (mut shortcut, mut priced, mut early, mut mixed) = (0, 0, 0, 0);
+        for case in 0..12 {
+            let instance = sweep_instance(&mut rng);
+            let p = instance.problem();
+            let assignment = instance.solve();
+            assert_eq!(assignment, reference_solve(&p), "case {case}");
+            let mut used = vec![[0.0; 3]; p.num_servers()];
+            let mut count = vec![0; p.num_servers()];
+            for (i, a) in assignment.iter().enumerate() {
+                let Some(j) = *a else { continue };
+                let pos = p.pairs.find(i, j).expect("placed on a candidate");
+                for (u, d) in used[j].iter_mut().zip(&p.pairs.demands()[pos]) {
+                    *u += d;
+                }
+                count[j] += 1;
+            }
+            // A margin far above the rounding of a sum in another order.
+            let within = |d: &[f64; 3], j: usize, margin: f64| {
+                (0..3).all(|r| used[j][r] + d[r] <= p.capacity[j][r] - margin)
+            };
+            for j in (0..p.num_servers()).filter(|&j| !p.pairs.column(j).is_empty()) {
+                let largest = &p.pairs.largest_demand[j];
+                if column_fits(largest, &[0.0; 3], &p.capacity[j]) {
+                    shortcut += 1;
+                } else {
+                    priced += 1;
+                }
+                if count[j] >= 2 && within(largest, j, 1e-6) {
+                    early += 1;
+                }
+                let smaller_fits =
+                    p.pairs.column(j).iter().any(|&(i, k)| {
+                        within(&p.pairs.demands()[p.pairs.row(i).start + k], j, 1e-6)
+                    });
+                if !within(largest, j, -1e-6) && smaller_fits {
+                    mixed += 1;
+                }
+            }
+        }
+        assert!(shortcut > 0, "no server's largest demand fitted it empty");
+        assert!(priced > 0, "every server's largest demand fitted it empty");
+        assert!(early > 0, "no column refresh returned early");
+        assert!(
+            mixed > 0,
+            "no largest demand stopped fitting before a smaller one"
+        );
     }
 
     #[test]
