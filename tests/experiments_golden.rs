@@ -14,36 +14,20 @@ mod golden;
 use carbonedge_bench::summary;
 use carbonedge_sweep::SweepReport;
 use golden::{assert_matches_golden, diff_with_tolerance};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/experiments_quick.txt")
-}
-
-fn default_grid_golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/sweep_default.txt")
-}
-
-fn default_grid_bits_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/sweep_default_bits.txt")
-}
-
-fn forecast_golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/forecast_quick.txt")
-}
-
-fn migration_golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/migration_quick.txt")
-}
-
-fn serving_golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden/serving_quick.txt")
+fn golden_dir() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("golden")
 }
 
 #[test]
 fn quick_sweep_summary_matches_golden_snapshot() {
     let actual = summary::run(&summary::sweep_spec(true), 2).render();
-    assert_matches_golden("quick sweep summary", &actual, &golden_path());
+    assert_matches_golden(
+        "quick sweep summary",
+        &actual,
+        &golden_dir().join("experiments_quick.txt"),
+    );
 }
 
 /// The 120-site default grid `experiments --sweep` prints; the quick
@@ -54,12 +38,12 @@ fn default_grid_sweep_summary_matches_golden_snapshot() {
     assert_matches_golden(
         "default-grid sweep summary",
         &actual,
-        &default_grid_golden_path(),
+        &golden_dir().join("sweep_default.txt"),
     );
 }
 
-/// Every number of every cell of the default grid, `f64`s as their bits in
-/// hex, one line per cell.
+/// Every number of every cell of a grid, `f64`s as their bits in hex, one
+/// line per cell.
 fn cell_bits(report: &SweepReport) -> String {
     let mut out = String::from(
         "# cell label policy: carbon energy latency placed decision monthly[12] intensity moves migration\n",
@@ -87,18 +71,14 @@ fn cell_bits(report: &SweepReport) -> String {
     out
 }
 
-/// The default grid bit for bit: the printed snapshot above rounds to two
-/// decimals and compares within a tolerance, so a last-bit drift in one
-/// decision passes it but fails here.
-#[test]
-fn default_grid_sweep_cells_match_their_bits() {
-    let actual = cell_bits(&summary::run(&summary::sweep_spec(false), 2));
-    let path = default_grid_bits_path();
+/// Compares `cell_bits(report)` with the snapshot at `path`, line by line.
+fn assert_matches_bits(report: &SweepReport, path: &Path) {
+    let actual = cell_bits(report);
     if std::env::var("UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0") {
-        std::fs::write(&path, &actual).expect("write golden snapshot");
+        std::fs::write(path, &actual).expect("write golden snapshot");
         return;
     }
-    let expected = std::fs::read_to_string(&path)
+    let expected = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
     for (n, (a, e)) in actual.lines().zip(expected.lines()).enumerate() {
         assert_eq!(a, e, "line {} of {} differs", n + 1, path.display());
@@ -111,13 +91,46 @@ fn default_grid_sweep_cells_match_their_bits() {
     );
 }
 
+/// The default grid bit for bit: the printed snapshot above rounds to two
+/// decimals and compares within a tolerance, so a last-bit drift in one
+/// decision passes it but fails here.
+#[test]
+fn default_grid_sweep_cells_match_their_bits() {
+    let report = summary::run(&summary::sweep_spec(false), 2);
+    assert_matches_bits(&report, &golden_dir().join("sweep_default_bits.txt"));
+}
+
+/// The quick forecast grid bit for bit: its weekly epochs and non-oracle
+/// forecasters decide against inputs the default grid never builds.
+#[test]
+fn quick_forecast_cells_match_their_bits() {
+    let report = summary::run(&summary::forecast_spec(true), 2);
+    assert_matches_bits(&report, &golden_dir().join("forecast_quick_bits.txt"));
+}
+
+/// The quick migration grid bit for bit: paid migration levels fold
+/// incumbent terms into the costs and run the hysteresis pass.
+#[test]
+fn quick_migration_cells_match_their_bits() {
+    let report = summary::run(&summary::migration_spec(true), 2);
+    assert_matches_bits(&report, &golden_dir().join("migration_quick_bits.txt"));
+}
+
+/// The quick serving grid bit for bit: its online cells decide again over
+/// windows the drift trigger cuts short.
+#[test]
+fn quick_serving_cells_match_their_bits() {
+    let report = summary::run(&summary::serving_spec(true), 2);
+    assert_matches_bits(&report, &golden_dir().join("serving_quick_bits.txt"));
+}
+
 #[test]
 fn quick_forecast_regret_matches_golden_snapshot() {
     let actual = summary::run(&summary::forecast_spec(true), 2).render_forecast_regret();
     assert_matches_golden(
         "quick forecast regret table",
         &actual,
-        &forecast_golden_path(),
+        &golden_dir().join("forecast_quick.txt"),
     );
 }
 
@@ -127,14 +140,18 @@ fn quick_migration_churn_matches_golden_snapshot() {
     assert_matches_golden(
         "quick migration churn table",
         &actual,
-        &migration_golden_path(),
+        &golden_dir().join("migration_quick.txt"),
     );
 }
 
 #[test]
 fn quick_serving_table_matches_golden_snapshot() {
     let actual = summary::run(&summary::serving_spec(true), 2).render_serving();
-    assert_matches_golden("quick serving table", &actual, &serving_golden_path());
+    assert_matches_golden(
+        "quick serving table",
+        &actual,
+        &golden_dir().join("serving_quick.txt"),
+    );
 }
 
 #[test]
