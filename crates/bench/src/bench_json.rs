@@ -27,10 +27,11 @@
 //! skipped when only one CPU is detected, because it would duplicate
 //! `jobs_1`).
 //!
-//! The serving snapshot measures the batched event-level engine: the median
-//! wall time of a year-long event-level run against the identical
-//! aggregate-mode run, and the stream-hour batches per second per core the
-//! difference implies.
+//! The serving snapshot measures the batched event-level engine: a
+//! year-long event-level run timed against the identical aggregate-mode run
+//! in alternating pairs, and the stream-hour batches per second per core
+//! each pair's difference implies, as a median with its fastest and slowest
+//! pair.
 //!
 //! The JSON is hand-rendered (the offline `serde` shim has no wire format);
 //! every field is a plain number or string, so any downstream tooling can
@@ -610,6 +611,13 @@ pub fn sweep_bench_json(quick: bool) -> String {
 /// stream-hour batches processed per second of serving time, and
 /// `requests_total` stays a count of the requests they represent.  Both
 /// runs are single-threaded, so the figure is per core.
+///
+/// The two runs are timed in alternating pairs, so a slow stretch of the
+/// machine lands on both sides of a difference rather than on one median.
+/// Each pair's difference gives one throughput; the snapshot reports their
+/// median with the slowest and fastest pair (`_min`, `_max`) and the median
+/// difference as `serving_overhead_ns`.  Each run keeps its own placer, so
+/// a pair times two runs on resident deployments.
 pub fn serving_bench_json(quick: bool) -> String {
     let samples = if quick { 3 } else { 7 };
     let config = CdnConfig::new(ZoneArea::Europe).with_site_limit(if quick { 10 } else { 20 });
@@ -617,21 +625,44 @@ pub fn serving_bench_json(quick: bool) -> String {
     let aggregate = CdnSimulator::new(config.clone());
     let event = CdnSimulator::new(config.with_serving(ServingMode::EventLevel));
     let placer = IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only();
+    let (aggregate_placer, event_placer) = (placer.clone(), placer);
 
-    let result = event.run_with(&placer);
+    let _ = aggregate.run_with(&aggregate_placer);
+    let result = event.run_with(&event_placer);
     let metrics = result
         .serving
         .expect("event-level runs record serving metrics");
-    let aggregate_ns = median_ns(samples, || {
-        let _ = aggregate.run_with(&placer);
-    });
-    let event_ns = median_ns(samples, || {
-        let _ = event.run_with(&placer);
-    });
-    let serving_ns = event_ns.saturating_sub(aggregate_ns).max(1);
+    let time_ns = |run: &dyn Fn()| {
+        let start = Instant::now();
+        run();
+        start.elapsed().as_nanos() as u64
+    };
+    let pairs: Vec<(u64, u64)> = (0..samples)
+        .map(|_| {
+            let aggregate_ns = time_ns(&|| {
+                let _ = aggregate.run_with(&aggregate_placer);
+            });
+            let event_ns = time_ns(&|| {
+                let _ = event.run_with(&event_placer);
+            });
+            (aggregate_ns, event_ns)
+        })
+        .collect();
+    let median = |mut v: Vec<u64>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    let aggregate_ns = median(pairs.iter().map(|p| p.0).collect());
+    let event_ns = median(pairs.iter().map(|p| p.1).collect());
+    let mut differences: Vec<u64> = pairs
+        .iter()
+        .map(|(a, e)| e.saturating_sub(*a).max(1))
+        .collect();
+    differences.sort_unstable();
+    let serving_ns = differences[differences.len() / 2];
     // One request stream per application, one batch per stream and hour.
     let batches = event.site_count() * apps_per_site * metrics.hours;
-    let batches_per_sec = batches as f64 * 1e9 / serving_ns as f64;
+    let per_sec = |ns: u64| batches as f64 * 1e9 / ns as f64;
 
     format!(
         concat!(
@@ -645,6 +676,8 @@ pub fn serving_bench_json(quick: bool) -> String {
             "  \"event_run_ns_median\": {},\n",
             "  \"serving_overhead_ns\": {},\n",
             "  \"batches_per_sec_per_core\": {:.0},\n",
+            "  \"batches_per_sec_per_core_min\": {:.0},\n",
+            "  \"batches_per_sec_per_core_max\": {:.0},\n",
             "  \"p99_ms\": {:.3},\n",
             "  \"drop_percent\": {:.4}\n",
             "}}\n"
@@ -660,7 +693,9 @@ pub fn serving_bench_json(quick: bool) -> String {
         aggregate_ns,
         event_ns,
         serving_ns,
-        batches_per_sec,
+        per_sec(serving_ns),
+        per_sec(differences[differences.len() - 1]),
+        per_sec(differences[0]),
         metrics.p99_ms,
         metrics.drop_percent(),
     )
@@ -756,6 +791,25 @@ mod tests {
             json.matches('{').count(),
             json.matches('}').count(),
             "unbalanced JSON braces"
+        );
+        // The throughput carries its spread: slowest <= median <= fastest
+        // pair.
+        let field = |name: &str| -> f64 {
+            let key = format!("\"{name}\": ");
+            let line = json.lines().find_map(|line| line.trim().strip_prefix(&key));
+            line.expect(name)
+                .trim_end_matches(',')
+                .parse()
+                .expect("a number")
+        };
+        let median = field("batches_per_sec_per_core");
+        let (min, max) = (
+            field("batches_per_sec_per_core_min"),
+            field("batches_per_sec_per_core_max"),
+        );
+        assert!(
+            min <= median && median <= max,
+            "spread {min} / {median} / {max}"
         );
     }
 

@@ -28,12 +28,15 @@
 //!
 //! The placer is built for **repeated** decisions on one deployment, and it
 //! recognises the deployment itself.  It keeps the deployment it decided
-//! last: the skeleton, and after an exact decision the MILP rows built on
-//! it.  When a new problem's applications, server devices and locations,
+//! last: the skeleton, after an exact decision the MILP rows built on it,
+//! and after a heuristic decision that decision's instance and assignment.
+//! When a new problem's applications, server devices and locations,
 //! latency model and latency cache are bit-identical to that deployment's,
 //! the skeleton is reused; when every server's capacity and power state
 //! match as well, so are the rows, and the decision only rewrites their
-//! objective.  Anything else builds afresh, so callers attach nothing.
+//! objective; and when the priced heuristic instance matches bit for bit,
+//! so is its assignment.  Anything else builds afresh, so callers attach
+//! nothing.
 //! The placer's [`BranchBoundSolver`] in turn keeps the block structure of
 //! the last model it classified and a scratch workspace (basis, basis
 //! inverse, node arena) that persists across successive
@@ -128,6 +131,11 @@ pub struct PlacementDecision {
     /// infeasible MILP, or the node limit reached without an incumbent — so
     /// the heuristic decided instead (`exact` is then `false`).
     pub exact_fallback: bool,
+    /// Whether the heuristic reused the assignment it constructed for the
+    /// previous heuristic decision on this deployment, whose instance was
+    /// bit-identical.  It records the placer's history, not the problem:
+    /// the decision is the one a fresh placer makes.
+    pub memoized: bool,
     /// Applications moved off their incumbent server (0 for stateless
     /// problems).
     pub moves: usize,
@@ -199,15 +207,17 @@ impl Clone for IncrementalPlacer {
 
 /// The deployment an [`IncrementalPlacer`] decided last: its
 /// [`deployment_words`] and latency cache, the skeleton built from them
-/// and, after an exact decision, the MILP rows built on that skeleton.
-/// The cache is compared by address and held here, so that its address
-/// cannot be reused while a comparison depends on it.
+/// and, after an exact decision, the MILP rows built on that skeleton, and
+/// after a heuristic one, its instance.  The cache is compared by address
+/// and held here, so that its address cannot be reused while a comparison
+/// depends on it.
 #[derive(Debug)]
 struct Resident {
     words: Vec<u64>,
     latency_cache: Option<Arc<PairLatencyCache>>,
     skeleton: Arc<PlacementSkeleton>,
     rows: Option<ResidentRows>,
+    heuristic: Option<HeuristicMemo>,
 }
 
 impl Resident {
@@ -228,6 +238,38 @@ impl Resident {
 struct ResidentRows {
     words: Vec<u64>,
     model: PlacementModel,
+}
+
+/// The last heuristic instance decided on the resident skeleton: the
+/// vectors an [`AssignmentProblem`] adds to the skeleton's pairs, and the
+/// assignment the construction returned for them, before hysteresis.  The
+/// construction is a pure function of those vectors and the pairs, so an
+/// instance that matches them bit for bit has this assignment.
+#[derive(Debug)]
+struct HeuristicMemo {
+    cost: Vec<f64>,
+    activation_cost: Vec<f64>,
+    capacity: Vec<[f64; 3]>,
+    open: Vec<bool>,
+    assignment: Vec<Option<usize>>,
+}
+
+impl HeuristicMemo {
+    /// Whether `instance` has exactly these vectors.  Floats compare as
+    /// bits, and the cost vector first: it is the one that changes between
+    /// decisions, so a miss usually ends on its first pair.
+    fn matches(&self, instance: &AssignmentProblem) -> bool {
+        fn same_bits(a: &[f64], b: &[f64]) -> bool {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        }
+        same_bits(&self.cost, instance.cost)
+            && same_bits(&self.activation_cost, instance.activation_cost)
+            && same_bits(
+                self.capacity.as_flattened(),
+                instance.capacity.as_flattened(),
+            )
+            && self.open == instance.open
+    }
 }
 
 /// Everything [`PlacementSkeleton::new`] reads from `problem` apart from
@@ -310,6 +352,19 @@ impl IncrementalPlacer {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// Runs `f` on the resident deployment when its skeleton is `skeleton`,
+    /// the one a decision started with.
+    fn on_resident<R>(
+        &self,
+        skeleton: &Arc<PlacementSkeleton>,
+        f: impl FnOnce(&mut Resident) -> R,
+    ) -> Option<R> {
+        self.lock()
+            .as_mut()
+            .filter(|resident| Arc::ptr_eq(&resident.skeleton, skeleton))
+            .map(f)
+    }
+
     /// The skeleton of `problem`'s deployment: the resident one when the
     /// problem has the resident deployment's structural inputs, else a
     /// fresh one that becomes resident.  The old deployment is dropped
@@ -326,6 +381,7 @@ impl IncrementalPlacer {
             latency_cache: problem.latency_cache.clone(),
             skeleton: Arc::clone(&skeleton),
             rows: None,
+            heuristic: None,
         });
         skeleton
     }
@@ -513,8 +569,8 @@ impl IncrementalPlacer {
         } else {
             None
         };
-        let (assignment, exact) = match exact_assignment {
-            Some(a) => (a, true),
+        let (assignment, exact, memoized) = match exact_assignment {
+            Some(a) => (a, true, false),
             None => {
                 let capacity: Vec<[f64; 3]> = problem
                     .servers
@@ -529,11 +585,31 @@ impl IncrementalPlacer {
                     activation_cost: &activation_cost,
                     open: &open,
                 };
-                let mut assignment = instance
-                    .solve()
-                    .expect("the placer builds every vector at the problem's size");
+                let memo = self
+                    .on_resident(&skeleton, |resident| {
+                        let memo = resident.heuristic.as_ref()?;
+                        memo.matches(&instance).then(|| memo.assignment.clone())
+                    })
+                    .flatten();
+                let memoized = memo.is_some();
+                let constructed = memo.unwrap_or_else(|| {
+                    instance
+                        .solve()
+                        .expect("the placer builds every vector at the problem's size")
+                });
+                let mut assignment = constructed.clone();
                 self.apply_move_hysteresis(problem, &instance, &mut assignment);
-                (assignment, false)
+                if !memoized {
+                    let memo = HeuristicMemo {
+                        cost: pair_cost,
+                        activation_cost,
+                        capacity,
+                        open,
+                        assignment: constructed,
+                    };
+                    self.on_resident(&skeleton, |resident| resident.heuristic = Some(memo));
+                }
+                (assignment, false, memoized)
             }
         };
 
@@ -569,6 +645,7 @@ impl IncrementalPlacer {
             policy: self.policy.name(),
             exact,
             exact_fallback: tried_exact && !exact,
+            memoized,
             moves,
             migration_carbon_g,
         })
@@ -651,10 +728,8 @@ impl IncrementalPlacer {
         activation_cost: &[f64],
     ) -> Option<Vec<Option<usize>>> {
         let kept = self
-            .lock()
-            .as_mut()
-            .filter(|resident| Arc::ptr_eq(&resident.skeleton, skeleton))
-            .and_then(|resident| resident.rows.take())
+            .on_resident(skeleton, |resident| resident.rows.take())
+            .flatten()
             .filter(|rows| rows.words.iter().copied().eq(row_words(problem)));
         let placement_model = match kept {
             Some(ResidentRows { mut model, .. }) => {
@@ -669,16 +744,11 @@ impl IncrementalPlacer {
             MilpOutcome::Optimal | MilpOutcome::Feasible
         )
         .then(|| placement_model.decode(&solution.values));
-        let mut resident = self.lock();
-        if let Some(resident) = resident
-            .as_mut()
-            .filter(|resident| Arc::ptr_eq(&resident.skeleton, skeleton))
-        {
-            resident.rows = Some(ResidentRows {
-                words: row_words(problem).collect(),
-                model: placement_model,
-            });
-        }
+        let rows = ResidentRows {
+            words: row_words(problem).collect(),
+            model: placement_model,
+        };
+        self.on_resident(skeleton, |resident| resident.rows = Some(rows));
         assignment
     }
 }
@@ -1276,7 +1346,7 @@ mod tests {
             Arc::new(PairLatencyCache::new(
                 vec![0],
                 vec![0, 1],
-                vec![0.3, green_ms],
+                vec![0.3, green_ms].into(),
                 2,
             ))
         };
@@ -1480,6 +1550,103 @@ mod tests {
                 assert_eq!(placer.place(&p).unwrap_err(), PlacementError::InvalidState);
             }
         }
+    }
+
+    #[test]
+    fn a_bit_identical_heuristic_instance_reuses_its_construction() {
+        // Four ResNet50 apps within reach of a green and a dirty server,
+        // three of them incumbent on the dirty one under a paid migration
+        // cost, so the costs fold migration terms and hysteresis runs.
+        let server = |id, lat, lon, intensity| {
+            ServerSnapshot::new(
+                id,
+                id,
+                ZoneId(id),
+                DeviceKind::A2,
+                Coordinates::new(lat, lon),
+            )
+            .with_carbon_intensity(intensity)
+        };
+        let apps: Vec<Application> = (0..4)
+            .map(|i| {
+                let origin = Coordinates::new(47.5, 9.5);
+                Application::new(AppId(i), ModelKind::ResNet50, 25.0, 40.0, origin, 0)
+            })
+            .collect();
+        let base = PlacementProblem::new(
+            vec![server(0, 46.95, 7.45, 45.0), server(1, 48.14, 11.58, 550.0)],
+            apps,
+            1.0,
+        )
+        .with_latency_model(LatencyModel::deterministic())
+        .with_state(PlacementState::new(
+            vec![Some(1), Some(1), Some(1), None],
+            vec![MigrationCost::new(0.004, 0.0); 4],
+        ));
+        let placer = IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only();
+        let fresh = |p: &PlacementProblem| placer.clone().place(p).unwrap();
+
+        let first = placer.place(&base).unwrap();
+        assert!(!first.memoized);
+        let again = placer.place(&base).unwrap();
+        assert!(again.memoized);
+        assert_eq!(
+            PlacementDecision {
+                memoized: false,
+                ..again
+            },
+            fresh(&base)
+        );
+
+        // One bit of one input per case; a high mantissa bit, so that the
+        // priced instance changes too.  Each misses and decides afresh.
+        fn flip(x: &mut f64) {
+            *x = f64::from_bits(x.to_bits() ^ (1 << 40));
+        }
+        for case in [
+            "intensity",
+            "epoch hours",
+            "capacity",
+            "power state",
+            "migration",
+        ] {
+            let mut p = base.clone();
+            match case {
+                "intensity" => flip(&mut p.servers[0].carbon_intensity),
+                "epoch hours" => flip(&mut p.epoch_hours),
+                "capacity" => flip(&mut p.servers[1].available.compute),
+                "power state" => p.servers[0].powered_on = false,
+                _ => flip(&mut p.state.as_mut().unwrap().migration[2].data_transfer_g),
+            }
+            placer.place(&base).unwrap();
+            let d = placer.place(&p).unwrap();
+            assert!(!d.memoized, "{case}");
+            assert_eq!(d, fresh(&p), "{case}");
+            assert!(placer.place(&p).unwrap().memoized, "{case}, again");
+        }
+
+        // Each vector is compared on its own: a powered-off server's base
+        // power moves only its activation cost, and a policy without
+        // activation costs sees a power state only in `open`.
+        let mut off = base.clone();
+        off.servers[0].powered_on = false;
+        let mut lower_power = off.clone();
+        lower_power.servers[0].base_power_w *= 0.5;
+        let latency = IncrementalPlacer::new(PlacementPolicy::LatencyAware).heuristic_only();
+        for (placer, before, after) in [(&placer, &off, &lower_power), (&latency, &base, &off)] {
+            placer.place(before).unwrap();
+            let d = placer.place(after).unwrap();
+            assert!(!d.memoized, "{}", placer.policy.name());
+            assert_eq!(d, placer.clone().place(after).unwrap());
+        }
+
+        // A new deployment drops the instance with the old skeleton.
+        let mut faster = base.clone();
+        faster.apps[3].request_rate_rps = 26.0;
+        assert!(!placer.place(&faster).unwrap().memoized);
+        let back = placer.place(&base).unwrap();
+        assert!(!back.memoized);
+        assert_eq!(back, fresh(&base));
     }
 
     #[test]

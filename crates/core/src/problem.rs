@@ -274,11 +274,15 @@ impl PlacementState {
 /// comparison (latency feasibility, policy costs, mean latency) is
 /// bit-identical with and without the cache — the property the sweep's
 /// cached-versus-cold differential test pins.
+///
+/// The matrix is shared, not owned: caches over different deployments on
+/// the same locations (say, every demand scenario of one set of edge
+/// sites) hold one matrix.
 #[derive(Debug, Clone)]
 pub struct PairLatencyCache {
     app_class: Vec<u32>,
     server_class: Vec<u32>,
-    rtt_ms: Vec<f64>,
+    rtt_ms: Arc<[f64]>,
     server_classes: usize,
 }
 
@@ -288,7 +292,7 @@ impl PairLatencyCache {
     pub fn new(
         app_class: Vec<u32>,
         server_class: Vec<u32>,
-        rtt_ms: Vec<f64>,
+        rtt_ms: Arc<[f64]>,
         server_classes: usize,
     ) -> Self {
         let app_classes = app_class.iter().map(|c| *c as usize + 1).max().unwrap_or(0);

@@ -25,7 +25,7 @@
 //! that always fires; [`ServingMode::OnlineReplace`] adds a demand-drift
 //! trigger that cuts the epoch into several segments.  Every input comes
 //! from one [`ScenarioPrep`]: the epoch-invariant deployment, its pair
-//! latencies and the per-epoch intensity means.
+//! latencies and the per-epoch intensity means of its area.
 //!
 //! # Stateful re-placement
 //!
@@ -54,6 +54,7 @@ use carbonedge_workload::{
     AppId, Application, ArrivalProcess, DeviceKind, ModelKind, RequestStream, WorkloadProfile,
 };
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Demand/capacity scenarios of Figure 14.
@@ -269,6 +270,13 @@ pub struct CdnResult {
     /// so the heuristic decided instead (see
     /// `PlacementDecision::exact_fallback`).
     pub exact_fallbacks: usize,
+    /// Number of heuristic decisions that reused the assignment of the
+    /// placer's previous, bit-identical instance (see
+    /// `PlacementDecision::memoized`).  This counts the placer's history,
+    /// not a property of the run: a placer that decided a bit-identical
+    /// instance before the run (a sweep worker's previous cell) hits on the
+    /// run's first decision, a fresh one does not.
+    pub memoized_decisions: usize,
     /// Applications moved between servers across all epoch boundaries (the
     /// run's churn).
     pub moves: usize,
@@ -291,7 +299,8 @@ impl CdnResult {
 
 /// Immutable inputs shared by every CDN simulation: the worldwide zone
 /// catalog, the Akamai-like edge-site catalog derived from it, one trace
-/// store per seed, and a cache of scenario preparations.
+/// store per seed, and two caches: area inputs, and the scenario
+/// preparations built on them.
 ///
 /// A year of hourly values per zone is the expensive input of a simulator,
 /// and a scenario sweep instantiates dozens to thousands of simulators that
@@ -309,22 +318,114 @@ pub struct CdnShared {
     /// happens under the map mutex; generation happens inside each zone's
     /// own slot of the store.
     traces_by_seed: Mutex<HashMap<u64, Arc<ZoneTraces>>>,
-    /// Per-scenario preparation slots: the mutex is held only to find the
-    /// slot, the (expensive) prep build happens inside the scenario's own
-    /// `OnceLock`.
-    preps: Mutex<HashMap<PrepKey, PrepSlot>>,
+    /// Per-area input slots, filled by the first scenario preparation of
+    /// the area.
+    areas: Mutex<HashMap<AreaKey, Slot<AreaInputs>>>,
+    /// Per-scenario preparation slots.
+    preps: Mutex<HashMap<PrepKey, Slot<ScenarioPrep>>>,
 }
 
-/// A lazily initialized per-scenario prep slot.
-type PrepSlot = Arc<OnceLock<Arc<ScenarioPrep>>>;
+/// A lazily initialized cache slot.  The cache's mutex is held only to
+/// find the slot; the (expensive) build happens inside the slot's own
+/// `OnceLock`.
+type Slot<T> = Arc<OnceLock<Arc<T>>>;
 /// One simulated edge site: name, location, zone and metro population.
 type Site = (String, carbonedge_geo::Coordinates, ZoneId, f64);
 
+/// The slot of `key` in `slots`, created empty on first use.  Both caches
+/// are monotone insert-only maps, so a lock poisoned by a panicking sweep
+/// worker is still structurally sound: the guard is recovered.
+fn slot_of<K: Eq + Hash, T>(slots: &Mutex<HashMap<K, Slot<T>>>, key: K) -> Slot<T> {
+    let mut slots = slots.lock().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(slots.entry(key).or_default())
+}
+
+/// The configuration fields an [`AreaInputs`] depends on: the site list
+/// (area and site cap), and the traces, epoch schedule and forecaster its
+/// epoch means read.  Every scenario, latency limit and workload of an
+/// area shares one.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct AreaKey {
+    area: ZoneArea,
+    site_limit: Option<usize>,
+    seed: u64,
+    epoch: EpochSchedule,
+    forecaster: ForecasterKind,
+}
+
+impl AreaKey {
+    fn of(config: &CdnConfig) -> Self {
+        Self {
+            area: config.area,
+            site_limit: config.site_limit,
+            seed: config.seed,
+            epoch: config.epoch,
+            forecaster: config.forecaster,
+        }
+    }
+}
+
+/// The inputs that depend on an area's sites but not on the deployment a
+/// scenario sizes on them, computed once per [`AreaKey`]: the site list,
+/// the site-to-site round-trip latency matrix and the per-epoch per-site
+/// decision (forecast) and accounting (actual) mean intensities.
+struct AreaInputs {
+    /// The area's sites, capped at the site limit.
+    sites: Vec<Site>,
+    /// `rtt_ms[a * sites + b]`: round trip from site `a` to site `b`, ms,
+    /// shared by the latency cache of every scenario of the area.
+    rtt_ms: Arc<[f64]>,
+    /// `[epoch.index][site]` → (decision mean, actual mean) intensity.
+    epoch_site_means: Vec<Vec<(f64, f64)>>,
+}
+
+impl AreaInputs {
+    /// Builds the inputs of `config`'s area.
+    fn build(
+        config: &CdnConfig,
+        site_catalog: &EdgeSiteCatalog,
+        traces: &ZoneTraces,
+        latency_model: &LatencyModel,
+    ) -> Self {
+        let mut sites: Vec<Site> = site_catalog
+            .in_area(config.area)
+            .iter()
+            .map(|s| (s.name.clone(), s.location, s.zone, s.population_m))
+            .collect();
+        if let Some(limit) = config.site_limit {
+            sites.truncate(limit);
+        }
+        // The same pure call `PlacementProblem::latency_ms` would make:
+        // identical coordinates, identical bits.
+        let rtt_ms = sites
+            .iter()
+            .flat_map(|(_, a, _, _)| {
+                sites
+                    .iter()
+                    .map(move |(_, b, _, _)| latency_model.round_trip_ms(*a, *b))
+            })
+            .collect();
+        let epoch_site_means = config
+            .epoch
+            .epochs()
+            .into_iter()
+            .map(|epoch| {
+                site_means_for_window(&sites, traces, config.forecaster, epoch.start, epoch.hours)
+            })
+            .collect();
+        Self {
+            sites,
+            rtt_ms,
+            epoch_site_means,
+        }
+    }
+}
+
 /// The configuration fields a [`ScenarioPrep`] depends on: everything that
-/// shapes the deployment, the traces, the epoch schedule, or the forecast —
-/// but **not** the policy, migration costs, serving mode or drift trigger,
-/// which only steer how the shared inputs are consumed.  Sweep cells
-/// differing in those consumer axes therefore share one prep.
+/// shapes the deployment, and its area's [`AreaKey`] — but **not** the
+/// policy, migration costs, serving mode or drift trigger, which only steer
+/// how the shared inputs are consumed.  Sweep cells differing in those
+/// consumer axes therefore share one prep.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct PrepKey {
     area: ZoneArea,
@@ -364,17 +465,22 @@ impl PrepKey {
 /// every policy/migration/serving variant of the scenario.  It owns the
 /// epoch-invariant deployment — server snapshots and applications (whose
 /// `origin_site` is their site index) sized by the demand/capacity
-/// scenario, the server→site map, the per-site server counts — the
-/// site-to-site round-trip latency matrix over it, and the per-epoch
-/// per-site decision (forecast) and accounting (actual) mean intensities.
+/// scenario, the server→site map, the per-site server counts — and the
+/// pair latencies over it, and holds its area's `AreaInputs`: the sites,
+/// the site-to-site latency matrix the pair latencies read, and the epoch
+/// intensity means.
 ///
 /// It is the only producer of a run's inputs: every simulator runs on one,
-/// taken from the per-`PrepKey` cache by [`CdnShared::simulator`] or built
-/// fresh and private by [`CdnShared::cold_simulator`].  The fresh-vs-cached
+/// taken from the per-`PrepKey` cache (on area inputs from the per-`AreaKey`
+/// cache) by [`CdnShared::simulator`], or built fresh and private, area
+/// inputs included, by [`CdnShared::cold_simulator`].  The fresh-vs-cached
 /// differential (the sim crate's shared-vs-standalone tests and the sweep
-/// crate's `sweep_delta`) therefore pins the cache key: a consumer axis that
-/// leaked into the prep would make the two runs diverge.
+/// crate's `sweep_delta`) therefore pins both cache keys: a consumer axis
+/// that leaked into a prep, or an input missing from a key, would make the
+/// two runs diverge.
 pub struct ScenarioPrep {
+    /// The area's sites, latency matrix and epoch means.
+    area: Arc<AreaInputs>,
     /// Server snapshots in site order; each run re-prices its own copy per
     /// decision window.
     servers: Vec<ServerSnapshot>,
@@ -384,20 +490,14 @@ pub struct ScenarioPrep {
     server_site: Vec<usize>,
     /// Servers per site, sized by the capacity scenario.
     servers_per_site: Vec<usize>,
-    /// `[epoch.index][site]` → (decision mean, actual mean) intensity.
-    epoch_site_means: Vec<Vec<(f64, f64)>>,
     /// Pair round-trip latencies with app/server classes = site indices.
     latency: Arc<PairLatencyCache>,
 }
 
 impl ScenarioPrep {
-    /// Builds the preparation of `config` over its site list.
-    fn build(
-        config: &CdnConfig,
-        sites: &[Site],
-        traces: &ZoneTraces,
-        latency_model: &LatencyModel,
-    ) -> Self {
+    /// Builds the deployment of `config` on its area's inputs.
+    fn build(config: &CdnConfig, area: Arc<AreaInputs>) -> Self {
+        let sites = &area.sites;
         // The mean metro population normalizes the population-proportional
         // demand/capacity scenarios.
         let mean_population =
@@ -429,37 +529,19 @@ impl ScenarioPrep {
             }
         }
         let server_site: Vec<usize> = servers.iter().map(|s| s.site).collect();
-
-        // The same pure call `PlacementProblem::latency_ms` would make:
-        // identical coordinates, identical bits.
-        let mut rtt_ms = Vec::with_capacity(sites.len() * sites.len());
-        for (_, a, _, _) in sites {
-            for (_, b, _, _) in sites {
-                rtt_ms.push(latency_model.round_trip_ms(*a, *b));
-            }
-        }
         let latency = Arc::new(PairLatencyCache::new(
             apps.iter().map(|a| a.origin_site as u32).collect(),
             server_site.iter().map(|&s| s as u32).collect(),
-            rtt_ms,
+            Arc::clone(&area.rtt_ms),
             sites.len(),
         ));
-
-        let epoch_site_means = config
-            .epoch
-            .epochs()
-            .into_iter()
-            .map(|epoch| {
-                site_means_for_window(sites, traces, config.forecaster, epoch.start, epoch.hours)
-            })
-            .collect();
         Self {
             servers,
             apps,
             server_site,
             servers_per_site,
-            epoch_site_means,
             latency,
+            area,
         }
     }
 }
@@ -496,8 +578,9 @@ impl CdnConfig {
 /// decision intensity Ī of Section 4.2), actual = the trace's true window
 /// mean, kept aside for accounting.  Both depend only on (zone, window);
 /// sites sharing a zone reuse them instead of re-scanning the trace window
-/// per site.  The prep stores these vectors per epoch and a run computes
-/// the windows the drift trigger cuts short, both through this routine.
+/// per site.  The area inputs store these vectors per epoch and a run
+/// computes the windows the drift trigger cuts short, both through this
+/// routine.
 fn site_means_for_window(
     sites: &[Site],
     traces: &ZoneTraces,
@@ -541,6 +624,7 @@ impl CdnShared {
             catalog,
             site_catalog,
             traces_by_seed: Mutex::new(HashMap::new()),
+            areas: Mutex::new(HashMap::new()),
             preps: Mutex::new(HashMap::new()),
         }
     }
@@ -554,7 +638,7 @@ impl CdnShared {
     /// zone's year on that zone's first read, so this call itself
     /// generates nothing.
     ///
-    /// Both caches are monotone insert-only maps, so a lock poisoned by a
+    /// Every cache is a monotone insert-only map, so a lock poisoned by a
     /// panicking sweep worker is still structurally sound — recover the
     /// guard instead of cascading the panic into every other worker.
     pub fn traces(&self, seed: u64) -> Arc<ZoneTraces> {
@@ -589,48 +673,56 @@ impl CdnShared {
 
     /// Builds a simulator for a configuration on the shared catalogs, with
     /// the scenario preparation taken from the per-`PrepKey` cache: the
-    /// deployment, the pair-latency matrix and the epoch intensity means are
-    /// built once per scenario and reused by every
-    /// policy/migration/serving variant.
+    /// deployment and its pair latencies are built once per scenario and
+    /// reused by every policy/migration/serving variant.  A prep's first
+    /// build takes its area inputs (sites, latency matrix, epoch intensity
+    /// means) from the per-`AreaKey` cache, so every scenario of an area
+    /// shares them.
     pub fn simulator(&self, config: CdnConfig) -> CdnSimulator {
-        let slot = {
-            let mut cache = self.preps.lock().unwrap_or_else(PoisonError::into_inner);
-            Arc::clone(cache.entry(PrepKey::of(&config)).or_default())
-        };
-        self.simulator_on(config, &slot)
-    }
-
-    /// Builds a simulator on a fresh, private scenario preparation that
-    /// neither consumes nor populates the cache.  This is the differential
-    /// oracle the cached path is tested against (`tests/sweep_delta.rs` and
-    /// the shared-vs-standalone sim tests): a prep-key bug makes a cached
-    /// prep differ from a fresh one.  It is also what [`CdnSimulator::new`]
-    /// returns.
-    pub fn cold_simulator(&self, config: CdnConfig) -> CdnSimulator {
-        self.simulator_on(config, &OnceLock::new())
-    }
-
-    /// Builds a simulator on the prep held by `slot`, building it there
-    /// first if the slot is empty.
-    fn simulator_on(&self, config: CdnConfig, slot: &OnceLock<Arc<ScenarioPrep>>) -> CdnSimulator {
         let traces = self.traces(config.seed);
-        let mut sites: Vec<Site> = self
-            .site_catalog
-            .in_area(config.area)
-            .iter()
-            .map(|s| (s.name.clone(), s.location, s.zone, s.population_m))
-            .collect();
-        if let Some(limit) = config.site_limit {
-            sites.truncate(limit);
-        }
         let latency_model = LatencyModel::deterministic();
-        let build = || ScenarioPrep::build(&config, &sites, &traces, &latency_model);
-        let prep = Arc::clone(slot.get_or_init(|| Arc::new(build())));
+        let slot = slot_of(&self.preps, PrepKey::of(&config));
+        let prep = Arc::clone(slot.get_or_init(|| {
+            let slot = slot_of(&self.areas, AreaKey::of(&config));
+            let area = slot.get_or_init(|| {
+                Arc::new(AreaInputs::build(
+                    &config,
+                    &self.site_catalog,
+                    &traces,
+                    &latency_model,
+                ))
+            });
+            Arc::new(ScenarioPrep::build(&config, Arc::clone(area)))
+        }));
+        self.simulator_on(config, traces, latency_model, prep)
+    }
+
+    /// Builds a simulator on a fresh, private scenario preparation, on
+    /// fresh, private area inputs, that neither consumes nor populates a
+    /// cache.  This is the differential oracle the cached path is tested
+    /// against (`tests/sweep_delta.rs` and the shared-vs-standalone sim
+    /// tests): a key bug makes a cached prep or area differ from a fresh
+    /// one.  It is also what [`CdnSimulator::new`] returns.
+    pub fn cold_simulator(&self, config: CdnConfig) -> CdnSimulator {
+        let traces = self.traces(config.seed);
+        let latency_model = LatencyModel::deterministic();
+        let area = AreaInputs::build(&config, &self.site_catalog, &traces, &latency_model);
+        let prep = Arc::new(ScenarioPrep::build(&config, Arc::new(area)));
+        self.simulator_on(config, traces, latency_model, prep)
+    }
+
+    /// Assembles a simulator on `prep`.
+    fn simulator_on(
+        &self,
+        config: CdnConfig,
+        traces: Arc<ZoneTraces>,
+        latency_model: LatencyModel,
+        prep: Arc<ScenarioPrep>,
+    ) -> CdnSimulator {
         CdnSimulator {
             config,
             catalog: Arc::clone(&self.catalog),
             traces,
-            sites,
             latency_model,
             prep,
         }
@@ -643,17 +735,16 @@ impl Default for CdnShared {
     }
 }
 
-/// The CDN simulator: the catalog, traces, site list and scenario
-/// preparation for one area.
+/// The CDN simulator: the catalog, traces and scenario preparation for one
+/// area.
 pub struct CdnSimulator {
     config: CdnConfig,
     catalog: Arc<ZoneCatalog>,
     traces: Arc<ZoneTraces>,
-    /// The sites restricted to the area.
-    sites: Vec<Site>,
     latency_model: LatencyModel,
-    /// The deployment and epoch inputs every run consumes: shared through
-    /// the [`CdnShared`] cache, or private to a cold simulator.
+    /// The deployment, site list and epoch inputs every run consumes:
+    /// shared through the [`CdnShared`] caches, or private to a cold
+    /// simulator.
     prep: Arc<ScenarioPrep>,
 }
 
@@ -669,7 +760,12 @@ impl CdnSimulator {
 
     /// Number of simulated edge sites.
     pub fn site_count(&self) -> usize {
-        self.sites.len()
+        self.sites().len()
+    }
+
+    /// The sites restricted to the area.
+    fn sites(&self) -> &[Site] {
+        &self.prep.area.sites
     }
 
     /// The zone catalog backing the simulation.
@@ -744,12 +840,13 @@ impl CdnSimulator {
 
         let mut outcome = PolicyOutcome::default();
         let mut decision_carbon_total = 0.0f64;
-        let mut placements_per_site = vec![vec![0usize; self.sites.len()]; 12];
+        let mut placements_per_site = vec![vec![0usize; self.site_count()]; 12];
         let mut assigned_intensity = Vec::new();
         let mut epochs = Vec::with_capacity(config.epoch.epoch_count());
         let pivots_before = placer.milp_solver.accumulated_pivots();
         let mut exact_decisions = 0usize;
         let mut exact_fallbacks = 0usize;
+        let mut memoized_decisions = 0usize;
         let mut moves_total = 0usize;
         let mut migration_total = 0.0f64;
 
@@ -782,10 +879,10 @@ impl CdnSimulator {
                 // computed on demand.
                 let cut_window;
                 let window_means: &[(f64, f64)] = if offset == 0 {
-                    &prep.epoch_site_means[epoch.index]
+                    &prep.area.epoch_site_means[epoch.index]
                 } else {
                     cut_window = site_means_for_window(
-                        &self.sites,
+                        self.sites(),
                         &self.traces,
                         config.forecaster,
                         window_start,
@@ -799,6 +896,7 @@ impl CdnSimulator {
                     .expect("CDN placement has feasible options");
                 exact_decisions += usize::from(decision.exact);
                 exact_fallbacks += usize::from(decision.exact_fallback);
+                memoized_decisions += usize::from(decision.memoized);
 
                 // Serve under this decision until the next trigger.
                 let segment_hours = match engine.as_mut() {
@@ -825,7 +923,7 @@ impl CdnSimulator {
                     window_means
                 } else {
                     cut_segment = site_means_for_window(
-                        &self.sites,
+                        self.sites(),
                         &self.traces,
                         config.forecaster,
                         window_start,
@@ -899,10 +997,11 @@ impl CdnSimulator {
             epochs,
             placements_per_site,
             assigned_intensity,
-            site_names: self.sites.iter().map(|(n, _, _, _)| n.clone()).collect(),
+            site_names: self.sites().iter().map(|(n, _, _, _)| n.clone()).collect(),
             solver_pivots: placer.milp_solver.accumulated_pivots() - pivots_before,
             exact_decisions,
             exact_fallbacks,
+            memoized_decisions,
             moves: moves_total,
             migration_carbon_g: migration_total,
             serving: engine.map(ServingEngine::finish),
@@ -928,7 +1027,7 @@ impl CdnSimulator {
                 RequestStream::new(i, site, config.request_rate_rps, arrivals, config.seed)
             })
             .collect();
-        let locations: Vec<_> = self.sites.iter().map(|(_, loc, _, _)| *loc).collect();
+        let locations: Vec<_> = self.sites().iter().map(|(_, loc, _, _)| *loc).collect();
         let profile = WorkloadProfile::lookup(self.config.model, self.config.device)
             .expect("CDN simulations use profiled (model, device) pairs");
         ServingEngine::new(
@@ -1136,6 +1235,40 @@ mod tests {
     }
 
     #[test]
+    fn scenarios_of_one_area_share_its_inputs_and_a_cold_prep_does_not() {
+        let shared = CdnShared::new();
+        let base = CdnConfig::new(ZoneArea::Europe).with_site_limit(12);
+        let tight = shared.simulator(base.clone().with_latency_limit(10.0));
+        let skewed = shared.simulator(base.clone().with_scenario(CdnScenario::PopulationCapacity));
+        assert_eq!(shared.cached_prep_count(), 2);
+        assert!(!Arc::ptr_eq(&tight.prep, &skewed.prep));
+        assert!(Arc::ptr_eq(&tight.prep.area, &skewed.prep.area));
+        assert!(Arc::ptr_eq(
+            &tight.prep.area.rtt_ms,
+            &skewed.prep.area.rtt_ms
+        ));
+        assert_eq!(tight.prep.area.rtt_ms.len(), 12 * 12);
+
+        let cold = shared.cold_simulator(base.clone());
+        assert!(!Arc::ptr_eq(
+            &cold.prep.area.rtt_ms,
+            &tight.prep.area.rtt_ms
+        ));
+        assert_eq!(cold.prep.area.rtt_ms, tight.prep.area.rtt_ms);
+        assert_eq!(shared.cached_prep_count(), 2);
+
+        // Another seed, epoch schedule or forecaster is another area.
+        for other in [
+            base.clone().with_epoch(EpochSchedule::Weekly),
+            base.clone().with_forecaster(ForecasterKind::Persistence),
+            CdnConfig { seed: 7, ..base },
+        ] {
+            let sim = shared.simulator(other);
+            assert!(!Arc::ptr_eq(&sim.prep.area, &tight.prep.area));
+        }
+    }
+
+    #[test]
     fn shared_environment_caches_traces_per_seed() {
         let shared = CdnShared::new();
         assert_eq!(shared.cached_seed_count(), 0);
@@ -1156,7 +1289,7 @@ mod tests {
         let seed = config.seed;
         assert_eq!(shared.traces(seed).generated_count(), 0);
         let sim = shared.simulator(config);
-        let mut zones: Vec<ZoneId> = sim.sites.iter().map(|(_, _, zone, _)| *zone).collect();
+        let mut zones: Vec<ZoneId> = sim.sites().iter().map(|(_, _, zone, _)| *zone).collect();
         zones.sort_unstable();
         zones.dedup();
         assert_eq!(zones.len(), 26);
@@ -1497,7 +1630,8 @@ mod tests {
         assert_same_result(&epochal, &online);
     }
 
-    /// Asserts two runs agree on every `CdnResult` field, bit for bit.
+    /// Asserts two runs agree on every `CdnResult` field, bit for bit, but
+    /// `memoized_decisions`, which counts the placer's history.
     fn assert_same_result(a: &CdnResult, b: &CdnResult) {
         assert_eq!(a.policy, b.policy);
         assert_eq!(a.outcome, b.outcome);

@@ -492,8 +492,9 @@ impl<'p> State<'p> {
 
     /// Refreshes the cached marginals of the candidates on server `j` after
     /// a placement there, and reads again the top-2 of every unplaced app
-    /// the change could disturb: the candidate was its app's best, or the
-    /// old or new value reaches into the cached top-2 range.  Returns at
+    /// the change could disturb: the old or new value reaches into the
+    /// cached top-2 range.  That covers a candidate that was its app's
+    /// best, since a row's best is never above its second.  Returns at
     /// once when the server's largest demand fitted before the placement
     /// and still fits, and the activation term kept its bits: every
     /// marginal of the column is then unchanged.
@@ -522,11 +523,12 @@ impl<'p> State<'p> {
             if self.top2.is_empty() || self.assignment[i].is_some() {
                 continue;
             }
-            // NaN comparisons are false, so a value that does not fit never
-            // disturbs a row through the value checks alone.
+            // NaN comparisons are false: a candidate that stops fitting
+            // disturbs its row through its old value only, and one that
+            // starts fitting through its new value only.
             let disturbed = match self.top2[i] {
                 None => !new.is_nan(),
-                Some((best_k, _, second)) => k == best_k || old <= second || new <= second,
+                Some((_, _, second)) => old <= second || new <= second,
             };
             if disturbed {
                 let t = top2(&self.marginal[pairs.row(i)]);

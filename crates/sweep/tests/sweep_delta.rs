@@ -6,9 +6,10 @@
 //!
 //! This is the contract that keeps the delta-evaluation machinery honest: a
 //! cached prep must equal the one each of its cells would build for itself
-//! (its `PrepKey` must cover every input that shapes it), and no solver
-//! state, such as a neighbor cell's warm-start basis, may cross a cell
-//! boundary.  Caching is then purely a performance change, never a
+//! (its `PrepKey` must cover every input that shapes it, and the `AreaKey`
+//! of the area inputs it shares every input that shapes those), and no
+//! solver state, such as a neighbor cell's warm-start basis, may cross a
+//! cell boundary.  Caching is then purely a performance change, never a
 //! numerical one.
 
 use carbonedge_core::{IncrementalPlacer, PlacementPolicy};
@@ -73,8 +74,11 @@ fn assert_matches_oracle(report: &SweepReport, oracle: &[carbonedge_sim::CdnResu
 }
 
 /// A small multi-axis grid: two latency limits × two forecasters × two
-/// policies, so scenario groups (cells sharing everything but policy) are
-/// non-trivial and the prep cache is exercised across forecaster variants.
+/// seeds × two epoch schedules × two policies, so scenario groups (cells
+/// sharing everything but policy) are non-trivial, each area input is
+/// shared by two preps, and both caches are exercised across every input
+/// of the area key: an area key that dropped the seed, the epoch schedule
+/// or the forecaster would hand a prep another area's epoch means.
 fn heuristic_spec() -> SweepSpec {
     SweepSpec::new("delta-heuristic")
         .with_areas(vec![ZoneArea::Europe])
@@ -83,6 +87,8 @@ fn heuristic_spec() -> SweepSpec {
             ForecasterKind::Oracle,
             ForecasterKind::MovingAverage { window_hours: 24 },
         ])
+        .with_seeds(vec![42, 7])
+        .with_epochs(vec![EpochSchedule::Monthly, EpochSchedule::Weekly])
         .with_policies(vec![
             PlacementPolicy::LatencyAware,
             PlacementPolicy::CarbonAware,
@@ -179,13 +185,14 @@ fn shared_environment_caches_one_prep_per_scenario() {
     for cell in &spec.cells() {
         let _ = shared.simulator(cell.config());
     }
-    // 4 scenarios (2 latency limits × 2 forecasters) — the policy axis
-    // shares preps, so there are half as many preps as cells.
-    assert_eq!(shared.cached_prep_count(), 4);
+    // 16 scenarios (2 latency limits × 2 forecasters × 2 seeds × 2 epoch
+    // schedules) — the policy axis shares preps, so there are half as many
+    // preps as cells.
+    assert_eq!(shared.cached_prep_count(), 16);
     // A cold simulator neither consumes nor populates the prep cache.
     let cold = shared.cold_simulator(spec.cells()[0].config());
     let _ = cold;
-    assert_eq!(shared.cached_prep_count(), 4);
+    assert_eq!(shared.cached_prep_count(), 16);
 }
 
 #[test]

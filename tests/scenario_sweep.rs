@@ -4,10 +4,11 @@
 //! `#[ignore]`d long-sweep smoke is run by CI's dedicated step
 //! (`cargo test -q -- --ignored`).
 
+use carbonedge_bench::summary;
 use carbonedge_core::PlacementPolicy;
 use carbonedge_datasets::zones::ZoneArea;
 use carbonedge_grid::{EpochSchedule, ForecasterKind};
-use carbonedge_sim::cdn::{CdnScenario, CdnSimulator};
+use carbonedge_sim::cdn::{CdnScenario, CdnShared, CdnSimulator};
 use carbonedge_sweep::{SweepAxis, SweepExecutor, SweepSpec, WorkloadSpec, BASELINE_POLICY};
 
 /// A 3-axis grid (area × latency × policy) small enough for the default
@@ -112,6 +113,33 @@ fn forecaster_and_epoch_axes_are_parallel_deterministic() {
     let by_epoch = sequential.marginal_rows(SweepAxis::Epoch);
     assert!(by_epoch.iter().any(|m| m.value == "monthly"));
     assert!(by_epoch.iter().any(|m| m.value == "weekly"));
+}
+
+/// The default grid of `experiments --sweep` through the executor's
+/// single-worker sequence (one placer re-stamped per cell).  A
+/// Latency-aware cell prices every monthly epoch alike, so 11 of its 12
+/// heuristic decisions reuse the first one's construction; a CarbonEdge
+/// decision never does.  The count is the worker placer's history, so it is
+/// summed from the runs here and no report carries it.
+#[test]
+fn the_default_grid_memoizes_every_repeated_latency_aware_decision() {
+    let spec = summary::sweep_spec(false);
+    let shared = CdnShared::new();
+    let mut placer = SweepExecutor::new().placer_template;
+    let (mut decisions, mut memoized) = (0, 0);
+    for cell in spec.cells() {
+        placer.policy = cell.policy;
+        placer.milp_solver.discard_warm_start();
+        let result = shared.simulator(cell.config()).run_with(&placer);
+        let expected = match cell.policy {
+            PlacementPolicy::LatencyAware => 11,
+            _ => 0,
+        };
+        assert_eq!(result.memoized_decisions, expected, "{}", cell.label());
+        decisions += result.epochs.len();
+        memoized += result.memoized_decisions;
+    }
+    assert_eq!((memoized, decisions), (198, 432));
 }
 
 /// Long-sweep smoke (CI `--ignored` job): a five-axis grid with a seed
