@@ -111,6 +111,9 @@ impl SweepExecutor {
     /// latency), so carrying it would break the bit-identical contract
     /// `tests/sweep_delta.rs` pins against the cold per-cell oracle.
     /// Epoch-to-epoch warm starts *within* the cell's run are unaffected.
+    /// The placer's resident deployment (skeleton, MILP rows, heuristic
+    /// memo) does carry over: each part is reused only for bit-identical
+    /// inputs, where it equals what a fresh build would produce.
     fn run_cell(
         &self,
         shared: &CdnShared,
