@@ -258,7 +258,10 @@ mod tests {
         for region in &regions {
             let table = region_latency_table(region, &model);
             assert_eq!(table.len(), 5);
-            let max = table.max_off_diagonal();
+            let max = (0..5)
+                .flat_map(|i| (0..5).map(move |j| (i, j)))
+                .map(|(i, j)| table.one_way(i, j))
+                .fold(0.0, f64::max);
             match region.region {
                 // Table 1a: Florida one-way latencies peak around 7 ms.
                 StudyRegion::Florida => assert!(max > 3.0 && max < 12.0, "Florida {max}"),

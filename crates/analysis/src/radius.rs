@@ -10,7 +10,6 @@ use crate::stats::Cdf;
 use carbonedge_datasets::EdgeSiteCatalog;
 use carbonedge_grid::ZoneTraces;
 use carbonedge_net::LatencyModel;
-use rayon::prelude::*;
 
 /// The per-site outcome of the radius analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,7 +54,7 @@ impl RadiusAnalysis {
             zone_mean[zone] = traces[zone].mean();
         }
         let points: Vec<RadiusPoint> = records
-            .par_iter()
+            .iter()
             .map(|site| {
                 let own = zone_mean[site.zone.index()];
                 let mut best_saving = 0.0f64;

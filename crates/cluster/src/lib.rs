@@ -1,3 +1,4 @@
+// lint:allow(unreached-pub): only tests/placement_end_to_end.rs uses it; it goes when a perfbench revision may drop its sim edge
 #![forbid(unsafe_code)]
 //! Edge data-center substrate for CarbonEdge.
 //!

@@ -11,11 +11,10 @@
 use crate::server::{Server, ServerId};
 use crate::site::EdgeSite;
 use carbonedge_workload::{AppId, Application};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// The result of deploying one application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentOutcome {
     /// The application that was deployed.
     pub app: AppId,

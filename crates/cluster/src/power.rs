@@ -1,9 +1,7 @@
 //! Server power states and power models.
 
-use serde::{Deserialize, Serialize};
-
 /// Power state of an edge server (the `y_j` decision of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerState {
     /// Server is powered on and can host applications.
     On,
@@ -34,7 +32,7 @@ impl PowerState {
 /// server is activated) from the per-application energy `E_ij`; this model
 /// provides both pieces, and the dynamic part is also used by the telemetry
 /// service when measuring application energy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Idle power draw when on, in watts (B_j when expressed per hour).
     pub base_power_w: f64,

@@ -3,10 +3,9 @@
 use crate::power::{PowerModel, PowerState};
 use carbonedge_grid::ZoneId;
 use carbonedge_workload::{AppId, Application, DeviceKind, ResourceDemand};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a server within a cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServerId(pub usize);
 
 impl ServerId {
@@ -17,7 +16,7 @@ impl ServerId {
 }
 
 /// Static description of an edge server.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerSpec {
     /// Server identifier.
     pub id: ServerId,
@@ -58,7 +57,7 @@ impl ServerSpec {
 
 /// A server with its mutable runtime state: power state, residual capacity,
 /// and the applications currently hosted.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Server {
     /// Static specification.
     pub spec: ServerSpec,

@@ -4,10 +4,9 @@ use crate::server::{Server, ServerSpec};
 use carbonedge_geo::Coordinates;
 use carbonedge_grid::ZoneId;
 use carbonedge_workload::DeviceKind;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an edge site (data center location).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(pub usize);
 
 impl SiteId {
@@ -21,7 +20,7 @@ impl SiteId {
 /// set of servers.  In the CDN-scale experiments each Akamai location maps
 /// to one `EdgeSite` (multiple data centers in the same city are merged,
 /// mirroring the paper's trace-integration step).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EdgeSite {
     /// Site identifier.
     pub id: SiteId,

@@ -9,11 +9,10 @@
 
 use crate::server::{Server, ServerId};
 use carbonedge_workload::AppId;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Accumulated energy and carbon for one accounting entity.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CarbonAccount {
     /// Total energy in joules.
     pub energy_j: f64,

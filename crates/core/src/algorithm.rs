@@ -51,14 +51,13 @@ use crate::policy::PlacementPolicy;
 use crate::problem::{PairLatencyCache, PlacementProblem, PlacementSkeleton, PlacementState};
 use carbonedge_net::LatencyModel;
 use carbonedge_solver::{
-    AssignmentProblem, BranchBoundSolver, Comparison, LinearExpr, MilpOutcome, Model, VarId,
+    AssignmentProblem, BranchBoundSolver, Comparison, LinearExpr, Model, VarId,
 };
 use carbonedge_workload::Application;
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Errors returned by the placer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlacementError {
     /// The problem contains no applications.
     EmptyBatch,
@@ -107,7 +106,7 @@ impl std::fmt::Display for PlacementError {
 impl std::error::Error for PlacementError {}
 
 /// The outcome of one incremental placement round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementDecision {
     /// Chosen server index per application (`None` if the solver could not
     /// place the application within capacity).
@@ -739,11 +738,9 @@ impl IncrementalPlacer {
             None => build_model_from_costs(problem, skeleton, pair_cost, activation_cost),
         };
         let solution = self.milp_solver.solve(&placement_model.model);
-        let assignment = matches!(
-            solution.outcome,
-            MilpOutcome::Optimal | MilpOutcome::Feasible
-        )
-        .then(|| placement_model.decode(&solution.values));
+        let assignment = solution
+            .has_solution()
+            .then(|| placement_model.decode(&solution.values));
         let rows = ResidentRows {
             words: row_words(problem).collect(),
             model: placement_model,
@@ -864,6 +861,7 @@ mod tests {
     use crate::problem::{MigrationCost, ServerSnapshot};
     use carbonedge_geo::Coordinates;
     use carbonedge_grid::ZoneId;
+    use carbonedge_solver::MilpOutcome;
     use carbonedge_workload::{AppId, DeviceKind, ModelKind, ResourceDemand};
 
     fn green_and_dirty_problem(slo_ms: f64) -> PlacementProblem {

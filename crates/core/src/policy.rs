@@ -12,10 +12,9 @@
 //! placement algorithm minimizes the summed cost.
 
 use crate::problem::{PlacementProblem, PlacementSkeleton};
-use serde::{Deserialize, Serialize};
 
 /// The placement policies of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PlacementPolicy {
     /// The CarbonEdge policy: minimize total carbon (Eq. 6) — operational
     /// carbon plus server-activation carbon.
@@ -182,15 +181,17 @@ mod tests {
             )
             .with_carbon_intensity(500.0),
             // Remote (~335 km), green, efficient A2 — currently off.
-            ServerSnapshot::new(
-                1,
-                1,
-                ZoneId(1),
-                DeviceKind::A2,
-                Coordinates::new(46.95, 7.45),
-            )
-            .with_carbon_intensity(50.0)
-            .with_powered_on(false),
+            ServerSnapshot {
+                powered_on: false,
+                ..ServerSnapshot::new(
+                    1,
+                    1,
+                    ZoneId(1),
+                    DeviceKind::A2,
+                    Coordinates::new(46.95, 7.45),
+                )
+                .with_carbon_intensity(50.0)
+            },
         ];
         let app = Application::new(
             AppId(0),

@@ -8,14 +8,13 @@ use carbonedge_grid::ZoneId;
 use carbonedge_net::LatencyModel;
 use carbonedge_solver::CandidatePairs;
 use carbonedge_workload::{Application, DeviceKind, ModelKind, ResourceDemand, WorkloadProfile};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A snapshot of one edge server at placement time: everything the placement
 /// service needs to know about it (Table 2 inputs `C_j^k`, `Ī_j`, `B_j`,
 /// `y_j^curr`), decoupled from the live cluster state so the optimizer can
 /// run against the simulator, the prototype, or a synthetic scenario alike.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerSnapshot {
     /// Global server id.
     pub id: usize,
@@ -72,12 +71,6 @@ impl ServerSnapshot {
         self.available = available;
         self
     }
-
-    /// Sets the current power state.
-    pub fn with_powered_on(mut self, on: bool) -> Self {
-        self.powered_on = on;
-        self
-    }
 }
 
 /// The carbon cost of moving one application off its incumbent server:
@@ -85,7 +78,7 @@ impl ServerSnapshot {
 /// plus a downtime penalty for the restart window.  Both are in grams
 /// CO2-equivalent so they are directly commensurate with the operational
 /// carbon objective (Eq. 6).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MigrationCost {
     /// Carbon of transferring the application's data between sites, grams.
     pub data_transfer_g: f64,
@@ -135,7 +128,7 @@ pub const MIGRATION_DOWNTIME_S: f64 = 30.0;
 /// size and device (the profiling data of Figure 7); `Heavy` scales the
 /// paper calibration 25×, the regime where churn dominates mesoscale
 /// savings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MigrationCostLevel {
     /// Moves cost nothing (the stateless legacy behavior).
     Free,
@@ -194,7 +187,7 @@ impl MigrationCostLevel {
 
 /// The incumbent state a stateful placement carries from the previous epoch:
 /// where each application currently runs and what moving it would cost.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlacementState {
     /// `previous[i]`: server index currently hosting application `i`
     /// (`None` for a new arrival).
@@ -517,13 +510,6 @@ impl PlacementProblem {
         self
     }
 
-    /// Attaches the incumbent state from the previous epoch, making this a
-    /// stateful (delta) placement problem.
-    pub fn with_state(mut self, state: PlacementState) -> Self {
-        self.state = Some(state);
-        self
-    }
-
     /// Migration carbon of an assignment against the attached state, grams
     /// (zero for stateless problems).
     pub fn migration_carbon_g(&self, assignment: &[Option<usize>]) -> f64 {
@@ -543,6 +529,7 @@ impl PlacementProblem {
 
     /// Whether the `(app, server)` pair satisfies the latency constraint
     /// (Eq. 2) and hardware compatibility.
+    // lint:allow(unreached-pub): the reference for pair feasibility in the tests of perfbench and bench_json
     pub fn is_feasible_pair(&self, app: usize, server: usize) -> bool {
         let a = &self.apps[app];
         let s = &self.servers[server];
@@ -660,6 +647,16 @@ impl PlacementProblem {
 }
 
 #[cfg(test)]
+impl PlacementProblem {
+    /// Attaches the incumbent state from the previous epoch, making this a
+    /// stateful (delta) placement problem.
+    pub(crate) fn with_state(mut self, state: PlacementState) -> Self {
+        self.state = Some(state);
+        self
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use carbonedge_workload::{AppId, ModelKind};
@@ -674,15 +671,17 @@ mod tests {
                 Coordinates::new(48.14, 11.58),
             )
             .with_carbon_intensity(500.0),
-            ServerSnapshot::new(
-                1,
-                1,
-                ZoneId(1),
-                DeviceKind::A2,
-                Coordinates::new(46.95, 7.45),
-            )
-            .with_carbon_intensity(50.0)
-            .with_powered_on(false),
+            ServerSnapshot {
+                powered_on: false,
+                ..ServerSnapshot::new(
+                    1,
+                    1,
+                    ZoneId(1),
+                    DeviceKind::A2,
+                    Coordinates::new(46.95, 7.45),
+                )
+                .with_carbon_intensity(50.0)
+            },
         ]
     }
 
@@ -969,10 +968,9 @@ mod tests {
             Coordinates::new(0.0, 0.0),
         )
         .with_carbon_intensity(-5.0)
-        .with_powered_on(false)
         .with_available(ResourceDemand::new(0.5, 100.0, 10.0));
         assert_eq!(s.carbon_intensity, 0.0);
-        assert!(!s.powered_on);
+        assert!(s.powered_on);
         assert_eq!(s.available.compute, 0.5);
         assert_eq!(s.base_power_w, DeviceKind::OrinNano.base_power_w());
     }

@@ -1,7 +1,5 @@
 //! Geographic coordinates and great-circle distances.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius in kilometers, used by the haversine formula.
 pub const EARTH_RADIUS_KM: f64 = 6371.0088;
 
@@ -9,7 +7,7 @@ pub const EARTH_RADIUS_KM: f64 = 6371.0088;
 ///
 /// Latitude is in `[-90, 90]`, longitude in `[-180, 180]`.  Constructors
 /// normalize longitudes outside that range and clamp latitudes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Coordinates {
     /// Latitude in decimal degrees (positive = north).
     pub lat: f64,

@@ -104,7 +104,7 @@ mod tests {
     fn ramp_trace() -> CarbonTrace {
         // A simple ramp 0,1,2,... so forecasts are easy to verify.
         let values: Vec<f64> = (0..HOURS_PER_YEAR).map(|i| i as f64).collect();
-        CarbonTrace::from_values(values).unwrap()
+        CarbonTrace::from_values(values)
     }
 
     /// A trace whose partial sums round differently in any other summation
@@ -113,7 +113,7 @@ mod tests {
         let values: Vec<f64> = (0..HOURS_PER_YEAR)
             .map(|i| 300.0 + 200.0 * (i as f64 * 0.37).sin() + (i % 7) as f64 / 3.0)
             .collect();
-        CarbonTrace::from_values(values).unwrap()
+        CarbonTrace::from_values(values)
     }
 
     #[test]
@@ -147,7 +147,7 @@ mod tests {
         values[HOURS_PER_YEAR - 1] = 100_000.0; // would dominate if wrapped in
         values[0] = 2.0;
         values[1] = 4.0;
-        let t = CarbonTrace::from_values(values).unwrap();
+        let t = CarbonTrace::from_values(values);
         let f = ForecasterKind::moving_average_24h();
         // At hour 2 only hours 0 and 1 are observed: mean 3, no December leak.
         assert!((f.forecast_mean(&t, HourOfYear(2), 6) - 3.0).abs() < 1e-9);
@@ -185,7 +185,7 @@ mod tests {
         let last = HOURS_PER_YEAR - 2;
         values[last] = 10.0;
         values[last + 1] = 20.0;
-        let t = CarbonTrace::from_values(values).unwrap();
+        let t = CarbonTrace::from_values(values);
         let f = ForecasterKind::Oracle;
         // Only two hours remain: mean 15, regardless of the longer horizon.
         assert!((f.forecast_mean(&t, HourOfYear(last), 24) - 15.0).abs() < 1e-9);
@@ -245,7 +245,7 @@ mod tests {
             for value in &mut future_rewritten[hour + 1..] {
                 *value = 10_000.0 - *value;
             }
-            let rewritten = CarbonTrace::from_values(future_rewritten).unwrap();
+            let rewritten = CarbonTrace::from_values(future_rewritten);
             for kind in causal {
                 assert_eq!(
                     kind.forecast_mean(&t, now, 24).to_bits(),
@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn oracle_on_constant_trace_equals_constant() {
-        let t = CarbonTrace::constant(250.0);
+        let t = CarbonTrace::from_values(vec![250.0; HOURS_PER_YEAR]);
         for f in [ForecasterKind::Oracle, ForecasterKind::Persistence] {
             assert!((f.forecast_mean(&t, HourOfYear(0), 12) - 250.0).abs() < 1e-9);
         }

@@ -1,14 +1,13 @@
 //! Energy mixes: the relative share of each generation source in a zone.
 
 use crate::source::EnergySource;
-use serde::{Deserialize, Serialize};
 
 /// The generation mix of a carbon zone: the fraction of supplied electricity
 /// coming from each [`EnergySource`].
 ///
 /// The carbon intensity of a zone is the mix-weighted average of the
 /// per-source carbon factors (Section 2.1 of the paper).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct EnergyMix {
     shares: Vec<(EnergySource, f64)>,
 }
@@ -21,13 +20,6 @@ impl EnergyMix {
     pub fn new(shares: &[(EnergySource, f64)]) -> Option<Self> {
         let mut merged = shares.to_vec();
         normalize(&mut merged).then_some(Self { shares: merged })
-    }
-
-    /// Convenience constructor for a single-source mix.
-    pub fn pure(source: EnergySource) -> Self {
-        Self {
-            shares: vec![(source, 1.0)],
-        }
     }
 
     /// Share of a given source (0 if absent).
@@ -59,31 +51,6 @@ impl EnergyMix {
             .filter(|(s, _)| s.is_fossil())
             .map(|(_, share)| share)
             .sum()
-    }
-
-    /// Returns a new mix where the shares of the variable sources (solar and
-    /// wind) have been scaled by the given capacity factors, with the
-    /// shortfall (or surplus) absorbed by the non-variable sources
-    /// proportionally to their baseline shares.
-    ///
-    /// This models how a grid dispatches replacement generation when
-    /// renewables under-produce (e.g. at night the solar share goes to zero
-    /// and gas/coal pick up the slack), which is exactly the mechanism that
-    /// produces the diurnal and seasonal carbon-intensity swings shown in
-    /// Figure 4 of the paper.  Where the adjusted shares cannot be
-    /// normalized (e.g. a pure-solar zone at night), the mix stays as it is.
-    pub fn with_variable_output(&self, solar_factor: f64, wind_factor: f64) -> EnergyMix {
-        match VariableMix::new(self).shares(solar_factor, wind_factor) {
-            Some(adjusted) => EnergyMix {
-                shares: self
-                    .shares
-                    .iter()
-                    .zip(adjusted)
-                    .map(|(&(src, _), share)| (src, share))
-                    .collect(),
-            },
-            None => self.clone(),
-        }
     }
 }
 
@@ -124,7 +91,7 @@ fn normalize(shares: &mut Vec<(EnergySource, f64)>) -> bool {
 /// each source at most once.
 const SOURCES: usize = EnergySource::ALL.len();
 
-/// How [`EnergyMix::with_variable_output`] scales a source.
+/// How [`VariableMix`] scales a source.
 #[derive(Debug, Clone, Copy)]
 enum Output {
     /// Scaled by the solar capacity factor.
@@ -135,12 +102,20 @@ enum Output {
     Firm,
 }
 
-/// [`EnergyMix::with_variable_output`] with the mix's constants hoisted
-/// out of an hourly loop: each source's output kind, carbon factor and
-/// fossil flag, and the firm-share total, in fixed-size arrays in mix
-/// order, so adjusting the mix allocates nothing.  Every floating-point
-/// operation runs in the order the `Vec`-based adjustment ran it, so each
-/// hour keeps its bits.
+/// A mix whose variable sources (solar and wind) are scaled by hourly
+/// capacity factors, with the shortfall (or surplus) absorbed by the firm
+/// sources proportionally to their baseline shares.
+///
+/// This models how a grid dispatches replacement generation when
+/// renewables under-produce (e.g. at night the solar share goes to zero and
+/// gas/coal pick up the slack), which is exactly the mechanism that
+/// produces the diurnal and seasonal carbon-intensity swings shown in
+/// Figure 4 of the paper.  The mix's constants are hoisted out of the
+/// hourly loop: each source's output kind, carbon factor and fossil flag,
+/// and the firm-share total, in fixed-size arrays in mix order, so
+/// adjusting the mix allocates nothing.  Every floating-point operation
+/// runs in the order the `Vec`-based adjustment ran it, so each hour keeps
+/// its bits.
 #[derive(Debug, Clone)]
 pub(crate) struct VariableMix {
     len: usize,
@@ -178,9 +153,10 @@ impl VariableMix {
         hoisted
     }
 
-    /// The normalized shares of [`EnergyMix::with_variable_output`] in mix
-    /// order (entries past the mix's length are unspecified), or `None`
-    /// where it keeps the base mix.
+    /// The normalized shares under the capacity factors, in mix order
+    /// (entries past the mix's length are unspecified), or `None` where
+    /// they cannot be normalized (e.g. a pure-solar zone at night) and the
+    /// base mix stays as it is.
     pub(crate) fn shares(&self, solar_factor: f64, wind_factor: f64) -> Option<[f64; SOURCES]> {
         let solar_factor = solar_factor.clamp(0.0, 3.0);
         let wind_factor = wind_factor.clamp(0.0, 1.5);
@@ -242,6 +218,24 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl EnergyMix {
+        /// The mix under capacity factors, as the trace generator adjusts it
+        /// each hour.
+        fn with_variable_output(&self, solar_factor: f64, wind_factor: f64) -> EnergyMix {
+            match VariableMix::new(self).shares(solar_factor, wind_factor) {
+                Some(adjusted) => EnergyMix {
+                    shares: self
+                        .shares
+                        .iter()
+                        .zip(adjusted)
+                        .map(|(&(src, _), share)| (src, share))
+                        .collect(),
+                },
+                None => self.clone(),
+            }
+        }
+    }
+
     fn sample_mix() -> EnergyMix {
         EnergyMix::new(&[
             (EnergySource::Solar, 0.2),
@@ -280,7 +274,7 @@ mod tests {
 
     #[test]
     fn pure_coal_matches_coal_factor() {
-        let mix = EnergyMix::pure(EnergySource::Coal);
+        let mix = EnergyMix::new(&[(EnergySource::Coal, 1.0)]).unwrap();
         assert!((mix.carbon_intensity() - EnergySource::Coal.carbon_factor()).abs() < 1e-9);
     }
 

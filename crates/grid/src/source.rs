@@ -1,7 +1,5 @@
 //! Generation sources and their lifecycle carbon-intensity factors.
 
-use serde::{Deserialize, Serialize};
-
 /// An electricity generation source.
 ///
 /// The set mirrors the source categories reported by Electricity Maps and
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// fuels), with the fossil category broken out into coal, gas and oil so the
 /// synthetic mixes can reproduce the large spread between coal-heavy zones
 /// (e.g. Poland, ~750 g·CO2eq/kWh) and gas-heavy zones (~400-500 g).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EnergySource {
     /// Hydroelectric generation.
     Hydro,
@@ -69,12 +67,6 @@ impl EnergySource {
         }
     }
 
-    /// Whether the source is variable/intermittent (its output depends on
-    /// weather and time of day).
-    pub fn is_variable(&self) -> bool {
-        matches!(self, EnergySource::Solar | EnergySource::Wind)
-    }
-
     /// Whether the source is a fossil fuel.
     pub fn is_fossil(&self) -> bool {
         matches!(
@@ -87,6 +79,7 @@ impl EnergySource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mix::{EnergyMix, VariableMix};
 
     #[test]
     fn all_sources_have_positive_factors() {
@@ -113,10 +106,17 @@ mod tests {
 
     #[test]
     fn variable_sources() {
-        assert!(EnergySource::Solar.is_variable());
-        assert!(EnergySource::Wind.is_variable());
-        assert!(!EnergySource::Nuclear.is_variable());
-        assert!(!EnergySource::Hydro.is_variable());
+        // Solar and wind follow the hourly capacity factors; every other
+        // source is firm and fills the demand they leave.
+        let sources = [
+            EnergySource::Solar,
+            EnergySource::Wind,
+            EnergySource::Nuclear,
+            EnergySource::Hydro,
+        ];
+        let mix = EnergyMix::new(&sources.map(|s| (s, 0.25))).unwrap();
+        let shares = VariableMix::new(&mix).shares(0.0, 0.0).unwrap();
+        assert_eq!(shares[..4], [0.0, 0.0, 0.5, 0.5]);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Simulation time: hours of a (non-leap) year.
 
-use serde::{Deserialize, Serialize};
-
 /// Hours in a simulated day.
 pub const HOURS_PER_DAY: usize = 24;
 /// Hours in the simulated (non-leap) year used by all traces.
@@ -14,13 +12,10 @@ pub const DAYS_PER_MONTH: [usize; 12] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31,
 ///
 /// All traces in the workspace are indexed by `HourOfYear`, mirroring the
 /// hourly resolution of the Electricity Maps data used by the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HourOfYear(pub usize);
 
 impl HourOfYear {
-    /// First hour of the year.
-    pub const START: HourOfYear = HourOfYear(0);
-
     /// Creates an hour index, wrapping values past the end of the year.
     pub fn new(hour: usize) -> Self {
         HourOfYear(hour % HOURS_PER_YEAR)
@@ -73,7 +68,7 @@ impl HourOfYear {
 
 /// One placement epoch: a contiguous, non-wrapping hour range of the
 /// simulated year over which a placement decision stays in force.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Epoch {
     /// Position in the schedule, `[0, epoch_count)`.
     pub index: usize,
@@ -87,7 +82,7 @@ pub struct Epoch {
 /// partitioned into consecutive epochs, a decision is made at each epoch's
 /// first hour against the forecast mean intensity over the epoch, and
 /// realized carbon is accounted from the actual trace over the same hours.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EpochSchedule {
     /// Twelve calendar-month epochs (the legacy CDN-simulation granularity).
     Monthly,

@@ -5,7 +5,6 @@ use crate::time::{HourOfYear, HOURS_PER_DAY, HOURS_PER_YEAR};
 use crate::zone::ZoneProfile;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::ops::Index;
 use std::sync::OnceLock;
 
@@ -14,31 +13,12 @@ use std::sync::OnceLock;
 ///
 /// This is the in-memory equivalent of one zone's Electricity Maps CSV used
 /// by the paper (Section 6.1.1).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CarbonTrace {
     values: Vec<f64>,
 }
 
 impl CarbonTrace {
-    /// Wraps a vector of hourly values.  The vector must have exactly
-    /// [`HOURS_PER_YEAR`] entries, all finite and non-negative.
-    pub fn from_values(values: Vec<f64>) -> Option<Self> {
-        if values.len() != HOURS_PER_YEAR {
-            return None;
-        }
-        if values.iter().any(|v| !v.is_finite() || *v < 0.0) {
-            return None;
-        }
-        Some(Self { values })
-    }
-
-    /// A constant trace (useful in tests and for hypothetical zero-carbon zones).
-    pub fn constant(value: f64) -> Self {
-        Self {
-            values: vec![value.max(0.0); HOURS_PER_YEAR],
-        }
-    }
-
     /// Carbon intensity at a given hour.
     pub fn at(&self, hour: HourOfYear) -> f64 {
         self.values[hour.index()]
@@ -87,22 +67,6 @@ impl CarbonTrace {
     pub fn monthly_mean(&self, month: usize) -> f64 {
         let hours: Vec<HourOfYear> = HourOfYear::month_hours(month).collect();
         hours.iter().map(|h| self.at(*h)).sum::<f64>() / hours.len() as f64
-    }
-
-    /// Mean of each of the 24 hours of day over the year (the average
-    /// diurnal profile).
-    pub fn diurnal_profile(&self) -> [f64; HOURS_PER_DAY] {
-        let mut sums = [0.0; HOURS_PER_DAY];
-        let mut counts = [0usize; HOURS_PER_DAY];
-        for h in HourOfYear::all() {
-            sums[h.hour_of_day()] += self.at(h);
-            counts[h.hour_of_day()] += 1;
-        }
-        let mut out = [0.0; HOURS_PER_DAY];
-        for i in 0..HOURS_PER_DAY {
-            out[i] = sums[i] / counts[i] as f64;
-        }
-        out
     }
 }
 
@@ -256,6 +220,7 @@ impl ZoneTraces {
     }
 
     /// Number of zones whose trace has been generated so far.
+    // lint:allow(unreached-pub): the unit tests of sim, sweep and datasets count generated zones
     pub fn generated_count(&self) -> usize {
         self.traces.iter().filter(|t| t.get().is_some()).count()
     }
@@ -278,6 +243,26 @@ mod tests {
     use crate::source::EnergySource;
     use carbonedge_geo::Coordinates;
     use proptest::prelude::*;
+
+    impl CarbonTrace {
+        /// Wraps a year of hourly values.
+        pub(crate) fn from_values(values: Vec<f64>) -> Self {
+            assert_eq!(values.len(), HOURS_PER_YEAR);
+            Self { values }
+        }
+    }
+
+    /// Mean of each of the 24 hours of day over the year (the average
+    /// diurnal profile).
+    fn diurnal_profile(trace: &CarbonTrace) -> [f64; HOURS_PER_DAY] {
+        let mut sums = [0.0; HOURS_PER_DAY];
+        let mut counts = [0usize; HOURS_PER_DAY];
+        for h in HourOfYear::all() {
+            sums[h.hour_of_day()] += trace.at(h);
+            counts[h.hour_of_day()] += 1;
+        }
+        std::array::from_fn(|i| sums[i] / counts[i] as f64)
+    }
 
     fn solar_heavy_zone() -> ZoneProfile {
         ZoneProfile::new(
@@ -391,6 +376,7 @@ mod tests {
         let mut out = Vec::new();
         let mut variable_total = 0.0;
         let mut firm_total = 0.0;
+        let is_variable = |src| matches!(src, EnergySource::Solar | EnergySource::Wind);
         for (src, share) in mix.iter() {
             let scaled = match src {
                 EnergySource::Solar => share * solar_factor,
@@ -400,7 +386,7 @@ mod tests {
                     share
                 }
             };
-            if src.is_variable() {
+            if is_variable(src) {
                 variable_total += scaled;
             }
             out.push((src, scaled));
@@ -409,7 +395,7 @@ mod tests {
         if firm_total > 0.0 {
             let scale = residual / firm_total;
             for entry in out.iter_mut() {
-                if !entry.0.is_variable() {
+                if !is_variable(entry.0) {
                     entry.1 *= scale;
                 }
             }
@@ -441,7 +427,7 @@ mod tests {
         ZoneProfile::new(
             "PureSolarZone",
             Coordinates::new(35.0, -115.0),
-            EnergyMix::pure(EnergySource::Solar),
+            EnergyMix::new(&[(EnergySource::Solar, 1.0)]).unwrap(),
         )
     }
 
@@ -509,7 +495,7 @@ mod tests {
     fn solar_zone_has_midday_dip() {
         let gen = TraceGenerator::new(7);
         let trace = gen.generate(&solar_heavy_zone());
-        let profile = trace.diurnal_profile();
+        let profile = diurnal_profile(&trace);
         let midday = profile[12];
         let midnight = profile[0];
         assert!(midday < midnight, "midday {midday} vs midnight {midnight}");
@@ -519,7 +505,7 @@ mod tests {
     fn hydro_zone_is_stable_over_day() {
         let gen = TraceGenerator::new(7);
         let trace = gen.generate(&hydro_zone());
-        let profile = trace.diurnal_profile();
+        let profile = diurnal_profile(&trace);
         let spread = profile.iter().copied().fold(f64::NEG_INFINITY, f64::max)
             - profile.iter().copied().fold(f64::INFINITY, f64::min);
         assert!(spread < 10.0, "spread {spread}");
@@ -546,21 +532,13 @@ mod tests {
     #[test]
     fn window_mean_of_full_year_equals_mean() {
         let t = TraceGenerator::new(3).generate(&coal_zone());
-        let wm = t.window_mean(HourOfYear::START, HOURS_PER_YEAR);
+        let wm = t.window_mean(HourOfYear::new(0), HOURS_PER_YEAR);
         assert!((wm - t.mean()).abs() < 1e-9);
     }
 
     #[test]
-    fn from_values_validates_length_and_content() {
-        assert!(CarbonTrace::from_values(vec![1.0; 10]).is_none());
-        assert!(CarbonTrace::from_values(vec![-1.0; HOURS_PER_YEAR]).is_none());
-        assert!(CarbonTrace::from_values(vec![f64::NAN; HOURS_PER_YEAR]).is_none());
-        assert!(CarbonTrace::from_values(vec![100.0; HOURS_PER_YEAR]).is_some());
-    }
-
-    #[test]
     fn constant_trace_is_flat() {
-        let t = CarbonTrace::constant(123.0);
+        let t = CarbonTrace::from_values(vec![123.0; HOURS_PER_YEAR]);
         assert_eq!(t.mean(), 123.0);
         assert_eq!(t.min(), t.max());
     }

@@ -2,10 +2,9 @@
 
 use crate::mix::EnergyMix;
 use carbonedge_geo::Coordinates;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a carbon zone (index into a zone catalog).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ZoneId(pub usize);
 
 impl ZoneId {
@@ -24,7 +23,7 @@ impl ZoneId {
 /// enough information to synthesize an hourly carbon-intensity trace that
 /// has the same structure as the real data: a baseline mix, solar diurnal
 /// cycles, seasonal modulation, and stochastic wind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZoneProfile {
     /// Human-readable zone name, e.g. "Miami" or "Bern, CH".
     pub name: String,

@@ -1,9 +1,19 @@
 //! The lint engine: file walking, suppression handling, rule dispatch.
+//!
+//! A run has two phases. The per-file pass runs every rule's `check` on each
+//! `crates/**/*.rs` file on its own. The workspace pass then runs every
+//! rule's `check_workspace` once over all walked files, for rules that need
+//! the whole tree at once (`unreached-pub`). Suppressions apply to both.
 
 use crate::diag::Diagnostic;
 use crate::lexer::{mask, Comment};
 use crate::rules::{all_rules, rule_ids, FileContext, Rule};
 use std::path::{Path, PathBuf};
+
+/// Roots outside `crates/` that the walk reads for the workspace pass only:
+/// their code reaches library items, but the per-file rules keep their
+/// `crates/` scope.
+const REACHING_ROOTS: &[&str] = &["examples", "perfbench/src"];
 
 /// Pseudo-rule id for malformed suppressions.  Not suppressible: an allow
 /// that cannot state its reason is exactly the kind of entry the mandatory
@@ -114,8 +124,8 @@ pub fn parse_allows(
 }
 
 /// Lints one `.rs` source under a workspace-relative `path` with the full
-/// rule registry.  Suppressions are applied; malformed suppressions are
-/// findings themselves.
+/// rule registry's per-file pass.  Suppressions are applied; malformed
+/// suppressions are findings themselves.
 pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
     lint_source_with(path, source, &all_rules())
 }
@@ -124,25 +134,65 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
 /// run a single rule).
 pub fn lint_source_with(path: &str, source: &str, rules: &[Box<dyn Rule>]) -> Vec<Diagnostic> {
     let masked = mask(source);
-    let masked_lines: Vec<&str> = masked.masked.lines().collect();
-    let original_lines: Vec<&str> = source.lines().collect();
-    let ctx = FileContext {
-        path,
-        original: source,
-        masked: &masked.masked,
-        masked_lines,
-        original_lines,
-        comments: &masked.comments,
-    };
-
+    let ctx = FileContext::new(path, source, &masked);
     let mut findings = Vec::new();
-    for rule in rules {
-        if rule.applies_to(path) {
-            rule.check(&ctx, &mut findings);
-        }
+    check_file(&ctx, rules, &mut findings);
+    suppress(&ctx, findings)
+}
+
+/// Lints a set of workspace files, each a (workspace-relative path,
+/// contents) pair: the per-file pass and the manifest checks on every
+/// `crates/` file, then the workspace pass over every `.rs` file.  Returns
+/// the findings sorted by (path, line, rule).
+pub fn lint_files(files: &[(String, String)]) -> Vec<Diagnostic> {
+    let rules = all_rules();
+    let sources: Vec<(&str, &str, _)> = files
+        .iter()
+        .filter(|(path, _)| path.ends_with(".rs"))
+        .map(|(path, contents)| (path.as_str(), contents.as_str(), mask(contents)))
+        .collect();
+    let contexts: Vec<FileContext<'_>> = sources
+        .iter()
+        .map(|(path, contents, masked)| FileContext::new(path, contents, masked))
+        .collect();
+
+    let mut workspace = Vec::new();
+    for rule in &rules {
+        rule.check_workspace(&contexts, &mut workspace);
     }
 
-    let (allows, mut bad) = parse_allows(path, &masked.comments, &ctx.original_lines);
+    let mut findings = Vec::new();
+    for ctx in contexts
+        .iter()
+        .filter(|ctx| ctx.path.starts_with("crates/"))
+    {
+        let mut own: Vec<Diagnostic> = workspace.extract_if(.., |d| d.path == ctx.path).collect();
+        check_file(ctx, &rules, &mut own);
+        findings.extend(suppress(ctx, own));
+    }
+    for (path, contents) in files {
+        if path.starts_with("crates/") && path.ends_with("Cargo.toml") {
+            findings.extend(lint_manifest(path, contents));
+        }
+    }
+    findings.extend(workspace);
+    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    findings
+}
+
+/// Runs the per-file pass of every rule whose scope covers `ctx.path`.
+fn check_file(ctx: &FileContext<'_>, rules: &[Box<dyn Rule>], out: &mut Vec<Diagnostic>) {
+    for rule in rules {
+        if rule.applies_to(ctx.path) {
+            rule.check(ctx, out);
+        }
+    }
+}
+
+/// Drops the findings that an allow in `ctx` covers, adds the malformed
+/// allows as findings, and sorts by (line, rule).
+fn suppress(ctx: &FileContext<'_>, mut findings: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    let (allows, mut bad) = parse_allows(ctx.path, ctx.comments, &ctx.original_lines);
     findings.retain(|d| {
         !allows.iter().any(|a| {
             (a.line == d.line || a.line + 1 == d.line) && a.rules.iter().any(|r| r == d.rule)
@@ -178,30 +228,39 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Lints every `crates/**/*.rs` and `crates/**/Cargo.toml` under `root`,
-/// returning findings sorted by (path, line, rule).  The linter's own rule
-/// fixtures (`crates/lint/tests/fixtures/`) are deliberately-firing inputs
-/// and are skipped.
+/// Lints the workspace under `root`: [`lint_files`] over
+/// [`workspace_files`].
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let mut files = Vec::new();
-    collect_files(&root.join("crates"), &mut files)?;
-    files.sort();
+    Ok(lint_files(&workspace_files(root)?))
+}
 
-    let mut findings = Vec::new();
-    for file in files {
-        let rel = relative_path(root, &file);
-        if rel.starts_with("crates/lint/tests/fixtures/") {
-            continue;
-        }
-        let contents = std::fs::read_to_string(&file)?;
-        if rel.ends_with(".rs") {
-            findings.extend(lint_source(&rel, &contents));
-        } else {
-            findings.extend(lint_manifest(&rel, &contents));
+/// The files a workspace run reads, as (workspace-relative path, contents)
+/// pairs sorted by path: every `crates/**/*.rs` and `crates/**/Cargo.toml`,
+/// and the `.rs` files under `examples/` and `perfbench/src`.  The linter's
+/// own rule fixtures (`crates/lint/tests/fixtures/`) are deliberately-firing
+/// inputs and are skipped.  A missing root is an error, so a walk cannot
+/// silently lose the code that reaches a library item.
+pub fn workspace_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
+    let mut paths = Vec::new();
+    collect_files(&root.join("crates"), &mut paths)?;
+    for extra in REACHING_ROOTS {
+        let mut found = Vec::new();
+        collect_files(&root.join(extra), &mut found)?;
+        paths.extend(
+            found
+                .into_iter()
+                .filter(|p| p.extension().is_some_and(|e| e == "rs")),
+        );
+    }
+    let mut files = Vec::new();
+    for path in paths {
+        let rel = relative_path(root, &path);
+        if !rel.starts_with("crates/lint/tests/fixtures/") {
+            files.push((rel, std::fs::read_to_string(&path)?));
         }
     }
-    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    Ok(findings)
+    files.sort();
+    Ok(files)
 }
 
 /// Recursively collects `.rs` and `Cargo.toml` files, skipping `target`.

@@ -9,9 +9,11 @@
 //!
 //! The analyzer is deliberately self-contained and source-level: a small
 //! Rust lexer ([`lexer`]) blanks comments/strings/char literals so rules
-//! match only real code, a rule registry ([`rules`]) encodes ~8
+//! match only real code, a rule registry ([`rules`]) encodes nine
 //! project-specific invariants with per-rule path scoping, and the engine
-//! ([`engine`]) walks `crates/**`, applies
+//! ([`engine`]) walks `crates/**` file by file, then runs a workspace pass
+//! over those files plus `examples/` and `perfbench/src` for rules about
+//! the whole tree (`unreached-pub`), applies
 //! `// lint:allow(rule): reason` suppressions (the reason is mandatory —
 //! every exemption is an audit-trail entry), and renders human or JSON
 //! diagnostics ([`diag`]).
@@ -28,6 +30,7 @@ pub mod rules;
 
 pub use diag::{render, Diagnostic, OutputFormat};
 pub use engine::{
-    find_workspace_root, lint_manifest, lint_source, lint_source_with, lint_workspace, BAD_ALLOW,
+    find_workspace_root, lint_files, lint_manifest, lint_source, lint_source_with, lint_workspace,
+    workspace_files, BAD_ALLOW,
 };
 pub use rules::{all_rules, rule_ids, Rule};

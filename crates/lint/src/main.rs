@@ -7,6 +7,10 @@
 //! carbonedge-lint --list-rules
 //! ```
 //!
+//! Named paths get the per-file rules only; the rules on the workspace
+//! pass (`unreached-pub`) need the whole tree, so only `--workspace` runs
+//! them.
+//!
 //! Exit status: 0 when no denied finding fired (findings still print as
 //! warnings), 1 when a denied rule fired, 2 on usage or I/O errors.  CI
 //! runs `--workspace -D all`.

@@ -7,11 +7,12 @@ mod lossy_cast;
 mod ordered_iteration;
 mod shim_purity;
 mod unit_hygiene;
+mod unreached_pub;
 mod unsafe_free;
 mod wall_clock;
 
 use crate::diag::Diagnostic;
-use crate::lexer::Comment;
+use crate::lexer::{Comment, MaskedSource};
 
 /// Everything a rule may inspect about one `.rs` file.
 pub struct FileContext<'a> {
@@ -31,6 +32,18 @@ pub struct FileContext<'a> {
 }
 
 impl<'a> FileContext<'a> {
+    /// The context of `original`, masked as `masked`, under `path`.
+    pub fn new(path: &'a str, original: &'a str, masked: &'a MaskedSource) -> Self {
+        FileContext {
+            path,
+            original,
+            masked: &masked.masked,
+            masked_lines: masked.masked.lines().collect(),
+            original_lines: original.lines().collect(),
+            comments: &masked.comments,
+        }
+    }
+
     /// Builds a diagnostic at `line` (1-based) with the original line as the
     /// excerpt.
     pub fn diag(&self, line: usize, rule: &'static str, message: String) -> Diagnostic {
@@ -63,14 +76,18 @@ pub trait Rule {
     fn id(&self) -> &'static str;
     /// One-line description for `--list-rules`.
     fn summary(&self) -> &'static str;
-    /// Whether the rule runs on a workspace-relative `.rs` path.  Path
-    /// scoping is part of the invariant: e.g. wall-clock reads are fine in
-    /// `bench` but not in decision logic.
+    /// Whether the rule's per-file pass runs on a workspace-relative `.rs`
+    /// path.  Path scoping is part of the invariant: e.g. wall-clock reads
+    /// are fine in `bench` but not in decision logic.
     fn applies_to(&self, path: &str) -> bool;
     /// Scans one file and appends findings.
     fn check(&self, ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>);
     /// Scans one manifest (`Cargo.toml`); most rules don't.
     fn check_manifest(&self, _path: &str, _contents: &str, _out: &mut Vec<Diagnostic>) {}
+    /// Scans every walked `.rs` file at once, after the per-file pass; only
+    /// rules about the whole tree do.  Findings must land on `crates/`
+    /// files, where suppressions are read.
+    fn check_workspace(&self, _files: &[FileContext<'_>], _out: &mut Vec<Diagnostic>) {}
 }
 
 /// The full registry, in diagnostic-output order.
@@ -84,6 +101,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(lossy_cast::LossyCast),
         Box::new(unsafe_free::UnsafeFree),
         Box::new(shim_purity::ShimPurity),
+        Box::new(unreached_pub::UnreachedPub),
     ]
 }
 
@@ -144,7 +162,7 @@ mod tests {
     #[test]
     fn registry_ids_are_unique_and_kebab_case() {
         let ids = rule_ids();
-        assert_eq!(ids.len(), 8);
+        assert_eq!(ids.len(), 9);
         for id in &ids {
             assert!(
                 id.chars().all(|c| c.is_ascii_lowercase() || c == '-'),

@@ -7,7 +7,7 @@
 //! inside the rule's scope, so path-scoped rules are exercised exactly as
 //! in a real `--workspace` run.
 
-use carbonedge_lint::{lint_source, BAD_ALLOW};
+use carbonedge_lint::{lint_files, lint_source, BAD_ALLOW};
 use std::path::Path;
 
 /// (rule id, fire fixture, clean fixture, virtual path inside the rule's scope)
@@ -176,4 +176,39 @@ fn wall_clock_flags_each_cpu_count_read() {
             "{needle} is not flagged: {findings:?}"
         );
     }
+}
+
+#[test]
+fn unreached_pub_counts_only_non_test_code_as_reaching() {
+    // A library with one reached and one unreached item.  The binary
+    // reaches the first; the second is called only from the library's own
+    // test module and from an integration test, and neither counts.
+    let workspace = [
+        (
+            "crates/demo/src/lib.rs",
+            "#![forbid(unsafe_code)]\n\
+             pub fn reached() -> u8 { 1 }\n\
+             pub fn unreached() -> u8 { 2 }\n\
+             #[cfg(test)]\n\
+             mod tests {\n    #[test]\n    fn t() { assert_eq!(super::unreached(), 2); }\n}\n",
+        ),
+        (
+            "crates/demo/src/main.rs",
+            "#![forbid(unsafe_code)]\nfn main() { println!(\"{}\", carbonedge_demo::reached()); }\n",
+        ),
+        (
+            "crates/demo/tests/it.rs",
+            "#[test]\nfn it() { assert_eq!(carbonedge_demo::unreached(), 2); }\n",
+        ),
+    ];
+    let files: Vec<(String, String)> = workspace
+        .iter()
+        .map(|(path, source)| (path.to_string(), source.to_string()))
+        .collect();
+    let findings = lint_files(&files);
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!(findings[0].rule, "unreached-pub");
+    assert_eq!(findings[0].path, "crates/demo/src/lib.rs");
+    assert_eq!(findings[0].line, 3);
+    assert!(findings[0].message.contains("`pub fn unreached`"));
 }

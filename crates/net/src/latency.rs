@@ -1,7 +1,6 @@
 //! Distance-based network latency model.
 
 use carbonedge_geo::Coordinates;
-use serde::{Deserialize, Serialize};
 
 /// Speed of light in fiber, km per millisecond (≈ 2/3 c).
 const FIBER_KM_PER_MS: f64 = 200.0;
@@ -19,7 +18,7 @@ const FIBER_KM_PER_MS: f64 = 200.0;
 ///   nearby cities, e.g. Orlando–Tampa at 1.86 ms one-way for ~135 km);
 /// * `routing_inflation` captures the fact that fiber paths do not follow
 ///   great circles (typical inflation factors are 1.5–2.5×).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyModel {
     /// Fixed per-path access and processing delay, in ms (one-way).
     pub access_delay_ms: f64,

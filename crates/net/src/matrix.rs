@@ -2,14 +2,13 @@
 
 use crate::latency::LatencyModel;
 use carbonedge_geo::Coordinates;
-use serde::{Deserialize, Serialize};
 
 /// A dense, symmetric matrix of one-way latencies (ms) between named sites.
 ///
 /// This is the in-memory equivalent of the WonderNetwork city-pair dataset
 /// restricted to the sites of an experiment, e.g. the five Florida or
 /// Central-EU edge data centers of Table 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyMatrix {
     names: Vec<String>,
     /// Row-major one-way latencies in milliseconds.
@@ -51,37 +50,6 @@ impl LatencyMatrix {
     pub fn one_way(&self, i: usize, j: usize) -> f64 {
         self.one_way_ms[i * self.names.len() + j]
     }
-
-    /// Maximum one-way latency in the matrix (ignoring the diagonal).
-    pub fn max_off_diagonal(&self) -> f64 {
-        let n = self.len();
-        let mut max = 0.0f64;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    max = max.max(self.one_way(i, j));
-                }
-            }
-        }
-        max
-    }
-
-    /// Mean one-way latency over all ordered pairs (ignoring the diagonal).
-    pub fn mean_off_diagonal(&self) -> f64 {
-        let n = self.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    sum += self.one_way(i, j);
-                }
-            }
-        }
-        sum / (n * (n - 1)) as f64
-    }
 }
 
 #[cfg(test)]
@@ -120,8 +88,13 @@ mod tests {
     fn florida_latencies_in_table1_range() {
         // Table 1a: one-way latencies among Florida cities range ~1.9 – 7.2 ms.
         let m = LatencyMatrix::from_model(&florida_sites(), &LatencyModel::deterministic());
-        let max = m.max_off_diagonal();
-        let mean = m.mean_off_diagonal();
+        let n = m.len();
+        let off_diagonal: Vec<f64> = (0..n)
+            .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+            .map(|(i, j)| m.one_way(i, j))
+            .collect();
+        let max = off_diagonal.iter().copied().fold(0.0, f64::max);
+        let mean = off_diagonal.iter().sum::<f64>() / off_diagonal.len() as f64;
         assert!(max > 3.0 && max < 12.0, "max {max}");
         assert!(mean > 1.5 && mean < 8.0, "mean {mean}");
     }
@@ -130,7 +103,6 @@ mod tests {
     fn empty_matrix_behaves() {
         let m = LatencyMatrix::from_model(&[], &LatencyModel::default());
         assert!(m.is_empty());
-        assert_eq!(m.mean_off_diagonal(), 0.0);
-        assert_eq!(m.max_off_diagonal(), 0.0);
+        assert!(m.names().is_empty());
     }
 }

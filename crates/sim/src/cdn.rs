@@ -114,12 +114,14 @@ pub struct CdnConfig {
     /// the batched event-level loop (with or without the online
     /// re-placement trigger).
     pub serving: ServingMode,
-    /// Relative per-site demand drift that triggers a mid-epoch re-solve
-    /// under [`ServingMode::OnlineReplace`].
-    pub drift_threshold: f64,
-    /// Hours a fresh decision is exempt from the drift trigger.
-    pub drift_cooldown_hours: usize,
 }
+
+/// Relative per-site demand drift that triggers a mid-epoch re-solve under
+/// [`ServingMode::OnlineReplace`].
+pub const DRIFT_THRESHOLD: f64 = 0.5;
+
+/// Hours a fresh decision is exempt from the drift trigger.
+pub const DRIFT_COOLDOWN_HOURS: usize = 24;
 
 impl CdnConfig {
     /// The paper's default CDN setup for an area: 20 ms RTT limit, ResNet50
@@ -140,8 +142,6 @@ impl CdnConfig {
             forecaster: ForecasterKind::Oracle,
             migration: MigrationCostLevel::Free,
             serving: ServingMode::Aggregate,
-            drift_threshold: 0.5,
-            drift_cooldown_hours: 24,
         }
     }
 
@@ -163,18 +163,6 @@ impl CdnConfig {
         self
     }
 
-    /// Sets the re-placement schedule.
-    pub fn with_epoch(mut self, epoch: EpochSchedule) -> Self {
-        self.epoch = epoch;
-        self
-    }
-
-    /// Sets the forecaster serving the decision intensity.
-    pub fn with_forecaster(mut self, forecaster: ForecasterKind) -> Self {
-        self.forecaster = forecaster;
-        self
-    }
-
     /// Sets the migration-cost calibration charged per move.
     pub fn with_migration(mut self, migration: MigrationCostLevel) -> Self {
         self.migration = migration;
@@ -185,14 +173,6 @@ impl CdnConfig {
     /// the online re-placement trigger).
     pub fn with_serving(mut self, serving: ServingMode) -> Self {
         self.serving = serving;
-        self
-    }
-
-    /// Sets the online re-placement trigger: relative demand drift and the
-    /// per-decision cooldown before the trigger re-arms.
-    pub fn with_drift(mut self, threshold: f64, cooldown_hours: usize) -> Self {
-        self.drift_threshold = threshold;
-        self.drift_cooldown_hours = cooldown_hours;
         self
     }
 }
@@ -653,14 +633,6 @@ impl CdnShared {
         )
     }
 
-    /// Number of distinct seeds with a trace store.
-    pub fn cached_seed_count(&self) -> usize {
-        self.traces_by_seed
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
     /// Number of distinct scenarios whose preparation is cached (built).
     pub fn cached_prep_count(&self) -> usize {
         self.preps
@@ -799,7 +771,7 @@ impl CdnSimulator {
     /// configured forecaster), serves until the next trigger, accounts the
     /// served segment at its **actual** mean intensity plus the migration
     /// carbon of any moves, and repeats until the epoch ends.  The trigger is the epoch end, or a demand drift past
-    /// [`CdnConfig::drift_threshold`] under [`ServingMode::OnlineReplace`];
+    /// [`DRIFT_THRESHOLD`] under [`ServingMode::OnlineReplace`];
     /// `Aggregate` has no serving engine and `EventLevel` passes an infinite
     /// threshold, so both decide once per epoch.  Each decision re-prices one
     /// problem over the epoch-invariant deployment, with the previous
@@ -825,7 +797,7 @@ impl CdnSimulator {
         let cost = config.migration.cost_for(config.model, config.device);
         let migration = vec![cost; prep.apps.len()];
         let drift_threshold = match config.serving {
-            ServingMode::OnlineReplace => config.drift_threshold,
+            ServingMode::OnlineReplace => DRIFT_THRESHOLD,
             _ => f64::INFINITY,
         };
         let mut engine = self
@@ -904,9 +876,8 @@ impl CdnSimulator {
                         engine.set_assignment(&decision.assignment, &prep.server_site, |app, s| {
                             problem.latency_ms(app, s)
                         });
-                        let cooldown = config.drift_cooldown_hours;
                         engine
-                            .serve_hours(offset, epoch.hours, drift_threshold, cooldown)
+                            .serve_hours(offset, epoch.hours, drift_threshold, DRIFT_COOLDOWN_HOURS)
                             .0
                     }
                     None => window_hours,
@@ -1097,6 +1068,15 @@ mod tests {
         CdnConfig::new(area).with_site_limit(60)
     }
 
+    /// Number of distinct seeds with a trace store.
+    fn cached_seed_count(shared: &CdnShared) -> usize {
+        shared
+            .traces_by_seed
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
     #[test]
     fn carbonedge_saves_substantial_carbon_in_both_continents() {
         // Figure 11a: 49.5% (US) and 67.8% (Europe) with a 20 ms limit.
@@ -1259,8 +1239,14 @@ mod tests {
 
         // Another seed, epoch schedule or forecaster is another area.
         for other in [
-            base.clone().with_epoch(EpochSchedule::Weekly),
-            base.clone().with_forecaster(ForecasterKind::Persistence),
+            CdnConfig {
+                epoch: EpochSchedule::Weekly,
+                ..base.clone()
+            },
+            CdnConfig {
+                forecaster: ForecasterKind::Persistence,
+                ..base.clone()
+            },
             CdnConfig { seed: 7, ..base },
         ] {
             let sim = shared.simulator(other);
@@ -1271,7 +1257,7 @@ mod tests {
     #[test]
     fn shared_environment_caches_traces_per_seed() {
         let shared = CdnShared::new();
-        assert_eq!(shared.cached_seed_count(), 0);
+        assert_eq!(cached_seed_count(&shared), 0);
         let a = shared.traces(1);
         let b = shared.traces(1);
         assert!(
@@ -1279,7 +1265,7 @@ mod tests {
             "same seed must reuse the cached traces"
         );
         shared.traces(2);
-        assert_eq!(shared.cached_seed_count(), 2);
+        assert_eq!(cached_seed_count(&shared), 2);
     }
 
     #[test]
@@ -1322,11 +1308,11 @@ mod tests {
             "lock must be poisoned"
         );
 
-        assert_eq!(shared.cached_seed_count(), 1);
+        assert_eq!(cached_seed_count(&shared), 1);
         let again = shared.traces(1);
         assert!(!again.is_empty());
         let _ = shared.traces(2);
-        assert_eq!(shared.cached_seed_count(), 2);
+        assert_eq!(cached_seed_count(&shared), 2);
 
         // Same recovery discipline for the scenario-prep cache.
         let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1383,9 +1369,10 @@ mod tests {
 
     #[test]
     fn persistence_forecasts_misprice_but_account_realized_carbon() {
-        let config = small_config(ZoneArea::Europe)
-            .with_site_limit(15)
-            .with_forecaster(ForecasterKind::Persistence);
+        let config = CdnConfig {
+            forecaster: ForecasterKind::Persistence,
+            ..small_config(ZoneArea::Europe).with_site_limit(15)
+        };
         let result = CdnSimulator::new(config).run(PlacementPolicy::CarbonAware);
         // A single-hour reading never equals a month's mean on the synthetic
         // traces, so decision and realized carbon must diverge.
@@ -1404,9 +1391,10 @@ mod tests {
     #[test]
     fn weekly_and_daily_schedules_partition_the_year() {
         for (schedule, expected) in [(EpochSchedule::Weekly, 52), (EpochSchedule::Daily, 365)] {
-            let config = small_config(ZoneArea::Europe)
-                .with_site_limit(8)
-                .with_epoch(schedule);
+            let config = CdnConfig {
+                epoch: schedule,
+                ..small_config(ZoneArea::Europe).with_site_limit(8)
+            };
             let result = CdnSimulator::new(config).run(PlacementPolicy::CarbonAware);
             assert_eq!(result.epochs.len(), expected, "{}", schedule.name());
             let hours: usize = result.epochs.iter().map(|e| e.hours).sum();
@@ -1430,8 +1418,11 @@ mod tests {
         // allow a small tolerance because the heuristic is not exact.
         let base = small_config(ZoneArea::Europe).with_site_limit(12);
         let monthly = CdnSimulator::new(base.clone()).run(PlacementPolicy::CarbonAware);
-        let weekly = CdnSimulator::new(base.with_epoch(EpochSchedule::Weekly))
-            .run(PlacementPolicy::CarbonAware);
+        let weekly = CdnSimulator::new(CdnConfig {
+            epoch: EpochSchedule::Weekly,
+            ..base
+        })
+        .run(PlacementPolicy::CarbonAware);
         // Energy scales with hours, which both schedules cover identically.
         assert!(
             (weekly.outcome.energy_j - monthly.outcome.energy_j).abs()
@@ -1449,10 +1440,12 @@ mod tests {
     /// 30 ms reach puts near-tied zones in every feasible set, so weekly
     /// intensity rankings flip and free re-placement chases them.
     fn churning_config(epoch: EpochSchedule) -> CdnConfig {
-        CdnConfig::new(ZoneArea::Europe)
-            .with_site_limit(60)
-            .with_latency_limit(30.0)
-            .with_epoch(epoch)
+        CdnConfig {
+            epoch,
+            ..CdnConfig::new(ZoneArea::Europe)
+                .with_site_limit(60)
+                .with_latency_limit(30.0)
+        }
     }
 
     #[test]
@@ -1501,8 +1494,8 @@ mod tests {
         let mut config = CdnConfig::new(ZoneArea::Europe)
             .with_site_limit(80)
             .with_latency_limit(30.0)
-            .with_epoch(EpochSchedule::Weekly)
             .with_migration(MigrationCostLevel::Paper);
+        config.epoch = EpochSchedule::Weekly;
         config.request_rate_rps = 60.0;
         config.servers_per_site = 2;
         let result = CdnSimulator::new(config).run(PlacementPolicy::CarbonAware);
@@ -1525,9 +1518,10 @@ mod tests {
         // `Free` threads the committed assignment (for churn accounting) but
         // must not alter a single decision or realized number.
         for epoch in [EpochSchedule::Monthly, EpochSchedule::Weekly] {
-            let config = small_config(ZoneArea::Europe)
-                .with_site_limit(12)
-                .with_epoch(epoch);
+            let config = CdnConfig {
+                epoch,
+                ..small_config(ZoneArea::Europe).with_site_limit(12)
+            };
             assert_eq!(config.migration, MigrationCostLevel::Free);
             let result = CdnSimulator::new(config.clone()).run(PlacementPolicy::CarbonAware);
             let again = CdnSimulator::new(config).run(PlacementPolicy::CarbonAware);
@@ -1586,20 +1580,29 @@ mod tests {
         assert_eq!(serving.requests_total, expected);
     }
 
+    /// A saturated deployment, four applications on one server per site as
+    /// in the serving grid, whose per-site demand drifts past
+    /// [`DRIFT_THRESHOLD`].
+    fn saturated_config() -> CdnConfig {
+        let mut config = small_config(ZoneArea::Europe)
+            .with_site_limit(10)
+            .with_latency_limit(30.0)
+            .with_serving(ServingMode::OnlineReplace);
+        config.apps_per_site = 4;
+        config.servers_per_site = 1;
+        config
+    }
+
     #[test]
     fn online_replace_fires_and_keeps_accounting_consistent() {
-        // A hair trigger fires on the diurnal swing alone; the online engine
-        // must re-place mid-epoch while keeping per-epoch sums equal to the
-        // yearly aggregate and (under the oracle) decision == realized.
-        let config = small_config(ZoneArea::Europe)
-            .with_site_limit(10)
-            .with_serving(ServingMode::OnlineReplace)
-            .with_drift(0.05, 24);
-        let result = CdnSimulator::new(config).run(PlacementPolicy::CarbonAware);
+        // The online engine must re-place mid-epoch while keeping per-epoch
+        // sums equal to the yearly aggregate and (under the oracle)
+        // decision == realized.
+        let result = CdnSimulator::new(saturated_config()).run(PlacementPolicy::CarbonAware);
         let serving = result.serving.expect("OnlineReplace reports metrics");
         assert!(
             serving.online_replacements > 0,
-            "a 5% threshold must fire against a 35% diurnal swing"
+            "the saturated deployment must drift past the trigger"
         );
         assert_eq!(serving.hours, carbonedge_grid::HOURS_PER_YEAR);
         let epoch_total: f64 = result.epochs.iter().map(|e| e.carbon_g).sum();
@@ -1615,17 +1618,19 @@ mod tests {
     }
 
     #[test]
-    fn online_replace_with_infinite_threshold_matches_epoch_boundaries() {
-        // A trigger that never fires degenerates to one segment per epoch —
-        // the same run as EventLevel, field for field.
-        let base = small_config(ZoneArea::Europe).with_site_limit(12);
+    fn online_replace_that_never_fires_matches_epoch_boundaries() {
+        // A daily epoch ends before the trigger's cooldown
+        // (`DRIFT_COOLDOWN_HOURS`) lets it fire, so the run degenerates to
+        // one segment per epoch — the same run as EventLevel, field for
+        // field.
+        let base = CdnConfig {
+            epoch: EpochSchedule::Daily,
+            ..small_config(ZoneArea::Europe).with_site_limit(12)
+        };
         let epochal = CdnSimulator::new(base.clone().with_serving(ServingMode::EventLevel))
             .run(PlacementPolicy::CarbonAware);
-        let online = CdnSimulator::new(
-            base.with_serving(ServingMode::OnlineReplace)
-                .with_drift(f64::INFINITY, 24),
-        )
-        .run(PlacementPolicy::CarbonAware);
+        let online = CdnSimulator::new(base.with_serving(ServingMode::OnlineReplace))
+            .run(PlacementPolicy::CarbonAware);
         assert_eq!(online.serving.expect("metrics").online_replacements, 0);
         assert_same_result(&epochal, &online);
     }
@@ -1651,17 +1656,17 @@ mod tests {
 
     #[test]
     fn cached_and_fresh_preps_agree_when_drift_cuts_windows() {
-        // A hair trigger on weekly epochs with a non-oracle forecaster: one
-        // run decides over whole epochs read from the prep and over windows
-        // the drift cut short, computed on demand.  The cached prep was built
-        // for a different consumer-axis variant of the scenario, so a prep
-        // key that missed an input would make it differ from a fresh one.
-        let config = small_config(ZoneArea::Europe)
-            .with_site_limit(10)
-            .with_epoch(EpochSchedule::Weekly)
-            .with_forecaster(ForecasterKind::MovingAverage { window_hours: 24 })
-            .with_serving(ServingMode::OnlineReplace)
-            .with_drift(0.05, 24);
+        // The drift trigger on weekly epochs with a non-oracle forecaster:
+        // one run decides over whole epochs read from the prep and over
+        // windows the drift cut short, computed on demand.  The cached prep
+        // was built for a different consumer-axis variant of the scenario,
+        // so a prep key that missed an input would make it differ from a
+        // fresh one.
+        let config = CdnConfig {
+            epoch: EpochSchedule::Weekly,
+            forecaster: ForecasterKind::MovingAverage { window_hours: 24 },
+            ..saturated_config()
+        };
         let shared = CdnShared::new();
         let _ = shared.simulator(config.clone().with_serving(ServingMode::Aggregate));
         let cached = shared

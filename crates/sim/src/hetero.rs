@@ -7,7 +7,7 @@
 //! intensity and processing speed, and the heterogeneous cluster gives it
 //! the most freedom.
 
-use crate::metrics::{PolicyOutcome, Savings};
+use crate::metrics::PolicyOutcome;
 use carbonedge_core::{IncrementalPlacer, PlacementPolicy, PlacementProblem, ServerSnapshot};
 use carbonedge_datasets::{MesoscaleRegion, StudyRegion, ZoneCatalog};
 use carbonedge_grid::HourOfYear;
@@ -196,35 +196,36 @@ pub fn run_heterogeneity(config: &HeterogeneityConfig) -> Vec<HeterogeneityResul
     results
 }
 
-/// Looks up one (cluster, policy) outcome in a result set.
-pub fn outcome_of<'a>(
-    results: &'a [HeterogeneityResult],
-    cluster: &str,
-    policy: &str,
-) -> Option<&'a PolicyOutcome> {
-    results
-        .iter()
-        .find(|r| r.cluster == cluster && r.policy == policy)
-        .map(|r| &r.outcome)
-}
-
-/// Savings of CarbonEdge over a baseline policy for one cluster kind.
-pub fn savings_versus(
-    results: &[HeterogeneityResult],
-    cluster: &str,
-    baseline: &str,
-) -> Option<Savings> {
-    let ce = outcome_of(results, cluster, "CarbonEdge")?;
-    let base = outcome_of(results, cluster, baseline)?;
-    Some(Savings::versus(ce, base))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Savings;
 
     fn results() -> Vec<HeterogeneityResult> {
         run_heterogeneity(&HeterogeneityConfig::default())
+    }
+
+    /// Looks up one (cluster, policy) outcome in a result set.
+    fn outcome_of<'a>(
+        results: &'a [HeterogeneityResult],
+        cluster: &str,
+        policy: &str,
+    ) -> Option<&'a PolicyOutcome> {
+        results
+            .iter()
+            .find(|r| r.cluster == cluster && r.policy == policy)
+            .map(|r| &r.outcome)
+    }
+
+    /// Savings of CarbonEdge over a baseline policy for one cluster kind.
+    fn savings_versus(
+        results: &[HeterogeneityResult],
+        cluster: &str,
+        baseline: &str,
+    ) -> Option<Savings> {
+        let ce = outcome_of(results, cluster, "CarbonEdge")?;
+        let base = outcome_of(results, cluster, baseline)?;
+        Some(Savings::versus(ce, base))
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Shared result types for the simulation experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate outcome of running one policy over one scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PolicyOutcome {
     /// Total carbon emissions in grams CO2-equivalent.
     pub carbon_g: f64,
@@ -32,7 +30,7 @@ impl PolicyOutcome {
 
 /// Savings of a policy relative to the Latency-aware baseline — the metric
 /// the paper reports throughout Section 6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Savings {
     /// Relative carbon savings in percent (positive = fewer emissions).
     pub carbon_percent: f64,

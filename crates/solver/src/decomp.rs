@@ -241,16 +241,6 @@ impl BlockStructure {
     pub fn num_apps(&self) -> usize {
         self.apps.len()
     }
-
-    /// Number of generation-candidate columns.
-    pub fn num_candidate_columns(&self) -> usize {
-        self.x_cols.len()
-    }
-
-    /// Number of linking rows the master drops.
-    pub fn num_linking_rows(&self) -> usize {
-        self.linking.iter().filter(|&&l| l).count()
-    }
 }
 
 impl MilpWorkspace {
@@ -619,8 +609,8 @@ mod tests {
         let m = placement_model(costs, 1.0, 2.0, &[0.5, 0.5, 0.5], &[true, false, true]);
         let s = BlockStructure::detect(&m).expect("placement shape must be detected");
         assert_eq!(s.num_apps(), 3);
-        assert_eq!(s.num_candidate_columns(), 7);
-        assert_eq!(s.num_linking_rows(), 7);
+        assert_eq!(s.x_cols.len(), 7);
+        assert_eq!(s.linking.iter().filter(|&&l| l).count(), 7);
     }
 
     #[test]
@@ -880,7 +870,7 @@ mod tests {
         let first = unlinked_model([1.0, 5.0, 9.0]);
         let second = unlinked_model([9.0, 5.0, 1.0]);
         let structure = BlockStructure::detect(&first).expect("assignment shape");
-        assert_eq!(structure.num_linking_rows(), 0);
+        assert!(!structure.linking.contains(&true));
 
         let mut solver = BranchBoundSolver::new();
         for (min_vars, model) in [(0, &first), (usize::MAX, &second), (0, &first)] {

@@ -140,6 +140,7 @@ impl Model {
     /// finite and `lower <= upper`: the simplex rests every nonbasic column
     /// on a finite bound, which keeps each LP it solves bounded and its cold
     /// slack basis dual feasible.
+    // lint:allow(unreached-pub): the simplex unit tests and tests/solver_differential.rs build continuous columns with it
     pub fn add_continuous(&mut self, lower: f64, upper: f64) -> VarId {
         assert!(
             lower.is_finite() && upper.is_finite() && lower <= upper,

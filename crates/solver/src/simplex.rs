@@ -598,12 +598,6 @@ impl SimplexWorkspace {
         &self.y
     }
 
-    /// Whether the workspace holds a dual-feasible basis usable for a warm
-    /// restart.
-    pub fn warm_ready(&self) -> bool {
-        self.dual_ready
-    }
-
     /// Recomputes every basic value from the nonbasic point: `x_B = B^-1 (b
     /// - A_N x_N)`.
     fn refresh_basics(&mut self, prep: &Prepared) {
@@ -1397,7 +1391,7 @@ mod tests {
         let mut ws = SimplexWorkspace::new();
         ws.reset(&prep);
         assert_eq!(solver.solve_workspace(&prep, &mut ws), LpOutcome::Optimal);
-        assert!(ws.warm_ready());
+        assert!(ws.dual_ready, "an optimal solve leaves a warm basis");
         ws.set_var_bounds(a.index(), 0.0, 0.0);
         let warm = solver.solve_workspace(&prep, &mut ws);
         assert_eq!(warm, LpOutcome::Optimal);

@@ -86,12 +86,6 @@ impl SweepExecutor {
         self
     }
 
-    /// Overrides the placer template shared across cells.
-    pub fn with_placer_template(mut self, template: IncrementalPlacer) -> Self {
-        self.placer_template = template;
-        self
-    }
-
     /// The effective worker count for a grid of `cells` cells.
     pub fn effective_jobs(&self, cells: usize) -> usize {
         // lint:allow(wall-clock): only `--jobs 0` reads the CPU count; cells are collected by index, so results do not depend on the worker count

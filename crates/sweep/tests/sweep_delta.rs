@@ -103,11 +103,12 @@ fn prepped_sweep_matches_cold_oracle_for_any_job_count() {
     let oracle = cold_oracle(&spec, &template);
 
     for jobs in [1usize, 4] {
-        let report = SweepExecutor::new()
-            .with_jobs(jobs)
-            .with_placer_template(template.clone())
-            .run(&spec)
-            .unwrap();
+        let report = SweepExecutor {
+            jobs,
+            placer_template: template.clone(),
+        }
+        .run(&spec)
+        .unwrap();
         assert_matches_oracle(&report, &oracle);
     }
 }
@@ -140,11 +141,12 @@ fn exact_path_group_warm_starts_match_cold_oracle() {
     );
 
     for jobs in [1usize, 3] {
-        let report = SweepExecutor::new()
-            .with_jobs(jobs)
-            .with_placer_template(template.clone())
-            .run(&spec)
-            .unwrap();
+        let report = SweepExecutor {
+            jobs,
+            placer_template: template.clone(),
+        }
+        .run(&spec)
+        .unwrap();
         assert_matches_oracle(&report, &oracle);
     }
 }
@@ -152,8 +154,8 @@ fn exact_path_group_warm_starts_match_cold_oracle() {
 #[test]
 fn online_serving_cells_match_cold_oracle() {
     // OnlineReplace cells decide over whole epochs read from the prep and
-    // over any drift-cut windows computed on demand.  At the default 0.5
-    // threshold the trigger may never fire here; the sim crate's
+    // over any drift-cut windows computed on demand.  At the 0.5
+    // `DRIFT_THRESHOLD` the trigger may never fire here; the sim crate's
     // `cached_and_fresh_preps_agree_when_drift_cuts_windows` covers fires.
     let spec = SweepSpec::new("delta-online")
         .with_areas(vec![ZoneArea::Europe])
@@ -169,11 +171,12 @@ fn online_serving_cells_match_cold_oracle() {
         .with_epochs(vec![EpochSchedule::Monthly]);
     let template = IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only();
     let oracle = cold_oracle(&spec, &template);
-    let report = SweepExecutor::new()
-        .with_jobs(2)
-        .with_placer_template(template.clone())
-        .run(&spec)
-        .unwrap();
+    let report = SweepExecutor {
+        jobs: 2,
+        placer_template: template,
+    }
+    .run(&spec)
+    .unwrap();
     assert_matches_oracle(&report, &oracle);
 }
 
@@ -214,8 +217,9 @@ fn standalone_simulator_is_the_cold_path() {
 }
 
 fn spec_config() -> carbonedge_sim::CdnConfig {
-    carbonedge_sim::CdnConfig::new(ZoneArea::Europe)
-        .with_site_limit(10)
-        .with_forecaster(ForecasterKind::MovingAverage { window_hours: 48 })
-        .with_epoch(EpochSchedule::Weekly)
+    carbonedge_sim::CdnConfig {
+        forecaster: ForecasterKind::MovingAverage { window_hours: 48 },
+        epoch: EpochSchedule::Weekly,
+        ..carbonedge_sim::CdnConfig::new(ZoneArea::Europe).with_site_limit(10)
+    }
 }

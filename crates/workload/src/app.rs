@@ -2,10 +2,9 @@
 
 use crate::profiles::{DeviceKind, ModelKind, WorkloadProfile};
 use carbonedge_geo::Coordinates;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an application within a placement batch or simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AppId(pub usize);
 
 impl AppId {
@@ -18,7 +17,7 @@ impl AppId {
 /// A demand (or capacity) vector over the three resources of the
 /// multi-dimensional capacity constraint (Eq. 1): compute, device memory,
 /// and network bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceDemand {
     /// Compute demand as a fraction of one device (1.0 = a whole device).
     pub compute: f64,
@@ -69,11 +68,6 @@ impl ResourceDemand {
             && self.memory_mb <= capacity.memory_mb + EPS
             && self.bandwidth_mbps <= capacity.bandwidth_mbps + EPS
     }
-
-    /// Whether all components are finite and non-negative.
-    pub fn is_valid(&self) -> bool {
-        self.to_array().iter().all(|v| v.is_finite() && *v >= 0.0)
-    }
 }
 
 /// An edge application to be placed: its workload model, request rate,
@@ -83,7 +77,7 @@ impl ResourceDemand {
 /// formulation (Table 2) are *derived* from the application's model and rate
 /// combined with the hosting server's device profile, via
 /// [`Application::demand_on`] and [`Application::energy_on`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Application {
     /// Application identifier.
     pub id: AppId,
@@ -226,13 +220,6 @@ mod tests {
     fn to_array_orders_compute_memory_bandwidth() {
         let d = ResourceDemand::new(0.3, 64.0, 7.0);
         assert_eq!(d.to_array(), [0.3, 64.0, 7.0]);
-    }
-
-    #[test]
-    fn validity_check() {
-        assert!(ResourceDemand::new(0.0, 0.0, 0.0).is_valid());
-        assert!(!ResourceDemand::new(-1.0, 0.0, 0.0).is_valid());
-        assert!(!ResourceDemand::new(f64::NAN, 0.0, 0.0).is_valid());
     }
 
     proptest! {

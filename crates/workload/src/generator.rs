@@ -7,7 +7,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The arrival process controlling how per-hour request intensity is
 /// modulated within a day: a sinusoidal diurnal profile, whose hourly
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// `burst_magnitude` (jittered by a clamped normal sample).  A zero
 /// amplitude makes the profile flat; a zero burst probability turns the
 /// bursts off.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalProcess {
     /// Relative swing of the diurnal cycle, in `[0, 1)`.
     pub amplitude: f64,

@@ -7,10 +7,8 @@
 //! those orders of magnitude; they are the "profiling service" data that the
 //! placement service consumes.
 
-use serde::{Deserialize, Serialize};
-
 /// The edge device (accelerator) types used in the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceKind {
     /// NVIDIA Jetson Orin Nano: 1024 CUDA cores, 8 GB, 15 W.
     OrinNano,
@@ -30,9 +28,6 @@ impl DeviceKind {
         DeviceKind::Gtx1080,
         DeviceKind::XeonCpu,
     ];
-
-    /// The GPU devices used in the heterogeneity experiments (Figure 15).
-    pub const GPUS: [DeviceKind; 3] = [DeviceKind::OrinNano, DeviceKind::A2, DeviceKind::Gtx1080];
 
     /// Maximum (TDP) power draw of the device in watts.
     pub fn max_power_w(&self) -> f64 {
@@ -88,7 +83,7 @@ impl DeviceKind {
 }
 
 /// The workload models evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// EfficientNetB0 image classification (lightest GPU model).
     EfficientNetB0,
@@ -129,7 +124,7 @@ impl ModelKind {
 
 /// A profiled (model, device) combination: what the profiling service of
 /// Section 5.1 would measure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadProfile {
     /// The workload model.
     pub model: ModelKind,
@@ -207,10 +202,13 @@ impl WorkloadProfile {
 mod tests {
     use super::*;
 
+    /// The GPU devices used in the heterogeneity experiments (Figure 15).
+    const GPUS: [DeviceKind; 3] = [DeviceKind::OrinNano, DeviceKind::A2, DeviceKind::Gtx1080];
+
     #[test]
     fn all_gpu_models_profiled_on_all_gpus() {
         for m in ModelKind::GPU_MODELS {
-            for d in DeviceKind::GPUS {
+            for d in GPUS {
                 assert!(WorkloadProfile::lookup(m, d).is_some(), "{m:?} on {d:?}");
             }
         }
@@ -242,7 +240,7 @@ mod tests {
     #[test]
     fn yolo_is_much_heavier_than_efficientnet_on_same_device() {
         // The paper reports up to ~45x energy difference across models on a device.
-        for d in DeviceKind::GPUS {
+        for d in GPUS {
             let light = WorkloadProfile::lookup(ModelKind::EfficientNetB0, d).unwrap();
             let heavy = WorkloadProfile::lookup(ModelKind::YoloV4, d).unwrap();
             let ratio = heavy.energy_per_request_j / light.energy_per_request_j;
@@ -253,7 +251,7 @@ mod tests {
     #[test]
     fn device_energy_spread_for_same_model_is_about_2x_or_more() {
         for m in ModelKind::GPU_MODELS {
-            let e: Vec<f64> = DeviceKind::GPUS
+            let e: Vec<f64> = GPUS
                 .iter()
                 .map(|d| WorkloadProfile::lookup(m, *d).unwrap().energy_per_request_j)
                 .collect();

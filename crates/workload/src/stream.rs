@@ -96,11 +96,6 @@ impl RequestStream {
         }
     }
 
-    /// The stream's derived seed (exposed for determinism tests).
-    pub fn stream_seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The request total the aggregate demand model implies for a window of
     /// `hours` hours: `rate × 3600 × hours`, rounded to the nearest request.
     pub fn aggregate_total(&self, hours: usize) -> u64 {
@@ -156,15 +151,6 @@ impl RequestStream {
         let leftover = total.saturating_sub(assigned);
         distribute_leftover(counts, &scratch.remainders, &mut scratch.order, leftover);
     }
-
-    /// Allocating convenience wrapper around
-    /// [`fill_hourly_counts`](Self::fill_hourly_counts).
-    pub fn hourly_counts(&self, start_hour: usize, hours: usize) -> Vec<u64> {
-        let mut counts = vec![0u64; hours];
-        let mut scratch = StreamScratch::default();
-        self.fill_hourly_counts(start_hour, &mut counts, &mut scratch);
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -172,6 +158,17 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::Rng;
+
+    impl RequestStream {
+        /// Allocating wrapper around
+        /// [`fill_hourly_counts`](Self::fill_hourly_counts).
+        fn hourly_counts(&self, start_hour: usize, hours: usize) -> Vec<u64> {
+            let mut counts = vec![0u64; hours];
+            let mut scratch = StreamScratch::default();
+            self.fill_hourly_counts(start_hour, &mut counts, &mut scratch);
+            counts
+        }
+    }
 
     fn bursty() -> ArrivalProcess {
         ArrivalProcess::diurnal_bursty()
@@ -192,14 +189,8 @@ mod tests {
         let a = RequestStream::new(3, 7, 15.0, bursty(), 42);
         let b = RequestStream::new(3, 7, 15.0, bursty(), 42);
         assert_eq!(a.hourly_counts(100, 48), b.hourly_counts(100, 48));
-        assert_ne!(
-            RequestStream::new(4, 7, 15.0, bursty(), 42).stream_seed(),
-            a.stream_seed()
-        );
-        assert_ne!(
-            RequestStream::new(3, 8, 15.0, bursty(), 42).stream_seed(),
-            a.stream_seed()
-        );
+        assert_ne!(RequestStream::new(4, 7, 15.0, bursty(), 42).seed, a.seed);
+        assert_ne!(RequestStream::new(3, 8, 15.0, bursty(), 42).seed, a.seed);
     }
 
     #[test]

@@ -179,7 +179,8 @@ fn monthly_oracle_reproduces_legacy_simulation_bit_for_bit() {
 /// exact MILP path (apps × servers ≤ the placer's exact-size limit) but
 /// utilized enough that forecast error can flip placements.
 fn exact_path_config(area: ZoneArea, seed: u64, epoch: EpochSchedule) -> CdnConfig {
-    let mut config = CdnConfig::new(area).with_site_limit(3).with_epoch(epoch);
+    let mut config = CdnConfig::new(area).with_site_limit(3);
+    config.epoch = epoch;
     config.servers_per_site = 1;
     config.apps_per_site = 2;
     config.request_rate_rps = 25.0;
@@ -189,7 +190,11 @@ fn exact_path_config(area: ZoneArea, seed: u64, epoch: EpochSchedule) -> CdnConf
 
 fn realized_carbon(config: CdnConfig, forecaster: ForecasterKind) -> Vec<f64> {
     let placer = IncrementalPlacer::new(PlacementPolicy::CarbonAware);
-    let result = CdnSimulator::new(config.with_forecaster(forecaster)).run_with(&placer);
+    let result = CdnSimulator::new(CdnConfig {
+        forecaster,
+        ..config
+    })
+    .run_with(&placer);
     assert_eq!(
         result.exact_decisions,
         result.epochs.len(),

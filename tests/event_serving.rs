@@ -199,10 +199,12 @@ fn aggregate_mode_reproduces_the_legacy_engine_bit_for_bit() {
     // A churny grid (60 EU sites, 30 ms reach, weekly re-placement), a
     // skewed-demand US grid, and the latency-aware baseline.
     assert_aggregate_matches_legacy(
-        CdnConfig::new(ZoneArea::Europe)
-            .with_site_limit(60)
-            .with_latency_limit(30.0)
-            .with_epoch(EpochSchedule::Weekly),
+        CdnConfig {
+            epoch: EpochSchedule::Weekly,
+            ..CdnConfig::new(ZoneArea::Europe)
+                .with_site_limit(60)
+                .with_latency_limit(30.0)
+        },
         &IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),
     );
     assert_aggregate_matches_legacy(

@@ -210,10 +210,12 @@ fn assert_free_matches_stateless(config: CdnConfig, placer: &IncrementalPlacer) 
 fn free_level_reproduces_the_stateless_engine_bit_for_bit() {
     // The heuristic CDN path, on a grid with real churn (60 EU sites at a
     // 30 ms limit re-placed weekly) and on a skewed-demand scenario.
-    let churny = CdnConfig::new(ZoneArea::Europe)
-        .with_site_limit(60)
-        .with_latency_limit(30.0)
-        .with_epoch(EpochSchedule::Weekly);
+    let churny = CdnConfig {
+        epoch: EpochSchedule::Weekly,
+        ..CdnConfig::new(ZoneArea::Europe)
+            .with_site_limit(60)
+            .with_latency_limit(30.0)
+    };
     assert_free_matches_stateless(
         churny,
         &IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only(),
@@ -233,7 +235,8 @@ fn free_level_reproduces_the_stateless_engine_bit_for_bit() {
 /// A deployment small enough that every epoch decision goes through the
 /// exact MILP path but utilized enough that decisions are not forced.
 fn exact_path_config(area: ZoneArea, seed: u64, epoch: EpochSchedule) -> CdnConfig {
-    let mut config = CdnConfig::new(area).with_site_limit(3).with_epoch(epoch);
+    let mut config = CdnConfig::new(area).with_site_limit(3);
+    config.epoch = epoch;
     config.servers_per_site = 1;
     config.apps_per_site = 2;
     config.request_rate_rps = 25.0;

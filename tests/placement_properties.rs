@@ -36,9 +36,12 @@ fn random_problem(seed: u64, n_servers: usize, n_apps: usize) -> PlacementProble
                 base.lat + rng.gen_range(-2.0..2.0),
                 base.lon + rng.gen_range(-3.0..3.0),
             );
-            ServerSnapshot::new(j, j, ZoneId(j), devices[j % devices.len()], loc)
-                .with_carbon_intensity(rng.gen_range(20.0..800.0))
-                .with_powered_on(rng.gen_bool(0.75))
+            let server = ServerSnapshot::new(j, j, ZoneId(j), devices[j % devices.len()], loc)
+                .with_carbon_intensity(rng.gen_range(20.0..800.0));
+            ServerSnapshot {
+                powered_on: rng.gen_bool(0.75),
+                ..server
+            }
         })
         .collect();
     let apps: Vec<Application> = (0..n_apps)
@@ -68,9 +71,12 @@ fn mixed_device_problem(seed: u64, n_servers: usize, n_apps: usize) -> Placement
                 base.lon + rng.gen_range(-3.0..3.0),
             );
             let device = devices[rng.gen_range(0..devices.len())];
-            ServerSnapshot::new(j, j / 2, ZoneId(j), device, loc)
-                .with_carbon_intensity(rng.gen_range(20.0..800.0))
-                .with_powered_on(rng.gen_bool(0.6))
+            let server = ServerSnapshot::new(j, j / 2, ZoneId(j), device, loc)
+                .with_carbon_intensity(rng.gen_range(20.0..800.0));
+            ServerSnapshot {
+                powered_on: rng.gen_bool(0.6),
+                ..server
+            }
         })
         .collect();
     let apps: Vec<Application> = (0..n_apps)
@@ -341,7 +347,10 @@ fn skeleton_problem(seed: u64) -> PlacementProblem {
                 1 => DeviceKind::XeonCpu,
                 _ => devices[rng.gen_range(0..devices.len())],
             };
-            ServerSnapshot::new(j, j / 2, ZoneId(j), device, loc).with_powered_on(rng.gen_bool(0.6))
+            ServerSnapshot {
+                powered_on: rng.gen_bool(0.6),
+                ..ServerSnapshot::new(j, j / 2, ZoneId(j), device, loc)
+            }
         })
         .collect();
     let apps: Vec<Application> = (0..n_apps)

@@ -37,9 +37,12 @@ fn random_scenario(seed: u64, n_servers: usize, n_apps: usize) -> PlacementProbl
                 base.lat + rng.gen_range(-1.5..1.5),
                 base.lon + rng.gen_range(-2.0..2.0),
             );
-            ServerSnapshot::new(j, j, ZoneId(j), devices[j % devices.len()], loc)
-                .with_carbon_intensity(rng.gen_range(30.0..700.0))
-                .with_powered_on(rng.gen_bool(0.8))
+            let server = ServerSnapshot::new(j, j, ZoneId(j), devices[j % devices.len()], loc)
+                .with_carbon_intensity(rng.gen_range(30.0..700.0));
+            ServerSnapshot {
+                powered_on: rng.gen_bool(0.8),
+                ..server
+            }
         })
         .collect();
     let apps: Vec<Application> = (0..n_apps)
@@ -70,15 +73,17 @@ fn green_and_dirty(slo_ms: f64, green_powered_on: bool) -> PlacementProblem {
             Coordinates::new(48.14, 11.58),
         )
         .with_carbon_intensity(550.0),
-        ServerSnapshot::new(
-            1,
-            1,
-            ZoneId(1),
-            DeviceKind::A2,
-            Coordinates::new(46.95, 7.45),
-        )
-        .with_carbon_intensity(45.0)
-        .with_powered_on(green_powered_on),
+        ServerSnapshot {
+            powered_on: green_powered_on,
+            ..ServerSnapshot::new(
+                1,
+                1,
+                ZoneId(1),
+                DeviceKind::A2,
+                Coordinates::new(46.95, 7.45),
+            )
+            .with_carbon_intensity(45.0)
+        },
     ];
     let apps = vec![
         Application::new(
