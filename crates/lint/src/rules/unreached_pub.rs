@@ -15,9 +15,9 @@
 //! reaching code outside its own library is one finding on its `lib.rs`
 //! instead of one per item.
 //!
-//! Name matching cannot resolve paths: a dead item that shares its name
-//! with a live one stays hidden, so the rule under-reports, but it needs no
-//! type information.
+//! Name matching cannot resolve paths: a dead item whose name appears
+//! elsewhere, even as another declaration, stays hidden, so the rule
+//! under-reports, but it needs no type information.
 
 use super::{is_ident_char, token_positions, FileContext, Rule};
 use crate::diag::Diagnostic;
