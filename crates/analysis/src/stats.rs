@@ -14,16 +14,6 @@ impl Cdf {
         Self { sorted: values }
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the CDF has no samples.
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// Fraction of samples less than or equal to `x`.
     pub fn fraction_at_most(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
@@ -47,24 +37,6 @@ impl Cdf {
     pub fn median(&self) -> f64 {
         self.quantile(0.5)
     }
-
-    /// The sorted sample, for plotting.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// Evenly spaced `(value, cumulative fraction)` points for plotting.
-    pub fn points(&self, n: usize) -> Vec<(f64, f64)> {
-        if self.sorted.is_empty() || n == 0 {
-            return vec![];
-        }
-        (0..n)
-            .map(|k| {
-                let q = k as f64 / (n - 1).max(1) as f64;
-                (self.quantile(q), q)
-            })
-            .collect()
-    }
 }
 
 /// Nearest-rank percentile of a **sorted** slice (`p` in `[0, 100]`).
@@ -76,6 +48,32 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     let p = p.clamp(0.0, 100.0);
     let rank = (p / 100.0 * (sorted.len() - 1) as f64).round() as usize;
     sorted[rank.min(sorted.len() - 1)]
+}
+
+#[cfg(test)]
+impl Cdf {
+    /// Number of samples.
+    pub(crate) fn len(&self) -> usize {
+        self.sorted.len()
+    }
+
+    /// Whether the CDF has no samples.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.sorted.is_empty()
+    }
+
+    /// Evenly spaced `(value, cumulative fraction)` points.
+    pub(crate) fn points(&self, n: usize) -> Vec<(f64, f64)> {
+        if self.sorted.is_empty() || n == 0 {
+            return vec![];
+        }
+        (0..n)
+            .map(|k| {
+                let q = k as f64 / (n - 1).max(1) as f64;
+                (self.quantile(q), q)
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]

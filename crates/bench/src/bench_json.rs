@@ -33,7 +33,7 @@
 //! each pair's difference implies, as a median with its fastest and slowest
 //! pair.
 //!
-//! The JSON is hand-rendered (the offline `serde` shim has no wire format);
+//! The JSON is hand-rendered (the workspace has no serialization library);
 //! every field is a plain number or string, so any downstream tooling can
 //! parse the snapshots without schema knowledge.
 

@@ -1,23 +1,8 @@
-// lint:allow(unreached-pub): only tests/placement_end_to_end.rs uses it; it goes when a perfbench revision may drop its sim edge
+// lint:allow(unreached-pub): an empty package that perfbench/Cargo.lock records; the benchmark revision of ROADMAP.md item 2 deletes it and its edges
 #![forbid(unsafe_code)]
-//! Edge data-center substrate for CarbonEdge.
+//! An empty package.
 //!
-//! The paper's prototype runs on Sinfonia, a Kubernetes-based orchestrator,
-//! with Prometheus/RAPL/DCGM telemetry (Section 5.1), and its large-scale
-//! evaluation uses a simulator that "represents the components of Sinfonia
-//! and follows the same decision process and metrics" (Section 5.2).  This
-//! crate is that substrate: edge servers and sites with capacities and power
-//! models, power-state management, an orchestrator that commits placement
-//! decisions, and a telemetry service that accounts energy and carbon.
-
-pub mod orchestrator;
-pub mod power;
-pub mod server;
-pub mod site;
-pub mod telemetry;
-
-pub use orchestrator::{DeploymentOutcome, Orchestrator};
-pub use power::{PowerModel, PowerState};
-pub use server::{Server, ServerId, ServerSpec};
-pub use site::{EdgeSite, SiteId};
-pub use telemetry::{CarbonAccount, Telemetry};
+//! It stays only because `perfbench/Cargo.lock` records it and
+//! `carbonedge-sim`'s edge on it, and that lockfile changes only with the
+//! benchmark. The benchmark revision of ROADMAP.md item 2 deletes the
+//! package and its edges.

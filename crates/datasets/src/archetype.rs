@@ -62,11 +62,6 @@ impl MixArchetype {
         EnergyMix::new(shares).expect("archetype shares are valid")
     }
 
-    /// The baseline carbon intensity implied by the archetype mix.
-    pub fn baseline_intensity(&self) -> f64 {
-        self.mix().carbon_intensity()
-    }
-
     /// A perturbed variant of the archetype mix, where the fossil share is
     /// scaled by `(1 + delta)` (delta in [-0.5, 0.5]) and renormalized.
     /// Used to give each zone in the catalog its own personality while
@@ -94,14 +89,14 @@ mod tests {
 
     #[test]
     fn archetype_intensities_are_ordered_sensibly() {
-        assert!(MixArchetype::HydroHeavy.baseline_intensity() < 80.0);
-        assert!(MixArchetype::NuclearHeavy.baseline_intensity() < 100.0);
-        assert!(MixArchetype::GreenMixed.baseline_intensity() < 150.0);
-        assert!(MixArchetype::CoalHeavy.baseline_intensity() > 600.0);
-        assert!(MixArchetype::GasHeavy.baseline_intensity() > 350.0);
+        assert!(MixArchetype::HydroHeavy.mix().carbon_intensity() < 80.0);
+        assert!(MixArchetype::NuclearHeavy.mix().carbon_intensity() < 100.0);
+        assert!(MixArchetype::GreenMixed.mix().carbon_intensity() < 150.0);
+        assert!(MixArchetype::CoalHeavy.mix().carbon_intensity() > 600.0);
+        assert!(MixArchetype::GasHeavy.mix().carbon_intensity() > 350.0);
         assert!(
-            MixArchetype::CoalHeavy.baseline_intensity()
-                > MixArchetype::FossilMixed.baseline_intensity()
+            MixArchetype::CoalHeavy.mix().carbon_intensity()
+                > MixArchetype::FossilMixed.mix().carbon_intensity()
         );
     }
 
@@ -109,8 +104,8 @@ mod tests {
     fn coal_to_hydro_ratio_supports_mesoscale_spreads() {
         // The paper reports up to 10.8x yearly spread within one region and
         // ~19.5x in an hourly snapshot; the archetype extremes must support that.
-        let ratio = MixArchetype::CoalHeavy.baseline_intensity()
-            / MixArchetype::HydroHeavy.baseline_intensity();
+        let ratio = MixArchetype::CoalHeavy.mix().carbon_intensity()
+            / MixArchetype::HydroHeavy.mix().carbon_intensity();
         assert!(ratio > 10.0, "ratio {ratio}");
     }
 
@@ -127,7 +122,7 @@ mod tests {
         for a in MixArchetype::ALL {
             let up = a.perturbed_mix(0.3).carbon_intensity();
             let down = a.perturbed_mix(-0.3).carbon_intensity();
-            let base = a.baseline_intensity();
+            let base = a.mix().carbon_intensity();
             if a.mix().fossil_share() > 0.0 {
                 assert!(up >= base - 1e-9, "{a:?}");
                 assert!(down <= base + 1e-9, "{a:?}");

@@ -371,12 +371,14 @@ mod tests {
             .by_name("Warsaw, PL")
             .unwrap()
             .profile()
-            .baseline_intensity();
+            .mix
+            .carbon_intensity();
         let ontario = cat
             .by_name("Ontario")
             .unwrap()
             .profile()
-            .baseline_intensity();
+            .mix
+            .carbon_intensity();
         assert!(poland > 600.0, "Poland {poland}");
         assert!(ontario < 80.0, "Ontario {ontario}");
     }
@@ -394,7 +396,7 @@ mod tests {
         ];
         let intensities: Vec<f64> = names
             .iter()
-            .map(|n| cat.by_name(n).unwrap().profile().baseline_intensity())
+            .map(|n| cat.by_name(n).unwrap().profile().mix.carbon_intensity())
             .collect();
         let max = intensities.iter().cloned().fold(0.0, f64::max);
         let min = intensities.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -409,7 +411,7 @@ mod tests {
         let names = ["Kingman", "Las Vegas", "Flagstaff", "Phoenix", "San Diego"];
         let intensities: Vec<f64> = names
             .iter()
-            .map(|n| cat.by_name(n).unwrap().profile().baseline_intensity())
+            .map(|n| cat.by_name(n).unwrap().profile().mix.carbon_intensity())
             .collect();
         let max = intensities.iter().cloned().fold(0.0, f64::max);
         let min = intensities.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -424,7 +426,7 @@ mod tests {
         let names = ["Miami", "Orlando", "Tampa", "Jacksonville", "Tallahassee"];
         let intensities: Vec<f64> = names
             .iter()
-            .map(|n| cat.by_name(n).unwrap().profile().baseline_intensity())
+            .map(|n| cat.by_name(n).unwrap().profile().mix.carbon_intensity())
             .collect();
         let mean = intensities.iter().sum::<f64>() / intensities.len() as f64;
         let min = intensities.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -440,7 +442,7 @@ mod tests {
             let zones = cat.in_area(area);
             zones
                 .iter()
-                .map(|r| r.profile().baseline_intensity())
+                .map(|r| r.profile().mix.carbon_intensity())
                 .sum::<f64>()
                 / zones.len() as f64
         };

@@ -72,11 +72,6 @@ impl ZoneProfile {
         self.demand_swing = d.clamp(0.0, 0.5);
         self
     }
-
-    /// Annual-average carbon intensity implied by the baseline mix.
-    pub fn baseline_intensity(&self) -> f64 {
-        self.mix.carbon_intensity()
-    }
 }
 
 #[cfg(test)]
@@ -93,9 +88,11 @@ mod tests {
     }
 
     #[test]
-    fn baseline_intensity_matches_mix() {
+    fn zone_intensity_is_its_mix_weighted_average() {
         let z = zone();
-        assert!((z.baseline_intensity() - z.mix.carbon_intensity()).abs() < 1e-12);
+        let expected =
+            0.6 * EnergySource::Gas.carbon_factor() + 0.4 * EnergySource::Solar.carbon_factor();
+        assert!((z.mix.carbon_intensity() - expected).abs() < 1e-12);
     }
 
     #[test]

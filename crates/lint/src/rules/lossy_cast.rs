@@ -58,7 +58,6 @@ impl Rule for LossyCast {
         (path.starts_with("crates/solver/src/")
             || path.starts_with("crates/core/src/")
             || path.starts_with("crates/grid/src/")
-            || path.starts_with("crates/cluster/src/")
             || path.starts_with("crates/sim/src/"))
             && path.ends_with(".rs")
     }

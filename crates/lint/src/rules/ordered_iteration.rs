@@ -52,7 +52,6 @@ impl Rule for OrderedIteration {
         path == "crates/sweep/src/report.rs"
             || path.starts_with("crates/analysis/src/")
             || path.starts_with("crates/bench/src/")
-            || path.starts_with("crates/bench/benches/")
             || path.starts_with("crates/solver/src/")
     }
 

@@ -8,16 +8,19 @@
 //!
 //! A `pub` fn, struct, enum, trait, type, const or static in a library
 //! crate's non-test source (`crates/<name>/src`, binaries aside) is a
-//! finding when its name appears nowhere else in the *reaching code*: the
-//! non-test code of `crates/*/src` (binaries included), `examples/` and
-//! `perfbench/src`.  `#[cfg(test)]` items and integration tests do not
-//! reach anything.  A library crate whose `carbonedge_<name>` appears in no
-//! reaching code outside its own library is one finding on its `lib.rs`
-//! instead of one per item.
+//! finding when its name appears in the *reaching code* no more often than
+//! library code declares it `pub`.  The reaching code is the non-test code
+//! of `crates/*/src` (binaries included), `examples/` and `perfbench/src`;
+//! `#[cfg(test)]` items and integration tests do not reach anything.  So
+//! two dead items of one name are two findings, not each other's use.  A
+//! library crate whose `carbonedge_<name>` appears in no reaching code
+//! outside its own library is one finding on its `lib.rs` instead of one
+//! per item.
 //!
-//! Name matching cannot resolve paths: a dead item whose name appears
-//! elsewhere, even as another declaration, stays hidden, so the rule
-//! under-reports, but it needs no type information.
+//! Name matching cannot resolve paths: a dead item whose name has one use
+//! anywhere (a call of a same-named method, a private fn, a field) stays
+//! hidden, and one use of a name clears every `pub` item declared with it.
+//! The rule under-reports, but it needs no type information.
 
 use super::{is_ident_char, token_positions, FileContext, Rule};
 use crate::diag::Diagnostic;
@@ -55,6 +58,18 @@ impl Rule for UnreachedPub {
             }
         }
 
+        // The `pub` items of each library source, and how often library
+        // code declares each name.
+        let declarations: Vec<(&FileContext<'_>, Vec<PubItem<'_>>)> = code
+            .iter()
+            .filter(|(ctx, _)| library_crate(ctx.path).is_some())
+            .map(|(ctx, text)| (*ctx, pub_items(text)))
+            .collect();
+        let mut declared: HashMap<&str, usize> = HashMap::new();
+        for item in declarations.iter().flat_map(|(_, items)| items) {
+            *declared.entry(item.name).or_default() += 1;
+        }
+
         // Library crates: the `crates/<name>` directories with a `src/lib.rs`.
         let mut libraries = Vec::new();
         let mut unreached = Vec::new();
@@ -81,22 +96,23 @@ impl Rule for UnreachedPub {
             }
         }
 
-        for (ctx, text) in &code {
+        for (ctx, items) in &declarations {
             match library_crate(ctx.path) {
                 Some(krate) if libraries.contains(&krate) && !unreached.contains(&krate) => {}
                 _ => continue,
             }
-            // The declaration itself is the name's one appearance.
-            for item in pub_items(text)
-                .into_iter()
-                .filter(|item| uses.get(item.name).is_none_or(|&n| n <= 1))
-            {
+            // Every `pub` declaration of a name is one of its appearances.
+            for item in items.iter().filter(|item| {
+                uses.get(item.name)
+                    .is_none_or(|&n| n <= declared[item.name])
+            }) {
                 out.push(ctx.diag(
                     ctx.line_of(item.offset),
                     self.id(),
                     format!(
-                        "`pub {} {}` is named nowhere else in non-test code: delete it, \
-                         move it under `#[cfg(test)]`, or allow it with the need that keeps it",
+                        "`pub {} {}` is named in no non-test code beyond its `pub` \
+                         declarations: delete it, move it under `#[cfg(test)]`, or allow it \
+                         with the need that keeps it",
                         item.kind, item.name
                     ),
                 ));

@@ -212,3 +212,42 @@ fn unreached_pub_counts_only_non_test_code_as_reaching() {
     assert_eq!(findings[0].line, 3);
     assert!(findings[0].message.contains("`pub fn unreached`"));
 }
+
+/// Two libraries that each declare `pub fn twin`, and a binary that names
+/// both crates and runs `main_body`.
+fn twin_workspace(main_body: &str) -> Vec<(String, String)> {
+    let lib = "#![forbid(unsafe_code)]\npub fn twin() -> u8 { 1 }\n";
+    let main = format!(
+        "#![forbid(unsafe_code)]\nuse carbonedge_one as _;\nuse carbonedge_two as _;\n\
+         fn main() {{ {main_body} }}\n"
+    );
+    vec![
+        ("crates/one/src/lib.rs".to_string(), lib.to_string()),
+        ("crates/two/src/lib.rs".to_string(), lib.to_string()),
+        ("crates/app/src/main.rs".to_string(), main),
+    ]
+}
+
+#[test]
+fn unreached_pub_same_name_declarations_do_not_reach_each_other() {
+    let findings = lint_files(&twin_workspace(""));
+    let paths: Vec<&str> = findings.iter().map(|d| d.path.as_str()).collect();
+    assert_eq!(
+        paths,
+        ["crates/one/src/lib.rs", "crates/two/src/lib.rs"],
+        "{findings:?}"
+    );
+    for d in &findings {
+        assert_eq!(d.rule, "unreached-pub");
+        assert_eq!(d.line, 2);
+        assert!(d.message.contains("`pub fn twin`"));
+    }
+}
+
+#[test]
+fn unreached_pub_one_use_of_a_name_clears_every_declaration() {
+    // `carbonedge_two::twin` stays dead, but name matching cannot tell which
+    // `twin` the call reaches: the rule's documented under-report.
+    let findings = lint_files(&twin_workspace("let _ = carbonedge_one::twin();"));
+    assert!(findings.is_empty(), "{findings:?}");
+}

@@ -42,32 +42,6 @@ impl ResourceDemand {
     pub fn to_array(&self) -> [f64; 3] {
         [self.compute, self.memory_mb, self.bandwidth_mbps]
     }
-
-    /// Component-wise addition.
-    pub fn plus(&self, other: &ResourceDemand) -> ResourceDemand {
-        ResourceDemand {
-            compute: self.compute + other.compute,
-            memory_mb: self.memory_mb + other.memory_mb,
-            bandwidth_mbps: self.bandwidth_mbps + other.bandwidth_mbps,
-        }
-    }
-
-    /// Component-wise subtraction, clamped at zero.
-    pub fn minus_clamped(&self, other: &ResourceDemand) -> ResourceDemand {
-        ResourceDemand {
-            compute: (self.compute - other.compute).max(0.0),
-            memory_mb: (self.memory_mb - other.memory_mb).max(0.0),
-            bandwidth_mbps: (self.bandwidth_mbps - other.bandwidth_mbps).max(0.0),
-        }
-    }
-
-    /// Whether this demand fits within `capacity` on every dimension.
-    pub fn fits_within(&self, capacity: &ResourceDemand) -> bool {
-        const EPS: f64 = 1e-9;
-        self.compute <= capacity.compute + EPS
-            && self.memory_mb <= capacity.memory_mb + EPS
-            && self.bandwidth_mbps <= capacity.bandwidth_mbps + EPS
-    }
 }
 
 /// An edge application to be placed: its workload model, request rate,
@@ -146,7 +120,6 @@ impl Application {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn app(model: ModelKind) -> Application {
         Application::new(
@@ -195,59 +168,8 @@ mod tests {
     }
 
     #[test]
-    fn resource_vector_arithmetic() {
-        let a = ResourceDemand::new(0.5, 100.0, 10.0);
-        let b = ResourceDemand::new(0.25, 50.0, 5.0);
-        let sum = a.plus(&b);
-        assert_eq!(sum.compute, 0.75);
-        assert_eq!(sum.memory_mb, 150.0);
-        let diff = b.minus_clamped(&a);
-        assert_eq!(diff.compute, 0.0);
-        assert_eq!(diff.memory_mb, 0.0);
-        assert_eq!(diff.bandwidth_mbps, 0.0);
-    }
-
-    #[test]
-    fn fits_within_respects_all_dimensions() {
-        let cap = ResourceDemand::new(1.0, 1000.0, 100.0);
-        assert!(ResourceDemand::new(0.5, 500.0, 50.0).fits_within(&cap));
-        assert!(!ResourceDemand::new(1.5, 500.0, 50.0).fits_within(&cap));
-        assert!(!ResourceDemand::new(0.5, 1500.0, 50.0).fits_within(&cap));
-        assert!(!ResourceDemand::new(0.5, 500.0, 150.0).fits_within(&cap));
-    }
-
-    #[test]
     fn to_array_orders_compute_memory_bandwidth() {
         let d = ResourceDemand::new(0.3, 64.0, 7.0);
         assert_eq!(d.to_array(), [0.3, 64.0, 7.0]);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn plus_then_minus_round_trips(
-            c1 in 0.0f64..10.0, m1 in 0.0f64..1000.0, b1 in 0.0f64..100.0,
-            c2 in 0.0f64..10.0, m2 in 0.0f64..1000.0, b2 in 0.0f64..100.0,
-        ) {
-            let a = ResourceDemand::new(c1, m1, b1);
-            let b = ResourceDemand::new(c2, m2, b2);
-            let back = a.plus(&b).minus_clamped(&b);
-            prop_assert!((back.compute - a.compute).abs() < 1e-9);
-            prop_assert!((back.memory_mb - a.memory_mb).abs() < 1e-6);
-            prop_assert!((back.bandwidth_mbps - a.bandwidth_mbps).abs() < 1e-9);
-        }
-
-        #[test]
-        fn fits_within_is_monotone(
-            c in 0.0f64..2.0, m in 0.0f64..2000.0, b in 0.0f64..200.0,
-        ) {
-            let cap = ResourceDemand::new(1.0, 1000.0, 100.0);
-            let d = ResourceDemand::new(c, m, b);
-            if d.fits_within(&cap) {
-                // Anything smaller also fits.
-                let smaller = ResourceDemand::new(c * 0.5, m * 0.5, b * 0.5);
-                prop_assert!(smaller.fits_within(&cap));
-            }
-        }
     }
 }

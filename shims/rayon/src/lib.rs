@@ -1,393 +1,15 @@
-//! Offline stand-in for `rayon`.
+//! Offline stand-in for `rayon`, reduced to `current_num_threads`.
 //!
-//! The build environment has no crates-registry access, so this shim
-//! re-implements the slice of the rayon API the workspace uses.  Unlike the
-//! original sequential placeholder, `par_iter()` now runs on a real scoped
-//! worker pool: a `std::thread::scope` spawns one worker per CPU and the
-//! workers pull the next unclaimed index from a shared atomic cursor — the
-//! same work-distribution shape as `carbonedge_sweep::SweepExecutor`.
-//! Results are written into per-index slots and collected **in index
-//! order**, so the output is bit-identical to a sequential run for any
-//! worker count or scheduling order.
-//!
-//! `par_iter_mut()` runs on the same scoped pool: the mutable slice is cut
-//! into disjoint chunks handed out through a mutex-guarded chunk iterator,
-//! so workers mutate non-overlapping elements in place — deterministic for
-//! any worker count because each element is visited exactly once and the
-//! results land at their own indices.  `into_par_iter()` (no call sites on
-//! hot paths) remains a sequential adapter; swapping in real rayon later is
-//! still a manifest-only change because the exposed method chains are a
-//! strict subset of upstream rayon's.
+//! The workspace reads only the worker count below: the sweep executor for
+//! `--jobs 0` and the `bench_json` harness. The package stays because
+//! `perfbench/Cargo.lock` records it and the `rayon` edges of
+//! `carbonedge-sim` and `carbonedge-sweep`. The benchmark revision of
+//! ROADMAP.md item 2 deletes the package and its edges, and one helper
+//! replaces the three reads.
 
-pub mod prelude {
-    pub use crate::iter::{
-        IntoParallelIterator, IntoParallelRefIterator, IntoParallelRefMutIterator,
-    };
-}
-
-/// The number of worker threads the pool uses by default — one per
-/// available CPU, with single-threaded fallback when the count cannot be
-/// determined.  Matches the upstream `rayon::current_num_threads` surface
-/// and is the workspace's single parallelism probe: the sweep executor and
-/// the bench harness call this instead of keeping their own copies of the
-/// `available_parallelism` dance.
+/// The number of worker threads a rayon pool uses by default: one per
+/// available CPU, or 1 when the count cannot be determined. Matches the
+/// upstream `rayon::current_num_threads` surface.
 pub fn current_num_threads() -> usize {
-    pool::default_threads()
-}
-
-mod pool {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    /// Maps `f` over `items` on a scoped worker pool, returning the results
-    /// in index order.  Falls back to a plain sequential loop for trivial
-    /// inputs or single-CPU hosts.
-    pub(crate) fn map_indexed<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        let workers = threads.clamp(1, items.len().max(1));
-        if workers <= 1 || items.len() <= 1 {
-            return items.iter().map(f).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    let result = f(item);
-                    *slots[i].lock().expect("result slot poisoned") = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("every index produces a result")
-            })
-            .collect()
-    }
-
-    /// Runs `f` on every element of a mutable slice using the scoped worker
-    /// pool.  The slice is cut into disjoint chunks; workers pull the next
-    /// unclaimed chunk from a mutex-guarded iterator, so every element is
-    /// mutated in place exactly once — the outcome is identical to a
-    /// sequential pass for any worker count or scheduling order.
-    pub(crate) fn for_each_mut<T, F>(items: &mut [T], threads: usize, f: F)
-    where
-        T: Send,
-        F: Fn(&mut T) + Sync,
-    {
-        let workers = threads.clamp(1, items.len().max(1));
-        if workers <= 1 || items.len() <= 1 {
-            items.iter_mut().for_each(f);
-            return;
-        }
-        // A few chunks per worker keeps the pool load-balanced without
-        // paying a lock round-trip per element.
-        let chunk_len = items.len().div_ceil(workers * 4).max(1);
-        let chunks = Mutex::new(items.chunks_mut(chunk_len));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let Some(chunk) = chunks.lock().expect("chunk queue poisoned").next() else {
-                        break;
-                    };
-                    for item in chunk {
-                        f(item);
-                    }
-                });
-            }
-        });
-    }
-
-    /// One worker per available CPU.
-    pub(crate) fn default_threads() -> usize {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    }
-}
-
-pub mod iter {
-    use crate::pool;
-
-    /// A parallel iterator over `&[T]`, driven by the scoped worker pool.
-    #[derive(Debug, Clone, Copy)]
-    pub struct ParIter<'data, T> {
-        items: &'data [T],
-        threads: usize,
-    }
-
-    impl<'data, T: Sync> ParIter<'data, T> {
-        pub(crate) fn new(items: &'data [T]) -> Self {
-            Self {
-                items,
-                threads: pool::default_threads(),
-            }
-        }
-
-        /// Overrides the worker count (used by tests to exercise real
-        /// multi-threaded scheduling even on small hosts).
-        pub fn with_threads(mut self, threads: usize) -> Self {
-            self.threads = threads.max(1);
-            self
-        }
-
-        /// Maps each item through `f` in parallel.
-        pub fn map<R, F>(self, f: F) -> ParMap<'data, T, F>
-        where
-            F: Fn(&T) -> R + Sync,
-            R: Send,
-        {
-            ParMap {
-                items: self.items,
-                threads: self.threads,
-                f,
-            }
-        }
-
-        /// Runs `f` on every item in parallel (no ordering guarantees on
-        /// execution, deterministic completion).
-        pub fn for_each<F>(self, f: F)
-        where
-            F: Fn(&T) + Sync,
-        {
-            let _ = pool::map_indexed(self.items, self.threads, |item| f(item));
-        }
-    }
-
-    /// The mapped form of a [`ParIter`].
-    pub struct ParMap<'data, T, F> {
-        items: &'data [T],
-        threads: usize,
-        f: F,
-    }
-
-    impl<'data, T, F, R> ParMap<'data, T, F>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        /// Evaluates the map on the worker pool and collects the results in
-        /// index order, so the collection is identical to a sequential run.
-        pub fn collect<C: FromIterator<R>>(self) -> C {
-            pool::map_indexed(self.items, self.threads, &self.f)
-                .into_iter()
-                .collect()
-        }
-
-        /// Sums the mapped results (index-ordered reduction, deterministic
-        /// for floating-point outputs).
-        pub fn sum<S: std::iter::Sum<R>>(self) -> S {
-            pool::map_indexed(self.items, self.threads, &self.f)
-                .into_iter()
-                .sum()
-        }
-    }
-
-    /// Parallel iteration over shared references, backed by the worker pool.
-    pub trait IntoParallelRefIterator<'data> {
-        /// Element type.
-        type Item: Sync + 'data;
-        /// Starts a parallel iterator over the collection.
-        fn par_iter(&'data self) -> ParIter<'data, Self::Item>;
-    }
-
-    impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for [T] {
-        type Item = T;
-        fn par_iter(&'data self) -> ParIter<'data, T> {
-            ParIter::new(self)
-        }
-    }
-
-    impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
-        type Item = T;
-        fn par_iter(&'data self) -> ParIter<'data, T> {
-            ParIter::new(self)
-        }
-    }
-
-    /// A parallel iterator over `&mut [T]`, driven by the scoped worker
-    /// pool.  Elements are mutated in place, so "collection order" is the
-    /// slice order by construction; determinism only requires that each
-    /// element is visited exactly once, which the disjoint chunk hand-out
-    /// guarantees.
-    pub struct ParIterMut<'data, T> {
-        items: &'data mut [T],
-        threads: usize,
-    }
-
-    impl<'data, T: Send> ParIterMut<'data, T> {
-        pub(crate) fn new(items: &'data mut [T]) -> Self {
-            Self {
-                items,
-                threads: pool::default_threads(),
-            }
-        }
-
-        /// Overrides the worker count (used by tests to exercise real
-        /// multi-threaded scheduling even on small hosts).
-        pub fn with_threads(mut self, threads: usize) -> Self {
-            self.threads = threads.max(1);
-            self
-        }
-
-        /// Runs `f` on every element in parallel, mutating in place.
-        pub fn for_each<F>(self, f: F)
-        where
-            F: Fn(&mut T) + Sync,
-        {
-            pool::for_each_mut(self.items, self.threads, f);
-        }
-    }
-
-    /// Parallel iteration over mutable references, backed by the worker
-    /// pool (the slice of upstream rayon's API the workspace uses).
-    pub trait IntoParallelRefMutIterator<'data> {
-        /// Element type.
-        type Item: Send + 'data;
-        /// Starts a parallel iterator over the collection's elements.
-        fn par_iter_mut(&'data mut self) -> ParIterMut<'data, Self::Item>;
-    }
-
-    impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for [T] {
-        type Item = T;
-        fn par_iter_mut(&'data mut self) -> ParIterMut<'data, T> {
-            ParIterMut::new(self)
-        }
-    }
-
-    impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for Vec<T> {
-        type Item = T;
-        fn par_iter_mut(&'data mut self) -> ParIterMut<'data, T> {
-            ParIterMut::new(self)
-        }
-    }
-
-    /// Sequential stand-in for `rayon::iter::IntoParallelIterator`
-    /// (no hot-path call sites in the workspace).
-    pub trait IntoParallelIterator {
-        type Iter: Iterator;
-        fn into_par_iter(self) -> Self::Iter;
-    }
-
-    impl<I: IntoIterator> IntoParallelIterator for I {
-        type Iter = I::IntoIter;
-        fn into_par_iter(self) -> Self::Iter {
-            self.into_iter()
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::prelude::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn par_iter_matches_sequential() {
-        let v = vec![1, 2, 3, 4];
-        let doubled: Vec<i32> = v.par_iter().map(|x| x * 2).collect();
-        assert_eq!(doubled, vec![2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn into_par_iter_matches_sequential() {
-        let total: i32 = (1..=10).into_par_iter().sum();
-        assert_eq!(total, 55);
-    }
-
-    #[test]
-    fn collect_is_index_ordered_for_any_worker_count() {
-        let items: Vec<usize> = (0..257).collect();
-        let expected: Vec<usize> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 2, 3, 8] {
-            let got: Vec<usize> = items
-                .par_iter()
-                .with_threads(threads)
-                .map(|x| x * x)
-                .collect();
-            assert_eq!(got, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn workers_actually_run_every_item_once() {
-        let counter = AtomicUsize::new(0);
-        let items: Vec<u64> = (0..100).collect();
-        let sums: Vec<u64> = items
-            .par_iter()
-            .with_threads(4)
-            .map(|x| {
-                counter.fetch_add(1, Ordering::Relaxed);
-                x + 1
-            })
-            .collect();
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert_eq!(sums.iter().sum::<u64>(), (1..=100).sum::<u64>());
-    }
-
-    #[test]
-    fn par_sum_and_for_each_work() {
-        let items: Vec<f64> = (0..64).map(|x| x as f64).collect();
-        let total: f64 = items.par_iter().with_threads(3).map(|x| x * 0.5).sum();
-        assert!((total - 1008.0).abs() < 1e-12);
-
-        let touched = AtomicUsize::new(0);
-        items.par_iter().with_threads(2).for_each(|_| {
-            touched.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(touched.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn par_iter_mut_matches_sequential_for_any_worker_count() {
-        let expected: Vec<u64> = (0..257u64).map(|x| x * 3 + 1).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let mut items: Vec<u64> = (0..257).collect();
-            items
-                .par_iter_mut()
-                .with_threads(threads)
-                .for_each(|x| *x = *x * 3 + 1);
-            assert_eq!(items, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_iter_mut_visits_every_element_exactly_once() {
-        let counter = AtomicUsize::new(0);
-        let mut items = vec![0u32; 100];
-        items.par_iter_mut().with_threads(4).for_each(|x| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            *x += 1;
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-        assert!(items.iter().all(|x| *x == 1));
-    }
-
-    #[test]
-    fn par_iter_mut_handles_empty_and_single_inputs() {
-        let mut empty: Vec<u32> = vec![];
-        empty.par_iter_mut().for_each(|x| *x += 1);
-        assert!(empty.is_empty());
-        let mut one = [41u32];
-        one.par_iter_mut().with_threads(8).for_each(|x| *x += 1);
-        assert_eq!(one, [42]);
-    }
-
-    #[test]
-    fn empty_and_single_item_inputs_are_handled() {
-        let empty: Vec<u32> = vec![];
-        let out: Vec<u32> = empty.par_iter().map(|x| x + 1).collect();
-        assert!(out.is_empty());
-        let one = [7u32];
-        let out: Vec<u32> = one.par_iter().with_threads(8).map(|x| x + 1).collect();
-        assert_eq!(out, vec![8]);
-    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }

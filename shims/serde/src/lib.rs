@@ -1,40 +1,7 @@
-//! Offline stand-in for the `serde` crate.
+//! Offline stand-in for `serde`, emptied.
 //!
-//! The build environment has no access to a crates registry, so this shim
-//! provides the subset of `serde` the workspace actually relies on: the
-//! `Serialize` / `Deserialize` trait names (with blanket implementations so
-//! derive bounds are always satisfiable) and the corresponding no-op derive
-//! macros re-exported under the `derive` feature.
-//!
-//! No wire format is implemented; the workspace only uses the derives as
-//! forward-compatible annotations and never serializes through them. If real
-//! serialization is needed later, replace this shim with the upstream crate —
-//! the API surface used here is a strict subset of upstream serde's.
-
-/// Marker stand-in for `serde::Serialize`.
-pub trait Serialize {}
-
-impl<T: ?Sized> Serialize for T {}
-
-/// Marker stand-in for `serde::Deserialize`.
-pub trait Deserialize<'de>: Sized {}
-
-impl<'de, T> Deserialize<'de> for T {}
-
-/// Marker stand-in for `serde::de::DeserializeOwned`.
-pub trait DeserializeOwned: for<'de> Deserialize<'de> {}
-
-impl<T> DeserializeOwned for T {}
-
-/// Stand-in for `serde::de`, so `serde::de::DeserializeOwned` paths resolve.
-pub mod de {
-    pub use crate::{Deserialize, DeserializeOwned};
-}
-
-/// Stand-in for `serde::ser`.
-pub mod ser {
-    pub use crate::Serialize;
-}
-
-#[cfg(feature = "derive")]
-pub use serde_derive::{Deserialize, Serialize};
+//! Nothing in the workspace derives or names the serde traits: every
+//! `BENCH_*.json` is written by hand. The package stays because
+//! `perfbench/Cargo.lock` records it and the crates' `serde` edges. The
+//! benchmark revision of ROADMAP.md item 2 deletes it, `serde_derive` and
+//! every `serde` entry.

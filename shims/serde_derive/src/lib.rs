@@ -1,18 +1,5 @@
-//! No-op derive macros backing the offline `serde` shim.
+//! Offline stand-in for `serde_derive`, emptied along with the `serde`
+//! shim whose `derive` feature enables it.
 //!
-//! The shim's `Serialize` / `Deserialize` traits carry blanket
-//! implementations, so the derives have nothing to generate — they only need
-//! to exist so `#[derive(Serialize, Deserialize)]` (and any `#[serde(...)]`
-//! helper attributes) parse.
-
-use proc_macro::TokenStream;
-
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
-
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
-    TokenStream::new()
-}
+//! The package stays because `perfbench/Cargo.lock` records it. The
+//! benchmark revision of ROADMAP.md item 2 deletes it and its edge.

@@ -1,7 +1,6 @@
 //! End-to-end integration: datasets → traces → placement problem →
-//! incremental placer → orchestrator commit.
+//! incremental placer.
 
-use carbonedge_cluster::{EdgeSite, Orchestrator, ServerId, SiteId};
 use carbonedge_core::{IncrementalPlacer, PlacementPolicy, PlacementProblem, ServerSnapshot};
 use carbonedge_datasets::{MesoscaleRegion, StudyRegion, ZoneCatalog};
 use carbonedge_grid::HourOfYear;
@@ -9,22 +8,18 @@ use carbonedge_net::LatencyModel;
 use carbonedge_workload::{AppId, Application, DeviceKind, ModelKind};
 
 /// Builds the Central-EU regional scenario used across these tests.
-fn regional_scenario() -> (Vec<ServerSnapshot>, Vec<Application>, Vec<EdgeSite>) {
+fn regional_scenario() -> (Vec<ServerSnapshot>, Vec<Application>) {
     let catalog = ZoneCatalog::worldwide();
     let region = MesoscaleRegion::resolve(StudyRegion::CentralEu, &catalog);
     let traces = catalog.traces(42);
     let now = HourOfYear::new(4000);
 
     let mut snapshots = Vec::new();
-    let mut sites = Vec::new();
-    for (idx, (zone, (name, loc))) in region.zones.iter().zip(region.members.iter()).enumerate() {
+    for (idx, (zone, (_, loc))) in region.zones.iter().zip(region.members.iter()).enumerate() {
         snapshots.push(
             ServerSnapshot::new(idx, idx, *zone, DeviceKind::A2, *loc)
                 .with_carbon_intensity(traces[zone.index()].at(now)),
         );
-        let mut site = EdgeSite::new(SiteId(idx), name.clone(), *loc, *zone);
-        site.add_servers(DeviceKind::A2, 1, idx);
-        sites.push(site);
     }
     let apps: Vec<Application> = region
         .members
@@ -32,39 +27,12 @@ fn regional_scenario() -> (Vec<ServerSnapshot>, Vec<Application>, Vec<EdgeSite>)
         .enumerate()
         .map(|(i, (_, loc))| Application::new(AppId(i), ModelKind::ResNet50, 15.0, 20.0, *loc, i))
         .collect();
-    (snapshots, apps, sites)
-}
-
-#[test]
-fn carbon_aware_placement_commits_onto_the_cluster() {
-    let (snapshots, apps, sites) = regional_scenario();
-    let problem = PlacementProblem::new(snapshots, apps.clone(), 1.0)
-        .with_latency_model(LatencyModel::deterministic());
-    let decision = IncrementalPlacer::new(PlacementPolicy::CarbonAware)
-        .place(&problem)
-        .expect("regional placement is feasible");
-    assert!(decision.unplaced.is_empty());
-
-    // Commit the decision through the orchestrator (the Sinfonia-equivalent).
-    let mut orchestrator = Orchestrator::new(sites);
-    for (app, server) in apps.iter().zip(decision.assignment.iter()) {
-        let server = ServerId(server.expect("placed"));
-        let outcome = orchestrator.deploy(app, server).expect("deploy succeeds");
-        assert_eq!(outcome.app, app.id);
-    }
-    assert_eq!(orchestrator.deployed_count(), apps.len());
-    // The cluster state reflects the placement decision.
-    for (app, server) in apps.iter().zip(decision.assignment.iter()) {
-        assert_eq!(
-            orchestrator.placement_of(app.id),
-            Some(ServerId(server.unwrap()))
-        );
-    }
+    (snapshots, apps)
 }
 
 #[test]
 fn carbon_aware_beats_latency_aware_on_carbon_but_not_latency() {
-    let (snapshots, apps, _) = regional_scenario();
+    let (snapshots, apps) = regional_scenario();
     let problem = PlacementProblem::new(snapshots, apps, 1.0)
         .with_latency_model(LatencyModel::deterministic());
     let carbon = IncrementalPlacer::new(PlacementPolicy::CarbonAware)
@@ -84,7 +52,7 @@ fn carbon_aware_beats_latency_aware_on_carbon_but_not_latency() {
 
 #[test]
 fn all_four_policies_produce_feasible_placements() {
-    let (snapshots, apps, _) = regional_scenario();
+    let (snapshots, apps) = regional_scenario();
     let problem = PlacementProblem::new(snapshots, apps, 1.0)
         .with_latency_model(LatencyModel::deterministic());
     for policy in PlacementPolicy::BASELINE_SET {
@@ -100,7 +68,7 @@ fn all_four_policies_produce_feasible_placements() {
 
 #[test]
 fn exact_and_heuristic_solvers_agree_on_the_regional_scenario() {
-    let (snapshots, apps, _) = regional_scenario();
+    let (snapshots, apps) = regional_scenario();
     let problem = PlacementProblem::new(snapshots, apps, 1.0)
         .with_latency_model(LatencyModel::deterministic());
     let exact = IncrementalPlacer::new(PlacementPolicy::CarbonAware)
