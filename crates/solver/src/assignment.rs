@@ -22,22 +22,26 @@
 //! one server's usage, so it refreshes that server's column only, and not
 //! even that while the server's largest demand still fits and its
 //! activation term is unchanged: every marginal of the column then keeps
-//! its bits.  The regret construction also keeps each unplaced row's best
-//! and second-best marginal, and reads a row again only when a refresh
-//! touched a value within that range; each round then picks the first
-//! largest of one regret per application.
+//! its bits.  The regret construction also keeps a short list per
+//! unplaced row: the row's cheapest fitting candidates in (marginal, slot)
+//! order, with every fitting candidate it leaves out sorting after its
+//! last entry.  A refresh edits the lists of the rows it changes, and a
+//! row is read again only when its list runs short of two entries while
+//! the row holds more.  Each round takes the largest regret from a
+//! tournament tree over the applications, the lowest index among ties.
 //!
 //! The pairs do not depend on costs, so a deployment decided again and
 //! again builds them once and hands them to every instance by reference;
 //! an instance adds only its cost vector, aligned with the pairs, and the
 //! per-server capacity, activation and power state.
 
-/// Batches larger than this many applications skip the regret ordering,
-/// whose rounds each read one regret per application (O(n²) for `n`
-/// applications) on top of the rows a placement disturbs, and fall back to
-/// a simple cheapest-feasible greedy pass in application order (one read of
-/// each row), keeping CDN-scale batches (hundreds of applications over
-/// hundreds of servers) fast.
+/// Batches larger than this many applications skip the regret ordering
+/// and take a simple cheapest-feasible greedy pass in application order
+/// (one read of each row).  The limit no longer guards a quadratic cost:
+/// the tournament picks each regret round in O(log n) for `n`
+/// applications.  It keeps the decisions of larger batches, such as the
+/// full European catalog's 209 applications, on the weaker pass, and
+/// raising it would change them.
 const REGRET_LIMIT: usize = 200;
 
 /// The feasible `(application, server)` pairs of an assignment instance,
@@ -256,7 +260,8 @@ impl AssignmentProblem<'_> {
 
     /// Total cost of an assignment vector (operational + activation),
     /// or `None` if the assignment is infeasible.
-    pub fn evaluate(&self, assignment: &[Option<usize>]) -> Option<f64> {
+    #[cfg(test)]
+    fn evaluate(&self, assignment: &[Option<usize>]) -> Option<f64> {
         if assignment.len() != self.num_apps() {
             return None;
         }
@@ -286,7 +291,9 @@ impl AssignmentProblem<'_> {
     /// `REGRET_LIMIT` applications, the cheapest-feasible greedy pass) and
     /// returns the chosen server per application, `None` for an application
     /// none of whose candidates still fits.  Returns [`Self::validate`]'s
-    /// error for a malformed instance.
+    /// error for a malformed instance.  Demands are non-negative (the
+    /// placer rejects others), so a server's usage only grows as it takes
+    /// applications.
     ///
     /// Construction leaves each application on its then-cheapest fitting
     /// candidate, and later placements only use up capacity, so with every
@@ -297,7 +304,7 @@ impl AssignmentProblem<'_> {
         let regret = self.num_apps() <= REGRET_LIMIT;
         let mut state = State::new(self, regret);
         if regret {
-            state.greedy_construct();
+            while state.place_next() {}
         } else {
             state.greedy_construct_simple();
         }
@@ -353,56 +360,174 @@ fn cheapest(marginals: impl Iterator<Item = f64>) -> Option<(usize, f64)> {
     best
 }
 
-/// The best and second-best marginal of a candidate row, skipping `NAN`, as
-/// `(best_slot, best, second)`: `best` is the first candidate attaining the
-/// strict running minimum, `second` the minimum over the other values, and
-/// `INFINITY` when only one candidate fits.  `None` when none fits.
-fn top2(row: &[f64]) -> Option<(usize, f64, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    let mut second = f64::INFINITY;
-    for (k, &c) in row.iter().enumerate() {
-        if c.is_nan() {
-            continue;
-        }
-        match best {
-            Some((_, bc)) if c >= bc => {
-                if c < second {
-                    second = c;
-                }
-            }
-            _ => {
-                if let Some((_, bc)) = best {
-                    second = bc;
-                }
-                best = Some((k, c));
-            }
-        }
-    }
-    best.map(|(k, c)| (k, c, second))
+/// Entries in each unplaced row's candidate list.  A placement ends a
+/// listed candidate only when its server fills, so with a few entries a
+/// row is read again when most of its cheapest servers are full; a longer
+/// list costs more to shift on each edit.  Eight read fastest of 4, 8 and
+/// 16 on the default sweep grid and level on the serving deployment.
+const LIST_LEN: usize = 8;
+
+/// Whether `(marginal, slot)` key `a` sorts before `b`.  Marginals here
+/// always fit, so neither is `NAN`.
+fn sorts_before(a: (f64, usize), b: (f64, usize)) -> bool {
+    a.0 < b.0 || (a.0 == b.0 && a.1 < b.1)
 }
 
-/// The regret of a row's top-2: `second - best`, `INFINITY` for a lone
-/// candidate, and `-inf` for a row where nothing fits, below every regret.
-fn regret_of(top2: Option<(usize, f64, f64)>) -> f64 {
-    match top2 {
-        Some((_, best, second)) if second.is_finite() => second - best,
-        Some(_) => f64::INFINITY,
-        None => f64::NEG_INFINITY,
+/// The cheapest fitting candidates of an unplaced row: `entry[..len]`
+/// holds `(marginal, slot)` keys, ascending, and the row's `unlisted`
+/// other fitting candidates all sort after `entry[len - 1]`.  Between
+/// edits a list holds two entries or leaves nothing out, so it knows the
+/// row's best and second-best marginal.
+#[derive(Debug, Clone, Copy)]
+struct Candidates {
+    entry: [(f64, usize); LIST_LEN],
+    len: usize,
+    unlisted: usize,
+}
+
+impl Candidates {
+    /// The list of a row whose cached marginals are `row`.
+    fn of(row: &[f64]) -> Self {
+        let mut list = Self {
+            entry: [(0.0, 0); LIST_LEN],
+            len: 0,
+            unlisted: 0,
+        };
+        for (k, &c) in row.iter().enumerate() {
+            if c.is_nan() {
+                continue;
+            }
+            if list.len < LIST_LEN {
+                list.len += 1;
+            } else {
+                // Slots ascend, so this candidate sorts after an equal
+                // marginal and stays out; a cheaper one pushes the last
+                // entry out.  Either way one candidate goes unlisted.
+                list.unlisted += 1;
+                if c >= list.entry[LIST_LEN - 1].0 {
+                    continue;
+                }
+            }
+            list.shift_in(list.len - 1, (c, k));
+        }
+        list
+    }
+
+    /// Writes `key` into the free position `at` or below it, moving up by
+    /// one the entries before `at` that sort after `key`.
+    fn shift_in(&mut self, mut at: usize, key: (f64, usize)) {
+        while at > 0 && sorts_before(key, self.entry[at - 1]) {
+            self.entry[at] = self.entry[at - 1];
+            at -= 1;
+        }
+        self.entry[at] = key;
+    }
+
+    /// Edits the list after the marginal of slot `k`, a fitting candidate
+    /// of the row, changed to `new` (`NAN`: it no longer fits).  The
+    /// candidate leaves the list, or the unlisted count, and when it still
+    /// fits comes back into the list if it sorts before the last entry,
+    /// among the unlisted otherwise.  A full list that takes it pushes its
+    /// last entry out.
+    fn update(&mut self, k: usize, new: f64) {
+        match self.entry[..self.len].iter().position(|&(_, s)| s == k) {
+            Some(at) => {
+                self.entry.copy_within(at + 1..self.len, at);
+                self.len -= 1;
+            }
+            None => self.unlisted -= 1,
+        }
+        if new.is_nan() {
+            return;
+        }
+        let key = (new, k);
+        let last = self.entry[..self.len].last();
+        if last.is_none_or(|&last| !sorts_before(key, last)) {
+            self.unlisted += 1;
+            return;
+        }
+        if self.len < LIST_LEN {
+            self.len += 1;
+        } else {
+            self.unlisted += 1;
+        }
+        self.shift_in(self.len - 1, key);
+    }
+
+    /// Whether the list no longer knows its row's second-best marginal:
+    /// fewer than two entries remain while the row has unlisted fitting
+    /// candidates.
+    fn needs_rescan(&self) -> bool {
+        self.len < 2 && self.unlisted > 0
+    }
+
+    /// The slot of the row's best candidate.
+    fn best(&self) -> Option<usize> {
+        self.entry[..self.len].first().map(|&(_, k)| k)
+    }
+
+    /// The row's regret: `second - best`, `INFINITY` for a lone candidate
+    /// or a second-best marginal that is not finite, and `-inf` for a row
+    /// where nothing fits, below every regret.
+    fn regret(&self) -> f64 {
+        match self.entry[..self.len] {
+            [] => f64::NEG_INFINITY,
+            [(best, _), (second, _), ..] if second.is_finite() => second - best,
+            _ => f64::INFINITY,
+        }
     }
 }
 
-/// The index of the first maximum of `values` above `-inf`; `None` when
-/// every value is `-inf`.
-fn first_max(values: &[f64]) -> Option<usize> {
-    let mut best = None;
-    let mut max = f64::NEG_INFINITY;
-    for (i, &v) in values.iter().enumerate() {
-        if v > max {
-            best = Some(i);
-            max = v;
+/// A tournament tree over one regret per application: node `v` has the
+/// children `2v` and `2v + 1`, the leaves `size..2 * size` are the
+/// applications in index order (padded with `-inf`), and each node holds
+/// the winner of its leaves, the largest regret with the lowest index
+/// among ties.  Changing one regret replays the matches on its leaf's path
+/// to the root.
+struct Tournament {
+    /// `regret[i]`: application `i`'s regret, `-inf` past the last one.
+    regret: Vec<f64>,
+    /// `winner[v]`: the application that wins node `v`'s leaves.
+    winner: Vec<usize>,
+}
+
+impl Tournament {
+    fn new(mut regret: Vec<f64>) -> Self {
+        let size = regret.len().next_power_of_two();
+        regret.resize(size, f64::NEG_INFINITY);
+        let mut winner: Vec<usize> = (0..size).chain(0..size).collect();
+        for v in (1..size).rev() {
+            winner[v] = Self::play(&regret, winner[2 * v], winner[2 * v + 1]);
+        }
+        Self { regret, winner }
+    }
+
+    /// The winner of `a` and the higher-indexed `b`: `b` only with a
+    /// strictly larger regret.
+    fn play(regret: &[f64], a: usize, b: usize) -> usize {
+        if regret[b] > regret[a] {
+            b
+        } else {
+            a
         }
     }
-    best
+
+    /// Sets application `i`'s regret to `r`.
+    fn set(&mut self, i: usize, r: f64) {
+        self.regret[i] = r;
+        let mut v = (self.regret.len() + i) / 2;
+        while v > 0 {
+            self.winner[v] = Self::play(&self.regret, self.winner[2 * v], self.winner[2 * v + 1]);
+            v /= 2;
+        }
+    }
+
+    /// The application with the largest regret, the lowest index among
+    /// ties; `None` when every regret is `-inf`.
+    fn top(&self) -> Option<usize> {
+        let i = self.winner[1];
+        (self.regret[i] > f64::NEG_INFINITY).then_some(i)
+    }
 }
 
 /// The heuristic's working state.  Applications refer to their servers by
@@ -429,18 +554,18 @@ struct State<'p> {
     /// activation[j]`.
     roomy: Vec<bool>,
     /// The regret construction's rows, empty on the cheapest-feasible pass:
-    /// `top2[i]` is [`top2`] of unplaced app `i`'s cached marginals, read
-    /// again whenever a refresh could disturb it, and `regret[i]` is
-    /// [`regret_of`] it, `-inf` once app `i` is placed.
-    top2: Vec<Option<(usize, f64, f64)>>,
-    regret: Vec<f64>,
+    /// `lists[i]` is unplaced app `i`'s [`Candidates`] over its cached
+    /// marginals, and `tournament` holds each list's regret, `-inf` once
+    /// the app is placed.
+    lists: Vec<Candidates>,
+    tournament: Tournament,
 }
 
 impl<'p> State<'p> {
     /// Prices every pair against the empty state and, for the regret
-    /// construction, reads each row's top-2 right after pricing it.  On a
-    /// server whose largest demand fits it empty every pair fits, so its
-    /// pairs cost `cost + activation` without a fit test.
+    /// construction, lists each row's cheapest candidates right after
+    /// pricing it.  On a server whose largest demand fits it empty every
+    /// pair fits, so its pairs cost `cost + activation` without a fit test.
     fn new(problem: &'p AssignmentProblem<'p>, regret: bool) -> Self {
         let apps = problem.num_apps();
         let servers = problem.num_servers();
@@ -456,7 +581,7 @@ impl<'p> State<'p> {
             .map(|(largest, capacity)| column_fits(largest, &empty, capacity))
             .collect();
         let mut marginals = Vec::with_capacity(pairs.len());
-        let (mut top2s, mut regrets) = (Vec::new(), Vec::new());
+        let mut lists = Vec::new();
         for i in 0..apps {
             let row = pairs.row(i);
             let priced = pairs.server[row.clone()]
@@ -472,11 +597,10 @@ impl<'p> State<'p> {
                 });
             marginals.extend(priced);
             if regret {
-                let t = top2(&marginals[row]);
-                top2s.push(t);
-                regrets.push(regret_of(t));
+                lists.push(Candidates::of(&marginals[row]));
             }
         }
+        let tournament = Tournament::new(lists.iter().map(Candidates::regret).collect());
         Self {
             problem,
             assignment: vec![None; apps],
@@ -485,19 +609,22 @@ impl<'p> State<'p> {
             marginal: marginals,
             activation,
             roomy,
-            top2: top2s,
-            regret: regrets,
+            lists,
+            tournament,
         }
     }
 
     /// Refreshes the cached marginals of the candidates on server `j` after
-    /// a placement there, and reads again the top-2 of every unplaced app
-    /// the change could disturb: the old or new value reaches into the
-    /// cached top-2 range.  That covers a candidate that was its app's
-    /// best, since a row's best is never above its second.  Returns at
-    /// once when the server's largest demand fitted before the placement
-    /// and still fits, and the activation term kept its bits: every
-    /// marginal of the column is then unchanged.
+    /// a placement there, and edits the list of every unplaced app whose
+    /// candidate changed, reading the row again when the list runs short.
+    /// Returns at once when the server's largest demand fitted before the
+    /// placement and still fits, and the activation term kept its bits:
+    /// every marginal of the column is then unchanged.
+    ///
+    /// Within one construction a server's usage and app count only grow,
+    /// so a candidate that stops fitting never fits again, and a fitting
+    /// candidate's marginal changes only when its server takes its first
+    /// app and drops the activation term.
     fn refresh_column(&mut self, j: usize) {
         let used = self.used[j];
         let capacity = self.problem.capacity[j];
@@ -520,20 +647,17 @@ impl<'p> State<'p> {
                 continue;
             }
             self.marginal[pos] = new;
-            if self.top2.is_empty() || self.assignment[i].is_some() {
+            if self.lists.is_empty() || self.assignment[i].is_some() {
                 continue;
             }
-            // NaN comparisons are false: a candidate that stops fitting
-            // disturbs its row through its old value only, and one that
-            // starts fitting through its new value only.
-            let disturbed = match self.top2[i] {
-                None => !new.is_nan(),
-                Some((_, _, second)) => old <= second || new <= second,
-            };
-            if disturbed {
-                let t = top2(&self.marginal[pairs.row(i)]);
-                self.top2[i] = t;
-                self.regret[i] = regret_of(t);
+            let list = &mut self.lists[i];
+            list.update(k, new);
+            if list.needs_rescan() {
+                *list = Candidates::of(&self.marginal[pairs.row(i)]);
+            }
+            let regret = list.regret();
+            if regret.to_bits() != self.tournament.regret[i].to_bits() {
+                self.tournament.set(i, regret);
             }
         }
     }
@@ -573,17 +697,22 @@ impl<'p> State<'p> {
         }
     }
 
-    /// The regret construction: until no unplaced app has a fitting
-    /// candidate, place the app with the largest regret (the lowest index
-    /// among ties) on its best candidate.  Every unplaced row's top-2 is
-    /// what a fresh scan would read, so the chosen (app, server) matches
-    /// the uncached construction bit for bit.
-    fn greedy_construct(&mut self) {
-        while let Some(i) = first_max(&self.regret) {
-            let (k, _, _) = self.top2[i].expect("an app with a regret has a fitting candidate");
-            self.regret[i] = f64::NEG_INFINITY;
-            self.place(i, k);
-        }
+    /// One round of the regret construction: places the unplaced app with
+    /// the largest regret (the lowest index among ties) on its best
+    /// candidate, and returns false when no unplaced app has a fitting
+    /// candidate.  Every unplaced row's list starts with what a fresh scan
+    /// would read, so the chosen (app, server) matches the uncached
+    /// construction bit for bit.
+    fn place_next(&mut self) -> bool {
+        let Some(i) = self.tournament.top() else {
+            return false;
+        };
+        let k = self.lists[i]
+            .best()
+            .expect("an app with a regret has a fitting candidate");
+        self.tournament.set(i, f64::NEG_INFINITY);
+        self.place(i, k);
+        true
     }
 
     /// The chosen server of each application.
@@ -594,6 +723,67 @@ impl<'p> State<'p> {
             .enumerate()
             .map(|(i, a)| a.map(|k| pairs.server[self.pos(i, k)]))
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl State<'_> {
+    /// Panics unless every unplaced row's list holds the row's first
+    /// fitting candidates in (marginal, slot) order, counts exactly the
+    /// other fitting candidates as unlisted and knows the row's second-best
+    /// marginal, and unless the tournament holds every list's regret
+    /// (`-inf` for a placed app) and picks the first largest one.
+    fn check_lists(&self) {
+        for (i, list) in self.lists.iter().enumerate() {
+            let regret = self.tournament.regret[i];
+            if self.assignment[i].is_some() {
+                assert_eq!(regret, f64::NEG_INFINITY, "placed app {i}");
+                continue;
+            }
+            let mut fitting: Vec<(f64, usize)> = self
+                .marginal_row(i)
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| !c.is_nan())
+                .map(|(k, &c)| (c, k))
+                .collect();
+            // Without a negative zero `total_cmp` orders marginals as `<`.
+            fitting.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let keys = |entries: &[(f64, usize)]| -> Vec<(u64, usize)> {
+                entries.iter().map(|&(c, k)| (c.to_bits(), k)).collect()
+            };
+            assert!(
+                list.len <= fitting.len(),
+                "app {i} lists a candidate that does not fit"
+            );
+            assert_eq!(
+                keys(&list.entry[..list.len]),
+                keys(&fitting[..list.len]),
+                "app {i}'s list"
+            );
+            assert_eq!(
+                list.unlisted,
+                fitting.len() - list.len,
+                "app {i}'s unlisted count"
+            );
+            assert!(!list.needs_rescan(), "app {i}'s list is short");
+            assert_eq!(
+                regret.to_bits(),
+                list.regret().to_bits(),
+                "app {i}'s regret"
+            );
+        }
+        let regret = &self.tournament.regret;
+        let first_max = (0..self.lists.len())
+            .filter(|&i| regret[i] > f64::NEG_INFINITY)
+            .fold(None, |best: Option<usize>, i| {
+                if best.is_none_or(|b| regret[i] > regret[b]) {
+                    Some(i)
+                } else {
+                    best
+                }
+            });
+        assert_eq!(self.tournament.top(), first_max, "the tournament's winner");
     }
 }
 
@@ -1321,5 +1511,112 @@ mod tests {
             }
         }
         assert!(blocked > 0);
+    }
+
+    /// The regret construction with [`State::check_lists`] run after
+    /// pricing and after every placement.  Returns the chosen server per
+    /// application.
+    fn solve_checking_lists(p: &AssignmentProblem) -> Vec<Option<usize>> {
+        p.validate().expect("instance is well formed");
+        assert!(p.num_apps() <= REGRET_LIMIT);
+        let mut state = State::new(p, true);
+        state.check_lists();
+        while state.place_next() {
+            state.check_lists();
+        }
+        state.finish()
+    }
+
+    /// A seeded instance whose rows exceed the list length: 2–40 apps
+    /// reaching most of 9–30 servers, costs from four integers so that
+    /// many marginals tie, half the servers closed with an activation cost
+    /// that pushes their candidates back until they open, and capacities
+    /// that hold a few apps each.
+    fn long_row_instance(rng: &mut StdRng) -> Instance {
+        let apps = rng.gen_range(2..41);
+        let servers = rng.gen_range(LIST_LEN + 1..31);
+        let tenths = |rng: &mut StdRng, hi: u32| f64::from(rng.gen_range(1..hi)) / 10.0;
+        let rows = (0..apps)
+            .map(|_| {
+                let base = [tenths(rng, 12), tenths(rng, 12), tenths(rng, 4)];
+                (0..servers)
+                    .filter_map(|j| {
+                        if rng.gen_bool(0.1) {
+                            return None;
+                        }
+                        let demand = if rng.gen_bool(0.7) {
+                            base
+                        } else {
+                            [tenths(rng, 12), base[1], tenths(rng, 4)]
+                        };
+                        Some((j, f64::from(rng.gen_range(1..5u32)), demand))
+                    })
+                    .collect()
+            })
+            .collect();
+        from_rows(
+            rows,
+            (0..servers)
+                .map(|_| [tenths(rng, 30), tenths(rng, 30), tenths(rng, 10)])
+                .collect(),
+            (0..servers)
+                .map(|_| f64::from(rng.gen_range(0..7u32)))
+                .collect(),
+            (0..servers).map(|_| rng.gen_bool(0.5)).collect(),
+        )
+    }
+
+    #[test]
+    fn lists_hold_each_rows_first_fitting_candidates_on_the_reference_corpora() {
+        let mut rng = StdRng::seed_from_u64(20);
+        for case in 0..1_200 {
+            let instance = tenths_instance(&mut rng, case);
+            let p = instance.problem();
+            if p.num_apps() <= REGRET_LIMIT {
+                assert_eq!(
+                    solve_checking_lists(&p),
+                    reference_solve(&p),
+                    "tenths case {case}"
+                );
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(31);
+        for case in 0..12 {
+            let instance = sweep_instance(&mut rng);
+            let p = instance.problem();
+            assert_eq!(
+                solve_checking_lists(&p),
+                reference_solve(&p),
+                "sweep case {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn lists_hold_each_rows_first_fitting_candidates_on_long_tied_rows() {
+        // Read from each instance and its result: some rows hold more
+        // fitting candidates than a list, some apps land on a server that
+        // was closed with an activation cost (its column's marginals drop
+        // past listed ones), and some apps stay unplaced.
+        let mut rng = StdRng::seed_from_u64(41);
+        let (mut overflowing, mut activated, mut stranded) = (0, 0, 0);
+        for case in 0..2_000 {
+            let instance = long_row_instance(&mut rng);
+            let p = instance.problem();
+            let assignment = solve_checking_lists(&p);
+            assert_eq!(assignment, reference_solve(&p), "case {case}");
+            overflowing += (0..p.num_apps())
+                .filter(|&i| p.pairs.row(i).len() > LIST_LEN)
+                .count();
+            activated += assignment
+                .iter()
+                .flatten()
+                .filter(|&&j| !p.open[j] && p.activation_cost[j] > 0.0)
+                .count();
+            stranded += assignment.iter().filter(|a| a.is_none()).count();
+        }
+        assert!(overflowing > 0, "no row exceeds the list length");
+        assert!(activated > 0, "no app opened a server");
+        assert!(stranded > 0, "every app was placed");
     }
 }
