@@ -51,7 +51,7 @@ use crate::policy::PlacementPolicy;
 use crate::problem::{PairLatencyCache, PlacementProblem, PlacementSkeleton, PlacementState};
 use carbonedge_net::LatencyModel;
 use carbonedge_solver::{
-    AssignmentProblem, BranchBoundSolver, Comparison, LinearExpr, Model, VarId,
+    AssignmentProblem, BranchBoundSolver, CandidatePairs, Comparison, LinearExpr, Model, VarId,
 };
 use carbonedge_workload::Application;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -229,6 +229,42 @@ impl Resident {
         };
         same_cache && self.words.iter().copied().eq(deployment_words(problem))
     }
+}
+
+/// Checks a priced instance before either path decides it: applications
+/// with no feasible server at all (a hard constraint failure) are
+/// [`PlacementError::NoFeasibleServer`], and applications with a non-finite
+/// cost on some pair, the folded pair cost or the activation cost of the
+/// pair's server, are [`PlacementError::NonFiniteCost`].  A row's
+/// activation costs need a look only when some server's is non-finite.
+fn check_costs(
+    pairs: &CandidatePairs,
+    pair_cost: &[f64],
+    activation_cost: &[f64],
+) -> Result<(), PlacementError> {
+    let activation_finite = activation_cost.iter().all(|c| c.is_finite());
+    let mut stranded = Vec::new();
+    let mut non_finite = Vec::new();
+    for i in 0..pairs.num_apps() {
+        let row = pairs.row(i);
+        if row.is_empty() {
+            stranded.push(i);
+        } else if pair_cost[row.clone()].iter().any(|c| !c.is_finite())
+            || (!activation_finite
+                && pairs.servers()[row]
+                    .iter()
+                    .any(|&j| !activation_cost[j].is_finite()))
+        {
+            non_finite.push(i);
+        }
+    }
+    if !stranded.is_empty() {
+        return Err(PlacementError::NoFeasibleServer(stranded));
+    }
+    if !non_finite.is_empty() {
+        return Err(PlacementError::NonFiniteCost(non_finite));
+    }
+    Ok(())
 }
 
 /// The MILP rows kept with the resident skeleton, with the
@@ -534,36 +570,10 @@ impl IncrementalPlacer {
         let (mut pair_cost, activation_cost) = self.policy.costs(problem, &skeleton);
         self.fold_migration_costs(problem, &skeleton, &mut pair_cost);
 
-        // Applications with no feasible server at all (a hard constraint
-        // failure), and applications with a non-finite cost on some pair.
-        // A row's activation costs need a look only when some server's is
-        // non-finite.
         let pairs = skeleton.pairs();
-        let activation_finite = activation_cost.iter().all(|c| c.is_finite());
-        let mut stranded = Vec::new();
-        let mut non_finite = Vec::new();
-        for i in 0..apps {
-            let row = pairs.row(i);
-            if row.is_empty() {
-                stranded.push(i);
-            } else if pair_cost[row.clone()].iter().any(|c| !c.is_finite())
-                || (!activation_finite
-                    && pairs.servers()[row]
-                        .iter()
-                        .any(|&j| !activation_cost[j].is_finite()))
-            {
-                non_finite.push(i);
-            }
-        }
-        if !stranded.is_empty() {
-            return Err(PlacementError::NoFeasibleServer(stranded));
-        }
-        if !non_finite.is_empty() {
-            return Err(PlacementError::NonFiniteCost(non_finite));
-        }
-
         let tried_exact = apps * servers <= self.exact_size_limit;
         let exact_assignment = if tried_exact {
+            check_costs(pairs, &pair_cost, &activation_cost)?;
             self.solve_exact(problem, &skeleton, &pair_cost, &activation_cost)
         } else {
             None
@@ -590,7 +600,13 @@ impl IncrementalPlacer {
                         memo.matches(&instance).then(|| memo.assignment.clone())
                     })
                     .flatten();
+                // A hit has the vectors of an instance that passed the
+                // check before it was stored, on the same pairs, so only a
+                // miss on the heuristic path needs the check.
                 let memoized = memo.is_some();
+                if !memoized && !tried_exact {
+                    check_costs(pairs, &pair_cost, &activation_cost)?;
+                }
                 let constructed = memo.unwrap_or_else(|| {
                     instance
                         .solve()
@@ -1451,6 +1467,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_nan_intensity_after_a_memoized_decision_is_still_rejected() {
+        // The heuristic path looks the memo up first and checks the costs
+        // on a miss only; an instance with a NaN cost misses.
+        let p = green_and_dirty_problem(30.0);
+        let placer = IncrementalPlacer::new(PlacementPolicy::CarbonAware).heuristic_only();
+        assert!(!placer.place(&p).unwrap().memoized);
+        assert!(placer.place(&p).unwrap().memoized);
+        let mut nan = p.clone();
+        nan.servers[1].carbon_intensity = f64::NAN;
+        assert_eq!(
+            placer.place(&nan).unwrap_err(),
+            PlacementError::NonFiniteCost(vec![0])
+        );
     }
 
     #[test]
